@@ -112,15 +112,24 @@ fi
 # The session-resume parity tests guard the externalized-state contract
 # (a session checkpointed after any round and resumed — even by a fresh
 # process — must continue bit-identically, for every store backend and
-# executor); like the gates above, they must actually run.
+# executor); like the gates above, they must actually run.  The same
+# selection covers the hot copy (a worker may skip the rebuild only when
+# that changes nothing): both classes must show up as passed, so a
+# narrower -k or a rename cannot quietly drop either.
 echo "== session resume gate =="
 RESUME_LOG=/tmp/qd-check-session-resume.log
 PYTHONPATH=src python -m pytest tests/test_sessionstore.py -k Parity \
-    -q -rs | tee "$RESUME_LOG"
+    -q -rsp | tee "$RESUME_LOG"
 if ! grep -qE '[1-9][0-9]* passed' "$RESUME_LOG"; then
     echo "== no session resume test ran; failing ==" >&2
     exit 1
 fi
+for PARITY_CLASS in TestResumeParity TestHotPathParity; do
+    if ! grep -qE "^PASSED .*::${PARITY_CLASS}::" "$RESUME_LOG"; then
+        echo "== no ${PARITY_CLASS} test passed; failing ==" >&2
+        exit 1
+    fi
+done
 if grep -qE '[1-9][0-9]* skipped' "$RESUME_LOG"; then
     echo "== session resume tests were skipped; failing ==" >&2
     exit 1

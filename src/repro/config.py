@@ -427,9 +427,9 @@ class ServeConfig:
     Attributes
     ----------
     workers:
-        Serving worker threads, each wrapping its own stateless
+        Serving worker threads, each wrapping its own
         :class:`~repro.core.SessionFrontEnd` over the shared session
-        store.
+        store (and the engine's hot session copies).
     queue_limit:
         Bound of the admission queue.  A request arriving while the
         queue is full is *shed* immediately with a retriable response

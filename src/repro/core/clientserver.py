@@ -148,16 +148,21 @@ class FrontEndResult:
 
 
 class SessionFrontEnd:
-    """A stateless serving worker over externalized session state.
+    """A serving worker over externalized session state.
 
     This is the deployment shape the :mod:`repro.sessionstore` layer
     unlocks (ROADMAP items 1–2): N interchangeable front-end workers
-    behind a router, none of which holds a session in process memory
-    between requests.  Every request *loads* the session record from
-    the engine's shared store, acts on a rehydrated
-    :class:`~repro.core.session.FeedbackSession`, and re-checkpoints —
-    so consecutive requests of one dialogue may land on different
-    workers (or worker restarts) with bit-identical results.
+    behind a router.  Any worker can resume any session from the
+    record, so consecutive requests of one dialogue may land on
+    different workers (or worker restarts) with bit-identical results;
+    a worker may skip the rebuild when the record is byte-identical to
+    what it last wrote.  Every request *checks out* the session from
+    the engine (:meth:`~repro.core.engine.QueryDecompositionEngine.
+    checkout_session`: the engine's hot copy if the stored record
+    proves it current, else a :class:`~repro.core.session.
+    FeedbackSession` rehydrated from the record), acts, re-checkpoints,
+    and only then checks it back in — a request that fails anywhere
+    leaves no hot copy behind, and the record stays the only truth.
 
     Parameters
     ----------
@@ -200,9 +205,9 @@ class SessionFrontEnd:
     ) -> str:
         """Open a new dialogue; returns its session id."""
         self._count("open")
-        return self.engine.open_session(
-            seed=seed, session_id=session_id
-        ).session_id
+        session = self.engine.open_session(seed=seed, session_id=session_id)
+        self.engine.checkin_session(session)
+        return session.session_id
 
     def display(self, session_id: str, screens: int = 1) -> List[int]:
         """Serve one screen of representatives for ``session_id``.
@@ -212,9 +217,10 @@ class SessionFrontEnd:
         be served by any worker.
         """
         self._count("display")
-        session = self.engine.resume_session(session_id)
+        session = self.engine.checkout_session(session_id)
         shown = session.display(screens=screens)
         session.checkpoint()
+        self.engine.checkin_session(session)
         return shown
 
     def submit(self, session_id: str, relevant_ids: Iterable[int]) -> int:
@@ -224,14 +230,20 @@ class SessionFrontEnd:
         checkpoint is needed here.
         """
         self._count("submit")
-        session = self.engine.resume_session(session_id)
+        session = self.engine.checkout_session(session_id)
         session.submit(relevant_ids)
+        self.engine.checkin_session(session)
         return session.n_subqueries
 
     def finalize(self, session_id: str, k: int) -> "QueryResult":
-        """Run the final localized k-NN; removes the session record."""
+        """Run the final localized k-NN; removes the session record.
+
+        The session is never checked back in: finalized or failed, the
+        next request for this id starts from the record (or its
+        absence).
+        """
         self._count("finalize")
-        session = self.engine.resume_session(session_id)
+        session = self.engine.checkout_session(session_id)
         return session.finalize(k)
 
     def abandon(self, session_id: str) -> bool:
@@ -239,6 +251,7 @@ class SessionFrontEnd:
         self._count("abandon")
         store = self.engine.session_store
         assert store is not None  # checked at construction
+        self.engine.release_session(session_id)
         return store.delete(session_id)
 
     def insert(self, vector: Iterable[float]) -> int:

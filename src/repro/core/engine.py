@@ -7,8 +7,9 @@ users, which the evaluation harness and the examples build on.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from repro.config import (
     BuildConfig,
@@ -51,6 +52,11 @@ MarkFunction = Callable[[Sequence[int]], Sequence[int]]
 #: the small final subclusters.
 DEFAULT_BROWSE_SCREENS: tuple[int, ...] = (6, 10, 1000)
 
+#: Live sessions an engine keeps between the ops of their dialogues
+#: (see :meth:`QueryDecompositionEngine.checkout_session`); the least
+#: recently checked-in one goes first.
+HOT_SESSION_CAPACITY = 1024
+
 
 class QueryDecompositionEngine:
     """Query Decomposition retrieval over an :class:`ImageDatabase`.
@@ -82,6 +88,8 @@ class QueryDecompositionEngine:
         self.config = config or QDConfig()
         self._executor = executor
         self._session_store: Optional["SessionStore"] = None
+        self._hot_sessions: Dict[str, FeedbackSession] = {}
+        self._hot_lock = threading.Lock()
         self._mutations: Optional["GenerationController"] = None
         if store is not None:
             self.rfs.attach_store(store)
@@ -237,9 +245,11 @@ class QueryDecompositionEngine:
         The process executor's fork pool keys on
         ``(id(rfs), mutation_epoch)``, so it re-forks lazily on the
         next subquery; nothing else holds the old structure except the
-        sessions pinned to it.
+        sessions pinned to it — so the hot copies go, or one could keep
+        a generation alive after it left the ``max_retired`` window.
         """
         self.rfs = rfs
+        self._clear_hot_sessions()
 
     def _require_mutations(self) -> "GenerationController":
         if self._mutations is None:
@@ -289,6 +299,7 @@ class QueryDecompositionEngine:
         one file handle per engine.  In-RAM stores are left attached
         (they hold no OS resources and may be shared).
         """
+        self._clear_hot_sessions()  # they hold the executor
         if self._executor is not None:
             self._executor.close()
             self._executor = None
@@ -322,10 +333,12 @@ class QueryDecompositionEngine:
         the same structure and config can :meth:`resume_session` it.
         """
         self._session_store = store
+        self._clear_hot_sessions()
 
     def detach_session_store(self) -> None:
         """Stop externalizing session state (existing records remain)."""
         self._session_store = None
+        self._clear_hot_sessions()
 
     def new_session(
         self,
@@ -391,23 +404,104 @@ class QueryDecompositionEngine:
                 "resume_session needs an attached session store"
             )
         state = self._session_store.get(session_id)
-        rfs = self.rfs
-        if (
-            self._mutations is not None
-            and state.structure_version != rfs.structure_version
-        ):
-            pinned = self._mutations.structure_for_version(
-                state.structure_version
-            )
-            if pinned is not None:
-                rfs = pinned
         return FeedbackSession.restore(
-            rfs,
+            self._structure_for(state.structure_version),
             state,
             config=self.config,
             executor=self.executor,
             store=self._session_store,
         )
+
+    def _structure_for(self, version: int) -> RFSStructure:
+        """The structure a record captured at ``version`` resumes on.
+
+        The serving one, unless mutations kept the retired generation
+        of that version; a version nobody serves any more also gets
+        the serving structure, whose fencing then rejects the record.
+        """
+        rfs = self.rfs
+        if (
+            self._mutations is not None
+            and version != rfs.structure_version
+        ):
+            pinned = self._mutations.structure_for_version(version)
+            if pinned is not None:
+                rfs = pinned
+        return rfs
+
+    # -- the hot copy: skip the rebuild when the record proves it current
+    def checkout_session(self, session_id: str) -> FeedbackSession:
+        """Take the session for its next op; the caller owns it.
+
+        :meth:`resume_session`, except that the rebuild is skipped when
+        this engine still has the live object it last checkpointed for
+        ``session_id`` (:meth:`checkin_session`) *and* the store's
+        record is byte-for-byte the text that object wrote: equal
+        bytes mean equal state, because a resumed session continues
+        bit-identically.  The hot copy leaves the engine either way, so
+        a second concurrent request resumes from the record, and an op
+        that fails simply never hands it back.  Everything else — a
+        record someone else rewrote or swept, a swapped generation, a
+        changed config or store — takes the :meth:`resume_session`
+        path and gets its errors.
+        """
+        with self._hot_lock:
+            hot = self._hot_sessions.pop(session_id, None)
+        store = self._session_store
+        if hot is not None and store is not None and self._is_current(hot):
+            stored = store.read_payload(session_id)
+            if stored is not None and stored == hot.checkpoint_payload:
+                return hot
+        return self.resume_session(session_id)
+
+    def _is_current(self, session: FeedbackSession) -> bool:
+        """Would :meth:`resume_session` rebuild exactly ``session``?
+
+        Given that the record is the session's own last checkpoint:
+        same store, same config object (so the same fingerprint), the
+        same structure object still at the captured version, not
+        finalized.
+        """
+        version = session.checkpoint_version
+        return (
+            session.store is self._session_store
+            and session.config is self.config
+            and not session.finalized
+            and session.rfs is self._structure_for(version)
+            and session.rfs.structure_version == version
+        )
+
+    def checkin_session(self, session: FeedbackSession) -> None:
+        """Hand back a session taken with :meth:`checkout_session`.
+
+        Call it only after the op's checkpoint succeeded and only when
+        nothing else keeps a reference: the next
+        :meth:`checkout_session` may return this very object.  A
+        session that could not be proven current later anyway
+        (finalized, never checkpointed, on a structure this engine no
+        longer serves) is dropped instead.
+        """
+        if session.checkpoint_payload is None:
+            return
+        with self._hot_lock:
+            # Under the lock a generation swap's clear comes either
+            # before this check (and fails it) or after the insert.
+            if not self._is_current(session):
+                return
+            hot = self._hot_sessions
+            hot.pop(session.session_id, None)  # re-insert as newest
+            hot[session.session_id] = session
+            if len(hot) > HOT_SESSION_CAPACITY:
+                del hot[next(iter(hot))]
+
+    def release_session(self, session_id: str) -> None:
+        """Forget the hot copy of ``session_id`` (its dialogue ended)."""
+        with self._hot_lock:
+            self._hot_sessions.pop(session_id, None)
+
+    def _clear_hot_sessions(self) -> None:
+        with self._hot_lock:
+            self._hot_sessions.clear()
 
     def expire_sessions(self, ttl_s: float) -> list[str]:
         """Sweep sessions idle longer than ``ttl_s``; returns their ids.

@@ -32,7 +32,7 @@ Resume safety is enforced with two fingerprints carried by the record:
 
 from __future__ import annotations
 
-import copy
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Tuple
@@ -53,15 +53,30 @@ def config_fingerprint(config: QDConfig) -> str:
     change *where* subqueries run, never what they return, so a session
     may legally hop between differently-configured workers.
     """
+    return _fingerprint(
+        config.boundary_threshold, config.display_size, config.max_rounds
+    )
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _fingerprint(
+    boundary_threshold: float, display_size: int, max_rounds: int
+) -> str:
+    # Memoized: every capture and every restore asks for the digest of
+    # the same few frozen configs.  ``typed`` keeps ``21`` and ``21.0``
+    # apart, as their reprs are.
     material = repr(
-        (
-            "qd-session",
-            config.boundary_threshold,
-            config.display_size,
-            config.max_rounds,
-        )
+        ("qd-session", boundary_threshold, display_size, max_rounds)
     ).encode()
     return hashlib.blake2b(material, digest_size=8).hexdigest()
+
+
+def _copy_rng_state(rng_state: Mapping[str, Any]) -> Dict[str, Any]:
+    """Copy a bit-generator state (JSON-safe ones nest one dict deep)."""
+    return {
+        key: dict(value) if isinstance(value, Mapping) else value
+        for key, value in rng_state.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -154,10 +169,12 @@ class SessionState:
             "active": [sub.to_dict() for sub in self.active],
             "marked": list(self.marked),
             # JSON object keys are strings; decoded back to ints below.
-            "display_owner": {
-                str(k): int(v) for k, v in self.display_owner.items()
-            },
-            "rng_state": copy.deepcopy(self.rng_state),
+            "display_owner": dict(
+                zip(map(str, self.display_owner), self.display_owner.values())
+            ),
+            # Copied so a caller's edits to this dict cannot reach the
+            # (retained, frozen) record.
+            "rng_state": _copy_rng_state(self.rng_state),
             "config_fingerprint": self.config_fingerprint,
             "structure_version": self.structure_version,
             "created_unix": self.created_unix,
@@ -197,7 +214,8 @@ class SessionState:
             raise SessionCodecError(
                 f"unknown bit generator {name!r} in session record"
             ) from exc
-        bit_generator.state = copy.deepcopy(self.rng_state)
+        # numpy reads the values out; it does not keep the dict.
+        bit_generator.state = self.rng_state
         return np.random.Generator(bit_generator)
 
     @property
@@ -219,7 +237,7 @@ def _decode_v1(data: Mapping[str, Any]) -> SessionState:
         display_owner={
             int(k): int(v) for k, v in data["display_owner"].items()
         },
-        rng_state=copy.deepcopy(dict(data["rng_state"])),
+        rng_state=_copy_rng_state(data["rng_state"]),
         config_fingerprint=str(data["config_fingerprint"]),
         structure_version=int(data["structure_version"]),
         created_unix=float(data.get("created_unix", 0.0)),

@@ -3,9 +3,11 @@
 ``QDServer`` is the in-process heart of the serving stack (the TCP
 layer in :mod:`repro.serve.tcp` is a thin codec over it): a bounded
 admission queue in front of a pool of worker threads, each wrapping its
-own stateless :class:`~repro.core.SessionFrontEnd` over the engine's
-shared session store — the thin-view/fat-engine split of a multi-user
-CBIR service.
+own :class:`~repro.core.SessionFrontEnd` over the engine's shared
+session store — the thin-view/fat-engine split of a multi-user CBIR
+service.  Any worker can resume any session from the record; the
+workers share the engine's hot copies and skip the rebuild when the
+record is byte-identical to what the engine last wrote.
 
 Overload behaviour is engineered, not accidental:
 
@@ -96,8 +98,8 @@ class QDServer:
     ----------
     engine:
         The serving engine (sharded or single-node); must have a
-        session store attached — every worker resumes sessions from it,
-        so consecutive requests of one dialogue may be served by
+        session store attached — every worker can resume sessions from
+        it, so consecutive requests of one dialogue may be served by
         different workers.
     config:
         Admission-control knobs (validated up front by

@@ -119,6 +119,14 @@ class QDTCPServer(socketserver.ThreadingTCPServer):
 
     def core_request(self, payload: Dict[str, Any]) -> ServerResponse:
         """Validate one decoded request and run it through the core."""
+        if not isinstance(payload, dict):
+            # Valid JSON, but an array or a scalar: no fields to read.
+            return ServerResponse(
+                op="?",
+                status="invalid_request",
+                error="a request must be a JSON object, got "
+                f"{type(payload).__name__}",
+            )
         op = payload.get("op")
         if op not in _OP_ARGS:
             return ServerResponse(

@@ -14,11 +14,17 @@ ship (see the package docstring for the selection matrix):
 
 Every backend stores the *encoded JSON text* of the record, never live
 objects — the in-memory backend included — so a checkpoint is always a
-full codec round-trip and a resumed session can never alias state with
-the session that wrote it.  The base class owns instrumentation: each
-operation runs inside a ``session_store`` span and feeds the
-``qd_session_store_*`` metric family, labeled by backend and operation,
-so checkpoint overhead is directly visible in the obs layer.
+full encode and any worker can resume any session from the record
+alone, without aliasing state with the session that wrote it.  A worker
+may skip the rebuild when the record is byte-identical to what it last
+wrote: :meth:`SessionStore.put` returns the stored text and
+:meth:`SessionStore.read_payload` reads it back undecoded, so the
+serving path can compare the two (see
+:meth:`repro.core.engine.QueryDecompositionEngine.checkout_session`).
+The base class owns instrumentation: each operation runs inside a
+``session_store`` span and feeds the ``qd_session_store_*`` metric
+family, labeled by backend and operation, so checkpoint overhead is
+directly visible in the obs layer.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ from typing import Dict, List, Optional
 from repro.core.session_state import SessionState
 from repro.errors import SessionCodecError, SessionNotFoundError
 from repro.obs import get_metrics, get_tracer
+
+
+#: What :meth:`SessionStore._op_span` hands out while obs is off.
+_NO_SPAN = contextlib.nullcontext()
 
 
 def encode_state(state: SessionState) -> str:
@@ -64,24 +74,41 @@ class SessionStore(abc.ABC):
     kind: str = "abstract"
 
     # -- public instrumented API ---------------------------------------
-    def put(self, state: SessionState) -> None:
-        """Checkpoint ``state`` (upsert by ``state.session_id``)."""
+    def put(self, state: SessionState) -> str:
+        """Checkpoint ``state`` (upsert by ``state.session_id``).
+
+        Returns the text now stored for the session — exactly what
+        :meth:`read_payload` yields until someone writes it again.
+        """
         payload = encode_state(state)
         with self._op_span("put", state.session_id):
-            self._put(state.session_id, payload, state.updated_unix)
-        get_metrics().histogram(
-            "qd_session_state_bytes",
-            "encoded size of checkpointed session records",
-            labels={"backend": self.kind},
-        ).observe(len(payload))
+            stored = self._put(
+                state.session_id, payload, state.updated_unix
+            )
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.histogram(
+                "qd_session_state_bytes",
+                "encoded size of checkpointed session records",
+                labels={"backend": self.kind},
+            ).observe(len(payload))
+        return payload if stored is None else stored
+
+    def read_payload(self, session_id: str) -> Optional[str]:
+        """The stored text of ``session_id`` undecoded, ``None`` if absent.
+
+        Instrumented as a ``get``: it is the same backend read, only
+        without the decode.
+        """
+        with self._op_span("get", session_id):
+            return self._get(session_id)
 
     def get(self, session_id: str) -> SessionState:
         """Load the record stored under ``session_id``.
 
         Raises :class:`~repro.errors.SessionNotFoundError` when absent.
         """
-        with self._op_span("get", session_id):
-            payload = self._get(session_id)
+        payload = self.read_payload(session_id)
         if payload is None:
             raise SessionNotFoundError(
                 f"no session {session_id!r} in {self.kind} store"
@@ -134,8 +161,13 @@ class SessionStore(abc.ABC):
     @abc.abstractmethod
     def _put(
         self, session_id: str, payload: str, updated_unix: float
-    ) -> None:
-        """Upsert the encoded record."""
+    ) -> Optional[str]:
+        """Upsert the encoded record.
+
+        A backend that stores a re-formatted text returns what
+        :meth:`_get` will read back; the others return ``None``
+        (``payload`` is stored verbatim).
+        """
 
     @abc.abstractmethod
     def _get(self, session_id: str) -> Optional[str]:
@@ -169,10 +201,17 @@ class SessionStore(abc.ABC):
         return swept
 
     # -- instrumentation helpers ---------------------------------------
-    @contextlib.contextmanager
     def _op_span(self, op: str, session_id: Optional[str]):
-        labels = {"backend": self.kind, "op": op}
+        """Context manager recording one store operation."""
         metrics = get_metrics()
+        tracer = get_tracer()
+        if not (metrics.enabled or tracer.enabled):
+            return _NO_SPAN
+        return self._recorded_op(op, session_id, metrics, tracer)
+
+    @contextlib.contextmanager
+    def _recorded_op(self, op, session_id, metrics, tracer):
+        labels = {"backend": self.kind, "op": op}
         metrics.counter(
             "qd_session_store_ops_total",
             "session-store operations",
@@ -182,7 +221,7 @@ class SessionStore(abc.ABC):
         if session_id is not None:
             attrs["session"] = session_id
         start = time.perf_counter()
-        with get_tracer().span("session_store", **attrs):
+        with tracer.span("session_store", **attrs):
             yield
         metrics.histogram(
             "qd_session_store_seconds",

@@ -46,16 +46,19 @@ class JSONDirectorySessionStore(SessionStore):
     # -- primitives ----------------------------------------------------
     def _put(
         self, session_id: str, payload: str, updated_unix: float
-    ) -> None:
+    ) -> str:
         target = self._file(session_id)
         # Re-indent for humans; the payload is canonical JSON already.
-        text = json.dumps(json.loads(payload), indent=2, sort_keys=True)
+        text = (
+            json.dumps(json.loads(payload), indent=2, sort_keys=True)
+            + "\n"
+        )
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{session_id}.", suffix=".tmp", dir=self._dir
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(text + "\n")
+                handle.write(text)
             os.replace(tmp_name, target)
         except OSError as exc:
             try:
@@ -66,6 +69,7 @@ class JSONDirectorySessionStore(SessionStore):
                 f"cannot checkpoint session {session_id!r} to "
                 f"{target}: {exc}"
             ) from exc
+        return text
 
     def _get(self, session_id: str) -> Optional[str]:
         try:

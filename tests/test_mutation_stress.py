@@ -11,6 +11,7 @@ bit-identically to a from-scratch rebuild of the same live items.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -172,14 +173,24 @@ class TestMutationStress:
 
         thread = threading.Thread(target=writer)
         thread.start()
+        # Sessions keep racing the writer until one of its compactions
+        # has swapped a generation in — however little CPU the writer
+        # thread gets, the race this test is about has then happened.
+        deadline = time.monotonic() + 120.0
+        trial = 0
         try:
-            for trial in range(4):
+            while trial < 4 or engine.mutations.generation < 1:
+                assert not errors, errors
+                assert time.monotonic() < deadline, (
+                    f"no generation swap after {trial} sessions"
+                )
                 result = engine.run_scripted(
                     lambda shown: list(shown[:4]),
                     k=25, rounds=2, seed=trial,
                 )
                 ids = result.flatten(25)
                 assert len(ids) == len(set(ids))
+                trial += 1
         finally:
             done.set()
             thread.join()

@@ -378,6 +378,23 @@ class TestTCPServer:
         finally:
             sock.close()
 
+    def test_malformed_non_object_lines_keep_connection(self, tcp):
+        """Valid JSON that is not an object: structured error, live socket."""
+        sock, stream = self._client(tcp)
+        try:
+            for line in ("[1]", "3", '"x"', "null"):
+                stream.write(line + "\n")
+                stream.flush()
+                reply = stream.readline()
+                assert reply, f"connection died on {line!r}"
+                response = json.loads(reply)
+                assert response["status"] == "invalid_request"
+                assert "JSON object" in response["error"]
+            opened = self._roundtrip(stream, {"op": "open", "seed": 4})
+            assert opened["status"] == "ok"
+        finally:
+            sock.close()
+
     def test_not_found_over_socket(self, tcp):
         sock, stream = self._client(tcp)
         try:

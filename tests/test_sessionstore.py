@@ -9,12 +9,15 @@ never-suspended run, for every store backend and every executor kind.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -254,16 +257,17 @@ class TestResumeParity:
         assert child_sig == reference[1]
 
     def test_frontend_handoff_parity(self, rfs, rendered_db, tmp_path):
-        """Every request on a different stateless worker, same ranking."""
-        from repro.core.engine import QueryDecompositionEngine
-
+        """Every request on a different worker process' stand-in (its
+        own engine over the shared tree and store), same ranking."""
         config = QDConfig()
         reference = _run_session(rfs, rendered_db.labels, config)
-        engine = QueryDecompositionEngine(rendered_db, rfs, config)
         with _store("sqlite", tmp_path) as store:
-            engine.attach_session_store(store)
             workers = [
-                SessionFrontEnd(engine, worker_id=f"w{i}") for i in range(3)
+                SessionFrontEnd(
+                    _engine(rendered_db, rfs, store, config),
+                    worker_id=f"w{i}",
+                )
+                for i in range(3)
             ]
             sid = workers[0].open(seed=SEED, session_id="hopper")
             mark = _mark_fn(rendered_db.labels)
@@ -277,7 +281,348 @@ class TestResumeParity:
             result = workers[0].finalize(sid, K)
             assert (shown_log, _signature(result)) == reference
             assert store.list_ids() == []
-            engine.detach_session_store()
+
+
+# ---------------------------------------------------------------------------
+# The hot copy — same no-skip gate (class name ends in Parity)
+# ---------------------------------------------------------------------------
+def _engine(rendered_db, rfs, store, config=None):
+    from repro.core.engine import QueryDecompositionEngine
+
+    engine = QueryDecompositionEngine(rendered_db, rfs, config or QDConfig())
+    engine.attach_session_store(store)
+    return engine
+
+
+def _record(store, sid):
+    """The stored record of ``sid``, wall-clock stamps aside."""
+    text = store.read_payload(sid)
+    if text is None:
+        return None
+    data = json.loads(text)
+    del data["created_unix"], data["updated_unix"]
+    return data
+
+
+def _outcome(result):
+    """What a client can tell about one ``handle`` reply."""
+    value = result.value
+    if hasattr(value, "groups"):
+        value = _signature(value)
+    return (result.ok, result.error_kind, result.error, value)
+
+
+@pytest.fixture()
+def decode_calls(monkeypatch):
+    """Counts ``decode_state`` calls made through ``SessionStore.get``."""
+    from repro.sessionstore import base
+
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return decode_state(text)
+
+    monkeypatch.setattr(base, "decode_state", counting)
+    return calls
+
+
+class TestHotPathParity:
+    """Skipping the rebuild must never change what any op returns."""
+
+    @pytest.mark.parametrize("backend", SESSION_STORE_KINDS)
+    def test_hot_and_forced_cold_agree_after_every_op(
+        self, rfs, rendered_db, backend, tmp_path
+    ):
+        """Interleaved dialogues, bad ops included: same replies, same
+        records, whether the hot copy is used or dropped before every op."""
+        mark = _mark_fn(rendered_db.labels)
+        with _store(backend, tmp_path / "hot") as hot_store, _store(
+            backend, tmp_path / "cold"
+        ) as cold_store:
+            hot_engine = _engine(rendered_db, rfs, hot_store)
+            cold_engine = _engine(rendered_db, rfs, cold_store)
+            hot = SessionFrontEnd(hot_engine)
+            cold = SessionFrontEnd(cold_engine)
+            sids = [f"dlg{i}" for i in range(3)]
+            shown = {}
+
+            def both(op, sid, **kwargs):
+                # re-attaching the store drops every hot copy
+                cold_engine.attach_session_store(cold_store)
+                got = _outcome(hot.handle(op, session_id=sid, **kwargs))
+                want = _outcome(cold.handle(op, session_id=sid, **kwargs))
+                assert got == want, (op, sid)
+                for each in sids:
+                    assert _record(hot_store, each) == _record(
+                        cold_store, each
+                    ), (op, sid, each)
+                return got
+
+            for i, sid in enumerate(sids):
+                assert both("open", sid, seed=SEED + i)[0]
+            clean, faulty = sids[0], sids[1:]  # ``clean`` stays hot
+            for rnd in range(ROUNDS):
+                for sid in sids:
+                    reply = both("display", sid, screens=SCREENS)
+                    assert reply[0]
+                    shown[sid] = reply[3]
+                # each failure drops the hot copy; the next op of the
+                # dialogue must carry on from the record
+                for sid in faulty:
+                    assert both("display", sid)[1] == "invalid_state"
+                    assert (
+                        both("submit", sid, relevant_ids=[-5])[1]
+                        == "invalid_state"
+                    )
+                assert both("display", "ghost")[1] == "not_found"
+                for sid in sids:
+                    assert both(
+                        "submit", sid, relevant_ids=mark(shown[sid])
+                    )[0]
+                if rnd + 1 < ROUNDS:
+                    for sid in faulty:
+                        assert (
+                            both("display", sid, screens=0)[1]
+                            == "invalid_state"
+                        )
+            assert set(hot_engine._hot_sessions) == set(sids)
+            for sid in faulty:
+                # fails on the hot object, after it set ``finalized``
+                assert both("finalize", sid, k=0)[1] == "invalid_request"
+                assert sid not in hot_engine._hot_sessions
+            for sid in sids:
+                final = both("finalize", sid, k=K)
+                assert final[0] and final[3]
+                assert both("finalize", sid, k=K)[1] == "not_found"
+            assert hot_engine._hot_sessions == {}
+            assert hot_store.list_ids() == cold_store.list_ids() == []
+
+    def test_same_engine_dialogue_never_decodes_after_open(
+        self, rfs, rendered_db, tmp_path, decode_calls
+    ):
+        config = QDConfig()
+        reference = _run_session(rfs, rendered_db.labels, config)
+        with _store("sqlite", tmp_path) as store:
+            engine = _engine(rendered_db, rfs, store, config)
+            # several workers of one engine share its hot copies
+            workers = [
+                SessionFrontEnd(engine, worker_id=f"w{i}") for i in range(3)
+            ]
+            sid = workers[0].open(seed=SEED, session_id="sticky")
+            mark = _mark_fn(rendered_db.labels)
+            shown_log = []
+            for rnd in range(ROUNDS):
+                shown = workers[(2 * rnd + 1) % 3].display(
+                    sid, screens=SCREENS
+                )
+                shown_log.append(tuple(shown))
+                workers[(2 * rnd + 2) % 3].submit(sid, mark(shown))
+            result = workers[0].finalize(sid, K)
+            assert (shown_log, _signature(result)) == reference
+            assert decode_calls == []
+            assert store.list_ids() == []
+
+    def test_two_engines_alternating_go_cold_on_every_op(
+        self, rfs, rendered_db, tmp_path, decode_calls
+    ):
+        """One dialogue, its ops alternating between two engines over one
+        SQLite file: each engine's hot copy is stale every time."""
+        config = QDConfig()
+        reference = _run_session(rfs, rendered_db.labels, config)
+        with _store("sqlite", tmp_path) as store:
+            fronts = [
+                SessionFrontEnd(_engine(rendered_db, rfs, store, config))
+                for _ in range(2)
+            ]
+            sid = fronts[0].open(seed=SEED, session_id="pingpong")
+            mark = _mark_fn(rendered_db.labels)
+            shown_log = []
+            ops = 0
+            for rnd in range(ROUNDS):
+                ops += 1
+                shown = fronts[ops % 2].display(sid, screens=SCREENS)
+                assert len(decode_calls) == ops
+                shown_log.append(tuple(shown))
+                ops += 1
+                fronts[ops % 2].submit(sid, mark(shown))
+                assert len(decode_calls) == ops
+            ops += 1
+            result = fronts[ops % 2].finalize(sid, K)
+            assert len(decode_calls) == ops
+            assert (shown_log, _signature(result)) == reference
+
+    def test_failed_op_sweep_and_abandon_drop_the_hot_copy(
+        self, rfs, rendered_db, decode_calls
+    ):
+        store = InMemorySessionStore()
+        engine = _engine(rendered_db, rfs, store)
+        front = SessionFrontEnd(engine)
+        mark = _mark_fn(rendered_db.labels)
+
+        # a failed op: the next one rebuilds, the one after is hot again
+        sid = front.open(seed=SEED, session_id="fails")
+        shown = front.display(sid, screens=SCREENS)
+        with pytest.raises(SessionStateError):
+            front.submit(sid, [-1])
+        assert sid not in engine._hot_sessions
+        front.submit(sid, mark(shown))
+        assert len(decode_calls) == 1
+        front.display(sid, screens=SCREENS)
+        assert len(decode_calls) == 1
+
+        # a TTL sweep: the record reads back absent
+        assert store.sweep_expired(0.0, now=2e12) == [sid]
+        with pytest.raises(SessionNotFoundError):
+            front.submit(sid, [])
+        assert sid not in engine._hot_sessions
+
+        # abandon
+        sid = front.open(seed=SEED, session_id="leaves")
+        front.display(sid, screens=SCREENS)
+        assert front.abandon(sid) is True
+        assert sid not in engine._hot_sessions
+        with pytest.raises(SessionNotFoundError):
+            front.submit(sid, [])
+
+        # someone else rewrote the record (here: the previous screen)
+        sid = front.open(seed=SEED, session_id="rewritten")
+        before = store.get(sid)
+        front.display(sid, screens=SCREENS)
+        store.put(before)
+        n = len(decode_calls)
+        front.display(sid, screens=SCREENS)  # legal only from ``before``
+        assert len(decode_calls) == n + 1
+
+        # another structure object, even at the same version
+        engine.rfs = copy.copy(rfs)
+        n = len(decode_calls)
+        front.submit(sid, [])
+        assert len(decode_calls) == n + 1
+        assert engine._hot_sessions[sid].rfs is engine.rfs
+
+        # a new store, even over the same records, starts cold
+        engine.attach_session_store(store)
+        assert engine._hot_sessions == {}
+
+    def test_generation_swap_goes_cold_and_frees_the_old_tree(
+        self, rendered_db, decode_calls
+    ):
+        import numpy as np
+
+        from repro.config import MutationConfig
+        from repro.core.engine import QueryDecompositionEngine
+
+        engine = QueryDecompositionEngine.build(
+            rendered_db, seed=77,
+            mutations=MutationConfig(compact_threshold=10**6, max_retired=1),
+        )
+        engine.attach_session_store(InMemorySessionStore())
+        front = SessionFrontEnd(engine)
+        mark = _mark_fn(rendered_db.labels)
+        rng = np.random.default_rng(5)
+
+        def swap():
+            engine.insert_image(rng.normal(size=rendered_db.dims))
+            assert engine.compact_index() is not None
+
+        sid = front.open(seed=SEED, session_id="pinned")
+        shown = front.display(sid, screens=SCREENS)
+        old_tree = weakref.ref(engine.rfs)
+        swap()
+        assert engine._hot_sessions == {}
+        # resumes on the retired generation: one rebuild, then hot again
+        front.submit(sid, mark(shown))
+        assert len(decode_calls) == 1
+        assert engine._hot_sessions[sid].rfs is old_tree()
+        front.display(sid, screens=SCREENS)
+        assert len(decode_calls) == 1
+        # out of the max_retired window: fenced as before, tree released
+        swap()
+        with pytest.raises(StaleSessionError, match="structure version"):
+            front.submit(sid, [])
+        assert engine._hot_sessions == {}
+        gc.collect()
+        assert old_tree() is None
+        engine.close()
+
+    def test_callers_objects_never_come_back_through_the_cache(
+        self, rfs, rendered_db
+    ):
+        engine = _engine(rendered_db, rfs, InMemorySessionStore())
+        front = SessionFrontEnd(engine)
+        # open_session / resume_session: the caller's own objects
+        mine = engine.open_session(seed=SEED, session_id="mine")
+        assert engine._hot_sessions == {}
+        front.display("mine", screens=SCREENS)
+        resumed = engine.resume_session("mine")
+        hot = engine._hot_sessions["mine"]
+        assert hot is not mine and hot is not resumed
+        assert engine.resume_session("mine") is not resumed
+        # what the front end let go of is handed out once, then gone
+        taken = engine.checkout_session("mine")
+        assert taken is hot
+        assert engine.checkout_session("mine") is not taken
+
+    def test_concurrent_dialogues_share_a_small_cache(
+        self, rfs, rendered_db, monkeypatch
+    ):
+        """More threads than cores, a capacity that forces eviction:
+        every dialogue still ends exactly like its serial replay."""
+        from repro.core import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "HOT_SESSION_CAPACITY", 3)
+        config = QDConfig()
+        engine = _engine(rendered_db, rfs, InMemorySessionStore(), config)
+        mark = _mark_fn(rendered_db.labels)
+        n_threads, per_thread = 8, 3
+        got, errors = {}, []
+
+        def reference(seed):
+            session = FeedbackSession(rfs, config, seed=seed)
+            log = []
+            for _ in range(ROUNDS):
+                shown = session.display(screens=SCREENS)
+                log.append(tuple(shown))
+                session.submit(mark(shown))
+            return log, _signature(session.finalize(K))
+
+        def worker(n):
+            front = SessionFrontEnd(engine, worker_id=f"t{n}")
+            try:
+                for j in range(per_thread):
+                    seed = 100 * n + j
+                    sid = front.open(seed=seed)
+                    log = []
+                    for _ in range(ROUNDS):
+                        shown = front.display(sid, screens=SCREENS)
+                        log.append(tuple(shown))
+                        front.submit(sid, mark(shown))
+                        assert len(engine._hot_sessions) <= 3 + n_threads
+                    got[seed] = (log, _signature(front.finalize(sid, K)))
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,))
+                for n in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(got) == n_threads * per_thread
+        for seed, outcome in got.items():
+            assert outcome == reference(seed), seed
+        assert len(engine._hot_sessions) <= 3
+        assert engine.session_store.list_ids() == []
 
 
 # ---------------------------------------------------------------------------
