@@ -1,13 +1,13 @@
-"""Extension — final-round speedup from the leaf-contiguous feature store.
+"""Extension — final-round cost through the leaf-contiguous feature store.
 
 The store (``repro.store``) reorders the database into leaf-contiguous
-blocks and serves every localized k-NN scan through batched norm-expansion
-kernels instead of the legacy per-member gather-then-loop path.  This
-bench measures the end-to-end ``execute_final_round`` win on a
-scan-heavy workload (few feedback groups, large per-group quota — the
-shape where the legacy Python inner loop degrades), the memmap
-cold-start cost (``FeatureStore.open`` + attach + first round), and the
-per-leaf kernel throughput of the fused multipoint kernel versus the
+blocks and serves every localized k-NN scan through batched
+norm-expansion kernels.  This bench times the end-to-end
+``execute_final_round`` on a scan-heavy workload (few feedback groups,
+large per-group quota) through an in-RAM and a memory-mapped store, the
+cost of live tracing + metrics on the same round, the memmap cold-start
+cost (``FeatureStore.open`` + attach + first round), and the per-leaf
+kernel throughput of the fused multipoint kernel versus the
 per-representative loop.
 
 Runs two ways:
@@ -19,9 +19,10 @@ Runs two ways:
 
 ``QD_BENCH_TINY=1`` (or ``--tiny``) shrinks the workload for CI.
 
-Acceptance (ISSUE): the warm store beats the legacy path by >= 2x at
-full scale (the tiny smoke asserts a relaxed >= 1.2x), with rankings
-bit-identical across legacy / inmem / memmap.
+Acceptance: rankings bit-identical across inmem / memmap / obs-enabled
+runs, the memmap backing within noise of the in-RAM one, the fused
+kernel no slower than the per-representative loop, and obs overhead
+within its smoke bound.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ KERNEL_ITERS = 50
 def _params(tiny: bool) -> dict:
     """Workload shape: few groups, large quotas -> multi-leaf scans."""
     if tiny:
-        return dict(n_images=2_000, n_categories=30, k=300, repeats=3,
-                    min_speedup=1.2)
-    return dict(n_images=15_000, n_categories=150, k=1_200, repeats=5,
-                min_speedup=2.0)
+        return dict(n_images=2_000, n_categories=30, k=300, repeats=3)
+    return dict(n_images=15_000, n_categories=150, k=1_200, repeats=5)
 
 
 def _build_workload(p: dict):
@@ -87,32 +86,6 @@ def _signature(result):
     ]
 
 
-def _assert_rankings_agree(legacy_result, store_result) -> None:
-    """Legacy-vs-store parity: same groups, same member sets, scores
-    equal to float32 precision.
-
-    The norm-expansion kernel computes the same distances as the legacy
-    per-member loop but in a different summation order and dtype, so the
-    last float bits — and the relative order of near-exact ties — may
-    differ.  (Bit-identical parity is between the inmem and memmap
-    stores, which share bytes and kernels; the test suite proves it.)
-    """
-    assert len(legacy_result.groups) == len(store_result.groups)
-    for legacy_group, store_group in zip(
-        legacy_result.groups, store_result.groups
-    ):
-        assert legacy_group.leaf_node_id == store_group.leaf_node_id
-        legacy_ids = [item.item_id for item in legacy_group.items]
-        store_ids = [item.item_id for item in store_group.items]
-        assert set(legacy_ids) == set(store_ids)
-        np.testing.assert_allclose(
-            [item.score for item in legacy_group.items],
-            [item.score for item in store_group.items],
-            rtol=1e-5,
-            atol=1e-5,
-        )
-
-
 def _time_round(rfs, marks, k, repeats) -> tuple[float, object]:
     """Best-of-``repeats`` wall time of one final round."""
     best = float("inf")
@@ -130,7 +103,6 @@ def _time_cold_start(rfs, marks, k, store_dir, repeats) -> float:
     """Best-of-``repeats`` memmap cold start: open + attach + round."""
     best = float("inf")
     for _ in range(repeats):
-        rfs.detach_store()
         start = time.perf_counter()
         rfs.attach_store(
             FeatureStore.open(store_dir, mode="memmap"), validate=False
@@ -175,13 +147,9 @@ def run_store_bench(tiny: bool) -> tuple[list[str], dict]:
     p = _params(tiny)
     rfs, marks = _build_workload(p)
 
-    rfs.detach_store()
-    legacy_s, legacy_result = _time_round(rfs, marks, p["k"], p["repeats"])
-
     store = FeatureStore.build(rfs)
     rfs.attach_store(store)
     warm_s, warm_result = _time_round(rfs, marks, p["k"], p["repeats"])
-    _assert_rankings_agree(legacy_result, warm_result)
 
     # Obs-overhead leg: the same warm workload with a live tracer and
     # metrics registry installed.  Rankings must stay bit-identical and
@@ -197,7 +165,6 @@ def run_store_bench(tiny: bool) -> tuple[list[str], dict]:
     with tempfile.TemporaryDirectory() as tmp:
         store.save(tmp)
         cold_s = _time_cold_start(rfs, marks, p["k"], tmp, p["repeats"])
-        rfs.detach_store()
         rfs.attach_store(
             FeatureStore.open(tmp, mode="memmap"), validate=False
         )
@@ -209,8 +176,6 @@ def run_store_bench(tiny: bool) -> tuple[list[str], dict]:
         fused_eps, looped_eps, evals = _kernel_throughput(rfs, marks)
     rfs.detach_store()
 
-    warm_speedup = legacy_s / warm_s
-    memmap_speedup = legacy_s / memmap_s
     kernel_speedup = fused_eps / looped_eps
     obs_overhead = obs_s / warm_s
     scale = "tiny" if tiny else "full"
@@ -218,13 +183,11 @@ def run_store_bench(tiny: bool) -> tuple[list[str], dict]:
         "Feature-store layout: final round, "
         f"{p['n_images']} images, {len(marks)} marks, k={p['k']} "
         f"({scale})",
-        f"  legacy gather-loop   {legacy_s * 1000:8.1f} ms   1.00x",
-        f"  store warm (inmem)   {warm_s * 1000:8.1f} ms   "
-        f"{warm_speedup:.2f}x",
+        f"  store warm (inmem)   {warm_s * 1000:8.1f} ms",
         f"  warm + obs enabled   {obs_s * 1000:8.1f} ms   "
         f"(overhead {obs_overhead:.2f}x, rankings identical)",
         f"  store warm (memmap)  {memmap_s * 1000:8.1f} ms   "
-        f"{memmap_speedup:.2f}x",
+        "(rankings identical)",
         f"  memmap cold start    {cold_s * 1000:8.1f} ms   "
         "(open + attach + first round)",
         f"  leaf kernel: fused {fused_eps / 1e6:6.1f} M evals/s vs "
@@ -232,16 +195,12 @@ def run_store_bench(tiny: bool) -> tuple[list[str], dict]:
         f"({kernel_speedup:.1f}x, {evals} evals/block)",
     ]
     metrics = {
-        "warm_speedup": warm_speedup,
-        "memmap_speedup": memmap_speedup,
         "kernel_speedup": kernel_speedup,
         "obs_overhead": obs_overhead,
-        "legacy_s": legacy_s,
         "warm_s": warm_s,
         "obs_s": obs_s,
         "memmap_s": memmap_s,
         "cold_start_s": cold_s,
-        "min_speedup": p["min_speedup"],
     }
     return rows, metrics
 
@@ -251,14 +210,6 @@ def _bench_result(tiny: bool, metrics: dict) -> obs.BenchResult:
     p = _params(tiny)
     result = obs.BenchResult.new("store_layout", {**p, "tiny": tiny})
     result.record(
-        "warm_speedup", metrics["warm_speedup"], unit="x",
-        higher_is_better=True,
-    )
-    result.record(
-        "memmap_speedup", metrics["memmap_speedup"], unit="x",
-        higher_is_better=True,
-    )
-    result.record(
         "kernel_speedup", metrics["kernel_speedup"], unit="x",
         higher_is_better=True,
     )
@@ -266,8 +217,7 @@ def _bench_result(tiny: bool, metrics: dict) -> obs.BenchResult:
         "obs_overhead", metrics["obs_overhead"], unit="x",
         higher_is_better=False, min_abs=0.15,
     )
-    for name in ("legacy_s", "warm_s", "obs_s", "memmap_s",
-                 "cold_start_s"):
+    for name in ("warm_s", "obs_s", "memmap_s", "cold_start_s"):
         result.record(
             name, metrics[name], unit="s", higher_is_better=False,
             compare=False,
@@ -276,11 +226,9 @@ def _bench_result(tiny: bool, metrics: dict) -> obs.BenchResult:
 
 
 def _check(metrics: dict) -> None:
-    # Acceptance: batched leaf scans beat the legacy per-member loop.
-    assert metrics["warm_speedup"] >= metrics["min_speedup"]
     # The memmap backing serves the same kernels from the same bytes —
     # it must stay within noise of the in-RAM store.
-    assert metrics["memmap_speedup"] >= metrics["warm_speedup"] * 0.5
+    assert metrics["memmap_s"] <= metrics["warm_s"] * 2.0
     # The fused kernel never loses to the per-representative loop.
     assert metrics["kernel_speedup"] >= 1.0
     # Live tracing + metrics must stay cheap (the nominal budget is 5%;
@@ -294,9 +242,9 @@ def test_store_layout_speedup(report, benchmark):
     _bench_result(TINY, metrics).write(
         os.path.join(os.path.dirname(__file__), "results")
     )
-    benchmark.extra_info["warm_speedup"] = round(metrics["warm_speedup"], 2)
-    benchmark.extra_info["memmap_speedup"] = round(
-        metrics["memmap_speedup"], 2
+    benchmark.extra_info["warm_ms"] = round(metrics["warm_s"] * 1000, 2)
+    benchmark.extra_info["memmap_ms"] = round(
+        metrics["memmap_s"] * 1000, 2
     )
     benchmark.pedantic(
         lambda: None, rounds=1, iterations=1

@@ -9,18 +9,18 @@ byte-capped LRU keyed by a canonical digest of everything the subquery's
 answer depends on —
 
 * the RFS node the marks grouped into,
-* the query-point matrix (actual bytes, so a float32 store and the raw
-  float64 matrix can never alias),
+* the query-point matrix (actual bytes, so points gathered from a
+  float32 store and from a float64 one can never alias),
 * the per-dimension feature weights (or their absence),
 * the requested result count,
 * the boundary-expansion threshold, and
-* the attached store's tier fingerprint (dtype + quantization params),
-  so rankings served from an int8/f16 scan tier never alias entries
-  computed against float32 rows (or against no store at all).
+* the store's tier fingerprint (dtype + quantization params), so
+  rankings served from an int8/f16 scan tier never alias entries
+  computed against float32 rows.
 
 Every entry is stamped with the **RFS structure version**
 (:attr:`repro.index.rfs.RFSStructure.structure_version`) current at
-write time.  Incremental insert/remove and store attach/detach bump the
+write time.  Compaction swaps and store attach/detach bump the
 version, so stale entries are rejected at *read* time — no global flush,
 no invalidation fan-out: an entry written against an old tree simply
 stops matching and is dropped on its next lookup (or evicted by LRU
@@ -42,7 +42,11 @@ the root path of a mutated leaf (a reverse index keyed on
 mutations do not bump the structure version — cached entries hold
 tombstone-filtered *main-store* rankings and the live delta rows are
 merged after the cache consult — so inserts invalidate nothing at all,
-and removals cost only the handful of entries that could change.
+and removals cost only the handful of entries that could change.  A
+scan that raced a removal must not re-publish what the removal just
+evicted: the miss path reads :meth:`SubqueryResultCache.
+invalidation_epoch` before it scans and hands it to ``put``, which
+declines under the cache lock if an invalidation ran in between.
 
 Metrics: ``qd_cache_requests_total{outcome=...}`` /
 ``qd_cache_evictions_total{reason="version"|"capacity"|"mutation"}``
@@ -84,15 +88,15 @@ def subquery_cache_key(
 
     ``query_points`` is digested as raw bytes together with its shape and
     dtype, so the same marks gathered from a float32 feature store and
-    from the float64 in-memory matrix produce *different* keys (their
-    distances differ in the last bits, so their results must too).
+    from a float64 one produce *different* keys (their distances differ
+    in the last bits, so their results must too).
     ``requested`` is the uncapped fetch size (quota + over-fetch); the
     cap against the search-node size is deterministic given the
     structure version, so it does not belong in the key.
 
     ``store_fingerprint`` is the serving store's tier fingerprint
     (:meth:`repro.index.rfs.RFSStructure.store_fingerprint` — dtype,
-    scan tier, quantization params; ``""`` with no store attached).
+    scan tier, quantization params).
     Keying on it makes cross-tier aliasing structurally impossible: an
     entry computed against a float32-era configuration can never be
     served after an int8 store is attached, independent of the
@@ -171,6 +175,8 @@ class SubqueryResultCache:
         # Reverse index search_node_id -> cache keys, so per-node
         # invalidation after a mutation touches only affected entries.
         self._by_node: Dict[int, set] = {}
+        # Count of invalidate_nodes calls; see invalidation_epoch().
+        self._invalidations = 0
         self._lock = threading.Lock()
         self.stats: Dict[str, int] = {
             "hits": 0,
@@ -243,8 +249,17 @@ class SubqueryResultCache:
         search_node_id: int,
         centroid: np.ndarray,
         ranked: List[Tuple[float, int]],
+        *,
+        epoch: Optional[int] = None,
     ) -> None:
-        """Insert (or refresh) one subquery answer at ``version``."""
+        """Insert (or refresh) one subquery answer at ``version``.
+
+        ``epoch`` is the :meth:`invalidation_epoch` the caller read
+        *before* computing ``ranked``.  If :meth:`invalidate_nodes` ran
+        since, the ranking may predate a removal whose eviction already
+        happened — publishing it would serve the removed id until the
+        next compaction — so the put is dropped.
+        """
         frozen = np.array(centroid, dtype=np.float64, copy=True)
         frozen.setflags(write=False)
         entry = CachedSubquery(
@@ -259,6 +274,8 @@ class SubqueryResultCache:
             return  # would evict the whole cache for one oversized entry
         metrics = get_metrics()
         with self._lock:
+            if epoch is not None and epoch != self._invalidations:
+                return
             held = self._entries.pop(key, None)
             if held is not None:
                 self._index_drop(key, held)
@@ -290,6 +307,14 @@ class SubqueryResultCache:
             "qd_cache_bytes", "bytes held by the subquery result cache"
         ).set(float(self.stats["bytes"]))
 
+    def invalidation_epoch(self) -> int:
+        """How many :meth:`invalidate_nodes` calls have completed.
+
+        Read it before a scan whose result will be ``put``; see there.
+        """
+        with self._lock:
+            return self._invalidations
+
     def invalidate_nodes(self, node_ids) -> int:
         """Drop every entry whose search node is in ``node_ids``.
 
@@ -302,6 +327,7 @@ class SubqueryResultCache:
         dropped = 0
         metrics = get_metrics()
         with self._lock:
+            self._invalidations += 1
             for node_id in node_ids:
                 keys = self._by_node.pop(int(node_id), None)
                 if not keys:

@@ -317,15 +317,7 @@ def _build_serving_engine(
     """
     shards = getattr(args, "shards", 0)
     if shards <= 0:
-        if getattr(args, "rfs", None):
-            rfs = load_rfs(args.rfs, database.features)
-            engine = QueryDecompositionEngine(database, rfs, qd_config)
-        else:
-            engine = QueryDecompositionEngine.build(
-                database, qd_config=qd_config, seed=args.seed
-            )
-        _attach_store_from_args(engine.rfs, args)
-        _attach_cache_from_args(engine.rfs, args)
+        engine = _single_node_engine(args, database, qd_config)
         _enable_mutations_from_args(engine, args)
         return engine
     from repro.config import CacheConfig
@@ -336,7 +328,7 @@ def _build_serving_engine(
             "--shards builds its own (identical) global tree; drop "
             "--rfs or run single-node"
         )
-    store_kind = getattr(args, "store", None)
+    store_kind = getattr(args, "store", "inmem")
     if store_kind == "memmap":
         raise ReproError(
             "--shards cannot map one saved store across shards; use "
@@ -359,6 +351,21 @@ def _build_serving_engine(
     )
     _enable_mutations_from_args(engine, args)
     return engine
+
+
+def _single_node_engine(
+    args: argparse.Namespace,
+    database: ImageDatabase,
+    qd_config: QDConfig,
+) -> QueryDecompositionEngine:
+    """Load (``--rfs``) or build the tree, then attach store and cache."""
+    if getattr(args, "rfs", None):
+        rfs = load_rfs(args.rfs, database.features)
+    else:
+        rfs = RFSStructure.build(database.features, seed=args.seed)
+    _attach_store_from_args(rfs, args)
+    _attach_cache_from_args(rfs, args)
+    return QueryDecompositionEngine(database, rfs, qd_config)
 
 
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
@@ -429,11 +436,11 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store",
         choices=STORE_KINDS,
-        default=None,
+        default="inmem",
         help=(
-            "attach a leaf-contiguous feature store: 'inmem' builds one "
-            "on the fly, 'memmap' maps a saved --store-path directory "
-            "(default: no store, original in-memory path)"
+            "the leaf-contiguous feature store scans read through: "
+            "'inmem' builds one on the fly, 'memmap' maps a saved "
+            "--store-path directory (default: inmem)"
         ),
     )
     parser.add_argument(
@@ -576,13 +583,10 @@ def _attach_cache_from_args(
 def _attach_store_from_args(
     rfs: RFSStructure, args: argparse.Namespace
 ) -> None:
-    """Attach the feature store the ``--store`` flags ask for, if any."""
-    kind = getattr(args, "store", None)
-    if kind is None:
-        return
+    """Attach the feature store the ``--store`` flags ask for."""
     from repro.store import FeatureStore
 
-    if kind == "inmem":
+    if getattr(args, "store", "inmem") == "inmem":
         tier = getattr(args, "store_tier", "f32")
         rfs.attach_store(
             FeatureStore.build(rfs, tier=tier), validate=False
@@ -798,15 +802,7 @@ def _cmd_interactive(args: argparse.Namespace) -> int:
 
     database = ImageDatabase.load(args.db)
     qd_config = _qd_config_from_args(args)
-    if args.rfs:
-        rfs = load_rfs(args.rfs, database.features)
-        engine = QueryDecompositionEngine(database, rfs, qd_config)
-    else:
-        engine = QueryDecompositionEngine.build(
-            database, qd_config=qd_config, seed=args.seed
-        )
-    _attach_store_from_args(engine.rfs, args)
-    _attach_cache_from_args(engine.rfs, args)
+    engine = _single_node_engine(args, database, qd_config)
     session_store = _session_store_from_args(args)
     if session_store is not None:
         engine.attach_session_store(session_store)
@@ -836,11 +832,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(result.format_figure10())
             print(result.format_figure11())
             return 0
-        engine = QueryDecompositionEngine.build(
-            database, qd_config=_qd_config_from_args(args), seed=args.seed
+        engine = _single_node_engine(
+            args, database, _qd_config_from_args(args)
         )
-        _attach_store_from_args(engine.rfs, args)
-        _attach_cache_from_args(engine.rfs, args)
         with engine:
             if args.name == "table1":
                 print(

@@ -103,7 +103,7 @@ class QueryDecompositionEngine:
         *,
         seed: RandomState = None,
         io: Optional[DiskAccessCounter] = None,
-        store: Optional[str] = None,
+        store: str = "inmem",
         store_dtype: str = "float32",
         store_tier: str = "f32",
         store_rerank_margin: int = 32,
@@ -114,14 +114,13 @@ class QueryDecompositionEngine:
     ) -> "QueryDecompositionEngine":
         """Construct the RFS structure for ``database`` and wrap it.
 
-        ``store="inmem"`` additionally builds a leaf-contiguous
-        :class:`~repro.store.FeatureStore` over the fresh structure and
-        attaches it (enabling the batched block-scan path).  A
+        The leaf-contiguous :class:`~repro.store.FeatureStore` every
+        scan reads through is built in RAM over the fresh structure
+        (``store="inmem"``, the only kind a build can create).  A
         ``"memmap"`` store needs an on-disk directory, so it cannot be
         produced here — save one (``FeatureStore.save`` or the CLI
         ``build-store`` command), then ``attach_store(FeatureStore.open
-        (dir))`` or pass ``store=`` to the constructor.  The default
-        (``None``) keeps the original in-memory path untouched.
+        (dir))`` or pass ``store=`` to the constructor.
         ``store_tier`` selects the scan tier (``"f32"``, ``"f16"``, or
         ``"int8"``); quantized tiers scan compressed codes and re-rank
         through exact float32 rows, so rankings stay bit-identical (see
@@ -150,23 +149,22 @@ class QueryDecompositionEngine:
             build=build,
             progress=progress,
         )
-        if store is not None:
-            from repro.store import FeatureStore
-
-            if store != "inmem":
-                raise ConfigurationError(
-                    "build() can only create an 'inmem' store; open a "
-                    "saved store directory for 'memmap'"
-                )
-            rfs.attach_store(
-                FeatureStore.build(
-                    rfs,
-                    dtype=store_dtype,
-                    tier=store_tier,
-                    rerank_margin=store_rerank_margin,
-                ),
-                validate=False,
+        if store != "inmem":
+            raise ConfigurationError(
+                "build() can only create an 'inmem' store; open a "
+                "saved store directory for 'memmap'"
             )
+        from repro.store import FeatureStore
+
+        rfs.attach_store(
+            FeatureStore.build(
+                rfs,
+                dtype=store_dtype,
+                tier=store_tier,
+                rerank_margin=store_rerank_margin,
+            ),
+            validate=False,
+        )
         if cache is not None and cache.enabled:
             from repro.cache import SubqueryResultCache
 
@@ -185,7 +183,7 @@ class QueryDecompositionEngine:
 
     @property
     def store(self) -> Optional["FeatureStore"]:
-        """The attached feature store, if any."""
+        """The structure's feature store (``None`` on a sharded router)."""
         return self.rfs.store
 
     def attach_store(self, store: "FeatureStore") -> None:
@@ -293,9 +291,9 @@ class QueryDecompositionEngine:
     def close(self) -> None:
         """Release the engine's pooled resources (safe to call twice).
 
-        Closes the executor's worker pool and, when a memory-mapped
-        feature store is attached, detaches it and closes the mapping —
-        a long-running server that cycles engines would otherwise leak
+        Closes the executor's worker pool and, when the feature store
+        is memory-mapped, detaches it and closes the mapping — a
+        long-running server that cycles engines would otherwise leak
         one file handle per engine.  In-RAM stores are left attached
         (they hold no OS resources and may be shared).
         """

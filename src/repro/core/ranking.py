@@ -316,7 +316,6 @@ def execute_final_round(
         strategy="uniform" if uniform_merge else "proportional",
         executor=executor.name,
         workers=executor.workers,
-        store=rfs.store.kind if rfs.store is not None else "none",
         cache="on" if cache is not None else "off",
     )
     with merge_span:

@@ -130,6 +130,7 @@ def run_final_round_batch(
         def scan_group(group: List[_Slot]) -> None:
             reader = rfs.memoized_block_reader("localized_knn")
             for slot in group:
+                epoch = None if cache is None else cache.invalidation_epoch()
                 ranked = rfs.localized_knn(
                     slot.search_node,
                     slot.centroid,
@@ -147,6 +148,7 @@ def run_final_round_batch(
                         slot.search_node.node_id,
                         slot.centroid,
                         ranked,
+                        epoch=epoch,
                     )
                     ranked = rfs.merge_delta_ranked(
                         slot.search_node,

@@ -140,10 +140,12 @@ def run_subquery_task(
     through :meth:`RFSStructure.merge_delta_ranked` *after* the cache
     consult, on hits and misses alike.  Inserts therefore never
     invalidate a cache entry, and a removal evicts only the entries
-    whose search node sits on the mutated leaf's root path.  The cached
-    main part always suffices: it holds the top ``requested`` live main
-    rows (or every live main row when fewer exist), and no later merge
-    can promote a main row from beyond that prefix.
+    whose search node sits on the mutated leaf's root path — and, via
+    the invalidation epoch read before the scan, keeps a scan it raced
+    from re-publishing a ranking that still holds the removed id.  The
+    cached main part always suffices: it holds the top ``requested``
+    live main rows (or every live main row when fewer exist), and no
+    later merge can promote a main row from beyond that prefix.
     """
     t0 = time.perf_counter()
     with get_tracer().span(
@@ -203,12 +205,14 @@ def run_subquery_task(
                 search_node, centroid, fetch, weights=dim_weights
             )
         else:
+            epoch = cache.invalidation_epoch()
             main_ranked = rfs.localized_knn(
                 search_node, centroid, fetch,
                 weights=dim_weights, include_delta=False,
             )
             cache.put(
-                key, version, search_node.node_id, centroid, main_ranked
+                key, version, search_node.node_id, centroid, main_ranked,
+                epoch=epoch,
             )
             ranked = rfs.merge_delta_ranked(
                 search_node, main_ranked, centroid, fetch,

@@ -27,7 +27,7 @@ from repro.index.generations import (
 )
 from repro.index.geometry import MBR
 from repro.index.hierarchies import build_hkmeans_hierarchy
-from repro.index.incremental import IncrementalRFS, validate_structure
+from repro.index.incremental import validate_structure
 from repro.index.rfs import BuildProgress, RFSNode, RFSStructure
 from repro.index.rstar import RStarTree
 from repro.index.serialize import load_rfs, save_rfs
@@ -40,7 +40,6 @@ __all__ = [
     "MBR",
     "build_hkmeans_hierarchy",
     "generation_seed",
-    "IncrementalRFS",
     "RFSNode",
     "RFSStructure",
     "RStarTree",

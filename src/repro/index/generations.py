@@ -1,17 +1,15 @@
 """Generational index mutations: delta segment + background compaction.
 
-ROADMAP item 4.  The in-place path (:mod:`repro.index.incremental`)
-detaches the feature store and bumps the structure version on every
-insert/remove — a full cache flush and the loss of the contiguous
-layout, per mutation.  This module replaces that with a generational
-scheme built for sustained mixed read/write traffic:
+The index's one write path.  Mutating the tree in place would break
+the store's contiguous leaf layout and flush every cached subquery,
+per mutation; this generational scheme is built for sustained mixed
+read/write traffic instead:
 
 * **Writes land in a delta segment** (:class:`repro.store.delta.
   DeltaSegment`): an insert routes the vector down the current tree
-  (nearest child centre, same rule as the incremental path), appends
-  the row tagged with that leaf, and touches nothing else; a remove
-  tombstones the row.  The main tree, its store blocks, and the leaf
-  geometry stay byte-identical.
+  (nearest child centre), appends the row tagged with that leaf, and
+  touches nothing else; a remove tombstones the row.  The main tree,
+  its store blocks, and the leaf geometry stay byte-identical.
 * **Reads stay exact**: final-round scans traverse the delta alongside
   the main store through a brute-force delta kernel
   (:meth:`~repro.index.rfs.RFSStructure.merge_delta_ranked`), so
@@ -54,9 +52,10 @@ from typing import Callable, Iterator, List, Optional
 import numpy as np
 
 from repro.config import BuildConfig, MutationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, QueryError
 from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
+from repro.store import FeatureStore
 from repro.store.delta import DeltaSegment
 
 
@@ -75,9 +74,8 @@ def generation_seed(seed: int, generation: int) -> int:
 def route_leaf(rfs: RFSStructure, vector: np.ndarray) -> RFSNode:
     """The leaf a new vector routes to: nearest-child-centre descent.
 
-    Same routing rule the in-place incremental path uses, so a delta
-    insert is visible to exactly the subtrees an in-place insert would
-    have landed in.
+    A delta insert is visible to exactly the subtrees on the routed
+    leaf's root path.
     """
     vec = np.asarray(vector, dtype=np.float64)
     node = rfs.root
@@ -87,6 +85,16 @@ def route_leaf(rfs: RFSStructure, vector: np.ndarray) -> RFSNode:
             int(np.argmin(np.linalg.norm(centres - vec, axis=1)))
         ]
     return node
+
+
+def _rebuilt_store(rfs: RFSStructure, old: FeatureStore) -> FeatureStore:
+    """An in-RAM store over ``rfs`` at ``old``'s dtype, tier and margin."""
+    return FeatureStore.build(
+        rfs,
+        dtype=old.dtype.name,
+        tier=old.tier,
+        rerank_margin=old.rerank_margin,
+    )
 
 
 class EpochGuard:
@@ -217,6 +225,11 @@ class GenerationController:
         the new row is merged after the cache consult.
         """
         vec = np.asarray(vector, dtype=np.float64).reshape(-1)
+        dims = self.current.features.shape[1]
+        if vec.shape[0] != dims:
+            raise QueryError(
+                f"vector must have {dims} dims, got {vec.shape[0]}"
+            )
         with self.guard.write():
             rfs = self.current
             leaf = route_leaf(rfs, vec)
@@ -391,18 +404,9 @@ class GenerationController:
             self._remap(built, live_ids)
             built.features = full
             built._leaf_lookup = None  # maps pre-remap ids; rebuild lazily
-            if old.store is not None:
-                from repro.store import FeatureStore
-
-                built.attach_store(
-                    FeatureStore.build(
-                        built,
-                        dtype=old.store.dtype.name,
-                        tier=old.store.tier,
-                        rerank_margin=old.store.rerank_margin,
-                    ),
-                    validate=False,
-                )
+            built.attach_store(
+                _rebuilt_store(built, old.store), validate=False
+            )
             if old.result_cache is not None:
                 # Same cache object: surviving traffic keeps its LRU
                 # heat; old-version entries are dropped lazily on
@@ -455,18 +459,9 @@ class GenerationController:
         shard_objs: List[Shard] = []
         for index, leaf_ids in enumerate(assignment.shards):
             shard_rfs = build_shard_structure(base, leaf_ids)
-            if old_store is not None:
-                from repro.store import FeatureStore
-
-                shard_rfs.attach_store(
-                    FeatureStore.build(
-                        shard_rfs,
-                        dtype=old_store.dtype.name,
-                        tier=old_store.tier,
-                        rerank_margin=old_store.rerank_margin,
-                    ),
-                    validate=False,
-                )
+            shard_rfs.attach_store(
+                _rebuilt_store(shard_rfs, old_store), validate=False
+            )
             shard_rfs.structure_version = base.structure_version
             shard_objs.append(
                 Shard(index, shard_rfs, old.shards[index].cache)

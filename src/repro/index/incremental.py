@@ -1,54 +1,30 @@
-"""Incremental maintenance of a built RFS structure.
+"""Invariant checks for a built (and possibly mutated) RFS structure.
 
 The paper's prototype builds the RFS structure once over a static
-database.  A deployed system ingests new images continuously; this
-module adds that capability without a full rebuild:
-
-* :func:`insert_image` — route a new feature vector down the hierarchy
-  (nearest child centre), append it to the chosen leaf, patch member
-  lists / centres / bounding boxes along the path, and refresh the
-  leaf's representatives.  Leaves that outgrow the capacity split by
-  2-means, mirroring how the clustering bulk load partitions.
-* :func:`remove_image` — detach an image from its leaf and patch the
-  path (representative lists are refreshed; empty leaves are pruned).
-
-Upper-level representative lists are *not* recomputed on every insert —
-they refresh lazily when a node's accumulated changes exceed a fraction
-of its size (:class:`IncrementalRFS` tracks dirtiness), which keeps
-inserts O(depth × leaf work).
-
-This in-place path detaches any attached :class:`FeatureStore` and
-flushes every cache on each mutation — correct but fatal under write
-load.  It survives as the **detach-and-rebuild baseline** that
-:mod:`repro.index.generations` (delta segment + background compaction)
-is benchmarked against, and :func:`validate_structure` is the shared
-invariant checker behind both the property tests and the
+database; this reproduction ingests and removes images through the
+generational engine in :mod:`repro.index.generations` (delta segment +
+background compaction).  :func:`validate_structure` is the invariant
+checker behind that engine's property tests and the
 ``repro-cbir index verify`` CLI subcommand.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.errors import NodeNotFoundError, QueryError
-from repro.index.geometry import MBR
-from repro.index.rfs import RFSNode, RFSStructure
-from repro.utils.rng import RandomState, derive_rng, ensure_rng
-
-#: A node refreshes its representative list once its accumulated
-#: insert/remove count exceeds this fraction of its size.
-REFRESH_FRACTION = 0.1
+from repro.errors import NodeNotFoundError
+from repro.index.rfs import RFSStructure
 
 
 def validate_structure(rfs: RFSStructure) -> List[str]:
     """Check tree / store / delta invariants; returns found problems.
 
     An empty list means the structure is internally consistent.  Used
-    by :meth:`IncrementalRFS.validate` (which raises on any problem)
-    and by the ``repro-cbir index verify`` subcommand so operators can
-    audit an index after mutation traffic.
+    by the mutation property tests and by the ``repro-cbir index
+    verify`` subcommand so operators can audit an index after mutation
+    traffic.
 
     Checks, in order:
 
@@ -56,9 +32,10 @@ def validate_structure(rfs: RFSStructure) -> List[str]:
       its children's, and child ``parent`` links point back;
     * every non-empty node's members lie inside its MBR;
     * every representative is a current member of its node;
-    * when a :class:`~repro.store.feature_store.FeatureStore` is
-      attached: each leaf's contiguous block carries exactly the
-      leaf's ids, in order;
+    * each leaf's contiguous block of the structure's
+      :class:`~repro.store.feature_store.FeatureStore` carries exactly
+      the leaf's ids, in order (a ``ShardedRFS`` router holds no store
+      of its own; audit its shards' structures for that);
     * when a delta segment is attached: its ``base_rows`` matches the
       feature matrix, every routed leaf exists (and is a leaf), and
       every main-row tombstone names a member of its recorded leaf.
@@ -94,15 +71,16 @@ def validate_structure(rfs: RFSStructure) -> List[str]:
                 problems.append(
                     f"node {node.node_id}: stale representative {rep}"
                 )
-    if rfs.store is not None:
+    store = rfs.store
+    if store is not None:  # a ShardedRFS router holds none
         for node in rfs.iter_nodes():
             if not node.is_leaf:
                 continue
             try:
-                _, ids, _ = rfs.store.node_block(node.node_id)
+                _, ids, _ = store.node_block(node.node_id)
             except (KeyError, NodeNotFoundError):
                 problems.append(
-                    f"leaf {node.node_id}: no block in attached store"
+                    f"leaf {node.node_id}: no block in the store"
                 )
                 continue
             if not np.array_equal(ids, node.item_ids):
@@ -137,232 +115,3 @@ def validate_structure(rfs: RFSStructure) -> List[str]:
                     f"but the leaf does not hold it"
                 )
     return problems
-
-
-class IncrementalRFS:
-    """Wraps an :class:`RFSStructure` with insert/remove operations.
-
-    The wrapped structure keeps working for queries at all times; the
-    feature matrix grows via an internal buffer (``features`` property
-    always returns the current full matrix).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.config import RFSConfig
-    >>> base = np.random.default_rng(0).normal(size=(200, 8))
-    >>> rfs = RFSStructure.build(base, RFSConfig(node_max_entries=40,
-    ...     node_min_entries=20), seed=1)
-    >>> inc = IncrementalRFS(rfs, seed=1)
-    >>> new_id = inc.insert_image(np.zeros(8))
-    >>> new_id
-    200
-    """
-
-    def __init__(
-        self, rfs: RFSStructure, *, seed: RandomState = None
-    ) -> None:
-        self.rfs = rfs
-        self._rng = ensure_rng(seed)
-        self._dirty: Dict[int, int] = {}
-        self._next_node_id = max(rfs.nodes) + 1
-
-    # ------------------------------------------------------------------
-    @property
-    def features(self) -> np.ndarray:
-        """The current feature matrix (grows with inserts)."""
-        return self.rfs.features
-
-    @property
-    def size(self) -> int:
-        """Number of images currently indexed."""
-        return self.rfs.root.size
-
-    # ------------------------------------------------------------------
-    def insert_image(self, vector: np.ndarray) -> int:
-        """Add one feature vector; returns its new image id."""
-        vec = np.asarray(vector, dtype=np.float64)
-        if vec.shape != (self.rfs.features.shape[1],):
-            raise QueryError(
-                f"vector must have shape "
-                f"({self.rfs.features.shape[1]},), got {vec.shape}"
-            )
-        image_id = self.rfs.features.shape[0]
-        self.rfs.features = np.vstack([self.rfs.features, vec[None, :]])
-        # Leaf membership is about to change: cached leaf geometry and
-        # any attached feature store no longer match the tree.
-        self.rfs.invalidate_caches()
-
-        node = self.rfs.root
-        path: List[RFSNode] = [node]
-        while not node.is_leaf:
-            centres = np.vstack([c.center for c in node.children])
-            child_idx = int(
-                np.argmin(np.linalg.norm(centres - vec, axis=1))
-            )
-            node = node.children[child_idx]
-            path.append(node)
-        for ancestor in path:
-            self._attach(ancestor, image_id, vec)
-        leaf = path[-1]
-        self._mark_dirty(path)
-        if leaf.size > self.rfs.config.node_max_entries:
-            self._split_leaf(leaf)
-        self._refresh_dirty(path)
-        return image_id
-
-    def remove_image(self, image_id: int) -> None:
-        """Detach an image from the structure (its row stays allocated).
-
-        Raises :class:`NodeNotFoundError` when the id is not indexed.
-        """
-        leaf = self.rfs.leaf_of_item(int(image_id))
-        self.rfs.invalidate_caches()
-        path: List[RFSNode] = []
-        node: Optional[RFSNode] = leaf
-        while node is not None:
-            path.append(node)
-            node = node.parent
-        for ancestor in path:
-            self._detach(ancestor, int(image_id))
-        if leaf.size == 0 and leaf.parent is not None:
-            self._prune(leaf)
-        self._mark_dirty(path)
-        self._refresh_dirty(path)
-
-    # ------------------------------------------------------------------
-    def _attach(
-        self, node: RFSNode, image_id: int, vec: np.ndarray
-    ) -> None:
-        old_size = node.size
-        node.item_ids = np.insert(
-            node.item_ids,
-            int(np.searchsorted(node.item_ids, image_id)),
-            image_id,
-        )
-        node.center = (node.center * old_size + vec) / (old_size + 1)
-        node.mbr = MBR(
-            np.minimum(node.mbr.lo, vec), np.maximum(node.mbr.hi, vec)
-        )
-
-    def _detach(self, node: RFSNode, image_id: int) -> None:
-        pos = int(np.searchsorted(node.item_ids, image_id))
-        if (
-            pos >= node.item_ids.shape[0]
-            or node.item_ids[pos] != image_id
-        ):
-            raise NodeNotFoundError(
-                f"image {image_id} not under node {node.node_id}"
-            )
-        node.item_ids = np.delete(node.item_ids, pos)
-        if node.size > 0:
-            members = self.rfs.features[node.item_ids]
-            node.center = members.mean(axis=0)
-            node.mbr = MBR.from_points(members)
-        node.representatives = [
-            r for r in node.representatives if r != image_id
-        ]
-        node.rep_child_index.pop(image_id, None)
-
-    def _prune(self, leaf: RFSNode) -> None:
-        parent = leaf.parent
-        assert parent is not None
-        parent.children = [c for c in parent.children if c is not leaf]
-        self.rfs.nodes.pop(leaf.node_id, None)
-        self._rebuild_routing(parent)
-
-    def _split_leaf(self, leaf: RFSNode) -> None:
-        """2-means split of an overfull leaf into two siblings."""
-        parent = leaf.parent
-        features = self.rfs.features
-        members = features[leaf.item_ids]
-        from repro.clustering.kmeans import kmeans
-
-        result = kmeans(
-            members, 2, seed=derive_rng(self._rng, f"split{leaf.node_id}"),
-            n_restarts=1,
-        )
-        sides = [leaf.item_ids[result.labels == j] for j in (0, 1)]
-        if any(side.shape[0] == 0 for side in sides):
-            half = leaf.size // 2
-            sides = [leaf.item_ids[:half], leaf.item_ids[half:]]
-        if parent is None:
-            # Root leaf: grow a new level.
-            new_root_children = []
-            for side in sides:
-                child = self._new_leaf(side)
-                new_root_children.append(child)
-            leaf.children = new_root_children
-            for child in new_root_children:
-                child.parent = leaf
-            leaf.level = 1
-            self._refresh_representatives(leaf)
-            self._rebuild_routing(leaf)
-            return
-        parent.children = [c for c in parent.children if c is not leaf]
-        self.rfs.nodes.pop(leaf.node_id, None)
-        for side in sides:
-            child = self._new_leaf(side)
-            child.parent = parent
-            parent.children.append(child)
-        self._rebuild_routing(parent)
-
-    def _new_leaf(self, item_ids: np.ndarray) -> RFSNode:
-        features = self.rfs.features
-        members = features[item_ids]
-        node = RFSNode(
-            node_id=self._next_node_id,
-            level=0,
-            item_ids=np.sort(item_ids),
-            mbr=MBR.from_points(members),
-            center=members.mean(axis=0),
-        )
-        self._next_node_id += 1
-        self.rfs.nodes[node.node_id] = node
-        self._refresh_representatives(node)
-        return node
-
-    # ------------------------------------------------------------------
-    # Lazy representative refresh
-    # ------------------------------------------------------------------
-    def _mark_dirty(self, path: List[RFSNode]) -> None:
-        for node in path:
-            self._dirty[node.node_id] = (
-                self._dirty.get(node.node_id, 0) + 1
-            )
-
-    def _refresh_dirty(self, path: List[RFSNode]) -> None:
-        # Refresh bottom-up so upper nodes see fresh child reps.
-        for node in reversed(path):
-            if node.node_id not in self.rfs.nodes:
-                continue  # split/pruned away
-            changes = self._dirty.get(node.node_id, 0)
-            if changes >= max(1, int(REFRESH_FRACTION * node.size)):
-                self._refresh_representatives(node)
-                if not node.is_leaf:
-                    self._rebuild_routing(node)
-                self._dirty[node.node_id] = 0
-
-    def _refresh_representatives(self, node: RFSNode) -> None:
-        if node.is_leaf:
-            node.representatives = self.rfs._leaf_representatives(
-                node, derive_rng(self._rng, f"re{node.node_id}")
-            )
-        else:
-            node.representatives = self.rfs._inner_representatives(
-                node, derive_rng(self._rng, f"re{node.node_id}")
-            )
-
-    def _rebuild_routing(self, node: RFSNode) -> None:
-        node.rep_child_index.clear()
-        for idx, child in enumerate(node.children):
-            owned = set(child.item_ids.tolist())
-            for rep in node.representatives:
-                if rep in owned:
-                    node.rep_child_index[rep] = idx
-
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check structural invariants (used by the property tests)."""
-        problems = validate_structure(self.rfs)
-        assert not problems, "; ".join(problems)

@@ -55,10 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.store.delta import DeltaView
     from repro.store.feature_store import FeatureStore
 
-#: Reads one leaf's scan payload — either ``(block, ids, sqnorms)`` on
-#: the store path or the gathered member matrix on the in-memory path.
-#: The batch scheduler passes memoizing readers so one physical block
-#: read serves every query of a coalesced group.
+#: Reads one leaf's scan payload: the ``(rows, ids, sqnorms)`` views of
+#: its store block on the scan tier.  The batch scheduler passes
+#: memoizing readers so one physical block read serves every query of a
+#: coalesced group.
 BlockReader = Callable[["RFSNode"], object]
 
 
@@ -297,7 +297,8 @@ class RFSStructure:
     Build with :meth:`build`; the structure keeps a reference to the
     feature matrix (rows indexed by image id) and exposes the node
     hierarchy, representative routing, and localized k-NN computation with
-    simulated I/O accounting.
+    simulated I/O accounting.  Every scan and gather reads through the
+    structure's leaf-contiguous :attr:`store`.
 
     Examples
     --------
@@ -324,16 +325,16 @@ class RFSStructure:
         self.nodes = nodes
         self.config = config
         self.io = io
-        # Optional leaf-contiguous feature store (see repro.store); when
-        # attached, localized_knn and gathers use its batched kernels.
-        self.store: Optional["FeatureStore"] = None
+        # The attached leaf-contiguous feature store; ``None`` until
+        # one is attached or the ``store`` property builds the default.
+        self._store: Optional["FeatureStore"] = None
         # Optional cross-session subquery result cache (repro.cache).
         self.result_cache: Optional["SubqueryResultCache"] = None
         # Monotonic version stamped on cached subquery results.  Any
-        # change that can alter a subquery's answer — incremental
-        # insert/remove, store attach/detach (the store's dtype changes
-        # the distance arithmetic) — bumps it, so stale cache entries
-        # are rejected at read time without a global flush.
+        # change that can alter a subquery's answer — a compaction's
+        # new generation, store attach/detach (the store's dtype
+        # changes the distance arithmetic) — bumps it, so stale cache
+        # entries are rejected at read time without a global flush.
         self.structure_version = 0
         # JSON-safe description of how the structure was built (method,
         # point count, executor, …); persisted by serialize.save_rfs.
@@ -344,8 +345,8 @@ class RFSStructure:
         ] = {}
         # item_id -> leaf node_id, a dense int64 array built lazily on
         # the first leaf_of_item call (one concatenate + repeat, no
-        # per-item Python) and dropped by invalidate_caches.  Entries
-        # are -1 for ids the tree does not hold.
+        # per-item Python).  Entries are -1 for ids the tree does not
+        # hold.
         self._leaf_lookup: Optional[np.ndarray] = None
         # Optional generational delta segment (repro.store.delta): when
         # attached, localized scans filter its tombstones out of the
@@ -360,29 +361,46 @@ class RFSStructure:
         self._leaf_ids_cache: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    # Feature store attachment
+    # Feature store
     # ------------------------------------------------------------------
+    @property
+    def store(self) -> "FeatureStore":
+        """The leaf-contiguous store every scan and gather reads through.
+
+        The store most recently passed to :meth:`attach_store`;
+        otherwise an in-RAM float32 ``f32``-tier
+        :class:`~repro.store.FeatureStore` of the structure's own,
+        built on first use (no version bump: nothing can have been
+        scanned or cached before it existed).  Like the other derived
+        state (leaf geometry, the item→leaf map) the build is
+        idempotent, so concurrent first uses at worst build it twice.
+        """
+        if self._store is None:
+            from repro.store import FeatureStore
+
+            self._store = FeatureStore.build(self)
+        return self._store
+
     def attach_store(
         self, store: "FeatureStore", *, validate: bool = True
     ) -> None:
         """Attach a leaf-contiguous :class:`~repro.store.FeatureStore`.
 
-        Once attached, :meth:`localized_knn` scans the store's contiguous
-        per-leaf blocks with the batched kernels and
-        :meth:`vectors_for` gathers rows from the store matrix, so worker
-        processes can share the pages zero-copy when the store is
-        memory-mapped.  ``validate`` cross-checks shape and per-leaf
-        membership against this structure (skip only for stores freshly
-        built from the same structure).
+        Replaces the store :meth:`localized_knn` scans and
+        :meth:`vectors_for` gathers from — a memory-mapped one lets
+        worker processes share the pages zero-copy, a quantized tier
+        scans 2–4x fewer bytes.  ``validate`` cross-checks shape and
+        per-leaf membership against this structure (skip only for
+        stores freshly built from the same structure).
 
         Re-attaching the store that is already attached is a no-op (no
         validation, no version bump), so long-running servers can call
         this defensively.  Attaching a *different* store bumps
-        :attr:`structure_version`: the store's dtype (float32 vs the
-        raw float64 matrix) changes the distance arithmetic, so results
-        cached against the previous configuration must not be served.
+        :attr:`structure_version`: the store's dtype changes the
+        distance arithmetic, so results cached against the previous
+        configuration must not be served.
         """
-        if store is self.store:
+        if store is self._store:
             return
         if validate:
             if store.dims != self.features.shape[1]:
@@ -403,23 +421,23 @@ class RFSStructure:
                         f"store span for leaf {leaf.node_id} does not "
                         "match its member ids; rebuild the store"
                     )
-        self.store = store
+        self._store = store
         self.structure_version += 1
 
     def detach_store(self) -> None:
-        """Detach the feature store (fall back to the in-memory path).
+        """Let go of the attached store (so a memmap can be closed).
 
-        A no-op when no store is attached; otherwise bumps
-        :attr:`structure_version` (the in-memory float64 path computes
-        different last-bit distances than a float32 store, so cached
-        results from the store configuration must not be served).
+        The next scan builds the structure's own float32 store (see
+        :attr:`store`).  A no-op when none is held; otherwise bumps
+        :attr:`structure_version` (results cached against the detached
+        store's configuration must not be served).
         """
-        if self.store is not None:
-            self.store = None
+        if self._store is not None:
+            self._store = None
             self.structure_version += 1
 
     def store_fingerprint(self) -> str:
-        """Tier fingerprint of the attached store (``""`` when none).
+        """Tier fingerprint of the store scans read through.
 
         Folded into every subquery cache key: the fingerprint covers the
         store's dtype, scan tier, and quantization parameters, so cache
@@ -427,8 +445,6 @@ class RFSStructure:
         another's — even across a detach/attach cycle that happens to
         restore the same structure version.
         """
-        if self.store is None:
-            return ""
         return self.store.fingerprint()
 
     def attach_cache(self, cache: "SubqueryResultCache") -> None:
@@ -496,33 +512,16 @@ class RFSStructure:
             return 0
         return self.result_cache.invalidate_nodes(node_ids)
 
-    def invalidate_caches(self) -> None:
-        """Drop derived scan state after a structural mutation.
-
-        Incremental insert/remove changes leaf membership and bounding
-        boxes, so the cached leaf geometry is stale and any attached
-        store's row layout no longer matches the tree.  The store is
-        detached (rebuild it via ``FeatureStore.build``); queries keep
-        working through the in-memory path meanwhile.  The structure
-        version is bumped, so every subquery result cached against the
-        old tree is rejected on its next lookup.
-        """
-        self._leaf_geometry_cache.clear()
-        self._leaf_ids_cache.clear()
-        self._leaf_lookup = None
-        self.store = None
-        self.structure_version += 1
-
     def vectors_for(self, item_ids: Sequence[int]) -> np.ndarray:
-        """Feature vectors for ``item_ids`` (store-backed when attached).
+        """Feature vectors for ``item_ids``, gathered from the store.
 
         With a memory-mapped store attached this gathers from the shared
         mapping — worker processes touch the same page-cache pages
         instead of each holding a pickled copy of the feature matrix.
 
         Delta-segment ids (inserted after the generation was built)
-        resolve from the segment's rows, cast to the main path's dtype
-        so downstream centroid arithmetic matches what a rebuilt store
+        resolve from the segment's rows, cast to the store's dtype so
+        downstream centroid arithmetic matches what a rebuilt store
         holding the same rows would produce.  Tombstoned ids still
         resolve — a session may keep a removed image as a query point;
         it just never appears in results again.
@@ -536,23 +535,13 @@ class RFSStructure:
         ):
             return self._vectors_main(ids)
         in_delta = ids >= view.base_rows
+        out = np.empty(
+            (ids.shape[0], self.features.shape[1]),
+            dtype=self._delta_kernel_dtype(),
+        )
         main_ids = ids[~in_delta]
         if main_ids.size:
-            main_vecs = self._vectors_main(main_ids)
-            out_dtype = main_vecs.dtype
-        else:
-            main_vecs = None
-            store_dtype = self._delta_kernel_dtype()
-            out_dtype = (
-                store_dtype
-                if store_dtype is not None
-                else self.features.dtype
-            )
-        out = np.empty(
-            (ids.shape[0], self.features.shape[1]), dtype=out_dtype
-        )
-        if main_vecs is not None:
-            out[~in_delta] = main_vecs
+            out[~in_delta] = self._vectors_main(main_ids)
         delta_idx = ids[in_delta] - view.base_rows
         if delta_idx.size and int(delta_idx.max()) >= view.n_delta:
             bad = int(ids[in_delta][delta_idx >= view.n_delta][0])
@@ -560,15 +549,13 @@ class RFSStructure:
                 f"item {bad} not present in the structure"
             )
         out[in_delta] = view.rows[delta_idx].astype(
-            out_dtype, copy=False
+            out.dtype, copy=False
         )
         return out
 
     def _vectors_main(self, ids: np.ndarray) -> np.ndarray:
-        """Main-generation gather (store matrix or feature matrix)."""
-        if self.store is not None:
-            return self.store.vectors_for(ids)
-        return self.features[ids]
+        """Main-generation gather (``ShardedRFS`` routes to shards)."""
+        return self.store.vectors_for(ids)
 
     # ------------------------------------------------------------------
     # Construction
@@ -840,44 +827,6 @@ class RFSStructure:
                         BuildProgress("representatives", done, total)
                     )
 
-    def _leaf_representatives(
-        self, node: RFSNode, rng: np.random.Generator
-    ) -> List[int]:
-        """Cluster the leaf's images; pick images nearest the centres.
-
-        Thin wrapper over :func:`_select_leaf_reps` for single-node
-        callers (incremental maintenance re-selects mutated nodes).
-        """
-        payload = _RepsPayload(
-            features=self.features, config=self.config, rng=rng
-        )
-        return _select_leaf_reps(payload, node.node_id, node.item_ids)
-
-    def _inner_representatives(
-        self, node: RFSNode, rng: np.random.Generator
-    ) -> List[int]:
-        """Aggregate child representatives, re-cluster, pick the nearest.
-
-        Thin wrapper over :func:`_select_inner_reps` for single-node
-        callers (incremental maintenance re-selects mutated nodes).
-        """
-        cand_ids = np.array(
-            sorted(
-                {
-                    rep
-                    for child in node.children
-                    for rep in child.representatives
-                }
-            ),
-            dtype=np.int64,
-        )
-        payload = _RepsPayload(
-            features=self.features, config=self.config, rng=rng
-        )
-        return _select_inner_reps(
-            payload, node.node_id, cand_ids, node.size
-        )
-
     def _post_order(self, node: RFSNode) -> Iterator[RFSNode]:
         for child in node.children:
             yield from self._post_order(child)
@@ -925,22 +874,13 @@ class RFSStructure:
     def leaf_of_item(self, item_id: int) -> RFSNode:
         """The leaf whose subtree contains ``item_id``.
 
-        With a feature store attached this is a single binary search
-        over the leaf span starts; otherwise a lazily built item -> leaf
-        map (dropped by :meth:`invalidate_caches`) answers in one dict
-        probe instead of a per-level tree descent.  Delta-segment ids
-        resolve to the leaf they were routed to at insert time.
+        One probe of the lazily built dense item → leaf map instead of
+        a per-level tree descent.  Delta-segment ids resolve to the
+        leaf they were routed to at insert time.
         """
         view = self.delta_view()
         if view is not None and int(item_id) >= view.base_rows:
             return self.nodes[view.leaf_of_delta(int(item_id))]
-        if self.store is not None:
-            try:
-                return self.nodes[self.store.leaf_node_of(int(item_id))]
-            except (IndexError, KeyError, NodeNotFoundError) as exc:
-                raise NodeNotFoundError(
-                    f"item {item_id} not present in the structure"
-                ) from exc
         lookup = self._leaf_lookup_array()
         item = int(item_id)
         node_id = int(lookup[item]) if 0 <= item < lookup.shape[0] else -1
@@ -953,9 +893,9 @@ class RFSStructure:
     def leaves_of_items(self, item_ids: Sequence[int]) -> np.ndarray:
         """Leaf node ids of many items in one vectorized pass.
 
-        The batch form of :meth:`leaf_of_item`: one gather (store
-        binary search or dense-lookup scatter map) for the whole id
-        array.  Raises :class:`NodeNotFoundError` if any id is absent.
+        The batch form of :meth:`leaf_of_item`: one gather through the
+        dense item → leaf map for the whole id array.  Raises
+        :class:`NodeNotFoundError` if any id is absent.
         """
         ids = np.asarray(item_ids, dtype=np.int64)
         if ids.size == 0:
@@ -979,15 +919,6 @@ class RFSStructure:
 
     def _leaves_of_main(self, ids: np.ndarray) -> np.ndarray:
         """Batch leaf lookup over main-generation ids only."""
-        if self.store is not None:
-            try:
-                return np.asarray(
-                    self.store.leaf_nodes_of(ids), dtype=np.int64
-                )
-            except (IndexError, KeyError, NodeNotFoundError) as exc:
-                raise NodeNotFoundError(
-                    "an item id is not present in the structure"
-                ) from exc
         lookup = self._leaf_lookup_array()
         if ids.min() < 0 or ids.max() >= lookup.shape[0]:
             raise NodeNotFoundError(
@@ -1112,10 +1043,10 @@ class RFSStructure:
 
         Leaf MINDIST pruning is vectorized: the leaves' stacked bounding
         boxes are cached per search node and all bounds come from one
-        :func:`~repro.index.geometry.stacked_min_distances` call.  When a
-        feature store is attached the per-leaf scan additionally runs the
-        batched store kernels over contiguous blocks instead of the
-        gather-then-loop path.
+        :func:`~repro.index.geometry.stacked_min_distances` call.  Each
+        leaf read is one contiguous block of :attr:`store`, scanned by
+        the batched store kernels at the store's dtype and tier (see
+        :meth:`_scan_leaves`).
 
         ``read_block`` optionally replaces the default per-leaf reader
         (which charges the I/O model and materialises the block on
@@ -1166,21 +1097,13 @@ class RFSStructure:
             "localized_knn",
             node=node.node_id,
             k=int(k),
-            store=self.store.kind if self.store is not None else "none",
+            store=self.store.kind,
         ) as span:
             if take <= 0:
                 best: List[tuple[float, int]] = []
-            elif self.store is not None:
-                if read_block is None:
-                    read_block = self._store_block_reader(io_category)
-                best = self._scan_leaves_store(
-                    leaves, mindists, order, query, take,
-                    weights=weights, read_block=read_block, span=span,
-                    dead_ids=dead_ids,
-                )
             else:
                 if read_block is None:
-                    read_block = self._member_block_reader(io_category)
+                    read_block = self._store_block_reader(io_category)
                 best = self._scan_leaves(
                     leaves, mindists, order, query, take,
                     weights=weights, read_block=read_block, span=span,
@@ -1241,113 +1164,82 @@ class RFSStructure:
     ) -> np.ndarray:
         """Brute-force delta kernel over the selected live rows.
 
-        Mirrors the main scan's arithmetic for the active
-        configuration: with a store attached the rows are cast to the
-        store dtype and run through the same fused kernels
+        Mirrors the main scan's final arithmetic: the rows are cast to
+        the store dtype and run through the same exact kernels
         (quantized tiers re-rank through the exact store dtype, so that
-        is the tier-independent final arithmetic); without a store the
-        float64 gather-then-reduce of ``_scan_leaves`` runs.  No
-        simulated disk I/O is charged — delta rows are RAM-resident by
-        design.
+        is the tier-independent arithmetic).  No simulated disk I/O is
+        charged — delta rows are RAM-resident by design.
         """
-        store_dtype = self._delta_kernel_dtype()
-        if store_dtype is not None:
-            from repro.store.kernels import (
-                point_distances,
-                weighted_point_distances,
-            )
+        from repro.store.kernels import (
+            point_distances,
+            weighted_point_distances,
+        )
 
-            block, sqnorms = view.typed_rows(store_dtype)
-            rows = block[sel]
-            if weights is None:
-                dists = point_distances(
-                    rows, query, block_sqnorms=sqnorms[sel]
-                )
-            else:
-                dists = weighted_point_distances(rows, query, weights)
+        block, sqnorms = view.typed_rows(self._delta_kernel_dtype())
+        rows = block[sel]
+        if weights is None:
+            dists = point_distances(
+                rows, query, block_sqnorms=sqnorms[sel]
+            )
         else:
-            diff = view.rows[sel] - query
-            if weights is None:
-                dists = np.sqrt(np.sum(diff * diff, axis=1))
-            else:
-                dists = np.sqrt(np.sum(weights * diff * diff, axis=1))
-            get_metrics().counter(
-                "qd_distance_computations",
-                "feature-vector distance evals",
-            ).inc(int(sel.shape[0]))
+            dists = weighted_point_distances(rows, query, weights)
         get_metrics().counter(
             "qd_delta_scan_rows_total",
             "delta-segment rows scanned by the brute-force kernel",
         ).inc(int(sel.shape[0]))
         return dists
 
-    def _delta_kernel_dtype(self) -> Optional[np.dtype]:
-        """Store dtype the delta kernel must cast rows to.
+    def _delta_kernel_dtype(self) -> np.dtype:
+        """Store dtype delta rows are cast to (gathers and the kernel).
 
-        ``None`` selects the float64 gather-then-reduce path (no store
-        attached).  ``ShardedRFS`` overrides this to report the shard
-        stores' dtype — the router's own ``store`` is ``None``, but a
-        rebuilt deployment would serve those rows from shard store
-        blocks, so the delta arithmetic must match that dtype for the
+        ``ShardedRFS`` overrides this to report the shard stores'
+        dtype — the router holds no store, but a rebuilt deployment
+        would serve those rows from shard store blocks, so the delta
+        arithmetic must match that dtype for the
         generational-vs-rebuild parity to hold bit for bit.
         """
-        if self.store is not None:
-            return self.store.dtype
-        return None
+        return self.store.dtype
 
     # ------------------------------------------------------------------
     # Leaf block readers
     # ------------------------------------------------------------------
     def _store_block_reader(self, io_category: str) -> BlockReader:
-        """Default store reader: charge the I/O model, slice the block.
+        """Default reader: charge the I/O model, slice the scan block.
 
         On a quantized tier the reader serves the compressed scan block
         and the I/O model is charged the *compressed* byte count
         (``block_nbytes`` is tier-aware) — the whole point of the tier:
-        cold scans move 2–4x fewer simulated bytes.
+        cold scans move 2–4x fewer simulated bytes.  The store is
+        looked up per read, so the router (which holds none) can hand
+        out readers its shards never call.
         """
-        store = self.store
-        assert store is not None
-        quantized = store.tier != "f32"
 
         def read(leaf: RFSNode):
+            store = self.store
             miss = self.io.access(
                 leaf.node_id,
                 io_category,
                 nbytes=store.block_nbytes(leaf.node_id),
             )
             store.record_block_access(leaf.node_id, miss)
-            if quantized:
-                return store.scan_block(leaf.node_id)
-            return store.node_block(leaf.node_id)
-
-        return read
-
-    def _member_block_reader(self, io_category: str) -> BlockReader:
-        """Default in-memory reader: charge the I/O model, gather rows."""
-
-        def read(leaf: RFSNode) -> np.ndarray:
-            self.io.access(leaf.node_id, io_category)
-            return self.features[leaf.item_ids]
+            if store.quant is None:
+                return store.node_block(leaf.node_id)
+            return store.scan_block(leaf.node_id)
 
         return read
 
     def memoized_block_reader(self, io_category: str) -> BlockReader:
         """A reader that pays for each leaf once across many queries.
 
-        Wraps the default reader for the current configuration (store or
-        in-memory) with a per-leaf memo: the first query of a coalesced
-        batch group to touch a leaf charges the I/O model and
-        materialises the block; every later query of the group reuses
-        the exact same arrays.  Distances are computed per query by the
-        unchanged kernels, so rankings stay bit-identical to the
-        serial path — only the I/O and materialisation are amortized.
+        Wraps the default reader with a per-leaf memo: the first query
+        of a coalesced batch group to touch a leaf charges the I/O
+        model and materialises the block; every later query of the
+        group reuses the exact same arrays.  Distances are computed per
+        query by the unchanged kernels, so rankings stay bit-identical
+        to the serial path — only the I/O and materialisation are
+        amortized.
         """
-        inner = (
-            self._store_block_reader(io_category)
-            if self.store is not None
-            else self._member_block_reader(io_category)
-        )
+        inner = self._store_block_reader(io_category)
         blocks: Dict[int, object] = {}
 
         def read(leaf: RFSNode):
@@ -1412,168 +1304,20 @@ class RFSStructure:
         span,
         dead_ids: Optional[np.ndarray] = None,
     ) -> List[tuple[float, int]]:
-        """In-memory leaf scan (the original gather-then-loop path).
+        """The leaf scan: prune on the scan tier, rank on exact rows.
 
-        ``dead_ids`` (delta-segment tombstones under the search node)
-        are dropped *after* the per-block distance computation, so the
-        surviving rows' distances are byte-identical to a scan with no
-        tombstones at all.
-        """
-        dead = (
-            frozenset(int(i) for i in dead_ids)
-            if dead_ids is not None
-            else None
-        )
-        best: List[tuple[float, int]] = []  # kept sorted ascending
-        kth = np.inf
-        leaves_read = 0
-        distance_evals = 0
-        physical_before = self.io.physical_reads
-        for pos in order:
-            leaf = leaves[pos]
-            if len(best) >= take and mindists[pos] > kth:
-                break
-            members = read_block(leaf)
-            leaves_read += 1
-            distance_evals += members.shape[0]
-            diff = members - query
-            if weights is None:
-                dists = np.sqrt(np.sum(diff * diff, axis=1))
-            else:
-                dists = np.sqrt(np.sum(weights * diff * diff, axis=1))
-            if dead is None:
-                for dist, image_id in zip(dists, leaf.item_ids):
-                    best.append((float(dist), int(image_id)))
-            else:
-                for dist, image_id in zip(dists, leaf.item_ids):
-                    if int(image_id) in dead:
-                        continue
-                    best.append((float(dist), int(image_id)))
-            best.sort(key=lambda pair: (pair[0], pair[1]))
-            del best[take:]
-            if len(best) >= take:
-                kth = best[-1][0]
-        span.set(
-            leaves_read=leaves_read,
-            distance_computations=distance_evals,
-            pages_read=self.io.physical_reads - physical_before,
-        )
-        get_metrics().counter(
-            "qd_distance_computations", "feature-vector distance evals"
-        ).inc(distance_evals)
-        return best
+        Each leaf is one zero-copy slice of the store; distances come
+        from the batched kernels (with cached squared norms), and the
+        top-``take`` selection is a single vectorized partition +
+        lexsort over the accumulated candidates.  Ties are broken by
+        ascending id.
 
-    def _scan_leaves_store(
-        self,
-        leaves: List[RFSNode],
-        mindists: np.ndarray,
-        order: np.ndarray,
-        query: np.ndarray,
-        take: int,
-        *,
-        weights: Optional[np.ndarray],
-        read_block: BlockReader,
-        span,
-        dead_ids: Optional[np.ndarray] = None,
-    ) -> List[tuple[float, int]]:
-        """Store-backed leaf scan over contiguous blocks.
-
-        Each leaf is one zero-copy slice of the store matrix; distances
-        come from the batched kernels (with cached squared norms), and the
-        top-``take`` selection is a single vectorized partition + lexsort
-        over the accumulated candidates instead of a per-member Python
-        loop.  Ties are broken by ascending id, matching the in-memory
-        path's ``(score, id)`` ordering.
-
-        ``dead_ids`` (delta tombstones under the search node) are
-        masked out after each block's kernel call — the kernel inputs
-        are the untouched full blocks, so surviving rows' distances are
-        byte-identical to the no-mutation scan.
-        """
-        from repro.store.kernels import (
-            point_distances,
-            weighted_point_distances,
-        )
-        from repro.retrieval.topk import top_pairs
-
-        if self.store is not None and self.store.tier != "f32":
-            return self._scan_leaves_quantized(
-                leaves, mindists, order, query, take,
-                weights=weights, read_block=read_block, span=span,
-                dead_ids=dead_ids,
-            )
-
-        dist_parts: List[np.ndarray] = []
-        id_parts: List[np.ndarray] = []
-        count = 0
-        kth = np.inf
-        leaves_read = 0
-        distance_evals = 0
-        physical_before = self.io.physical_reads
-        for pos in order:
-            leaf = leaves[pos]
-            if count >= take and mindists[pos] > kth:
-                break
-            block, ids, sqnorms = read_block(leaf)
-            leaves_read += 1
-            distance_evals += block.shape[0]
-            if weights is None:
-                dists = point_distances(
-                    block, query, block_sqnorms=sqnorms
-                )
-            else:
-                dists = weighted_point_distances(block, query, weights)
-            if dead_ids is not None:
-                alive = ~np.isin(ids, dead_ids)
-                if not alive.all():
-                    dists = dists[alive]
-                    ids = ids[alive]
-            dist_parts.append(dists)
-            id_parts.append(ids)
-            count += dists.shape[0]
-            if count >= take:
-                pool = (
-                    dist_parts[0]
-                    if len(dist_parts) == 1
-                    else np.concatenate(dist_parts)
-                )
-                kth = float(np.partition(pool, take - 1)[take - 1])
-        span.set(
-            leaves_read=leaves_read,
-            distance_computations=distance_evals,
-            pages_read=self.io.physical_reads - physical_before,
-        )
-        return top_pairs(
-            np.concatenate(dist_parts), np.concatenate(id_parts), take
-        )
-
-    def _scan_leaves_quantized(
-        self,
-        leaves: List[RFSNode],
-        mindists: np.ndarray,
-        order: np.ndarray,
-        query: np.ndarray,
-        take: int,
-        *,
-        weights: Optional[np.ndarray],
-        read_block: BlockReader,
-        span,
-        dead_ids: Optional[np.ndarray] = None,
-    ) -> List[tuple[float, int]]:
-        """Compressed-tier leaf scan with exact float32 re-rank.
-
-        Delta tombstones (``dead_ids``) get their *approximate*
-        distances forced to ``+inf`` in place — keeping the candidate
-        mask aligned with the block rows and conservatively disabling
-        early pruning until ``take`` live rows are pooled — and are
-        filtered out of the phase-2 exact selection, so they can never
-        appear in the returned ranking.
-
-        Phase 1 scans the store's quantized codes (f16/int8), paying
-        only the compressed bytes through the disk model.  With ε the
-        store's measured distance-error bound
-        (:class:`repro.store.quantize.QuantizationParams`) and ``κ̂``
-        the ``take``-th smallest *approximate* distance so far:
+        Phase 1 scans the store's scan-tier blocks in ascending MINDIST
+        order, paying only that tier's bytes through the disk model.
+        With ε the tier's distance-error bound (zero on ``f32``, the
+        measured :class:`repro.store.quantize.QuantizationParams` bound
+        on ``f16``/``int8``) and ``κ̂`` the ``take``-th smallest
+        phase-1 distance so far:
 
         * an unscanned leaf is skipped only when ``MINDIST > κ̂ + ε``
           (its rows' true distances all exceed the true k-th best), and
@@ -1581,6 +1325,9 @@ class RFSStructure:
           top-``take``, k-th-distance ties included — survives to
           phase 2, padded to at least ``take + rerank_margin``
           candidates.
+
+        On ``f32`` the phase-1 distances are already exact, so every
+        scanned row is a candidate as it stands and phase 2 is skipped.
 
         Phase 2 re-runs the exact kernels over the *full* float32
         blocks of the leaves holding survivors and selects the
@@ -1597,6 +1344,14 @@ class RFSStructure:
         disk model — like every ``vectors_for`` gather, they model
         row-level fetches; the scan phase's sequential block reads are
         what the model meters, at compressed size.
+
+        Delta tombstones (``dead_ids``) get their phase-1 distances
+        forced to ``+inf`` in place, after the kernel ran over the
+        untouched full block — surviving rows' distances are
+        byte-identical to the no-mutation scan, ``κ̂`` can never
+        undershoot (pruning stays off until ``take`` live rows are
+        pooled), and the ``+inf`` rows are dropped before selection, so
+        they can never appear in the returned ranking.
         """
         from repro.store.kernels import (
             approx_point_distances,
@@ -1610,7 +1365,11 @@ class RFSStructure:
         params = store.quant
         # Tiny relative slack absorbs float32 kernel roundoff on top of
         # the (real-arithmetic) reconstruction bound.
-        eps = params.weighted_err_bound(weights) * 1.000001 + 1e-9
+        eps = (
+            0.0
+            if params is None
+            else params.weighted_err_bound(weights) * 1.000001 + 1e-9
+        )
 
         dist_parts: List[np.ndarray] = []
         id_parts: List[np.ndarray] = []
@@ -1624,24 +1383,28 @@ class RFSStructure:
             leaf = leaves[pos]
             if count >= take and mindists[pos] > kth_hat + eps:
                 break
-            codes, ids, dq_sqnorms = read_block(leaf)
+            rows, ids, sqnorms = read_block(leaf)
             leaves_read += 1
-            distance_evals += codes.shape[0]
-            if weights is None:
+            distance_evals += rows.shape[0]
+            if params is None:
+                if weights is None:
+                    dists = point_distances(
+                        rows, query, block_sqnorms=sqnorms
+                    )
+                else:
+                    dists = weighted_point_distances(rows, query, weights)
+            elif weights is None:
                 dists = approx_point_distances(
-                    codes, query, params, dq_sqnorms=dq_sqnorms
+                    rows, query, params, dq_sqnorms=sqnorms
                 )
             else:
                 dists = approx_weighted_point_distances(
-                    codes, query, params, weights
+                    rows, query, params, weights
                 )
             if dead_ids is not None:
-                dm = np.isin(ids, dead_ids)
-                if dm.any():
-                    # ``dists`` is freshly computed (owned), so in-place
-                    # is safe; +inf keeps row/mask alignment and only
-                    # loosens pruning (kth_hat can never undershoot).
-                    dists[dm] = np.inf
+                # ``dists`` is freshly computed (owned), so in-place is
+                # safe; +inf keeps rows and ids aligned.
+                dists[np.isin(ids, dead_ids)] = np.inf
             dist_parts.append(dists)
             id_parts.append(ids)
             leaf_parts.append(leaf)
@@ -1654,54 +1417,60 @@ class RFSStructure:
                 )
                 kth_hat = float(np.partition(pool, take - 1)[take - 1])
 
-        if count > take:
-            all_dists = np.concatenate(dist_parts)
-            keep = all_dists <= kth_hat + 2.0 * eps
-            floor = min(count, take + store.rerank_margin)
-            if int(keep.sum()) < floor:
-                keep[np.argpartition(all_dists, floor - 1)[:floor]] = True
-        else:
-            keep = np.ones(count, dtype=bool)
-
-        # Exact pass over the full blocks of leaves holding survivors —
-        # identical kernel calls to the f32 scan, so identical floats.
-        exact_parts: List[np.ndarray] = []
-        cand_parts: List[np.ndarray] = []
-        rerank_blocks = 0
-        offset = 0
-        for leaf, ids_part in zip(leaf_parts, id_parts):
-            mask = keep[offset:offset + ids_part.shape[0]]
-            offset += ids_part.shape[0]
-            if not mask.any():
-                continue
-            block, _, sqnorms = store.node_block(leaf.node_id)
-            rerank_blocks += 1
-            distance_evals += block.shape[0]
-            if weights is None:
-                exact = point_distances(
-                    block, query, block_sqnorms=sqnorms
-                )
-            else:
-                exact = weighted_point_distances(block, query, weights)
-            m_exact = exact[mask]
-            m_ids = ids_part[mask]
+        cand_dists = np.concatenate(dist_parts)
+        cand_ids = np.concatenate(id_parts)
+        rerank_attrs = {}
+        if params is None:
             if dead_ids is not None:
-                alive = ~np.isin(m_ids, dead_ids)
-                if not alive.all():
-                    m_exact = m_exact[alive]
-                    m_ids = m_ids[alive]
-            exact_parts.append(m_exact)
-            cand_parts.append(m_ids)
-        exact_dists = np.concatenate(exact_parts)
-        cand_ids = np.concatenate(cand_parts)
+                live = cand_dists != np.inf
+                cand_dists = cand_dists[live]
+                cand_ids = cand_ids[live]
+        else:
+            if count > take:
+                keep = cand_dists <= kth_hat + 2.0 * eps
+                floor = min(count, take + store.rerank_margin)
+                if int(keep.sum()) < floor:
+                    keep[
+                        np.argpartition(cand_dists, floor - 1)[:floor]
+                    ] = True
+            else:
+                keep = np.ones(count, dtype=bool)
+            if dead_ids is not None:
+                keep &= cand_dists != np.inf
+            cand_ids = cand_ids[keep]
+            # Exact pass over the full blocks of leaves holding
+            # survivors — identical kernel calls to the f32 scan, so
+            # identical floats.
+            exact_parts: List[np.ndarray] = []
+            offset = 0
+            for leaf, ids_part in zip(leaf_parts, id_parts):
+                mask = keep[offset:offset + ids_part.shape[0]]
+                offset += ids_part.shape[0]
+                if not mask.any():
+                    continue
+                block, _, sqnorms = store.node_block(leaf.node_id)
+                distance_evals += block.shape[0]
+                if weights is None:
+                    exact = point_distances(
+                        block, query, block_sqnorms=sqnorms
+                    )
+                else:
+                    exact = weighted_point_distances(
+                        block, query, weights
+                    )
+                exact_parts.append(exact[mask])
+            cand_dists = np.concatenate(exact_parts)
+            rerank_attrs = {
+                "rerank_candidates": int(cand_ids.shape[0]),
+                "rerank_blocks": len(exact_parts),
+            }
         span.set(
             leaves_read=leaves_read,
             distance_computations=distance_evals,
-            rerank_candidates=int(cand_ids.shape[0]),
-            rerank_blocks=rerank_blocks,
             pages_read=self.io.physical_reads - physical_before,
+            **rerank_attrs,
         )
-        return top_pairs(exact_dists, cand_ids, take)
+        return top_pairs(cand_dists, cand_ids, take)
 
     def _leaf_geometry(
         self, node: RFSNode

@@ -41,18 +41,12 @@ def save_rfs(
     centre, and representative list.  Item ids are stored as one flat
     array plus offsets; likewise representatives.
 
-    ``store_dir`` additionally persists the structure's attached
-    :class:`~repro.store.FeatureStore` (built on the fly when none is
-    attached) next to the tree, so :func:`load_rfs` can reopen it as a
-    memory map.
+    ``store_dir`` additionally persists the structure's
+    :class:`~repro.store.FeatureStore` next to the tree, so
+    :func:`load_rfs` can reopen it as a memory map.
     """
     if store_dir is not None:
-        from repro.store import FeatureStore
-
-        store = rfs.store
-        if store is None:
-            store = FeatureStore.build(rfs)
-        store.save(store_dir)
+        rfs.store.save(store_dir)
     nodes = list(rfs.iter_nodes())
     node_ids = np.array([n.node_id for n in nodes], dtype=np.int64)
     levels = np.array([n.level for n in nodes], dtype=np.int64)

@@ -1,7 +1,7 @@
 """Sharded scatter-gather execution of localized k-NN subqueries.
 
 The scale jump of ROADMAP item 1: partition the database across N
-shards — each owning a pruned RFS tree, an optional leaf-contiguous
+shards — each owning a pruned RFS tree, its leaf-contiguous
 :class:`~repro.store.FeatureStore`, and an optional
 :class:`~repro.cache.SubqueryResultCache` — and route every localized
 scan through a scatter-gather merge, while feedback rounds keep running
@@ -65,6 +65,7 @@ from repro.shard.partition import (
     dfs_leaves,
     partition_leaves,
 )
+from repro.store import FeatureStore
 from repro.utils.rng import RandomState
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -79,7 +80,7 @@ _SHARD_KEY_TAG = -1.0
 
 
 class Shard:
-    """One shard: a pruned tree plus optional store and cache.
+    """One shard: a pruned tree with its store, plus an optional cache.
 
     All distance arithmetic happens here, through the unchanged
     single-node scan of the pruned tree.  The shard-level cache
@@ -138,11 +139,13 @@ class Shard:
         hit = self.cache.get(key, self.rfs.structure_version)
         if hit is not None:
             return list(hit.ranked)
+        epoch = self.cache.invalidation_epoch()
         ranked = self.rfs.localized_knn(
             node, query, k, io_category=io_category, weights=weights
         )
         self.cache.put(
-            key, self.rfs.structure_version, node_id, query, ranked
+            key, self.rfs.structure_version, node_id, query, ranked,
+            epoch=epoch,
         )
         return ranked
 
@@ -157,9 +160,9 @@ class ShardedRFS(RFSStructure):
     hold leaves of the search node and merge their candidates.
 
     Per-shard stores replace a global store: :meth:`attach_store`
-    refuses (gathers route to shard stores via :meth:`vectors_for`),
-    and ``store``/``result_cache`` stay ``None`` so planner and merge
-    labels read ``store="none"``/``cache="off"`` at the router level.
+    refuses, :attr:`store` is ``None`` (gathers route to shard stores
+    via :meth:`vectors_for`), and ``result_cache`` stays ``None`` so
+    merge labels read ``cache="off"`` at the router level.
     """
 
     def __init__(
@@ -181,17 +184,13 @@ class ShardedRFS(RFSStructure):
         self.shards = list(shards)
         self.assignment = assignment
         self._parallel_fanout = parallel_fanout and len(self.shards) > 1
-        kinds = {
-            None if s.rfs.store is None else s.rfs.store.dtype.name
-            for s in self.shards
-        }
-        if len(kinds) > 1:
+        dtypes = {s.rfs.store.dtype.name for s in self.shards}
+        if len(dtypes) > 1:
             raise ConfigurationError(
-                "all shards must agree on store presence and dtype "
-                f"(got {sorted(map(str, kinds))}); mixed backings would "
-                "change gather arithmetic mid-query"
+                "all shards must agree on store dtype (got "
+                f"{sorted(dtypes)}); mixed backings would change gather "
+                "arithmetic mid-query"
             )
-        self._stores_attached = next(iter(kinds)) is not None
         # id -> owning shard index, for routing store gathers.
         self._item_shard: Optional[np.ndarray] = None
         # Router fan-out pool, created lazily and re-created after a
@@ -244,6 +243,11 @@ class ShardedRFS(RFSStructure):
             self._pool_pid = None
 
     # -- overridden structure surface ----------------------------------
+    @property
+    def store(self) -> None:
+        """The router holds no store; each shard structure has its own."""
+        return None
+
     def attach_store(self, store, *, validate: bool = True) -> None:
         raise ConfigurationError(
             "a ShardedRFS has no global store; build per-shard stores "
@@ -251,7 +255,7 @@ class ShardedRFS(RFSStructure):
         )
 
     def _vectors_main(self, ids: np.ndarray) -> np.ndarray:
-        """Gather main-generation rows, from shard stores when attached.
+        """Gather main-generation rows from the owning shards' stores.
 
         Routes each id to its owning shard's store so the gathered
         values (and dtype) are bit-identical to a single-node store's
@@ -260,34 +264,24 @@ class ShardedRFS(RFSStructure):
         this hook: the inherited :meth:`vectors_for` resolves them from
         the router's segment first.
         """
-        if not self._stores_attached:
-            return super()._vectors_main(ids)
         ids = np.asarray(ids, dtype=np.int64)
         owners = self._shard_of_items(ids)
         first = self.shards[0].rfs.store
-        assert first is not None
         out = np.empty((ids.shape[0], first.dims), dtype=first.dtype)
         for shard in self.shards:
             mask = owners == shard.index
-            if not mask.any():
-                continue
-            store = shard.rfs.store
-            assert store is not None
-            out[mask] = store.vectors_for(ids[mask])
+            if mask.any():
+                out[mask] = shard.rfs.store.vectors_for(ids[mask])
         return out
 
-    def _delta_kernel_dtype(self) -> Optional[np.dtype]:
+    def _delta_kernel_dtype(self) -> np.dtype:
         """Shard store dtype for the delta kernel (router store is None).
 
         A rebuilt deployment would serve delta rows from shard store
         blocks, so the brute-force delta kernel must cast them to the
         same dtype for the generational-vs-rebuild parity to hold.
         """
-        if self._stores_attached:
-            store = self.shards[0].rfs.store
-            assert store is not None
-            return store.dtype
-        return None
+        return self.shards[0].rfs.store.dtype
 
     def invalidate_cache_nodes(self, node_ids: Sequence[int]) -> int:
         """Per-node eviction, broadcast to every shard cache.
@@ -303,18 +297,14 @@ class ShardedRFS(RFSStructure):
         return dropped
 
     def store_fingerprint(self) -> str:
-        """Fingerprint of the (uniform) shard stores (``""`` when none).
+        """Fingerprint of the (uniform) shard stores.
 
         Router-level consumers (the engine-level subquery cache, batch
         scheduler keys) must key on the same tier identity a
         single-node store would expose, or warm entries could alias
         across tiers after a re-deployment.
         """
-        if not self._stores_attached:
-            return ""
-        store = self.shards[0].rfs.store
-        assert store is not None
-        return store.fingerprint()
+        return self.shards[0].rfs.store.fingerprint()
 
     def localized_knn(
         self,
@@ -435,7 +425,7 @@ class ShardedEngine(QueryDecompositionEngine):
         parallel_fanout: bool = True,
         seed: RandomState = None,
         io: Optional[DiskAccessCounter] = None,
-        store: Optional[str] = None,
+        store: str = "inmem",
         store_dtype: str = "float32",
         store_tier: str = "f32",
         store_rerank_margin: int = 32,
@@ -448,9 +438,10 @@ class ShardedEngine(QueryDecompositionEngine):
 
         The global tree build is identical to the single-node one
         (same seed ⇒ same tree), then its leaves are dealt across
-        ``shards`` pruned copies.  ``store="inmem"`` builds one
-        leaf-contiguous store *per shard*; ``cache`` likewise sizes one
-        result cache per shard (each holding that shard's scans).
+        ``shards`` pruned copies.  Each shard gets its own in-RAM
+        leaf-contiguous store (``"inmem"`` is the only ``store`` kind a
+        build can create); ``cache`` likewise sizes one result cache
+        per shard (each holding that shard's scans).
         """
         base = RFSStructure.build(
             database.features,
@@ -460,7 +451,7 @@ class ShardedEngine(QueryDecompositionEngine):
             build=build,
             progress=progress,
         )
-        if store is not None and store != "inmem":
+        if store != "inmem":
             raise ConfigurationError(
                 "build() can only create 'inmem' shard stores; got "
                 f"{store!r}"
@@ -471,21 +462,18 @@ class ShardedEngine(QueryDecompositionEngine):
         shard_objs: List[Shard] = []
         for index, leaf_ids in enumerate(assignment.shards):
             shard_rfs = build_shard_structure(base, leaf_ids)
-            if store == "inmem":
-                from repro.store import FeatureStore
-
-                shard_rfs.attach_store(
-                    FeatureStore.build(
-                        shard_rfs,
-                        dtype=store_dtype,
-                        tier=store_tier,
-                        rerank_margin=store_rerank_margin,
-                    ),
-                    validate=False,
-                )
-                # Per-shard stores must not skew version bookkeeping:
-                # resume parity requires the global version everywhere.
-                shard_rfs.structure_version = base.structure_version
+            shard_rfs.attach_store(
+                FeatureStore.build(
+                    shard_rfs,
+                    dtype=store_dtype,
+                    tier=store_tier,
+                    rerank_margin=store_rerank_margin,
+                ),
+                validate=False,
+            )
+            # Per-shard stores must not skew version bookkeeping:
+            # resume parity requires the global version everywhere.
+            shard_rfs.structure_version = base.structure_version
             shard_cache: Optional["SubqueryResultCache"] = None
             if cache is not None and cache.enabled:
                 from repro.cache import SubqueryResultCache
@@ -526,6 +514,6 @@ class ShardedEngine(QueryDecompositionEngine):
             router.close()
             for shard in router.shards:
                 store = shard.rfs.store
-                if store is not None and store.kind == "memmap":
+                if store.kind == "memmap":
                     shard.rfs.detach_store()
                     store.close()

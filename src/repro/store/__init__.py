@@ -29,10 +29,12 @@ Pieces:
   immutable :class:`~repro.store.delta.DeltaView` snapshots final-round
   scans traverse alongside the main blocks, lock-free.
 
-Attach a store with :meth:`repro.index.rfs.RFSStructure.attach_store`;
-`localized_knn`, the final-round subqueries, and mark grouping all pick
-it up transparently, and rankings are bit-identical between the
-``inmem`` and ``memmap`` backings (same bytes, same kernel).
+Every :class:`~repro.index.rfs.RFSStructure` scans through a store: an
+in-RAM float32 one of its own unless another (memory-mapped, quantized,
+float64) is attached with
+:meth:`~repro.index.rfs.RFSStructure.attach_store`.  Rankings are
+bit-identical between the ``inmem`` and ``memmap`` backings (same
+bytes, same kernel).
 """
 
 from repro.store.delta import (

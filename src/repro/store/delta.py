@@ -63,7 +63,6 @@ class DeltaView:
         "dead_main_leaves",
         "epoch",
         "_live_idx",
-        "_dead_set",
         "_typed",
         "_live_sel",
         "_dead_sel",
@@ -87,7 +86,6 @@ class DeltaView:
         self.dead_main_leaves = dead_main_leaves
         self.epoch = int(epoch)
         self._live_idx: Optional[np.ndarray] = None
-        self._dead_set: Optional[frozenset] = None
         self._typed: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._live_sel: Dict[int, np.ndarray] = {}
         self._dead_sel: Dict[int, np.ndarray] = {}
@@ -162,12 +160,6 @@ class DeltaView:
         if key is not None:
             self._dead_sel[key] = dead
         return dead
-
-    def dead_set(self) -> frozenset:
-        """The tombstoned main ids as a set (for per-row scan loops)."""
-        if self._dead_set is None:
-            self._dead_set = frozenset(int(i) for i in self.dead_main)
-        return self._dead_set
 
     # -- row access ------------------------------------------------------
     def typed_rows(self, dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:

@@ -166,8 +166,6 @@ class FeatureStore:
         self.rerank_margin = int(rerank_margin)
         self._sqnorms = sqnorms
         self._dq_sqnorms = dq_sqnorms
-        self._leaf_starts: Optional[np.ndarray] = None
-        self._leaf_node_ids: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
         self.stats: Dict[str, int] = {
             "block_reads": 0,
@@ -427,83 +425,6 @@ class FeatureStore:
         rows = self.row_of_id[np.asarray(ids, dtype=np.int64)]
         return self.matrix[rows]
 
-    def _build_leaf_index(self) -> None:
-        """Vectorized build of the leaf-span binary-search index.
-
-        Leaves are exactly the spans that partition [0, n): an inner
-        node's span strictly contains its children's, so the
-        minimal-width span starting at each leaf start is the leaf.
-        One lexsort by (start, stop) puts the narrowest span first
-        within each start group; the group heads are the leaves — no
-        per-span Python pass, which matters at 1M rows / tens of
-        thousands of spans.
-        """
-        node_ids = np.fromiter(
-            self.spans.keys(), dtype=np.int64, count=len(self.spans)
-        )
-        bounds = np.array(
-            list(self.spans.values()), dtype=np.int64
-        ).reshape(len(self.spans), 2)
-        order = np.lexsort((bounds[:, 1], bounds[:, 0]))
-        starts = bounds[order, 0]
-        heads = np.ones(starts.shape[0], dtype=bool)
-        heads[1:] = starts[1:] != starts[:-1]
-        self._leaf_starts = starts[heads]
-        self._leaf_node_ids = node_ids[order][heads]
-
-    def leaf_node_of(self, image_id: int) -> int:
-        """Leaf node id containing ``image_id`` (binary-search lookup).
-
-        Replaces the per-item tree descent of
-        :meth:`repro.index.rfs.RFSStructure.leaf_of_item` with one
-        ``searchsorted`` over the leaf span starts.
-        """
-        if not 0 <= image_id < self.row_of_id.shape[0]:
-            raise NodeNotFoundError(
-                f"item {image_id} not present in the store"
-            )
-        row = int(self.row_of_id[image_id])
-        if row < 0:
-            # The id table can be sparse: a store built over a
-            # compacted generation keeps tombstoned ids as holes.
-            raise NodeNotFoundError(
-                f"item {image_id} not present in the store"
-            )
-        if self._leaf_starts is None:
-            self._build_leaf_index()
-        idx = int(
-            np.searchsorted(self._leaf_starts, row, side="right") - 1
-        )
-        return int(self._leaf_node_ids[idx])
-
-    def leaf_nodes_of(self, image_ids: np.ndarray) -> np.ndarray:
-        """Leaf node ids of many items in one vectorized pass.
-
-        The batch form of :meth:`leaf_node_of`: one gather through the
-        row permutation plus one ``searchsorted`` for the whole id
-        array, so grouping a round's marks by leaf costs no per-item
-        Python at any database size.
-        """
-        ids = np.asarray(image_ids, dtype=np.int64)
-        table = self.row_of_id.shape[0]
-        if ids.size and (
-            int(ids.min()) < 0 or int(ids.max()) >= table
-        ):
-            bad = ids[(ids < 0) | (ids >= table)][0]
-            raise NodeNotFoundError(
-                f"item {int(bad)} not present in the store"
-            )
-        rows = self.row_of_id[ids]
-        if ids.size and int(rows.min()) < 0:
-            bad = ids[rows < 0][0]  # tombstoned hole in a sparse table
-            raise NodeNotFoundError(
-                f"item {int(bad)} not present in the store"
-            )
-        if self._leaf_starts is None:
-            self._build_leaf_index()
-        idx = np.searchsorted(self._leaf_starts, rows, side="right") - 1
-        return self._leaf_node_ids[idx]
-
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
@@ -568,8 +489,6 @@ class FeatureStore:
         self.codes = None
         self._sqnorms = None
         self._dq_sqnorms = None
-        self._leaf_starts = None
-        self._leaf_node_ids = None
         for array in (matrix, codes):
             if array is None:
                 continue
@@ -763,8 +682,6 @@ class FeatureStore:
         state = self.__dict__.copy()
         state["_sqnorms"] = None
         state["_dq_sqnorms"] = None
-        state["_leaf_starts"] = None
-        state["_leaf_node_ids"] = None
         del state["_stats_lock"]  # locks don't pickle; workers get fresh
         if self.kind == "memmap" and self.path is not None:
             # Ship the path, not the bytes: the worker reopens the

@@ -18,8 +18,7 @@ Exactness contract — the reason this module records **error bounds**:
 the scan computes *approximate* distances on dequantized codes, but the
 store keeps the exact matrix, and the scan re-ranks a provably
 sufficient candidate set through it (see
-:meth:`repro.index.rfs.RFSStructure._scan_leaves_quantized`).  For any
-row
+:meth:`repro.index.rfs.RFSStructure._scan_leaves`).  For any row
 ``x`` with reconstruction ``x̂`` and any query ``q``, the triangle
 inequality gives
 

@@ -28,6 +28,30 @@ SMALL_RFS = RFSConfig(
 )
 
 
+def brute_force_knn(features, query, k, *, live_ids=None, weights=None):
+    """The reference for the one scan path: plain float64 numpy.
+
+    ``np.linalg.norm`` over the live item set (``live_ids``, default
+    every row) — no tree, no store, no cache.  Returns the ``k`` nearest
+    as ``(distance, id)`` pairs ordered by ``(distance, id)``.  The
+    store scans at float32, so compare ids exactly and distances to
+    ~1e-3.
+    """
+    ids = (
+        np.arange(features.shape[0])
+        if live_ids is None
+        else np.asarray(live_ids, dtype=np.int64)
+    )
+    diff = np.asarray(features, dtype=np.float64)[ids] - np.asarray(
+        query, dtype=np.float64
+    )
+    if weights is not None:
+        diff = diff * np.sqrt(np.asarray(weights, dtype=np.float64))
+    dists = np.linalg.norm(diff, axis=1)
+    order = np.lexsort((ids, dists))[:k]
+    return [(float(dists[i]), int(ids[i])) for i in order]
+
+
 @pytest.fixture(scope="session")
 def rendered_db():
     """A 1,200-image rendered database with all named categories."""

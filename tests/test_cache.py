@@ -1,8 +1,8 @@
 """Tests for the cross-session subquery result cache and batch serving.
 
 Covers the canonical cache key, the byte-capped LRU (eviction order,
-oversized entries, byte accounting, pickling), versioned invalidation
-against incremental structure mutations (the no-skip gate in
+oversized entries, byte accounting, pickling), versioned and per-node
+invalidation against generational mutations (the no-skip gate in
 ``scripts/check.sh`` targets the ``Invalidation`` classes), cached
 final rounds staying bit-identical to the uncached path across all
 executors, and the coalescing batch scheduler's parity with serial
@@ -20,7 +20,7 @@ from repro.cache import (
     SubqueryResultCache,
     subquery_cache_key,
 )
-from repro.config import CacheConfig, QDConfig, RFSConfig
+from repro.config import CacheConfig, MutationConfig, QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
 from repro.core.ranking import execute_final_round
 from repro.errors import ConfigurationError
@@ -29,8 +29,9 @@ from repro.exec import (
     ProcessSubqueryExecutor,
     run_final_round_batch,
 )
-from repro.index.incremental import IncrementalRFS
+from repro.index.generations import GenerationController
 from repro.index.rfs import RFSStructure
+from repro.shard import ShardedEngine
 from repro.store import FeatureStore
 
 N_IMAGES = 900
@@ -317,15 +318,19 @@ class TestFinalRoundCaching:
 # Versioned invalidation — `scripts/check.sh` gates on these passing
 # ----------------------------------------------------------------------
 class TestCacheInvalidation:
-    def test_incremental_mutation_bumps_version(self, database):
+    def test_compaction_bumps_version(self, database):
         rfs = _build_rfs(database)
+        controller = GenerationController(
+            rfs, config=MutationConfig(auto_compact=False)
+        )
         v0 = rfs.structure_version
-        inc = IncrementalRFS(rfs, seed=1)
-        new_id = inc.insert_image(np.zeros(database.dims))
-        assert rfs.structure_version > v0
-        v1 = rfs.structure_version
-        inc.remove_image(new_id)
-        assert rfs.structure_version > v1
+        new_id = controller.insert(np.zeros(database.dims))
+        controller.remove(new_id)
+        # Mutations land in the delta segment: same tree, same version.
+        assert controller.current is rfs
+        assert rfs.structure_version == v0
+        assert controller.compact() == v0 + 1
+        assert controller.current.structure_version == v0 + 1
 
     def test_attach_cache_does_not_bump_version(self, database):
         rfs = _build_rfs(database)
@@ -342,65 +347,134 @@ class TestCacheInvalidation:
         rfs = _build_rfs(database)
         cache = SubqueryResultCache(8 << 20)
         rfs.attach_cache(cache)
+        controller = GenerationController(
+            rfs, config=MutationConfig(auto_compact=False)
+        )
         marks = _marks(database, 5)
         config = QDConfig()
-        _finalize(rfs, marks, 25, config)  # warm
+        warm_sig, _ = _finalize(rfs, marks, 25, config)  # warm
         assert len(cache) > 0
+        victim = next(
+            i for _, items in warm_sig for i, _ in items if i not in marks
+        )
 
-        inc = IncrementalRFS(rfs, seed=2)
-        inc.insert_image(np.full(database.dims, 40.0))
+        controller.remove(victim)
 
         before = cache.snapshot()
         after_sig, _ = _finalize(rfs, marks, 25, config)
         after = cache.snapshot()
         # No global flush happened, yet nothing stale was served: the
-        # repeated subqueries missed and re-ran against the new tree.
-        assert after["hits"] == before["hits"]
+        # subqueries that could hold the victim missed and re-ran.
         assert after["misses"] > before["misses"]
-        assert after["stale_evictions"] >= 1
+        assert before["mutation_evictions"] >= 1
+        assert victim not in {i for _, items in after_sig for i, _ in items}
 
         rfs.detach_cache()
         baseline_sig, _ = _finalize(rfs, marks, 25, config)
         assert after_sig == baseline_sig
 
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_remove_racing_a_scan_is_not_cached(
+        self, database, shards, monkeypatch
+    ):
+        """A remove acknowledged between a scan and that scan's
+        ``cache.put`` ran its invalidation *before* the put; the put
+        must not re-publish the pre-remove ranking, or every repeat of
+        the query is served the removed id until the next compaction.
+        Deterministic: the first scan issues the remove as it returns.
+        """
+        build = {
+            "seed": SEED,
+            "cache": CacheConfig(enabled=True, capacity_mb=8),
+            "mutations": MutationConfig(auto_compact=False),
+        }
+        if shards:
+            engine = ShardedEngine.build(
+                database, RFS_CONFIG, QDConfig(), shards=shards,
+                parallel_fanout=False, **build,
+            )
+        else:
+            engine = QueryDecompositionEngine.build(
+                database, RFS_CONFIG, QDConfig(), **build
+            )
+        # k small enough that the scan asks for fewer rows than its
+        # search node holds: the shard-level cache keys on that count.
+        marks = _marks(database, 5)
+        # Victims worth removing: returned by this query, not a mark.
+        answer, _ = _finalize(_build_rfs(database), marks, 8, QDConfig())
+        victims = {i for _, items in answer for i, _ in items} - set(marks)
+        real_scan = RFSStructure.localized_knn
+        removed: list[int] = []
+
+        def scan_then_remove(self, node, query_point, k, **kwargs):
+            ranked = real_scan(self, node, query_point, k, **kwargs)
+            found = [i for _, i in ranked if i in victims]
+            if found and not removed:
+                removed.append(found[0])
+                engine.remove_image(found[0])
+            return ranked
+
+        with engine:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    RFSStructure, "localized_knn", scan_then_remove
+                )
+                _finalize(engine.rfs, marks, 8, engine.config)
+            repeat_sig, _ = _finalize(engine.rfs, marks, 8, engine.config)
+        assert removed
+        assert removed[0] not in {
+            i for _, items in repeat_sig for i, _ in items
+        }
+
     def test_randomized_mutation_query_interleavings(self, database):
-        """Property: under any interleaving of incremental mutations and
-        (possibly repeated) queries, a cached final round is always
-        bit-identical to an uncached one on the current structure."""
-        rfs = _build_rfs(database)
+        """Property: under any interleaving of inserts, removes,
+        compactions and (possibly repeated) queries, a cached final
+        round is always bit-identical to an uncached one on the current
+        generation."""
         cache = SubqueryResultCache(8 << 20)
+        rfs = _build_rfs(database)
         rfs.attach_cache(cache)
-        inc = IncrementalRFS(rfs, seed=5)
+        controller = GenerationController(
+            rfs, config=MutationConfig(compact_threshold=6)
+        )
         config = QDConfig()
         rng = np.random.default_rng(42)
+        live_main = list(range(N_IMAGES))
         inserted: list[int] = []
         queries_checked = 0
-        for _ in range(20):
+        for _ in range(30):
             roll = rng.random()
             if roll < 0.20:
-                new_id = inc.insert_image(
-                    rng.normal(scale=2.0, size=database.dims)
+                inserted.append(
+                    controller.insert(
+                        rng.normal(scale=2.0, size=database.dims)
+                    )
                 )
-                inserted.append(new_id)
-            elif roll < 0.35 and inserted:
-                inc.remove_image(inserted.pop())
+            elif roll < 0.30 and inserted:
+                controller.remove(inserted.pop())
+            elif roll < 0.40:
+                controller.remove(
+                    live_main.pop(int(rng.integers(len(live_main))))
+                )
             else:
+                current = controller.current
                 marks = tuple(
-                    int(i)
-                    for i in rng.choice(N_IMAGES, size=6, replace=False)
+                    int(i) for i in rng.choice(live_main, 6, replace=False)
                 )
-                cold_sig, _ = _finalize(rfs, marks, 15, config)
-                warm_sig, _ = _finalize(rfs, marks, 15, config)
-                rfs.detach_cache()
+                cold_sig, _ = _finalize(current, marks, 15, config)
+                warm_sig, _ = _finalize(current, marks, 15, config)
+                current.detach_cache()
                 try:
-                    truth_sig, _ = _finalize(rfs, marks, 15, config)
+                    truth_sig, _ = _finalize(current, marks, 15, config)
                 finally:
-                    rfs.attach_cache(cache)
+                    current.attach_cache(cache)
                 assert cold_sig == truth_sig
                 assert warm_sig == truth_sig
                 queries_checked += 1
         assert queries_checked > 0
+        assert controller.generation > 0
         assert cache.snapshot()["hits"] > 0
+        assert cache.snapshot()["mutation_evictions"] > 0
 
 
 class TestStoreSwapInvalidation:

@@ -142,7 +142,9 @@ class TestDeltaMutations:
         controller = GenerationController(
             rfs, config=MutationConfig(auto_compact=False)
         )
-        vec = rfs.features[3] + 1e-4
+        # Offset well above float32 norm-expansion resolution (~1e-3
+        # near distance 0), so the new row is separable from row 3.
+        vec = rfs.features[3] + 0.05
         new_id = controller.insert(vec)
         assert new_id == rfs.features.shape[0]
         got = _scan(rfs, vec, 1)

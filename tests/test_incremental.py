@@ -1,142 +1,186 @@
-"""Tests for incremental RFS maintenance."""
+"""Tests for incremental maintenance of a built index.
+
+Inserts and removes go through the generational engine
+(:class:`~repro.index.generations.GenerationController`: delta segment
++ compaction); these tests pin what a caller can rely on while the
+index changes under it — stable ids, findability, routing, and every
+:func:`~repro.index.incremental.validate_structure` invariant, before
+and after the delta is compacted into a new generation.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import RFSConfig
+from repro.config import MutationConfig, RFSConfig
 from repro.errors import NodeNotFoundError, QueryError
-from repro.index.incremental import IncrementalRFS
+from repro.index.generations import GenerationController, route_leaf
+from repro.index.incremental import validate_structure
 from repro.index.rfs import RFSStructure
 
+MAX_ENTRIES = 40
 
-def _fresh(n=200, d=8, seed=0):
+
+def _fresh(n=200, d=8, seed=0, *, compact_threshold=None):
+    """A controller over a fresh tree; compaction manual by default."""
     base = np.random.default_rng(seed).normal(size=(n, d))
     rfs = RFSStructure.build(
         base,
-        RFSConfig(node_max_entries=40, node_min_entries=20,
+        RFSConfig(node_max_entries=MAX_ENTRIES, node_min_entries=20,
                   leaf_subclusters=3),
         seed=seed,
     )
-    return IncrementalRFS(rfs, seed=seed)
+    config = (
+        MutationConfig(auto_compact=False)
+        if compact_threshold is None
+        else MutationConfig(compact_threshold=compact_threshold)
+    )
+    return GenerationController(rfs, config=config, seed=seed)
+
+
+def _validate(controller):
+    problems = validate_structure(controller.current)
+    assert not problems, "; ".join(problems)
+
+
+def _nearest(controller, vector):
+    rfs = controller.current
+    return rfs.localized_knn(rfs.root, vector, 1)[0][1]
+
+
+def _leaves(controller):
+    return [n for n in controller.current.iter_nodes() if n.is_leaf]
 
 
 class TestInsert:
     def test_insert_returns_new_id_and_grows(self):
         inc = _fresh()
-        new_id = inc.insert_image(np.zeros(8))
+        new_id = inc.insert(np.zeros(8))
         assert new_id == 200
-        assert inc.size == 201
-        assert inc.features.shape == (201, 8)
+        assert inc.n_items == 201
+        inc.compact()
+        assert inc.n_items == 201
+        assert inc.current.features.shape == (201, 8)
 
     def test_inserted_image_findable(self):
         inc = _fresh()
         vec = np.full(8, 0.25)
-        new_id = inc.insert_image(vec)
-        leaf = inc.rfs.leaf_of_item(new_id)
-        got = inc.rfs.localized_knn(leaf, vec, 1)
+        new_id = inc.insert(vec)
+        leaf = inc.current.leaf_of_item(new_id)
+        got = inc.current.localized_knn(leaf, vec, 1)
         assert got[0][1] == new_id
 
     def test_wrong_dims_rejected(self):
         inc = _fresh()
         with pytest.raises(QueryError):
-            inc.insert_image(np.zeros(5))
+            inc.insert(np.zeros(5))
+        assert inc.n_items == 200
 
     def test_many_inserts_keep_invariants(self):
         inc = _fresh()
         rng = np.random.default_rng(3)
         for _ in range(120):
-            inc.insert_image(rng.normal(size=8))
-        inc.validate()
-        assert inc.size == 320
+            inc.insert(rng.normal(size=8))
+        _validate(inc)
+        inc.compact()
+        _validate(inc)
+        assert inc.n_items == 320
 
     def test_leaf_splits_on_overflow(self):
         inc = _fresh()
         rng = np.random.default_rng(4)
-        # Hammer one region so a single leaf overflows.
-        anchor = inc.features[0]
-        before_leaves = sum(
-            1 for n in inc.rfs.iter_nodes() if n.is_leaf
-        )
+        # Hammer one region: far more rows than one leaf may hold.
+        anchor = inc.current.features[0]
+        before_leaves = len(_leaves(inc))
         for _ in range(80):
-            inc.insert_image(anchor + rng.normal(0, 0.01, size=8))
-        after_leaves = sum(
-            1 for n in inc.rfs.iter_nodes() if n.is_leaf
-        )
-        assert after_leaves > before_leaves
-        for node in inc.rfs.iter_nodes():
-            if node.is_leaf:
-                assert node.size <= 40 + 1
-        inc.validate()
+            inc.insert(anchor + rng.normal(0, 0.01, size=8))
+        inc.compact()
+        # The new generation re-clusters them into leaves within capacity.
+        assert len(_leaves(inc)) > before_leaves
+        assert all(leaf.size <= MAX_ENTRIES for leaf in _leaves(inc))
+        _validate(inc)
 
     def test_inserts_route_to_nearby_cluster(self):
         inc = _fresh()
-        target_leaf = inc.rfs.leaf_of_item(0)
-        new_id = inc.insert_image(inc.features[0] + 1e-6)
-        assert new_id in inc.rfs.leaf_of_item(new_id).item_ids
-        assert inc.rfs.leaf_of_item(new_id).node_id in {
-            target_leaf.node_id,
-            *(n.node_id for n in inc.rfs.iter_nodes()),
-        }
+        rfs = inc.current
+        vec = rfs.features[0] + 1e-6
+        new_id = inc.insert(vec)
+        routed = rfs.leaf_of_item(new_id)
+        assert routed.is_leaf
+        assert routed is route_leaf(rfs, vec)
+        # Visible from the routed leaf upward, and only there.
+        assert rfs.effective_node_size(routed) == routed.size + 1
+        assert rfs.effective_node_size(rfs.root) == rfs.root.size + 1
 
 
 class TestRemove:
     def test_remove_detaches(self):
         inc = _fresh()
-        inc.remove_image(5)
-        assert inc.size == 199
+        vec = inc.current.features[5].copy()
+        inc.remove(5)
+        assert inc.n_items == 199
+        assert _nearest(inc, vec) != 5
+        _validate(inc)
+        inc.compact()
         with pytest.raises(NodeNotFoundError):
-            inc.rfs.leaf_of_item(5)
-        inc.validate()
+            inc.current.leaf_of_item(5)
+        _validate(inc)
 
     def test_remove_unknown_raises(self):
         inc = _fresh()
         with pytest.raises(NodeNotFoundError):
-            inc.remove_image(10**9)
+            inc.remove(10**9)
 
     def test_remove_then_reinsert_cycle(self):
         inc = _fresh()
-        vec = inc.features[7].copy()
-        inc.remove_image(7)
-        new_id = inc.insert_image(vec)
-        leaf = inc.rfs.leaf_of_item(new_id)
+        vec = inc.current.features[7].copy()
+        inc.remove(7)
+        new_id = inc.insert(vec)
+        assert _nearest(inc, vec) == new_id
+        _validate(inc)
+        inc.compact()
+        leaf = inc.current.leaf_of_item(new_id)
         assert new_id in leaf.item_ids
-        inc.validate()
+        assert _nearest(inc, vec) == new_id
+        _validate(inc)
 
     def test_emptying_a_leaf_prunes_it(self):
         inc = _fresh()
-        leaf = inc.rfs.leaf_of_item(0)
-        for image_id in list(leaf.item_ids):
-            inc.remove_image(int(image_id))
-        assert leaf.node_id not in inc.rfs.nodes
-        inc.validate()
+        leaf = inc.current.leaf_of_item(0)
+        emptied = [int(i) for i in leaf.item_ids]
+        for image_id in emptied:
+            inc.remove(image_id)
+        assert inc.current.effective_node_size(leaf) == 0
+        inc.compact()
+        assert all(node.size > 0 for node in inc.current.iter_nodes())
+        assert not set(emptied) & set(inc.current.root.item_ids.tolist())
+        _validate(inc)
 
 
 class TestLazyRefresh:
     def test_representatives_stay_members(self):
-        inc = _fresh()
+        inc = _fresh(compact_threshold=16)
         rng = np.random.default_rng(6)
+        alive = list(range(200))
         for step in range(60):
-            if step % 3 == 2 and inc.size > 50:
-                victim = int(inc.rfs.root.item_ids[
-                    rng.integers(inc.rfs.root.size)
-                ])
-                inc.remove_image(victim)
+            if step % 3 == 2 and len(alive) > 50:
+                inc.remove(alive.pop(int(rng.integers(len(alive)))))
             else:
-                inc.insert_image(rng.normal(size=8))
-        inc.validate()  # includes the stale-representative check
+                alive.append(inc.insert(rng.normal(size=8)))
+            _validate(inc)  # includes the stale-representative check
+        assert inc.generation >= 3
 
     def test_queries_work_throughout(self):
-        inc = _fresh()
+        inc = _fresh(compact_threshold=16)
         rng = np.random.default_rng(777)  # distinct from the base data
-        for step in range(40):
-            new_id = inc.insert_image(rng.normal(size=8))
-            leaf = inc.rfs.leaf_of_item(new_id)
-            got = inc.rfs.localized_knn(
-                leaf, inc.features[new_id], 1
-            )
+        for _ in range(40):
+            vec = rng.normal(size=8)
+            new_id = inc.insert(vec)
+            leaf = inc.current.leaf_of_item(new_id)
+            got = inc.current.localized_knn(leaf, vec, 1)
             assert got[0][1] == new_id
+        assert inc.generation >= 2
 
 
 class TestPropertyBased:
@@ -148,12 +192,14 @@ class TestPropertyBased:
         alive = set(range(120))
         for op in ops:
             if op in (0, 1) or len(alive) < 10:
-                new_id = inc.insert_image(rng.normal(size=8))
-                alive.add(new_id)
+                alive.add(inc.insert(rng.normal(size=8)))
             else:
                 victim = sorted(alive)[int(rng.integers(len(alive)))]
-                inc.remove_image(victim)
+                inc.remove(victim)
                 alive.discard(victim)
-        inc.validate()
-        assert inc.size == len(alive)
-        assert set(inc.rfs.root.item_ids.tolist()) == alive
+        _validate(inc)
+        assert inc.n_items == len(alive)
+        inc.compact()
+        _validate(inc)
+        assert inc.n_items == len(alive)
+        assert set(inc.current.root.item_ids.tolist()) == alive

@@ -6,6 +6,7 @@ import pytest
 from repro.config import RFSConfig
 from repro.errors import NodeNotFoundError
 from repro.index.rfs import RFSStructure
+from tests.conftest import brute_force_knn
 
 
 @pytest.fixture(scope="module")
@@ -225,12 +226,11 @@ class TestLocalizedKnn:
         """Pruning never changes the result set."""
         rfs, feats = small_rfs
         got = rfs.localized_knn(rfs.root, feats[7], 9)
-        dists = np.linalg.norm(feats - feats[7], axis=1)
-        order = np.argsort(dists, kind="stable")[:9]
-        expected = sorted(
-            (float(dists[i]), int(i)) for i in order
+        expected = brute_force_knn(feats, feats[7], 9)
+        assert [i for _, i in got] == [i for _, i in expected]
+        assert np.allclose(
+            [d for d, _ in got], [d for d, _ in expected], atol=1e-3
         )
-        assert sorted(got) == expected
 
 
 class TestBuildScales:

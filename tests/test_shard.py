@@ -193,19 +193,17 @@ class TestShardedRFS:
     def test_rejects_mixed_shard_backings(self, database, base_rfs):
         leaves = dfs_leaves(base_rfs.root)
         cut = len(leaves) // 2
-        with_store = build_shard_structure(
+        single = build_shard_structure(
             base_rfs, [leaf.node_id for leaf in leaves[:cut]]
         )
-        with_store.attach_store(
-            FeatureStore.build(with_store), validate=False
-        )
-        without = build_shard_structure(
+        double = build_shard_structure(
             base_rfs, [leaf.node_id for leaf in leaves[cut:]]
         )
+        double.attach_store(
+            FeatureStore.build(double, dtype="float64"), validate=False
+        )
         with pytest.raises(ConfigurationError):
-            ShardedRFS(
-                base_rfs, [Shard(0, with_store), Shard(1, without)]
-            )
+            ShardedRFS(base_rfs, [Shard(0, single), Shard(1, double)])
 
     def test_vectors_for_matches_global_store(self, router, base_rfs):
         global_store = FeatureStore.build(base_rfs)
@@ -252,13 +250,6 @@ class TestShardedParity:
                 baselines[executor] = _run_session(engine, database)
         return baselines
 
-    @pytest.fixture(scope="class")
-    def baseline_nostore(self, database):
-        with QueryDecompositionEngine.build(
-            database, RFS_CONFIG, QDConfig(), seed=SEED
-        ) as engine:
-            return _run_session(engine, database)
-
     @pytest.mark.parametrize("shards", _SHARD_COUNTS)
     @pytest.mark.parametrize("executor", _EXECUTORS)
     def test_sessions_bit_identical_with_stores(
@@ -270,13 +261,6 @@ class TestShardedParity:
             assert _run_session(engine, database) == baseline_store[
                 executor
             ]
-
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_sessions_bit_identical_without_stores(
-        self, database, baseline_nostore, shards
-    ):
-        with _sharded(database, shards=shards, store=None) as engine:
-            assert _run_session(engine, database) == baseline_nostore
 
     @pytest.mark.parametrize("partition", ["contiguous", "roundrobin"])
     def test_partition_strategy_is_invisible(

@@ -23,7 +23,6 @@ from repro.errors import (
     NodeNotFoundError,
 )
 from repro.exec import ProcessSubqueryExecutor
-from repro.index.incremental import IncrementalRFS
 from repro.index.rfs import RFSStructure
 from repro.index.serialize import load_rfs, save_rfs
 from repro.retrieval.distance import euclidean_many, weighted_euclidean
@@ -37,6 +36,7 @@ from repro.store import (
     point_distances,
     weighted_point_distances,
 )
+from tests.conftest import brute_force_knn
 
 N_IMAGES = 900
 SEED = 2006
@@ -117,15 +117,17 @@ class TestBuild:
             FeatureStore.build(rfs, dtype="int16")
 
     def test_leaf_node_of_matches_tree_descent(self, built):
+        # The structure's item -> leaf map must agree with the store
+        # layout: an item's row lies inside its leaf's span.
         _, rfs = built
         store = FeatureStore.build(rfs)
-        for image_id in range(0, N_IMAGES, 37):
-            assert (
-                store.leaf_node_of(image_id)
-                == rfs.leaf_of_item(image_id).node_id
-            )
+        ids = np.arange(0, N_IMAGES, 37)
+        for image_id, node_id in zip(ids, rfs.leaves_of_items(ids)):
+            assert rfs.leaf_of_item(image_id).node_id == node_id
+            start, stop = store.span_of(int(node_id))
+            assert start <= store.row_of_id[image_id] < stop
         with pytest.raises(NodeNotFoundError):
-            store.leaf_node_of(N_IMAGES + 5)
+            rfs.leaf_of_item(N_IMAGES + 5)
 
     def test_sqnorms_cached_and_correct(self, built):
         _, rfs = built
@@ -362,35 +364,36 @@ class TestStoreScan:
 
     def test_store_scan_matches_legacy_ids(self, built):
         database, rfs = built
-        rfs.detach_store()
         query = database.features[11]
         leaf = rfs.leaf_of_item(11)
-        legacy = rfs.localized_knn(leaf, query, 30)
+        reference = brute_force_knn(
+            database.features, query, 30, live_ids=leaf.item_ids
+        )
         rfs.attach_store(FeatureStore.build(rfs))
         try:
-            fast = rfs.localized_knn(rfs.leaf_of_item(11), query, 30)
+            fast = rfs.localized_knn(leaf, query, 30)
         finally:
             rfs.detach_store()
-        assert [i for _, i in fast] == [i for _, i in legacy]
+        assert [i for _, i in fast] == [i for _, i in reference]
         assert np.allclose(
-            [d for d, _ in fast], [d for d, _ in legacy], atol=1e-3
+            [d for d, _ in fast], [d for d, _ in reference], atol=1e-3
         )
 
     def test_store_scan_weighted_matches_legacy_ids(self, built):
         database, rfs = built
-        rfs.detach_store()
         query = database.features[77]
         weights = np.linspace(0.5, 1.5, database.dims)
         leaf = rfs.leaf_of_item(77)
-        legacy = rfs.localized_knn(leaf, query, 20, weights=weights)
+        reference = brute_force_knn(
+            database.features, query, 20,
+            live_ids=leaf.item_ids, weights=weights,
+        )
         rfs.attach_store(FeatureStore.build(rfs))
         try:
-            fast = rfs.localized_knn(
-                rfs.leaf_of_item(77), query, 20, weights=weights
-            )
+            fast = rfs.localized_knn(leaf, query, 20, weights=weights)
         finally:
             rfs.detach_store()
-        assert [i for _, i in fast] == [i for _, i in legacy]
+        assert [i for _, i in fast] == [i for _, i in reference]
 
     def test_store_scan_accounts_io_and_bytes(self, built):
         database, rfs = built
@@ -423,25 +426,6 @@ class TestStoreScan:
             )
         finally:
             rfs.detach_store()
-
-    def test_incremental_insert_detaches_store(self, built):
-        database, rfs = built
-        rfs.attach_store(FeatureStore.build(rfs))
-        features_backup = rfs.features
-        inc = IncrementalRFS(rfs, seed=1)
-        try:
-            inc.insert_image(np.zeros(database.dims))
-            assert rfs.store is None
-            # Queries still work through the in-memory path.
-            result = rfs.localized_knn(
-                rfs.leaf_of_item(0), database.features[0], 5
-            )
-            assert len(result) == 5
-        finally:
-            inc.remove_image(rfs.features.shape[0] - 1)
-            rfs.features = features_backup
-            rfs.detach_store()
-            rfs.invalidate_caches()
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +486,7 @@ class TestLifecycle:
             database, rfs, QDConfig(), store=store
         )
         engine.close()
-        assert rfs.store is None
+        assert rfs.store is not store  # detached; scans build their own
         assert store.closed
         engine.close()  # safe to call twice
 
@@ -598,21 +582,22 @@ class TestParity:
         )
         assert sig == baseline
 
-    def test_store_ids_match_legacy_session(self, built):
+    def test_store_ids_match_legacy_session(self, built, monkeypatch):
+        # The same session with every scan replaced by the brute-force
+        # reference must pick the same images.
         database, _ = built
+        stored = _run_session(database, None, "serial", 11)
+
+        def reference(self, node, query_point, k, *, weights=None, **_):
+            return brute_force_knn(
+                self.features, query_point, k,
+                live_ids=node.item_ids, weights=weights,
+            )
+
+        monkeypatch.setattr(RFSStructure, "localized_knn", reference)
         legacy = _run_session(database, None, "serial", 11)
-        rfs = RFSStructure.build(
-            database.features,
-            RFSConfig(
-                node_max_entries=60,
-                node_min_entries=30,
-                leaf_subclusters=4,
-            ),
-            seed=SEED,
-        )
-        stored = _run_session(
-            database, FeatureStore.build(rfs), "serial", 11
-        )
-        legacy_ids = [[i for i, _ in group[1]] for group in legacy]
-        stored_ids = [[i for i, _ in group[1]] for group in stored]
+        # Per group, as sets: float32 cannot order the marked images
+        # themselves, a few 1e-4 from their own centroid.
+        legacy_ids = [{i for i, _ in group[1]} for group in legacy]
+        stored_ids = [{i for i, _ in group[1]} for group in stored]
         assert legacy_ids == stored_ids

@@ -474,3 +474,123 @@ class TestQuantizedParity:
             ) == quant.localized_knn(
                 other, queries[0], min(10, node.size), weights=weights
             )
+
+
+# ----------------------------------------------------------------------
+# The one scan loop, where the f32 and quantized loops used to differ
+# ----------------------------------------------------------------------
+def _reference_f32_scan(rfs, node, query, k, weights, dead):
+    """The f32 block scan written out plainly, as the reference.
+
+    Exact kernel per full block in MINDIST order, tombstoned rows
+    dropped, stop at the first leaf whose MINDIST is strictly beyond
+    the ``take``-th best live distance.  Returns ``(ranking,
+    leaves_read)``.
+    """
+    from repro.index.geometry import stacked_min_distances
+    from repro.retrieval.topk import top_pairs
+    from repro.store.kernels import (
+        point_distances,
+        weighted_point_distances,
+    )
+
+    store = rfs.store
+    leaves, los, his = rfs._leaf_geometry(node)
+    mindists = stacked_min_distances(los, his, query, weights)
+    take = min(k, node.size - len(dead))
+    dists, ids, kth, leaves_read = [], [], np.inf, 0
+    for pos in np.argsort(mindists, kind="stable"):
+        if sum(map(len, ids)) >= take and mindists[pos] > kth:
+            break
+        block, block_ids, sqnorms = store.node_block(leaves[pos].node_id)
+        leaves_read += 1
+        if weights is None:
+            d = point_distances(block, query, block_sqnorms=sqnorms)
+        else:
+            d = weighted_point_distances(block, query, weights)
+        alive = ~np.isin(block_ids, dead)
+        dists.append(d[alive])
+        ids.append(block_ids[alive])
+        if sum(map(len, ids)) >= take:
+            kth = float(np.sort(np.concatenate(dists))[take - 1])
+    return (
+        top_pairs(np.concatenate(dists), np.concatenate(ids), take),
+        leaves_read,
+    )
+
+
+class TestTombstoneScanParity:
+    @pytest.fixture(scope="class")
+    def tiers(self, database):
+        """One structure per tier over the same tree."""
+        built = {}
+        for tier in ["f32", *_QUANT_TIERS]:
+            rfs = _build_rfs(database)
+            rfs.attach_store(FeatureStore.build(rfs, tier=tier))
+            built[tier] = rfs
+        return built
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        item=st.integers(0, N_IMAGES - 1),
+        levels_up=st.integers(0, 2),
+        k=st.integers(1, 70),
+        weighted=st.booleans(),
+        # Which ranks of the clean ranking to tombstone, counted back
+        # from the k-th: 0 = the k-th itself, 1 = just inside it, ...
+        dead_ranks=st.sets(st.integers(0, 3), max_size=4),
+        drain=st.booleans(),
+    )
+    def test_tiers_agree_under_tombstones(
+        self, tiers, database, item, levels_up, k, weighted, dead_ranks,
+        drain,
+    ):
+        from repro.store.delta import DeltaSegment
+
+        f32 = tiers["f32"]
+        node = f32.leaf_of_item(item)
+        for _ in range(levels_up):
+            node = node.parent or node
+        query = np.asarray(database.features[item], dtype=np.float64)
+        weights = (
+            np.linspace(0.5, 2.0, database.dims) if weighted else None
+        )
+        if drain:
+            k = node.size  # take == every live row under the node
+        for rfs in tiers.values():
+            rfs.detach_delta()
+        clean = f32.localized_knn(node, query, k, weights=weights)
+        dead = sorted(
+            {clean[len(clean) - 1 - r][1] for r in dead_ranks
+             if r < len(clean)}
+        )
+        if len(dead) == node.size:
+            dead = dead[1:]  # keep one live row to rank
+
+        results = {}
+        reads = {}
+        for tier, rfs in tiers.items():
+            segment = DeltaSegment(
+                base_rows=database.size, dims=database.dims
+            )
+            for victim in dead:
+                segment.remove_main(
+                    victim, rfs.leaf_of_item(victim).node_id
+                )
+            rfs.attach_delta(segment)
+            rfs.io.reset()
+            results[tier] = rfs.localized_knn(
+                rfs.get_node(node.node_id), query, k, weights=weights
+            )
+            reads[tier] = rfs.io.per_category["localized_knn"]
+
+        want, want_reads = _reference_f32_scan(
+            f32, node, query, k, weights, np.array(dead, dtype=np.int64)
+        )
+        assert results["f32"] == want
+        assert reads["f32"] == want_reads  # ε = 0 prunes like before
+        for tier in _QUANT_TIERS:
+            assert results[tier] == want
+            assert reads[tier] >= want_reads
+        assert len(want) == min(k, node.size - len(dead))
+        assert not set(dead) & {i for _, i in want}
