@@ -33,6 +33,27 @@ else
     echo "== ruff not installed; skipping lint =="
 fi
 
+# Structural gates (plain git grep): decisions that live in one place
+# stay there.  Worker pools are built only by repro.exec.pool — a
+# second construction site is how the serial/thread/process pool came to
+# exist four times, only some of them locked — and a scan result enters
+# a result cache only through repro.cache.scan_and_publish, the single
+# reader of the invalidation epoch that keeps a scan racing a removal
+# from re-publishing what the removal evicted.
+echo "== structure =="
+if git grep -nE '(Thread|Process)PoolExecutor\(' -- src/ \
+        ':!src/repro/exec/pool.py'; then
+    echo "== pools are constructed only in src/repro/exec/pool.py ==" >&2
+    exit 1
+fi
+epoch_sites=$(git grep -nE '\.invalidation_epoch\(\)' -- src/ || true)
+if [[ $(grep -c . <<<"$epoch_sites") != 1 ]]; then
+    echo "$epoch_sites" >&2
+    echo "== invalidation_epoch() must have exactly one call site" \
+        "(repro.cache.scan_and_publish) ==" >&2
+    exit 1
+fi
+
 PYTEST_ARGS=(-x -q)
 if [[ "$WITH_COV" == "1" ]]; then
     if python -c "import pytest_cov" >/dev/null 2>&1; then

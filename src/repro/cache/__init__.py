@@ -7,11 +7,13 @@ subquery digests, RFS structure versioning, byte-capped LRU).
 from repro.cache.result_cache import (
     CachedSubquery,
     SubqueryResultCache,
+    scan_and_publish,
     subquery_cache_key,
 )
 
 __all__ = [
     "CachedSubquery",
     "SubqueryResultCache",
+    "scan_and_publish",
     "subquery_cache_key",
 ]

@@ -44,7 +44,8 @@ tombstone-filtered *main-store* rankings and the live delta rows are
 merged after the cache consult — so inserts invalidate nothing at all,
 and removals cost only the handful of entries that could change.  A
 scan that raced a removal must not re-publish what the removal just
-evicted: the miss path reads :meth:`SubqueryResultCache.
+evicted: :func:`scan_and_publish` — the one way a scan result enters a
+cache, whoever scans — reads :meth:`SubqueryResultCache.
 invalidation_epoch` before it scans and hands it to ``put``, which
 declines under the cache lock if an invalidation ran in between.
 
@@ -60,7 +61,7 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -392,3 +393,41 @@ class SubqueryResultCache:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self.__dict__["_lock"] = threading.Lock()
+
+
+def scan_and_publish(
+    cache: SubqueryResultCache,
+    key: str,
+    version: int,
+    rfs: Any,
+    node: Any,
+    query: np.ndarray,
+    k: int,
+    *,
+    weights: Optional[np.ndarray] = None,
+    read_block: Optional[Callable[[Any], object]] = None,
+    io_category: str = "localized_knn",
+) -> List[Tuple[float, int]]:
+    """Scan ``node`` main-only and publish the ranking under ``key``.
+
+    How a scan result gets into a cache, for every caller that missed
+    (the subquery funnel, the batch scheduler through it, a shard's own
+    cache): read the invalidation epoch, scan with
+    ``include_delta=False`` — the tombstone-filtered ranking of the
+    unchanged store blocks, which inserts cannot change — and ``put``
+    it with that epoch, so a removal acknowledged while the scan ran
+    keeps the pre-removal ranking out.  Returns the main-only ranking;
+    merging live delta rows is the caller's next step, as after a hit.
+    """
+    epoch = cache.invalidation_epoch()
+    ranked = rfs.localized_knn(
+        node,
+        query,
+        k,
+        io_category=io_category,
+        weights=weights,
+        read_block=read_block,
+        include_delta=False,
+    )
+    cache.put(key, version, node.node_id, query, ranked, epoch=epoch)
+    return ranked

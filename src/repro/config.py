@@ -179,7 +179,7 @@ class QDConfig:
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Parameters of the offline RFS build pipeline (see :mod:`repro.exec.build`).
+    """Parameters of the offline RFS build pipeline (see :mod:`repro.exec.pool`).
 
     The offline build — clustering bulk load plus bottom-up representative
     selection — fans independent work units (subtree bisections, per-node

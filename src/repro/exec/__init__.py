@@ -1,20 +1,16 @@
-"""Parallel execution of the final-round subquery fan-out.
+"""Parallel execution: one worker pool, used by queries and builds alike.
 
-See :mod:`repro.exec.executors` for the executor model and the
-determinism guarantee (serial, thread, and process execution return
-bit-identical rankings), and :mod:`repro.exec.batch` for the coalescing
-batch scheduler serving many sessions' final rounds at once.
+:mod:`repro.exec.pool` is the order-preserving serial / thread / fork
+pool every fan-out in the repo runs on (final-round subqueries, batched
+scan groups, the shard router, the offline build's bisect and
+representative phases).  :mod:`repro.exec.executors` maps the
+final-round subqueries over it with the determinism guarantee (serial,
+thread, and process execution return bit-identical rankings), and
+:mod:`repro.exec.batch` is the coalescing batch scheduler serving many
+sessions' final rounds at once.
 """
 
 from repro.exec.batch import BatchQuery, run_final_round_batch
-from repro.exec.build import (
-    BuildExecutor,
-    ProcessBuildExecutor,
-    SerialBuildExecutor,
-    ThreadedBuildExecutor,
-    make_build_executor,
-    resolve_build_executor,
-)
 from repro.exec.executors import (
     ProcessSubqueryExecutor,
     SerialSubqueryExecutor,
@@ -23,28 +19,23 @@ from repro.exec.executors import (
     SubqueryTask,
     ThreadedSubqueryExecutor,
     build_executor,
-    default_worker_count,
     resolve_executor,
     run_subquery_task,
 )
+from repro.exec.pool import WorkerPool, default_worker_count
 
 __all__ = [
     "BatchQuery",
-    "BuildExecutor",
-    "ProcessBuildExecutor",
     "ProcessSubqueryExecutor",
-    "SerialBuildExecutor",
-    "ThreadedBuildExecutor",
-    "make_build_executor",
-    "resolve_build_executor",
-    "run_final_round_batch",
     "SerialSubqueryExecutor",
     "SubqueryExecutor",
     "SubqueryOutcome",
     "SubqueryTask",
     "ThreadedSubqueryExecutor",
+    "WorkerPool",
     "build_executor",
     "default_worker_count",
     "resolve_executor",
+    "run_final_round_batch",
     "run_subquery_task",
 ]

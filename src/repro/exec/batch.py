@@ -15,33 +15,39 @@ time, each subquery re-reads and re-materialises the same leaf blocks.
    so one I/O-model charge and one block materialisation per leaf serve
    every query of the group.
 
-Bit-identity: per-query distances, pruning, and the §3.4 merge run the
-exact same code as the serial path (:func:`repro.core.ranking.
-merge_outcomes` is shared, and a memoized reader returns the exact
-arrays a fresh read would).  Only the I/O is amortized, so each query's
-ranking is bit-identical to running it alone, uncached, on the serial
-executor — the parity tests assert this across all three executor
-configurations.
+Bit-identity: each subquery runs the same two halves as the serial path
+(:func:`repro.exec.executors.prepare_subquery` /
+:func:`~repro.exec.executors.scan_subquery` — the scheduler only puts
+the grouping between them), the §3.4 merge is shared
+(:func:`repro.core.ranking.merge_outcomes`), and a memoized reader
+returns the exact arrays a fresh read would.  Only the I/O is amortized,
+so each query's ranking is bit-identical to running it alone, uncached,
+on the serial executor — the parity tests assert this across all three
+executor configurations.
 
-Groups scan concurrently on a local thread pool when the configuration
-asks for a parallel executor (``config.executor != "serial"``); blocks,
-the cache, and all observability instruments are thread-safe.
+Groups scan concurrently on a thread :class:`~repro.exec.pool.WorkerPool`
+when the configuration asks for a parallel executor
+(``config.executor != "serial"``); blocks, the cache, and all
+observability instruments are thread-safe.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache import subquery_cache_key
 from repro.config import QDConfig
-from repro.exec.executors import SubqueryOutcome, default_worker_count
+from repro.exec.executors import (
+    PreparedSubquery,
+    SubqueryOutcome,
+    prepare_subquery,
+    scan_subquery,
+)
+from repro.exec.pool import WorkerPool, default_worker_count
 from repro.index.rfs import RFSStructure
 from repro.obs import get_metrics, get_tracer
-from repro.retrieval.multipoint import MultipointQuery
 
 
 @dataclass(frozen=True)
@@ -65,15 +71,8 @@ class _Slot:
     """One (query, task) pair flowing through the batch pipeline."""
 
     query_index: int
-    task: object  # SubqueryTask
-    dim_weights: Optional[np.ndarray]
+    prepared: PreparedSubquery
     outcome: Optional[SubqueryOutcome] = None
-    cache_hit: bool = False
-    # Populated for misses only:
-    key: Optional[str] = None
-    search_node: object = None
-    centroid: Optional[np.ndarray] = None
-    fetch: int = 0
 
 
 def run_final_round_batch(
@@ -100,7 +99,6 @@ def run_final_round_batch(
         for query in queries
     ]
     cache = rfs.result_cache
-    version = rfs.structure_version
     tracer = get_tracer()
     metrics = get_metrics()
 
@@ -109,15 +107,22 @@ def run_final_round_batch(
         queries=len(queries),
         cache="on" if cache is not None else "off",
     ) as span:
-        # Phase 1: resolve every task against the cache; collect misses.
+        # Phase 1: resolve every task against the cache (a hit needs
+        # only its delta merge); collect the misses.
         slots: List[_Slot] = []
         misses: List[_Slot] = []
+        query_hits = [0] * len(queries)
         for query_index, (query, plan) in enumerate(zip(queries, plans)):
             for task in plan.tasks:
-                slot = _Slot(query_index, task, query.dim_weights)
+                slot = _Slot(
+                    query_index,
+                    prepare_subquery(rfs, config, task, query.dim_weights),
+                )
                 slots.append(slot)
-                _resolve_slot(rfs, config, slot, cache, version)
-                if slot.outcome is None:
+                if slot.prepared.cached is not None:
+                    query_hits[query_index] += 1
+                    slot.outcome = scan_subquery(rfs, slot.prepared)
+                else:
                     misses.append(slot)
 
         # Phase 2: group the misses by search node — every slot of a
@@ -125,65 +130,26 @@ def run_final_round_batch(
         # group turns N block reads into one.
         groups: Dict[int, List[_Slot]] = {}
         for slot in misses:
-            groups.setdefault(slot.search_node.node_id, []).append(slot)
+            groups.setdefault(
+                slot.prepared.search_node.node_id, []
+            ).append(slot)
 
-        def scan_group(group: List[_Slot]) -> None:
+        def scan_group(_shared: None, group: List[_Slot]) -> None:
             reader = rfs.memoized_block_reader("localized_knn")
             for slot in group:
-                epoch = None if cache is None else cache.invalidation_epoch()
-                ranked = rfs.localized_knn(
-                    slot.search_node,
-                    slot.centroid,
-                    slot.fetch,
-                    weights=slot.dim_weights,
-                    read_block=reader,
-                    include_delta=cache is None,
-                )
-                if cache is not None:
-                    # Cache the main-only ranking, then merge the live
-                    # delta rows for this slot's own outcome.
-                    cache.put(
-                        slot.key,
-                        version,
-                        slot.search_node.node_id,
-                        slot.centroid,
-                        ranked,
-                        epoch=epoch,
-                    )
-                    ranked = rfs.merge_delta_ranked(
-                        slot.search_node,
-                        ranked,
-                        slot.centroid,
-                        slot.fetch,
-                        weights=slot.dim_weights,
-                    )
-                slot.outcome = SubqueryOutcome(
-                    leaf_id=slot.task.leaf_id,
-                    search_node_id=slot.search_node.node_id,
-                    centroid=slot.centroid,
-                    ranked=ranked,
-                )
+                slot.outcome = scan_subquery(rfs, slot.prepared, reader)
 
         group_lists = list(groups.values())
         workers = min(
             len(group_lists), config.workers or default_worker_count()
         )
-        if config.executor != "serial" and workers > 1:
-            parent_span = tracer.current
+        parallel = config.executor != "serial" and workers > 1
+        with WorkerPool(
+            "thread" if parallel else "serial", workers, name="qd-batch"
+        ) as pool:
+            pool.map(scan_group, group_lists)
 
-            def call(group: List[_Slot]) -> None:
-                with tracer.adopt(parent_span):
-                    scan_group(group)
-
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="qd-batch"
-            ) as pool:
-                list(pool.map(call, group_lists))
-        else:
-            for group in group_lists:
-                scan_group(group)
-
-        hits = sum(1 for slot in slots if slot.cache_hit)
+        hits = len(slots) - len(misses)
         span.set(
             tasks=len(slots),
             cache_hits=hits,
@@ -227,66 +193,11 @@ def run_final_round_batch(
                 dim_weights=query.dim_weights,
             )
             if cache is not None:
-                query_hits = sum(
-                    1
-                    for slot in slots
-                    if slot.query_index == query_index and slot.cache_hit
-                )
-                result.stats["cache_hits"] = float(query_hits)
-                result.stats["cache_misses"] = float(
-                    len(outcomes) - query_hits
-                )
+                hits = query_hits[query_index]
+                result.stats["cache_hits"] = float(hits)
+                result.stats["cache_misses"] = float(len(outcomes) - hits)
             results.append(result)
     return results
-
-
-def _resolve_slot(
-    rfs: RFSStructure,
-    config: QDConfig,
-    slot: _Slot,
-    cache,
-    version: int,
-) -> None:
-    """Try the cache; on a miss, prepare the slot's scan parameters."""
-    task = slot.task
-    leaf = rfs.get_node(task.leaf_id)
-    query_points = rfs.vectors_for(
-        np.asarray(task.query_ids, dtype=np.int64)
-    )
-    requested = task.quota + task.fetch_extra
-    if cache is not None:
-        slot.key = subquery_cache_key(
-            leaf.node_id,
-            query_points,
-            requested,
-            config.boundary_threshold,
-            slot.dim_weights,
-            store_fingerprint=rfs.store_fingerprint(),
-        )
-        entry = cache.get(slot.key, version)
-        if entry is not None:
-            # Cached entries are main-only; merge the live delta rows
-            # now, exactly as the non-batched funnel does.
-            node = rfs.get_node(entry.search_node_id)
-            slot.cache_hit = True
-            slot.outcome = SubqueryOutcome(
-                leaf_id=task.leaf_id,
-                search_node_id=entry.search_node_id,
-                centroid=entry.centroid,
-                ranked=rfs.merge_delta_ranked(
-                    node,
-                    entry.ranked,
-                    entry.centroid,
-                    min(rfs.effective_node_size(node), requested),
-                    weights=slot.dim_weights,
-                ),
-            )
-            return
-    slot.search_node = rfs.expand_search_node(
-        leaf, query_points, config.boundary_threshold
-    )
-    slot.centroid = MultipointQuery(query_points).centroid()
-    slot.fetch = min(rfs.effective_node_size(slot.search_node), requested)
 
 
 __all__ = ["BatchQuery", "run_final_round_batch"]

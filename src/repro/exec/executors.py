@@ -1,4 +1,4 @@
-"""Pluggable executors for the final-round subquery fan-out.
+"""Executors for the final-round subquery fan-out.
 
 The defining structural property of Query Decomposition is that one
 query splits into many *independent* localized multipoint k-NN
@@ -14,53 +14,30 @@ deterministic:
 * the sequential dedup/merge in :mod:`repro.core.ranking` then consumes
   the outcomes identically regardless of where they were computed.
 
-Executor kinds (select via :attr:`repro.config.QDConfig.executor` or the
-CLI ``--executor`` / ``--workers`` flags):
-
-``serial``
-    Runs tasks in-line on the calling thread.  Zero overhead; the
-    reference behaviour.
-``thread``
-    A shared-memory thread pool.  NumPy releases the GIL inside the
-    distance kernels and the simulated page-latency sleeps release it
-    trivially, so subqueries overlap both compute and (simulated) I/O.
-    The shared :class:`~repro.index.diskmodel.DiskAccessCounter` buffer
-    pool and the obs layer are mutated directly (both are thread-safe),
-    and worker spans adopt the dispatching span so traces still
-    reconstruct the session tree.
-``process``
-    A fork-based process pool for fully GIL-free compute.  Workers
-    inherit the RFS structure via fork (no pickling of the index), run
-    against their own forked buffer pool, and ship results *plus* their
-    trace spans, metric increments, and disk-access deltas back to the
-    parent, which grafts them into the live session observability.
-    Falls back to the thread executor on platforms without ``fork``.
+The three executor kinds (:attr:`repro.config.QDConfig.executor`, CLI
+``--executor`` / ``--workers``) are the three kinds of
+:class:`repro.exec.pool.WorkerPool` — see there for what each does with
+threads, ``fork``, traces and disk-access accounting.  A subquery runs
+in two halves, :func:`prepare_subquery` and :func:`scan_subquery`; the
+batch scheduler (:mod:`repro.exec.batch`) calls the same two with its
+block-sharing reader in between.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache import subquery_cache_key
+from repro.cache import SubqueryResultCache, scan_and_publish, subquery_cache_key
 from repro.config import EXECUTOR_KINDS, QDConfig
 from repro.errors import ConfigurationError
-from repro.index.rfs import RFSStructure
-from repro.obs import MetricsRegistry, Tracer, get_metrics, get_tracer
-from repro.obs.metrics import use_metrics
-from repro.obs.trace import span_from_dict, use_tracer
+from repro.exec.pool import WorkerPool, fork_available
+from repro.index.rfs import BlockReader, RFSNode, RFSStructure
+from repro.obs import get_metrics, get_tracer
 from repro.retrieval.multipoint import MultipointQuery
-
-
-def default_worker_count() -> int:
-    """The automatic worker count: the machine's CPU count (min 1)."""
-    return max(1, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -92,10 +69,7 @@ class SubqueryOutcome:
 
     ``ranked`` is the full over-fetched ranked list — dedup against the
     other subqueries happens sequentially in the merge, not here, so the
-    outcome is independent of every other task.  The ``span_dicts`` /
-    ``metrics_payload`` / ``io_delta`` fields are only populated by the
-    process executor, whose workers cannot mutate the parent's live
-    observability state.
+    outcome is independent of every other task.
     """
 
     leaf_id: int
@@ -103,9 +77,137 @@ class SubqueryOutcome:
     centroid: np.ndarray
     ranked: List[Tuple[float, int]]
     duration_s: float = 0.0
-    span_dicts: Optional[List[Dict[str, Any]]] = None
-    metrics_payload: Optional[Dict[str, Any]] = None
-    io_delta: Optional[Dict[str, Any]] = None
+
+
+@dataclass
+class PreparedSubquery:
+    """A subquery between its cache consult and its scan.
+
+    ``cache`` is ``None`` when the structure has no result cache;
+    ``cached`` is a hit's main-only ranking (``search_node`` and
+    ``centroid`` are then the entry's, and nothing will be scanned).
+    """
+
+    task: SubqueryTask
+    dim_weights: Optional[np.ndarray]
+    search_node: RFSNode
+    centroid: np.ndarray
+    fetch: int
+    cache: Optional[SubqueryResultCache] = None
+    key: Optional[str] = None
+    version: int = 0
+    cached: Optional[Sequence[Tuple[float, int]]] = None
+
+    @property
+    def cache_state(self) -> str:
+        """``"off"``, ``"hit"`` or ``"miss"`` (span label)."""
+        if self.cache is None:
+            return "off"
+        return "miss" if self.cached is None else "hit"
+
+
+def prepare_subquery(
+    rfs: RFSStructure,
+    config: QDConfig,
+    task: SubqueryTask,
+    dim_weights: Optional[np.ndarray] = None,
+) -> PreparedSubquery:
+    """Resolve what a subquery will scan — or that the cache has it.
+
+    Query points come from :meth:`RFSStructure.vectors_for`: with a
+    memory-mapped feature store attached, a forked or reopened worker
+    gathers them from the shared mapping instead of a per-process copy
+    of the feature matrix.
+
+    With a :class:`repro.cache.SubqueryResultCache` on the structure the
+    task is first looked up by its canonical digest, keyed *before*
+    boundary expansion, so a hit skips the expansion and the block scan
+    entirely.  A cached answer was produced by :func:`scan_subquery`
+    under the same structure version, so serving it cannot change any
+    ranking.
+    """
+    leaf = rfs.get_node(task.leaf_id)
+    query_points = rfs.vectors_for(
+        np.asarray(task.query_ids, dtype=np.int64)
+    )
+    # Slight over-fetch absorbs most de-duplication against other
+    # groups; any residual shortfall is covered by the top-up pass.
+    requested = task.quota + task.fetch_extra
+    cache = rfs.result_cache
+    key = entry = None
+    version = rfs.structure_version
+    if cache is not None:
+        key = subquery_cache_key(
+            leaf.node_id,
+            query_points,
+            requested,
+            config.boundary_threshold,
+            dim_weights,
+            store_fingerprint=rfs.store_fingerprint(),
+        )
+        entry = cache.get(key, version)
+    if entry is not None:
+        search_node = rfs.get_node(entry.search_node_id)
+        centroid = entry.centroid
+    else:
+        search_node = rfs.expand_search_node(
+            leaf, query_points, config.boundary_threshold
+        )
+        centroid = MultipointQuery(query_points).centroid()
+    return PreparedSubquery(
+        task,
+        dim_weights,
+        search_node,
+        centroid,
+        min(rfs.effective_node_size(search_node), requested),
+        cache,
+        key,
+        version,
+        None if entry is None else entry.ranked,
+    )
+
+
+def scan_subquery(
+    rfs: RFSStructure,
+    prepared: PreparedSubquery,
+    read_block: Optional[BlockReader] = None,
+) -> SubqueryOutcome:
+    """Produce a prepared subquery's ranking.
+
+    With a result cache, what is scanned, published
+    (:func:`repro.cache.scan_and_publish`) and served from a hit is the
+    **main-only** ranking; the live delta rows are merged afterwards, on
+    hits and misses alike, so inserts never invalidate a cache entry.
+    The cached part always suffices: it holds the top ``fetch`` live
+    main rows (or all of them when fewer exist), and no later merge can
+    promote a main row from beyond that prefix.  ``read_block`` is the
+    batch scheduler's memoizing reader; it never changes the arithmetic.
+    """
+    node = prepared.search_node
+    centroid = prepared.centroid
+    weights = prepared.dim_weights
+    if prepared.cache is None:
+        ranked = rfs.localized_knn(
+            node, centroid, prepared.fetch,
+            weights=weights, read_block=read_block,
+        )
+    else:
+        main_ranked = prepared.cached
+        if main_ranked is None:
+            main_ranked = scan_and_publish(
+                prepared.cache, prepared.key, prepared.version,
+                rfs, node, centroid, prepared.fetch,
+                weights=weights, read_block=read_block,
+            )
+        ranked = rfs.merge_delta_ranked(
+            node, main_ranked, centroid, prepared.fetch, weights=weights
+        )
+    return SubqueryOutcome(
+        leaf_id=prepared.task.leaf_id,
+        search_node_id=node.node_id,
+        centroid=centroid,
+        ranked=ranked,
+    )
 
 
 def run_subquery_task(
@@ -117,35 +219,10 @@ def run_subquery_task(
     """Execute one localized subquery (boundary expansion + k-NN).
 
     Pure with respect to the RFS structure: reads the index and the
-    feature matrix, mutates only the shared I/O counter and the obs
-    layer (both thread-safe).  All executors funnel through this one
-    function, which is what makes their outputs bit-identical.
-
-    Query points come from :meth:`RFSStructure.vectors_for`: with a
-    memory-mapped feature store attached, a forked or reopened worker
-    gathers them from the shared mapping instead of a per-process copy
-    of the feature matrix.
-
-    When the structure carries a :class:`repro.cache.SubqueryResultCache`
-    the task is first looked up by its canonical digest (keyed *before*
-    boundary expansion, so a hit skips the expansion and the block scan
-    entirely); a miss computes as usual and publishes the result for
-    later identical subqueries of any session.  A cached answer was
-    produced by this very function under the same structure version, so
-    serving it cannot change any ranking.
-
-    With a generational delta segment attached, what is cached is the
-    **main-only** ranking (``include_delta=False``: tombstone-filtered
-    scan of the unchanged store blocks); the live delta rows are merged
-    through :meth:`RFSStructure.merge_delta_ranked` *after* the cache
-    consult, on hits and misses alike.  Inserts therefore never
-    invalidate a cache entry, and a removal evicts only the entries
-    whose search node sits on the mutated leaf's root path — and, via
-    the invalidation epoch read before the scan, keeps a scan it raced
-    from re-publishing a ranking that still holds the removed id.  The
-    cached main part always suffices: it holds the top ``requested``
-    live main rows (or every live main row when fewer exist), and no
-    later merge can promote a main row from beyond that prefix.
+    feature matrix, mutates only the shared I/O counter, the result
+    cache and the obs layer (all thread-safe).  All executors funnel
+    through this one function, which is what makes their outputs
+    bit-identical.
     """
     t0 = time.perf_counter()
     with get_tracer().span(
@@ -154,97 +231,41 @@ def run_subquery_task(
         quota=task.quota,
         marks=len(task.query_ids),
     ) as span:
-        leaf = rfs.get_node(task.leaf_id)
-        query_points = rfs.vectors_for(
-            np.asarray(task.query_ids, dtype=np.int64)
-        )
-        # Slight over-fetch absorbs most de-duplication against other
-        # groups; any residual shortfall is covered by the top-up pass.
-        requested = task.quota + task.fetch_extra
-        cache = rfs.result_cache
-        key = None
-        version = rfs.structure_version
-        if cache is not None:
-            key = subquery_cache_key(
-                leaf.node_id,
-                query_points,
-                requested,
-                config.boundary_threshold,
-                dim_weights,
-                store_fingerprint=rfs.store_fingerprint(),
-            )
-            entry = cache.get(key, version)
-            if entry is not None:
-                search_node = rfs.get_node(entry.search_node_id)
-                ranked = rfs.merge_delta_ranked(
-                    search_node,
-                    entry.ranked,
-                    entry.centroid,
-                    min(rfs.effective_node_size(search_node), requested),
-                    weights=dim_weights,
-                )
-                span.set(
-                    search_node=entry.search_node_id,
-                    fetched=len(ranked),
-                    cache="hit",
-                )
-                return SubqueryOutcome(
-                    leaf_id=task.leaf_id,
-                    search_node_id=entry.search_node_id,
-                    centroid=entry.centroid,
-                    ranked=ranked,
-                    duration_s=time.perf_counter() - t0,
-                )
-        search_node = rfs.expand_search_node(
-            leaf, query_points, config.boundary_threshold
-        )
-        centroid = MultipointQuery(query_points).centroid()
-        fetch = min(rfs.effective_node_size(search_node), requested)
-        if cache is None:
-            ranked = rfs.localized_knn(
-                search_node, centroid, fetch, weights=dim_weights
-            )
-        else:
-            epoch = cache.invalidation_epoch()
-            main_ranked = rfs.localized_knn(
-                search_node, centroid, fetch,
-                weights=dim_weights, include_delta=False,
-            )
-            cache.put(
-                key, version, search_node.node_id, centroid, main_ranked,
-                epoch=epoch,
-            )
-            ranked = rfs.merge_delta_ranked(
-                search_node, main_ranked, centroid, fetch,
-                weights=dim_weights,
-            )
+        prepared = prepare_subquery(rfs, config, task, dim_weights)
+        outcome = scan_subquery(rfs, prepared)
         span.set(
-            search_node=search_node.node_id,
-            fetched=len(ranked),
-            cache="miss" if cache is not None else "off",
+            search_node=outcome.search_node_id,
+            fetched=len(outcome.ranked),
+            cache=prepared.cache_state,
         )
-    return SubqueryOutcome(
-        leaf_id=task.leaf_id,
-        search_node_id=search_node.node_id,
-        centroid=centroid,
-        ranked=ranked,
-        duration_s=time.perf_counter() - t0,
-    )
+    outcome.duration_s = time.perf_counter() - t0
+    return outcome
+
+
+def _run_item(
+    rfs: RFSStructure,
+    item: Tuple[SubqueryTask, QDConfig, Optional[np.ndarray]],
+) -> SubqueryOutcome:
+    """:class:`WorkerPool` task: one subquery against the shared RFS."""
+    task, config, dim_weights = item
+    return run_subquery_task(rfs, config, task, dim_weights)
 
 
 class SubqueryExecutor:
-    """Base class: order-preserving execution of subquery tasks.
+    """Order-preserving execution of subquery tasks over a worker pool.
 
-    Subclasses implement :meth:`run_subqueries`; pools are created
-    lazily and reusable across final rounds, so an engine can hold one
-    executor for its whole lifetime.  Executors are context managers —
-    leaving the ``with`` block closes the pool.
+    A subclass names the :class:`~repro.exec.pool.WorkerPool` kind.  The
+    pool is created lazily and reusable across final rounds, so an
+    engine can hold one executor for its whole lifetime — and share it
+    between the serving front-end's worker threads.  Executors are
+    context managers — leaving the ``with`` block closes the pool.
     """
 
     name: str = "base"
 
     def __init__(self, workers: int = 0) -> None:
-        self.workers = workers or default_worker_count()
+        self.pool = WorkerPool(self.name, workers, name="qd-subquery")
+        self.workers = self.pool.workers
 
     def run_subqueries(
         self,
@@ -255,7 +276,17 @@ class SubqueryExecutor:
         dim_weights: Optional[np.ndarray] = None,
     ) -> List[SubqueryOutcome]:
         """Execute ``tasks``, returning outcomes in submission order."""
-        raise NotImplementedError
+        # Process workers answer from the structure as of their fork: a
+        # delta insert/remove after it would be invisible to them, so
+        # the mutation epoch keys the pool.
+        return self._record_outcomes(
+            self.pool.map(
+                _run_item,
+                [(task, config, dim_weights) for task in tasks],
+                rfs,
+                key=rfs.mutation_epoch,
+            )
+        )
 
     def _record_outcomes(
         self, outcomes: List[SubqueryOutcome]
@@ -264,9 +295,9 @@ class SubqueryExecutor:
 
         One counter family and one latency histogram, each labeled with
         the executor kind, so serial/thread/process runs land in
-        separate children of the same metric family.  The process
-        executor calls this in the *parent* (worker durations travel in
-        the outcomes), keeping one recording site per task.
+        separate children of the same metric family.  Always called in
+        the dispatching process (worker durations travel in the
+        outcomes), keeping one recording site per task.
         """
         metrics = get_metrics()
         if not metrics.enabled or not outcomes:
@@ -288,6 +319,7 @@ class SubqueryExecutor:
 
     def close(self) -> None:
         """Release pool resources (idempotent)."""
+        self.pool.close()
 
     def __enter__(self) -> "SubqueryExecutor":
         return self
@@ -315,6 +347,7 @@ class SerialSubqueryExecutor(SubqueryExecutor):
         *,
         dim_weights: Optional[np.ndarray] = None,
     ) -> List[SubqueryOutcome]:
+        # The path every served request takes: no pool dispatch at all.
         return self._record_outcomes(
             [
                 run_subquery_task(rfs, config, task, dim_weights)
@@ -328,202 +361,18 @@ class ThreadedSubqueryExecutor(SubqueryExecutor):
 
     name = "thread"
 
-    def __init__(self, workers: int = 0) -> None:
-        super().__init__(workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="qd-subquery",
-                )
-            return self._pool
-
-    def run_subqueries(
-        self,
-        rfs: RFSStructure,
-        tasks: Sequence[SubqueryTask],
-        config: QDConfig,
-        *,
-        dim_weights: Optional[np.ndarray] = None,
-    ) -> List[SubqueryOutcome]:
-        if len(tasks) <= 1:  # nothing to overlap; skip pool dispatch
-            return self._record_outcomes(
-                [
-                    run_subquery_task(rfs, config, task, dim_weights)
-                    for task in tasks
-                ]
-            )
-        tracer = get_tracer()
-        parent_span = tracer.current
-
-        def call(task: SubqueryTask) -> SubqueryOutcome:
-            # Adopt the dispatching span so worker spans attach to the
-            # session tree instead of becoming detached roots.
-            with tracer.adopt(parent_span):
-                return run_subquery_task(rfs, config, task, dim_weights)
-
-        pool = self._ensure_pool()
-        return self._record_outcomes(list(pool.map(call, tasks)))
-
-    def close(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
-
-# ----------------------------------------------------------------------
-# Process executor.  The RFS structure reaches the workers through fork
-# inheritance of this module-level slot — pickling a whole index per
-# task (features matrix included) would swamp any speedup.
-# ----------------------------------------------------------------------
-_FORK_STATE: Dict[str, Any] = {"rfs": None}
-
-
-def _process_entry(
-    payload: Tuple[SubqueryTask, QDConfig, Optional[np.ndarray]],
-) -> SubqueryOutcome:
-    """Worker-process entry point: run one task, capture observability.
-
-    The worker runs against the forked copy of the RFS (shared
-    copy-on-write memory), records spans/metrics into fresh local
-    objects, and ships them home inside the outcome together with the
-    disk-access delta — the parent's live tracer/registry/counter are
-    unreachable across the process boundary.
-    """
-    task, config, dim_weights = payload
-    rfs: RFSStructure = _FORK_STATE["rfs"]
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    marker = rfs.io.delta_marker()
-    with use_tracer(tracer), use_metrics(registry):
-        outcome = run_subquery_task(rfs, config, task, dim_weights)
-    outcome.span_dicts = tracer.to_dicts()
-    outcome.metrics_payload = registry.to_payload()
-    delta = rfs.io.delta_since(marker)
-    # Relabel this process's accesses so per-worker accounting stays
-    # meaningful after the merge (every child calls itself MainThread).
-    if delta["per_worker"]:
-        merged = {
-            key: sum(s.get(key, 0) for s in delta["per_worker"].values())
-            for key in ("hits", "misses")
-        }
-        delta["per_worker"] = {f"proc{os.getpid()}": merged}
-    outcome.io_delta = delta
-    return outcome
-
 
 class ProcessSubqueryExecutor(SubqueryExecutor):
     """Fork-based process pool over the subquery fan-out.
 
-    Requires the ``fork`` start method (Linux/macOS); elsewhere it
-    degrades to the thread executor.  Each worker process holds a forked
-    (copy-on-write) view of the RFS structure and a private buffer pool;
-    results, spans, metrics, and I/O deltas are shipped back and grafted
-    into the parent's session state, so traces and accounting look the
-    same as a thread run.
+    Workers run against a forked (copy-on-write) view of the RFS
+    structure; their spans, metrics and I/O deltas are grafted into the
+    parent's, so traces and accounting look the same as a thread run.
+    Degrades to threads on platforms without ``fork``.
     """
 
     name = "process"
-
-    def __init__(self, workers: int = 0) -> None:
-        super().__init__(workers)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_rfs_key: Optional[Tuple[int, int]] = None
-        self._fallback: Optional[ThreadedSubqueryExecutor] = None
-
-    @staticmethod
-    def fork_available() -> bool:
-        """Whether the fork start method exists on this platform."""
-        import multiprocessing
-
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def _ensure_pool(self, rfs: RFSStructure) -> ProcessPoolExecutor:
-        import multiprocessing
-
-        # Workers run against a forked snapshot, so the pool is stale
-        # the moment the structure is swapped *or* mutated: a delta
-        # insert/remove after fork would be invisible to the children.
-        # The mutation epoch in the key forces a re-fork then.
-        key = (id(rfs), rfs.mutation_epoch)
-        if self._pool is not None and self._pool_rfs_key != key:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._pool is None:
-            _FORK_STATE["rfs"] = rfs
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            self._pool_rfs_key = key
-        return self._pool
-
-    def run_subqueries(
-        self,
-        rfs: RFSStructure,
-        tasks: Sequence[SubqueryTask],
-        config: QDConfig,
-        *,
-        dim_weights: Optional[np.ndarray] = None,
-    ) -> List[SubqueryOutcome]:
-        if not self.fork_available():  # pragma: no cover - non-POSIX
-            if self._fallback is None:
-                self._fallback = ThreadedSubqueryExecutor(self.workers)
-            return self._fallback.run_subqueries(
-                rfs, tasks, config, dim_weights=dim_weights
-            )
-        if len(tasks) <= 1:
-            return self._record_outcomes(
-                [
-                    run_subquery_task(rfs, config, task, dim_weights)
-                    for task in tasks
-                ]
-            )
-        pool = self._ensure_pool(rfs)
-        payloads = [(task, config, dim_weights) for task in tasks]
-        outcomes = list(pool.map(_process_entry, payloads))
-        for outcome in outcomes:
-            self._graft(rfs, outcome)
-        return self._record_outcomes(outcomes)
-
-    @staticmethod
-    def _graft(rfs: RFSStructure, outcome: SubqueryOutcome) -> None:
-        """Fold a worker process's observability payload into the parent."""
-        if outcome.io_delta is not None:
-            rfs.io.merge_delta(outcome.io_delta)
-            outcome.io_delta = None
-        metrics = get_metrics()
-        if outcome.metrics_payload is not None:
-            if metrics.enabled:
-                metrics.merge_payload(outcome.metrics_payload)
-            outcome.metrics_payload = None
-        tracer = get_tracer()
-        if outcome.span_dicts is not None:
-            if tracer.enabled:
-                parent = tracer.current
-                for span_dict in outcome.span_dicts:
-                    span = span_from_dict(tracer, span_dict)
-                    if parent is not None:
-                        parent.children.append(span)
-                    else:
-                        tracer.spans.append(span)
-            outcome.span_dicts = None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_rfs_key = None
-        if _FORK_STATE.get("rfs") is not None:
-            _FORK_STATE["rfs"] = None
-        if self._fallback is not None:  # pragma: no cover - non-POSIX
-            self._fallback.close()
-            self._fallback = None
+    fork_available = staticmethod(fork_available)
 
 
 def build_executor(kind: str, workers: int = 0) -> SubqueryExecutor:

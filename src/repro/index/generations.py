@@ -470,7 +470,7 @@ class GenerationController:
             base,
             shard_objs,
             assignment=assignment,
-            parallel_fanout=old._parallel_fanout,
+            parallel_fanout=old.parallel_fanout,
         )
 
     def _swap(

@@ -51,7 +51,7 @@ from repro.clustering.kmeans import kmeans
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.cache.result_cache import SubqueryResultCache
-    from repro.exec.build import BuildExecutor
+    from repro.exec.pool import WorkerPool
     from repro.store.delta import DeltaView
     from repro.store.feature_store import FeatureStore
 
@@ -89,8 +89,8 @@ def _rep_budget(config: RFSConfig, size: int) -> int:
 class _RepsPayload:
     """Fork/thread-shared state for one representative-selection phase.
 
-    The process executor ships this to workers by fork inheritance, so
-    the feature matrix is never pickled.  ``io`` is ``None`` unless the
+    A process pool ships this to workers by fork inheritance, so the
+    feature matrix is never pickled.  ``io`` is ``None`` unless the
     build charges simulated page reads
     (:attr:`repro.config.BuildConfig.charge_io`).
     """
@@ -209,7 +209,7 @@ def _nearest_candidates_naive(
 def _node_reps_task(payload: _RepsPayload, item: tuple) -> List[int]:
     """One representative-selection work unit (leaf or inner node).
 
-    The single executor entry point for the phase: charges the node's
+    The single pool task of the phase: charges the node's
     simulated page read (when enabled) and dispatches on node kind.
     """
     kind, node_id, data, size = item
@@ -600,11 +600,12 @@ class RFSStructure:
         counter = io if io is not None else DiskAccessCounter()
         metrics = get_metrics()
 
-        executor: Optional["BuildExecutor"] = None
-        if build_cfg.executor != "serial":
-            from repro.exec.build import resolve_build_executor
+        # Imported here: repro.exec's package import reaches this module.
+        from repro.exec.pool import WorkerPool
 
-            executor = resolve_build_executor(build_cfg)
+        executor = WorkerPool(
+            build_cfg.executor, build_cfg.workers, name="qd-build"
+        )
         try:
             with get_tracer().span(
                 "rfs_build",
@@ -697,8 +698,7 @@ class RFSStructure:
                     labels=build_labels,
                 ).inc(len(nodes))
         finally:
-            if executor is not None:
-                executor.close()
+            executor.close()
         return structure
 
     @staticmethod
@@ -747,7 +747,7 @@ class RFSStructure:
         self,
         rng: np.random.Generator,
         *,
-        executor: Optional["BuildExecutor"] = None,
+        executor: "WorkerPool",
         progress: Optional[ProgressCallback] = None,
         kmeans_chunk: int = 0,
         kmeans_minibatch: int = 0,
@@ -808,10 +808,7 @@ class RFSStructure:
                     items.append(
                         ("inner", node.node_id, cand_ids, node.size)
                     )
-            if executor is None:
-                results = [_node_reps_task(payload, item) for item in items]
-            else:
-                results = executor.map(_node_reps_task, items, payload)
+            results = executor.map(_node_reps_task, items, payload)
             for node, reps in zip(batch, results):
                 node.representatives = reps
                 if not node.is_leaf:

@@ -46,7 +46,7 @@ from repro.index.geometry import MBR
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec.build import BuildExecutor
+    from repro.exec.pool import WorkerPool
 
 # ChooseSubtree considers at most this many lowest-enlargement candidates
 # when computing overlap enlargement (the R*-tree paper's optimisation).
@@ -525,7 +525,7 @@ class RStarTree:
         item_ids: Optional[Sequence[int]] = None,
         seed: RandomState = None,
         *,
-        executor: Optional["BuildExecutor"] = None,
+        executor: Optional["WorkerPool"] = None,
         inline_threshold: int = 4096,
     ) -> None:
         """Replace the tree contents with a clustering bulk load.
@@ -538,8 +538,9 @@ class RStarTree:
 
         Every split draws its randomness from a stream derived from the
         split's tree path (``derive_rng(rng, "L0ll...")``), so the
-        partition is a pure function of the seed and the data.  With an
-        ``executor``, independent subtrees after each split are bisected
+        partition is a pure function of the seed and the data.  With a
+        thread or process ``executor`` (a serial one takes the plain
+        recursion), independent subtrees after each split are bisected
         in parallel: point sets at or below ``inline_threshold`` recurse
         in-line inside one task, larger ones split once and re-enter the
         task queue.  The resulting groups — and hence the tree — are
@@ -561,7 +562,8 @@ class RStarTree:
         rng = ensure_rng(seed)
 
         # Level 0: partition points into leaf groups.
-        if executor is not None and n > inline_threshold:
+        parallel = executor is not None and executor.kind != "serial"
+        if parallel and n > inline_threshold:
             groups = _balanced_bisect_parallel(
                 pts,
                 np.arange(n),
@@ -978,7 +980,7 @@ def _balanced_bisect_parallel(
     group_max: int,
     group_min: int,
     rng: np.random.Generator,
-    executor: "BuildExecutor",
+    executor: "WorkerPool",
     path: str,
     inline_threshold: int,
 ) -> List[np.ndarray]:

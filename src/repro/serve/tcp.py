@@ -23,6 +23,10 @@ The mutation ops (``insert``/``remove``) flow through the same bounded
 admission queue as queries — sustained mixed read/write traffic shares
 one overload policy (shedding, deadlines, drain).
 
+A request line longer than :data:`MAX_REQUEST_LINE_BYTES` is answered
+with ``invalid_request`` and the connection is closed (its remainder
+could only be skipped by reading it all).
+
 Response object mirrors :class:`~repro.serve.server.ServerResponse`:
 ``{"status": ..., "retriable": ..., "error": ..., "value": ...}`` with
 ``value`` JSON-safe (a finalize result becomes ``{"rounds_used",
@@ -35,9 +39,14 @@ from __future__ import annotations
 import json
 import socketserver
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.serve.server import QDServer, ServerResponse
+
+#: Longest request line the server reads into memory.  Four orders of
+#: magnitude above a real request (an ``insert`` row is ~1 KB) and far
+#: below what would strain a handler thread.
+MAX_REQUEST_LINE_BYTES = 1 << 20
 
 #: Arguments each op forwards to the front-end (anything else in the
 #: request object is rejected before touching the admission queue).
@@ -88,9 +97,28 @@ def response_to_json(response: ServerResponse) -> str:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    def _reply(self, response: ServerResponse) -> None:
+        self.wfile.write((response_to_json(response) + "\n").encode())
+        self.wfile.flush()
+
     def handle(self) -> None:  # pragma: no cover - exercised via client
         server: "QDTCPServer" = self.server  # type: ignore[assignment]
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_REQUEST_LINE_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_REQUEST_LINE_BYTES:
+                self._reply(
+                    ServerResponse(
+                        op="?",
+                        status="invalid_request",
+                        error=(
+                            "request line exceeds "
+                            f"{MAX_REQUEST_LINE_BYTES} bytes"
+                        ),
+                    )
+                )
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -101,10 +129,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 response = ServerResponse(
                     op="?", status="invalid_request", error=str(exc)
                 )
-            self.wfile.write(
-                (response_to_json(response) + "\n").encode()
-            )
-            self.wfile.flush()
+            self._reply(response)
 
 
 class QDTCPServer(socketserver.ThreadingTCPServer):

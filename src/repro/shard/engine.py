@@ -40,9 +40,6 @@ bit-identically under a router with a different shard count.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,6 +53,7 @@ from repro.config import (
 )
 from repro.core.engine import QueryDecompositionEngine
 from repro.errors import ConfigurationError, EmptyIndexError
+from repro.exec.pool import WorkerPool
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import BlockReader, RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
@@ -126,7 +124,7 @@ class Shard:
             return self.rfs.localized_knn(
                 node, query, k, io_category=io_category, weights=weights
             )
-        from repro.cache import subquery_cache_key
+        from repro.cache import scan_and_publish, subquery_cache_key
 
         key = subquery_cache_key(
             node_id,
@@ -136,18 +134,25 @@ class Shard:
             weights,
             store_fingerprint=self.rfs.store_fingerprint(),
         )
-        hit = self.cache.get(key, self.rfs.structure_version)
+        version = self.rfs.structure_version
+        hit = self.cache.get(key, version)
         if hit is not None:
             return list(hit.ranked)
-        epoch = self.cache.invalidation_epoch()
-        ranked = self.rfs.localized_knn(
-            node, query, k, io_category=io_category, weights=weights
+        # A shard tree only ever sees tombstones (the router merges the
+        # live delta rows once, over the gather), so the main-only
+        # ranking that gets published is this shard's whole answer.
+        return scan_and_publish(
+            self.cache, key, version, self.rfs, node, query, k,
+            io_category=io_category, weights=weights,
         )
-        self.cache.put(
-            key, self.rfs.structure_version, node_id, query, ranked,
-            epoch=epoch,
-        )
-        return ranked
+
+
+def _scan_shard(call: tuple, shard: Shard) -> List[Tuple[float, int]]:
+    """Router fan-out task: one shard's slice of one scatter."""
+    node_id, query, take, io_category, weights = call
+    return shard.localized_knn(
+        node_id, query, take, io_category=io_category, weights=weights
+    )
 
 
 class ShardedRFS(RFSStructure):
@@ -183,7 +188,6 @@ class ShardedRFS(RFSStructure):
         self.base = base
         self.shards = list(shards)
         self.assignment = assignment
-        self._parallel_fanout = parallel_fanout and len(self.shards) > 1
         dtypes = {s.rfs.store.dtype.name for s in self.shards}
         if len(dtypes) > 1:
             raise ConfigurationError(
@@ -193,12 +197,18 @@ class ShardedRFS(RFSStructure):
             )
         # id -> owning shard index, for routing store gathers.
         self._item_shard: Optional[np.ndarray] = None
-        # Router fan-out pool, created lazily and re-created after a
-        # fork (process executors inherit this object by fork; the
-        # parent's pool threads do not survive into the child).
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_pid: Optional[int] = None
-        self._pool_lock = threading.Lock()
+        # Router fan-out pool.  Oversubscribed relative to the shard
+        # count: it is shared by every concurrently-served request (the
+        # serving front-end runs several workers over one router), and
+        # shard scans mostly sleep in the disk model or release the GIL
+        # in kernels — with exactly n_shards threads, two concurrent
+        # fan-outs would serialize behind each other.
+        self.parallel_fanout = parallel_fanout
+        self._fanout = WorkerPool(
+            "thread" if parallel_fanout else "serial",
+            min(64, len(self.shards) * 8),
+            name="qd-shard-router",
+        )
 
     # -- routing -------------------------------------------------------
     @property
@@ -216,31 +226,9 @@ class ShardedRFS(RFSStructure):
             self._item_shard = table
         return self._item_shard[ids]
 
-    def _fanout_pool(self) -> ThreadPoolExecutor:
-        pid = os.getpid()
-        with self._pool_lock:
-            if self._pool is None or self._pool_pid != pid:
-                # Oversubscribe relative to the shard count: the pool
-                # is shared by every concurrently-served request (the
-                # serving front-end runs several workers over one
-                # router), and shard scans mostly sleep in the disk
-                # model or release the GIL in kernels — with exactly
-                # n_shards threads, two concurrent fan-outs would
-                # serialize behind each other.
-                self._pool = ThreadPoolExecutor(
-                    max_workers=min(64, len(self.shards) * 8),
-                    thread_name_prefix="qd-shard-router",
-                )
-                self._pool_pid = pid
-            return self._pool
-
     def close(self) -> None:
         """Shut the router pool down (safe to call twice)."""
-        with self._pool_lock:
-            if self._pool is not None and self._pool_pid == os.getpid():
-                self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_pid = None
+        self._fanout.close()
 
     # -- overridden structure surface ----------------------------------
     @property
@@ -358,32 +346,17 @@ class ShardedRFS(RFSStructure):
             if take > 0
             else []
         )
-        tracer = get_tracer()
-        with tracer.span(
+        with get_tracer().span(
             "sharded_knn",
             node=node.node_id,
             k=int(k),
             shards=len(participants),
         ) as span:
-            if self._parallel_fanout and len(participants) > 1:
-                parent = tracer.current
-
-                def scan(shard: Shard) -> List[Tuple[float, int]]:
-                    with tracer.adopt(parent):
-                        return shard.localized_knn(
-                            node.node_id, query, take,
-                            io_category=io_category, weights=weights,
-                        )
-
-                partials = list(self._fanout_pool().map(scan, participants))
-            else:
-                partials = [
-                    shard.localized_knn(
-                        node.node_id, query, take,
-                        io_category=io_category, weights=weights,
-                    )
-                    for shard in participants
-                ]
+            partials = self._fanout.map(
+                _scan_shard,
+                participants,
+                (node.node_id, query, take, io_category, weights),
+            )
             merged: List[Tuple[float, int]] = []
             for ranked in partials:
                 merged.extend(ranked)

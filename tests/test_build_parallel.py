@@ -25,12 +25,7 @@ from repro.clustering.kmeans import (
 )
 from repro.config import BuildConfig, RFSConfig
 from repro.errors import ClusteringError, ConfigurationError
-from repro.exec.build import (
-    ProcessBuildExecutor,
-    SerialBuildExecutor,
-    ThreadedBuildExecutor,
-    make_build_executor,
-)
+from repro.exec.pool import WorkerPool
 from repro.index.rfs import BuildProgress, RFSStructure
 from repro.index.rstar import RStarTree
 from repro.index.serialize import load_rfs, save_rfs
@@ -164,7 +159,7 @@ class TestBisectParity:
     def test_parallel_bulk_load_matches_serial(self):
         pts = _features(21, n=900, d=8)
         trees = []
-        for executor in (None, ThreadedBuildExecutor(4)):
+        for executor in (None, WorkerPool("thread", 4)):
             tree = RStarTree(dims=8, max_entries=40)
             tree.bulk_load(
                 pts, seed=9, executor=executor, inline_threshold=100
@@ -366,14 +361,3 @@ class TestBuildConfigValidation:
             BuildConfig(kmeans_chunk=-1)
         with pytest.raises(ConfigurationError):
             BuildConfig(kmeans_minibatch=-1)
-
-    def test_make_build_executor_kinds(self):
-        assert isinstance(make_build_executor("serial"), SerialBuildExecutor)
-        thread = make_build_executor("thread", 2)
-        assert isinstance(thread, ThreadedBuildExecutor)
-        thread.close()
-        forked = make_build_executor("process", 2)
-        assert isinstance(forked, ProcessBuildExecutor)
-        forked.close()
-        with pytest.raises(ConfigurationError):
-            make_build_executor("gpu")

@@ -373,7 +373,7 @@ class TestCacheInvalidation:
         baseline_sig, _ = _finalize(rfs, marks, 25, config)
         assert after_sig == baseline_sig
 
-    @pytest.mark.parametrize("shards", [0, 2])
+    @pytest.mark.parametrize("shards", [0, 2, "batch"])
     def test_remove_racing_a_scan_is_not_cached(
         self, database, shards, monkeypatch
     ):
@@ -382,7 +382,12 @@ class TestCacheInvalidation:
         must not re-publish the pre-remove ranking, or every repeat of
         the query is served the removed id until the next compaction.
         Deterministic: the first scan issues the remove as it returns.
+        The three cases are the three callers of the one publish step
+        (``repro.cache.scan_and_publish``): the subquery funnel, a
+        shard's own cache, and the batch scheduler.
         """
+        batch = shards == "batch"
+        shards = 0 if batch else shards
         build = {
             "seed": SEED,
             "cache": CacheConfig(enabled=True, capacity_mb=8),
@@ -419,7 +424,10 @@ class TestCacheInvalidation:
                 patch.setattr(
                     RFSStructure, "localized_knn", scan_then_remove
                 )
-                _finalize(engine.rfs, marks, 8, engine.config)
+                if batch:
+                    engine.run_batch([(marks, 8)], rounds_used=1)
+                else:
+                    _finalize(engine.rfs, marks, 8, engine.config)
             repeat_sig, _ = _finalize(engine.rfs, marks, 8, engine.config)
         assert removed
         assert removed[0] not in {

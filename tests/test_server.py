@@ -395,6 +395,35 @@ class TestTCPServer:
         finally:
             sock.close()
 
+    def test_overlong_line_is_refused_not_buffered(self, tcp):
+        """The server reads at most MAX_REQUEST_LINE_BYTES of a line: a
+        longer one — here never even terminated — gets a structured
+        error and the connection is closed; the server keeps serving."""
+        from repro.serve.tcp import MAX_REQUEST_LINE_BYTES
+
+        sock, stream = self._client(tcp)
+        try:
+            stream.write("x" * (MAX_REQUEST_LINE_BYTES + 1))
+            stream.flush()
+            reply = stream.readline()  # 5 s socket timeout, not a hang
+            assert reply, "connection closed without an answer"
+            response = json.loads(reply)
+            assert response["status"] == "invalid_request"
+            assert str(MAX_REQUEST_LINE_BYTES) in response["error"]
+            assert stream.readline() == ""  # closed by the server
+        finally:
+            sock.close()
+        sock, stream = self._client(tcp)
+        try:
+            # A line of exactly the bound is still read and parsed.
+            padded = json.dumps({"op": "open", "seed": 4})
+            padded += " " * (MAX_REQUEST_LINE_BYTES - len(padded) - 1)
+            stream.write(padded + "\n")
+            stream.flush()
+            assert json.loads(stream.readline())["status"] == "ok"
+        finally:
+            sock.close()
+
     def test_not_found_over_socket(self, tcp):
         sock, stream = self._client(tcp)
         try:
