@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=7)
     p_serve.add_argument(
         "--serve-workers", type=int, default=4, metavar="N",
-        help="serving worker threads behind the admission queue",
+        help="requests executing at once (slots; as many worker threads)",
     )
     p_serve.add_argument(
         "--queue-limit", type=int, default=64, metavar="N",

@@ -427,14 +427,16 @@ class ServeConfig:
     Attributes
     ----------
     workers:
-        Serving worker threads, each wrapping its own
+        Execution slots, each owning a
         :class:`~repro.core.SessionFrontEnd` over the shared session
-        store (and the engine's hot session copies).
+        store (and the engine's hot session copies): how many requests
+        execute at once, whether on the thread that brought them or on
+        one of as many worker threads.
     queue_limit:
-        Bound of the admission queue.  A request arriving while the
-        queue is full is *shed* immediately with a retriable response
-        instead of waiting unboundedly — the queue bound is what keeps
-        tail latency finite under overload.
+        Bound of the admission queue (requests waiting for a slot).  A
+        request arriving while the queue is full is *shed* immediately
+        with a retriable response instead of waiting unboundedly — the
+        queue bound is what keeps tail latency finite under overload.
     default_deadline_s:
         Per-request deadline applied when the caller does not set one.
         A request still queued past its deadline is answered

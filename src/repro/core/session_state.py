@@ -71,12 +71,18 @@ def _fingerprint(
     return hashlib.blake2b(material, digest_size=8).hexdigest()
 
 
-def _copy_rng_state(rng_state: Mapping[str, Any]) -> Dict[str, Any]:
-    """Copy a bit-generator state (JSON-safe ones nest one dict deep)."""
-    return {
-        key: dict(value) if isinstance(value, Mapping) else value
-        for key, value in rng_state.items()
-    }
+def key_sorted(value: Any) -> Any:
+    """A copy of ``value`` with every dict in it in sorted-key order.
+
+    Python dicts keep insertion order and the JSON encoder writes them
+    in it, so a record whose dicts are built this way encodes to
+    sorted-key text without the encoder sorting anything.
+    """
+    if isinstance(value, dict):
+        return {key: key_sorted(value[key]) for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [key_sorted(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -94,9 +100,9 @@ class SubQueryState:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
+            "marked": self.marked,
             "node_id": self.node_id,
-            "marked": list(self.marked),
-            "shown": list(self.shown),
+            "shown": self.shown,
         }
 
     @classmethod
@@ -130,11 +136,14 @@ class SessionState:
     marked:
         Union of all relevant image ids identified so far.
     display_owner:
-        ``image id -> owning node id`` for the current round's screen.
+        ``image id -> owning node id`` for the current round's screen,
+        in the order of the ids *as strings* (the stored text's key
+        order); empty once the round's ``submit()`` ran.
     rng_state:
         Exact numpy bit-generator state of the session RNG; restoring
         it makes post-resume "Random" browse picks identical to the
-        never-suspended run.
+        never-suspended run.  Keys sorted at every level, like
+        ``extra`` (:func:`key_sorted`).
     config_fingerprint:
         :func:`config_fingerprint` of the session's :class:`QDConfig`.
     structure_version:
@@ -159,27 +168,31 @@ class SessionState:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe encoding (format :data:`STATE_FORMAT_VERSION`)."""
+        """JSON-safe encoding (format :data:`STATE_FORMAT_VERSION`).
+
+        Keys are in sorted order and the values are the record's own
+        (id tuples encode as arrays, ``display_owner``'s int keys as
+        strings), so the encoder neither sorts nor copies: read the
+        result, edit only its top level.  The nested dicts come out
+        sorted because whoever built the record made them so —
+        :meth:`FeedbackSession.capture <repro.core.session.
+        FeedbackSession.capture>` and the decoders do.
+        """
         return {
-            "state_format": STATE_FORMAT_VERSION,
-            "session_id": self.session_id,
-            "round": self.round,
-            "awaiting_feedback": self.awaiting_feedback,
-            "finalized": self.finalized,
             "active": [sub.to_dict() for sub in self.active],
-            "marked": list(self.marked),
-            # JSON object keys are strings; decoded back to ints below.
-            "display_owner": dict(
-                zip(map(str, self.display_owner), self.display_owner.values())
-            ),
-            # Copied so a caller's edits to this dict cannot reach the
-            # (retained, frozen) record.
-            "rng_state": _copy_rng_state(self.rng_state),
+            "awaiting_feedback": self.awaiting_feedback,
             "config_fingerprint": self.config_fingerprint,
-            "structure_version": self.structure_version,
             "created_unix": self.created_unix,
+            "display_owner": self.display_owner,
+            "extra": self.extra,
+            "finalized": self.finalized,
+            "marked": self.marked,
+            "rng_state": self.rng_state,
+            "round": self.round,
+            "session_id": self.session_id,
+            "state_format": STATE_FORMAT_VERSION,
+            "structure_version": self.structure_version,
             "updated_unix": self.updated_unix,
-            "extra": dict(self.extra),
         }
 
     @classmethod
@@ -225,6 +238,7 @@ class SessionState:
 
 
 def _decode_v1(data: Mapping[str, Any]) -> SessionState:
+    owner = data["display_owner"]
     return SessionState(
         session_id=str(data["session_id"]),
         round=int(data["round"]),
@@ -235,14 +249,14 @@ def _decode_v1(data: Mapping[str, Any]) -> SessionState:
         ),
         marked=tuple(int(i) for i in data["marked"]),
         display_owner={
-            int(k): int(v) for k, v in data["display_owner"].items()
+            int(k): int(owner[k]) for k in sorted(owner, key=str)
         },
-        rng_state=_copy_rng_state(data["rng_state"]),
+        rng_state=key_sorted(data["rng_state"]),
         config_fingerprint=str(data["config_fingerprint"]),
         structure_version=int(data["structure_version"]),
         created_unix=float(data.get("created_unix", 0.0)),
         updated_unix=float(data.get("updated_unix", 0.0)),
-        extra=dict(data.get("extra", {})),
+        extra=key_sorted(data.get("extra", {})),
     )
 
 

@@ -10,7 +10,7 @@ child) — the decomposition of §3.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Set
+from typing import List, Sequence, Set
 
 import numpy as np
 
@@ -22,6 +22,11 @@ from repro.obs import get_metrics
 class SubQuery:
     """One active branch of the decomposed query.
 
+    The not-yet-displayed representatives are kept as a list that
+    :meth:`show` shrinks by the screen it displays, so a feedback round
+    costs what it shows and marks, not a walk over the node's whole
+    representative list (750 ids at the root of a 15k-image tree).
+
     Attributes
     ----------
     node:
@@ -31,12 +36,22 @@ class SubQuery:
         displayed representatives (cumulative over rounds).
     shown:
         Representative ids already displayed to the user for this node,
-        so repeated browsing never re-shows an image.
+        so repeated browsing never re-shows an image.  It only ever
+        receives ids of ``node.representatives``, which is free of
+        duplicates (built as ``sorted(set(...))``): that is what lets
+        :attr:`has_unseen` compare two lengths.
     """
 
     node: RFSNode
     marked: Set[int] = field(default_factory=set)
     shown: Set[int] = field(default_factory=set)
+    #: ``unseen_representatives()`` as of ``len(shown) == _unseen_at``
+    #: (``shown`` only grows, so a different length means it was added
+    #: to from outside :meth:`show` and the list is rebuilt).
+    _unseen: List[int] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _unseen_at: int = field(default=-1, init=False, repr=False, compare=False)
 
     @property
     def node_id(self) -> int:
@@ -48,9 +63,40 @@ class SubQuery:
         """Whether the subquery has reached the bottom of the hierarchy."""
         return self.node.is_leaf
 
-    def unseen_representatives(self) -> list[int]:
-        """Representatives of the node not yet displayed."""
-        return [r for r in self.node.representatives if r not in self.shown]
+    @property
+    def has_unseen(self) -> bool:
+        """Whether any representative is still undisplayed, in O(1)."""
+        return len(self.shown) < len(self.node.representatives)
+
+    def unseen_representatives(self) -> List[int]:
+        """Representatives of the node not yet displayed, in node order.
+
+        The list is the subquery's own and :meth:`show` edits it in
+        place: read it, do not keep or change it.
+        """
+        shown = self.shown
+        if self._unseen_at != len(shown):
+            reps = self.node.representatives
+            self._unseen = (
+                [r for r in reps if r not in shown] if shown else list(reps)
+            )
+            self._unseen_at = len(shown)
+        return self._unseen
+
+    def show(self, positions: Sequence[int]) -> List[int]:
+        """Display the unseen representatives at ``positions``.
+
+        ``positions`` index :meth:`unseen_representatives`, ascending
+        and distinct.  Returns the ids in that order; they are
+        ``shown`` from now on.
+        """
+        unseen = self.unseen_representatives()
+        reps = [unseen[i] for i in positions]
+        for i in reversed(positions):
+            del unseen[i]
+        self.shown.update(reps)
+        self._unseen_at = len(self.shown)
+        return reps
 
     def query_matrix(self, features: np.ndarray) -> np.ndarray:
         """Feature vectors of the marked relevant images."""

@@ -1,13 +1,26 @@
 """A concurrent QD serving core with admission control.
 
 ``QDServer`` is the in-process heart of the serving stack (the TCP
-layer in :mod:`repro.serve.tcp` is a thin codec over it): a bounded
-admission queue in front of a pool of worker threads, each wrapping its
-own :class:`~repro.core.SessionFrontEnd` over the engine's shared
-session store — the thin-view/fat-engine split of a multi-user CBIR
-service.  Any worker can resume any session from the record; the
-workers share the engine's hot copies and skip the rebuild when the
-record is byte-identical to what the engine last wrote.
+layer in :mod:`repro.serve.tcp` is a thin codec over it): ``workers``
+execution slots, each owning a :class:`~repro.core.SessionFrontEnd`
+over the engine's shared session store — the thin-view/fat-engine split
+of a multi-user CBIR service — behind a bounded admission queue.
+
+**Admission model.**  A request is *served by the thread that brought
+it when a slot is free, queued otherwise*: :meth:`QDServer.request`
+takes a free slot and runs the op on the calling thread when nothing is
+waiting (so nothing is overtaken) — a feedback round is a tree lookup
+and a record write, and two thread switches through a queue were a
+tenth of it.  When every slot is taken the request waits in the queue
+for a worker thread, as every :meth:`QDServer.submit` does.  Both ways
+run the same :meth:`QDServer._serve`; at most ``workers`` requests
+execute at once counting both, and at most ``queue_limit`` wait.  Slots
+are handed out last-released-first, so a closed-loop client keeps
+meeting the same warm front-end.
+
+Any slot can resume any session from the record; they share the
+engine's hot copies and skip the rebuild when the record is
+byte-identical to what the engine last wrote.
 
 Overload behaviour is engineered, not accidental:
 
@@ -21,12 +34,13 @@ Overload behaviour is engineered, not accidental:
   A request still queued when its deadline passes is answered
   ``deadline_expired`` without executing; admitted-and-executed
   requests therefore never violate their deadline at dequeue time.
-* **Graceful drain** — :meth:`close` stops admissions, lets queued
-  work finish (bounded by
+* **Graceful drain** — :meth:`close` stops admissions, lets queued and
+  executing work finish (bounded by
   :attr:`~repro.config.ServeConfig.drain_timeout_s`), then joins the
   workers; in-flight requests are never abandoned mid-operation.
 
-SLO metrics exported through the obs layer:
+SLO metrics exported through the obs layer (built only while metrics
+are enabled):
 
 =================================  =====================================
 ``qd_server_requests_total``       counter, labels ``op``/``status``
@@ -40,12 +54,12 @@ SLO metrics exported through the obs layer:
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.config import ServeConfig
 from repro.core.clientserver import FrontEndResult, SessionFrontEnd
@@ -69,7 +83,8 @@ class ServerResponse:
     value: Any = None
     retriable: bool = False
     error: str = ""
-    #: Seconds the request waited in the admission queue.
+    #: Seconds between admission and the start of execution (the
+    #: admission queue's wait; next to nothing when served in-line).
     queue_wait_s: float = 0.0
     #: Seconds the front-end spent executing (0 when not executed).
     service_s: float = 0.0
@@ -85,22 +100,26 @@ class _Request:
     kwargs: Dict[str, Any]
     deadline: float  # absolute monotonic seconds
     enqueued: float
-    future: "Future[ServerResponse]" = field(default_factory=Future)
-
-
-_STOP = object()
+    #: Set when the answer has to cross threads (queued or shed).
+    future: "Optional[Future[ServerResponse]]" = None
 
 
 class QDServer:
-    """Bounded-queue, multi-worker serving core over one engine.
+    """``workers`` execution slots behind a bounded admission queue.
+
+    :meth:`request` serves on the calling thread when a slot is free
+    and nothing is queued; otherwise, and for every :meth:`submit`, the
+    request waits (at most ``queue_limit`` do) for one of the
+    ``workers`` worker threads.  Either way it needs a slot, so
+    ``workers`` bounds concurrent execution.
 
     Parameters
     ----------
     engine:
         The serving engine (sharded or single-node); must have a
-        session store attached — every worker can resume sessions from
-        it, so consecutive requests of one dialogue may be served by
-        different workers.
+        session store attached — every slot's front-end can resume
+        sessions from it, so consecutive requests of one dialogue may
+        be served by different slots and threads.
     config:
         Admission-control knobs (validated up front by
         :class:`~repro.config.ServeConfig`).
@@ -118,12 +137,13 @@ class QDServer:
             )
         self.engine = engine
         self.config = config or ServeConfig()
-        self._queue: "queue.Queue[Any]" = queue.Queue(
-            maxsize=self.config.queue_limit
-        )
+        #: Guards the queue, the free slots, the flags and ``stats``.
+        self._lock = threading.Lock()
+        #: Workers wait here for "a request is queued and a slot free".
+        self._work = threading.Condition(self._lock)
+        self._queue: Deque[_Request] = deque()
         self._accepting = True
-        self._state_lock = threading.Lock()
-        self._workers: List[threading.Thread] = []
+        self._stopping = False
         self.stats = {
             "submitted": 0,
             "admitted": 0,
@@ -131,16 +151,20 @@ class QDServer:
             "expired": 0,
             "completed": 0,
         }
-        for i in range(self.config.workers):
-            frontend = SessionFrontEnd(engine, worker_id=f"srv{i}")
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(frontend,),
-                name=f"qd-server-{i}",
-                daemon=True,
+        n = self.config.workers
+        # A stack: the slot released last is taken next (srv0 first).
+        self._free: List[SessionFrontEnd] = [
+            SessionFrontEnd(engine, worker_id=f"srv{i}")
+            for i in reversed(range(n))
+        ]
+        self._workers: List[threading.Thread] = [
+            threading.Thread(
+                target=self._worker_loop, name=f"qd-server-{i}", daemon=True
             )
+            for i in range(n)
+        ]
+        for thread in self._workers:
             thread.start()
-            self._workers.append(thread)
 
     # -- admission -----------------------------------------------------
     def submit(
@@ -155,27 +179,9 @@ class QDServer:
         Returns a future that resolves to a :class:`ServerResponse` —
         immediately (already resolved) when the request is shed.
         """
-        now = time.monotonic()
-        budget = (
-            self.config.default_deadline_s
-            if deadline_s is None
-            else float(deadline_s)
-        )
-        request = _Request(
-            op=op, kwargs=kwargs, deadline=now + budget, enqueued=now
-        )
-        with self._state_lock:
-            self.stats["submitted"] += 1
-            if not self._accepting:
-                return self._shed(request, "draining")
-            try:
-                self._queue.put_nowait(request)
-            except queue.Full:
-                return self._shed(request, "queue_full")
-            self.stats["admitted"] += 1
-        get_metrics().gauge(
-            "qd_server_queue_depth", "requests waiting for a worker"
-        ).set(float(self._queue.qsize()))
+        request = self._new_request(op, deadline_s, kwargs)
+        self._admit(request, inline=False)
+        assert request.future is not None
         return request.future
 
     def request(
@@ -185,113 +191,182 @@ class QDServer:
         deadline_s: Optional[float] = None,
         **kwargs: Any,
     ) -> ServerResponse:
-        """Synchronous convenience wrapper around :meth:`submit`."""
-        return self.submit(op, deadline_s=deadline_s, **kwargs).result()
+        """Serve one request and return its response.
 
-    def _shed(self, request: _Request, reason: str) -> "Future[ServerResponse]":
-        self.stats["shed"] += 1
-        metrics = get_metrics()
-        metrics.counter(
-            "qd_server_shed_total",
-            "requests refused at admission",
-            labels={"reason": reason},
-        ).inc()
-        metrics.counter(
-            "qd_server_requests_total",
-            "server requests by outcome",
-            labels={"op": request.op, "status": "shed"},
-        ).inc()
-        request.future.set_result(
-            ServerResponse(
-                op=request.op,
-                status="shed",
-                retriable=True,
-                error=f"admission refused: {reason}",
-            )
+        On the calling thread when a slot is free and nothing is
+        queued; through the queue and a worker otherwise.
+        """
+        request = self._new_request(op, deadline_s, kwargs)
+        frontend = self._admit(request, inline=True)
+        if frontend is None:
+            assert request.future is not None
+            return request.future.result()
+        try:
+            return self._serve(request, frontend)
+        finally:
+            self._release(frontend)
+
+    def _new_request(
+        self, op: str, deadline_s: Optional[float], kwargs: Dict[str, Any]
+    ) -> _Request:
+        now = time.monotonic()
+        budget = (
+            self.config.default_deadline_s
+            if deadline_s is None
+            else float(deadline_s)
         )
-        return request.future
+        return _Request(
+            op=op, kwargs=kwargs, deadline=now + budget, enqueued=now
+        )
 
-    # -- worker loop ---------------------------------------------------
-    def _worker_loop(self, frontend: SessionFrontEnd) -> None:
+    def _admit(
+        self, request: _Request, *, inline: bool
+    ) -> Optional[SessionFrontEnd]:
+        """Admit, queue or shed ``request``.
+
+        Returns a slot's front-end when the caller is to serve the
+        request itself (only if ``inline``); otherwise ``None``, with
+        the answer coming through ``request.future``.
+        """
+        shed = None
+        with self._lock:
+            self.stats["submitted"] += 1
+            if not self._accepting:
+                shed = "draining"
+            elif inline and self._free and not self._queue:
+                self.stats["admitted"] += 1
+                return self._free.pop()
+            elif len(self._queue) >= self.config.queue_limit:
+                shed = "queue_full"
+            # From here on the answer crosses threads (or is a refusal).
+            request.future = Future()
+            if shed is None:
+                self.stats["admitted"] += 1
+                self._queue.append(request)
+                if self._free:
+                    self._work.notify()
+            else:
+                self.stats["shed"] += 1
         metrics = get_metrics()
+        if shed is not None:
+            request.future.set_result(
+                ServerResponse(
+                    op=request.op,
+                    status="shed",
+                    retriable=True,
+                    error=f"admission refused: {shed}",
+                )
+            )
+            if metrics.enabled:
+                metrics.counter(
+                    "qd_server_shed_total",
+                    "requests refused at admission",
+                    labels={"reason": shed},
+                ).inc()
+                self._count_outcome(metrics, request.op, "shed")
+        elif metrics.enabled:
+            self._gauge_depth(metrics)
+        return None
+
+    def _release(self, frontend: SessionFrontEnd) -> None:
+        """Return a slot; wake a worker if something waits for one."""
+        with self._lock:
+            self._free.append(frontend)
+            if self._queue:
+                self._work.notify()
+
+    # -- execution -----------------------------------------------------
+    def _worker_loop(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _STOP:
-                self._queue.task_done()
-                return
-            request: _Request = item
-            now = time.monotonic()
-            wait = now - request.enqueued
+            with self._lock:
+                while not (self._queue and self._free):
+                    if self._stopping and not self._queue:
+                        return
+                    self._work.wait()
+                request = self._queue.popleft()
+                frontend = self._free.pop()
+            try:
+                response = self._serve(request, frontend)
+            finally:
+                self._release(frontend)
+            assert request.future is not None
+            request.future.set_result(response)
+
+    def _serve(
+        self, request: _Request, frontend: SessionFrontEnd
+    ) -> ServerResponse:
+        """Run ``request`` on ``frontend``: the one way an op executes.
+
+        Checks the deadline, folds any exception into an ``internal``
+        response (a worker or handler thread must survive), keeps the
+        stats and the SLO metrics.
+        """
+        metrics = get_metrics()
+        observed = metrics.enabled
+        now = time.monotonic()
+        wait = now - request.enqueued
+        if observed:
             metrics.histogram(
                 "qd_server_queue_wait_seconds",
                 "seconds spent in the admission queue",
             ).observe(wait)
-            metrics.gauge(
-                "qd_server_queue_depth",
-                "requests waiting for a worker",
-            ).set(float(self._queue.qsize()))
-            if now > request.deadline:
-                with self._state_lock:
-                    self.stats["expired"] += 1
+            self._gauge_depth(metrics)
+        if now > request.deadline:
+            with self._lock:
+                self.stats["expired"] += 1
+            if observed:
                 metrics.counter(
                     "qd_server_deadline_expired_total",
                     "requests that expired before execution",
                 ).inc()
-                metrics.counter(
-                    "qd_server_requests_total",
-                    "server requests by outcome",
-                    labels={
-                        "op": request.op,
-                        "status": "deadline_expired",
-                    },
-                ).inc()
-                request.future.set_result(
-                    ServerResponse(
-                        op=request.op,
-                        status="deadline_expired",
-                        retriable=True,
-                        error=(
-                            f"queued {wait:.3f}s, past the request "
-                            "deadline"
-                        ),
-                        queue_wait_s=wait,
-                    )
-                )
-                self._queue.task_done()
-                continue
-            start = time.perf_counter()
-            try:
-                outcome = frontend.handle(request.op, **request.kwargs)
-            except Exception as exc:  # noqa: BLE001 - worker must survive
-                outcome = FrontEndResult(
-                    ok=False, error_kind="internal", error=repr(exc)
-                )
-            service = time.perf_counter() - start
-            status = "ok" if outcome.ok else outcome.error_kind
-            metrics.counter(
-                "qd_server_requests_total",
-                "server requests by outcome",
-                labels={"op": request.op, "status": status},
-            ).inc()
+                self._count_outcome(metrics, request.op, "deadline_expired")
+            return ServerResponse(
+                op=request.op,
+                status="deadline_expired",
+                retriable=True,
+                error=f"queued {wait:.3f}s, past the request deadline",
+                queue_wait_s=wait,
+            )
+        start = time.perf_counter()
+        try:
+            outcome = frontend.handle(request.op, **request.kwargs)
+        except Exception as exc:  # noqa: BLE001 - the thread must survive
+            outcome = FrontEndResult(
+                ok=False, error_kind="internal", error=repr(exc)
+            )
+        service = time.perf_counter() - start
+        status = "ok" if outcome.ok else outcome.error_kind
+        if observed:
+            self._count_outcome(metrics, request.op, status)
             metrics.histogram(
                 "qd_server_request_seconds",
                 "service time of executed requests",
                 labels={"op": request.op},
             ).observe(service)
-            with self._state_lock:
-                self.stats["completed"] += 1
-            request.future.set_result(
-                ServerResponse(
-                    op=request.op,
-                    status=status,
-                    value=outcome.value,
-                    retriable=outcome.retriable,
-                    error=outcome.error,
-                    queue_wait_s=wait,
-                    service_s=service,
-                )
-            )
-            self._queue.task_done()
+        with self._lock:
+            self.stats["completed"] += 1
+        return ServerResponse(
+            op=request.op,
+            status=status,
+            value=outcome.value,
+            retriable=outcome.retriable,
+            error=outcome.error,
+            queue_wait_s=wait,
+            service_s=service,
+        )
+
+    @staticmethod
+    def _count_outcome(metrics: Any, op: str, status: str) -> None:
+        metrics.counter(
+            "qd_server_requests_total",
+            "server requests by outcome",
+            labels={"op": op, "status": status},
+        ).inc()
+
+    def _gauge_depth(self, metrics: Any) -> None:
+        metrics.gauge(
+            "qd_server_queue_depth", "requests waiting for a worker"
+        ).set(float(len(self._queue)))
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -300,23 +375,24 @@ class QDServer:
 
     @property
     def queue_depth(self) -> int:
-        return self._queue.qsize()
+        return len(self._queue)
 
     def drain(self, timeout_s: Optional[float] = None) -> bool:
-        """Stop admissions and wait for queued work to finish.
+        """Stop admissions and wait for admitted work to finish.
 
-        Returns True when the queue fully drained within the timeout
-        (``None`` uses the configured drain timeout; ``0`` waits
-        forever).  New submissions during and after a drain are shed
-        with reason ``draining``.
+        Returns True when the queue emptied and every slot came back —
+        in-line requests included — within the timeout (``None`` uses
+        the configured drain timeout; ``0`` waits forever).  New
+        submissions during and after a drain are shed with reason
+        ``draining``.
         """
-        with self._state_lock:
+        with self._lock:
             self._accepting = False
         budget = (
             self.config.drain_timeout_s if timeout_s is None else timeout_s
         )
         deadline = None if budget == 0 else time.monotonic() + budget
-        while self._queue.unfinished_tasks:
+        while self._queue or len(self._free) < self.config.workers:
             if deadline is not None and time.monotonic() > deadline:
                 return False
             time.sleep(0.001)
@@ -325,10 +401,10 @@ class QDServer:
     def close(self, *, drain: bool = True) -> bool:
         """Drain (optionally), stop the workers, and join them."""
         drained = self.drain() if drain else True
-        with self._state_lock:
+        with self._lock:
             self._accepting = False
-        for _ in self._workers:
-            self._queue.put(_STOP)
+            self._stopping = True
+            self._work.notify_all()
         for thread in self._workers:
             thread.join(timeout=5.0)
         self._workers = []

@@ -2,9 +2,10 @@
 
 One request per line, one response per line — deliberately minimal (no
 HTTP dependency; the repo's rule is stdlib-only).  Each connection gets
-a handler thread (:class:`socketserver.ThreadingTCPServer`), but all
-actual session work funnels through the server core's bounded
-admission queue, so connection count never defeats admission control.
+a handler thread (:class:`socketserver.ThreadingTCPServer`), which runs
+the op itself when the server core has a free execution slot and waits
+on the core's bounded admission queue otherwise — every op needs a
+slot, so connection count never defeats admission control.
 
 Request object::
 
@@ -19,8 +20,8 @@ Request object::
      "image_id": 42,             # remove
      "deadline_s": 5.0}          # any op (optional)
 
-The mutation ops (``insert``/``remove``) flow through the same bounded
-admission queue as queries — sustained mixed read/write traffic shares
+The mutation ops (``insert``/``remove``) pass the same admission
+control as queries — sustained mixed read/write traffic shares
 one overload policy (shedding, deadlines, drain).
 
 A request line longer than :data:`MAX_REQUEST_LINE_BYTES` is answered
@@ -66,33 +67,36 @@ def _json_value(value: Any) -> Any:
     groups = getattr(value, "groups", None)
     if groups is not None:  # a QueryResult
         return {
-            "rounds_used": value.rounds_used,
             "groups": [
                 {
-                    "leaf_node_id": group.leaf_node_id,
-                    "search_node_id": group.search_node_id,
                     "items": [
                         [item.item_id, item.score]
                         for item in group.items
                     ],
+                    "leaf_node_id": group.leaf_node_id,
+                    "search_node_id": group.search_node_id,
                 }
                 for group in groups
             ],
+            "rounds_used": value.rounds_used,
         }
     return value
 
 
 def response_to_json(response: ServerResponse) -> str:
-    """One response line (no trailing newline)."""
+    """One response line (no trailing newline), keys in sorted order.
+
+    The dicts here and in :func:`_json_value` are written with their
+    keys already sorted, so the encoder does not sort them again.
+    """
     return json.dumps(
         {
-            "op": response.op,
-            "status": response.status,
-            "retriable": response.retriable,
             "error": response.error,
+            "op": response.op,
+            "retriable": response.retriable,
+            "status": response.status,
             "value": _json_value(response.value),
-        },
-        sort_keys=True,
+        }
     )
 
 
@@ -102,6 +106,14 @@ class _Handler(socketserver.StreamRequestHandler):
         self.wfile.flush()
 
     def handle(self) -> None:  # pragma: no cover - exercised via client
+        try:
+            self._serve_lines()
+        except (BrokenPipeError, ConnectionResetError):
+            # The client went away mid-dialogue: nobody is left to
+            # answer, and the op (if any) already gave its slot back.
+            return
+
+    def _serve_lines(self) -> None:
         server: "QDTCPServer" = self.server  # type: ignore[assignment]
         while True:
             raw = self.rfile.readline(MAX_REQUEST_LINE_BYTES + 1)

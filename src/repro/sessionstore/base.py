@@ -44,9 +44,17 @@ from repro.obs import get_metrics, get_tracer
 _NO_SPAN = contextlib.nullcontext()
 
 
+#: Compact separators, keys in the order ``to_dict`` gives them.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_state(state: SessionState) -> str:
-    """Serialize a session record to its canonical JSON text."""
-    return json.dumps(state.to_dict(), sort_keys=True, separators=(",", ":"))
+    """Serialize a session record to its canonical JSON text.
+
+    Canonical means compact and sorted-key; the order is
+    :meth:`SessionState.to_dict`'s, nothing is sorted here.
+    """
+    return _encode_json(state.to_dict())
 
 
 def decode_state(text: str) -> SessionState:

@@ -6,10 +6,16 @@ journaling lets readers proceed while a writer commits, and a generous
 instead of failing; every statement runs in autocommit so no worker
 ever holds a long transaction.
 
-Connections are per-thread *and* per-process (keyed by pid), created
-lazily — so a store object may be constructed before a fork and used
-by process-pool workers, each of which transparently opens its own
-connection to the shared database file.  Pickling ships only the path.
+Connections are pooled per process: an operation takes one from a
+last-in-first-out free-list (opening one only when the list is empty)
+and puts it back when done, so the store holds as many connections as
+it ever had operations in flight at once — not one per thread that ever
+touched it, which leaks a file descriptor per short-lived thread (the
+TCP front runs ops on its per-connection handler threads).  The list is
+keyed by pid: a store object may be constructed before a fork and used
+by process-pool workers, each of which starts with an empty list and
+transparently opens its own connections to the shared database file.
+Pickling ships only the path.
 """
 
 from __future__ import annotations
@@ -35,7 +41,14 @@ CREATE INDEX IF NOT EXISTS qd_sessions_updated
 
 
 class SQLiteSessionStore(SessionStore):
-    """Session records in one SQLite file (WAL, concurrent-worker safe)."""
+    """Session records in one SQLite file (WAL, concurrent-worker safe).
+
+    Safe to share between threads and across a fork: every operation
+    borrows a connection from the process's free-list for as long as
+    its statement (or, for a sweep, its transaction) runs, so the store
+    holds as many connections as it ever had operations in flight at
+    once, and :meth:`close` closes them all.
+    """
 
     kind = "sqlite"
 
@@ -44,24 +57,36 @@ class SQLiteSessionStore(SessionStore):
     ) -> None:
         self._path = str(path)
         self._busy_timeout_s = float(busy_timeout_s)
-        self._local = threading.local()
+        #: Idle connections of process ``_pid`` (a stack) and every
+        #: connection this object opened or inherited, for ``close``.
+        self._free: List[sqlite3.Connection] = []
         self._conns: List[sqlite3.Connection] = []
+        self._pid = os.getpid()
         self._conns_lock = threading.Lock()
         self._closed = False
         # Create the schema eagerly so a bad path fails at construction,
         # not at the first checkpoint.
-        self._conn()
+        self._release(self._acquire())
 
     # -- connection management -----------------------------------------
-    def _conn(self) -> sqlite3.Connection:
+    def _acquire(self) -> sqlite3.Connection:
+        """Take an idle connection (the caller owns it) or open one."""
         if self._closed:
             raise SessionStoreError(
                 f"sqlite session store {self._path} is closed"
             )
         pid = os.getpid()
-        conn = getattr(self._local, "conn", None)
-        if conn is not None and getattr(self._local, "pid", None) == pid:
-            return conn
+        if self._pid != pid:
+            # Forked: the parent's connections stay the parent's (kept
+            # referenced in ``_conns``, never handed out here), and its
+            # lock may have been copied while held.
+            self._free = []
+            self._conns_lock = threading.Lock()
+            self._pid = pid
+        try:
+            return self._free.pop()
+        except IndexError:
+            pass
         try:
             conn = sqlite3.connect(
                 self._path,
@@ -79,18 +104,20 @@ class SQLiteSessionStore(SessionStore):
             raise SessionStoreError(
                 f"cannot open sqlite session store {self._path}: {exc}"
             ) from exc
-        self._local.conn = conn
-        self._local.pid = pid
         with self._conns_lock:
             self._conns.append(conn)
         return conn
+
+    def _release(self, conn: sqlite3.Connection) -> None:
+        self._free.append(conn)
 
     # -- primitives ----------------------------------------------------
     def _put(
         self, session_id: str, payload: str, updated_unix: float
     ) -> None:
+        conn = self._acquire()
         try:
-            self._conn().execute(
+            conn.execute(
                 "INSERT INTO qd_sessions (session_id, updated_unix, payload)"
                 " VALUES (?, ?, ?)"
                 " ON CONFLICT(session_id) DO UPDATE SET"
@@ -102,48 +129,67 @@ class SQLiteSessionStore(SessionStore):
             raise SessionStoreError(
                 f"sqlite checkpoint of {session_id!r} failed: {exc}"
             ) from exc
+        finally:
+            self._release(conn)
 
     def _get(self, session_id: str) -> Optional[str]:
-        row = self._conn().execute(
-            "SELECT payload FROM qd_sessions WHERE session_id = ?",
-            (session_id,),
-        ).fetchone()
+        conn = self._acquire()
+        try:
+            row = conn.execute(
+                "SELECT payload FROM qd_sessions WHERE session_id = ?",
+                (session_id,),
+            ).fetchone()
+        finally:
+            self._release(conn)
         return row[0] if row is not None else None
 
     def _delete(self, session_id: str) -> bool:
-        cursor = self._conn().execute(
-            "DELETE FROM qd_sessions WHERE session_id = ?", (session_id,)
-        )
+        conn = self._acquire()
+        try:
+            cursor = conn.execute(
+                "DELETE FROM qd_sessions WHERE session_id = ?",
+                (session_id,),
+            )
+        finally:
+            self._release(conn)
         return cursor.rowcount > 0
 
     def _list_ids(self) -> List[str]:
-        rows = self._conn().execute(
-            "SELECT session_id FROM qd_sessions"
-        ).fetchall()
+        conn = self._acquire()
+        try:
+            rows = conn.execute(
+                "SELECT session_id FROM qd_sessions"
+            ).fetchall()
+        finally:
+            self._release(conn)
         return [row[0] for row in rows]
 
     def _sweep(self, cutoff_unix: float) -> List[str]:
-        conn = self._conn()
-        # BEGIN IMMEDIATE serializes concurrent sweepers so two workers
-        # never both report having deleted the same session.
-        conn.execute("BEGIN IMMEDIATE")
+        # One connection for the whole transaction.  BEGIN IMMEDIATE
+        # serializes concurrent sweepers so two workers never both
+        # report having deleted the same session.
+        conn = self._acquire()
         try:
-            swept = [
-                row[0]
-                for row in conn.execute(
-                    "SELECT session_id FROM qd_sessions"
-                    " WHERE updated_unix < ?",
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                swept = [
+                    row[0]
+                    for row in conn.execute(
+                        "SELECT session_id FROM qd_sessions"
+                        " WHERE updated_unix < ?",
+                        (cutoff_unix,),
+                    )
+                ]
+                conn.execute(
+                    "DELETE FROM qd_sessions WHERE updated_unix < ?",
                     (cutoff_unix,),
                 )
-            ]
-            conn.execute(
-                "DELETE FROM qd_sessions WHERE updated_unix < ?",
-                (cutoff_unix,),
-            )
-            conn.execute("COMMIT")
-        except sqlite3.Error:
-            conn.execute("ROLLBACK")
-            raise
+                conn.execute("COMMIT")
+            except sqlite3.Error:
+                conn.execute("ROLLBACK")
+                raise
+        finally:
+            self._release(conn)
         return swept
 
     # -- lifecycle -----------------------------------------------------

@@ -23,6 +23,24 @@ class TestSubQuery:
         assert len(after) == len(before) - 1
         assert before[0] not in after
 
+    def test_show_edits_the_unseen_list_in_step_with_shown(self, rfs):
+        reps = rfs.root.representatives
+        sub = SubQuery(node=rfs.root)
+        assert sub.has_unseen
+        assert sub.show([0, 2, 5]) == [reps[0], reps[2], reps[5]]
+        assert sub.shown == {reps[0], reps[2], reps[5]}
+        # positions index what is still unseen, not the node's list
+        assert sub.show([0]) == [reps[1]]
+        assert sub.unseen_representatives() == [
+            r for r in reps if r not in sub.shown
+        ]
+        # a mark from outside show() is noticed too
+        sub.shown.add(reps[3])
+        assert reps[3] not in sub.unseen_representatives()
+        rest = sub.show(range(len(sub.unseen_representatives())))
+        assert sub.shown == set(reps) and rest == sorted(rest)
+        assert not sub.has_unseen and sub.unseen_representatives() == []
+
     def test_query_matrix(self, rfs):
         sub = SubQuery(node=rfs.root)
         sub.marked.update([3, 1, 2])

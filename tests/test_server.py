@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
+import sys
 import threading
 import time
 
@@ -435,3 +437,325 @@ class TestTCPServer:
             assert isinstance(response["retriable"], bool)
         finally:
             sock.close()
+
+
+# ----------------------------------------------------------------------
+# Admission on the in-line path: request() runs on the calling thread
+# when a slot is free and nothing is queued
+# ----------------------------------------------------------------------
+class _SlotProbe:
+    """Front-end stand-in that reports who is inside ``handle``.
+
+    ``entered`` is released once per entry (so a test can wait for "N
+    requests are executing" without sleeping), ``gate`` holds them
+    there, ``served`` logs ``(tag, thread name)`` in execution order.
+    """
+
+    gate = threading.Event()
+    entered = threading.Semaphore(0)
+    lock = threading.Lock()
+    inside = 0
+    peak = 0
+    served: list = []
+
+    @classmethod
+    def reset(cls):
+        cls.gate = threading.Event()
+        cls.entered = threading.Semaphore(0)
+        cls.lock = threading.Lock()
+        cls.inside = cls.peak = 0
+        cls.served = []
+
+    def __init__(self, engine, worker_id=""):
+        del engine, worker_id
+
+    def handle(self, op, **kwargs):
+        cls = type(self)
+        with cls.lock:
+            cls.inside += 1
+            cls.peak = max(cls.peak, cls.inside)
+            cls.served.append(
+                (kwargs.get("session_id"), threading.current_thread().name)
+            )
+        cls.entered.release()
+        try:
+            assert cls.gate.wait(timeout=10.0)
+        finally:
+            with cls.lock:
+                cls.inside -= 1
+        return FrontEndResult(ok=True, value=op)
+
+
+def _probe_server(engine, monkeypatch, **config):
+    _SlotProbe.reset()
+    monkeypatch.setattr("repro.serve.server.SessionFrontEnd", _SlotProbe)
+    return QDServer(engine, ServeConfig(drain_timeout_s=0.2, **config))
+
+
+def _in_thread(results, key, fn, *args, **kwargs):
+    def run():
+        results[key] = fn(*args, **kwargs)
+
+    thread = threading.Thread(target=run, name=f"caller-{key}")
+    thread.start()
+    return thread
+
+
+def _await(predicate, what):
+    deadline = time.monotonic() + 5.0
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.001)
+
+
+class TestInlineAdmission:
+    def test_free_slot_serves_on_the_calling_thread(
+        self, engine, monkeypatch
+    ):
+        server = _probe_server(engine, monkeypatch, workers=2)
+        _SlotProbe.gate.set()
+        try:
+            me = threading.current_thread().name
+            for n in range(5):
+                response = server.request("display", session_id=n)
+                assert response.ok and response.service_s > 0.0
+            assert [name for _, name in _SlotProbe.served] == [me] * 5
+            # submit() always goes through the queue and a worker.
+            assert server.submit("display", session_id="q").result(5.0).ok
+            assert _SlotProbe.served[-1][1].startswith("qd-server-")
+        finally:
+            server.close()
+
+    def test_never_more_than_workers_inside_handle(
+        self, engine, monkeypatch
+    ):
+        server = _probe_server(engine, monkeypatch, workers=2, queue_limit=16)
+        results: dict = {}
+        try:
+            threads = [
+                _in_thread(results, n, server.request, "display", session_id=n)
+                for n in range(6)
+            ]
+            # Two got a slot and run on their own threads; the other
+            # four wait in the queue for a slot, not inside handle.
+            for _ in range(2):
+                assert _SlotProbe.entered.acquire(timeout=5.0)
+            _await(lambda: server.queue_depth == 4, "four queued requests")
+            assert _SlotProbe.inside == 2
+            assert not _SlotProbe.entered.acquire(timeout=0.05)
+            _SlotProbe.gate.set()
+            for thread in threads:
+                thread.join(5.0)
+            assert all(results[n].ok for n in range(6))
+            # Ungated churn: callers and workers together, same bound.
+            churn = [
+                threading.Thread(
+                    target=lambda: [
+                        server.request("display", session_id="c")
+                        for _ in range(40)
+                    ]
+                )
+                for _ in range(6)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # switch threads mid-admission
+            try:
+                for thread in churn:
+                    thread.start()
+                for thread in churn:
+                    thread.join(30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in churn)
+            assert _SlotProbe.peak == 2
+            by_kind = {name.split("-")[0] for _, name in _SlotProbe.served}
+            assert "caller" in by_kind  # in-line executions were counted
+            assert server.stats["completed"] == 6 + 6 * 40
+        finally:
+            _SlotProbe.gate.set()
+            server.close()
+
+    def test_busy_server_queues_sheds_and_expires(self, engine, monkeypatch):
+        server = _probe_server(engine, monkeypatch, workers=1, queue_limit=2)
+        results: dict = {}
+        try:
+            holder = _in_thread(
+                results, "held", server.request, "display", session_id="held"
+            )
+            assert _SlotProbe.entered.acquire(timeout=5.0)
+            # The only slot is taken in-line: the next two wait, one
+            # of them on a deadline it cannot meet.
+            doomed = _in_thread(
+                results, "doomed", server.request, "display",
+                session_id="doomed", deadline_s=0.005,
+            )
+            _await(lambda: server.queue_depth == 1, "the doomed waiter")
+            waiter = _in_thread(
+                results, "waiter", server.request, "display",
+                session_id="waiter",
+            )
+            _await(lambda: server.queue_depth == 2, "a full queue")
+            # queue_limit + 1: refused at once, on the calling thread.
+            shed = server.request("display", session_id="shed")
+            assert shed.status == "shed" and shed.retriable
+            assert "queue_full" in shed.error
+            expired_at = time.monotonic() + 0.01
+            _await(lambda: time.monotonic() > expired_at, "the deadline")
+            _SlotProbe.gate.set()
+            for thread in (holder, doomed, waiter):
+                thread.join(5.0)
+            assert results["held"].ok and results["waiter"].ok
+            assert results["waiter"].queue_wait_s > 0.0
+            assert results["doomed"].status == "deadline_expired"
+            assert results["doomed"].retriable
+            assert results["doomed"].queue_wait_s > 0.0
+            assert [tag for tag, _ in _SlotProbe.served] == ["held", "waiter"]
+            assert server.stats == {
+                "submitted": 4, "admitted": 3, "shed": 1,
+                "expired": 1, "completed": 2,
+            }
+        finally:
+            _SlotProbe.gate.set()
+            server.close()
+
+    def test_queued_submit_is_served_before_a_later_request(
+        self, engine, monkeypatch
+    ):
+        server = _probe_server(engine, monkeypatch, workers=1)
+        results: dict = {}
+        try:
+            holder = _in_thread(
+                results, "first", server.request, "display", session_id="first"
+            )
+            assert _SlotProbe.entered.acquire(timeout=5.0)
+            future = server.submit("display", session_id="second")
+            later = _in_thread(
+                results, "third", server.request, "display", session_id="third"
+            )
+            _await(lambda: server.queue_depth == 2, "both to queue")
+            _SlotProbe.gate.set()
+            assert future.result(5.0).ok
+            for thread in (holder, later):
+                thread.join(5.0)
+            assert [tag for tag, _ in _SlotProbe.served] == [
+                "first", "second", "third"
+            ]
+        finally:
+            _SlotProbe.gate.set()
+            server.close()
+
+    def test_drain_waits_for_inline_work(self, engine, monkeypatch):
+        server = _probe_server(engine, monkeypatch, workers=2)
+        results: dict = {}
+        holder = _in_thread(
+            results, "held", server.request, "display", session_id="held"
+        )
+        assert _SlotProbe.entered.acquire(timeout=5.0)
+        # Nothing is queued, but a request is executing on its caller.
+        assert server.queue_depth == 0
+        assert server.drain(timeout_s=0.05) is False
+        assert server.request("display", session_id="late").status == "shed"
+        _SlotProbe.gate.set()
+        holder.join(5.0)
+        assert results["held"].ok
+        assert server.drain(timeout_s=1.0) is True
+        assert server.close() is True
+
+    def test_stats_are_exact_after_a_mixed_run(self, engine, monkeypatch):
+        server = _probe_server(engine, monkeypatch, workers=2, queue_limit=3)
+        _SlotProbe.gate.set()
+        inline = [server.request("display", session_id=n) for n in range(7)]
+        futures = [server.submit("display", session_id=n) for n in range(3)]
+        assert all(r.ok for r in inline)
+        assert all(f.result(5.0).ok for f in futures)
+        _SlotProbe.reset()  # close the gate again, keep the patched class
+        results: dict = {}
+        holders = [
+            _in_thread(results, n, server.request, "display", session_id=n)
+            for n in range(2)
+        ]
+        for _ in range(2):
+            assert _SlotProbe.entered.acquire(timeout=5.0)
+        queued = [server.submit("display", session_id="q") for _ in range(3)]
+        refused = [server.request("display", session_id="r") for _ in range(2)]
+        assert [r.status for r in refused] == ["shed", "shed"]
+        _SlotProbe.gate.set()
+        for thread in holders:
+            thread.join(5.0)
+        assert all(f.result(5.0).ok for f in queued)
+        assert server.close() is True
+        assert server.stats == {
+            "submitted": 17, "admitted": 15, "shed": 2,
+            "expired": 0, "completed": 15,
+        }
+
+    def test_internal_error_inline_gives_the_slot_back(
+        self, engine, monkeypatch
+    ):
+        calls = []
+
+        def boom(self, op, **kwargs):
+            calls.append(threading.current_thread().name)
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setattr(SessionFrontEnd, "handle", boom)
+        with QDServer(engine, ServeConfig(workers=1)) as server:
+            for _ in range(3):
+                response = server.request("open", seed=1)
+                assert response.status == "internal"
+            assert calls == [threading.current_thread().name] * 3
+
+
+class TestDisconnectedClient:
+    def test_vanished_client_costs_only_its_own_handler(
+        self, engine, monkeypatch
+    ):
+        """A client that sends ``display`` and resets the connection
+        before the reply: the failed write ends that handler quietly
+        and the slot (the only one) keeps serving in-line."""
+        _SlotProbe.reset()
+        monkeypatch.setattr("repro.serve.server.SessionFrontEnd", _SlotProbe)
+        core = QDServer(engine, ServeConfig(workers=1))
+        tcp = serve_tcp(core, "127.0.0.1", 0, background=True)
+        errors = []
+        monkeypatch.setattr(
+            tcp, "handle_error", lambda *args: errors.append(args)
+        )
+        try:
+            sock = socket.create_connection(tcp.server_address[:2], timeout=5.0)
+            sock.sendall(b'{"op": "display", "session_id": "gone"}\n')
+            assert _SlotProbe.entered.acquire(timeout=5.0)
+            # linger 0: close() sends a reset, so the reply has no
+            # reader and the write fails
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER,
+                struct.pack("ii", 1, 0),
+            )
+            sock.close()
+            _SlotProbe.gate.set()
+            _await(lambda: _SlotProbe.inside == 0, "the orphaned op")
+            survivor = socket.create_connection(
+                tcp.server_address[:2], timeout=5.0
+            )
+            stream = survivor.makefile("rw", encoding="utf-8")
+            try:
+                for n in range(3):
+                    stream.write(
+                        json.dumps({"op": "display", "session_id": f"s{n}"})
+                        + "\n"
+                    )
+                    stream.flush()
+                    assert json.loads(stream.readline())["status"] == "ok"
+            finally:
+                survivor.close()
+            served = dict(_SlotProbe.served)
+            assert set(served) == {"gone", "s0", "s1", "s2"}
+            # all four ran on TCP handler threads, none on the worker
+            assert not any(
+                name.startswith("qd-server-") for name in served.values()
+            )
+            assert errors == []
+            assert core.stats["completed"] == 4
+        finally:
+            _SlotProbe.gate.set()
+            tcp.close()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -19,7 +20,10 @@ import sys
 import threading
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import QDConfig
 from repro.core.clientserver import SessionFrontEnd
@@ -910,3 +914,353 @@ class TestSubmitAtomicity:
                 resumed.submit([10**9])
             resumed.submit(_mark_fn(rendered_db.labels)(shown))
             assert resumed.round == 1
+
+
+# ---------------------------------------------------------------------------
+# Record and screen equivalence with the commit before the one-pass
+# checkpoint (ISSUE 20): same stored text, same screens
+# ---------------------------------------------------------------------------
+#: A ``state_format`` 1 record as commit f821c54 wrote it: the ``rfs``
+#: fixture's tree, seed 11, suspended mid-round 2 with a live screen.
+PARENT_RECORD = (
+    '{"active":[{"marked":[606],"node_id":4,"shown":[592,600,606,61'
+    '2]},{"marked":[367],"node_id":24,"shown":[346,352,359,367]},{"'
+    'marked":[474],"node_id":28,"shown":[470,474,478,491]},{"marked'
+    '":[50],"node_id":32,"shown":[35,39,41,50]},{"marked":[50,367,4'
+    '74,606],"node_id":36,"shown":[50,74,126,127,142,152,163,188,19'
+    '7,207,227,329,367,382,402,403,434,458,474,478,494,534,574,592,'
+    '606,646,682,751,765,782,790,793,902,928,990,1003,1011,1062,109'
+    '5,1141,1144,1153]}],"awaiting_feedback":true,"config_fingerpri'
+    'nt":"4758d6f7361288ee","created_unix":1790869641.5278964,"disp'
+    'lay_owner":{"1011":36,"1095":36,"1153":36,"127":36,"152":36,"1'
+    '88":36,"197":36,"207":36,"227":36,"329":36,"346":24,"35":32,"3'
+    '52":24,"359":24,"367":24,"39":32,"402":36,"41":32,"458":36,"47'
+    '0":28,"474":28,"478":28,"491":28,"50":32,"534":36,"574":36,"59'
+    '2":4,"600":4,"606":4,"612":4,"646":36,"74":36,"765":36,"790":3'
+    '6,"793":36,"928":36,"990":36},"extra":{},"finalized":false,"ma'
+    'rked":[50,367,474,606],"rng_state":{"bit_generator":"PCG64","h'
+    'as_uint32":0,"state":{"inc":7937318808080196428804369945471644'
+    '491,"state":4545392720925501264191286768729729221},"uinteger":'
+    '234797535},"round":2,"session_id":"written-by-parent","state_f'
+    'ormat":1,"structure_version":0,"updated_unix":1790869641.52815'
+    '6}'
+)
+#: How f821c54 continued that session without suspending it: submit the
+#: screen's last three ids, display one screen, mark by
+#: ``_scripted_marks``, finalize 20.
+PARENT_NEXT_SCREEN = [
+    1144, 1153, 1164, 1167, 1080, 1094, 1095, 1104, 995, 1003, 1007,
+    1011, 0, 173, 211, 254, 280, 287, 333, 346, 404, 628, 710, 716, 723,
+    833, 852, 941, 975, 1185,
+]
+PARENT_FINAL_IDS = [
+    50, 46, 367, 366, 1095, 1080, 1082, 0, 16, 474, 477, 606, 598, 995,
+    1011, 1005, 1145, 1144, 1153, 1155,
+]
+PARENT_RANKING_DIGEST = "5bdbdd2ab0d2"
+#: ``_digest`` of the three screens of seeds 0..49 on f821c54.
+PARENT_SCREEN_DIGESTS = """
+    a26de0a6f9c6 4e3ff7a2036e 60a436f9f618 0fab6b85729d faee117a54f0
+    4c117adadeb8 56dc24f946c3 03460a8dd5f5 012a9efdf65e b819873b1e9a
+    80661cfa0b35 a79b9ac9aca1 7d4405c134cb 2aa2671dc1ba cf14947a1592
+    a2eaf37fceb9 7dcc3687cc7d 834fd63c8c94 788f25289fcb f73444edb61d
+    e89df719a74d a81999b5d949 3ae776279b6c da920fd26068 c81fdd653846
+    224c5cb1ac32 bc2795ccba4f 29fc3b849479 9b05dbbae92a 97ab45f8ee20
+    c6093c87ee26 4791d955527c 79a9797ce1d9 2ce25dca2b5d 17710ebf1e1d
+    7afb7b153eb2 d2dd41ffeb91 561a6e5fdff4 7911357c4b4b f69e38036996
+    75d554c392a0 97c707959701 d33053fe90d7 75fd093432f3 e4c12f60c437
+    af85ecb9ccf7 4a7d065967fc 2081bed60963 f8906afd4542 e520c85a515a
+""".split()
+
+
+def _scripted_marks(shown, seed):
+    return shown[:: 3 + seed % 5][: seed % 7]
+
+
+def _digest(obj):
+    return hashlib.blake2b(
+        json.dumps(obj).encode(), digest_size=6
+    ).hexdigest()
+
+
+def _filtered_unseen(sub):
+    """What ``SubQuery.unseen_representatives`` used to compute."""
+    return [r for r in sub.node.representatives if r not in sub.shown]
+
+
+def _assert_unseen_consistent(session):
+    for sub in session._active.values():
+        expected = _filtered_unseen(sub)
+        assert sub.has_unseen == bool(expected)
+        assert sub.unseen_representatives() == expected
+
+
+class TestRecordEquivalence:
+    def test_screens_equal_the_parent_commits(self, rfs):
+        digests = []
+        for seed in range(50):
+            session = FeedbackSession(rfs, QDConfig(), seed=seed)
+            screens = []
+            for _ in range(3):
+                shown = session.display(screens=1 + seed % 2)
+                screens.append(shown)
+                session.submit(_scripted_marks(shown, seed))
+                _assert_unseen_consistent(session)
+            digests.append(_digest(screens))
+        assert digests == PARENT_SCREEN_DIGESTS
+
+    def test_parent_written_record_resumes_bit_identically(self, rfs):
+        state = decode_state(PARENT_RECORD)
+        assert state.awaiting_feedback and state.display_owner
+        # Our encoder writes that state as the very same text.
+        assert encode_state(state) == PARENT_RECORD
+        session = FeedbackSession.restore(rfs, state, config=QDConfig())
+        _assert_unseen_consistent(session)
+        screen = sorted(state.display_owner, key=_screen_order(state))
+        session.submit(screen[-3:])
+        shown = session.display(screens=1)
+        assert shown == PARENT_NEXT_SCREEN
+        session.submit(_scripted_marks(shown, 11))
+        result = session.finalize(20)
+        ranking = [
+            [g.leaf_node_id, [[i.item_id, i.score] for i in g.items]]
+            for g in result.groups
+        ]
+        final_ids = [i for _, items in ranking for i, _ in items]
+        assert final_ids == PARENT_FINAL_IDS
+        assert _digest(ranking) == PARENT_RANKING_DIGEST
+
+    def test_submit_clears_the_spent_screen(self, rfs):
+        store = InMemorySessionStore()
+        session = FeedbackSession(rfs, QDConfig(), seed=SEED, store=store)
+        shown = session.display(screens=SCREENS)
+        mid_round = json.loads(session.checkpoint())
+        assert sorted(map(int, mid_round["display_owner"])) == sorted(shown)
+        session.submit(shown[:3])
+        after = json.loads(store.read_payload(session.session_id))
+        assert after["display_owner"] == {}
+        assert after["state_format"] == STATE_FORMAT_VERSION == 1
+        # Apart from the emptied screen (and the stamp) it is the
+        # record the parent wrote: nothing else reads the map.
+        assert len(store.read_payload(session.session_id)) < len(
+            json.dumps(mid_round, separators=(",", ":"))
+        )
+        with pytest.raises(SessionStateError, match="display"):
+            session.submit(shown[:1])
+
+    @given(
+        rounds=st.lists(
+            st.tuples(
+                st.integers(1, 4),  # screens
+                st.integers(0, 6),  # marks
+                st.integers(0, 2**16),  # which ones
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=st.integers(0, 10_000),
+        suspend_at=st.integers(0, 7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_encoded_text_is_canonical_and_round_trips(
+        self, rfs, rounds, seed, suspend_at
+    ):
+        """Random dialogues, suspended after any op: the text is what
+        ``sort_keys`` would have produced, decodes to the captured
+        record, and the resumed session shows the twin's screens."""
+        twin = FeedbackSession(rfs, QDConfig(), seed=seed)
+        session = FeedbackSession(rfs, QDConfig(), seed=seed)
+        n_ops = 0
+
+        def after_op():
+            nonlocal session, n_ops
+            state = session.capture()
+            text = encode_state(state)
+            assert text == json.dumps(
+                json.loads(text), sort_keys=True, separators=(",", ":")
+            )
+            assert decode_state(text) == state
+            assert encode_state(decode_state(text)) == text
+            _assert_unseen_consistent(session)
+            if n_ops == suspend_at:
+                session = FeedbackSession.restore(
+                    rfs, decode_state(text), config=QDConfig()
+                )
+                _assert_unseen_consistent(session)
+            n_ops += 1
+
+        for screens, n_marks, pick_seed in rounds:
+            shown = session.display(screens=screens)
+            assert shown == twin.display(screens=screens)
+            after_op()
+            picks = np.random.default_rng(pick_seed).permutation(
+                len(shown)
+            )[:n_marks]
+            marks = [shown[int(i)] for i in picks]
+            session.submit(marks)
+            twin.submit(marks)
+            after_op()
+            assert session.active_node_ids == twin.active_node_ids
+
+
+def _screen_order(state):
+    """Sort key restoring a record's screen to display order.
+
+    A screen lists its nodes ascending and each node's ids ascending.
+    """
+    return lambda image_id: (state.display_owner[image_id], image_id)
+
+
+# ---------------------------------------------------------------------------
+# SQLite connections: a free-list per process, not one per thread
+# ---------------------------------------------------------------------------
+def _open_fds_under(path) -> int:
+    prefix = str(path)
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith(prefix)
+        except OSError:
+            pass  # closed while listing
+    return count
+
+
+class TestSQLiteConnections:
+    @pytest.fixture()
+    def state(self, rfs):
+        session = FeedbackSession(rfs, QDConfig(), seed=SEED)
+        session.submit(session.display()[:2])
+        return session.capture()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc"
+    )
+    def test_short_lived_threads_do_not_leak_connections(
+        self, state, tmp_path
+    ):
+        path = tmp_path / "leak.db"
+        with SQLiteSessionStore(path) as store:
+            store.put(state)
+            one_connection = _open_fds_under(path)
+            assert len(store._conns) == 1 and one_connection >= 1
+            failures = []
+
+            def op(n):
+                try:
+                    mine = dataclasses.replace(state, session_id=f"t{n}")
+                    text = store.put(mine)
+                    assert store.read_payload(mine.session_id) == text
+                except Exception as exc:  # pragma: no cover - failure path
+                    failures.append(exc)
+
+            for n in range(200):
+                thread = threading.Thread(target=op, args=(n,))
+                thread.start()
+                thread.join(30)
+            assert failures == []
+            assert len(store) == 201
+            assert len(store._conns) <= 2
+            assert _open_fds_under(path) <= 2 * one_connection
+
+    def test_concurrent_threads_each_get_a_connection(self, state, tmp_path):
+        with SQLiteSessionStore(tmp_path / "busy.db") as store:
+            barrier = threading.Barrier(8)
+            failures = []
+
+            def worker(n):
+                try:
+                    barrier.wait(timeout=30)
+                    for i in range(25):
+                        mine = dataclasses.replace(
+                            state, session_id=f"w{n}-{i}"
+                        )
+                        text = store.put(mine)
+                        assert store.read_payload(mine.session_id) == text
+                        assert store.get(mine.session_id) == mine
+                except Exception as exc:  # pragma: no cover - failure path
+                    failures.append(exc)
+
+            threads = [
+                threading.Thread(target=worker, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert failures == []
+            assert len(store) == 8 * 25
+            # as many as were ever in use at once, all idle again
+            assert 1 <= len(store._conns) <= 8
+            assert sorted(map(id, store._free)) == sorted(
+                map(id, store._conns)
+            )
+
+    def test_sweep_keeps_one_connection_for_its_transaction(
+        self, state, tmp_path
+    ):
+        with SQLiteSessionStore(tmp_path / "sweep.db") as store:
+            store.put(dataclasses.replace(state, updated_unix=1.0))
+            log = []
+
+            class Recording:
+                def __init__(self, conn):
+                    self.conn = conn
+
+                def execute(self, sql, *args):
+                    log.append(sql.split()[0])
+                    return self.conn.execute(sql, *args)
+
+            acquire, release = store._acquire, store._release
+
+            def recording_acquire():
+                log.append("acquire")
+                return Recording(acquire())
+
+            def recording_release(conn):
+                log.append("release")
+                assert not conn.conn.in_transaction
+                release(conn.conn)
+
+            store._acquire = recording_acquire
+            store._release = recording_release
+            assert store.sweep_expired(10.0, now=100.0) == [state.session_id]
+            assert log == [
+                "acquire", "BEGIN", "SELECT", "DELETE", "COMMIT", "release"
+            ]
+            del store._acquire, store._release
+            assert len(store) == 0
+
+    def test_forked_child_starts_with_an_empty_free_list(
+        self, state, tmp_path, monkeypatch
+    ):
+        from repro.sessionstore import sqlite as sqlite_module
+
+        with SQLiteSessionStore(tmp_path / "fork.db") as store:
+            store.put(state)
+            (inherited,) = store._free
+            child_pid = store._pid + 1
+            monkeypatch.setattr(
+                sqlite_module.os, "getpid", lambda: child_pid
+            )
+            # as the child sees it: nothing idle, the parent's
+            # connection is never handed out
+            assert store.read_payload(state.session_id) is not None
+            (own,) = store._free
+            assert own is not inherited
+            assert store._conns == [inherited, own]
+            assert store._pid == child_pid
+
+    def test_pickling_ships_only_the_path(self, state, tmp_path):
+        import pickle
+
+        path = tmp_path / "pickled.db"
+        with SQLiteSessionStore(path, busy_timeout_s=7.0) as store:
+            store.put(state)
+            assert store.__getstate__() == {
+                "_path": str(path), "_busy_timeout_s": 7.0
+            }
+            with pickle.loads(pickle.dumps(store)) as clone:
+                assert clone.get(state.session_id) == state
+                assert clone._conns and not set(
+                    map(id, clone._conns)
+                ) & set(map(id, store._conns))
