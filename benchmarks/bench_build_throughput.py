@@ -1,22 +1,25 @@
-"""Perf — parallel, vectorized offline RFS build pipeline.
+"""Perf — the offline RFS build: CPU of the serial build, and the
+thread executor's overlap of simulated page reads.
 
-Models the offline index build at the paper's scale (15,000 images)
-with the I/O model charging a per-page device latency, the way a build
-over a disk-resident feature set would pay for reading each node's
-members.  Three timed legs build the *identical* structure:
+Models the offline index build at the paper's scale (15,000 images).
+Two questions, kept apart because they have different answers:
 
-* **serial naive** — the pre-optimisation baseline: the original
-  per-cluster Lloyd's loops restored via the retained ``_assign_naive``
-  / ``_lloyd_update_naive`` reference kernels,
-* **serial vectorized** — the scatter-add / blocked-distance kernels
-  on one worker,
-* **thread x N** — the vectorized kernels with representative
-  selection and bulk-load bisection fanned out over the build executor,
-  overlapping each node's simulated page reads.
+* **What does the build cost in CPU?**  ``serial_cpu_s`` — process CPU
+  seconds of ``RFSStructure.build`` on one worker at **zero** device
+  latency, median of five.  This is what a ``serve`` start and an inline
+  compaction pay, and the number a change to the build kernels moves
+  (the 2-means bisect, k-means++ seeding, Lloyd, nearest-candidate
+  search).  A serial leg that charges 15 ms per page cannot show it:
+  it is sleep-dominated.
+* **What does the thread executor overlap?**  ``thread_speedup`` — wall
+  time of the serial build over the thread x N build, both with the I/O
+  model charging a per-page device latency, the way a build over a
+  disk-resident feature set would pay for reading each node's members.
+  The gain is overlapped *sleep*; it says nothing about CPU.
 
-A fourth (untimed) leg builds with the process executor and checks
-parity only.  Every leg must produce a bit-identical structure — same
-node ids, members, boxes, and representatives — which is the build
+A last (untimed) leg builds with the process executor and checks parity
+only.  Every leg must produce a bit-identical structure — same node
+ids, members, boxes, and representatives — which is the build
 pipeline's core contract.
 
 Runs two ways:
@@ -28,17 +31,18 @@ Runs two ways:
 
 ``QD_BENCH_TINY=1`` (or ``--tiny``) shrinks the workload for CI.
 
-Acceptance (ISSUE): >= 2.5x build throughput at 4 workers vs the
-serial pre-PR baseline at full scale (the tiny smoke asserts a relaxed
->= 1.2x), with the parallel build bit-identical to the serial one.
+Acceptance: >= 2.5x build throughput at 4 workers vs the serial build
+under page latency at full scale (the tiny smoke asserts a relaxed
+>= 1.2x), with the parallel builds bit-identical to the serial one;
+``serial_cpu_s`` is gated against the committed baseline by
+``scripts/bench_compare.py``.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
-from importlib import import_module
-from unittest import mock
 
 from _harness import TINY_ENV, emit, tiny_arg_parser
 from repro.config import BuildConfig, RFSConfig
@@ -47,28 +51,22 @@ from repro.datasets.build import build_synthetic_database
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import RFSStructure
 
-# The clustering package re-exports the ``kmeans`` *function*, which
-# shadows the submodule attribute; fetch the modules themselves to
-# patch their kernels.
-kmeans_mod = import_module("repro.clustering.kmeans")
-rfs_mod = import_module("repro.index.rfs")
-
 TINY = os.environ.get("QD_BENCH_TINY") == "1"
 SEED = 2006
 WORKERS = 4
 #: Simulated device latency per page read, charged to every node's
-#: member fetch during representative selection on all timed legs
+#: member fetch during representative selection on both wall-time legs
 #: alike.  A random page read on the paper's 2006-era disks costs the
 #: average seek (~9 ms) plus half a rotation (~4 ms at 7200 rpm).
 PAGE_LATENCY_S = 0.015
+#: Zero-latency serial builds behind ``serial_cpu_s`` (median reported).
+CPU_REPEATS = 5
 
 
 def _params(tiny: bool) -> dict:
     if tiny:
-        return dict(n_images=2_000, n_categories=30, min_speedup=1.2,
-                    kmeans_k=200, min_kernel_speedup=1.15)
-    return dict(n_images=15_000, n_categories=150, min_speedup=2.5,
-                kmeans_k=150, min_kernel_speedup=1.3)
+        return dict(n_images=2_000, n_categories=30, min_speedup=1.2)
+    return dict(n_images=15_000, n_categories=150, min_speedup=2.5)
 
 
 def _signature(rfs: RFSStructure) -> list:
@@ -99,6 +97,13 @@ def _timed_build(features, build_cfg: BuildConfig):
     return time.perf_counter() - start, rfs
 
 
+def _cpu_build(features) -> float:
+    """Process CPU seconds of one serial build, no simulated latency."""
+    start = time.process_time()
+    RFSStructure.build(features, RFSConfig(), seed=SEED)
+    return time.process_time() - start
+
+
 def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
     """Run every measurement; returns (report rows, metrics dict)."""
     p = _params(tiny)
@@ -107,28 +112,18 @@ def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
     )
     features = database.features
 
-    # Pre-PR baseline: restore the naive Lloyd's kernels, serial build.
-    with mock.patch.object(
-        kmeans_mod, "_assign", kmeans_mod._assign_naive
-    ), mock.patch.object(
-        kmeans_mod, "_lloyd_update", kmeans_mod._lloyd_update_naive
-    ), mock.patch.object(
-        rfs_mod,
-        "_nearest_candidates",
-        rfs_mod._nearest_candidates_naive,
-    ):
-        naive_s, naive_rfs = _timed_build(
-            features, BuildConfig(charge_io=True)
-        )
-    baseline_sig = _signature(naive_rfs)
+    # What the build costs in CPU: no latency, one worker.  The first
+    # build pays the lazy imports, so it is run and not counted.
+    _cpu_build(features)
+    cpu_s = [_cpu_build(features) for _ in range(CPU_REPEATS)]
 
-    # Vectorized kernels, still one worker.
+    # One worker under page latency: the thread leg's baseline.
     serial_s, serial_rfs = _timed_build(
         features, BuildConfig(charge_io=True)
     )
-    assert _signature(serial_rfs) == baseline_sig
+    baseline_sig = _signature(serial_rfs)
 
-    # Vectorized + the thread build executor overlapping page reads.
+    # The thread build executor overlapping page reads.
     thread_s, thread_rfs = _timed_build(
         features,
         BuildConfig(executor="thread", workers=WORKERS, charge_io=True),
@@ -145,40 +140,25 @@ def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
     )
     assert _signature(process_rfs) == baseline_sig
 
-    # Kernel microbench at the scale the vectorization targets: one
-    # paper-scale clustering call, no I/O model.  (The build's own
-    # kmeans instances are leaf-sized, so the whole-build serial legs
-    # above differ by only a few percent and are sleep-dominated.)
-    kernel_naive_s, kernel_vec_s = _kmeans_kernel_times(
-        features, p["kmeans_k"]
-    )
-
-    vec_speedup = naive_s / serial_s
-    thread_speedup = naive_s / thread_s
-    kernel_speedup = kernel_naive_s / kernel_vec_s
+    thread_speedup = serial_s / thread_s
     scale = "tiny" if tiny else "full"
     rows = [
         f"Build pipeline: {p['n_images']} images, "
         f"{len(serial_rfs.nodes)} nodes, "
         f"{PAGE_LATENCY_S * 1000:.0f} ms/page ({scale})",
-        f"  serial naive         {naive_s * 1000:8.1f} ms   1.00x",
-        f"  serial vectorized    {serial_s * 1000:8.1f} ms   "
-        f"{vec_speedup:.2f}x",
+        f"  serial, 0 ms/page    {statistics.median(cpu_s) * 1000:8.1f} ms"
+        f" CPU   (median of {CPU_REPEATS}, "
+        f"min {min(cpu_s) * 1000:.1f})",
+        f"  serial               {serial_s * 1000:8.1f} ms   1.00x",
         f"  thread x {WORKERS}           {thread_s * 1000:8.1f} ms   "
-        f"{thread_speedup:.2f}x   (bit-identical)",
-        f"  kmeans kernels (k={p['kmeans_k']})   "
-        f"{kernel_naive_s * 1000:6.1f} -> {kernel_vec_s * 1000:.1f} ms   "
-        f"{kernel_speedup:.2f}x   (bit-identical)",
+        f"{thread_speedup:.2f}x   (bit-identical; overlapped sleep)",
     ]
     metrics = {
-        "vec_speedup": vec_speedup,
         "thread_speedup": thread_speedup,
-        "kernel_speedup": kernel_speedup,
-        "naive_s": naive_s,
+        "serial_cpu_s": cpu_s,
         "serial_s": serial_s,
         "thread_s": thread_s,
         "min_speedup": p["min_speedup"],
-        "min_kernel_speedup": p["min_kernel_speedup"],
     }
     return rows, metrics
 
@@ -191,17 +171,13 @@ def _bench_result(tiny: bool, metrics: dict) -> BenchResult:
         "thread_speedup", metrics["thread_speedup"], unit="x",
         higher_is_better=True,
     )
+    # CPU seconds, not wall: the one build number that is about work
+    # done rather than sleep overlapped, so it gates.
     result.record(
-        "kernel_speedup", metrics["kernel_speedup"], unit="x",
-        higher_is_better=True,
+        "serial_cpu_s", metrics["serial_cpu_s"], unit="s",
+        higher_is_better=False, compare=True,
     )
-    # The serial legs are sleep-dominated at bench scale, so their
-    # ratio hovers around 1.0 — informational, never gating.
-    result.record(
-        "vec_speedup", metrics["vec_speedup"], unit="x",
-        higher_is_better=True, compare=False,
-    )
-    for name in ("naive_s", "serial_s", "thread_s"):
+    for name in ("serial_s", "thread_s"):
         result.record(
             name, metrics[name], unit="s", higher_is_better=False,
             compare=False,
@@ -209,33 +185,9 @@ def _bench_result(tiny: bool, metrics: dict) -> BenchResult:
     return result
 
 
-def _kmeans_kernel_times(features, k: int) -> tuple[float, float]:
-    """Best-of-3 naive vs vectorized time of one large clustering."""
-
-    def timed() -> float:
-        start = time.perf_counter()
-        kmeans_mod.kmeans(features, k, seed=7, n_restarts=1, max_iter=15)
-        return time.perf_counter() - start
-
-    vec_s = min(timed() for _ in range(3))
-    with mock.patch.object(
-        kmeans_mod, "_assign", kmeans_mod._assign_naive
-    ), mock.patch.object(
-        kmeans_mod, "_lloyd_update", kmeans_mod._lloyd_update_naive
-    ):
-        naive_s = min(timed() for _ in range(3))
-    return naive_s, vec_s
-
-
 def _check(metrics: dict) -> None:
-    # Acceptance: 4 workers beat the serial pre-PR baseline.
+    # Acceptance: 4 workers beat the serial build under page latency.
     assert metrics["thread_speedup"] >= metrics["min_speedup"]
-    # The vectorized kernels must win clearly at the scale they target.
-    assert metrics["kernel_speedup"] >= metrics["min_kernel_speedup"]
-    # The whole-build serial legs are sleep-dominated (the build's own
-    # kmeans instances are leaf-sized), so only guard against a real
-    # regression, not sleep jitter.
-    assert metrics["vec_speedup"] >= 0.9
 
 
 def test_build_throughput(report, benchmark):
@@ -247,8 +199,8 @@ def test_build_throughput(report, benchmark):
     benchmark.extra_info["thread_speedup"] = round(
         metrics["thread_speedup"], 2
     )
-    benchmark.extra_info["vec_speedup"] = round(
-        metrics["vec_speedup"], 2
+    benchmark.extra_info["serial_cpu_s"] = round(
+        statistics.median(metrics["serial_cpu_s"]), 3
     )
     benchmark.pedantic(
         lambda: None, rounds=1, iterations=1

@@ -124,8 +124,13 @@ run_gate "store roundtrip" tests/test_store.py Roundtrip
 # compaction, or a store swap would silently corrupt rankings.
 run_gate "cache invalidation" tests/test_cache.py Invalidation
 # A parallel offline build must be bit-identical to the serial one —
-# node ids, members, boxes, representatives.
-run_gate "build parity" tests/test_build_parallel.py Parity
+# node ids, members, boxes, representatives — and every build to the
+# structure digests recorded before the build stopped going through the
+# R*-tree's object graph; the same selection holds the build kernels to
+# their reference forms in tests/reference_build.py, so both classes
+# must show up as passed.
+run_gate "build parity" tests/test_build_parallel.py Parity \
+    TestBuildDigestParity TestKernelReferenceParity
 # A session checkpointed after any round and resumed — even by a fresh
 # process — continues bit-identically, for every store backend and
 # executor; the same selection covers the hot copy (a worker may skip

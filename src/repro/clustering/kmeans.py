@@ -20,9 +20,12 @@ Both are **bit-identical** to the naive per-cluster loops they replace
 ``members.mean(axis=0)`` per cluster; the expansion's addition order
 matches the original broadcast form), so the full-batch path reproduces
 the historical results to the last bit — the naive reference
-implementations are kept below for the equivalence tests and the build
-benchmark's pre-optimisation baseline.  An optional mini-batch mode
-(deterministic, per-iteration sampling without replacement) trades
+implementations live with the tests that pin them
+(``tests/reference_build.py``).  A run also stops as soon as it has
+*provably* converged — the labels repeated with no cluster empty, so one
+more iteration could only reproduce the same centroids — and reports
+the iteration count the full loop would have.  An optional mini-batch
+mode (deterministic, per-iteration sampling without replacement) trades
 exactness for throughput on very large inputs.
 """
 
@@ -68,15 +71,44 @@ class KMeansResult:
         return np.bincount(self.labels, minlength=self.k)
 
 
+def sq_distances_into(
+    points: np.ndarray,
+    centre: np.ndarray,
+    scratch: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Squared distance of every row of ``points`` to ``centre``.
+
+    ``np.sum((points - centre) ** 2, axis=1)`` without its two (n, d)
+    temporaries: the same subtract, square and pairwise row sum, in the
+    same order, written into the caller's ``scratch`` (n, d) and ``out``
+    (n,) — so the result is bit-identical to the expression.  The one
+    hot kernel of the offline build (2-means passes and k-means++).
+    """
+    np.subtract(points, centre, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    return np.add.reduce(scratch, axis=1, out=out)
+
+
 def _plus_plus_init(
     data: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """k-means++ (D² weighting) initial centroid selection."""
+    """k-means++ (D² weighting) initial centroid selection.
+
+    Each pick inverts the cumulative distribution at one uniform draw —
+    the sampling ``rng.choice(n, p=probs)`` performs once it has
+    validated ``probs``, so the picks and the generator's state are
+    the ones ``choice`` would give.
+    """
     n = data.shape[0]
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = data[first]
-    closest_sq = np.sum((data - centroids[0]) ** 2, axis=1)
+    scratch = np.empty_like(data)
+    closest_sq = np.empty(n, dtype=np.float64)
+    dist_sq = np.empty(n, dtype=np.float64)
+    cdf = np.empty(n, dtype=np.float64)
+    sq_distances_into(data, centroids[0], scratch, closest_sq)
     for i in range(1, k):
         total = closest_sq.sum()
         if total <= 1e-24:
@@ -84,11 +116,14 @@ def _plus_plus_init(
             # the rest with random picks.
             centroids[i:] = data[rng.integers(n, size=k - i)]
             break
-        probs = closest_sq / total
-        choice = int(rng.choice(n, p=probs))
+        np.divide(closest_sq, total, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        choice = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[i] = data[choice]
-        dist_sq = np.sum((data - centroids[i]) ** 2, axis=1)
-        np.minimum(closest_sq, dist_sq, out=closest_sq)
+        if i + 1 < k:  # after the last pick nothing reads the distances
+            sq_distances_into(data, centroids[i], scratch, dist_sq)
+            np.minimum(closest_sq, dist_sq, out=closest_sq)
     return centroids
 
 
@@ -146,29 +181,6 @@ def _assign(
     return labels
 
 
-def _assign_naive(
-    data: np.ndarray,
-    centroids: np.ndarray,
-    *,
-    data_sqnorms: np.ndarray | None = None,
-    chunk_size: int = 0,
-) -> np.ndarray:
-    """Reference assignment: the original in-line expansion.
-
-    Kept for the vectorized-vs-naive equivalence tests and as the
-    benchmark's pre-optimisation baseline; bit-identical to
-    :func:`_assign` (floating-point addition is commutative, so the
-    kernel's ``(-2c + a) + b`` ordering matches ``(a - 2c) + b``).
-    """
-    cross = data @ centroids.T
-    d_sq = (
-        np.sum(data**2, axis=1)[:, None]
-        - 2.0 * cross
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.argmin(d_sq, axis=1)
-
-
 def _reseed_empty(
     data: np.ndarray,
     labels: np.ndarray,
@@ -207,32 +219,12 @@ def _lloyd_update(
     counts = np.bincount(labels, minlength=k)
     sums = np.zeros((k, data.shape[1]), dtype=np.float64)
     np.add.at(sums, labels, data)
+    if counts.all():
+        return sums / counts[:, None]
     new_centroids = np.empty_like(centroids)
     filled = counts > 0
     new_centroids[filled] = sums[filled] / counts[filled, None]
     empties = np.flatnonzero(~filled)
-    if empties.size:
-        _reseed_empty(data, labels, centroids, new_centroids, empties)
-    return new_centroids
-
-
-def _lloyd_update_naive(
-    data: np.ndarray,
-    labels: np.ndarray,
-    k: int,
-    centroids: np.ndarray,
-) -> np.ndarray:
-    """Reference update: per-cluster Python loop (with the repair fix).
-
-    Kept for the equivalence tests and the benchmark baseline;
-    bit-identical to :func:`_lloyd_update`.
-    """
-    counts = np.bincount(labels, minlength=k)
-    new_centroids = np.empty_like(centroids)
-    for j in range(k):
-        if counts[j]:
-            new_centroids[j] = data[labels == j].mean(axis=0)
-    empties = np.flatnonzero(counts == 0)
     if empties.size:
         _reseed_empty(data, labels, centroids, new_centroids, empties)
     return new_centroids
@@ -247,7 +239,16 @@ def _single_run(
     *,
     chunk_size: int = 0,
 ) -> KMeansResult:
-    """One full Lloyd's-algorithm run from a k-means++ start."""
+    """One full Lloyd's-algorithm run from a k-means++ start.
+
+    The loop ends on the centroid-shift test, or one iteration earlier
+    when that test's outcome is already known: if an assignment
+    reproduces the previous labels and no cluster is empty, the next
+    update would recompute the very same means (shift exactly 0) and
+    the next assignment the same labels.  That iteration is counted in
+    ``n_iter`` but not run.  (An empty cluster re-seeds from the
+    *previous* centroids, so the argument does not cover it.)
+    """
     centroids = _plus_plus_init(data, k, rng)
     data_sqnorms = np.sum(data**2, axis=1)
     labels = _assign(
@@ -258,6 +259,7 @@ def _single_run(
         new_centroids = _lloyd_update(data, labels, k, centroids)
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
+        previous = labels
         labels = _assign(
             data,
             centroids,
@@ -265,6 +267,14 @@ def _single_run(
             chunk_size=chunk_size,
         )
         if shift <= tol:
+            break
+        if (
+            tol >= 0
+            and n_iter < max_iter
+            and np.array_equal(labels, previous)
+            and np.bincount(labels, minlength=k).all()
+        ):
+            n_iter += 1
             break
     inertia = float(
         np.sum((data - centroids[labels]) ** 2)

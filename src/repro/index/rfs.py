@@ -43,7 +43,7 @@ from repro.errors import (
 )
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.geometry import MBR, stacked_min_distances
-from repro.index.rstar import Node, RStarTree
+from repro.index.rstar import BisectLevel, RStarTree
 from repro.obs import get_metrics, get_tracer
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
 from repro.utils.validation import check_vectors
@@ -171,39 +171,42 @@ def _select_inner_reps(
     return sorted({int(cand_ids[i]) for i in nearest})
 
 
+#: Bytes of the (block, n_candidates, d) difference tensor one pass of
+#: :func:`_nearest_candidates` may hold — small enough to stay in cache.
+_NEAREST_BLOCK_BYTES = 1 << 20
+
+
 def _nearest_candidates(
     cand_feats: np.ndarray, centroids: np.ndarray
 ) -> np.ndarray:
     """Index of the candidate nearest each centroid, over centroid
-    blocks instead of a per-centroid Python loop."""
+    blocks instead of a per-centroid Python loop.
+
+    The block is sized from a byte budget, not a centroid count — the
+    tensor grows with the candidate count too.  Each centroid's
+    distances are computed independently of its block, so the answer
+    is the same for any block size.
+    """
     target = centroids.shape[0]
+    n_cand, dims = cand_feats.shape
     nearest = np.empty(target, dtype=np.int64)
-    block = 128  # bounds the (block, n_candidates, d) difference tensor
+    block = max(1, _NEAREST_BLOCK_BYTES // (n_cand * dims * 8))
+    diff = np.empty((min(block, target), n_cand, dims), dtype=np.float64)
+    dists = np.empty(diff.shape[:2], dtype=np.float64)
     for start in range(0, target, block):
         centres = centroids[start : start + block]
-        diff = cand_feats[None, :, :] - centres[:, None, :]
-        dists = np.sqrt(np.sum(diff * diff, axis=2))
-        nearest[start : start + centres.shape[0]] = np.argmin(
-            dists, axis=1
+        m = centres.shape[0]
+        np.subtract(
+            cand_feats[None, :, :], centres[:, None, :], out=diff[:m]
         )
+        np.multiply(diff[:m], diff[:m], out=diff[:m])
+        np.add.reduce(diff[:m], axis=2, out=dists[:m])
+        # The sqrt stays although argmin ignores monotone maps: it can
+        # round two different sums to one distance, and the tie then
+        # goes to the first index.
+        np.sqrt(dists[:m], out=dists[:m])
+        nearest[start : start + m] = np.argmin(dists[:m], axis=1)
     return nearest
-
-
-def _nearest_candidates_naive(
-    cand_feats: np.ndarray, centroids: np.ndarray
-) -> np.ndarray:
-    """Reference nearest-candidate search: the original per-centroid
-    loop.  Kept for the equivalence tests and as the benchmark's
-    pre-optimisation baseline; bit-identical to
-    :func:`_nearest_candidates` (same difference/reduction order, same
-    sqrt)."""
-    return np.array(
-        [
-            int(np.argmin(np.linalg.norm(cand_feats - c, axis=1)))
-            for c in centroids
-        ],
-        dtype=np.int64,
-    )
 
 
 def _node_reps_task(payload: _RepsPayload, item: tuple) -> List[int]:
@@ -629,7 +632,7 @@ class RFSStructure:
                             reinsert_fraction=cfg.reinsert_fraction,
                             io=counter,
                         )
-                        tree.bulk_load(
+                        levels = tree.bisect_levels(
                             matrix,
                             seed=derive_rng(rng, "bulkload"),
                             executor=executor,
@@ -637,8 +640,13 @@ class RFSStructure:
                                 build_cfg.parallel_group_threshold
                             ),
                         )
-                        root = cls._materialise(tree.root, matrix, nodes)
-                        build_meta = dict(tree.build_meta)
+                        root = cls._nodes_from_levels(
+                            levels, matrix, nodes
+                        )
+                        build_meta = {
+                            "method": "bisect",
+                            "n_points": int(matrix.shape[0]),
+                        }
                     elif method == "hkmeans":
                         from repro.index.hierarchies import (
                             build_hkmeans_hierarchy,
@@ -702,42 +710,46 @@ class RFSStructure:
         return structure
 
     @staticmethod
-    def _materialise(
-        tree_node: Node, features: np.ndarray, registry: Dict[int, RFSNode]
+    def _nodes_from_levels(
+        levels: Sequence[BisectLevel],
+        features: np.ndarray,
+        registry: Dict[int, RFSNode],
     ) -> RFSNode:
-        """Recursively convert an R*-tree node into an RFS node."""
-        if tree_node.is_leaf:
-            ids = np.array(
-                sorted(e.item_id for e in tree_node.entries), dtype=np.int64
-            )
-            node = RFSNode(
-                node_id=tree_node.node_id,
-                level=tree_node.level,
-                item_ids=ids,
-                mbr=tree_node.mbr(),
-                center=features[ids].mean(axis=0),
-            )
-        else:
-            children = [
-                RFSStructure._materialise(e.child, features, registry)
-                for e in tree_node.entries
-                if e.child is not None
-            ]
-            ids = np.sort(
-                np.concatenate([c.item_ids for c in children])
-            )
-            node = RFSNode(
-                node_id=tree_node.node_id,
-                level=tree_node.level,
-                item_ids=ids,
-                mbr=tree_node.mbr(),
-                center=features[ids].mean(axis=0),
-            )
-            node.children = children
-            for child in children:
-                child.parent = node
-        registry[node.node_id] = node
-        return node
+        """Make the RFS nodes of a bisect partition; returns the root.
+
+        Node ids, child order and the registry's (post-order) key order
+        are those of an ``RStarTree.bulk_load`` of the same partition —
+        ids run level by level from 1, the empty tree's root having
+        taken 0 — without building that tree's per-point objects.
+        """
+        next_id = 1
+        below: List[RFSNode] = []
+        for level, (groups, lo, hi) in enumerate(levels):
+            nodes: List[RFSNode] = []
+            for j, group in enumerate(groups):
+                children = [below[i] for i in group] if level else []
+                ids = np.sort(
+                    np.concatenate([c.item_ids for c in children])
+                    if children
+                    else group.astype(np.int64, copy=False)
+                )
+                node = RFSNode(
+                    node_id=next_id,
+                    level=level,
+                    item_ids=ids,
+                    mbr=MBR._trusted(lo[j].copy(), hi[j].copy()),
+                    center=features[ids].mean(axis=0),
+                )
+                node.children = children
+                for child in children:
+                    child.parent = node
+                nodes.append(node)
+                next_id += 1
+            below = nodes
+        root = below[0]
+        for node in RFSStructure._post_order(root):
+            registry[node.node_id] = node
+        return root
 
     def _target_rep_count(self, node: RFSNode) -> int:
         """Representative budget for a node (proportional to its size)."""
@@ -824,9 +836,10 @@ class RFSStructure:
                         BuildProgress("representatives", done, total)
                     )
 
-    def _post_order(self, node: RFSNode) -> Iterator[RFSNode]:
+    @staticmethod
+    def _post_order(node: RFSNode) -> Iterator[RFSNode]:
         for child in node.children:
-            yield from self._post_order(child)
+            yield from RFSStructure._post_order(child)
         yield node
 
     # ------------------------------------------------------------------

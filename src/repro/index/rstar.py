@@ -33,6 +33,7 @@ from typing import (
     Callable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -40,10 +41,12 @@ from typing import (
 
 import numpy as np
 
+from repro.clustering.kmeans import sq_distances_into
 from repro.errors import ConfigurationError, EmptyIndexError
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.geometry import MBR
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
+from repro.utils.validation import check_vectors
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.pool import WorkerPool
@@ -519,6 +522,53 @@ class RStarTree:
     # ------------------------------------------------------------------
     # Bulk load (clustering-based)
     # ------------------------------------------------------------------
+    def _bulk_input(
+        self, points: np.ndarray, item_ids: Optional[Sequence[int]]
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Validated ``(points, ids)`` of a bulk load.
+
+        Non-finite coordinates are rejected: a NaN answers every
+        comparison with False, so the row would land wherever a cut
+        happens to fall (and ``_split_once``'s convergence shortcut
+        assumes a finite value is close to itself).
+        """
+        pts = check_vectors("points", points, dim=self.dims)
+        n = pts.shape[0]
+        if n == 0:
+            raise ConfigurationError("cannot bulk load zero points")
+        ids = list(range(n)) if item_ids is None else list(item_ids)
+        if len(ids) != n:
+            raise ConfigurationError(
+                f"item_ids length {len(ids)} != number of points {n}"
+            )
+        return pts, ids
+
+    def bisect_levels(
+        self,
+        points: np.ndarray,
+        seed: RandomState = None,
+        *,
+        executor: Optional["WorkerPool"] = None,
+        inline_threshold: int = 4096,
+    ) -> List["BisectLevel"]:
+        """The partition :meth:`bulk_load` builds its nodes from.
+
+        Level 0 groups the rows of ``points`` into leaves, level ``j``
+        groups the nodes of level ``j - 1``; the last level has one
+        group, the root.  Callers that only need the clustering (the
+        RFS build) read the groups and boxes from here and never pay
+        for the per-point ``Entry``/``MBR`` objects of a loaded tree.
+        """
+        pts, _ = self._bulk_input(points, None)
+        return _bisect_levels(
+            pts,
+            self.max_entries,
+            self.split_min_entries,
+            ensure_rng(seed),
+            executor,
+            inline_threshold,
+        )
+
     def bulk_load(
         self,
         points: np.ndarray,
@@ -546,82 +596,46 @@ class RStarTree:
         task queue.  The resulting groups — and hence the tree — are
         bit-identical to the serial build.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.dims:
-            raise ConfigurationError(
-                f"points must be (n, {self.dims}), got shape {pts.shape}"
-            )
-        n = pts.shape[0]
-        if n == 0:
-            raise ConfigurationError("cannot bulk load zero points")
-        ids = list(range(n)) if item_ids is None else list(item_ids)
-        if len(ids) != n:
-            raise ConfigurationError(
-                f"item_ids length {len(ids)} != number of points {n}"
-            )
-        rng = ensure_rng(seed)
+        pts, ids = self._bulk_input(points, item_ids)
+        levels = self.bisect_levels(
+            pts,
+            seed,
+            executor=executor,
+            inline_threshold=inline_threshold,
+        )
+        nodes = self._leaves_of(levels[0].groups, pts, ids)
+        below = levels[0]
+        for level, above in enumerate(levels[1:], start=1):
+            parents: List[Node] = []
+            for group in above.groups:
+                parent = self._new_node(level=level)
+                for i in group:
+                    child = nodes[i]
+                    child.parent = parent
+                    parent.entries.append(
+                        Entry(MBR(below.lo[i], below.hi[i]), child=child)
+                    )
+                parents.append(parent)
+            nodes = parents
+            below = above
 
-        # Level 0: partition points into leaf groups.
-        parallel = executor is not None and executor.kind != "serial"
-        if parallel and n > inline_threshold:
-            groups = _balanced_bisect_parallel(
-                pts,
-                np.arange(n),
-                self.max_entries,
-                self.split_min_entries,
-                rng,
-                executor,
-                "L0",
-                inline_threshold,
-            )
-        else:
-            groups = _balanced_bisect(
-                pts,
-                np.arange(n),
-                self.max_entries,
-                self.split_min_entries,
-                rng,
-                "L0",
-            )
-        nodes: List[Node] = []
+        self.root = nodes[0]
+        self.root.parent = None
+        self._size = len(ids)
+        self.build_meta = {"method": "bisect", "n_points": len(ids)}
+
+    def _leaves_of(
+        self, groups: List[np.ndarray], pts: np.ndarray, ids: List[int]
+    ) -> List[Node]:
+        """One leaf node per group of row indices, in group order."""
+        leaves: List[Node] = []
         for group in groups:
             leaf = self._new_node(level=0)
             leaf.entries = [
                 Entry(MBR.from_point(pts[i]), item_id=ids[i]) for i in group
             ]
-            nodes.append(leaf)
-
-        # Upper levels: group child nodes by their MBR centres.  These
-        # levels shrink by ~max_entries per step, so they stay serial.
-        level = 1
-        while len(nodes) > 1:
-            centres = np.array([nd.mbr().center() for nd in nodes])
-            if len(nodes) <= self.max_entries:
-                groups = [np.arange(len(nodes))]
-            else:
-                groups = _balanced_bisect(
-                    centres,
-                    np.arange(len(nodes)),
-                    self.max_entries,
-                    self.split_min_entries,
-                    rng,
-                    f"L{level}",
-                )
-            parents: List[Node] = []
-            for group in groups:
-                parent = self._new_node(level=level)
-                for i in group:
-                    child = nodes[i]
-                    child.parent = parent
-                    parent.entries.append(Entry(child.mbr(), child=child))
-                parents.append(parent)
-            nodes = parents
-            level += 1
-
-        self.root = nodes[0]
-        self.root.parent = None
-        self._size = n
-        self.build_meta = {"method": "bisect", "n_points": int(n)}
+            leaves.append(leaf)
+        return leaves
 
     def bulk_load_str(
         self,
@@ -642,19 +656,8 @@ class RStarTree:
         ``sort_dims`` optionally fixes the dimensions used per tiling
         level (default: the highest-variance dimensions).
         """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.dims:
-            raise ConfigurationError(
-                f"points must be (n, {self.dims}), got shape {pts.shape}"
-            )
-        n = pts.shape[0]
-        if n == 0:
-            raise ConfigurationError("cannot bulk load zero points")
-        ids = list(range(n)) if item_ids is None else list(item_ids)
-        if len(ids) != n:
-            raise ConfigurationError(
-                f"item_ids length {len(ids)} != number of points {n}"
-            )
+        pts, ids = self._bulk_input(points, item_ids)
+        n = len(ids)
         if sort_dims is None:
             variances = pts.var(axis=0)
             sort_dims = np.argsort(variances)[::-1]
@@ -663,14 +666,7 @@ class RStarTree:
         groups = _str_tile(
             pts, np.arange(n), self.max_entries, sort_dims, 0
         )
-        nodes: List[Node] = []
-        for group in groups:
-            leaf = self._new_node(level=0)
-            leaf.entries = [
-                Entry(MBR.from_point(pts[i]), item_id=ids[i])
-                for i in group
-            ]
-            nodes.append(leaf)
+        nodes = self._leaves_of(groups, pts, ids)
         level = 1
         while len(nodes) > 1:
             parents: List[Node] = []
@@ -853,6 +849,77 @@ def _str_tile(
     return out
 
 
+class BisectLevel(NamedTuple):
+    """One level of a clustering bulk load's partition.
+
+    ``groups[j]`` lists the members of the level's ``j``-th node — row
+    indices of the points at level 0, positions in the level below
+    higher up — and ``lo[j]``/``hi[j]`` bound it.
+    """
+
+    groups: List[np.ndarray]
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _bisect_levels(
+    points: np.ndarray,
+    group_max: int,
+    group_min: int,
+    rng: np.random.Generator,
+    executor: Optional["WorkerPool"],
+    inline_threshold: int,
+) -> List[BisectLevel]:
+    """Partition ``points`` bottom-up into the levels of a tree.
+
+    Points are bisected into leaf groups (on ``executor`` when it is a
+    parallel one and the input is large enough to feed it); every upper
+    level bisects the box centres of the level below.  Those levels
+    shrink by ~``group_max`` per step, so they stay serial.
+    """
+    n = points.shape[0]
+    everything = np.arange(n)
+    if (
+        executor is not None
+        and executor.kind != "serial"
+        and n > inline_threshold
+    ):
+        groups = _balanced_bisect_parallel(
+            points, everything, group_max, group_min, rng, executor,
+            "L0", inline_threshold,
+        )
+    else:
+        groups = _balanced_bisect(
+            points, everything, group_max, group_min, rng, "L0"
+        )
+    # Bounds of the members being grouped: at level 0 a point is its own
+    # box, above that the boxes of the level below.
+    lows = highs = points
+    levels: List[BisectLevel] = []
+    while True:
+        lo = np.array([lows[g].min(axis=0) for g in groups])
+        hi = np.array([highs[g].max(axis=0) for g in groups])
+        levels.append(BisectLevel(groups, lo, hi))
+        count = len(groups)
+        if count == 1:
+            return levels
+        if count <= group_max:
+            groups = [np.arange(count)]
+        else:
+            groups = _balanced_bisect(
+                (lo + hi) / 2.0, np.arange(count), group_max, group_min,
+                rng, f"L{len(levels)}",
+            )
+        lows, highs = lo, hi
+
+
+def _close(new: np.ndarray, old: np.ndarray) -> bool:
+    """``np.allclose(new, old)`` at its default tolerances, for finite
+    vectors: the documented test without the NaN/inf handling around it
+    (a quarter of the time on 37 values, twice per 2-means pass)."""
+    return bool(np.all(np.abs(new - old) <= 1e-8 + 1e-5 * np.abs(old)))
+
+
 def _split_once(
     all_points: np.ndarray,
     indices: np.ndarray,
@@ -863,32 +930,42 @@ def _split_once(
 
     ``rng`` is the split's own derived stream; the single draw seeds the
     first 2-means centre.
+
+    Every pass ends with the distances to the centres it just moved,
+    so the next pass — or the balanced cut — reads them instead of
+    recomputing them.  The loop stops when both centres stop moving
+    (:func:`_close`), and that test needs no computing once the
+    membership mask repeats: the same members give the same means bit
+    for bit, and a finite value is always close to itself.
     """
     pts = all_points[indices]
     n = pts.shape[0]
+    scratch = np.empty_like(pts)
+    da = np.empty(n, dtype=np.float64)
+    db = np.empty(n, dtype=np.float64)
     # 2-means to find the natural separation direction.
     centre_a = pts[int(rng.integers(n))]
+    sq_distances_into(pts, centre_a, scratch, da)
     # Pick the second seed far from the first.
-    d = np.sum((pts - centre_a) ** 2, axis=1)
-    centre_b = pts[int(np.argmax(d))]
+    centre_b = pts[int(np.argmax(da))]
+    sq_distances_into(pts, centre_b, scratch, db)
+    side_a = da <= db
     for _ in range(12):
-        da = np.sum((pts - centre_a) ** 2, axis=1)
-        db = np.sum((pts - centre_b) ** 2, axis=1)
-        side_a = da <= db
-        if side_a.all() or (~side_a).all():
+        if np.count_nonzero(side_a) in (0, n):
             break
         new_a = pts[side_a].mean(axis=0)
         new_b = pts[~side_a].mean(axis=0)
-        if np.allclose(new_a, centre_a) and np.allclose(new_b, centre_b):
-            centre_a, centre_b = new_a, new_b
-            break
+        settled = _close(new_a, centre_a) and _close(new_b, centre_b)
         centre_a, centre_b = new_a, new_b
+        sq_distances_into(pts, centre_a, scratch, da)
+        sq_distances_into(pts, centre_b, scratch, db)
+        previous, side_a = side_a, da <= db
+        if settled or np.array_equal(side_a, previous):
+            break
+    natural = int(np.count_nonzero(side_a))
     # Balanced cut: order by affinity difference and cut so both halves
     # stay within bounds.
-    da = np.sum((pts - centre_a) ** 2, axis=1)
-    db = np.sum((pts - centre_b) ** 2, axis=1)
-    order = np.argsort(da - db, kind="stable")
-    natural = int(np.sum(da <= db))
+    order = np.argsort(np.subtract(da, db, out=da), kind="stable")
     # group_min <= ceil(group_max / 2) guarantees n > group_max implies
     # n >= 2 * group_min, so this window is always non-empty.
     cut = int(np.clip(natural, group_min, n - group_min))

@@ -14,7 +14,9 @@ consistency.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from pathlib import Path
 from typing import Dict, List
 
@@ -44,7 +46,15 @@ def save_rfs(
     ``store_dir`` additionally persists the structure's
     :class:`~repro.store.FeatureStore` next to the tree, so
     :func:`load_rfs` can reopen it as a memory map.
+
+    The file is written to a temporary name in the target directory and
+    moved into place with ``os.replace``, so a writer that dies half-way
+    leaves whatever was at ``path`` before — never a truncated index.
     """
+    target = Path(path)
+    if target.suffix != ".npz":
+        # What np.savez does to a bare name.
+        target = target.with_name(target.name + ".npz")
     if store_dir is not None:
         rfs.store.save(store_dir)
     nodes = list(rfs.iter_nodes())
@@ -67,8 +77,7 @@ def save_rfs(
     his = np.vstack([n.mbr.hi for n in nodes])
     centers = np.vstack([n.center for n in nodes])
     config = rfs.config
-    np.savez_compressed(
-        Path(path),
+    arrays = dict(
         format_version=np.int64(_FORMAT_VERSION),
         node_ids=node_ids,
         levels=levels,
@@ -98,6 +107,17 @@ def save_rfs(
         # JSON string; build_meta holds only plain ints/strings.
         build_meta=np.array(json.dumps(rfs.build_meta)),
     )
+    # Created with open(), not mkstemp: the index keeps the mode the
+    # umask gives any other output file.
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            np.savez_compressed(handle, **arrays)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_rfs(

@@ -8,28 +8,47 @@ same representatives — because every downstream result (rankings,
 caches, serialized indexes) is keyed off it.  These tests pin that
 contract across the thread and process executors, and pin the
 vectorized Lloyd's-iteration kernels to their naive reference
-implementations sample-for-sample.
+implementations sample-for-sample.  The references — and the build
+kernels as they were before they stopped computing what they could
+prove — live in ``tests/reference_build.py``; the structure digests
+below were generated on the last commit that ran them (7d9c120).
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.clustering.kmeans import (
     _assign,
-    _assign_naive,
     _lloyd_update,
-    _lloyd_update_naive,
+    _plus_plus_init,
+    _single_run,
     kmeans,
 )
-from repro.config import BuildConfig, RFSConfig
+from repro.config import BuildConfig, MutationConfig, RFSConfig
+from repro.datasets.build import build_synthetic_database
 from repro.errors import ClusteringError, ConfigurationError
 from repro.exec.pool import WorkerPool
+from repro.index.generations import GenerationController, generation_seed
+from repro.index.geometry import MBR
 from repro.index.rfs import BuildProgress, RFSStructure
-from repro.index.rstar import RStarTree
+from repro.index.rstar import RStarTree, _split_once
 from repro.index.serialize import load_rfs, save_rfs
 from repro.retrieval.multipoint import MultipointQuery
+from repro.utils.rng import derive_rng, ensure_rng
+from tests.reference_build import (
+    assign_naive,
+    lloyd_update_naive,
+    nearest_candidates_naive,
+    plus_plus_init_reference,
+    single_run_reference,
+    split_once_reference,
+    structure_digest,
+)
 
 N_IMAGES = 600
 DIMS = 16
@@ -178,6 +197,268 @@ class TestBisectParity:
 
 
 # ----------------------------------------------------------------------
+# The build is the parent commit's build, digest for digest
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _synthetic(n):
+    return build_synthetic_database(n, n_categories=150, seed=2006).features
+
+
+#: (n, seed, config, method, BuildConfig extras) -> structure digest of
+#: ``RFSStructure.build`` on commit 7d9c120, the last one whose build
+#: went through ``RStarTree.bulk_load`` + ``_materialise`` and drew
+#: k-means++ picks through ``Generator.choice``.
+PARENT_DIGESTS = {
+    "default-777": (
+        (777, 3, None, "rstar", {}),
+        "6b3882268be43535933bf1e72e0f4edde10e3b302200784d3f906c9f4ac5f2e3",
+    ),
+    "default-2000": (
+        (2000, 1, None, "rstar", {}),
+        "29d89b6418486f4d5ef1f34a67517bf678fa00c4ae9393202a4139c270a56f28",
+    ),
+    "default-5000": (
+        (5000, 2, None, "rstar", {}),
+        "e4cb828debe314905a544bb7048513309366bba33fa7e075212d58ecb51945ba",
+    ),
+    "hkmeans-2000": (
+        (2000, 1, None, "hkmeans", {}),
+        "5ac0914ed22017474c23e4148bfdb8fead94f373b715ae258db9ec1c39684964",
+    ),
+    "small-capacity-2000": (
+        (2000, 1, CFG, "rstar", {}),
+        "a125b87f1862be78e3f49f6226e861958d331bac6fc60de87845fe2b6bf788fb",
+    ),
+    # Chunked assignment is bit-identical to unchunked: same digest as
+    # "default-2000".  Mini-batch is its own (approximate) clustering.
+    "kmeans-chunk-2000": (
+        (2000, 1, None, "rstar", {"kmeans_chunk": 16}),
+        "29d89b6418486f4d5ef1f34a67517bf678fa00c4ae9393202a4139c270a56f28",
+    ),
+    "kmeans-minibatch-2000": (
+        (2000, 1, None, "rstar", {"kmeans_minibatch": 48}),
+        "fd555143ab5bf53e867680e28b5317abe6ed938e6d797dc997c4b957f240d01e",
+    ),
+}
+
+
+class TestBuildDigestParity:
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("case", sorted(PARENT_DIGESTS))
+    def test_digest_equals_parent_commit(self, case, executor):
+        (n, seed, config, method, extras), want = PARENT_DIGESTS[case]
+        if executor != "serial":
+            # Two workers, and a threshold the 2000-point cases cross.
+            extras = dict(
+                extras, executor=executor, workers=2,
+                parallel_group_threshold=512,
+            )
+        rfs = RFSStructure.build(
+            _synthetic(n), config, seed=seed, method=method,
+            build=BuildConfig(**extras),
+        )
+        assert structure_digest(rfs) == want
+        assert rfs.build_meta["executor"] == executor
+
+    def test_build_makes_no_per_point_boxes(self, monkeypatch):
+        def from_point(cls, point):
+            raise AssertionError("RFSStructure.build called from_point")
+
+        monkeypatch.setattr(MBR, "from_point", classmethod(from_point))
+        rfs = RFSStructure.build(_features(29), CFG, seed=29)
+        assert rfs.root.size == N_IMAGES
+
+    def test_bulk_loaded_tree_has_the_build_s_nodes(self):
+        # One partition feeds both: same ids, levels, members, boxes.
+        feats = _features(31)
+        rfs = RFSStructure.build(feats, CFG, seed=31)
+        tree = RStarTree(
+            dims=DIMS,
+            max_entries=CFG.node_max_entries,
+            min_entries=CFG.node_min_entries,
+            split_min_entries=CFG.split_min_entries,
+        )
+        tree.bulk_load(feats, seed=derive_rng(ensure_rng(31), "bulkload"))
+        tree.validate()
+
+        def items_under(node):
+            if node.is_leaf:
+                return [e.item_id for e in node.entries]
+            return [i for c in node.children() for i in items_under(c)]
+
+        tree_nodes = {node.node_id: node for node in tree.iter_nodes()}
+        assert sorted(tree_nodes) == sorted(rfs.nodes)
+        for node_id, node in tree_nodes.items():
+            built = rfs.nodes[node_id]
+            assert built.level == node.level
+            assert built.item_ids.tolist() == sorted(items_under(node))
+            assert built.mbr == node.mbr()
+            assert [c.node_id for c in built.children] == [
+                c.node_id for c in node.children()
+            ]
+
+    def test_compaction_equals_from_scratch_build_of_live_rows(self):
+        feats = _features(37, n=260)
+        rfs = RFSStructure.build(feats, CFG, seed=37)
+        controller = GenerationController(
+            rfs, config=MutationConfig(auto_compact=False), seed=43
+        )
+        rng = np.random.default_rng(1)
+        for _ in range(7):
+            controller.insert(rng.normal(size=DIMS))
+        for item in rfs.root.item_ids[::50]:
+            controller.remove(int(item))
+        view = rfs.delta_view()
+        live = np.concatenate(
+            [
+                np.setdiff1d(rfs.root.item_ids, view.dead_main),
+                view.base_rows + view.live_indices,
+            ]
+        ).astype(np.int64)
+        full = np.vstack([feats, view.rows])
+        controller.compact()
+        compacted = controller.current
+        scratch = RFSStructure.build(
+            full[live], CFG, seed=generation_seed(43, 1)
+        )
+        GenerationController._remap(scratch, live)
+        scratch.build_meta = dict(compacted.build_meta)
+        assert structure_digest(compacted) == structure_digest(scratch)
+
+
+# ----------------------------------------------------------------------
+# The shipped kernels == the parent commit's, bit for bit
+# ----------------------------------------------------------------------
+def _kernel_data(kind, n, d, seed):
+    """Inputs that stress ties, duplicates and empty clusters."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.random((n, d))
+    if kind == "rounded":
+        return np.round(rng.random((n, d)) * 2.0, 1)
+    distinct = rng.normal(size=(max(1, n // 4), d))
+    return distinct[rng.integers(distinct.shape[0], size=n)]
+
+
+_KINDS = st.sampled_from(["uniform", "rounded", "duplicated"])
+
+
+class TestKernelReferenceParity:
+    @given(
+        kind=_KINDS,
+        n=st.integers(1, 60),
+        d=st.integers(1, 9),
+        k_pick=st.sampled_from(["one", "all", "some"]),
+        seed=st.integers(0, 2**20),
+        max_iter=st.sampled_from([1, 2, 3, 100]),
+        tol=st.sampled_from([1e-6, 0.0, 0.5, -1.0]),
+        chunk=st.sampled_from([0, 0, 7]),
+    )
+    # Duplicated rows with k above the distinct count: clusters empty
+    # out and re-seed, where the repeated-labels shortcut must not fire.
+    @example(kind="duplicated", n=24, d=3, k_pick="all", seed=5,
+             max_iter=100, tol=1e-6, chunk=0)
+    @example(kind="rounded", n=40, d=2, k_pick="some", seed=11,
+             max_iter=2, tol=1e-6, chunk=0)
+    @settings(max_examples=150, deadline=None)
+    def test_single_run_matches_reference(
+        self, kind, n, d, k_pick, seed, max_iter, tol, chunk
+    ):
+        data = _kernel_data(kind, n, d, seed)
+        k = {"one": 1, "all": n, "some": 1 + seed % n}[k_pick]
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = _single_run(data, k, rng, max_iter, tol, chunk_size=chunk)
+        want = single_run_reference(
+            data, k, ref_rng, max_iter, tol, chunk_size=chunk
+        )
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.inertia == want.inertia
+        assert got.n_iter == want.n_iter
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_proven_convergence_skips_the_iteration_not_the_count(
+        self, monkeypatch
+    ):
+        # The differential above is only worth its name if its inputs
+        # reach both the early stop and the empty-cluster repair.
+        from importlib import import_module
+
+        km = import_module("repro.clustering.kmeans")
+        calls = {"_assign": 0, "_reseed_empty": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(km, name), **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(km, name, counted)
+        data = _kernel_data("uniform", 50, 4, 3)
+        got = km._single_run(data, 4, np.random.default_rng(3), 100, 1e-6)
+        want = single_run_reference(
+            data, 4, np.random.default_rng(3), 100, 1e-6
+        )
+        # The full loop assigns once up front and once per iteration.
+        assert got.n_iter == want.n_iter > 1
+        assert calls["_assign"] == want.n_iter
+        assert calls["_reseed_empty"] == 0
+        data = _kernel_data("duplicated", 24, 3, 5)
+        km._single_run(data, 24, np.random.default_rng(5), 100, 1e-6)
+        assert calls["_reseed_empty"] > 0
+
+    @given(
+        kind=_KINDS,
+        n=st.integers(1, 80),
+        d=st.integers(1, 9),
+        k_pick=st.sampled_from(["one", "all", "some"]),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_plus_plus_pick_matches_generator_choice(
+        self, kind, n, d, k_pick, seed
+    ):
+        data = _kernel_data(kind, n, d, seed)
+        k = {"one": 1, "all": n, "some": 1 + seed % n}[k_pick]
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = _plus_plus_init(data, k, rng)
+        want = plus_plus_init_reference(data, k, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(
+        kind=_KINDS,
+        n=st.integers(4, 120),
+        d=st.integers(1, 9),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_split_once_matches_reference(self, kind, n, d, seed):
+        points = _kernel_data(kind, n + 5, d, seed)
+        indices = np.random.default_rng(seed + 1).permutation(n + 5)[:n]
+        group_min = 1 + seed % (n // 2)
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = _split_once(points, indices, group_min, rng)
+        want = split_once_reference(points, indices, group_min, ref_rng)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n_cand", [3, 180, 2000])
+    def test_nearest_candidates_block_size_is_invisible(self, n_cand):
+        # 2000 candidates x 12 dims is 192 kB per centroid: five per
+        # block under the byte budget, so the 40 centroids take 8 blocks.
+        from repro.index.rfs import _nearest_candidates
+
+        rng = np.random.default_rng(n_cand)
+        cand_feats = np.round(rng.normal(size=(n_cand, 12)), 1)
+        centroids = np.round(rng.normal(size=(40, 12)), 1)
+        assert np.array_equal(
+            _nearest_candidates(cand_feats, centroids),
+            nearest_candidates_naive(cand_feats, centroids),
+        )
+
+
+# ----------------------------------------------------------------------
 # Vectorized Lloyd's iteration == naive reference, bit-for-bit
 # ----------------------------------------------------------------------
 class TestLloydEquivalence:
@@ -189,7 +470,7 @@ class TestLloydEquivalence:
         )
         centroids = data[rng.choice(257, size=9, replace=False)].copy()
         assert np.array_equal(
-            _assign(data, centroids), _assign_naive(data, centroids)
+            _assign(data, centroids), assign_naive(data, centroids)
         )
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
@@ -204,17 +485,14 @@ class TestLloydEquivalence:
 
     @pytest.mark.parametrize("trial", range(5))
     def test_nearest_candidates_matches_naive(self, trial):
-        from repro.index.rfs import (
-            _nearest_candidates,
-            _nearest_candidates_naive,
-        )
+        from repro.index.rfs import _nearest_candidates
 
         rng = np.random.default_rng(300 + trial)
         cand_feats = rng.normal(size=(180, 12))
         centroids = rng.normal(size=(150, 12))
         assert np.array_equal(
             _nearest_candidates(cand_feats, centroids),
-            _nearest_candidates_naive(cand_feats, centroids),
+            nearest_candidates_naive(cand_feats, centroids),
         )
 
     @pytest.mark.parametrize("trial", range(5))
@@ -225,7 +503,7 @@ class TestLloydEquivalence:
         centroids = data[:k].copy()
         labels = _assign(data, centroids)
         vec = _lloyd_update(data, labels, k, centroids)
-        ref = _lloyd_update_naive(data, labels, k, centroids)
+        ref = lloyd_update_naive(data, labels, k, centroids)
         assert vec.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("trial", range(3))
@@ -264,7 +542,7 @@ class TestEmptyClusterRepair:
         centroids = np.array([[0.0], [100.0]])
         repaired = _lloyd_update(data, labels, 2, centroids)
         assert repaired[1].tolist() == [9.0]
-        ref = _lloyd_update_naive(data, labels, 2, centroids)
+        ref = lloyd_update_naive(data, labels, 2, centroids)
         assert repaired.tobytes() == ref.tobytes()
 
 

@@ -154,6 +154,30 @@ class TestSerialization:
         with pytest.raises(DatasetError):
             load_rfs(tmp_path / "nope.npz", feats)
 
+    def test_failed_save_keeps_previous_file(self, built_rfs, feats,
+                                             tmp_path, monkeypatch):
+        path = tmp_path / "rfs.npz"
+        save_rfs(built_rfs, path)
+        before = path.read_bytes()
+
+        def dies_half_way(handle, **arrays):
+            handle.write(before[: len(before) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", dies_half_way)
+        with pytest.raises(OSError, match="disk full"):
+            save_rfs(built_rfs, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_rfs(path, feats).root.size == built_rfs.root.size
+        assert [p.name for p in tmp_path.iterdir()] == ["rfs.npz"]
+
+    def test_bare_name_still_gains_npz_suffix(self, built_rfs, feats,
+                                              tmp_path):
+        save_rfs(built_rfs, tmp_path / "index")
+        assert [p.name for p in tmp_path.iterdir()] == ["index.npz"]
+        load_rfs(tmp_path / "index.npz", feats)
+
 
 class TestHKMeansHierarchy:
     def test_partition_invariants(self, feats):

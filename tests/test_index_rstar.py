@@ -200,6 +200,20 @@ class TestBulkLoad:
         with pytest.raises(ConfigurationError):
             tree.bulk_load(rng.random((5, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["bulk_load", "bulk_load_str"])
+    def test_non_finite_points_rejected(self, rng, method, bad):
+        # A NaN row fails every ``da <= db`` and used to land wherever
+        # the balanced cut fell; the tree must stay as it was.
+        pts = rng.normal(size=(60, 3))
+        tree = RStarTree(dims=3, max_entries=8)
+        tree.bulk_load(pts, seed=4)
+        pts[41, 1] = bad
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            getattr(tree, method)(pts)
+        assert len(tree) == 60
+        tree.validate()
+
     def test_single_point(self):
         tree = RStarTree(dims=2)
         tree.bulk_load(np.array([[0.5, 0.5]]))
