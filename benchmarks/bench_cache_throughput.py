@@ -1,18 +1,15 @@
-"""Perf — cross-session result cache + batched serving throughput.
+"""Perf — cross-session result cache throughput.
 
 Models a concurrent serving workload: many independent sessions finalize
 against the same structure, and their interest is Zipfian — a few hot
 queries (popular semantic regions) dominate the stream.  The bench
-measures aggregate final-round throughput three ways:
+measures aggregate final-round throughput two ways:
 
 * **uncached serial** — every session recomputes its subqueries
   (the pre-cache baseline),
 * **cache-warm steady state** — the :class:`repro.cache.
   SubqueryResultCache` is attached and already hot, so repeated
-  subqueries skip boundary expansion and block scans,
-* **coalesced batch** — the same stream served through
-  ``run_final_round_batch`` with a cold cache, where duplicate
-  subqueries share one scan per group.
+  subqueries skip boundary expansion and block scans.
 
 Runs two ways:
 
@@ -25,8 +22,8 @@ Runs two ways:
 
 Acceptance (ISSUE): >= 2x aggregate QPS at cache-warm steady state on
 the Zipfian workload at full scale (the tiny smoke asserts a relaxed
->= 1.2x), with every cached and batched ranking bit-identical to the
-serial uncached path.
+>= 1.2x), with every cached ranking bit-identical to the serial
+uncached path.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from repro.obs.bench import BenchResult
 from repro.config import QDConfig, RFSConfig
 from repro.core.ranking import execute_final_round
 from repro.datasets.build import build_synthetic_database
-from repro.exec import BatchQuery, run_final_round_batch
 from repro.index.rfs import RFSStructure
 
 TINY = os.environ.get("QD_BENCH_TINY") == "1"
@@ -137,23 +133,9 @@ def run_cache_bench(tiny: bool) -> tuple[list[str], dict]:
         before["hits"] + before["misses"]
     )
     hit_rate = (after["hits"] - before["hits"]) / max(1, lookups)
-
-    # Coalesced batch with a cold cache: duplicate subqueries share one
-    # block scan per group even before any entry is warm.
-    rfs.attach_cache(SubqueryResultCache(CACHE_BYTES))
-    queries = [
-        BatchQuery(marked_ids=marks, k=p["k"]) for marks in stream
-    ]
-    start = time.perf_counter()
-    batch_results = run_final_round_batch(
-        rfs, queries, QDConfig(), rounds_used=3
-    )
-    batch_s = time.perf_counter() - start
-    assert [_signature(r) for r in batch_results] == baseline_sigs
     rfs.detach_cache()
 
     warm_speedup = uncached_s / warm_s
-    batch_speedup = uncached_s / batch_s
     scale = "tiny" if tiny else "full"
     rows = [
         f"Result cache: Zipfian stream of {n} final rounds over "
@@ -164,17 +146,12 @@ def run_cache_bench(tiny: bool) -> tuple[list[str], dict]:
         f"  cache-warm serial    {warm_s * 1000:8.1f} ms   "
         f"{n / warm_s:7.1f} qps   {warm_speedup:.2f}x   "
         f"(hit rate {hit_rate:.0%})",
-        f"  batch, cold cache    {batch_s * 1000:8.1f} ms   "
-        f"{n / batch_s:7.1f} qps   {batch_speedup:.2f}x   "
-        "(coalesced scans)",
     ]
     metrics = {
         "warm_speedup": warm_speedup,
-        "batch_speedup": batch_speedup,
         "hit_rate": hit_rate,
         "uncached_s": uncached_s,
         "warm_s": warm_s,
-        "batch_s": batch_s,
         "min_speedup": p["min_speedup"],
     }
     return rows, metrics
@@ -189,14 +166,10 @@ def _bench_result(tiny: bool, metrics: dict) -> BenchResult:
         higher_is_better=True,
     )
     result.record(
-        "batch_speedup", metrics["batch_speedup"], unit="x",
-        higher_is_better=True,
-    )
-    result.record(
         "hit_rate", metrics["hit_rate"], unit="ratio",
         higher_is_better=True, min_abs=0.02,
     )
-    for name in ("uncached_s", "warm_s", "batch_s"):
+    for name in ("uncached_s", "warm_s"):
         result.record(
             name, metrics[name], unit="s", higher_is_better=False,
             compare=False,
@@ -209,9 +182,6 @@ def _check(metrics: dict) -> None:
     assert metrics["warm_speedup"] >= metrics["min_speedup"]
     # Every repeated subquery of the steady-state stream must hit.
     assert metrics["hit_rate"] >= 0.9
-    # Coalescing never loses badly to serial even with a cold cache
-    # (identical queries share their groups' block scans).
-    assert metrics["batch_speedup"] >= 0.8
 
 
 def test_cache_throughput(report, benchmark):

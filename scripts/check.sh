@@ -39,7 +39,11 @@ fi
 # exist four times, only some of them locked — and a scan result enters
 # a result cache only through repro.cache.scan_and_publish, the single
 # reader of the invalidation epoch that keeps a scan racing a removal
-# from re-publishing what the removal evicted.
+# from re-publishing what the removal evicted.  A final round has one
+# driver (core.ranking.execute_final_round, the only caller of
+# merge_outcomes) and a leaf scan one block reader: the coalescing batch
+# scheduler and its read_block= hook lost to that path on their own
+# benchmark and were deleted.
 echo "== structure =="
 if git grep -nE '(Thread|Process)PoolExecutor\(' -- src/ \
         ':!src/repro/exec/pool.py'; then
@@ -51,6 +55,19 @@ if [[ $(grep -c . <<<"$epoch_sites") != 1 ]]; then
     echo "$epoch_sites" >&2
     echo "== invalidation_epoch() must have exactly one call site" \
         "(repro.cache.scan_and_publish) ==" >&2
+    exit 1
+fi
+merge_sites=$(git grep -n 'merge_outcomes(' -- src/ \
+    | grep -v 'def merge_outcomes(' || true)
+if [[ $(grep -c . <<<"$merge_sites") != 1 ]]; then
+    echo "$merge_sites" >&2
+    echo "== merge_outcomes() must have exactly one call site" \
+        "(core.ranking.execute_final_round) ==" >&2
+    exit 1
+fi
+if git grep -n 'read_block' -- src/; then
+    echo "== no read_block hook in src/: _scan_leaves reads its own" \
+        "blocks ==" >&2
     exit 1
 fi
 

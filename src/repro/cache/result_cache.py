@@ -29,10 +29,10 @@ pressure, whichever comes first).
 A hit returns the subquery's search node, centroid, and ranked list —
 the boundary expansion and the block scan are skipped entirely.  Because
 every executor path funnels through the same computation, a cached entry
-is interchangeable between the serial, thread, process, and batched
-serving paths (process-pool caveat: workers run against a forked
-snapshot of the cache, so their insertions stay in the child — hits
-still work for entries warm at fork time).
+is interchangeable between the serial, thread, and process executors
+(process-pool caveat: workers run against a forked snapshot of the
+cache, so their insertions stay in the child — hits still work for
+entries warm at fork time).
 
 The generational mutation engine adds a *surgical* third path next to
 version stamping and LRU pressure: :meth:`SubqueryResultCache.
@@ -61,7 +61,7 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -405,29 +405,21 @@ def scan_and_publish(
     k: int,
     *,
     weights: Optional[np.ndarray] = None,
-    read_block: Optional[Callable[[Any], object]] = None,
-    io_category: str = "localized_knn",
 ) -> List[Tuple[float, int]]:
     """Scan ``node`` main-only and publish the ranking under ``key``.
 
     How a scan result gets into a cache, for every caller that missed
-    (the subquery funnel, the batch scheduler through it, a shard's own
-    cache): read the invalidation epoch, scan with
-    ``include_delta=False`` — the tombstone-filtered ranking of the
-    unchanged store blocks, which inserts cannot change — and ``put``
-    it with that epoch, so a removal acknowledged while the scan ran
-    keeps the pre-removal ranking out.  Returns the main-only ranking;
-    merging live delta rows is the caller's next step, as after a hit.
+    (the subquery funnel, a shard's own cache): read the invalidation
+    epoch, scan with ``include_delta=False`` — the tombstone-filtered
+    ranking of the unchanged store blocks, which inserts cannot change
+    — and ``put`` it with that epoch, so a removal acknowledged while
+    the scan ran keeps the pre-removal ranking out.  Returns the
+    main-only ranking; merging live delta rows is the caller's next
+    step, as after a hit.
     """
     epoch = cache.invalidation_epoch()
     ranked = rfs.localized_knn(
-        node,
-        query,
-        k,
-        io_category=io_category,
-        weights=weights,
-        read_block=read_block,
-        include_delta=False,
+        node, query, k, weights=weights, include_delta=False
     )
     cache.put(key, version, node.node_id, query, ranked, epoch=epoch)
     return ranked

@@ -22,12 +22,7 @@ from repro.errors import ConfigurationError
 from repro.core.presentation import QueryResult
 from repro.core.session import FeedbackSession
 from repro.datasets.database import ImageDatabase
-from repro.exec import (
-    BatchQuery,
-    SubqueryExecutor,
-    resolve_executor,
-    run_final_round_batch,
-)
+from repro.exec import SubqueryExecutor, resolve_executor
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import ProgressCallback, RFSStructure
 from repro.obs import get_metrics, get_tracer
@@ -512,32 +507,6 @@ class QueryDecompositionEngine:
                 "expire_sessions needs an attached session store"
             )
         return self._session_store.sweep_expired(ttl_s)
-
-    def run_batch(
-        self,
-        queries: Sequence[BatchQuery | tuple],
-        *,
-        rounds_used: int = 0,
-    ) -> list[QueryResult]:
-        """Serve many sessions' final rounds as one coalesced batch.
-
-        Each entry of ``queries`` is a :class:`repro.exec.BatchQuery`
-        (or a ``(marked_ids, k)`` tuple).  Subqueries are first resolved
-        against the attached result cache; the remaining misses are
-        grouped by search node and executed with one block read per
-        leaf per group (see :mod:`repro.exec.batch`).  Results come
-        back in submission order, each bit-identical to running that
-        session's :meth:`FeedbackSession.finalize` alone.
-        """
-        normalized = [
-            query
-            if isinstance(query, BatchQuery)
-            else BatchQuery(marked_ids=tuple(query[0]), k=int(query[1]))
-            for query in queries
-        ]
-        return run_final_round_batch(
-            self.rfs, normalized, self.config, rounds_used=rounds_used
-        )
 
     def run_scripted(
         self,

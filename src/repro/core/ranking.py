@@ -27,6 +27,7 @@ from repro.config import QDConfig
 from repro.core.presentation import QueryResult, ResultGroup
 from repro.errors import QueryError
 from repro.exec import (
+    OVERFETCH,
     SubqueryExecutor,
     SubqueryOutcome,
     SubqueryTask,
@@ -62,12 +63,11 @@ class FinalRoundPlan:
     """The deterministic task list of one final round.
 
     Produced by :func:`plan_final_round`, consumed by
-    :func:`execute_final_round` (serial/thread/process fan-out) and by
-    the batch scheduler (:func:`repro.exec.run_final_round_batch`),
-    which coalesces the tasks of many sessions.  The task order — larger
-    allocations first, ties by leaf id — is part of the ranking
-    contract: the sequential dedup consumes outcomes in this order, so
-    any executor that preserves it reproduces the serial merge exactly.
+    :func:`execute_final_round` (serial/thread/process fan-out).  The
+    task order — larger allocations first, ties by leaf id — is part of
+    the ranking contract: the sequential dedup consumes outcomes in this
+    order, so any executor that preserves it reproduces the serial merge
+    exactly.
     """
 
     k: int
@@ -121,52 +121,15 @@ def merge_outcomes(
     *,
     rounds_used: int,
     dim_weights: Optional[np.ndarray] = None,
-    merge_span=None,
+    merge_span,
 ) -> QueryResult:
     """Sequential dedup/merge + top-up over already-executed outcomes.
 
     ``outcomes`` must align with ``plan.tasks`` (submission order).
-    This is the single merge implementation shared by the serial path
-    and the batch scheduler, so a coalesced batch cannot drift from the
-    per-session result byte-for-byte.  ``merge_span`` is an *already
-    active* span to record into (:func:`execute_final_round` passes the
-    span that also wrapped the fan-out); when omitted a fresh ``merge``
-    span is opened.
+    ``merge_span`` is the *already active* span to record into:
+    :func:`execute_final_round`, the one caller, passes the span that
+    also wrapped the fan-out.
     """
-    if merge_span is None:
-        with get_tracer().span(
-            "merge",
-            k=plan.k,
-            groups=len(plan.tasks),
-            strategy="uniform" if plan.uniform_merge else "proportional",
-        ) as span:
-            payloads = _merge_into_payloads(
-                rfs, plan, outcomes, dim_weights, span
-            )
-    else:
-        payloads = _merge_into_payloads(
-            rfs, plan, outcomes, dim_weights, merge_span
-        )
-    groups = [
-        ResultGroup(
-            leaf_node_id=payload["leaf_id"],
-            search_node_id=payload["search_node"].node_id,
-            query_image_ids=payload["query_ids"],
-            items=RankedList.from_pairs(payload["results"]),
-        )
-        for payload in payloads
-    ]
-    return QueryResult(groups=groups, rounds_used=rounds_used)
-
-
-def _merge_into_payloads(
-    rfs: RFSStructure,
-    plan: FinalRoundPlan,
-    outcomes: Sequence[SubqueryOutcome],
-    dim_weights: Optional[np.ndarray],
-    span,
-) -> List[dict]:
-    """The dedup + top-up body, recording into an active span."""
     merge_candidates = get_metrics().histogram(
         "qd_merge_candidates", "candidates fetched per merge decision"
     )
@@ -183,7 +146,7 @@ def _merge_into_payloads(
             if image_id not in claimed
         ][: task.quota]
         claimed.update(image_id for _, image_id in fresh)
-        span.event(
+        merge_span.event(
             "merge_decision",
             leaf=task.leaf_id,
             quota=task.quota,
@@ -226,7 +189,7 @@ def _merge_into_payloads(
             # tombstones, so a top-up can drain exactly what a rebuilt
             # structure of the same items would hold under this node.
             fetch = min(
-                rfs.effective_node_size(node), len(have) + deficit + 16
+                rfs.effective_node_size(node), len(have) + deficit + OVERFETCH
             )
             ranked = rfs.localized_knn(
                 node, payload["centroid"], fetch, weights=dim_weights
@@ -251,10 +214,19 @@ def _merge_into_payloads(
                 promoted = True
         if added == 0 and not promoted:
             break  # the whole database is smaller than k
-    span.set(
+    merge_span.set(
         total=total, topup_passes=topup_passes, topup_added=topup_added
     )
-    return payloads
+    groups = [
+        ResultGroup(
+            leaf_node_id=payload["leaf_id"],
+            search_node_id=payload["search_node"].node_id,
+            query_image_ids=payload["query_ids"],
+            items=RankedList.from_pairs(payload["results"]),
+        )
+        for payload in payloads
+    ]
+    return QueryResult(groups=groups, rounds_used=rounds_used)
 
 
 def execute_final_round(

@@ -1,17 +1,15 @@
 """Parallel execution: one worker pool, used by queries and builds alike.
 
 :mod:`repro.exec.pool` is the order-preserving serial / thread / fork
-pool every fan-out in the repo runs on (final-round subqueries, batched
-scan groups, the shard router, the offline build's bisect and
-representative phases).  :mod:`repro.exec.executors` maps the
-final-round subqueries over it with the determinism guarantee (serial,
-thread, and process execution return bit-identical rankings), and
-:mod:`repro.exec.batch` is the coalescing batch scheduler serving many
-sessions' final rounds at once.
+pool every fan-out in the repo runs on (final-round subqueries, the
+shard router, the offline build's bisect and representative phases).
+:mod:`repro.exec.executors` maps the final-round subqueries over it
+with the determinism guarantee (serial, thread, and process execution
+return bit-identical rankings).
 """
 
-from repro.exec.batch import BatchQuery, run_final_round_batch
 from repro.exec.executors import (
+    OVERFETCH,
     ProcessSubqueryExecutor,
     SerialSubqueryExecutor,
     SubqueryExecutor,
@@ -25,7 +23,7 @@ from repro.exec.executors import (
 from repro.exec.pool import WorkerPool, default_worker_count
 
 __all__ = [
-    "BatchQuery",
+    "OVERFETCH",
     "ProcessSubqueryExecutor",
     "SerialSubqueryExecutor",
     "SubqueryExecutor",
@@ -36,6 +34,5 @@ __all__ = [
     "build_executor",
     "default_worker_count",
     "resolve_executor",
-    "run_final_round_batch",
     "run_subquery_task",
 ]

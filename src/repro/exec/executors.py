@@ -18,9 +18,11 @@ The three executor kinds (:attr:`repro.config.QDConfig.executor`, CLI
 ``--executor`` / ``--workers``) are the three kinds of
 :class:`repro.exec.pool.WorkerPool` — see there for what each does with
 threads, ``fork``, traces and disk-access accounting.  A subquery runs
-in two halves, :func:`prepare_subquery` and :func:`scan_subquery`; the
-batch scheduler (:mod:`repro.exec.batch`) calls the same two with its
-block-sharing reader in between.
+in two halves, :func:`prepare_subquery` (cache consult, boundary
+expansion) and :func:`scan_subquery` (scan, publish, delta merge).
+:func:`run_subquery_task` runs one after the other; the seam between
+the cache consult and the scan is where a racing write lands, and it
+stays callable so that interleaving can be scheduled deterministically.
 """
 
 from __future__ import annotations
@@ -35,9 +37,15 @@ from repro.cache import SubqueryResultCache, scan_and_publish, subquery_cache_ke
 from repro.config import EXECUTOR_KINDS, QDConfig
 from repro.errors import ConfigurationError
 from repro.exec.pool import WorkerPool, fork_available
-from repro.index.rfs import BlockReader, RFSNode, RFSStructure
+from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
 from repro.retrieval.multipoint import MultipointQuery
+
+#: Rows fetched beyond a subquery's quota (and beyond a top-up's
+#: deficit), so the sequential dedup against the other subqueries
+#: usually succeeds without another scan.  Part of the cache key: a
+#: subquery is keyed on ``quota + OVERFETCH``.
+OVERFETCH = 16
 
 
 @dataclass(frozen=True)
@@ -52,15 +60,11 @@ class SubqueryTask:
         Result slots allocated to this subquery by the §3.4 merge rule.
     query_ids:
         The marked image ids forming the local multipoint query.
-    fetch_extra:
-        Over-fetch beyond ``quota`` so the sequential dedup usually
-        succeeds without a top-up pass.
     """
 
     leaf_id: int
     quota: int
     query_ids: Tuple[int, ...]
-    fetch_extra: int = 16
 
 
 @dataclass
@@ -130,9 +134,8 @@ def prepare_subquery(
     query_points = rfs.vectors_for(
         np.asarray(task.query_ids, dtype=np.int64)
     )
-    # Slight over-fetch absorbs most de-duplication against other
-    # groups; any residual shortfall is covered by the top-up pass.
-    requested = task.quota + task.fetch_extra
+    # Any shortfall the over-fetch leaves is covered by the top-up pass.
+    requested = task.quota + OVERFETCH
     cache = rfs.result_cache
     key = entry = None
     version = rfs.structure_version
@@ -167,11 +170,7 @@ def prepare_subquery(
     )
 
 
-def scan_subquery(
-    rfs: RFSStructure,
-    prepared: PreparedSubquery,
-    read_block: Optional[BlockReader] = None,
-) -> SubqueryOutcome:
+def scan_subquery(rfs: RFSStructure, prepared: PreparedSubquery) -> SubqueryOutcome:
     """Produce a prepared subquery's ranking.
 
     With a result cache, what is scanned, published
@@ -180,24 +179,21 @@ def scan_subquery(
     hits and misses alike, so inserts never invalidate a cache entry.
     The cached part always suffices: it holds the top ``fetch`` live
     main rows (or all of them when fewer exist), and no later merge can
-    promote a main row from beyond that prefix.  ``read_block`` is the
-    batch scheduler's memoizing reader; it never changes the arithmetic.
+    promote a main row from beyond that prefix.
     """
     node = prepared.search_node
     centroid = prepared.centroid
     weights = prepared.dim_weights
     if prepared.cache is None:
         ranked = rfs.localized_knn(
-            node, centroid, prepared.fetch,
-            weights=weights, read_block=read_block,
+            node, centroid, prepared.fetch, weights=weights
         )
     else:
         main_ranked = prepared.cached
         if main_ranked is None:
             main_ranked = scan_and_publish(
                 prepared.cache, prepared.key, prepared.version,
-                rfs, node, centroid, prepared.fetch,
-                weights=weights, read_block=read_block,
+                rfs, node, centroid, prepared.fetch, weights=weights,
             )
         ranked = rfs.merge_delta_ranked(
             node, main_ranked, centroid, prepared.fetch, weights=weights

@@ -55,13 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.store.delta import DeltaView
     from repro.store.feature_store import FeatureStore
 
-#: Reads one leaf's scan payload: the ``(rows, ids, sqnorms)`` views of
-#: its store block on the scan tier.  The batch scheduler passes
-#: memoizing readers so one physical block read serves every query of a
-#: coalesced group.
-BlockReader = Callable[["RFSNode"], object]
-
-
 @dataclass(frozen=True)
 class BuildProgress:
     """One structured progress event emitted during an offline build.
@@ -1032,9 +1025,7 @@ class RFSStructure:
         query_point: np.ndarray,
         k: int,
         *,
-        io_category: str = "localized_knn",
         weights: Optional[np.ndarray] = None,
-        read_block: Optional[BlockReader] = None,
         include_delta: bool = True,
     ) -> List[tuple[float, int]]:
         """k nearest images to ``query_point`` inside ``node``'s subtree.
@@ -1054,16 +1045,10 @@ class RFSStructure:
         Leaf MINDIST pruning is vectorized: the leaves' stacked bounding
         boxes are cached per search node and all bounds come from one
         :func:`~repro.index.geometry.stacked_min_distances` call.  Each
-        leaf read is one contiguous block of :attr:`store`, scanned by
-        the batched store kernels at the store's dtype and tier (see
+        leaf read is one contiguous block of :attr:`store`, charged to
+        the I/O model under ``"localized_knn"`` and scanned by the
+        batched store kernels at the store's dtype and tier (see
         :meth:`_scan_leaves`).
-
-        ``read_block`` optionally replaces the default per-leaf reader
-        (which charges the I/O model and materialises the block on
-        every call) — the batch scheduler passes a memoizing reader
-        from :meth:`memoized_block_reader` so a coalesced group of
-        queries pays for each leaf once.  The reader never changes the
-        distance arithmetic, so rankings are identical either way.
 
         With a delta segment attached, one immutable view snapshot
         drives the whole call: tombstoned rows are filtered out of the
@@ -1112,12 +1097,9 @@ class RFSStructure:
             if take <= 0:
                 best: List[tuple[float, int]] = []
             else:
-                if read_block is None:
-                    read_block = self._store_block_reader(io_category)
                 best = self._scan_leaves(
                     leaves, mindists, order, query, take,
-                    weights=weights, read_block=read_block, span=span,
-                    dead_ids=dead_ids,
+                    weights=weights, span=span, dead_ids=dead_ids,
                 )
         if include_delta and view is not None and view.live_count:
             best = self.merge_delta_ranked(
@@ -1210,96 +1192,24 @@ class RFSStructure:
         """
         return self.store.dtype
 
-    # ------------------------------------------------------------------
-    # Leaf block readers
-    # ------------------------------------------------------------------
-    def _store_block_reader(self, io_category: str) -> BlockReader:
-        """Default reader: charge the I/O model, slice the scan block.
+    def _read_leaf(self, leaf: RFSNode):
+        """Charge the I/O model for ``leaf`` and slice its scan block.
 
-        On a quantized tier the reader serves the compressed scan block
-        and the I/O model is charged the *compressed* byte count
+        On a quantized tier this serves the compressed scan block and
+        the I/O model is charged the *compressed* byte count
         (``block_nbytes`` is tier-aware) — the whole point of the tier:
-        cold scans move 2–4x fewer simulated bytes.  The store is
-        looked up per read, so the router (which holds none) can hand
-        out readers its shards never call.
+        cold scans move 2–4x fewer simulated bytes.
         """
-
-        def read(leaf: RFSNode):
-            store = self.store
-            miss = self.io.access(
-                leaf.node_id,
-                io_category,
-                nbytes=store.block_nbytes(leaf.node_id),
-            )
-            store.record_block_access(leaf.node_id, miss)
-            if store.quant is None:
-                return store.node_block(leaf.node_id)
-            return store.scan_block(leaf.node_id)
-
-        return read
-
-    def memoized_block_reader(self, io_category: str) -> BlockReader:
-        """A reader that pays for each leaf once across many queries.
-
-        Wraps the default reader with a per-leaf memo: the first query
-        of a coalesced batch group to touch a leaf charges the I/O
-        model and materialises the block; every later query of the
-        group reuses the exact same arrays.  Distances are computed per
-        query by the unchanged kernels, so rankings stay bit-identical
-        to the serial path — only the I/O and materialisation are
-        amortized.
-        """
-        inner = self._store_block_reader(io_category)
-        blocks: Dict[int, object] = {}
-
-        def read(leaf: RFSNode):
-            block = blocks.get(leaf.node_id)
-            if block is None:
-                block = inner(leaf)
-                blocks[leaf.node_id] = block
-            return block
-
-        return read
-
-    def localized_knn_group(
-        self,
-        node: RFSNode,
-        query_points: Sequence[np.ndarray],
-        ks: Sequence[int],
-        *,
-        io_category: str = "localized_knn",
-        weights: Optional[Sequence[Optional[np.ndarray]]] = None,
-    ) -> List[List[tuple[float, int]]]:
-        """Run many localized k-NN queries over one search node.
-
-        The queries share a memoized block reader, so each leaf under
-        ``node`` is charged to the I/O model and materialised at most
-        once for the whole group — the coalesced serving path's "one
-        block read amortized across N queries".  Each query's distances
-        and pruning run exactly as in :meth:`localized_knn`, so every
-        returned ranking is bit-identical to a standalone call.
-        """
-        if len(query_points) != len(ks):
-            raise ConfigurationError(
-                f"{len(query_points)} query points for {len(ks)} ks"
-            )
-        if weights is not None and len(weights) != len(query_points):
-            raise ConfigurationError(
-                f"{len(weights)} weight vectors for "
-                f"{len(query_points)} query points"
-            )
-        reader = self.memoized_block_reader(io_category)
-        return [
-            self.localized_knn(
-                node,
-                query,
-                k,
-                io_category=io_category,
-                weights=None if weights is None else weights[i],
-                read_block=reader,
-            )
-            for i, (query, k) in enumerate(zip(query_points, ks))
-        ]
+        store = self.store
+        miss = self.io.access(
+            leaf.node_id,
+            "localized_knn",
+            nbytes=store.block_nbytes(leaf.node_id),
+        )
+        store.record_block_access(leaf.node_id, miss)
+        if store.quant is None:
+            return store.node_block(leaf.node_id)
+        return store.scan_block(leaf.node_id)
 
     def _scan_leaves(
         self,
@@ -1310,7 +1220,6 @@ class RFSStructure:
         take: int,
         *,
         weights: Optional[np.ndarray],
-        read_block: BlockReader,
         span,
         dead_ids: Optional[np.ndarray] = None,
     ) -> List[tuple[float, int]]:
@@ -1393,7 +1302,7 @@ class RFSStructure:
             leaf = leaves[pos]
             if count >= take and mindists[pos] > kth_hat + eps:
                 break
-            rows, ids, sqnorms = read_block(leaf)
+            rows, ids, sqnorms = self._read_leaf(leaf)
             leaves_read += 1
             distance_evals += rows.shape[0]
             if params is None:

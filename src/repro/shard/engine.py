@@ -31,11 +31,11 @@ never re-computes a float:
 :class:`ShardedRFS` subclasses the global structure and overrides only
 :meth:`localized_knn`, so the entire stack above it — feedback
 sessions, :func:`~repro.core.ranking.plan_final_round` /
-``merge_outcomes``, the serial/thread/process subquery executors, the
-coalescing batch scheduler, session checkpoint/resume — runs unchanged
-on a sharded deployment.  ``structure_version`` is inherited from the
-global tree, so a session checkpointed under one router resumes
-bit-identically under a router with a different shard count.
+``merge_outcomes``, the serial/thread/process subquery executors,
+session checkpoint/resume — runs unchanged on a sharded deployment.
+``structure_version`` is inherited from the global tree, so a session
+checkpointed under one router resumes bit-identically under a router
+with a different shard count.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.core.engine import QueryDecompositionEngine
 from repro.errors import ConfigurationError, EmptyIndexError
 from repro.exec.pool import WorkerPool
 from repro.index.diskmodel import DiskAccessCounter
-from repro.index.rfs import BlockReader, RFSNode, RFSStructure
+from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
 from repro.shard.partition import (
     ShardAssignment,
@@ -115,15 +115,12 @@ class Shard:
         query: np.ndarray,
         k: int,
         *,
-        io_category: str = "localized_knn",
         weights: Optional[np.ndarray] = None,
     ) -> List[Tuple[float, int]]:
         """This shard's top-``k`` of its slice of global ``node_id``."""
         node = self.rfs.nodes[node_id]
         if self.cache is None:
-            return self.rfs.localized_knn(
-                node, query, k, io_category=io_category, weights=weights
-            )
+            return self.rfs.localized_knn(node, query, k, weights=weights)
         from repro.cache import scan_and_publish, subquery_cache_key
 
         key = subquery_cache_key(
@@ -143,16 +140,14 @@ class Shard:
         # ranking that gets published is this shard's whole answer.
         return scan_and_publish(
             self.cache, key, version, self.rfs, node, query, k,
-            io_category=io_category, weights=weights,
+            weights=weights,
         )
 
 
 def _scan_shard(call: tuple, shard: Shard) -> List[Tuple[float, int]]:
     """Router fan-out task: one shard's slice of one scatter."""
-    node_id, query, take, io_category, weights = call
-    return shard.localized_knn(
-        node_id, query, take, io_category=io_category, weights=weights
-    )
+    node_id, query, take, weights = call
+    return shard.localized_knn(node_id, query, take, weights=weights)
 
 
 class ShardedRFS(RFSStructure):
@@ -287,10 +282,9 @@ class ShardedRFS(RFSStructure):
     def store_fingerprint(self) -> str:
         """Fingerprint of the (uniform) shard stores.
 
-        Router-level consumers (the engine-level subquery cache, batch
-        scheduler keys) must key on the same tier identity a
-        single-node store would expose, or warm entries could alias
-        across tiers after a re-deployment.
+        Router-level consumers (the engine-level subquery cache) must
+        key on the same tier identity a single-node store would expose,
+        or warm entries could alias across tiers after a re-deployment.
         """
         return self.shards[0].rfs.store.fingerprint()
 
@@ -300,17 +294,13 @@ class ShardedRFS(RFSStructure):
         query_point: np.ndarray,
         k: int,
         *,
-        io_category: str = "localized_knn",
         weights: Optional[np.ndarray] = None,
-        read_block: Optional[BlockReader] = None,
         include_delta: bool = True,
     ) -> List[tuple[float, int]]:
         """Scatter the scan to covering shards, gather by (dist, id).
 
-        ``read_block`` (the batch scheduler's memoizing reader) is
-        accepted for interface compatibility but unused: shards own
-        their blocks and charge the shared disk model themselves, and
-        the shard-level cache already deduplicates repeated scans.
+        Shards own their blocks and charge the shared disk model
+        themselves; the shard-level cache deduplicates repeated scans.
 
         With a delta segment attached, shards hold tombstone-only
         adapters — each filters dead rows out of its own blocks but
@@ -320,7 +310,6 @@ class ShardedRFS(RFSStructure):
         scan, ``include_delta=False`` returns the tombstone-filtered
         main-only ranking for the subquery cache.
         """
-        del read_block
         if node.size == 0:
             raise EmptyIndexError(f"node {node.node_id} covers no images")
         query = np.asarray(query_point, dtype=np.float64)
@@ -355,7 +344,7 @@ class ShardedRFS(RFSStructure):
             partials = self._fanout.map(
                 _scan_shard,
                 participants,
-                (node.node_id, query, take, io_category, weights),
+                (node.node_id, query, take, weights),
             )
             merged: List[Tuple[float, int]] = []
             for ranked in partials:
@@ -380,8 +369,8 @@ class ShardedRFS(RFSStructure):
 class ShardedEngine(QueryDecompositionEngine):
     """A :class:`QueryDecompositionEngine` over a sharded deployment.
 
-    Inherits the whole session lifecycle (scripted runs, batch
-    scheduling, session stores, checkpoint/resume) — the only
+    Inherits the whole session lifecycle (scripted runs, session
+    stores, checkpoint/resume) — the only
     difference is that ``self.rfs`` is a :class:`ShardedRFS`, so every
     localized scan scatter-gathers across shards.
     """

@@ -1,12 +1,11 @@
-"""Tests for the cross-session subquery result cache and batch serving.
+"""Tests for the cross-session subquery result cache.
 
 Covers the canonical cache key, the byte-capped LRU (eviction order,
 oversized entries, byte accounting, pickling), versioned and per-node
 invalidation against generational mutations (the no-skip gate in
-``scripts/check.sh`` targets the ``Invalidation`` classes), cached
+``scripts/check.sh`` targets the ``Invalidation`` classes), and cached
 final rounds staying bit-identical to the uncached path across all
-executors, and the coalescing batch scheduler's parity with serial
-per-query execution.
+executors.
 """
 
 from __future__ import annotations
@@ -24,11 +23,7 @@ from repro.config import CacheConfig, MutationConfig, QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
 from repro.core.ranking import execute_final_round
 from repro.errors import ConfigurationError
-from repro.exec import (
-    BatchQuery,
-    ProcessSubqueryExecutor,
-    run_final_round_batch,
-)
+from repro.exec import ProcessSubqueryExecutor
 from repro.index.generations import GenerationController
 from repro.index.rfs import RFSStructure
 from repro.shard import ShardedEngine
@@ -236,7 +231,8 @@ class TestFinalRoundCaching:
         rfs = _build_rfs(database)
         marks = _marks(database, 3)
         config = QDConfig()
-        baseline, _ = _finalize(rfs, marks, 30, config)
+        baseline, uncached_res = _finalize(rfs, marks, 30, config)
+        assert "cache_hits" not in uncached_res.stats
         rfs.attach_cache(SubqueryResultCache(8 << 20))
 
         io = rfs.io
@@ -258,6 +254,23 @@ class TestFinalRoundCaching:
         )
         # Hits skip the block scans, so the warm round reads less.
         assert hit_reads < miss_reads
+
+    def test_identical_sessions_cost_one_session_of_reads(self, database):
+        """Three subqueries, none needing a top-up: a top-up scans
+        past the cache, so a query that needs one re-reads its blocks
+        on every session."""
+        marks = sum((_marks(database, label, 6) for label in (11, 5, 7)), ())
+        config = QDConfig()
+        rfs = _build_rfs(database)
+        io = rfs.io
+        baseline, _ = _finalize(rfs, marks, 40, config)
+        single_reads = io.physical_reads
+        assert single_reads > 1
+
+        rfs.attach_cache(SubqueryResultCache(8 << 20))
+        for _ in range(4):
+            assert _finalize(rfs, marks, 40, config)[0] == baseline
+        assert io.physical_reads - single_reads < 2 * single_reads
 
     def test_weighted_round_does_not_hit_unweighted_entries(
         self, database
@@ -373,7 +386,7 @@ class TestCacheInvalidation:
         baseline_sig, _ = _finalize(rfs, marks, 25, config)
         assert after_sig == baseline_sig
 
-    @pytest.mark.parametrize("shards", [0, 2, "batch"])
+    @pytest.mark.parametrize("shards", [0, 2])
     def test_remove_racing_a_scan_is_not_cached(
         self, database, shards, monkeypatch
     ):
@@ -382,12 +395,10 @@ class TestCacheInvalidation:
         must not re-publish the pre-remove ranking, or every repeat of
         the query is served the removed id until the next compaction.
         Deterministic: the first scan issues the remove as it returns.
-        The three cases are the three callers of the one publish step
-        (``repro.cache.scan_and_publish``): the subquery funnel, a
-        shard's own cache, and the batch scheduler.
+        The two cases are the two callers of the one publish step
+        (``repro.cache.scan_and_publish``): the subquery funnel and a
+        shard's own cache.
         """
-        batch = shards == "batch"
-        shards = 0 if batch else shards
         build = {
             "seed": SEED,
             "cache": CacheConfig(enabled=True, capacity_mb=8),
@@ -424,10 +435,7 @@ class TestCacheInvalidation:
                 patch.setattr(
                     RFSStructure, "localized_knn", scan_then_remove
                 )
-                if batch:
-                    engine.run_batch([(marks, 8)], rounds_used=1)
-                else:
-                    _finalize(engine.rfs, marks, 8, engine.config)
+                _finalize(engine.rfs, marks, 8, engine.config)
             repeat_sig, _ = _finalize(engine.rfs, marks, 8, engine.config)
         assert removed
         assert removed[0] not in {
@@ -554,113 +562,3 @@ class TestStoreSwapInvalidation:
         _, rerun_hits = run("int8")
         assert rerun_hits > 0
 
-
-# ----------------------------------------------------------------------
-# Coalescing batch scheduler
-# ----------------------------------------------------------------------
-def _batch_workload(database):
-    """A small multi-session workload with a repeated hot query."""
-    specs = [(3, 20), (7, 25), (12, 30), (3, 20)]  # duplicate of #0
-    return [
-        BatchQuery(marked_ids=_marks(database, label, 6), k=k)
-        for label, k in specs
-    ]
-
-
-class TestBatchScheduler:
-    @pytest.mark.parametrize("executor", _EXECUTORS)
-    def test_batch_bit_identical_to_serial_uncached(
-        self, database, executor
-    ):
-        queries = _batch_workload(database)
-        base_rfs = _build_rfs(database)
-        baseline = [
-            _finalize(base_rfs, q.marked_ids, q.k, QDConfig())[0]
-            for q in queries
-        ]
-
-        rfs = _build_rfs(database)
-        rfs.attach_cache(SubqueryResultCache(8 << 20))
-        config = QDConfig(executor=executor, workers=2)
-        cold = run_final_round_batch(rfs, queries, config, rounds_used=1)
-        assert [_signature(r) for r in cold] == baseline
-        # The duplicated query shares its group's block reads, so some
-        # subqueries must have coalesced or hit on the first pass.
-        warm = run_final_round_batch(rfs, queries, config, rounds_used=1)
-        assert [_signature(r) for r in warm] == baseline
-        for result in warm:
-            assert result.stats["cache_hits"] > 0
-            assert result.stats["cache_misses"] == 0
-
-    def test_batch_with_store_matches_store_serial(self, database):
-        queries = _batch_workload(database)
-        base_rfs = _build_rfs(database)
-        base_rfs.attach_store(FeatureStore.build(base_rfs), validate=False)
-        baseline = [
-            _finalize(base_rfs, q.marked_ids, q.k, QDConfig())[0]
-            for q in queries
-        ]
-
-        rfs = _build_rfs(database)
-        rfs.attach_store(FeatureStore.build(rfs), validate=False)
-        rfs.attach_cache(SubqueryResultCache(8 << 20))
-        results = run_final_round_batch(
-            rfs, queries, QDConfig(executor="thread", workers=2),
-            rounds_used=1,
-        )
-        assert [_signature(r) for r in results] == baseline
-
-    def test_batch_without_cache_matches_and_reports_no_stats(
-        self, database
-    ):
-        queries = _batch_workload(database)
-        base_rfs = _build_rfs(database)
-        baseline = [
-            _finalize(base_rfs, q.marked_ids, q.k, QDConfig())[0]
-            for q in queries
-        ]
-        rfs = _build_rfs(database)
-        results = run_final_round_batch(
-            rfs, queries, QDConfig(), rounds_used=1
-        )
-        assert [_signature(r) for r in results] == baseline
-        for result in results:
-            assert "cache_hits" not in result.stats
-            assert "cache_misses" not in result.stats
-
-    def test_engine_run_batch_accepts_tuples(self, database):
-        engine = QueryDecompositionEngine.build(
-            database,
-            RFS_CONFIG,
-            seed=SEED,
-            cache=CacheConfig(enabled=True, capacity_mb=8),
-        )
-        assert engine.result_cache is not None
-        marks = _marks(database, 4, 6)
-        with engine:
-            from_tuple = engine.run_batch([(marks, 20)])
-            from_query = engine.run_batch(
-                [BatchQuery(marked_ids=marks, k=20)]
-            )
-        assert _signature(from_tuple[0]) == _signature(from_query[0])
-        assert from_query[0].stats["cache_hits"] > 0
-
-    def test_batch_coalesces_block_reads(self, database):
-        """N identical sessions in one batch cost ~1 session of reads."""
-        marks = _marks(database, 11, 6)
-        single_rfs = _build_rfs(database)
-        before = single_rfs.io.physical_reads
-        _finalize(single_rfs, marks, 20, QDConfig())
-        single_reads = single_rfs.io.physical_reads - before
-
-        batch_rfs = _build_rfs(database)
-        queries = [
-            BatchQuery(marked_ids=marks, k=20) for _ in range(4)
-        ]
-        before = batch_rfs.io.physical_reads
-        run_final_round_batch(
-            batch_rfs, queries, QDConfig(), rounds_used=1
-        )
-        batch_reads = batch_rfs.io.physical_reads - before
-        # Four identical queries, one scan: far cheaper than 4x serial.
-        assert batch_reads < 2 * single_reads

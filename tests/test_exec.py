@@ -8,8 +8,8 @@ executor funnels through the same ``run_subquery_task``, so any
 divergence here is a real bug, not float noise.
 
 Underneath all of them sits one :class:`repro.exec.pool.WorkerPool` —
-also the pool of the offline build, the batch scheduler and the shard
-router — whose contract ``TestPoolContract`` pins once per kind.
+also the pool of the offline build and the shard router — whose
+contract ``TestPoolContract`` pins once per kind.
 """
 
 from __future__ import annotations

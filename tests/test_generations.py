@@ -16,6 +16,7 @@ import pytest
 
 from repro.config import MutationConfig, QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
+from repro.core.ranking import execute_final_round
 from repro.datasets.build import build_synthetic_database
 from repro.errors import (
     ConfigurationError,
@@ -337,7 +338,7 @@ class TestCacheParity:
     mutation, after it, and across a generation swap.
     """
 
-    BATCH = [((1, 2, 3), 20), ((40, 41, 90), 20), ((150, 151), 20)]
+    QUERIES = [((1, 2, 3), 20), ((40, 41, 90), 20), ((150, 151), 20)]
 
     def _cached_engine(self):
         from repro.cache import SubqueryResultCache
@@ -354,8 +355,15 @@ class TestCacheParity:
         engine.rfs.attach_cache(SubqueryResultCache(4 << 20))
         return engine
 
-    @staticmethod
-    def _flat(results):
+    def _finalize_all(self, engine):
+        """Each query's final round, run as its session would run it."""
+        results = [
+            execute_final_round(
+                engine.rfs, marks, k, engine.config, rounds_used=0,
+                executor=engine.executor,
+            )
+            for marks, k in self.QUERIES
+        ]
         return [
             [(it.item_id, it.score) for g in r.groups for it in g.items]
             for r in results
@@ -364,18 +372,18 @@ class TestCacheParity:
     def _hit_vs_miss(self, engine):
         """Cached answers == answers with the cache detached."""
         rfs = engine.rfs
-        hit = self._flat(engine.run_batch(self.BATCH))
+        hit = self._finalize_all(engine)
         cache = rfs.result_cache
         rfs.detach_cache()
         try:
-            miss = self._flat(engine.run_batch(self.BATCH))
+            miss = self._finalize_all(engine)
         finally:
             rfs.attach_cache(cache)
         assert hit == miss
 
     def test_insert_invalidates_nothing_and_hits_stay_exact(self):
         with self._cached_engine() as engine:
-            engine.run_batch(self.BATCH)  # warm
+            self._finalize_all(engine)  # warm
             cache = engine.rfs.result_cache
             before = cache.snapshot()
             assert before["entries"] > 0
@@ -393,7 +401,7 @@ class TestCacheParity:
 
     def test_remove_evicts_per_node_not_globally(self):
         with self._cached_engine() as engine:
-            engine.run_batch(self.BATCH)
+            self._finalize_all(engine)
             cache = engine.rfs.result_cache
             entries_before = cache.snapshot()["entries"]
             assert entries_before > 0
@@ -405,7 +413,7 @@ class TestCacheParity:
 
     def test_cache_survives_compaction_and_stays_correct(self):
         with self._cached_engine() as engine:
-            engine.run_batch(self.BATCH)
+            self._finalize_all(engine)
             cache = engine.rfs.result_cache
             rng = np.random.default_rng(9)
             for _ in range(5):
@@ -414,7 +422,7 @@ class TestCacheParity:
             engine.remove_image(10)
             engine.compact_index()
             assert engine.rfs.result_cache is cache  # carried over
-            engine.run_batch(self.BATCH)  # stale entries die lazily
+            self._finalize_all(engine)  # stale entries die lazily
             assert cache.snapshot()["stale_evictions"] >= 0
             self._hit_vs_miss(engine)
 

@@ -21,7 +21,7 @@ from repro.config import CacheConfig, QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.build import build_synthetic_database
 from repro.errors import ConfigurationError
-from repro.exec import BatchQuery, ProcessSubqueryExecutor
+from repro.exec import ProcessSubqueryExecutor
 from repro.index.rfs import RFSStructure
 from repro.shard import (
     Shard,
@@ -220,18 +220,6 @@ class TestShardedRFS:
         assert router.store is None
         assert router.result_cache is None
 
-    def test_read_block_accepted_and_ignored(self, router, base_rfs):
-        # The batch scheduler hands the router a memoizing reader; the
-        # router must take it (interface) and may ignore it (shards own
-        # their blocks) without changing the ranking.
-        query = np.asarray(base_rfs.features[3], dtype=np.float64)
-        node = router.root
-        plain = router.localized_knn(node, query, 25)
-        reader = router.memoized_block_reader("localized_knn")
-        assert router.localized_knn(
-            node, query, 25, read_block=reader
-        ) == plain
-
 
 # ----------------------------------------------------------------------
 # Bit-identical rankings vs single-node (the check.sh gate)
@@ -355,36 +343,6 @@ class TestShardedParity:
                         node, query, k
                     ) == router.localized_knn(routed, query, k)
         router.close()
-
-    def test_batch_scheduler_bit_identical(self, database):
-        def marks(label):
-            return tuple(
-                int(i)
-                for i in np.flatnonzero(database.labels == label)[:6]
-            )
-
-        queries = [
-            BatchQuery(marked_ids=marks(3), k=40),
-            BatchQuery(marked_ids=marks(5), k=25),
-            BatchQuery(marked_ids=marks(3), k=40),  # coalesces with #0
-        ]
-        single = _build_rfs(database)
-        single.attach_store(FeatureStore.build(single), validate=False)
-        with QueryDecompositionEngine(
-            database, single, QDConfig()
-        ) as engine:
-            baseline = [
-                _signature(r)
-                for r in engine.run_batch(queries, rounds_used=1)
-            ]
-        with _sharded(
-            database, shards=4, executor="thread", cache=True
-        ) as engine:
-            result = [
-                _signature(r)
-                for r in engine.run_batch(queries, rounds_used=1)
-            ]
-        assert result == baseline
 
     def test_resume_on_router_with_different_shard_count(self, database):
         """A session checkpointed under a 2-shard router finishes

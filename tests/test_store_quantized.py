@@ -406,43 +406,6 @@ class TestQuantizedParity:
         assert cache.snapshot()["hits"] > 0
 
     @pytest.mark.parametrize("tier", _QUANT_TIERS)
-    def test_batch_scheduler_bit_identical_to_f32(self, database, tier):
-        from repro.core.ranking import execute_final_round
-        from repro.exec import BatchQuery, run_final_round_batch
-
-        def marks(label):
-            return tuple(
-                int(i)
-                for i in np.flatnonzero(database.labels == label)[:6]
-            )
-
-        queries = [
-            BatchQuery(marked_ids=marks(3), k=40),
-            BatchQuery(marked_ids=marks(7), k=25),
-            BatchQuery(marked_ids=marks(3), k=40),  # coalesces with #0
-        ]
-        f32 = _build_rfs(database)
-        f32.attach_store(FeatureStore.build(f32, tier="f32"))
-        baseline = [
-            _signature(
-                execute_final_round(
-                    f32, q.marked_ids, q.k, QDConfig(), rounds_used=1
-                )
-            )
-            for q in queries
-        ]
-        quant = _build_rfs(database)
-        quant.attach_store(FeatureStore.build(quant, tier=tier))
-        quant.attach_cache(SubqueryResultCache(8 << 20))
-        results = run_final_round_batch(
-            quant,
-            queries,
-            QDConfig(executor="thread", workers=2),
-            rounds_used=1,
-        )
-        assert [_signature(r) for r in results] == baseline
-
-    @pytest.mark.parametrize("tier", _QUANT_TIERS)
     def test_small_fetch_localized_knn_parity(self, database, tier):
         """Regression: tiny fetches once diverged in the last ulp.
 
