@@ -43,7 +43,9 @@ fi
 # driver (core.ranking.execute_final_round, the only caller of
 # merge_outcomes) and a leaf scan one block reader: the coalescing batch
 # scheduler and its read_block= hook lost to that path on their own
-# benchmark and were deleted.
+# benchmark and were deleted.  Nothing under src/ reads a file with
+# allow_pickle=True: a database, index or store file is data, and an
+# unpickled one can run any code its author wrote into it.
 echo "== structure =="
 if git grep -nE '(Thread|Process)PoolExecutor\(' -- src/ \
         ':!src/repro/exec/pool.py'; then
@@ -68,6 +70,11 @@ fi
 if git grep -n 'read_block' -- src/; then
     echo "== no read_block hook in src/: _scan_leaves reads its own" \
         "blocks ==" >&2
+    exit 1
+fi
+if git grep -nE 'allow_pickle *= *True' -- src/; then
+    echo "== no allow_pickle=True in src/: files are read without" \
+        "unpickling ==" >&2
     exit 1
 fi
 

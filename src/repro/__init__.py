@@ -25,31 +25,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.config import (
-    DatasetConfig,
-    FeatureConfig,
-    QDConfig,
-    RFSConfig,
-    SystemConfig,
-)
-from repro.core import (
-    FeedbackSession,
-    QueryDecompositionEngine,
-    QueryResult,
-    ResultGroup,
-)
-from repro.datasets import (
-    ImageDatabase,
-    QuerySpec,
-    Subconcept,
-    TABLE1_QUERIES,
-    build_rendered_database,
-    build_synthetic_database,
-    get_query,
-)
-from repro.errors import ReproError
-from repro.features import FeatureExtractor, FeatureNormalizer
-from repro.index import MBR, DiskAccessCounter, RFSStructure, RStarTree
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -79,3 +55,39 @@ __all__ = [
     "RStarTree",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.config": (
+            "DatasetConfig",
+            "FeatureConfig",
+            "QDConfig",
+            "RFSConfig",
+            "SystemConfig",
+        ),
+        "repro.core": (
+            "FeedbackSession",
+            "QueryDecompositionEngine",
+            "QueryResult",
+            "ResultGroup",
+        ),
+        "repro.datasets": (
+            "ImageDatabase",
+            "QuerySpec",
+            "Subconcept",
+            "TABLE1_QUERIES",
+            "build_rendered_database",
+            "build_synthetic_database",
+            "get_query",
+        ),
+        "repro.errors": ("ReproError",),
+        "repro.features": ("FeatureExtractor", "FeatureNormalizer"),
+        "repro.index": (
+            "MBR",
+            "DiskAccessCounter",
+            "RFSStructure",
+            "RStarTree",
+        ),
+    },
+)

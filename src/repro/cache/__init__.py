@@ -4,12 +4,7 @@ See :mod:`repro.cache.result_cache` for the cache design (canonical
 subquery digests, RFS structure versioning, byte-capped LRU).
 """
 
-from repro.cache.result_cache import (
-    CachedSubquery,
-    SubqueryResultCache,
-    scan_and_publish,
-    subquery_cache_key,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CachedSubquery",
@@ -17,3 +12,15 @@ __all__ = [
     "scan_and_publish",
     "subquery_cache_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cache.result_cache": (
+            "CachedSubquery",
+            "SubqueryResultCache",
+            "scan_and_publish",
+            "subquery_cache_key",
+        ),
+    },
+)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import signal
 import sys
 from typing import Iterator, Optional, Sequence
 
@@ -33,14 +34,14 @@ from repro.config import (
     RFSConfig,
 )
 from repro.core.engine import QueryDecompositionEngine
-from repro.datasets.build import build_rendered_database
 from repro.datasets.database import ImageDatabase
 from repro.datasets.queryset import get_query, query_names
 from repro.errors import ReproError
-from repro.eval.metrics import gtir, precision_at
-from repro.eval.oracle import SimulatedUser
 from repro.index.rfs import RFSStructure
-from repro.index.serialize import load_rfs, save_rfs
+
+# What only some subcommands need (rendering, evaluation, index files,
+# the trace exporters) is imported inside them: ``serve`` starts
+# without compiling it.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,6 +361,8 @@ def _single_node_engine(
 ) -> QueryDecompositionEngine:
     """Load (``--rfs``) or build the tree, then attach store and cache."""
     if getattr(args, "rfs", None):
+        from repro.index.serialize import load_rfs
+
         rfs = load_rfs(args.rfs, database.features)
     else:
         rfs = RFSStructure.build(database.features, seed=args.seed)
@@ -670,6 +673,8 @@ def _obs_scope(args: argparse.Namespace) -> Iterator[None]:
 
 
 def _cmd_build_db(args: argparse.Namespace) -> int:
+    from repro.datasets.build import build_rendered_database
+
     database = build_rendered_database(
         DatasetConfig(
             total_images=args.images,
@@ -686,6 +691,8 @@ def _cmd_build_db(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_rfs(args: argparse.Namespace) -> int:
+    from repro.index.serialize import save_rfs
+
     database = ImageDatabase.load(args.db)
     rfs = RFSStructure.build(
         database.features,
@@ -708,6 +715,7 @@ def _cmd_build_rfs(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_store(args: argparse.Namespace) -> int:
+    from repro.index.serialize import load_rfs
     from repro.store import FeatureStore
 
     database = ImageDatabase.load(args.db)
@@ -739,6 +747,9 @@ def _cmd_build_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.eval.metrics import gtir, precision_at
+    from repro.eval.oracle import SimulatedUser
+
     database = ImageDatabase.load(args.db)
     qd_config = _qd_config_from_args(args)
     engine = _build_serving_engine(args, database, qd_config)
@@ -779,6 +790,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_index(args: argparse.Namespace) -> int:
     """``index verify``: audit invariants of a saved structure."""
     from repro.index.incremental import validate_structure
+    from repro.index.serialize import load_rfs
 
     database = ImageDatabase.load(args.db)
     rfs = load_rfs(args.rfs, database.features)
@@ -1004,11 +1016,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{serve_config.workers} workers, queue {serve_config.queue_limit},"
         f" deadline {serve_config.default_deadline_s:g}s) on "
         f"{args.host}:{args.port} — one JSON request per line, "
-        "Ctrl-C drains and exits"
+        "Ctrl-C or SIGTERM drains and exits"
     )
-    with _obs_scope(args), engine:
+    with _obs_scope(args), engine, _sigterm_interrupts():
         serve_tcp(core, args.host, args.port)
     return 0
+
+
+@contextlib.contextmanager
+def _sigterm_interrupts() -> Iterator[None]:
+    """Make SIGTERM take Ctrl-C's path out of ``serve``.
+
+    The handler raises ``KeyboardInterrupt``, which ``serve_tcp`` turns
+    into a drain and ``core.close()``; the ``with`` around it then
+    closes the engine and its worker pool.  SIGTERM's default action
+    ends the process outright, which leaves the fork pool of a
+    ``--executor process`` server running without a parent.
+    """
+
+    def interrupt(signum: int, frame: object) -> None:
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 _COMMANDS = {

@@ -7,13 +7,8 @@ Neither scikit-learn nor OpenCV is assumed; both algorithms are
 implemented here on plain numpy.
 """
 
+from repro._lazy import lazy_exports
 from repro.clustering.kmeans import KMeans, KMeansResult, kmeans
-from repro.clustering.pca import PCA
-from repro.clustering.quality import (
-    cluster_separation_ratio,
-    pairwise_centroid_distances,
-    silhouette_score,
-)
 
 __all__ = [
     "KMeans",
@@ -24,3 +19,15 @@ __all__ = [
     "pairwise_centroid_distances",
     "silhouette_score",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.clustering.pca": ("PCA",),
+        "repro.clustering.quality": (
+            "cluster_separation_ratio",
+            "pairwise_centroid_distances",
+            "silhouette_score",
+        ),
+    },
+)

@@ -90,25 +90,75 @@ def sq_distances_into(
     return np.add.reduce(scratch, axis=1, out=out)
 
 
+#: Bytes of distance rows one :func:`kmeans` call keeps for reuse by
+#: its k-means++ picks.  A row is 8 bytes per sample, so small inputs
+#: keep every row and a 50 000-candidate node keeps the first 80 it
+#: computes (the rest are recomputed, as without the memo).
+_ROW_MEMO_BYTES = 32 << 20
+
+
+class _DistanceRows:
+    """Squared distances of every sample to sample ``i``, computed once.
+
+    k-means++ picks samples as centres, and the restarts of one
+    :func:`kmeans` call — or later picks of the same run — keep picking
+    the same ones when ``k`` is a large share of ``n``.  Each row comes
+    from :func:`sq_distances_into` on the picked sample, the arithmetic
+    a pick always used, so a reused row holds the very bits a fresh
+    pass would.  The first rows computed are kept up to
+    :data:`_ROW_MEMO_BYTES`; past that a row is computed into a spare
+    buffer that the next uncached row overwrites.
+    """
+
+    def __init__(self, data: np.ndarray) -> None:
+        n = data.shape[0]
+        self.data = data
+        self.scratch = np.empty_like(data)
+        capacity = min(n, _ROW_MEMO_BYTES // (8 * n))
+        self.rows = np.empty((capacity, n), dtype=np.float64)
+        self.slot = np.full(n, -1, dtype=np.intp)
+        self.used = 0
+        self.spare = np.empty(n, dtype=np.float64)
+
+    def __call__(self, index: int) -> np.ndarray:
+        """Row ``index`` — valid until the next uncached row past the cap."""
+        slot = self.slot[index]
+        if slot >= 0:
+            return self.rows[slot]
+        if self.used < self.rows.shape[0]:
+            out = self.rows[self.used]
+            self.slot[index] = self.used
+            self.used += 1
+        else:
+            out = self.spare
+        return sq_distances_into(
+            self.data, self.data[index], self.scratch, out
+        )
+
+
 def _plus_plus_init(
-    data: np.ndarray, k: int, rng: np.random.Generator
+    data: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    rows: _DistanceRows | None = None,
 ) -> np.ndarray:
     """k-means++ (D² weighting) initial centroid selection.
 
     Each pick inverts the cumulative distribution at one uniform draw —
     the sampling ``rng.choice(n, p=probs)`` performs once it has
     validated ``probs``, so the picks and the generator's state are
-    the ones ``choice`` would give.
+    the ones ``choice`` would give.  ``rows`` serves each picked
+    sample's distance row (shared by the restarts of one
+    :func:`kmeans` call; a private one otherwise).
     """
     n = data.shape[0]
+    if rows is None:
+        rows = _DistanceRows(data)
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = data[first]
-    scratch = np.empty_like(data)
-    closest_sq = np.empty(n, dtype=np.float64)
-    dist_sq = np.empty(n, dtype=np.float64)
+    closest_sq = rows(first).copy()
     cdf = np.empty(n, dtype=np.float64)
-    sq_distances_into(data, centroids[0], scratch, closest_sq)
     for i in range(1, k):
         total = closest_sq.sum()
         if total <= 1e-24:
@@ -122,8 +172,7 @@ def _plus_plus_init(
         choice = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[i] = data[choice]
         if i + 1 < k:  # after the last pick nothing reads the distances
-            sq_distances_into(data, centroids[i], scratch, dist_sq)
-            np.minimum(closest_sq, dist_sq, out=closest_sq)
+            np.minimum(closest_sq, rows(choice), out=closest_sq)
     return centroids
 
 
@@ -238,6 +287,7 @@ def _single_run(
     tol: float,
     *,
     chunk_size: int = 0,
+    rows: _DistanceRows | None = None,
 ) -> KMeansResult:
     """One full Lloyd's-algorithm run from a k-means++ start.
 
@@ -249,7 +299,7 @@ def _single_run(
     ``n_iter`` but not run.  (An empty cluster re-seeds from the
     *previous* centroids, so the argument does not cover it.)
     """
-    centroids = _plus_plus_init(data, k, rng)
+    centroids = _plus_plus_init(data, k, rng, rows)
     data_sqnorms = np.sum(data**2, axis=1)
     labels = _assign(
         data, centroids, data_sqnorms=data_sqnorms, chunk_size=chunk_size
@@ -293,6 +343,7 @@ def _single_run_minibatch(
     batch_size: int,
     *,
     chunk_size: int = 0,
+    rows: _DistanceRows | None = None,
 ) -> KMeansResult:
     """One mini-batch k-means run (Sculley-style streaming update).
 
@@ -303,7 +354,7 @@ def _single_run_minibatch(
     full assignment pass over all the data.
     """
     n = data.shape[0]
-    centroids = _plus_plus_init(data, k, rng)
+    centroids = _plus_plus_init(data, k, rng, rows)
     weights = np.zeros(k, dtype=np.float64)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
@@ -379,16 +430,18 @@ def kmeans(
         raise ClusteringError(f"minibatch must be >= 0, got {minibatch}")
     rng = ensure_rng(seed)
     use_minibatch = 0 < minibatch < n
+    rows = _DistanceRows(matrix)  # shared by every restart's seeding
     best: KMeansResult | None = None
     for _ in range(n_restarts):
         if use_minibatch:
             result = _single_run_minibatch(
                 matrix, k, rng, max_iter, tol, minibatch,
-                chunk_size=chunk_size,
+                chunk_size=chunk_size, rows=rows,
             )
         else:
             result = _single_run(
-                matrix, k, rng, max_iter, tol, chunk_size=chunk_size
+                matrix, k, rng, max_iter, tol,
+                chunk_size=chunk_size, rows=rows,
             )
         if best is None or result.inertia < best.inertia:
             best = result

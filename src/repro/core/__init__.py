@@ -14,21 +14,7 @@
   :class:`QueryDecompositionEngine`.
 """
 
-from repro.core.clientserver import (
-    FrontEndResult,
-    SessionFrontEnd,
-    compare_deployments,
-)
-from repro.core.engine import QueryDecompositionEngine
-from repro.core.presentation import QueryResult, ResultGroup
-from repro.core.session import FeedbackSession
-from repro.core.session_state import SessionState, SubQueryState
-from repro.core.subquery import SubQuery
-from repro.core.target_search import (
-    TargetSearchResult,
-    TargetSearchSession,
-    run_target_search,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "compare_deployments",
@@ -45,3 +31,24 @@ __all__ = [
     "TargetSearchSession",
     "run_target_search",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.clientserver": (
+            "FrontEndResult",
+            "SessionFrontEnd",
+            "compare_deployments",
+        ),
+        "repro.core.engine": ("QueryDecompositionEngine",),
+        "repro.core.presentation": ("QueryResult", "ResultGroup"),
+        "repro.core.session": ("FeedbackSession",),
+        "repro.core.session_state": ("SessionState", "SubQueryState"),
+        "repro.core.subquery": ("SubQuery",),
+        "repro.core.target_search": (
+            "TargetSearchResult",
+            "TargetSearchSession",
+            "run_target_search",
+        ),
+    },
+)

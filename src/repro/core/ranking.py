@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+# np.unique imports numpy.ma the first time it runs (≈ 16 ms): imported
+# with this module, so a server pays it at start, not in a finalize.
+import numpy.ma  # noqa: F401
 
 from repro.config import QDConfig
 from repro.core.presentation import QueryResult, ResultGroup

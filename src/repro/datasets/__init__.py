@@ -17,23 +17,7 @@ exercise the semantic gap.  This package synthesises an equivalent:
   (Gaussian clusters with the same topology) for large scalability sweeps.
 """
 
-from repro.datasets.build import (
-    build_rendered_database,
-    build_synthetic_database,
-)
-from repro.datasets.corel_loader import load_corel_directory
-from repro.datasets.concepts import (
-    CategorySpec,
-    build_category_registry,
-    named_categories,
-)
-from repro.datasets.database import ImageDatabase
-from repro.datasets.queryset import (
-    QuerySpec,
-    Subconcept,
-    TABLE1_QUERIES,
-    get_query,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "load_corel_directory",
@@ -48,3 +32,26 @@ __all__ = [
     "TABLE1_QUERIES",
     "get_query",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.datasets.build": (
+            "build_rendered_database",
+            "build_synthetic_database",
+        ),
+        "repro.datasets.corel_loader": ("load_corel_directory",),
+        "repro.datasets.concepts": (
+            "CategorySpec",
+            "build_category_registry",
+            "named_categories",
+        ),
+        "repro.datasets.database": ("ImageDatabase",),
+        "repro.datasets.queryset": (
+            "QuerySpec",
+            "Subconcept",
+            "TABLE1_QUERIES",
+            "get_query",
+        ),
+    },
+)

@@ -108,7 +108,6 @@ def build_rendered_database(
     normalizer = FeatureNormalizer().fit(raw)
     return ImageDatabase(
         features=normalizer.transform(raw),
-        raw_features=raw,
         labels=np.asarray(labels, dtype=np.int64),
         category_names=[spec.name for spec in registry],
         normalizer=normalizer,
@@ -177,7 +176,6 @@ def build_synthetic_database(
     normalizer = FeatureNormalizer().fit(raw)
     return ImageDatabase(
         features=normalizer.transform(raw),
-        raw_features=raw,
         labels=labels,
         category_names=[f"cluster_{i:03d}" for i in range(n_categories)],
         normalizer=normalizer,

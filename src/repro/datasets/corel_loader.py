@@ -194,7 +194,6 @@ def load_corel_directory(
     normalizer = FeatureNormalizer().fit(raw)
     return ImageDatabase(
         features=normalizer.transform(raw),
-        raw_features=raw,
         labels=np.asarray(labels, dtype=np.int64),
         category_names=category_names,
         normalizer=normalizer,

@@ -1,21 +1,31 @@
 """The :class:`ImageDatabase` container.
 
-Bundles the normalised feature matrix, the per-image category labels, and
-the category name table.  Raw (pre-normalisation) features are kept for
-introspection; rendered pixel data is not retained — the paper's pipeline
-also only ever touches feature vectors after extraction.
+Bundles the normalised feature matrix, the per-image category labels,
+the category name table, and the fitted normalizer.  Neither rendered
+pixel data nor the pre-normalisation features are retained — the
+paper's pipeline only ever touches feature vectors after extraction.
+
+A database file is an uncompressed ``.npz`` of plain arrays (category
+names as a unicode array), read with ``allow_pickle=False``: loading
+one never unpickles anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import DatasetError, UnknownConceptError
 from repro.features.normalize import FeatureNormalizer
+from repro.utils.npzfile import save_npz_atomic
+
+#: The arrays of a database file (anything else in it is ignored).
+_FILE_ARRAYS = (
+    "features", "labels", "category_names", "norm_mean", "norm_std"
+)
 
 
 @dataclass
@@ -26,8 +36,6 @@ class ImageDatabase:
     ----------
     features:
         (n, d) z-scored feature matrix; row index is the image id.
-    raw_features:
-        (n, d) features before normalisation.
     labels:
         (n,) integer category label per image.
     category_names:
@@ -38,29 +46,25 @@ class ImageDatabase:
     """
 
     features: np.ndarray
-    raw_features: np.ndarray
     labels: np.ndarray
     category_names: List[str]
     normalizer: FeatureNormalizer
-    _ids_by_label: Dict[int, np.ndarray] = field(
-        default_factory=dict, repr=False
+    #: Label -> sorted image ids, built by the first category lookup
+    #: (serving never makes one).
+    _ids_by_label: Optional[Dict[int, np.ndarray]] = field(
+        default=None, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
         n = self.features.shape[0]
-        if self.raw_features.shape[0] != n or self.labels.shape[0] != n:
+        if self.labels.shape[0] != n:
             raise DatasetError(
-                "features, raw_features, and labels must agree on the "
-                "number of images"
+                "features and labels must agree on the number of images"
             )
         if self.labels.min(initial=0) < 0 or (
             n > 0 and self.labels.max() >= len(self.category_names)
         ):
             raise DatasetError("labels reference unknown categories")
-        for label in np.unique(self.labels):
-            self._ids_by_label[int(label)] = np.flatnonzero(
-                self.labels == label
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -91,7 +95,14 @@ class ImageDatabase:
     def ids_of_category(self, name: str) -> np.ndarray:
         """All image ids belonging to a category name."""
         label = self.label_of(name)
-        return self._ids_by_label.get(label, np.empty(0, dtype=np.int64))
+        index = self._ids_by_label
+        if index is None:
+            # Built whole, then published: a racing lookup builds its own.
+            index = self._ids_by_label = {
+                int(label): np.flatnonzero(self.labels == label)
+                for label in np.unique(self.labels)
+            }
+        return index.get(label, np.empty(0, dtype=np.int64))
 
     def ids_of_categories(self, names: Sequence[str]) -> np.ndarray:
         """Image ids of a union of categories, sorted."""
@@ -128,34 +139,60 @@ class ImageDatabase:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Serialise the database to an ``.npz`` file."""
-        target = Path(path)
-        np.savez_compressed(
-            target,
-            features=self.features,
-            raw_features=self.raw_features,
-            labels=self.labels,
-            category_names=np.array(self.category_names, dtype=object),
-            norm_mean=self.normalizer.mean_,
-            norm_std=self.normalizer.std_,
+        """Write the database to an ``.npz`` file, atomically.
+
+        Plain arrays only, uncompressed (compression saved 4 % of the
+        bytes and cost every load an inflate); a bare name gains
+        ``.npz``.  A writer that dies half-way leaves the previous file
+        in place (:func:`~repro.utils.npzfile.save_npz_atomic`).
+        """
+        save_npz_atomic(
+            path,
+            {
+                "features": self.features,
+                "labels": self.labels,
+                "category_names": np.array(self.category_names, dtype=str),
+                "norm_mean": np.asarray(self.normalizer.mean_, dtype=float),
+                "norm_std": np.asarray(self.normalizer.std_, dtype=float),
+            },
+            compress=False,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "ImageDatabase":
-        """Load a database saved with :meth:`save`."""
+        """Load a database saved with :meth:`save`.
+
+        Nothing is unpickled: a file holding pickled data — the object
+        array of category names files had before they were pickle-free,
+        or anything crafted — is refused with a :class:`DatasetError`
+        before any of it runs.
+        """
         source = Path(path)
         if not source.exists():
             raise DatasetError(f"no database file at {source}")
-        with np.load(source, allow_pickle=True) as data:
-            normalizer = FeatureNormalizer()
-            normalizer.mean_ = np.asarray(data["norm_mean"], dtype=np.float64)
-            normalizer.std_ = np.asarray(data["norm_std"], dtype=np.float64)
-            return cls(
-                features=np.asarray(data["features"], dtype=np.float64),
-                raw_features=np.asarray(
-                    data["raw_features"], dtype=np.float64
-                ),
-                labels=np.asarray(data["labels"], dtype=np.int64),
-                category_names=[str(s) for s in data["category_names"]],
-                normalizer=normalizer,
-            )
+        try:
+            with np.load(source, allow_pickle=False) as data:
+                missing = sorted(set(_FILE_ARRAYS) - set(data.files))
+                if missing:
+                    raise DatasetError(
+                        f"{source} is not a database file (no {missing})"
+                    )
+                arrays = {name: data[name] for name in _FILE_ARRAYS}
+        except ValueError as exc:
+            raise DatasetError(
+                f"{source} holds pickled data, which a database file is "
+                f"never read with ({exc}).  If you trust the file, re-save "
+                "it pickle-free: load it with numpy.load allowing pickles, "
+                "turn 'category_names' into a str array (.astype(str)) and "
+                "write every array back with numpy.savez — or rebuild it "
+                "with 'build-db'"
+            ) from exc
+        normalizer = FeatureNormalizer()
+        normalizer.mean_ = np.asarray(arrays["norm_mean"], dtype=np.float64)
+        normalizer.std_ = np.asarray(arrays["norm_std"], dtype=np.float64)
+        return cls(
+            features=np.asarray(arrays["features"], dtype=np.float64),
+            labels=np.asarray(arrays["labels"], dtype=np.int64),
+            category_names=arrays["category_names"].tolist(),
+            normalizer=normalizer,
+        )

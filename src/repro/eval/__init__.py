@@ -10,25 +10,7 @@
 * :mod:`repro.eval.reporting` — ASCII tables and series.
 """
 
-from repro.eval.analysis import (
-    average_precision,
-    diagnose_result,
-    ndcg,
-    precision_recall_points,
-)
-from repro.eval.metrics import gtir, precision_at, recall_at, retrieved_subconcepts
-from repro.eval.oracle import SimulatedUser
-from repro.eval.workload import (
-    WorkloadSpec,
-    generate_workload,
-    simulate_concurrent_users,
-)
-from repro.eval.protocol import (
-    BaselineRoundRecord,
-    QDRoundRecord,
-    run_baseline_session,
-    run_qd_session,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "average_precision",
@@ -48,3 +30,33 @@ __all__ = [
     "run_baseline_session",
     "run_qd_session",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.eval.analysis": (
+            "average_precision",
+            "diagnose_result",
+            "ndcg",
+            "precision_recall_points",
+        ),
+        "repro.eval.metrics": (
+            "gtir",
+            "precision_at",
+            "recall_at",
+            "retrieved_subconcepts",
+        ),
+        "repro.eval.oracle": ("SimulatedUser",),
+        "repro.eval.workload": (
+            "WorkloadSpec",
+            "generate_workload",
+            "simulate_concurrent_users",
+        ),
+        "repro.eval.protocol": (
+            "BaselineRoundRecord",
+            "QDRoundRecord",
+            "run_baseline_session",
+            "run_qd_session",
+        ),
+    },
+)

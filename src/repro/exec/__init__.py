@@ -8,19 +8,7 @@ with the determinism guarantee (serial, thread, and process execution
 return bit-identical rankings).
 """
 
-from repro.exec.executors import (
-    OVERFETCH,
-    ProcessSubqueryExecutor,
-    SerialSubqueryExecutor,
-    SubqueryExecutor,
-    SubqueryOutcome,
-    SubqueryTask,
-    ThreadedSubqueryExecutor,
-    build_executor,
-    resolve_executor,
-    run_subquery_task,
-)
-from repro.exec.pool import WorkerPool, default_worker_count
+from repro._lazy import lazy_exports
 
 __all__ = [
     "OVERFETCH",
@@ -36,3 +24,22 @@ __all__ = [
     "resolve_executor",
     "run_subquery_task",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.exec.executors": (
+            "OVERFETCH",
+            "ProcessSubqueryExecutor",
+            "SerialSubqueryExecutor",
+            "SubqueryExecutor",
+            "SubqueryOutcome",
+            "SubqueryTask",
+            "ThreadedSubqueryExecutor",
+            "build_executor",
+            "resolve_executor",
+            "run_subquery_task",
+        ),
+        "repro.exec.pool": ("WorkerPool", "default_worker_count"),
+    },
+)

@@ -13,11 +13,7 @@ z-scores each dimension over a reference collection so no family dominates
 the Euclidean distance.
 """
 
-from repro.features.color import color_moments, rgb_to_hsv
-from repro.features.edges import edge_structural_features, sobel_gradients
-from repro.features.extractor import FeatureExtractor
-from repro.features.normalize import FeatureNormalizer
-from repro.features.texture import haar_dwt2, wavelet_texture_features
+from repro._lazy import lazy_exports
 
 __all__ = [
     "color_moments",
@@ -29,3 +25,17 @@ __all__ = [
     "haar_dwt2",
     "wavelet_texture_features",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.features.color": ("color_moments", "rgb_to_hsv"),
+        "repro.features.edges": (
+            "edge_structural_features",
+            "sobel_gradients",
+        ),
+        "repro.features.extractor": ("FeatureExtractor",),
+        "repro.features.normalize": ("FeatureNormalizer",),
+        "repro.features.texture": ("haar_dwt2", "wavelet_texture_features"),
+    },
+)

@@ -9,9 +9,7 @@ background" vs "laptop on a complicated background") occupy *distinct*
 clusters of the 37-d feature space — the phenomenon the paper is about.
 """
 
-from repro.imaging.canvas import Canvas
-from repro.imaging.palettes import PALETTES, Color, jitter_color
-from repro.imaging.scenes import SCENE_RENDERERS, render_scene
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Canvas",
@@ -21,3 +19,12 @@ __all__ = [
     "SCENE_RENDERERS",
     "render_scene",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.imaging.canvas": ("Canvas",),
+        "repro.imaging.palettes": ("PALETTES", "Color", "jitter_color"),
+        "repro.imaging.scenes": ("SCENE_RENDERERS", "render_scene"),
+    },
+)

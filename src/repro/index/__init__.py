@@ -18,19 +18,7 @@ structure.  This package provides:
   atomically behind an epoch guard.
 """
 
-from repro.index.diskmodel import DiskAccessCounter
-from repro.index.generations import (
-    EpochGuard,
-    GenerationController,
-    generation_seed,
-    route_leaf,
-)
-from repro.index.geometry import MBR
-from repro.index.hierarchies import build_hkmeans_hierarchy
-from repro.index.incremental import validate_structure
-from repro.index.rfs import BuildProgress, RFSNode, RFSStructure
-from repro.index.rstar import RStarTree
-from repro.index.serialize import load_rfs, save_rfs
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BuildProgress",
@@ -48,3 +36,22 @@ __all__ = [
     "save_rfs",
     "validate_structure",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.index.diskmodel": ("DiskAccessCounter",),
+        "repro.index.generations": (
+            "EpochGuard",
+            "GenerationController",
+            "generation_seed",
+            "route_leaf",
+        ),
+        "repro.index.geometry": ("MBR",),
+        "repro.index.hierarchies": ("build_hkmeans_hierarchy",),
+        "repro.index.incremental": ("validate_structure",),
+        "repro.index.rfs": ("BuildProgress", "RFSNode", "RFSStructure"),
+        "repro.index.rstar": ("RStarTree",),
+        "repro.index.serialize": ("load_rfs", "save_rfs"),
+    },
+)

@@ -14,9 +14,7 @@ consistency.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 from pathlib import Path
 from typing import Dict, List
 
@@ -27,6 +25,7 @@ from repro.errors import DatasetError
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.geometry import MBR
 from repro.index.rfs import RFSNode, RFSStructure
+from repro.utils.npzfile import save_npz_atomic
 
 _FORMAT_VERSION = 1
 
@@ -49,12 +48,9 @@ def save_rfs(
 
     The file is written to a temporary name in the target directory and
     moved into place with ``os.replace``, so a writer that dies half-way
-    leaves whatever was at ``path`` before — never a truncated index.
+    leaves whatever was at ``path`` before — never a truncated index
+    (:func:`~repro.utils.npzfile.save_npz_atomic`).
     """
-    target = Path(path)
-    if target.suffix != ".npz":
-        # What np.savez does to a bare name.
-        target = target.with_name(target.name + ".npz")
     if store_dir is not None:
         rfs.store.save(store_dir)
     nodes = list(rfs.iter_nodes())
@@ -107,17 +103,7 @@ def save_rfs(
         # JSON string; build_meta holds only plain ints/strings.
         build_meta=np.array(json.dumps(rfs.build_meta)),
     )
-    # Created with open(), not mkstemp: the index keeps the mode the
-    # umask gives any other output file.
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "xb") as handle:
-            np.savez_compressed(handle, **arrays)
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    save_npz_atomic(path, arrays, compress=True)
 
 
 def load_rfs(

@@ -24,58 +24,13 @@ Quick start::
     print(obs.prometheus_text(registry))
 """
 
-from repro.obs.bench import (
-    BenchResult,
-    BenchSchemaError,
-    MetricDelta,
-    compare_dirs,
-    compare_results,
-    format_comparison,
-    load_bench_dir,
-    load_bench_result,
-    validate_bench_result,
-)
-from repro.obs.export import (
-    console_summary,
-    load_jsonl_trace,
-    prometheus_text,
-    write_jsonl_trace,
-)
-from repro.obs.metrics import (
-    BUCKET_BOUNDS,
-    NULL_METRICS,
-    RESERVOIR_CAP,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetrics,
-    get_metrics,
-    instrument_key,
-    set_metrics,
-    use_metrics,
-)
-from repro.obs.profile import (
-    SpanProfiler,
-    collapsed_from_trace,
-    read_rss_bytes,
-)
+from repro._lazy import lazy_exports
 from repro.obs.summarize import (
     SpanStats,
     TraceSummary,
     iter_spans,
     phase_durations,
     summarize,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    span_from_dict,
-    use_tracer,
 )
 
 __all__ = [
@@ -121,3 +76,55 @@ __all__ = [
     "validate_bench_result",
     "write_jsonl_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.bench": (
+            "BenchResult",
+            "BenchSchemaError",
+            "MetricDelta",
+            "compare_dirs",
+            "compare_results",
+            "format_comparison",
+            "load_bench_dir",
+            "load_bench_result",
+            "validate_bench_result",
+        ),
+        "repro.obs.export": (
+            "console_summary",
+            "load_jsonl_trace",
+            "prometheus_text",
+            "write_jsonl_trace",
+        ),
+        "repro.obs.metrics": (
+            "BUCKET_BOUNDS",
+            "NULL_METRICS",
+            "RESERVOIR_CAP",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "NullMetrics",
+            "get_metrics",
+            "instrument_key",
+            "set_metrics",
+            "use_metrics",
+        ),
+        "repro.obs.profile": (
+            "SpanProfiler",
+            "collapsed_from_trace",
+            "read_rss_bytes",
+        ),
+        "repro.obs.trace": (
+            "NULL_TRACER",
+            "NullTracer",
+            "Span",
+            "Tracer",
+            "get_tracer",
+            "set_tracer",
+            "span_from_dict",
+            "use_tracer",
+        ),
+    },
+)

@@ -6,15 +6,7 @@ and all baseline techniques: plain/weighted/quadratic-form distances
 multipoint query, and ranked-list utilities.
 """
 
-from repro.retrieval.distance import (
-    euclidean,
-    euclidean_many,
-    quadratic_form_distance,
-    weighted_euclidean,
-)
-from repro.retrieval.multipoint import MultipointQuery
-from repro.retrieval.topk import RankedList, merge_ranked_lists, top_k
-from repro.retrieval.weighting import FamilyWeights
+from repro._lazy import lazy_exports
 
 __all__ = [
     "euclidean",
@@ -27,3 +19,18 @@ __all__ = [
     "merge_ranked_lists",
     "top_k",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.retrieval.distance": (
+            "euclidean",
+            "euclidean_many",
+            "quadratic_form_distance",
+            "weighted_euclidean",
+        ),
+        "repro.retrieval.multipoint": ("MultipointQuery",),
+        "repro.retrieval.topk": ("RankedList", "merge_ranked_lists", "top_k"),
+        "repro.retrieval.weighting": ("FamilyWeights",),
+    },
+)

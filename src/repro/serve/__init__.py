@@ -6,7 +6,14 @@ queue, load shedding, per-request deadlines, graceful drain, the
 JSON-lines wire front the CLI ``serve`` command exposes.
 """
 
-from repro.serve.server import QDServer, ServerResponse
-from repro.serve.tcp import QDTCPServer, serve_tcp
+from repro._lazy import lazy_exports
 
 __all__ = ["QDServer", "QDTCPServer", "ServerResponse", "serve_tcp"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.server": ("QDServer", "ServerResponse"),
+        "repro.serve.tcp": ("QDTCPServer", "serve_tcp"),
+    },
+)

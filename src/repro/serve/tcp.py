@@ -26,7 +26,10 @@ one overload policy (shedding, deadlines, drain).
 
 A request line longer than :data:`MAX_REQUEST_LINE_BYTES` is answered
 with ``invalid_request`` and the connection is closed (its remainder
-could only be skipped by reading it all).
+could only be skipped by reading it all).  A connection that sends
+nothing — not a byte, or not the rest of a line — for
+:data:`IDLE_TIMEOUT_S` is closed without a reply, which ends its
+handler thread.
 
 Response object mirrors :class:`~repro.serve.server.ServerResponse`:
 ``{"status": ..., "retriable": ..., "error": ..., "value": ...}`` with
@@ -48,6 +51,11 @@ from repro.serve.server import QDServer, ServerResponse
 #: magnitude above a real request (an ``insert`` row is ~1 KB) and far
 #: below what would strain a handler thread.
 MAX_REQUEST_LINE_BYTES = 1 << 20
+
+#: Seconds a connection may stay silent before the server closes it.
+#: Minutes: long beyond any client between two requests of a dialogue,
+#: short enough that abandoned connections do not pile up threads.
+IDLE_TIMEOUT_S = 300.0
 
 #: Arguments each op forwards to the front-end (anything else in the
 #: request object is rejected before touching the admission queue).
@@ -101,6 +109,11 @@ def response_to_json(response: ServerResponse) -> str:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    def setup(self) -> None:
+        # Read at connect time, so a changed module constant applies.
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+
     def _reply(self, response: ServerResponse) -> None:
         self.wfile.write((response_to_json(response) + "\n").encode())
         self.wfile.flush()
@@ -111,6 +124,9 @@ class _Handler(socketserver.StreamRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             # The client went away mid-dialogue: nobody is left to
             # answer, and the op (if any) already gave its slot back.
+            return
+        except TimeoutError:
+            # Silent for IDLE_TIMEOUT_S: drop the connection quietly.
             return
 
     def _serve_lines(self) -> None:

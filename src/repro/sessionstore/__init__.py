@@ -21,43 +21,43 @@ checkpointed into one backend can be copied into another; rankings
 never depend on the backend choice.
 """
 
-from repro.sessionstore.base import (
-    SessionStore,
-    decode_state,
-    encode_state,
-)
-from repro.sessionstore.jsondir import JSONDirectorySessionStore
-from repro.sessionstore.memory import InMemorySessionStore
-from repro.sessionstore.sqlite import SQLiteSessionStore
+from repro._lazy import lazy_exports
 
 #: Backend names accepted by :func:`make_session_store` and the CLI
 #: ``--session-store`` flag.
 SESSION_STORE_KINDS: tuple[str, ...] = ("memory", "sqlite", "jsondir")
 
 
-def make_session_store(kind: str, path: str = "") -> SessionStore:
+def make_session_store(kind: str, path: str = "") -> "SessionStore":
     """Construct a session store by backend name.
 
     ``memory`` ignores ``path``; ``sqlite`` treats it as the database
     file; ``jsondir`` as the record directory.  Raises
     :class:`~repro.errors.SessionStoreError` on an unknown kind or a
-    missing required path.
+    missing required path.  Only the chosen backend's module is
+    imported.
     """
     from repro.errors import SessionStoreError
 
     if kind == "memory":
+        from repro.sessionstore.memory import InMemorySessionStore
+
         return InMemorySessionStore()
     if kind == "sqlite":
         if not path:
             raise SessionStoreError(
                 "sqlite session store needs a database file path"
             )
+        from repro.sessionstore.sqlite import SQLiteSessionStore
+
         return SQLiteSessionStore(path)
     if kind == "jsondir":
         if not path:
             raise SessionStoreError(
                 "jsondir session store needs a directory path"
             )
+        from repro.sessionstore.jsondir import JSONDirectorySessionStore
+
         return JSONDirectorySessionStore(path)
     raise SessionStoreError(
         f"unknown session store kind {kind!r} "
@@ -75,3 +75,17 @@ __all__ = [
     "encode_state",
     "make_session_store",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sessionstore.base": (
+            "SessionStore",
+            "decode_state",
+            "encode_state",
+        ),
+        "repro.sessionstore.jsondir": ("JSONDirectorySessionStore",),
+        "repro.sessionstore.memory": ("InMemorySessionStore",),
+        "repro.sessionstore.sqlite": ("SQLiteSessionStore",),
+    },
+)

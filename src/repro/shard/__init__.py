@@ -14,14 +14,7 @@ Public surface:
   argument in :mod:`repro.shard.engine`).
 """
 
-from repro.shard.engine import Shard, ShardedEngine, ShardedRFS
-from repro.shard.partition import (
-    PARTITION_STRATEGIES,
-    ShardAssignment,
-    build_shard_structure,
-    dfs_leaves,
-    partition_leaves,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PARTITION_STRATEGIES",
@@ -33,3 +26,17 @@ __all__ = [
     "dfs_leaves",
     "partition_leaves",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.shard.engine": ("Shard", "ShardedEngine", "ShardedRFS"),
+        "repro.shard.partition": (
+            "PARTITION_STRATEGIES",
+            "ShardAssignment",
+            "build_shard_structure",
+            "dfs_leaves",
+            "partition_leaves",
+        ),
+    },
+)

@@ -37,32 +37,7 @@ bit-identical between the ``inmem`` and ``memmap`` backings (same
 bytes, same kernel).
 """
 
-from repro.store.delta import (
-    DeltaSegment,
-    DeltaView,
-    TombstoneSegment,
-)
-from repro.store.feature_store import (
-    STORE_DTYPES,
-    STORE_FORMAT_VERSION,
-    FeatureStore,
-    open_store,
-)
-from repro.store.kernels import (
-    approx_point_distances,
-    approx_weighted_point_distances,
-    multipoint_distances,
-    pairwise_distances,
-    point_distances,
-    weighted_point_distances,
-)
-from repro.store.quantize import (
-    STORE_TIERS,
-    QuantizationParams,
-    dequantize,
-    dequantized_sqnorms,
-    quantize_matrix,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DeltaSegment",
@@ -84,3 +59,31 @@ __all__ = [
     "point_distances",
     "weighted_point_distances",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.store.delta": ("DeltaSegment", "DeltaView", "TombstoneSegment"),
+        "repro.store.feature_store": (
+            "STORE_DTYPES",
+            "STORE_FORMAT_VERSION",
+            "FeatureStore",
+            "open_store",
+        ),
+        "repro.store.kernels": (
+            "approx_point_distances",
+            "approx_weighted_point_distances",
+            "multipoint_distances",
+            "pairwise_distances",
+            "point_distances",
+            "weighted_point_distances",
+        ),
+        "repro.store.quantize": (
+            "STORE_TIERS",
+            "QuantizationParams",
+            "dequantize",
+            "dequantized_sqnorms",
+            "quantize_matrix",
+        ),
+    },
+)

@@ -1,14 +1,6 @@
 """Shared low-level helpers: seeded RNG management, validation, timing."""
 
-from repro.utils.rng import RandomState, derive_rng, ensure_rng
-from repro.utils.timing import Stopwatch, TimingLog
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_probability,
-    check_vector,
-    check_vectors,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "RandomState",
@@ -22,3 +14,18 @@ __all__ = [
     "check_vector",
     "check_vectors",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.utils.rng": ("RandomState", "derive_rng", "ensure_rng"),
+        "repro.utils.timing": ("Stopwatch", "TimingLog"),
+        "repro.utils.validation": (
+            "check_fraction",
+            "check_positive",
+            "check_probability",
+            "check_vector",
+            "check_vectors",
+        ),
+    },
+)

@@ -15,10 +15,7 @@ Query Decomposition engine:
   QD engine, with clip-level result aggregation.
 """
 
-from repro.video.keyframes import select_keyframes
-from repro.video.retrieval import VideoDatabase, VideoSearchEngine
-from repro.video.shots import detect_shot_boundaries, frame_differences
-from repro.video.synthesis import SyntheticClip, render_clip
+from repro._lazy import lazy_exports
 
 __all__ = [
     "select_keyframes",
@@ -29,3 +26,13 @@ __all__ = [
     "SyntheticClip",
     "render_clip",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.video.keyframes": ("select_keyframes",),
+        "repro.video.retrieval": ("VideoDatabase", "VideoSearchEngine"),
+        "repro.video.shots": ("detect_shot_boundaries", "frame_differences"),
+        "repro.video.synthesis": ("SyntheticClip", "render_clip"),
+    },
+)

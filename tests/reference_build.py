@@ -2,9 +2,10 @@
 
 Everything here is the *historical* form of a build kernel, kept out of
 ``src/`` on purpose: the naive per-cluster loops the vectorized Lloyd
-iteration replaced, and the bodies ``_plus_plus_init``, ``_single_run``
+iteration replaced, the bodies ``_plus_plus_init``, ``_single_run``
 and ``_split_once`` had before the build stopped computing what it
-could prove (commit 7d9c120).  The shipped kernels must reproduce these
+could prove (commit 7d9c120), and ``kmeans()``'s restart loop before
+its k-means++ picks shared distance rows.  The shipped kernels must reproduce these
 bit for bit — centroids, labels, inertia, ``n_iter``, the partition, and
 the random generator's state afterwards — which is what
 ``tests/test_build_parallel.py`` checks against them.
@@ -135,6 +136,25 @@ def single_run_reference(
     return KMeansResult(
         centroids=centroids, labels=labels, inertia=inertia, n_iter=n_iter
     )
+
+
+def kmeans_reference(
+    data: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    n_restarts: int,
+    *,
+    max_iter: int = 100,
+    tol: float = 1e-6,
+) -> KMeansResult:
+    """Full-batch ``kmeans()``: independent restarts, every k-means++
+    pick computing its distance row afresh, lowest inertia wins."""
+    best = None
+    for _ in range(n_restarts):
+        result = single_run_reference(data, k, rng, max_iter, tol)
+        if best is None or result.inertia < best.inertia:
+            best = result
+    return best
 
 
 def split_once_reference(

@@ -15,7 +15,9 @@ below were generated on the last commit that ran them (7d9c120).
 """
 
 import functools
+import importlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,11 +25,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.kmeans import (
+    _ROW_MEMO_BYTES,
     _assign,
     _lloyd_update,
     _plus_plus_init,
     _single_run,
     kmeans,
+    sq_distances_into,
 )
 from repro.config import BuildConfig, MutationConfig, RFSConfig
 from repro.datasets.build import build_synthetic_database
@@ -42,6 +46,7 @@ from repro.retrieval.multipoint import MultipointQuery
 from repro.utils.rng import derive_rng, ensure_rng
 from tests.reference_build import (
     assign_naive,
+    kmeans_reference,
     lloyd_update_naive,
     nearest_candidates_naive,
     plus_plus_init_reference,
@@ -49,6 +54,9 @@ from tests.reference_build import (
     split_once_reference,
     structure_digest,
 )
+
+# The module, not the function the package re-exports under its name.
+_km = importlib.import_module("repro.clustering.kmeans")
 
 N_IMAGES = 600
 DIMS = 16
@@ -424,6 +432,61 @@ class TestKernelReferenceParity:
         want = plus_plus_init_reference(data, k, ref_rng)
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(
+        kind=_KINDS,
+        n=st.integers(1, 60),
+        d=st.integers(1, 9),
+        k_gap=st.integers(0, 3),
+        n_restarts=st.integers(1, 4),
+        seed=st.integers(0, 2**20),
+        memo_rows=st.sampled_from([None, None, 0, 2]),
+    )
+    # k = n over a quarter as many distinct rows: seeding runs out of
+    # distinct samples, and every restart picks the same rows again.
+    @example(kind="duplicated", n=24, d=3, k_gap=0, n_restarts=3, seed=5,
+             memo_rows=None)
+    @settings(max_examples=150, deadline=None)
+    def test_kmeans_shared_rows_match_reference(
+        self, kind, n, d, k_gap, n_restarts, seed, memo_rows
+    ):
+        # memo_rows caps the memo (None: the shipped cap keeps them all).
+        data = _kernel_data(kind, n, d, seed)
+        k = max(1, n - k_gap)
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        cap = _ROW_MEMO_BYTES if memo_rows is None else memo_rows * 8 * n
+        with mock.patch.object(_km, "_ROW_MEMO_BYTES", cap):
+            got = kmeans(data, k, seed=rng, n_restarts=n_restarts)
+        want = kmeans_reference(data, k, ref_rng, n_restarts)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.inertia == want.inertia
+        assert got.n_iter == want.n_iter
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("memo_rows", [None, 0])
+    def test_kmeans_computes_each_seeding_row_once(
+        self, monkeypatch, memo_rows
+    ):
+        # 3 restarts x 149 picks that read a row, over 200 samples: with
+        # the memo no row is computed twice; with no room for a row,
+        # every pick computes its own, as before the memo.
+        n, k = 200, 150
+        calls = []
+
+        def counted(points, centre, scratch, out):
+            calls.append(centre.tobytes())
+            return sq_distances_into(points, centre, scratch, out)
+
+        monkeypatch.setattr(_km, "sq_distances_into", counted)
+        if memo_rows is not None:
+            monkeypatch.setattr(_km, "_ROW_MEMO_BYTES", memo_rows)
+        kmeans(_kernel_data("uniform", n, 6, 1), k, seed=1, n_restarts=3)
+        if memo_rows is None:
+            assert len(calls) == len(set(calls)) <= n
+            assert len(calls) < 3 * (k - 1)
+        else:
+            assert len(calls) == 3 * (k - 1)
 
     @given(
         kind=_KINDS,

@@ -224,8 +224,7 @@ class TestImageDatabase:
         with pytest.raises(DatasetError):
             ImageDatabase(
                 features=rng.normal(size=(5, 3)),
-                raw_features=rng.normal(size=(4, 3)),
-                labels=np.zeros(5, dtype=np.int64),
+                labels=np.zeros(4, dtype=np.int64),
                 category_names=["a"],
                 normalizer=FeatureNormalizer(),
             )
@@ -234,7 +233,6 @@ class TestImageDatabase:
         with pytest.raises(DatasetError):
             ImageDatabase(
                 features=rng.normal(size=(3, 2)),
-                raw_features=rng.normal(size=(3, 2)),
                 labels=np.array([0, 1, 5]),
                 category_names=["a", "b"],
                 normalizer=FeatureNormalizer(),
@@ -254,3 +252,117 @@ class TestImageDatabase:
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(DatasetError):
             ImageDatabase.load(tmp_path / "nope.npz")
+
+
+class _RunsOnUnpickle:
+    """Pickles to a call that creates ``marker`` when unpickled."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+class TestDatabaseFile:
+    def test_file_is_plain_uncompressed_arrays(self, tmp_path, synthetic_db):
+        import zipfile
+
+        path = tmp_path / "db.npz"
+        synthetic_db.save(path)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) == [
+            "category_names.npy", "features.npy", "labels.npy",
+            "norm_mean.npy", "norm_std.npy",
+        ]
+        assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
+        with np.load(path, allow_pickle=False) as data:
+            assert data["category_names"].dtype.kind == "U"
+            assert np.array_equal(data["features"], synthetic_db.features)
+        loaded = ImageDatabase.load(path)
+        assert loaded.category_names == synthetic_db.category_names
+        assert all(type(name) is str for name in loaded.category_names)
+        assert loaded.normalizer.std_.tobytes() == (
+            synthetic_db.normalizer.std_.tobytes()
+        )
+
+    def test_category_index_built_on_first_lookup(
+        self, tmp_path, synthetic_db
+    ):
+        path = tmp_path / "db.npz"
+        synthetic_db.save(path)
+        loaded = ImageDatabase.load(path)
+        assert loaded._ids_by_label is None
+        name = loaded.category_names[3]
+        assert np.array_equal(
+            loaded.ids_of_category(name), np.flatnonzero(loaded.labels == 3)
+        )
+        assert len(loaded._ids_by_label) == len(np.unique(loaded.labels))
+
+    def test_failed_save_keeps_previous_file(
+        self, tmp_path, synthetic_db, monkeypatch
+    ):
+        path = tmp_path / "db.npz"
+        synthetic_db.save(path)
+        before = path.read_bytes()
+
+        def dies_half_way(handle, **arrays):
+            handle.write(before[: len(before) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", dies_half_way)
+        with pytest.raises(OSError, match="disk full"):
+            synthetic_db.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert ImageDatabase.load(path).size == synthetic_db.size
+        assert [p.name for p in tmp_path.iterdir()] == ["db.npz"]
+
+    def test_bare_name_still_gains_npz_suffix(self, tmp_path, synthetic_db):
+        synthetic_db.save(tmp_path / "db")
+        assert [p.name for p in tmp_path.iterdir()] == ["db.npz"]
+        assert ImageDatabase.load(tmp_path / "db.npz").size == 900
+
+    def test_previous_pickled_format_is_refused(self, tmp_path, synthetic_db):
+        # What save() wrote before database files were pickle-free.
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            features=synthetic_db.features,
+            raw_features=synthetic_db.features,
+            labels=synthetic_db.labels,
+            category_names=np.array(synthetic_db.category_names, dtype=object),
+            norm_mean=synthetic_db.normalizer.mean_,
+            norm_std=synthetic_db.normalizer.std_,
+        )
+        with pytest.raises(DatasetError, match="re-save") as info:
+            ImageDatabase.load(path)
+        assert "pickled" in str(info.value)
+
+    def test_reduce_payload_never_runs(self, tmp_path, synthetic_db):
+        marker = tmp_path / "payload-ran"
+        names = np.empty(1, dtype=object)
+        names[0] = _RunsOnUnpickle(marker)
+        path = tmp_path / "crafted.npz"
+        np.savez(
+            path,
+            features=synthetic_db.features[:1],
+            labels=np.zeros(1, dtype=np.int64),
+            category_names=names,
+            norm_mean=synthetic_db.normalizer.mean_,
+            norm_std=synthetic_db.normalizer.std_,
+        )
+        with pytest.raises(DatasetError, match="pickled"):
+            ImageDatabase.load(path)
+        assert not marker.exists()
+        # The payload is live: unpickling the same file does run it.
+        with np.load(path, allow_pickle=True) as data:
+            data["category_names"][0].close()  # the file it opened
+        assert marker.exists()
+
+    def test_file_without_database_arrays_is_refused(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez(path, features=np.zeros((2, 3)))
+        with pytest.raises(DatasetError, match="not a database file"):
+            ImageDatabase.load(path)

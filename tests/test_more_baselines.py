@@ -131,7 +131,6 @@ class TestQPMFullMetric:
         norm = FeatureNormalizer().fit(base)
         db = ImageDatabase(
             features=norm.transform(base),
-            raw_features=base,
             labels=np.array([0] * 40 + [1] * 260),
             category_names=["target", "rest"],
             normalizer=norm,

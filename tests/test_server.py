@@ -9,22 +9,29 @@ drain, stats/metrics) and the JSON-lines TCP front.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import QDConfig, RFSConfig, ServeConfig, SessionStoreConfig
 from repro.core import SessionFrontEnd
 from repro.core.clientserver import FrontEndResult
 from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.build import build_synthetic_database
 from repro.errors import ConfigurationError
+from repro.exec.pool import fork_available
 from repro.serve import QDServer, serve_tcp
 from repro.sessionstore import InMemorySessionStore
 
@@ -759,3 +766,152 @@ class TestDisconnectedClient:
         finally:
             _SlotProbe.gate.set()
             tcp.close()
+
+
+def _handler_threads():
+    return [
+        t for t in threading.enumerate()
+        if "process_request_thread" in t.name and t.is_alive()
+    ]
+
+
+class TestIdleConnection:
+    @pytest.mark.parametrize(
+        "sent", [b"", b'{"op": "open", "se'], ids=["nothing", "half-line"]
+    )
+    def test_silent_client_is_dropped_and_its_handler_ends(
+        self, engine, monkeypatch, sent
+    ):
+        monkeypatch.setattr("repro.serve.tcp.IDLE_TIMEOUT_S", 0.3)
+        core = QDServer(engine, ServeConfig(workers=1))
+        tcp = serve_tcp(core, "127.0.0.1", 0, background=True)
+        errors = []
+        monkeypatch.setattr(
+            tcp, "handle_error", lambda *args: errors.append(args)
+        )
+        before = set(_handler_threads())
+
+        def handlers():
+            return [t for t in _handler_threads() if t not in before]
+
+        try:
+            sock = socket.create_connection(tcp.server_address[:2], timeout=5.0)
+            try:
+                sock.sendall(sent)
+                _await(handlers, "the handler thread")
+                started = time.monotonic()
+                assert sock.recv(1) == b""  # closed, without a reply
+                assert time.monotonic() - started < 4.0
+            finally:
+                sock.close()
+            _await(lambda: not handlers(), "the handler to end")
+            assert errors == []
+            # the server still serves, on a fresh connection
+            sock = socket.create_connection(tcp.server_address[:2], timeout=5.0)
+            stream = sock.makefile("rw", encoding="utf-8")
+            try:
+                stream.write(json.dumps({"op": "open", "seed": 4}) + "\n")
+                stream.flush()
+                assert json.loads(stream.readline())["status"] == "ok"
+            finally:
+                sock.close()
+        finally:
+            tcp.close()
+
+    def test_timeout_is_minutes(self):
+        from repro.serve.tcp import IDLE_TIMEOUT_S
+
+        assert 60.0 <= IDLE_TIMEOUT_S <= 3600.0
+
+
+def _children(pid):
+    """Pids of ``pid``'s child processes (any thread's), from /proc."""
+    kids = set()
+    for task in Path(f"/proc/{pid}/task").glob("*"):
+        with contextlib.suppress(OSError):
+            kids.update(
+                int(k) for k in (task / "children").read_text().split()
+            )
+    return kids
+
+
+def _running(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or not fork_available(),
+    reason="needs /proc and fork",
+)
+class TestServeSignals:
+    def test_sigterm_drains_and_leaves_no_worker_process(
+        self, database, tmp_path
+    ):
+        """``serve --executor process``: SIGTERM takes Ctrl-C's path —
+        drain, close the core, close the engine and its fork pool — so
+        the pool workers exit with the server instead of being orphaned."""
+        db_path = tmp_path / "db.npz"
+        database.save(db_path)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        log = open(tmp_path / "server.log", "wb")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--db", str(db_path), "--port", str(port),
+                "--seed", str(SEED), "--session-store", "memory",
+                "--executor", "process", "--workers", "2",
+                "--serve-workers", "1",
+            ],
+            env=env, stdout=log, stderr=subprocess.STDOUT,
+        )
+        workers = set()
+        try:
+            deadline = time.monotonic() + 60.0
+            while True:
+                assert proc.poll() is None, "server exited early"
+                assert time.monotonic() < deadline, "server not ready"
+                try:
+                    sock = socket.create_connection(
+                        ("127.0.0.1", port), timeout=30.0
+                    )
+                    break
+                except OSError:
+                    time.sleep(0.05)
+            stream = sock.makefile("rw", encoding="utf-8")
+
+            def call(payload):
+                stream.write(json.dumps(payload) + "\n")
+                stream.flush()
+                reply = json.loads(stream.readline())
+                assert reply["status"] == "ok", reply
+                return reply["value"]
+
+            sid = call({"op": "open", "seed": 4})
+            shown = call({"op": "display", "session_id": sid, "screens": 2})
+            # Every shown id marked: several subqueries, so the final
+            # round fans out over the fork pool.
+            call({"op": "submit", "session_id": sid, "relevant_ids": shown})
+            call({"op": "finalize", "session_id": sid, "k": 30})
+            sock.close()
+            workers = _children(proc.pid)
+            assert workers, "the final round started no worker process"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30.0) == 0
+            deadline = time.monotonic() + 10.0
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, "orphaned pool workers"
+                time.sleep(0.05)
+        finally:
+            for pid in [proc.pid, *workers]:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
+            log.close()

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import SubqueryResultCache
 from repro.config import CacheConfig, QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.build import build_synthetic_database
