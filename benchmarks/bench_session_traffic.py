@@ -307,7 +307,7 @@ def run_traffic_bench(tiny: bool, db_path: Optional[str] = None) -> tuple:
         def measure(engines) -> Tuple[float, Dict[str, list], int]:
             best = (float("inf"), {}, 0)
             for _ in range(p["repeats"]):
-                store.sweep_expired(0.0, now=time.time() + 1e6)  # reset
+                store.sweep_expired(1.0, now=time.time() + 1e6)  # reset
                 run = _run_traffic(engines, plans, p, labels)
                 if run[0] < best[0]:
                     best = run

@@ -34,7 +34,6 @@ __all__ = [
     "FeatureConfig",
     "QDConfig",
     "RFSConfig",
-    "SystemConfig",
     "FeedbackSession",
     "QueryDecompositionEngine",
     "QueryResult",
@@ -64,7 +63,6 @@ __getattr__, __dir__ = lazy_exports(
             "FeatureConfig",
             "QDConfig",
             "RFSConfig",
-            "SystemConfig",
         ),
         "repro.core": (
             "FeedbackSession",

@@ -284,11 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (argparse refuses anything else)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     """Shared sharding flags (query/serve)."""
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help=(
@@ -317,7 +330,7 @@ def _build_serving_engine(
     rejected with a clear error instead of silently ignored.
     """
     shards = getattr(args, "shards", 0)
-    if shards <= 0:
+    if shards == 0:
         engine = _single_node_engine(args, database, qd_config)
         _enable_mutations_from_args(engine, args)
         return engine
@@ -1001,7 +1014,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         default_deadline_s=args.deadline_s,
         drain_timeout_s=args.drain_timeout_s,
-        shards=max(0, args.shards),
     )
     engine = _build_serving_engine(args, database, qd_config)
     session_store = _session_store_from_args(args)
@@ -1009,7 +1021,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine.attach_session_store(session_store)
     core = QDServer(engine, serve_config)
     shape = (
-        f"{args.shards} shard(s)" if args.shards > 0 else "single-node"
+        f"{args.shards} shard(s)" if args.shards else "single-node"
     )
     print(
         f"serving {database.size} images ({shape}, "

@@ -12,8 +12,7 @@ structure (paper §3.1) and the cluster grouping inside the Qcluster and
 MARS multipoint baselines.
 
 The Lloyd iteration is fully vectorized: assignment runs through the
-norm-expansion kernel shared with :mod:`repro.store.kernels`
-(optionally chunked to bound the (chunk, k) scratch table), and the
+norm-expansion kernel shared with :mod:`repro.store.kernels`, and the
 centroid update is a single ``np.bincount`` + ``np.add.at`` scatter.
 Both are **bit-identical** to the naive per-cluster loops they replace
 (``np.add.at`` accumulates sequentially, exactly like
@@ -24,9 +23,7 @@ implementations live with the tests that pin them
 (``tests/reference_build.py``).  A run also stops as soon as it has
 *provably* converged — the labels repeated with no cluster empty, so one
 more iteration could only reproduce the same centroids — and reports
-the iteration count the full loop would have.  An optional mini-batch
-mode (deterministic, per-iteration sampling without replacement) trades
-exactness for throughput on very large inputs.
+the iteration count the full loop would have.
 """
 
 from __future__ import annotations
@@ -200,34 +197,13 @@ def _assign(
     centroids: np.ndarray,
     *,
     data_sqnorms: np.ndarray | None = None,
-    chunk_size: int = 0,
 ) -> np.ndarray:
-    """Label each sample with the index of its nearest centroid.
-
-    ``chunk_size`` bounds the (chunk, k) distance-table scratch;
-    chunked and unchunked assignment are bit-identical (each row's
-    distances are computed by the same expansion either way).
-    """
+    """Label each sample with the index of its nearest centroid."""
     if data_sqnorms is None:
         data_sqnorms = np.sum(data**2, axis=1)
     cent_sqnorms = np.sum(centroids**2, axis=1)
-    n = data.shape[0]
-    if chunk_size <= 0 or chunk_size >= n:
-        table = _sq_distance_table(
-            data, centroids, data_sqnorms, cent_sqnorms
-        )
-        return np.argmin(table, axis=1)
-    labels = np.empty(n, dtype=np.int64)
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        table = _sq_distance_table(
-            data[start:stop],
-            centroids,
-            data_sqnorms[start:stop],
-            cent_sqnorms,
-        )
-        labels[start:stop] = np.argmin(table, axis=1)
-    return labels
+    table = _sq_distance_table(data, centroids, data_sqnorms, cent_sqnorms)
+    return np.argmin(table, axis=1)
 
 
 def _reseed_empty(
@@ -286,7 +262,6 @@ def _single_run(
     max_iter: int,
     tol: float,
     *,
-    chunk_size: int = 0,
     rows: _DistanceRows | None = None,
 ) -> KMeansResult:
     """One full Lloyd's-algorithm run from a k-means++ start.
@@ -301,21 +276,14 @@ def _single_run(
     """
     centroids = _plus_plus_init(data, k, rng, rows)
     data_sqnorms = np.sum(data**2, axis=1)
-    labels = _assign(
-        data, centroids, data_sqnorms=data_sqnorms, chunk_size=chunk_size
-    )
+    labels = _assign(data, centroids, data_sqnorms=data_sqnorms)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         new_centroids = _lloyd_update(data, labels, k, centroids)
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         previous = labels
-        labels = _assign(
-            data,
-            centroids,
-            data_sqnorms=data_sqnorms,
-            chunk_size=chunk_size,
-        )
+        labels = _assign(data, centroids, data_sqnorms=data_sqnorms)
         if shift <= tol:
             break
         if (
@@ -334,54 +302,6 @@ def _single_run(
     )
 
 
-def _single_run_minibatch(
-    data: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    max_iter: int,
-    tol: float,
-    batch_size: int,
-    *,
-    chunk_size: int = 0,
-    rows: _DistanceRows | None = None,
-) -> KMeansResult:
-    """One mini-batch k-means run (Sculley-style streaming update).
-
-    Each iteration assigns a fresh without-replacement sample and moves
-    every hit centroid toward its batch mean with a per-centroid
-    learning rate of ``batch_count / cumulative_count``.  Deterministic
-    for a given generator state; the final labels/inertia come from one
-    full assignment pass over all the data.
-    """
-    n = data.shape[0]
-    centroids = _plus_plus_init(data, k, rng, rows)
-    weights = np.zeros(k, dtype=np.float64)
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        idx = rng.choice(n, size=batch_size, replace=False)
-        batch = data[idx]
-        batch_labels = _assign(batch, centroids, chunk_size=chunk_size)
-        counts = np.bincount(batch_labels, minlength=k).astype(np.float64)
-        sums = np.zeros((k, data.shape[1]), dtype=np.float64)
-        np.add.at(sums, batch_labels, batch)
-        hit = counts > 0
-        weights += counts
-        new_centroids = centroids.copy()
-        rate = (counts[hit] / weights[hit])[:, None]
-        new_centroids[hit] += rate * (
-            sums[hit] / counts[hit, None] - centroids[hit]
-        )
-        shift = float(np.max(np.abs(new_centroids - centroids)))
-        centroids = new_centroids
-        if shift <= tol:
-            break
-    labels = _assign(data, centroids, chunk_size=chunk_size)
-    inertia = float(np.sum((data - centroids[labels]) ** 2))
-    return KMeansResult(
-        centroids=centroids, labels=labels, inertia=inertia, n_iter=n_iter
-    )
-
-
 def kmeans(
     data: np.ndarray,
     k: int,
@@ -390,8 +310,6 @@ def kmeans(
     n_restarts: int = 3,
     max_iter: int = 100,
     tol: float = 1e-6,
-    chunk_size: int = 0,
-    minibatch: int = 0,
 ) -> KMeansResult:
     """Cluster ``data`` into ``k`` groups; return the best of several runs.
 
@@ -407,14 +325,6 @@ def kmeans(
         Independent runs; the lowest-inertia result wins.
     max_iter / tol:
         Lloyd iteration budget and centroid-shift convergence threshold.
-    chunk_size:
-        Assignment-step row chunk (``0`` = unchunked).  Bounds the
-        (chunk, k) distance-table scratch without changing any result.
-    minibatch:
-        When positive and ``n > minibatch``, runs mini-batch k-means
-        with this batch size instead of full-batch Lloyd — an
-        approximation for very large inputs.  ``0`` (default) keeps the
-        exact full-batch path.
     """
     matrix = check_vectors("data", data)
     n = matrix.shape[0]
@@ -424,25 +334,11 @@ def kmeans(
         raise ClusteringError(f"need at least k={k} samples, got {n}")
     if n_restarts < 1:
         raise ClusteringError(f"n_restarts must be >= 1, got {n_restarts}")
-    if chunk_size < 0:
-        raise ClusteringError(f"chunk_size must be >= 0, got {chunk_size}")
-    if minibatch < 0:
-        raise ClusteringError(f"minibatch must be >= 0, got {minibatch}")
     rng = ensure_rng(seed)
-    use_minibatch = 0 < minibatch < n
     rows = _DistanceRows(matrix)  # shared by every restart's seeding
     best: KMeansResult | None = None
     for _ in range(n_restarts):
-        if use_minibatch:
-            result = _single_run_minibatch(
-                matrix, k, rng, max_iter, tol, minibatch,
-                chunk_size=chunk_size, rows=rows,
-            )
-        else:
-            result = _single_run(
-                matrix, k, rng, max_iter, tol,
-                chunk_size=chunk_size, rows=rows,
-            )
+        result = _single_run(matrix, k, rng, max_iter, tol, rows=rows)
         if best is None or result.inertia < best.inertia:
             best = result
     assert best is not None  # n_restarts >= 1 guarantees a result
@@ -471,16 +367,12 @@ class KMeans:
         n_restarts: int = 3,
         max_iter: int = 100,
         tol: float = 1e-6,
-        chunk_size: int = 0,
-        minibatch: int = 0,
     ) -> None:
         self.k = k
         self.seed = seed
         self.n_restarts = n_restarts
         self.max_iter = max_iter
         self.tol = tol
-        self.chunk_size = chunk_size
-        self.minibatch = minibatch
         self.result_: KMeansResult | None = None
 
     def fit(self, data: np.ndarray) -> "KMeans":
@@ -492,8 +384,6 @@ class KMeans:
             n_restarts=self.n_restarts,
             max_iter=self.max_iter,
             tol=self.tol,
-            chunk_size=self.chunk_size,
-            minibatch=self.minibatch,
         )
         return self
 

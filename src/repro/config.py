@@ -13,7 +13,7 @@ Defaults reproduce the paper's prototype settings:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -196,35 +196,10 @@ class BuildConfig:
     workers:
         Worker count for the parallel executors; ``0`` (default) picks
         the machine's CPU count.  Ignored by the serial executor.
-    parallel_group_threshold:
-        Subtree size at which a bisection task stops splitting off
-        parallel children and recurses in-line instead.  Small subtrees
-        are cheaper to finish locally than to re-dispatch.
-    kmeans_chunk:
-        Row-chunk size for the Lloyd assignment step inside
-        representative selection (``0`` = unchunked).  Bounds the
-        (chunk, k) distance-table scratch for very large nodes; chunked
-        and unchunked assignment are bit-identical.
-    kmeans_minibatch:
-        Mini-batch size for representative-selection k-means on nodes
-        with more samples than this (``0`` = always full-batch Lloyd).
-        Mini-batch runs are deterministic per node but are an
-        approximation — leave at 0 to reproduce the paper pipeline.
-    charge_io:
-        Charge one simulated page access (category ``build_reps``) per
-        node during representative selection.  Off by default: build
-        charges would pre-warm the shared buffer pool and skew
-        query-time I/O accounting.  The build-throughput benchmark turns
-        it on to model disk-resident builds, where overlapping page
-        latency is most of the parallel win.
     """
 
     executor: str = "serial"
     workers: int = 0
-    parallel_group_threshold: int = 4096
-    kmeans_chunk: int = 0
-    kmeans_minibatch: int = 0
-    charge_io: bool = False
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTOR_KINDS:
@@ -236,92 +211,16 @@ class BuildConfig:
             raise ConfigurationError(
                 f"build workers must be >= 0 (0 = auto), got {self.workers}"
             )
-        if self.parallel_group_threshold < 1:
-            raise ConfigurationError(
-                "parallel_group_threshold must be >= 1, got "
-                f"{self.parallel_group_threshold}"
-            )
-        if self.kmeans_chunk < 0:
-            raise ConfigurationError(
-                f"kmeans_chunk must be >= 0, got {self.kmeans_chunk}"
-            )
-        if self.kmeans_minibatch < 0:
-            raise ConfigurationError(
-                f"kmeans_minibatch must be >= 0, got {self.kmeans_minibatch}"
-            )
 
 
-#: Feature-store backings accepted by :attr:`StoreConfig.kind` and the
-#: CLI ``--store`` flag (see :mod:`repro.store`).
+#: Feature-store backings accepted by the CLI ``--store`` flag (see
+#: :mod:`repro.store`).
 STORE_KINDS: tuple[str, ...] = ("inmem", "memmap")
 
-#: Scan tiers accepted by :attr:`StoreConfig.tier` — re-exported from
-#: :mod:`repro.store.quantize` (kept literal here so importing the
-#: config module never pulls in numpy-heavy store code).
+#: Scan tiers accepted by the CLI ``--store-tier`` / ``--tier`` flags —
+#: re-exported from :mod:`repro.store.quantize` (kept literal here so
+#: importing the config module never pulls in numpy-heavy store code).
 STORE_TIERS: tuple[str, ...] = ("f32", "f16", "int8")
-
-
-@dataclass(frozen=True)
-class StoreConfig:
-    """Parameters of the leaf-contiguous feature store.
-
-    Attributes
-    ----------
-    kind:
-        Backing for the permuted feature matrix — ``"inmem"`` (RAM) or
-        ``"memmap"`` (read-only mapping of a saved store directory,
-        shared zero-copy across worker processes).  Both hold identical
-        bytes, so rankings never depend on the choice.
-    dtype:
-        Storage dtype: ``"float32"`` (default; halves kernel memory
-        traffic) or ``"float64"`` (bit-exact with the raw matrix).
-    tier:
-        Scan tier — ``"f32"`` (default: leaf scans read the exact rows),
-        ``"f16"`` or ``"int8"`` (leaf scans read a compressed codes
-        sidecar, survivors are re-ranked through exact float32 gathers;
-        rankings stay bit-identical, only the bytes moved shrink).  See
-        :mod:`repro.store.quantize` for the exactness contract.
-    rerank_margin:
-        Minimum extra candidates (beyond ``take``) the quantized scan
-        keeps for exact re-ranking.  Larger margins cost a few more
-        float32 gathers; correctness never depends on it (the ε-bound
-        candidate set is already sufficient).
-    path:
-        Store directory for ``memmap`` stores (where ``features.bin`` /
-        ``meta.npz`` live); empty for never-saved in-RAM stores.
-    """
-
-    kind: str = "inmem"
-    dtype: str = "float32"
-    tier: str = "f32"
-    rerank_margin: int = 32
-    path: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in STORE_KINDS:
-            raise ConfigurationError(
-                f"store kind must be one of {STORE_KINDS}, got "
-                f"{self.kind!r}"
-            )
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigurationError(
-                "store dtype must be 'float32' or 'float64', got "
-                f"{self.dtype!r}"
-            )
-        if self.tier not in STORE_TIERS:
-            raise ConfigurationError(
-                f"store tier must be one of {STORE_TIERS}, got "
-                f"{self.tier!r}"
-            )
-        if self.rerank_margin < 0:
-            raise ConfigurationError(
-                f"store rerank_margin must be >= 0, got "
-                f"{self.rerank_margin}"
-            )
-        if self.kind == "memmap" and not self.path:
-            raise ConfigurationError(
-                "a memmap store needs a path (saved store directory)"
-            )
 
 
 @dataclass(frozen=True)
@@ -331,9 +230,9 @@ class CacheConfig:
     Attributes
     ----------
     enabled:
-        Whether an engine built from a :class:`SystemConfig` (or the
-        CLI ``--cache`` flag) attaches a
-        :class:`repro.cache.SubqueryResultCache` to its RFS structure.
+        Whether an engine built with this config (the CLI ``--cache``
+        flag) attaches a :class:`repro.cache.SubqueryResultCache` to its
+        RFS structure.
         Disabled by default — caching only pays off when sessions
         repeat subqueries (concurrent traffic over hot neighborhoods).
     capacity_mb:
@@ -359,59 +258,9 @@ class CacheConfig:
         return int(self.capacity_mb * 1024 * 1024)
 
 
-#: Session-store backends accepted by :attr:`SessionStoreConfig.kind`
-#: and the CLI ``--session-store`` flag (see :mod:`repro.sessionstore`).
+#: Session-store backends accepted by the CLI ``--session-store`` flag
+#: (see :mod:`repro.sessionstore`).
 SESSION_STORE_KINDS: tuple[str, ...] = ("memory", "sqlite", "jsondir")
-
-
-@dataclass(frozen=True)
-class SessionStoreConfig:
-    """Parameters of the externalized session-state store.
-
-    Attributes
-    ----------
-    enabled:
-        Whether engines built from a :class:`SystemConfig` (or the CLI
-        ``--session-store`` flag) attach a
-        :class:`repro.sessionstore.SessionStore`, making every session
-        auto-checkpoint after each feedback round and resumable by any
-        worker.
-    kind:
-        Backend — ``"memory"`` (in-proc dict), ``"sqlite"`` (one WAL
-        database file, safe under concurrent workers), or ``"jsondir"``
-        (one debuggable JSON file per session).
-    path:
-        Database file (``sqlite``) or record directory (``jsondir``);
-        ignored by ``memory``.
-    ttl_s:
-        Idle time after which :meth:`repro.sessionstore.SessionStore.
-        sweep_expired` removes an abandoned session's record (seconds
-        since its last checkpoint).
-    """
-
-    enabled: bool = False
-    kind: str = "memory"
-    path: str = ""
-    ttl_s: float = 3600.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in SESSION_STORE_KINDS:
-            raise ConfigurationError(
-                f"session store kind must be one of {SESSION_STORE_KINDS},"
-                f" got {self.kind!r}"
-            )
-        if self.kind in ("sqlite", "jsondir") and self.enabled and not self.path:
-            raise ConfigurationError(
-                f"a {self.kind} session store needs a path"
-            )
-        if not (math.isfinite(self.ttl_s) and self.ttl_s > 0):
-            # Validated here, not deep in the sweep loop: a NaN or
-            # non-positive TTL would silently reap (or never reap)
-            # every live session record.
-            raise ConfigurationError(
-                f"session ttl_s must be a positive finite number, got "
-                f"{self.ttl_s}"
-            )
 
 
 @dataclass(frozen=True)
@@ -446,16 +295,12 @@ class ServeConfig:
         How long :meth:`repro.serve.QDServer.close` waits for queued
         requests to finish during a graceful drain before abandoning
         the remainder (``0`` waits forever).
-    shards:
-        Shard count used when the CLI ``serve`` command builds its
-        engine (``0`` = unsharded single-node engine).
     """
 
     workers: int = 4
     queue_limit: int = 64
     default_deadline_s: float = 30.0
     drain_timeout_s: float = 5.0
-    shards: int = 0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -481,11 +326,6 @@ class ServeConfig:
             raise ConfigurationError(
                 "serve drain_timeout_s must be >= 0 and finite "
                 f"(0 = wait forever), got {self.drain_timeout_s}"
-            )
-        if self.shards < 0:
-            raise ConfigurationError(
-                f"serve shards must be >= 0 (0 = unsharded), got "
-                f"{self.shards}"
             )
 
 
@@ -517,17 +357,12 @@ class MutationConfig:
         pinned to an older ``structure_version``.  Oldest entries are
         dropped beyond this (their sessions then fail staleness
         fencing, exactly like before this subsystem existed).
-    executor / workers:
-        Build-executor kind and worker count the compactor passes to
-        :class:`~repro.config.BuildConfig` for the re-bulk-load.
     """
 
     auto_compact: bool = True
     compact_threshold: int = 256
     background: bool = False
     max_retired: int = 4
-    executor: str = "serial"
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if self.compact_threshold < 1:
@@ -538,16 +373,6 @@ class MutationConfig:
         if self.max_retired < 0:
             raise ConfigurationError(
                 f"max_retired must be >= 0, got {self.max_retired}"
-            )
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigurationError(
-                f"mutation executor must be one of {EXECUTOR_KINDS}, "
-                f"got {self.executor!r}"
-            )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"mutation workers must be >= 0 (0 = auto), got "
-                f"{self.workers}"
             )
 
 
@@ -580,20 +405,3 @@ class DatasetConfig:
         if self.n_categories < 1:
             raise ConfigurationError("n_categories must be >= 1")
 
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Bundle of all subsystem configurations."""
-
-    features: FeatureConfig = field(default_factory=FeatureConfig)
-    rfs: RFSConfig = field(default_factory=RFSConfig)
-    qd: QDConfig = field(default_factory=QDConfig)
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    store: StoreConfig = field(default_factory=StoreConfig)
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    build: BuildConfig = field(default_factory=BuildConfig)
-    sessions: SessionStoreConfig = field(
-        default_factory=SessionStoreConfig
-    )
-    serve: ServeConfig = field(default_factory=ServeConfig)
-    mutations: MutationConfig = field(default_factory=MutationConfig)

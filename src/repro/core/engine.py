@@ -101,7 +101,6 @@ class QueryDecompositionEngine:
         store: str = "inmem",
         store_dtype: str = "float32",
         store_tier: str = "f32",
-        store_rerank_margin: int = 32,
         cache: Optional[CacheConfig] = None,
         build: Optional[BuildConfig] = None,
         mutations: Optional[MutationConfig] = None,
@@ -119,8 +118,7 @@ class QueryDecompositionEngine:
         ``store_tier`` selects the scan tier (``"f32"``, ``"f16"``, or
         ``"int8"``); quantized tiers scan compressed codes and re-rank
         through exact float32 rows, so rankings stay bit-identical (see
-        :mod:`repro.store.quantize`).  ``store_rerank_margin`` floors
-        the candidate count kept for that exact re-rank.
+        :mod:`repro.store.quantize`).
 
         ``cache`` optionally attaches a cross-session subquery result
         cache (see :mod:`repro.cache`) sized by
@@ -152,12 +150,7 @@ class QueryDecompositionEngine:
         from repro.store import FeatureStore
 
         rfs.attach_store(
-            FeatureStore.build(
-                rfs,
-                dtype=store_dtype,
-                tier=store_tier,
-                rerank_margin=store_rerank_margin,
-            ),
+            FeatureStore.build(rfs, dtype=store_dtype, tier=store_tier),
             validate=False,
         )
         if cache is not None and cache.enabled:

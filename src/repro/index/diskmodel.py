@@ -9,16 +9,14 @@ mirroring how a real DBMS would behave.
 
 The counter is shared by every layer of one engine and, since the
 parallel subquery executors landed, by every worker thread of the final
-round — so all mutation happens under a lock, per-worker hit/miss
-accounting records which worker did the reading, and an optional
-``page_read_latency_s`` sleeps on each buffer miss to emulate a real
-device (this is what the parallel speedup benchmark overlaps).
+round — so all mutation happens under a lock, and per-worker hit/miss
+accounting records which worker did the reading.  The model counts
+accesses; it charges no time.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict
@@ -30,9 +28,7 @@ class DiskAccessCounter:
 
     Thread-safe: counters, the per-category/per-worker breakdowns, and
     the LRU buffer all mutate under one internal lock, so concurrent
-    subquery workers never lose an update.  The simulated latency sleep
-    happens *outside* the lock, so parallel workers overlap their
-    "device time" exactly like independent disk requests would.
+    subquery workers never lose an update.
 
     Parameters
     ----------
@@ -40,15 +36,6 @@ class DiskAccessCounter:
         Size of the LRU buffer pool in pages.  ``0`` disables buffering,
         so every access is a physical read (the paper's conservative
         accounting).
-    page_read_latency_s:
-        Simulated device latency charged per physical read (buffer
-        miss).  ``0.0`` (default) keeps the model free.
-    read_bandwidth_bytes_per_s:
-        Simulated transfer rate.  When positive, each physical read
-        additionally sleeps ``nbytes / bandwidth`` on top of the fixed
-        latency — so a scan that moves fewer bytes (a compressed store
-        tier) finishes measurably sooner under the same device model.
-        ``0.0`` (default) charges no transfer time.
 
     Attributes
     ----------
@@ -74,8 +61,6 @@ class DiskAccessCounter:
     """
 
     buffer_pages: int = 0
-    page_read_latency_s: float = 0.0
-    read_bandwidth_bytes_per_s: float = 0.0
     physical_reads: int = 0
     logical_reads: int = 0
     bytes_read: int = 0
@@ -131,12 +116,7 @@ class DiskAccessCounter:
                 self._buffer[page_id] = None
                 if len(self._buffer) > self.buffer_pages:
                     self._buffer.popitem(last=False)
-        delay = self.page_read_latency_s
-        if self.read_bandwidth_bytes_per_s > 0 and nbytes > 0:
-            delay += nbytes / self.read_bandwidth_bytes_per_s
-        if delay > 0:
-            time.sleep(delay)
-        return True
+            return True
 
     def reset(self) -> None:
         """Zero all counters and clear the buffer pool."""

@@ -23,8 +23,8 @@ read/write traffic instead:
   (:meth:`~repro.cache.result_cache.SubqueryResultCache.
   invalidate_nodes`).  No global flush, no store detach.
 * **A compactor re-bulk-loads** delta+main into a new generation off
-  the hot path (reusing the parallel :class:`~repro.config.BuildConfig`
-  pipeline), rebuilds the store at the same tier, carries the shared
+  the hot path (a serial build, as :meth:`RFSStructure.build` runs by
+  default), rebuilds the store at the same tier, carries the shared
   result cache (one version bump retires old entries lazily), and
   atomically swaps the generation in behind the
   :class:`EpochGuard`.  Mutations that raced the build are replayed
@@ -51,7 +51,7 @@ from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
-from repro.config import BuildConfig, MutationConfig
+from repro.config import MutationConfig
 from repro.errors import ConfigurationError, QueryError
 from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
@@ -88,13 +88,8 @@ def route_leaf(rfs: RFSStructure, vector: np.ndarray) -> RFSNode:
 
 
 def _rebuilt_store(rfs: RFSStructure, old: FeatureStore) -> FeatureStore:
-    """An in-RAM store over ``rfs`` at ``old``'s dtype, tier and margin."""
-    return FeatureStore.build(
-        rfs,
-        dtype=old.dtype.name,
-        tier=old.tier,
-        rerank_margin=old.rerank_margin,
-    )
+    """An in-RAM store over ``rfs`` at ``old``'s dtype and tier."""
+    return FeatureStore.build(rfs, dtype=old.dtype.name, tier=old.tier)
 
 
 class EpochGuard:
@@ -377,9 +372,6 @@ class GenerationController:
         self, old: RFSStructure, snapshot, gen: int
     ) -> RFSStructure:
         """Build generation ``gen`` off the hot path (no locks held)."""
-        build_cfg = BuildConfig(
-            executor=self.config.executor, workers=self.config.workers
-        )
         if snapshot.n_delta:
             full = np.vstack([old.features, snapshot.rows])
         else:
@@ -390,16 +382,13 @@ class GenerationController:
                 "cannot compact an index with zero live items"
             )
         if getattr(old, "shards", None):
-            built = self._build_sharded(
-                old, full, live_ids, gen, build_cfg
-            )
+            built = self._build_sharded(old, full, live_ids, gen)
         else:
             built = RFSStructure.build(
                 full[live_ids],
                 old.config,
                 seed=generation_seed(self.seed, gen),
                 io=old.io,
-                build=build_cfg,
             )
             self._remap(built, live_ids)
             built.features = full
@@ -426,7 +415,6 @@ class GenerationController:
         full: np.ndarray,
         live_ids: np.ndarray,
         gen: int,
-        build_cfg: BuildConfig,
     ) -> RFSStructure:
         """Rebuild a sharded router: new base tree, same deployment shape."""
         from repro.shard.engine import Shard, ShardedRFS
@@ -441,7 +429,6 @@ class GenerationController:
             old.config,
             seed=generation_seed(self.seed, gen),
             io=old.io,
-            build=build_cfg,
         )
         self._remap(base, live_ids)
         base.features = full

@@ -83,18 +83,12 @@ class _RepsPayload:
     """Fork/thread-shared state for one representative-selection phase.
 
     A process pool ships this to workers by fork inheritance, so the
-    feature matrix is never pickled.  ``io`` is ``None`` unless the
-    build charges simulated page reads
-    (:attr:`repro.config.BuildConfig.charge_io`).
+    feature matrix is never pickled.
     """
 
     features: np.ndarray
     config: RFSConfig
     rng: np.random.Generator
-    io: Optional[DiskAccessCounter] = None
-    io_category: str = "build_reps"
-    kmeans_chunk: int = 0
-    kmeans_minibatch: int = 0
 
 
 def _select_leaf_reps(
@@ -115,8 +109,6 @@ def _select_leaf_reps(
         members,
         k,
         seed=derive_rng(payload.rng, f"leaf{node_id}"),
-        chunk_size=payload.kmeans_chunk,
-        minibatch=payload.kmeans_minibatch,
     )
     reps: List[int] = []
     sizes = result.cluster_sizes()
@@ -157,8 +149,6 @@ def _select_inner_reps(
         cand_feats,
         target,
         seed=derive_rng(payload.rng, f"inner{node_id}"),
-        chunk_size=payload.kmeans_chunk,
-        minibatch=payload.kmeans_minibatch,
     )
     nearest = _nearest_candidates(cand_feats, result.centroids)
     return sorted({int(cand_ids[i]) for i in nearest})
@@ -203,14 +193,9 @@ def _nearest_candidates(
 
 
 def _node_reps_task(payload: _RepsPayload, item: tuple) -> List[int]:
-    """One representative-selection work unit (leaf or inner node).
-
-    The single pool task of the phase: charges the node's
-    simulated page read (when enabled) and dispatches on node kind.
-    """
+    """One representative-selection work unit (leaf or inner node):
+    the single pool task of the phase, dispatched on node kind."""
     kind, node_id, data, size = item
-    if payload.io is not None:
-        payload.io.access(node_id, payload.io_category)
     if kind == "leaf":
         return _select_leaf_reps(payload, node_id, data)
     return _select_inner_reps(payload, node_id, data, size)
@@ -582,7 +567,7 @@ class RFSStructure:
         way.
 
         ``build`` configures the offline pipeline (executor kind, worker
-        count, k-means knobs — see :class:`repro.config.BuildConfig`).
+        count — see :class:`repro.config.BuildConfig`).
         Every parallel work unit draws from an RNG stream derived from
         its node id or tree path, so the built structure is
         **bit-identical** across executor kinds and worker counts.
@@ -629,9 +614,6 @@ class RFSStructure:
                             matrix,
                             seed=derive_rng(rng, "bulkload"),
                             executor=executor,
-                            inline_threshold=(
-                                build_cfg.parallel_group_threshold
-                            ),
                         )
                         root = cls._nodes_from_levels(
                             levels, matrix, nodes
@@ -679,9 +661,6 @@ class RFSStructure:
                         derive_rng(rng, "reps"),
                         executor=executor,
                         progress=progress,
-                        kmeans_chunk=build_cfg.kmeans_chunk,
-                        kmeans_minibatch=build_cfg.kmeans_minibatch,
-                        charge_io=build_cfg.charge_io,
                     )
                 metrics.histogram(
                     "qd_build_reps_seconds",
@@ -754,9 +733,6 @@ class RFSStructure:
         *,
         executor: "WorkerPool",
         progress: Optional[ProgressCallback] = None,
-        kmeans_chunk: int = 0,
-        kmeans_minibatch: int = 0,
-        charge_io: bool = False,
     ) -> None:
         """Bottom-up k-means representative selection (paper §3.1).
 
@@ -786,9 +762,6 @@ class RFSStructure:
             features=self.features,
             config=self.config,
             rng=rng,
-            io=self.io if charge_io else None,
-            kmeans_chunk=kmeans_chunk,
-            kmeans_minibatch=kmeans_minibatch,
         )
         done = 0
         for r in sorted(by_rank):
@@ -1242,7 +1215,7 @@ class RFSStructure:
           (its rows' true distances all exceed the true k-th best), and
         * every row with ``d̂ ≤ κ̂ + 2ε`` — a superset of the true
           top-``take``, k-th-distance ties included — survives to
-          phase 2, padded to at least ``take + rerank_margin``
+          phase 2, padded to at least ``take + RERANK_MARGIN``
           candidates.
 
         On ``f32`` the phase-1 distances are already exact, so every
@@ -1279,6 +1252,7 @@ class RFSStructure:
             weighted_point_distances,
         )
         from repro.retrieval.topk import top_pairs
+        from repro.store.feature_store import RERANK_MARGIN
 
         store = self.store
         params = store.quant
@@ -1347,7 +1321,7 @@ class RFSStructure:
         else:
             if count > take:
                 keep = cand_dists <= kth_hat + 2.0 * eps
-                floor = min(count, take + store.rerank_margin)
+                floor = min(count, take + RERANK_MARGIN)
                 if int(keep.sum()) < floor:
                     keep[
                         np.argpartition(cand_dists, floor - 1)[:floor]

@@ -549,7 +549,6 @@ class RStarTree:
         seed: RandomState = None,
         *,
         executor: Optional["WorkerPool"] = None,
-        inline_threshold: int = 4096,
     ) -> List["BisectLevel"]:
         """The partition :meth:`bulk_load` builds its nodes from.
 
@@ -566,7 +565,6 @@ class RStarTree:
             self.split_min_entries,
             ensure_rng(seed),
             executor,
-            inline_threshold,
         )
 
     def bulk_load(
@@ -576,7 +574,6 @@ class RStarTree:
         seed: RandomState = None,
         *,
         executor: Optional["WorkerPool"] = None,
-        inline_threshold: int = 4096,
     ) -> None:
         """Replace the tree contents with a clustering bulk load.
 
@@ -591,18 +588,14 @@ class RStarTree:
         partition is a pure function of the seed and the data.  With a
         thread or process ``executor`` (a serial one takes the plain
         recursion), independent subtrees after each split are bisected
-        in parallel: point sets at or below ``inline_threshold`` recurse
-        in-line inside one task, larger ones split once and re-enter the
-        task queue.  The resulting groups — and hence the tree — are
-        bit-identical to the serial build.
+        in parallel: point sets at or below
+        :data:`INLINE_BISECT_THRESHOLD` recurse in-line inside one task,
+        larger ones split once and re-enter the task queue.  The
+        resulting groups — and hence the tree — are bit-identical to the
+        serial build.
         """
         pts, ids = self._bulk_input(points, item_ids)
-        levels = self.bisect_levels(
-            pts,
-            seed,
-            executor=executor,
-            inline_threshold=inline_threshold,
-        )
+        levels = self.bisect_levels(pts, seed, executor=executor)
         nodes = self._leaves_of(levels[0].groups, pts, ids)
         below = levels[0]
         for level, above in enumerate(levels[1:], start=1):
@@ -849,6 +842,13 @@ def _str_tile(
     return out
 
 
+#: Point-set size at or below which a parallel bisection task recurses
+#: in-line instead of splitting off children for the pool: small
+#: subtrees are cheaper to finish locally than to re-dispatch.  Read at
+#: call time, so a forked worker sees the value its parent had.
+INLINE_BISECT_THRESHOLD = 4096
+
+
 class BisectLevel(NamedTuple):
     """One level of a clustering bulk load's partition.
 
@@ -868,7 +868,6 @@ def _bisect_levels(
     group_min: int,
     rng: np.random.Generator,
     executor: Optional["WorkerPool"],
-    inline_threshold: int,
 ) -> List[BisectLevel]:
     """Partition ``points`` bottom-up into the levels of a tree.
 
@@ -882,11 +881,10 @@ def _bisect_levels(
     if (
         executor is not None
         and executor.kind != "serial"
-        and n > inline_threshold
+        and n > INLINE_BISECT_THRESHOLD
     ):
         groups = _balanced_bisect_parallel(
-            points, everything, group_max, group_min, rng, executor,
-            "L0", inline_threshold,
+            points, everything, group_max, group_min, rng, executor, "L0"
         )
     else:
         groups = _balanced_bisect(
@@ -1016,7 +1014,6 @@ class _BisectPayload:
     group_max: int
     group_min: int
     rng: np.random.Generator
-    inline_threshold: int
 
 
 def _bisect_task(
@@ -1032,7 +1029,7 @@ def _bisect_task(
     indices, path = item
     if indices.shape[0] <= payload.group_max:
         return [(indices, None)]
-    if indices.shape[0] <= payload.inline_threshold:
+    if indices.shape[0] <= INLINE_BISECT_THRESHOLD:
         groups = _balanced_bisect(
             payload.points,
             indices,
@@ -1059,7 +1056,6 @@ def _balanced_bisect_parallel(
     rng: np.random.Generator,
     executor: "WorkerPool",
     path: str,
-    inline_threshold: int,
 ) -> List[np.ndarray]:
     """Frontier-parallel :func:`_balanced_bisect` — identical output.
 
@@ -1068,9 +1064,7 @@ def _balanced_bisect_parallel(
     recursion exactly; the path-derived RNG streams make each split's
     outcome order-independent.
     """
-    payload = _BisectPayload(
-        all_points, group_max, group_min, rng, inline_threshold
-    )
+    payload = _BisectPayload(all_points, group_max, group_min, rng)
     # (finished, indices, path) in DFS order; unfinished entries are
     # re-submitted each round until everything is a leaf group.
     entries: List[Tuple[bool, np.ndarray, Optional[str]]] = [

@@ -32,11 +32,16 @@ from __future__ import annotations
 import abc
 import contextlib
 import json
+import math
 import time
 from typing import Dict, List, Optional
 
 from repro.core.session_state import SessionState
-from repro.errors import SessionCodecError, SessionNotFoundError
+from repro.errors import (
+    ConfigurationError,
+    SessionCodecError,
+    SessionNotFoundError,
+)
 from repro.obs import get_metrics, get_tracer
 
 
@@ -140,8 +145,17 @@ class SessionStore(abc.ABC):
 
         Staleness is judged by each record's ``updated_unix`` stamp
         (its last checkpoint), not filesystem metadata, so the sweep
-        behaves identically across backends.
+        behaves identically across backends.  ``ttl_s`` must be a
+        positive finite number of seconds: a zero, negative or infinite
+        TTL would reap every live session (or none, for NaN), so it is
+        refused with :class:`~repro.errors.ConfigurationError` before
+        anything is deleted.
         """
+        if not (math.isfinite(ttl_s) and ttl_s > 0):
+            raise ConfigurationError(
+                f"session ttl_s must be a positive finite number, got "
+                f"{ttl_s}"
+            )
         cutoff = (time.time() if now is None else now) - ttl_s
         with self._op_span("sweep", None):
             swept = self._sweep(cutoff)

@@ -390,7 +390,6 @@ class ShardedEngine(QueryDecompositionEngine):
         store: str = "inmem",
         store_dtype: str = "float32",
         store_tier: str = "f32",
-        store_rerank_margin: int = 32,
         cache: Optional[CacheConfig] = None,
         build: Optional[BuildConfig] = None,
         mutations: Optional[MutationConfig] = None,
@@ -426,10 +425,7 @@ class ShardedEngine(QueryDecompositionEngine):
             shard_rfs = build_shard_structure(base, leaf_ids)
             shard_rfs.attach_store(
                 FeatureStore.build(
-                    shard_rfs,
-                    dtype=store_dtype,
-                    tier=store_tier,
-                    rerank_margin=store_rerank_margin,
+                    shard_rfs, dtype=store_dtype, tier=store_tier
                 ),
                 validate=False,
             )

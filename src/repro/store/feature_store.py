@@ -81,6 +81,12 @@ _FEATURES_FILE = "features.bin"
 _CODES_FILE = "codes.bin"
 _META_FILE = "meta.npz"
 
+#: Extra candidates a quantized scan re-ranks beyond the ε-bound set.
+#: Correctness never depends on it (the ε rule already provably covers
+#: the true top-k); it is a safety floor so the re-rank gather
+#: amortizes over a few extra rows.
+RERANK_MARGIN = 32
+
 #: Tier tag -> numpy dtype of the stored codes.
 _TIER_CODE_DTYPE = {"f16": np.float16, "int8": np.int8}
 
@@ -136,12 +142,7 @@ class FeatureStore:
         quant: Optional[QuantizationParams] = None,
         sqnorms: Optional[np.ndarray] = None,
         dq_sqnorms: Optional[np.ndarray] = None,
-        rerank_margin: int = 32,
     ) -> None:
-        if rerank_margin < 0:
-            raise ConfigurationError(
-                f"rerank_margin must be >= 0, got {rerank_margin}"
-            )
         if tier not in STORE_TIERS:
             raise StoreCodecError(
                 f"store tier must be one of {STORE_TIERS}, got {tier!r}"
@@ -159,11 +160,6 @@ class FeatureStore:
         self.tier = tier
         self.codes = codes
         self.quant = quant
-        # Extra candidates the quantized scan re-ranks beyond the
-        # ε-bound set.  Correctness never depends on it (the ε rule
-        # already provably covers the true top-k); it is a safety floor
-        # so the re-rank gather amortizes over a few extra rows.
-        self.rerank_margin = int(rerank_margin)
         self._sqnorms = sqnorms
         self._dq_sqnorms = dq_sqnorms
         self._fingerprint: Optional[str] = None
@@ -193,7 +189,6 @@ class FeatureStore:
         *,
         dtype: str | np.dtype = "float32",
         tier: str = "f32",
-        rerank_margin: int = 32,
     ) -> "FeatureStore":
         """Build a store from a built RFS structure.
 
@@ -262,7 +257,6 @@ class FeatureStore:
             codes=codes,
             quant=quant,
             dq_sqnorms=dq_sq,
-            rerank_margin=rerank_margin,
         )
 
     # ------------------------------------------------------------------

@@ -104,8 +104,6 @@ def single_run_reference(
     rng: np.random.Generator,
     max_iter: int,
     tol: float,
-    *,
-    chunk_size: int = 0,
 ) -> KMeansResult:
     """One Lloyd run that iterates until the shift test says stop.
 
@@ -116,20 +114,13 @@ def single_run_reference(
     """
     centroids = plus_plus_init_reference(data, k, rng)
     data_sqnorms = np.sum(data**2, axis=1)
-    labels = _assign(
-        data, centroids, data_sqnorms=data_sqnorms, chunk_size=chunk_size
-    )
+    labels = _assign(data, centroids, data_sqnorms=data_sqnorms)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         new_centroids = _lloyd_update(data, labels, k, centroids)
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
-        labels = _assign(
-            data,
-            centroids,
-            data_sqnorms=data_sqnorms,
-            chunk_size=chunk_size,
-        )
+        labels = _assign(data, centroids, data_sqnorms=data_sqnorms)
         if shift <= tol:
             break
     inertia = float(np.sum((data - centroids[labels]) ** 2))

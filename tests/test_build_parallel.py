@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.clustering.kmeans import (
     _ROW_MEMO_BYTES,
+    KMeans,
     _assign,
     _lloyd_update,
     _plus_plus_init,
@@ -35,8 +36,9 @@ from repro.clustering.kmeans import (
 )
 from repro.config import BuildConfig, MutationConfig, RFSConfig
 from repro.datasets.build import build_synthetic_database
-from repro.errors import ClusteringError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.exec.pool import WorkerPool
+from repro.index import rstar
 from repro.index.generations import GenerationController, generation_seed
 from repro.index.geometry import MBR
 from repro.index.rfs import BuildProgress, RFSStructure
@@ -64,9 +66,14 @@ DIMS = 16
 CFG = RFSConfig(
     node_max_entries=40, node_min_entries=20, leaf_subclusters=3
 )
-# Small threshold so the 600-point bulk load actually exercises the
-# parallel bisect frontier, not just the in-line fallback.
-PARALLEL = dict(workers=4, parallel_group_threshold=64)
+
+
+@pytest.fixture(autouse=True)
+def _small_inline_threshold(monkeypatch):
+    # Small threshold so the 600-point bulk load actually exercises the
+    # parallel bisect frontier, not just the in-line fallback.  A forked
+    # process build inherits the patched module value.
+    monkeypatch.setattr(rstar, "INLINE_BISECT_THRESHOLD", 64)
 
 
 def _features(seed=0, n=N_IMAGES, d=DIMS):
@@ -107,7 +114,7 @@ class TestBuildParity:
             feats,
             CFG,
             seed=seed,
-            build=BuildConfig(executor="thread", **PARALLEL),
+            build=BuildConfig(executor="thread", workers=4),
         )
         assert _signature(serial) == _signature(threaded)
 
@@ -118,7 +125,7 @@ class TestBuildParity:
             feats,
             CFG,
             seed=7,
-            build=BuildConfig(executor="process", **PARALLEL),
+            build=BuildConfig(executor="process", workers=4),
         )
         assert _signature(serial) == _signature(forked)
 
@@ -129,11 +136,7 @@ class TestBuildParity:
                 feats,
                 CFG,
                 seed=3,
-                build=BuildConfig(
-                    executor="thread",
-                    workers=w,
-                    parallel_group_threshold=64,
-                ),
+                build=BuildConfig(executor="thread", workers=w),
             )
             for w in (1, 2, 4)
         ]
@@ -148,7 +151,7 @@ class TestBuildParity:
             CFG,
             seed=5,
             method="hkmeans",
-            build=BuildConfig(executor="thread", **PARALLEL),
+            build=BuildConfig(executor="thread", workers=4),
         )
         assert _signature(serial) == _signature(threaded)
 
@@ -159,38 +162,22 @@ class TestBuildParity:
             feats,
             CFG,
             seed=11,
-            build=BuildConfig(executor="thread", **PARALLEL),
+            build=BuildConfig(executor="thread", workers=4),
         )
         centroid = MultipointQuery(feats[:4]).centroid()
         assert serial.localized_knn(
             serial.root, centroid, 25
         ) == threaded.localized_knn(threaded.root, centroid, 25)
 
-    def test_charge_io_counts_reps_reads_without_changing_tree(self):
-        feats = _features(13)
-        plain = RFSStructure.build(feats, CFG, seed=13)
-        charged = RFSStructure.build(
-            feats,
-            CFG,
-            seed=13,
-            build=BuildConfig(charge_io=True),
-        )
-        assert _signature(plain) == _signature(charged)
-        assert plain.io.per_category_logical.get("build_reps", 0) == 0
-        assert charged.io.per_category_logical["build_reps"] == len(
-            charged.nodes
-        )
-
 
 class TestBisectParity:
-    def test_parallel_bulk_load_matches_serial(self):
+    def test_parallel_bulk_load_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(rstar, "INLINE_BISECT_THRESHOLD", 100)
         pts = _features(21, n=900, d=8)
         trees = []
         for executor in (None, WorkerPool("thread", 4)):
             tree = RStarTree(dims=8, max_entries=40)
-            tree.bulk_load(
-                pts, seed=9, executor=executor, inline_threshold=100
-            )
+            tree.bulk_load(pts, seed=9, executor=executor)
             if executor is not None:
                 executor.close()
             trees.append(tree)
@@ -237,30 +224,20 @@ PARENT_DIGESTS = {
         (2000, 1, CFG, "rstar", {}),
         "a125b87f1862be78e3f49f6226e861958d331bac6fc60de87845fe2b6bf788fb",
     ),
-    # Chunked assignment is bit-identical to unchunked: same digest as
-    # "default-2000".  Mini-batch is its own (approximate) clustering.
-    "kmeans-chunk-2000": (
-        (2000, 1, None, "rstar", {"kmeans_chunk": 16}),
-        "29d89b6418486f4d5ef1f34a67517bf678fa00c4ae9393202a4139c270a56f28",
-    ),
-    "kmeans-minibatch-2000": (
-        (2000, 1, None, "rstar", {"kmeans_minibatch": 48}),
-        "fd555143ab5bf53e867680e28b5317abe6ed938e6d797dc997c4b957f240d01e",
-    ),
 }
 
 
 class TestBuildDigestParity:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     @pytest.mark.parametrize("case", sorted(PARENT_DIGESTS))
-    def test_digest_equals_parent_commit(self, case, executor):
+    def test_digest_equals_parent_commit(
+        self, case, executor, monkeypatch
+    ):
         (n, seed, config, method, extras), want = PARENT_DIGESTS[case]
         if executor != "serial":
             # Two workers, and a threshold the 2000-point cases cross.
-            extras = dict(
-                extras, executor=executor, workers=2,
-                parallel_group_threshold=512,
-            )
+            extras = dict(extras, executor=executor, workers=2)
+            monkeypatch.setattr(rstar, "INLINE_BISECT_THRESHOLD", 512)
         rfs = RFSStructure.build(
             _synthetic(n), config, seed=seed, method=method,
             build=BuildConfig(**extras),
@@ -360,25 +337,22 @@ class TestKernelReferenceParity:
         seed=st.integers(0, 2**20),
         max_iter=st.sampled_from([1, 2, 3, 100]),
         tol=st.sampled_from([1e-6, 0.0, 0.5, -1.0]),
-        chunk=st.sampled_from([0, 0, 7]),
     )
     # Duplicated rows with k above the distinct count: clusters empty
     # out and re-seed, where the repeated-labels shortcut must not fire.
     @example(kind="duplicated", n=24, d=3, k_pick="all", seed=5,
-             max_iter=100, tol=1e-6, chunk=0)
+             max_iter=100, tol=1e-6)
     @example(kind="rounded", n=40, d=2, k_pick="some", seed=11,
-             max_iter=2, tol=1e-6, chunk=0)
+             max_iter=2, tol=1e-6)
     @settings(max_examples=150, deadline=None)
     def test_single_run_matches_reference(
-        self, kind, n, d, k_pick, seed, max_iter, tol, chunk
+        self, kind, n, d, k_pick, seed, max_iter, tol
     ):
         data = _kernel_data(kind, n, d, seed)
         k = {"one": 1, "all": n, "some": 1 + seed % n}[k_pick]
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-        got = _single_run(data, k, rng, max_iter, tol, chunk_size=chunk)
-        want = single_run_reference(
-            data, k, ref_rng, max_iter, tol, chunk_size=chunk
-        )
+        got = _single_run(data, k, rng, max_iter, tol)
+        want = single_run_reference(data, k, ref_rng, max_iter, tol)
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert np.array_equal(got.labels, want.labels)
         assert got.inertia == want.inertia
@@ -538,13 +512,18 @@ class TestLloydEquivalence:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
     def test_chunked_assignment_matches_unchunked(self, chunk):
+        # Each row's label depends on that row alone: assigning row
+        # slices gives the labels of one whole-matrix pass.
         rng = np.random.default_rng(42)
         data = rng.normal(size=(200, 11))
         centroids = data[:6].copy()
-        assert np.array_equal(
-            _assign(data, centroids, chunk_size=chunk),
-            _assign(data, centroids),
+        chunked = np.concatenate(
+            [
+                _assign(data[start : start + chunk], centroids)
+                for start in range(0, data.shape[0], chunk)
+            ]
         )
+        assert np.array_equal(chunked, _assign(data, centroids))
 
     @pytest.mark.parametrize("trial", range(5))
     def test_nearest_candidates_matches_naive(self, trial):
@@ -571,13 +550,19 @@ class TestLloydEquivalence:
 
     @pytest.mark.parametrize("trial", range(3))
     def test_full_kmeans_matches_chunked_run(self, trial):
+        # The fitted model re-assigns its training rows, 37 at a time,
+        # to exactly the labels the full run ended with.
         data = np.random.default_rng(trial).normal(size=(240, 10))
         plain = kmeans(data, 6, seed=trial)
-        chunked = kmeans(data, 6, seed=trial, chunk_size=37)
-        assert plain.centroids.tobytes() == chunked.centroids.tobytes()
-        assert np.array_equal(plain.labels, chunked.labels)
-        assert plain.inertia == chunked.inertia
-        assert plain.n_iter == chunked.n_iter
+        model = KMeans(k=6, seed=trial).fit(data)
+        assert plain.centroids.tobytes() == model.centroids.tobytes()
+        chunked = np.concatenate(
+            [
+                model.predict(data[start : start + 37])
+                for start in range(0, data.shape[0], 37)
+            ]
+        )
+        assert np.array_equal(plain.labels, chunked)
 
 
 class TestEmptyClusterRepair:
@@ -607,31 +592,6 @@ class TestEmptyClusterRepair:
         assert repaired[1].tolist() == [9.0]
         ref = lloyd_update_naive(data, labels, 2, centroids)
         assert repaired.tobytes() == ref.tobytes()
-
-
-class TestMinibatch:
-    def test_minibatch_deterministic_and_valid(self):
-        data = np.random.default_rng(0).normal(size=(400, 6))
-        a = kmeans(data, 5, seed=9, minibatch=64)
-        b = kmeans(data, 5, seed=9, minibatch=64)
-        assert a.centroids.tobytes() == b.centroids.tobytes()
-        assert np.array_equal(a.labels, b.labels)
-        assert a.labels.shape == (400,)
-        assert set(np.unique(a.labels)) <= set(range(5))
-        assert a.inertia > 0
-
-    def test_minibatch_larger_than_n_falls_back_to_exact(self):
-        data = np.random.default_rng(1).normal(size=(50, 4))
-        exact = kmeans(data, 3, seed=2)
-        fallback = kmeans(data, 3, seed=2, minibatch=500)
-        assert exact.centroids.tobytes() == fallback.centroids.tobytes()
-
-    def test_invalid_knobs_rejected(self):
-        data = np.random.default_rng(2).normal(size=(30, 3))
-        with pytest.raises(ClusteringError):
-            kmeans(data, 3, chunk_size=-1)
-        with pytest.raises(ClusteringError):
-            kmeans(data, 3, minibatch=-5)
 
 
 # ----------------------------------------------------------------------
@@ -679,7 +639,7 @@ class TestBuildProgress:
             feats,
             CFG,
             seed=23,
-            build=BuildConfig(executor="thread", **PARALLEL),
+            build=BuildConfig(executor="thread", workers=4),
             progress=events.append,
         )
         reps = [e for e in events if e.phase == "representatives"]
@@ -694,11 +654,3 @@ class TestBuildConfigValidation:
     def test_rejects_negative_workers(self):
         with pytest.raises(ConfigurationError):
             BuildConfig(workers=-1)
-
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ConfigurationError):
-            BuildConfig(parallel_group_threshold=0)
-        with pytest.raises(ConfigurationError):
-            BuildConfig(kmeans_chunk=-1)
-        with pytest.raises(ConfigurationError):
-            BuildConfig(kmeans_minibatch=-1)

@@ -1,15 +1,22 @@
 """Tests for the configuration dataclasses."""
 
+import dataclasses
+import inspect
+
 import pytest
 
+from repro import config
+from repro.clustering.kmeans import KMeans, kmeans
 from repro.config import (
     DatasetConfig,
     FeatureConfig,
     QDConfig,
     RFSConfig,
-    SystemConfig,
 )
+from repro.core.engine import QueryDecompositionEngine
 from repro.errors import ConfigurationError
+from repro.index.diskmodel import DiskAccessCounter
+from repro.store import FeatureStore
 
 
 class TestFeatureConfig:
@@ -119,10 +126,79 @@ class TestDatasetConfig:
             DatasetConfig(total_images=10, n_categories=0)
 
 
-class TestSystemConfig:
-    def test_bundles_all_defaults(self):
-        cfg = SystemConfig()
-        assert cfg.features.total_dims == 37
-        assert cfg.rfs.node_max_entries == 100
-        assert cfg.qd.boundary_threshold == 0.4
-        assert cfg.dataset.total_images == 15_000
+#: Every settable value, per config class or signature.  A new knob
+#: shows up as a diff here; give it a caller (a CLI flag, a server op,
+#: a paper experiment or a benchmark) or do not add it.
+SETTABLE_SURFACE = {
+    "FeatureConfig": [
+        "color_dims", "texture_dims", "edge_dims", "image_size",
+        "wavelet_levels",
+    ],
+    "RFSConfig": [
+        "node_max_entries", "node_min_entries",
+        "representative_fraction", "leaf_subclusters",
+        "reinsert_fraction",
+    ],
+    "QDConfig": [
+        "boundary_threshold", "display_size", "max_rounds", "executor",
+        "workers",
+    ],
+    "BuildConfig": ["executor", "workers"],
+    "CacheConfig": ["enabled", "capacity_mb"],
+    "ServeConfig": [
+        "workers", "queue_limit", "default_deadline_s", "drain_timeout_s",
+    ],
+    "MutationConfig": [
+        "auto_compact", "compact_threshold", "background", "max_retired",
+    ],
+    "DatasetConfig": ["total_images", "n_categories", "image_size", "seed"],
+    "DiskAccessCounter": [
+        "buffer_pages", "physical_reads", "logical_reads", "bytes_read",
+        "per_category", "per_category_logical", "per_worker", "_buffer",
+        "_lock",
+    ],
+    "kmeans": ["data", "k", "seed", "n_restarts", "max_iter", "tol"],
+    "KMeans": ["k", "seed", "n_restarts", "max_iter", "tol"],
+    "FeatureStore.build": ["rfs", "dtype", "tier"],
+    "QueryDecompositionEngine.build": [
+        "database", "rfs_config", "qd_config", "seed", "io", "store",
+        "store_dtype", "store_tier", "cache", "build", "mutations",
+        "progress",
+    ],
+}
+
+
+_SIGNATURES = {
+    "DiskAccessCounter": DiskAccessCounter,
+    "kmeans": kmeans,
+    "KMeans": KMeans,
+    "FeatureStore.build": FeatureStore.build,
+    "QueryDecompositionEngine.build": QueryDecompositionEngine.build,
+}
+
+
+def _parameters(fn):
+    return [
+        name
+        for name in inspect.signature(fn).parameters
+        if name not in ("self", "cls")
+    ]
+
+
+class TestSettableSurface:
+    def test_config_dataclass_fields_are_pinned(self):
+        found = {
+            name: [f.name for f in dataclasses.fields(obj)]
+            for name, obj in vars(config).items()
+            if dataclasses.is_dataclass(obj)
+            and obj.__module__ == config.__name__
+        }
+        assert found == {
+            name: fields
+            for name, fields in SETTABLE_SURFACE.items()
+            if name.endswith("Config")
+        }
+
+    @pytest.mark.parametrize("name", sorted(_SIGNATURES))
+    def test_signature_parameters_are_pinned(self, name):
+        assert _parameters(_SIGNATURES[name]) == SETTABLE_SURFACE[name]

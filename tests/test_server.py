@@ -25,15 +25,17 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import QDConfig, RFSConfig, ServeConfig, SessionStoreConfig
+from repro.cli import main as cli_main
+from repro.config import QDConfig, RFSConfig, ServeConfig
 from repro.core import SessionFrontEnd
 from repro.core.clientserver import FrontEndResult
 from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.build import build_synthetic_database
+from repro.datasets.queryset import query_names
 from repro.errors import ConfigurationError
 from repro.exec.pool import fork_available
 from repro.serve import QDServer, serve_tcp
-from repro.sessionstore import InMemorySessionStore
+from repro.sessionstore import InMemorySessionStore, make_session_store
 
 N_IMAGES = 400
 SEED = 1129
@@ -81,7 +83,7 @@ class TestConfigValidation:
             {"default_deadline_s": float("nan")},
             {"drain_timeout_s": -0.5},
             {"drain_timeout_s": float("nan")},
-            {"shards": -1},
+            {"drain_timeout_s": float("inf")},
         ],
     )
     def test_serve_config_rejects(self, kwargs):
@@ -98,9 +100,47 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "ttl", [0.0, -5.0, float("inf"), float("nan")]
     )
-    def test_session_ttl_rejects_non_positive(self, ttl):
-        with pytest.raises(ConfigurationError):
-            SessionStoreConfig(ttl_s=ttl)
+    def test_session_ttl_rejects_non_positive(self, ttl, tmp_path):
+        # A zero, negative or infinite TTL would reap every live session
+        # (or, for NaN, none): every backend refuses it before sweeping.
+        for kind in ("memory", "sqlite", "jsondir"):
+            with make_session_store(
+                kind, str(tmp_path / kind)
+            ) as store, pytest.raises(ConfigurationError):
+                store.sweep_expired(ttl)
+
+    def test_cli_expire_with_negative_ttl_keeps_live_sessions(
+        self, engine, tmp_path, capsys
+    ):
+        path = str(tmp_path / "sessions.db")
+        with make_session_store("sqlite", path) as store:
+            engine.attach_session_store(store)
+            engine.open_session(seed=3, session_id="live")
+            engine.detach_session_store()
+        code = cli_main([
+            "sessions", "expire", "--session-store", "sqlite",
+            "--session-path", path, "--ttl", "-5",
+        ])
+        assert code == 1
+        assert "ttl_s must be a positive finite number" in (
+            capsys.readouterr().err
+        )
+        with make_session_store("sqlite", path) as store:
+            assert store.list_ids() == ["live"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--db", "db.npz", "--query", query_names()[0]],
+            ["serve", "--db", "db.npz", "--session-store", "memory"],
+        ],
+        ids=["query", "serve"],
+    )
+    def test_cli_refuses_negative_shards(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--shards", "-2"])
+        assert exc.value.code == 2
+        assert "--shards: must be >= 0, got -2" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -476,7 +476,7 @@ class TestHotPathParity:
         assert len(decode_calls) == 1
 
         # a TTL sweep: the record reads back absent
-        assert store.sweep_expired(0.0, now=2e12) == [sid]
+        assert store.sweep_expired(1.0, now=2e12) == [sid]
         with pytest.raises(SessionNotFoundError):
             front.submit(sid, [])
         assert sid not in engine._hot_sessions
@@ -861,7 +861,15 @@ class TestEngineLifecycle:
             assert resumed.round == 1
             assert resumed.marked_ids == session.marked_ids
             assert engine.expire_sessions(3600.0) == []
-            assert engine.expire_sessions(-1.0) == ["flow"]
+            with pytest.raises(ConfigurationError, match="ttl_s"):
+                engine.expire_sessions(-1.0)
+            idle = store.get("flow")
+            store.put(
+                dataclasses.replace(
+                    idle, updated_unix=idle.updated_unix - 7200.0
+                )
+            )
+            assert engine.expire_sessions(3600.0) == ["flow"]
             with pytest.raises(SessionNotFoundError):
                 engine.resume_session("flow")
             engine.detach_session_store()

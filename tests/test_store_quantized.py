@@ -243,10 +243,11 @@ class TestTierAccounting:
         assert len(prints) == 3
 
     def test_build_rejects_bad_tier_and_margin(self, rfs_f32):
+        # The name is kept for continuity: the re-rank margin is now the
+        # module constant RERANK_MARGIN, so the tier is the only build
+        # option left to validate.
         with pytest.raises(ConfigurationError):
             FeatureStore.build(rfs_f32, tier="pq4")
-        with pytest.raises(ConfigurationError):
-            FeatureStore.build(rfs_f32, rerank_margin=-1)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +257,7 @@ class TestQuantizedRoundtrip:
     @pytest.mark.parametrize("tier", _QUANT_TIERS)
     @pytest.mark.parametrize("mode", ["memmap", "inmem"])
     def test_save_open_preserves_tier(self, rfs_f32, tmp_path, tier, mode):
-        store = FeatureStore.build(rfs_f32, tier=tier, rerank_margin=17)
+        store = FeatureStore.build(rfs_f32, tier=tier)
         directory = tmp_path / tier
         store.save(directory)
         loaded = FeatureStore.open(directory, mode=mode)
