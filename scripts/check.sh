@@ -50,7 +50,10 @@ fi
 # charges no time: the simulated device sleep, and the build knobs that
 # only fed benches built on it, were deleted once every speedup they
 # backed lost at zero latency.  Nothing in the index or the clustering
-# sleeps.
+# sleeps.  Session text is produced only by the store that keeps it: a
+# text backend encodes once per put, the in-memory one only when its
+# text is read, so no encode_state( call site lives outside
+# src/repro/sessionstore/ to put an encode back on the feedback round.
 echo "== structure =="
 if git grep -nE '(Thread|Process)PoolExecutor\(' -- src/ \
         ':!src/repro/exec/pool.py'; then
@@ -92,6 +95,11 @@ if git grep -nE -e 'page_read_latenc[y]|read_bandwidth_bytes_per_[s]' \
 fi
 if git grep -n 'time\.sleep' -- src/repro/index/ src/repro/clustering/; then
     echo "== nothing in the index or the clustering sleeps ==" >&2
+    exit 1
+fi
+if git grep -n 'encode_state(' -- src/ ':!src/repro/sessionstore/'; then
+    echo "== encode_state() is called only under src/repro/sessionstore/" \
+        "==" >&2
     exit 1
 fi
 

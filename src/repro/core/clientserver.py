@@ -155,8 +155,8 @@ class SessionFrontEnd:
     behind a router.  Any worker can resume any session from the
     record, so consecutive requests of one dialogue may land on
     different workers (or worker restarts) with bit-identical results;
-    a worker may skip the rebuild when the record is byte-identical to
-    what it last wrote.  Every request *checks out* the session from
+    a worker may skip the rebuild when the stored record is the one it
+    last wrote.  Every request *checks out* the session from
     the engine (:meth:`~repro.core.engine.QueryDecompositionEngine.
     checkout_session`: the engine's hot copy if the stored record
     proves it current, else a :class:`~repro.core.session.

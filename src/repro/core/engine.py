@@ -422,8 +422,9 @@ class QueryDecompositionEngine:
         :meth:`resume_session`, except that the rebuild is skipped when
         this engine still has the live object it last checkpointed for
         ``session_id`` (:meth:`checkin_session`) *and* the store's
-        record is byte-for-byte the text that object wrote: equal
-        bytes mean equal state, because a resumed session continues
+        record is the one that object wrote — the very object in
+        memory, byte-for-byte the same text elsewhere: an equal record
+        means equal state, because a resumed session continues
         bit-identically.  The hot copy leaves the engine either way, so
         a second concurrent request resumes from the record, and an op
         that fails simply never hands it back.  Everything else — a
@@ -435,8 +436,9 @@ class QueryDecompositionEngine:
             hot = self._hot_sessions.pop(session_id, None)
         store = self._session_store
         if hot is not None and store is not None and self._is_current(hot):
-            stored = store.read_payload(session_id)
-            if stored is not None and stored == hot.checkpoint_payload:
+            mine = hot.checkpoint_payload
+            stored = store.read_record(session_id)
+            if stored is mine or stored == mine:
                 return hot
         return self.resume_session(session_id)
 

@@ -137,8 +137,8 @@ class SessionState:
         Union of all relevant image ids identified so far.
     display_owner:
         ``image id -> owning node id`` for the current round's screen,
-        in the order of the ids *as strings* (the stored text's key
-        order); empty once the round's ``submit()`` ran.
+        in any order (:meth:`to_dict` writes the ids in string order);
+        empty once the round's ``submit()`` ran.
     rng_state:
         Exact numpy bit-generator state of the session RNG; restoring
         it makes post-resume "Random" browse picks identical to the
@@ -171,19 +171,21 @@ class SessionState:
         """JSON-safe encoding (format :data:`STATE_FORMAT_VERSION`).
 
         Keys are in sorted order and the values are the record's own
-        (id tuples encode as arrays, ``display_owner``'s int keys as
-        strings), so the encoder neither sorts nor copies: read the
-        result, edit only its top level.  The nested dicts come out
-        sorted because whoever built the record made them so —
-        :meth:`FeedbackSession.capture <repro.core.session.
-        FeedbackSession.capture>` and the decoders do.
+        (id tuples encode as arrays), so the encoder neither sorts nor
+        copies: read the result, edit only its top level.  The one copy
+        is ``display_owner``, laid out in the order of its int keys as
+        strings, so only code that produces text pays for that sort.
+        The other dicts come out sorted because whoever built the record
+        made them so — :meth:`FeedbackSession.capture <repro.core.
+        session.FeedbackSession.capture>` and the decoders do.
         """
+        owner = self.display_owner
         return {
             "active": [sub.to_dict() for sub in self.active],
             "awaiting_feedback": self.awaiting_feedback,
             "config_fingerprint": self.config_fingerprint,
             "created_unix": self.created_unix,
-            "display_owner": self.display_owner,
+            "display_owner": {k: owner[k] for k in sorted(owner, key=str)},
             "extra": self.extra,
             "finalized": self.finalized,
             "marked": self.marked,
@@ -212,21 +214,26 @@ class SessionState:
             )
         try:
             return decoder(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SessionCodecError(
                 f"malformed session record: {exc!r}"
             ) from exc
 
     # ------------------------------------------------------------------
     def restore_rng(self) -> np.random.Generator:
-        """Rebuild the session RNG exactly as it was at capture time."""
+        """Rebuild the session RNG exactly as it was at capture time.
+
+        Any name but a :class:`numpy.random.BitGenerator` subclass's
+        (``seed``, ``random``, ``Generator``, ...) raises
+        :class:`SessionCodecError` before anything is called.
+        """
         name = self.rng_state.get("bit_generator", "PCG64")
-        try:
-            bit_generator = getattr(np.random, name)()
-        except AttributeError as exc:
+        kind = getattr(np.random, str(name), None)
+        if kind not in np.random.BitGenerator.__subclasses__():
             raise SessionCodecError(
                 f"unknown bit generator {name!r} in session record"
-            ) from exc
+            )
+        bit_generator = kind()
         # numpy reads the values out; it does not keep the dict.
         bit_generator.state = self.rng_state
         return np.random.Generator(bit_generator)
@@ -248,9 +255,7 @@ def _decode_v1(data: Mapping[str, Any]) -> SessionState:
             SubQueryState.from_dict(sub) for sub in data["active"]
         ),
         marked=tuple(int(i) for i in data["marked"]),
-        display_owner={
-            int(k): int(owner[k]) for k in sorted(owner, key=str)
-        },
+        display_owner={int(k): int(v) for k, v in owner.items()},
         rng_state=key_sorted(data["rng_state"]),
         config_fingerprint=str(data["config_fingerprint"]),
         structure_version=int(data["structure_version"]),

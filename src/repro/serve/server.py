@@ -19,8 +19,8 @@ are handed out last-released-first, so a closed-loop client keeps
 meeting the same warm front-end.
 
 Any slot can resume any session from the record; they share the
-engine's hot copies and skip the rebuild when the record is
-byte-identical to what the engine last wrote.
+engine's hot copies and skip the rebuild when the stored record is the
+one the engine last wrote.
 
 Overload behaviour is engineered, not accidental:
 

@@ -16,9 +16,9 @@ backend      durability  concurrency   use when
              per session wins          hand-inspecting records
 ===========  ==========  ============  ===========================
 
-All backends store the same canonical JSON encoding, so a session
-checkpointed into one backend can be copied into another; rankings
-never depend on the backend choice.
+All backends expose the same canonical JSON text (``memory`` renders
+it on read), so a session checkpointed into one backend can be copied
+into another; rankings never depend on the backend choice.
 """
 
 from repro._lazy import lazy_exports

@@ -12,15 +12,15 @@ ship (see the package docstring for the selection matrix):
 * :class:`~repro.sessionstore.jsondir.JSONDirectorySessionStore` — one
   JSON file per session, trivially debuggable (``cat`` a session).
 
-Every backend stores the *encoded JSON text* of the record, never live
-objects — the in-memory backend included — so a checkpoint is always a
-full encode and any worker can resume any session from the record
-alone, without aliasing state with the session that wrote it.  A worker
-may skip the rebuild when the record is byte-identical to what it last
-wrote: :meth:`SessionStore.put` returns the stored text and
-:meth:`SessionStore.read_payload` reads it back undecoded, so the
-serving path can compare the two (see
-:meth:`repro.core.engine.QueryDecompositionEngine.checkout_session`).
+The durable backends store the record's canonical JSON text, one
+:func:`encode_state` per put; the in-memory one keeps the captured
+record itself (it shares nothing with the live session) and renders
+that text only in :meth:`SessionStore.read_payload`.  A worker may skip
+the rebuild when the stored record is the one it last wrote:
+:meth:`SessionStore.put` returns the stored record and
+:meth:`SessionStore.read_record` reads it back as stored, so the
+serving path compares the two — by identity in memory, byte for byte in
+text (:meth:`repro.core.engine.QueryDecompositionEngine.checkout_session`).
 The base class owns instrumentation: each operation runs inside a
 ``session_store`` span and feeds the ``qd_session_store_*`` metric
 family, labeled by backend and operation, so checkpoint overhead is
@@ -34,7 +34,7 @@ import contextlib
 import json
 import math
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.core.session_state import SessionState
 from repro.errors import (
@@ -51,6 +51,9 @@ _NO_SPAN = contextlib.nullcontext()
 
 #: Compact separators, keys in the order ``to_dict`` gives them.
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+#: A stored record: its canonical text, or (in memory) the record itself.
+Record = Union[str, SessionState]
 
 
 def encode_state(state: SessionState) -> str:
@@ -87,34 +90,29 @@ class SessionStore(abc.ABC):
     kind: str = "abstract"
 
     # -- public instrumented API ---------------------------------------
-    def put(self, state: SessionState) -> str:
+    def put(self, state: SessionState) -> Record:
         """Checkpoint ``state`` (upsert by ``state.session_id``).
 
-        Returns the text now stored for the session — exactly what
-        :meth:`read_payload` yields until someone writes it again.
+        Returns the record now stored for the session — exactly what
+        :meth:`read_record` yields until someone writes it again.
         """
-        payload = encode_state(state)
+        record = self._keep(state)
         with self._op_span("put", state.session_id):
-            stored = self._put(
-                state.session_id, payload, state.updated_unix
-            )
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.histogram(
-                "qd_session_state_bytes",
-                "encoded size of checkpointed session records",
-                labels={"backend": self.kind},
-            ).observe(len(payload))
-        return payload if stored is None else stored
+            stored = self._put(state.session_id, record, state.updated_unix)
+        return record if stored is None else stored
 
-    def read_payload(self, session_id: str) -> Optional[str]:
-        """The stored text of ``session_id`` undecoded, ``None`` if absent.
+    def read_record(self, session_id: str) -> Optional[Record]:
+        """The record of ``session_id`` as stored, ``None`` if absent.
 
         Instrumented as a ``get``: it is the same backend read, only
         without the decode.
         """
         with self._op_span("get", session_id):
             return self._get(session_id)
+
+    def read_payload(self, session_id: str) -> Optional[str]:
+        """The stored text of ``session_id`` undecoded, ``None`` if absent."""
+        return self.read_record(session_id)
 
     def get(self, session_id: str) -> SessionState:
         """Load the record stored under ``session_id``.
@@ -180,20 +178,36 @@ class SessionStore(abc.ABC):
         return len(self.list_ids())
 
     # -- backend primitives --------------------------------------------
+    def _keep(self, state: SessionState) -> Record:
+        """What this backend stores for ``state``: its text."""
+        return self._encode(state)
+
+    def _encode(self, state: SessionState) -> str:
+        """:func:`encode_state`, observed as ``qd_session_state_bytes``."""
+        payload = encode_state(state)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.histogram(
+                "qd_session_state_bytes",
+                "encoded size of checkpointed session records",
+                labels={"backend": self.kind},
+            ).observe(len(payload))
+        return payload
+
     @abc.abstractmethod
     def _put(
-        self, session_id: str, payload: str, updated_unix: float
-    ) -> Optional[str]:
-        """Upsert the encoded record.
+        self, session_id: str, record: Record, updated_unix: float
+    ) -> Optional[Record]:
+        """Upsert the record :meth:`_keep` made.
 
         A backend that stores a re-formatted text returns what
         :meth:`_get` will read back; the others return ``None``
-        (``payload`` is stored verbatim).
+        (``record`` is stored as it is).
         """
 
     @abc.abstractmethod
-    def _get(self, session_id: str) -> Optional[str]:
-        """Encoded record, or ``None`` when absent."""
+    def _get(self, session_id: str) -> Optional[Record]:
+        """Stored record, or ``None`` when absent."""
 
     @abc.abstractmethod
     def _delete(self, session_id: str) -> bool:

@@ -1,17 +1,21 @@
 """In-process session store: a dict under a lock.
 
 The fastest backend and the right default for a single-process server
-or tests.  It still stores *encoded JSON text*, not live objects, so
-resume semantics (full codec round-trip, no aliasing) are identical to
-the durable backends — only durability differs: the records die with
-the process.
+or tests.  It keeps the frozen record that
+:meth:`~repro.core.session.FeedbackSession.capture` built (fresh tuples
+and dicts, nothing shared with the live session), so a checkpoint
+encodes nothing; :meth:`read_payload` renders the durable backends'
+text on demand and :meth:`get` decodes it, so a resume is the same
+codec round-trip as everywhere else.  Only durability differs: the
+records die with the process.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.core.session_state import SessionState
 from repro.sessionstore.base import SessionStore
 
 
@@ -21,20 +25,25 @@ class InMemorySessionStore(SessionStore):
     kind = "memory"
 
     def __init__(self) -> None:
-        # session_id -> (payload, updated_unix)
-        self._records: Dict[str, Tuple[str, float]] = {}
+        self._records: Dict[str, SessionState] = {}
         self._lock = threading.Lock()
 
+    def read_payload(self, session_id: str) -> Optional[str]:
+        record = self.read_record(session_id)
+        return None if record is None else self._encode(record)
+
+    def _keep(self, state: SessionState) -> SessionState:
+        return state
+
     def _put(
-        self, session_id: str, payload: str, updated_unix: float
+        self, session_id: str, record: SessionState, updated_unix: float
     ) -> None:
         with self._lock:
-            self._records[session_id] = (payload, updated_unix)
+            self._records[session_id] = record
 
-    def _get(self, session_id: str) -> Optional[str]:
+    def _get(self, session_id: str) -> Optional[SessionState]:
         with self._lock:
-            record = self._records.get(session_id)
-        return record[0] if record is not None else None
+            return self._records.get(session_id)
 
     def _delete(self, session_id: str) -> bool:
         with self._lock:
@@ -48,8 +57,8 @@ class InMemorySessionStore(SessionStore):
         with self._lock:
             swept = [
                 session_id
-                for session_id, (_, stamp) in self._records.items()
-                if stamp < cutoff_unix
+                for session_id, record in self._records.items()
+                if record.updated_unix < cutoff_unix
             ]
             for session_id in swept:
                 del self._records[session_id]

@@ -9,6 +9,7 @@ never-suspended run, for every store backend and every executor kind.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -456,6 +457,60 @@ class TestHotPathParity:
             assert len(decode_calls) == ops
             assert (shown_log, _signature(result)) == reference
 
+    def test_memory_record_rewritten_by_another_engine_is_refused(
+        self, rfs, rendered_db, decode_calls
+    ):
+        """Two engines over one in-memory store: the record is the
+        object the other engine put, so each hot copy is refused and
+        every op after the first resumes from the record."""
+        config = QDConfig()
+        reference = _run_session(rfs, rendered_db.labels, config)
+        store = InMemorySessionStore()
+        first, second = (
+            SessionFrontEnd(_engine(rendered_db, rfs, store, config))
+            for _ in range(2)
+        )
+        sid = first.open(seed=SEED, session_id="shared")
+        mark = _mark_fn(rendered_db.labels)
+        shown_log = []
+        for rnd in range(ROUNDS):
+            shown = first.display(sid, screens=SCREENS)
+            assert len(decode_calls) == 2 * rnd  # hot only after open
+            shown_log.append(tuple(shown))
+            second.submit(sid, mark(shown))
+            assert len(decode_calls) == 2 * rnd + 1
+        assert first.engine._hot_sessions  # stale, never handed out
+        result = first.finalize(sid, K)
+        assert len(decode_calls) == 2 * ROUNDS
+        assert (shown_log, _signature(result)) == reference
+
+    def test_memory_record_does_not_alias_the_live_session(
+        self, rfs, rendered_db
+    ):
+        """The session keeps going after ``put``; the stored record and
+        the text it renders stay what was checkpointed."""
+        store = InMemorySessionStore()
+        session = FeedbackSession(
+            rfs, QDConfig(), seed=SEED, session_id="live", store=store
+        )
+        mark = _mark_fn(rendered_db.labels)
+        shown = session.display(screens=SCREENS)
+        record = session.checkpoint()  # mid-round: the live screen too
+        assert store.read_record("live") is record
+        text = store.read_payload("live")
+        assert text == encode_state(record)
+        session.bind_store(None)  # keep going without re-checkpointing
+        for _ in range(ROUNDS):
+            session.submit(mark(shown))
+            shown = session.display(screens=SCREENS)
+        assert store.read_record("live") is record
+        assert store.read_payload("live") == text
+        resumed = FeedbackSession.restore(rfs, store.get("live"))
+        assert dataclasses.replace(
+            resumed.capture(), updated_unix=record.updated_unix
+        ) == record
+        assert session.round == ROUNDS + 1
+
     def test_failed_op_sweep_and_abandon_drop_the_hot_copy(
         self, rfs, rendered_db, decode_calls
     ):
@@ -630,6 +685,59 @@ class TestHotPathParity:
 
 
 # ---------------------------------------------------------------------------
+# Where text is produced: at put for the text backends, on read in memory
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def encode_calls(monkeypatch):
+    """Counts ``encode_state`` calls made through the session stores."""
+    from repro.sessionstore import base
+
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return encode_state(state)
+
+    monkeypatch.setattr(base, "encode_state", counting)
+    return calls
+
+
+class TestCheckpointEncodes:
+    @pytest.mark.parametrize("metrics_on", [False, True])
+    @pytest.mark.parametrize("backend, per_op", [("memory", 0), ("sqlite", 1)])
+    def test_encodes_per_display_and_submit(
+        self, rfs, rendered_db, tmp_path, encode_calls,
+        backend, per_op, metrics_on,
+    ):
+        from repro import obs
+
+        registry = obs.MetricsRegistry()
+        recording = (
+            obs.use_metrics(registry) if metrics_on
+            else contextlib.nullcontext()
+        )
+        with _store(backend, tmp_path) as store, recording:
+            front = SessionFrontEnd(_engine(rendered_db, rfs, store))
+            sid = front.open(seed=SEED)
+            mark = _mark_fn(rendered_db.labels)
+            for _ in range(ROUNDS):
+                n = len(encode_calls)
+                shown = front.display(sid, screens=SCREENS)
+                assert len(encode_calls) == n + per_op
+                front.submit(sid, mark(shown))
+                assert len(encode_calls) == n + 2 * per_op
+            # memory renders its one text here; sqlite reads its own
+            n = len(encode_calls)
+            text = store.read_payload(sid)
+            assert len(encode_calls) == n + 1 - per_op
+            assert text == encode_state(encode_calls[-1])
+        observed = registry.histogram(
+            "qd_session_state_bytes", labels={"backend": backend}
+        )
+        assert observed.count == (len(encode_calls) if metrics_on else 0)
+
+
+# ---------------------------------------------------------------------------
 # Codec
 # ---------------------------------------------------------------------------
 class TestCodec:
@@ -654,6 +762,23 @@ class TestCodec:
         )
         assert draws.tolist() == again.tolist()
 
+    @pytest.mark.parametrize(
+        "name", ["seed", "random", "Generator", "BitGenerator", 7]
+    )
+    def test_only_bit_generators_are_restored(self, rfs, rendered_db, name):
+        """A record naming anything but a bit generator class is refused
+        before numpy runs it (``seed`` used to reseed the global RNG)."""
+        state = self._captured_state(rfs, rendered_db)
+        forged = dataclasses.replace(
+            state, rng_state={**state.rng_state, "bit_generator": name}
+        )
+        before = np.random.get_state()
+        with pytest.raises(SessionCodecError, match="bit generator"):
+            forged.restore_rng()
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
+
     def test_unsupported_format_rejected(self, rfs, rendered_db):
         data = self._captured_state(rfs, rendered_db).to_dict()
         data["state_format"] = STATE_FORMAT_VERSION + 1
@@ -667,6 +792,10 @@ class TestCodec:
             SessionState.from_dict({"state_format": 1})  # missing fields
         with pytest.raises(SessionCodecError):
             SessionState.from_dict([1, 2, 3])
+        screen_as_list = json.loads(PARENT_RECORD)
+        screen_as_list["display_owner"] = [36, 24]
+        with pytest.raises(SessionCodecError):
+            SessionState.from_dict(screen_as_list)
 
     def test_fingerprint_tracks_ranking_relevant_fields_only(self):
         base = config_fingerprint(QDConfig())
@@ -1003,6 +1132,28 @@ def _assert_unseen_consistent(session):
         assert sub.unseen_representatives() == expected
 
 
+def _marks(shown, n_marks, pick_seed):
+    picks = np.random.default_rng(pick_seed).permutation(len(shown))
+    return [shown[int(i)] for i in picks[:n_marks]]
+
+
+#: Random dialogues: (screens, marks, which ones) per round, the
+#: session's seed, and the op after which it is suspended and resumed.
+_DIALOGUES = dict(
+    rounds=st.lists(
+        st.tuples(
+            st.integers(1, 4),  # screens
+            st.integers(0, 6),  # marks
+            st.integers(0, 2**16),  # which ones
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 10_000),
+    suspend_at=st.integers(0, 7),
+)
+
+
 class TestRecordEquivalence:
     def test_screens_equal_the_parent_commits(self, rfs):
         digests = []
@@ -1042,7 +1193,8 @@ class TestRecordEquivalence:
         store = InMemorySessionStore()
         session = FeedbackSession(rfs, QDConfig(), seed=SEED, store=store)
         shown = session.display(screens=SCREENS)
-        mid_round = json.loads(session.checkpoint())
+        session.checkpoint()
+        mid_round = json.loads(store.read_payload(session.session_id))
         assert sorted(map(int, mid_round["display_owner"])) == sorted(shown)
         session.submit(shown[:3])
         after = json.loads(store.read_payload(session.session_id))
@@ -1056,19 +1208,7 @@ class TestRecordEquivalence:
         with pytest.raises(SessionStateError, match="display"):
             session.submit(shown[:1])
 
-    @given(
-        rounds=st.lists(
-            st.tuples(
-                st.integers(1, 4),  # screens
-                st.integers(0, 6),  # marks
-                st.integers(0, 2**16),  # which ones
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        seed=st.integers(0, 10_000),
-        suspend_at=st.integers(0, 7),
-    )
+    @given(**_DIALOGUES)
     @settings(max_examples=40, deadline=None)
     def test_encoded_text_is_canonical_and_round_trips(
         self, rfs, rounds, seed, suspend_at
@@ -1109,6 +1249,54 @@ class TestRecordEquivalence:
             twin.submit(marks)
             after_op()
             assert session.active_node_ids == twin.active_node_ids
+
+
+class TestMemoryRecordParity:
+    """The in-memory store keeps the captured record, not its text; the
+    text it renders is the one a text backend stores."""
+
+    @given(**_DIALOGUES)
+    @settings(max_examples=25, deadline=None)
+    def test_rendered_text_equals_stored_text_after_every_op(
+        self, rfs, tmp_path_factory, rounds, seed, suspend_at
+    ):
+        """The dialogues of ``test_encoded_text_is_canonical_and_round_
+        trips``: after every op, the memory store's ``read_payload``,
+        the text SQLite stores and ``encode_state(capture())`` are
+        byte-identical."""
+        memory = InMemorySessionStore()
+        sid = "texts"
+        session = FeedbackSession(
+            rfs, QDConfig(), seed=seed, session_id=sid, store=memory
+        )
+        n_ops = 0
+        path = tmp_path_factory.mktemp("texts") / "sessions.db"
+        with SQLiteSessionStore(path) as sqlite:
+
+            def after_op():
+                nonlocal session, n_ops
+                record = session.checkpoint()
+                assert memory.read_record(sid) is record
+                assert sqlite.put(record) == sqlite.read_payload(sid)
+                fresh = dataclasses.replace(
+                    session.capture(), updated_unix=record.updated_unix
+                )
+                assert (
+                    memory.read_payload(sid)
+                    == sqlite.read_payload(sid)
+                    == encode_state(fresh)
+                )
+                if n_ops == suspend_at:
+                    session = FeedbackSession.restore(
+                        rfs, memory.get(sid), store=memory
+                    )
+                n_ops += 1
+
+            for screens, n_marks, pick_seed in rounds:
+                shown = session.display(screens=screens)
+                after_op()
+                session.submit(_marks(shown, n_marks, pick_seed))
+                after_op()
 
 
 def _screen_order(state):
