@@ -102,6 +102,14 @@ if git grep -n 'encode_state(' -- src/ ':!src/repro/sessionstore/'; then
         "==" >&2
     exit 1
 fi
+# Every module under src/repro/ is imported by something the CLI, a
+# benchmark or a script reaches (lazy re-exports resolved): a module
+# only its own tests or an example import is code nothing serving or
+# the paper needs.  The script's ALLOWED map names the exceptions.
+if ! python scripts/check_reachable.py; then
+    echo "== every module under src/repro/ has an entry point ==" >&2
+    exit 1
+fi
 
 PYTEST_ARGS=(-x -q)
 if [[ "$WITH_COV" == "1" ]]; then

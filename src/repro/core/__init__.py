@@ -27,9 +27,6 @@ __all__ = [
     "SessionState",
     "SubQuery",
     "SubQueryState",
-    "TargetSearchResult",
-    "TargetSearchSession",
-    "run_target_search",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -45,10 +42,5 @@ __getattr__, __dir__ = lazy_exports(
         "repro.core.session": ("FeedbackSession",),
         "repro.core.session_state": ("SessionState", "SubQueryState"),
         "repro.core.subquery": ("SubQuery",),
-        "repro.core.target_search": (
-            "TargetSearchResult",
-            "TargetSearchSession",
-            "run_target_search",
-        ),
     },
 )

@@ -271,7 +271,7 @@ class SessionFrontEnd:
     def remove(self, image_id: int) -> bool:
         """Remove one image by id (tombstone; compaction reclaims it)."""
         self._count("remove")
-        self.engine.remove_image(int(image_id))
+        self.engine.remove_image(image_id)
         return True
 
     #: Ops :meth:`handle` dispatches, mapped to their raw methods.

@@ -13,10 +13,6 @@
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "average_precision",
-    "diagnose_result",
-    "ndcg",
-    "precision_recall_points",
     "WorkloadSpec",
     "generate_workload",
     "simulate_concurrent_users",
@@ -34,12 +30,6 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.eval.analysis": (
-            "average_precision",
-            "diagnose_result",
-            "ndcg",
-            "precision_recall_points",
-        ),
         "repro.eval.metrics": (
             "gtir",
             "precision_at",

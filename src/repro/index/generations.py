@@ -217,7 +217,11 @@ class GenerationController:
 
         O(tree depth) routing plus one copy-on-write view publish.  No
         cache entry is invalidated: cached subqueries are main-only and
-        the new row is merged after the cache consult.
+        the new row is merged after the cache consult.  A row of the
+        wrong length, or holding NaN or ±inf, raises
+        :class:`~repro.errors.QueryError` before the delta is touched —
+        the rule the build applies to every row, so no acknowledged
+        write can make a later compaction fail.
         """
         vec = np.asarray(vector, dtype=np.float64).reshape(-1)
         dims = self.current.features.shape[1]
@@ -225,6 +229,8 @@ class GenerationController:
             raise QueryError(
                 f"vector must have {dims} dims, got {vec.shape[0]}"
             )
+        if not np.isfinite(vec).all():
+            raise QueryError("vector contains non-finite values")
         with self.guard.write():
             rfs = self.current
             leaf = route_leaf(rfs, vec)
@@ -244,8 +250,13 @@ class GenerationController:
         search node lies on the leaf's root path; a delta-row removal
         evicts nothing (the merge reads a fresh view).  Raises
         :class:`~repro.errors.NodeNotFoundError` when the id is not
-        live.
+        live and :class:`~repro.errors.QueryError` when it is not an
+        integer (``1.7`` is refused, not read as image 1).
         """
+        if isinstance(image_id, bool) or not isinstance(
+            image_id, (int, np.integer)
+        ):
+            raise QueryError(f"image_id must be an integer, got {image_id!r}")
         item = int(image_id)
         with self.guard.write():
             rfs = self.current

@@ -20,6 +20,15 @@ Request object::
      "image_id": 42,             # remove
      "deadline_s": 5.0}          # any op (optional)
 
+Each field is checked against :data:`_FIELD_RULES` before the request
+reaches the admission queue, and a value that breaks its rule is
+answered ``invalid_request`` naming the field: integers are JSON
+integers (not floats, strings or booleans) below 2**53 in magnitude,
+``k`` and ``screens`` are at least 1, ``seed`` is a non-negative
+integer or null, ``deadline_s`` a finite number >= 0, ``session_id`` a
+string, ``relevant_ids`` a list of integers and ``vector`` a list of
+finite numbers.  No rule admits ``NaN`` or ``Infinity``.
+
 The mutation ops (``insert``/``remove``) pass the same admission
 control as queries — sustained mixed read/write traffic shares
 one overload policy (shedding, deadlines, drain).
@@ -41,9 +50,11 @@ Response object mirrors :class:`~repro.serve.server.ServerResponse`:
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 import socketserver
 import threading
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.serve.server import QDServer, ServerResponse
 
@@ -67,6 +78,49 @@ _OP_ARGS: Dict[str, Tuple[str, ...]] = {
     "abandon": ("session_id",),
     "insert": ("vector",),
     "remove": ("image_id",),
+}
+
+
+#: Integers a request may carry: the range in which JSON numbers are
+#: exact across implementations (RFC 8259 section 6, 2**53 - 1).  A
+#: ``k`` beyond it is no longer an exact number of results.
+_SAFE_INT = 2**53 - 1
+
+
+def _integer(value: Any, low: int = -_SAFE_INT) -> bool:
+    # A JSON integer decodes to int; true/false decode to bool.
+    return type(value) is int and low <= value <= _SAFE_INT
+
+
+def _finite(value: Any) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+#: What every request field must hold, and how the refusal says so.
+#: Checked on the handler thread, before the admission queue: a value
+#: the front-end would coerce (1.7 -> 1, true -> 1, "39" -> 39) or
+#: choke on (Infinity, NaN) never reaches it.  Every rule refuses a
+#: non-finite number, so the non-standard ``NaN`` / ``Infinity`` that
+#: ``json.loads`` accepts are refused here, naming their field, at no
+#: cost to the decode of a well-formed line.
+_FIELD_RULES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "session_id": (lambda v: type(v) is str, "a string"),
+    "seed": (
+        lambda v: v is None or _integer(v, 0),
+        "null or an integer in [0, 2**53)",
+    ),
+    "screens": (lambda v: _integer(v, 1), "an integer in [1, 2**53)"),
+    "k": (lambda v: _integer(v, 1), "an integer in [1, 2**53)"),
+    "image_id": (_integer, "an integer in (-2**53, 2**53)"),
+    "relevant_ids": (
+        lambda v: type(v) is list and all(map(_integer, v)),
+        "a list of integers in (-2**53, 2**53)",
+    ),
+    "vector": (
+        lambda v: type(v) is list and all(map(_finite, v)),
+        "a list of finite numbers",
+    ),
+    "deadline_s": (lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
 }
 
 
@@ -148,16 +202,19 @@ class _Handler(socketserver.StreamRequestHandler):
                 )
                 return
             line = raw.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                response = server.core_request(payload)
-            except (ValueError, TypeError) as exc:
-                response = ServerResponse(
-                    op="?", status="invalid_request", error=str(exc)
-                )
-            self._reply(response)
+            if line:
+                # No local keeps the reply: an idle connection must not
+                # pin its last result (a k = 1200 finalize) for minutes.
+                self._reply(self._respond(server, line))
+
+    @staticmethod
+    def _respond(server: "QDTCPServer", line: bytes) -> ServerResponse:
+        try:
+            return server.core_request(json.loads(line))
+        except (ValueError, TypeError) as exc:
+            return ServerResponse(
+                op="?", status="invalid_request", error=str(exc)
+            )
 
 
 class QDTCPServer(socketserver.ThreadingTCPServer):
@@ -181,7 +238,7 @@ class QDTCPServer(socketserver.ThreadingTCPServer):
                 f"{type(payload).__name__}",
             )
         op = payload.get("op")
-        if op not in _OP_ARGS:
+        if type(op) is not str or op not in _OP_ARGS:
             return ServerResponse(
                 op=str(op),
                 status="invalid_request",
@@ -197,6 +254,17 @@ class QDTCPServer(socketserver.ThreadingTCPServer):
                 error=f"unexpected fields for {op}: {sorted(unknown)}",
             )
         kwargs = {key: payload[key] for key in allowed if key in payload}
+        for field, value in payload.items():
+            if field == "op":
+                continue
+            check, wants = _FIELD_RULES[field]
+            if not check(value):
+                return ServerResponse(
+                    op=op,
+                    status="invalid_request",
+                    error=f"{field} must be {wants}, got "
+                    f"{reprlib.repr(value)}",
+                )
         if op in ("display", "submit", "finalize", "abandon") and (
             "session_id" not in kwargs
         ):

@@ -21,6 +21,7 @@ from repro.datasets.build import build_synthetic_database
 from repro.errors import (
     ConfigurationError,
     NodeNotFoundError,
+    QueryError,
     StaleSessionError,
 )
 from repro.index.generations import (
@@ -198,6 +199,69 @@ class TestDeltaMutations:
         )
         _mutate(controller, np.random.default_rng(1))
         assert validate_structure(rfs) == []
+
+
+class TestRefusedWrites:
+    """A write the index could not keep is refused before it lands."""
+
+    @staticmethod
+    def _live(rfs):
+        view = rfs.delta_view()
+        return set(
+            np.setdiff1d(rfs.root.item_ids, view.dead_main).tolist()
+        ) | set((view.base_rows + view.live_indices).tolist())
+
+    def test_non_finite_insert_leaves_later_writes_and_compaction_working(
+        self,
+    ):
+        from repro.core import SessionFrontEnd
+        from repro.sessionstore import InMemorySessionStore
+
+        database = build_synthetic_database(400, n_categories=20, seed=6)
+        dims = database.dims
+        rng = np.random.default_rng(12)
+        writes = (
+            [("insert", {"vector": [float("nan")] * dims})]
+            + [("insert", {"vector": rng.normal(size=dims).tolist()})
+               for _ in range(3)]
+            + [("remove", {"image_id": 17})]
+            + [("insert", {"vector": rng.normal(size=dims).tolist()})
+               for _ in range(3)]
+            + [("remove", {"image_id": 250})]
+        )
+        with QueryDecompositionEngine.build(
+            database, CFG, QDConfig(), seed=31,
+            mutations=MutationConfig(compact_threshold=4),
+        ) as engine:
+            engine.attach_session_store(InMemorySessionStore())
+            frontend = SessionFrontEnd(engine)
+            expected = set(range(database.size))
+            statuses = []
+            for op, kwargs in writes:
+                outcome = frontend.handle(op, **kwargs)
+                statuses.append(outcome.error_kind or "ok")
+                if outcome.ok and op == "insert":
+                    expected.add(outcome.value)
+                elif outcome.ok:
+                    expected.discard(kwargs["image_id"])
+            assert statuses == ["invalid_request"] + ["ok"] * 8
+            controller = engine.mutations
+            assert controller.generation == 2  # two automatic compactions
+            assert self._live(controller.current) == expected
+            engine.insert_image(rng.normal(size=dims))
+            assert engine.compact_index() is not None
+            assert controller.n_items == len(expected) + 1
+
+    @pytest.mark.parametrize("image_id", [1.7, 1.0, True, "1"])
+    def test_remove_refuses_an_id_that_is_not_an_integer(self, image_id):
+        controller = GenerationController(
+            _base(), config=MutationConfig(auto_compact=False)
+        )
+        with pytest.raises(QueryError, match="integer"):
+            controller.remove(image_id)
+        assert controller.delta_size == 0
+        controller.remove(np.int64(1))  # numpy integers are integers
+        assert controller.delta_size == 1
 
 
 class TestMutationParity:

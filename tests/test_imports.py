@@ -3,8 +3,8 @@
 Package re-exports resolve on first attribute access and subcommand-only
 dependencies are imported inside their subcommands, so ``serve`` compiles
 none of the imaging, evaluation, baseline, feature-extraction, database
-building, trace-export or target-search code.  Each check runs in a
-fresh interpreter: this process has long imported everything.
+building or trace-export code.  Each check runs in a fresh interpreter:
+this process has long imported everything.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 #: import before its first reply.
 DEFERRED = (
     "repro.baselines",
-    "repro.core.target_search",
     "repro.datasets.build",
     "repro.datasets.concepts",
     "repro.datasets.corel_loader",
@@ -40,7 +39,6 @@ DEFERRED = (
     "repro.obs.bench",
     "repro.obs.export",
     "repro.obs.profile",
-    "repro.video",
 )
 
 #: Runs ``repro-cbir serve`` through ``cli.main`` with the accept loop

@@ -1,33 +1,18 @@
 """Tests for the Fagin merge baseline, the full-metric QPM mode, and the
-target-search paradigm."""
+noise sweep."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.fagin import FaginMerge
 from repro.baselines.qpm import QueryPointMovement
-from repro.config import RFSConfig
-from repro.core.target_search import (
-    TargetSearchSession,
-    run_target_search,
-)
 from repro.datasets.build import build_synthetic_database
-from repro.errors import ConfigurationError, QueryError, SessionStateError
-from repro.index.rfs import RFSStructure
+from repro.errors import ConfigurationError, QueryError
 
 
 @pytest.fixture(scope="module")
 def feature_db():
     return build_synthetic_database(800, n_categories=25, dims=37, seed=4)
-
-
-@pytest.fixture(scope="module")
-def feature_rfs(feature_db):
-    return RFSStructure.build(
-        feature_db.features,
-        RFSConfig(node_max_entries=60, node_min_entries=30),
-        seed=2,
-    )
 
 
 class TestFaginMerge:
@@ -146,60 +131,6 @@ class TestQPMFullMetric:
             return sum(1 for i in got if i < 40)
 
         assert hits("full") > hits("diagonal") + 5
-
-
-class TestTargetSearch:
-    def test_finds_targets(self, feature_rfs, rng):
-        found = 0
-        for target in rng.integers(0, 800, size=10):
-            result = run_target_search(
-                feature_rfs, int(target), seed=int(target)
-            )
-            found += result.found
-        assert found >= 8
-
-    def test_sees_small_fraction(self, feature_rfs):
-        result = run_target_search(feature_rfs, 123, seed=1)
-        assert result.found
-        assert result.images_seen < feature_rfs.root.size / 3
-
-    def test_trail_ends_at_target_when_found(self, feature_rfs):
-        result = run_target_search(feature_rfs, 55, seed=2)
-        if result.found:
-            assert result.trail[-1] == 55
-
-    def test_round_budget_respected(self, feature_rfs):
-        result = run_target_search(
-            feature_rfs, 7, max_rounds=1, seed=3
-        )
-        assert result.rounds <= 1
-
-    def test_invalid_target_rejected(self, feature_rfs):
-        with pytest.raises(QueryError):
-            run_target_search(feature_rfs, 10**9)
-
-    def test_session_state_machine(self, feature_rfs):
-        session = TargetSearchSession(feature_rfs, seed=0)
-        shown = session.display()
-        assert shown
-        with pytest.raises(SessionStateError):
-            session.pick(10**9)  # not on screen
-        session.pick(shown[0])
-        session.finished = True
-        with pytest.raises(SessionStateError):
-            session.display()
-
-    def test_invalid_display_size(self, feature_rfs):
-        with pytest.raises(QueryError):
-            TargetSearchSession(feature_rfs, display_size=1)
-
-    def test_custom_pick_function(self, feature_rfs):
-        """A user who always clicks the first image still terminates."""
-        result = run_target_search(
-            feature_rfs, 200, max_rounds=5,
-            pick_fn=lambda shown: shown[0], seed=4,
-        )
-        assert result.rounds <= 5
 
 
 class TestNoiseSweep:

@@ -1,11 +1,9 @@
-"""Tests for the STR bulk load and the terminal preview helpers."""
+"""Tests for the STR bulk load."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.imaging.preview import ansi_preview, ascii_preview
-from repro.imaging.scenes import render_scene
 from repro.index.rstar import RStarTree
 
 
@@ -99,30 +97,3 @@ class TestStrBulkLoad:
             str_tree
         )
 
-
-class TestPreview:
-    def test_ascii_dimensions(self):
-        img = render_scene("rose_red", 32, np.random.default_rng(0))
-        art = ascii_preview(img, width=24)
-        lines = art.splitlines()
-        assert len(lines) == 12
-        assert all(len(line) == 24 for line in lines)
-
-    def test_ascii_uses_ramp(self):
-        dark = np.zeros((8, 8, 3))
-        bright = np.ones((8, 8, 3))
-        assert set(ascii_preview(dark, width=8)) <= {" ", "\n"}
-        assert "@" in ascii_preview(bright, width=8)
-
-    def test_ansi_contains_escape_codes(self):
-        img = render_scene("rose_red", 32, np.random.default_rng(0))
-        art = ansi_preview(img, width=16)
-        assert "\x1b[38;2;" in art
-        assert art.endswith("\x1b[0m")
-        assert len(art.splitlines()) == 8
-
-    def test_invalid_image_rejected(self):
-        from repro.errors import InvalidImageError
-
-        with pytest.raises(InvalidImageError):
-            ascii_preview(np.zeros((8, 8)))
