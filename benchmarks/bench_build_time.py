@@ -37,8 +37,7 @@ def test_build_time(benchmark, report):
             hk_time = time.perf_counter() - start
 
             start = time.perf_counter()
-            tree = RStarTree(dims=feats.shape[1], max_entries=100,
-                             min_entries=70, split_min_entries=40)
+            tree = RStarTree(dims=feats.shape[1], max_entries=100)
             tree.bulk_load_str(feats)
             str_time = time.perf_counter() - start
             rows.append((size, rfs_time, hk_time, str_time))

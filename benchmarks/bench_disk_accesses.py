@@ -47,8 +47,7 @@ def test_disk_accesses(benchmark, paper_engine, report):
 
     # Cost of ONE global k-NN on an R*-tree over the same data — what a
     # traditional relevance-feedback technique pays every round.
-    tree = RStarTree(dims=database.dims, max_entries=100,
-                     min_entries=70, split_min_entries=40)
+    tree = RStarTree(dims=database.dims, max_entries=100)
     tree.bulk_load(database.features, seed=0)
     tree.io.reset()
     tree.knn(database.features[0], RESULT_K)

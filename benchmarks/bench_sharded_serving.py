@@ -89,9 +89,7 @@ def _signature(result) -> list:
 def _build_engine(p: dict, database, shards: int) -> ShardedEngine:
     engine = ShardedEngine.build(
         database,
-        RFSConfig(
-            node_max_entries=40, node_min_entries=16, leaf_subclusters=3
-        ),
+        RFSConfig(node_max_entries=40, leaf_subclusters=3),
         QDConfig(boundary_threshold=p["boundary_threshold"]),
         shards=shards,
         # Interleave neighboring leaves across shards: every localized

@@ -43,8 +43,7 @@ def test_bench_kmeans_100x37_k5(benchmark, feature_points):
 
 def test_bench_rstar_bulk_load_5k(benchmark, feature_points):
     def build():
-        tree = RStarTree(dims=37, max_entries=100, min_entries=70,
-                         split_min_entries=40)
+        tree = RStarTree(dims=37, max_entries=100)
         tree.bulk_load(feature_points, seed=0)
         return tree
 
@@ -53,8 +52,7 @@ def test_bench_rstar_bulk_load_5k(benchmark, feature_points):
 
 
 def test_bench_rstar_knn(benchmark, feature_points):
-    tree = RStarTree(dims=37, max_entries=100, min_entries=70,
-                     split_min_entries=40)
+    tree = RStarTree(dims=37, max_entries=100)
     tree.bulk_load(feature_points, seed=0)
     query = feature_points[42]
     result = benchmark(tree.knn, query, 20)

@@ -47,7 +47,7 @@ def paper_db() -> ImageDatabase:
 
 @pytest.fixture(scope="session")
 def paper_engine(paper_db) -> QueryDecompositionEngine:
-    """QD engine with the paper's RFS configuration (100/70 nodes)."""
+    """QD engine with the paper's RFS configuration (100 entries per node)."""
     return QueryDecompositionEngine.build(paper_db, seed=PAPER_SEED)
 
 

@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rfs.add_argument("--out", required=True, help="output .npz path")
     p_rfs.add_argument("--seed", type=int, default=2006)
     p_rfs.add_argument("--node-max", type=int, default=100)
-    p_rfs.add_argument("--node-min", type=int, default=70)
     p_rfs.add_argument(
         "--method", choices=("rstar", "hkmeans"), default="rstar"
     )
@@ -709,9 +708,7 @@ def _cmd_build_rfs(args: argparse.Namespace) -> int:
     database = ImageDatabase.load(args.db)
     rfs = RFSStructure.build(
         database.features,
-        RFSConfig(
-            node_max_entries=args.node_max, node_min_entries=args.node_min
-        ),
+        RFSConfig(node_max_entries=args.node_max),
         seed=args.seed,
         method=args.method,
         build=_build_config_from_args(args),

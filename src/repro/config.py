@@ -66,57 +66,34 @@ class RFSConfig:
 
     Attributes
     ----------
-    node_max_entries / node_min_entries:
+    node_max_entries:
         R*-tree node capacity.  The paper uses max 100 / min 70, which on a
-        15,000-image database yields a 3-level tree.
+        15,000-image database yields a 3-level tree.  Its minimum of 70
+        cannot hold under binary bisection (splitting 101 entries cannot
+        give two nodes of >= 70), so the build bounds nodes below by
+        ``max(2, 40 % of max)`` instead
+        (:attr:`repro.index.rstar.RStarTree.split_min_entries`).
     representative_fraction:
         Target fraction of database images designated representative
         (paper: 5 %).
     leaf_subclusters:
         Number of k-means subclusters formed inside each leaf when
         selecting its representatives.
-    reinsert_fraction:
-        Fraction of entries force-reinserted on R*-tree overflow (the
-        R*-tree paper uses 30 %).
     """
 
     node_max_entries: int = 100
-    node_min_entries: int = 70
     representative_fraction: float = 0.05
     leaf_subclusters: int = 5
-    reinsert_fraction: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.node_min_entries < 2:
-            raise ConfigurationError("node_min_entries must be >= 2")
-        if not 2 * self.node_min_entries <= self.node_max_entries + 1:
-            # The R*-tree requires min <= ceil(max/2) so splits are valid…
-            # except the paper's own 70/100 violates the classic bound, so
-            # we only require that a split can produce two legal nodes.
-            pass
-        if self.node_max_entries < self.node_min_entries:
-            raise ConfigurationError(
-                "node_max_entries must be >= node_min_entries"
-            )
+        if self.node_max_entries < 4:
+            raise ConfigurationError("node_max_entries must be >= 4")
         if not 0 < self.representative_fraction <= 1:
             raise ConfigurationError(
                 "representative_fraction must be in (0, 1]"
             )
         if self.leaf_subclusters < 1:
             raise ConfigurationError("leaf_subclusters must be >= 1")
-        if not 0 < self.reinsert_fraction < 1:
-            raise ConfigurationError("reinsert_fraction must be in (0, 1)")
-
-    @property
-    def split_min_entries(self) -> int:
-        """Minimum entries per node that a split must respect.
-
-        The paper's 70/100 capacities cannot both be honoured by a binary
-        split (splitting 101 entries cannot give two nodes of >= 70), so —
-        like the authors' prototype necessarily did — underfull nodes are
-        tolerated after splits, bounded below by ``max(2, ~40 % of max)``.
-        """
-        return max(2, int(0.4 * self.node_max_entries))
 
 
 #: Executor kinds accepted by :attr:`QDConfig.executor` (see

@@ -18,7 +18,7 @@ from repro.config import (
     QDConfig,
     RFSConfig,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, QueryError, StaleSessionError
 from repro.core.presentation import QueryResult
 from repro.core.session import FeedbackSession
 from repro.datasets.database import ImageDatabase
@@ -358,6 +358,9 @@ class QueryDecompositionEngine:
         Requires an attached session store: the round-zero record is
         checkpointed immediately, so the session is visible to (and
         resumable by) other workers before its first feedback round.
+        A ``session_id`` that is already open is refused with
+        :class:`~repro.errors.QueryError`, and its dialogue is left as
+        it was.
         """
         if self._session_store is None:
             raise ConfigurationError(
@@ -365,7 +368,12 @@ class QueryDecompositionEngine:
                 "attach_session_store() first (or use new_session)"
             )
         session = self.new_session(seed=seed, session_id=session_id)
-        session.checkpoint()
+        try:
+            session.checkpoint()
+        except StaleSessionError:
+            raise QueryError(
+                f"session {session.session_id!r} is already open"
+            ) from None
         return session
 
     def resume_session(self, session_id: str) -> FeedbackSession:
@@ -385,18 +393,25 @@ class QueryDecompositionEngine:
         of the ``max_retired`` window, at which point the usual
         staleness fencing rejects it.
         """
-        if self._session_store is None:
+        store = self._session_store
+        if store is None:
             raise ConfigurationError(
                 "resume_session needs an attached session store"
             )
-        state = self._session_store.get(session_id)
-        return FeedbackSession.restore(
+        # The record the session's next write must find still stored;
+        # read before the state, so a write landing in between makes
+        # that write refused rather than overwritten.
+        record = store.read_record(session_id)
+        state = store.get(session_id)
+        session = FeedbackSession.restore(
             self._structure_for(state.structure_version),
             state,
             config=self.config,
             executor=self.executor,
-            store=self._session_store,
+            store=store,
         )
+        session.stored_record = record
+        return session
 
     def _structure_for(self, version: int) -> RFSStructure:
         """The structure a record captured at ``version`` resumes on.
@@ -430,13 +445,16 @@ class QueryDecompositionEngine:
         that fails simply never hands it back.  Everything else — a
         record someone else rewrote or swept, a swapped generation, a
         changed config or store — takes the :meth:`resume_session`
-        path and gets its errors.
+        path and gets its errors.  Either way the session's next write
+        replaces only the record checked here or read by the resume
+        (:attr:`FeedbackSession.stored_record`), so of two ops racing
+        on one session the later writer is refused as stale.
         """
         with self._hot_lock:
             hot = self._hot_sessions.pop(session_id, None)
         store = self._session_store
         if hot is not None and store is not None and self._is_current(hot):
-            mine = hot.checkpoint_payload
+            mine = hot.stored_record
             stored = store.read_record(session_id)
             if stored is mine or stored == mine:
                 return hot
@@ -469,7 +487,7 @@ class QueryDecompositionEngine:
         (finalized, never checkpointed, on a structure this engine no
         longer serves) is dropped instead.
         """
-        if session.checkpoint_payload is None:
+        if session.checkpoint_version is None:
             return
         with self._hot_lock:
             # Under the lock a generation swap's clear comes either

@@ -45,6 +45,12 @@ from repro.errors import SessionCodecError
 #: Current on-the-wire format of :meth:`SessionState.to_dict`.
 STATE_FORMAT_VERSION = 1
 
+#: ``replacing=`` of a session-store write that lands whatever record
+#: is stored (:meth:`repro.sessionstore.SessionStore.put`), and what a
+#: session restored from a bare record writes with: it never saw the
+#: stored one.
+ANY_RECORD: Any = object()
+
 
 def config_fingerprint(config: QDConfig) -> str:
     """Digest of the QD parameters that affect session behaviour.

@@ -63,7 +63,9 @@ class StaleSessionError(SessionStateError):
     from the live RFS structure (the tree mutated since the checkpoint,
     so node ids and routing may have changed meaning) or when its config
     fingerprint does not match the resuming worker's ranking-relevant
-    QD parameters.
+    QD parameters — and on a checkpoint whose session was rewritten
+    since the op read it (another op on the same session got there
+    first; the refused write changed nothing).
     """
 
 

@@ -82,15 +82,6 @@ def _process_entry(args: Tuple[Callable, Any]) -> Tuple[Any, Any, list, dict]:
     with use_tracer(tracer), use_metrics(registry):
         result = fn(shared, item)
     delta = io.delta_since(marker) if io is not None else None
-    if delta and delta["per_worker"]:
-        # Relabel this process's accesses so per-worker accounting stays
-        # meaningful after the merge (every child calls itself
-        # MainThread).
-        merged = {
-            key: sum(s.get(key, 0) for s in delta["per_worker"].values())
-            for key in ("hits", "misses")
-        }
-        delta["per_worker"] = {f"proc{os.getpid()}": merged}
     return result, delta, tracer.to_dicts(), registry.to_payload()
 
 

@@ -7,9 +7,8 @@ structure.  This package provides:
 
 * :mod:`repro.index.geometry` — minimum bounding (hyper)rectangles,
 * :mod:`repro.index.diskmodel` — simulated disk-page access accounting,
-* :mod:`repro.index.rstar` — a full dynamic R\\*-tree (ChooseSubtree,
-  topological split, forced reinsertion) plus STR bulk loading and
-  best-first k-NN search,
+* :mod:`repro.index.rstar` — a bulk-loaded R\\*-tree (balanced 2-means
+  clustering or STR packing) with best-first k-NN search,
 * :mod:`repro.index.rfs` — the RFS structure: the tree hierarchy enriched
   with bottom-up k-means representative selection,
 * :mod:`repro.index.generations` — generational delta-segment

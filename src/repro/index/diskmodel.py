@@ -9,8 +9,7 @@ mirroring how a real DBMS would behave.
 
 The counter is shared by every layer of one engine and, since the
 parallel subquery executors landed, by every worker thread of the final
-round — so all mutation happens under a lock, and per-worker hit/miss
-accounting records which worker did the reading.  The model counts
+round — so all mutation happens under a lock.  The model counts
 accesses; it charges no time.
 """
 
@@ -26,9 +25,9 @@ from typing import Any, Dict
 class DiskAccessCounter:
     """Counts simulated page reads, optionally through an LRU buffer.
 
-    Thread-safe: counters, the per-category/per-worker breakdowns, and
-    the LRU buffer all mutate under one internal lock, so concurrent
-    subquery workers never lose an update.
+    Thread-safe: counters, the per-category breakdowns, and the LRU
+    buffer all mutate under one internal lock, so concurrent subquery
+    workers never lose an update.
 
     Parameters
     ----------
@@ -49,10 +48,6 @@ class DiskAccessCounter:
         All accesses per category label, buffer hits included.  Under a
         warm buffer the physical breakdown undercounts how often a phase
         *touches* pages; per-phase analyses should prefer this view.
-    per_worker:
-        ``{worker: {"hits": n, "misses": n}}`` keyed by thread name (or
-        a ``proc<pid>`` label merged from a process worker), so parallel
-        runs can attribute buffer behaviour to individual workers.
     bytes_read:
         Feature bytes charged to physical reads.  Callers that know a
         page's payload size (the leaf-contiguous feature store does)
@@ -66,7 +61,6 @@ class DiskAccessCounter:
     bytes_read: int = 0
     per_category: Dict[str, int] = field(default_factory=dict)
     per_category_logical: Dict[str, int] = field(default_factory=dict)
-    per_worker: Dict[str, Dict[str, int]] = field(default_factory=dict)
     _buffer: "OrderedDict[int, None]" = field(default_factory=OrderedDict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -93,25 +87,19 @@ class DiskAccessCounter:
         category.  ``nbytes`` (the page's payload size, when the caller
         knows it) is charged to :attr:`bytes_read` on a miss.
         """
-        worker = threading.current_thread().name
         with self._lock:
             self.logical_reads += 1
             self.per_category_logical[category] = (
                 self.per_category_logical.get(category, 0) + 1
             )
-            stats = self.per_worker.setdefault(
-                worker, {"hits": 0, "misses": 0}
-            )
             if self.buffer_pages > 0 and page_id in self._buffer:
                 self._buffer.move_to_end(page_id)
-                stats["hits"] += 1
                 return False
             self.physical_reads += 1
             self.bytes_read += int(nbytes)
             self.per_category[category] = (
                 self.per_category.get(category, 0) + 1
             )
-            stats["misses"] += 1
             if self.buffer_pages > 0:
                 self._buffer[page_id] = None
                 if len(self._buffer) > self.buffer_pages:
@@ -126,7 +114,6 @@ class DiskAccessCounter:
             self.bytes_read = 0
             self.per_category.clear()
             self.per_category_logical.clear()
-            self.per_worker.clear()
             self._buffer.clear()
 
     def snapshot(self) -> Dict[str, int]:
@@ -143,14 +130,6 @@ class DiskAccessCounter:
                 out[f"logical_reads[{key}]"] = value
             return out
 
-    def worker_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-worker hit/miss counts (deep copy, safe to mutate)."""
-        with self._lock:
-            return {
-                worker: dict(stats)
-                for worker, stats in sorted(self.per_worker.items())
-            }
-
     # ------------------------------------------------------------------
     # Delta capture / merge — the process-pool executor runs against a
     # forked copy of this counter, so its accesses must be shipped back
@@ -165,9 +144,6 @@ class DiskAccessCounter:
                 "bytes_read": self.bytes_read,
                 "per_category": dict(self.per_category),
                 "per_category_logical": dict(self.per_category_logical),
-                "per_worker": {
-                    w: dict(s) for w, s in self.per_worker.items()
-                },
             }
 
     def delta_since(self, marker: Dict[str, Any]) -> Dict[str, Any]:
@@ -185,7 +161,6 @@ class DiskAccessCounter:
             ),
             "per_category": {},
             "per_category_logical": {},
-            "per_worker": {},
         }
         for key in ("per_category", "per_category_logical"):
             before = marker[key]
@@ -193,16 +168,6 @@ class DiskAccessCounter:
                 diff = total - before.get(category, 0)
                 if diff:
                     delta[key][category] = diff
-        before_workers = marker["per_worker"]
-        for worker, stats in current["per_worker"].items():
-            prior = before_workers.get(worker, {})
-            diff = {
-                k: stats[k] - prior.get(k, 0)
-                for k in stats
-                if stats[k] - prior.get(k, 0)
-            }
-            if diff:
-                delta["per_worker"][worker] = diff
         return delta
 
     def merge_delta(self, delta: Dict[str, Any]) -> None:
@@ -221,9 +186,3 @@ class DiskAccessCounter:
                 self.per_category_logical[category] = (
                     self.per_category_logical.get(category, 0) + diff
                 )
-            for worker, stats in delta.get("per_worker", {}).items():
-                mine = self.per_worker.setdefault(
-                    worker, {"hits": 0, "misses": 0}
-                )
-                for key, diff in stats.items():
-                    mine[key] = mine.get(key, 0) + diff

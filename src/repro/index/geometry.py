@@ -1,8 +1,8 @@
-"""Minimum bounding hyperrectangles for the R*-tree.
+"""Minimum bounding hyperrectangles for the R*-tree and the RFS nodes.
 
-An :class:`MBR` is an axis-aligned box in the 37-d feature space.  All the
-R*-tree heuristics (area, margin, overlap, centre distance) and the RFS
-boundary-expansion rule (node diagonal) are defined here.
+An :class:`MBR` is an axis-aligned box in the 37-d feature space: the
+bound every k-NN search prunes with (MINDIST) and the node diagonal of
+the RFS boundary-expansion rule.
 """
 
 from __future__ import annotations
@@ -99,28 +99,6 @@ class MBR:
         """Geometric centre of the box."""
         return (self.lo + self.hi) / 2.0
 
-    def area(self) -> float:
-        """Volume of the box (product of extents).
-
-        Computed in log space to stay finite in high dimensions, then
-        exponentiated; degenerate boxes return 0.
-        """
-        ext = self.extents()
-        if np.any(ext == 0):
-            return 0.0
-        return float(np.exp(np.sum(np.log(ext))))
-
-    def log_area(self, floor: float = 1e-12) -> float:
-        """Log-volume with a per-dimension floor; robust heuristic form.
-
-        High-dimensional R*-tree heuristics compare products of 37
-        extents, which overflow/underflow as raw volumes.  All internal
-        comparisons therefore use log-volumes with degenerate extents
-        floored at ``floor``.
-        """
-        ext = np.maximum(self.extents(), floor)
-        return float(np.sum(np.log(ext)))
-
     def margin(self) -> float:
         """Sum of side lengths (the R*-tree 'margin' heuristic)."""
         return float(np.sum(self.extents()))
@@ -133,46 +111,6 @@ class MBR:
         ``dist(query, centre) / diagonal > threshold``.
         """
         return float(np.linalg.norm(self.extents()))
-
-    def union(self, other: "MBR") -> "MBR":
-        """Smallest box covering ``self`` and ``other``."""
-        return MBR(
-            np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi)
-        )
-
-    def enlargement(self, other: "MBR") -> float:
-        """Increase in log-volume needed to absorb ``other``.
-
-        Uses log-volumes (see :meth:`log_area`) so the quantity is
-        comparable across nodes in high dimensions.
-        """
-        return self.union(other).log_area() - self.log_area()
-
-    def intersects(self, other: "MBR") -> bool:
-        """Whether the two boxes overlap (touching counts)."""
-        return bool(
-            np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi)
-        )
-
-    def overlap_measure(self, other: "MBR") -> float:
-        """Overlap size used by the split heuristic.
-
-        Zero when disjoint; otherwise the *margin* (perimeter) of the
-        intersection box.  The classic R*-tree uses intersection volume,
-        which in 37 dimensions collapses to numerical zero almost always;
-        the intersection margin preserves the heuristic's ordering while
-        staying numerically meaningful.
-        """
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return 0.0
-        return float(np.sum(hi - lo))
-
-    def contains_point(self, point: np.ndarray) -> bool:
-        """Whether ``point`` lies inside the box (boundary inclusive)."""
-        p = np.asarray(point, dtype=np.float64)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
 
     def min_distance(self, point: np.ndarray) -> float | np.ndarray:
         """MINDIST: Euclidean distance from ``point`` to the box (0 inside).
@@ -188,18 +126,6 @@ class MBR:
         if p.ndim == 1:
             return float(np.linalg.norm(gap))
         return np.linalg.norm(gap, axis=-1)
-
-    def center_distance(self, point: np.ndarray) -> float | np.ndarray:
-        """Euclidean distance from ``point`` to the box centre.
-
-        Accepts a single (d,) point or an (n, d) batch (returning the
-        (n,) distance vector).
-        """
-        p = np.asarray(point, dtype=np.float64)
-        diff = self.center() - p
-        if p.ndim == 1:
-            return float(np.linalg.norm(diff))
-        return np.linalg.norm(diff, axis=-1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MBR(dims={self.dims}, margin={self.margin():.3f})"

@@ -286,7 +286,7 @@ class RFSStructure:
     >>> import numpy as np
     >>> feats = np.random.default_rng(0).normal(size=(300, 8))
     >>> rfs = RFSStructure.build(feats, RFSConfig(node_max_entries=40,
-    ...     node_min_entries=20, leaf_subclusters=3), seed=1)
+    ...     leaf_subclusters=3), seed=1)
     >>> rfs.root.size
     300
     >>> len(rfs.root.representatives) > 0
@@ -603,12 +603,6 @@ class RFSStructure:
                         tree = RStarTree(
                             dims=matrix.shape[1],
                             max_entries=cfg.node_max_entries,
-                            min_entries=min(
-                                cfg.node_min_entries, cfg.node_max_entries
-                            ),
-                            split_min_entries=cfg.split_min_entries,
-                            reinsert_fraction=cfg.reinsert_fraction,
-                            io=counter,
                         )
                         levels = tree.bisect_levels(
                             matrix,
@@ -722,10 +716,6 @@ class RFSStructure:
         for node in RFSStructure._post_order(root):
             registry[node.node_id] = node
         return root
-
-    def _target_rep_count(self, node: RFSNode) -> int:
-        """Representative budget for a node (proportional to its size)."""
-        return _rep_budget(self.config, node.size)
 
     def _select_representatives(
         self,

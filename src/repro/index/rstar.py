@@ -1,26 +1,19 @@
-"""A dynamic R*-tree over high-dimensional feature points.
+"""An R*-tree over high-dimensional feature points, built in bulk.
 
-Implements the Beckmann et al. R*-tree (reference [1] of the paper):
+The paper builds its RFS structure offline with "a hierarchical
+clustering technique, similar to the R*-tree" (§3.1), and so does this
+module: :meth:`RStarTree.bulk_load` recursively bisects the data with
+balanced 2-means, which yields the compact, well separated nodes that
+representative selection relies on, and :meth:`RStarTree.bisect_levels`
+hands the RFS build that partition without materialising the tree.
+:meth:`RStarTree.bulk_load_str` is the coordinate-order (Sort-Tile-
+Recursive) packing the hierarchy ablation compares against, and
+:meth:`RStarTree.knn` a best-first k-NN search driven by MINDIST with
+simulated disk-page accounting (reference [1] of the paper).
 
-* **ChooseSubtree** — minimum overlap enlargement above leaves (with the
-  classic p=32 candidate cap), minimum volume enlargement higher up,
-* **Topological split** — axis chosen by minimum margin sum, distribution
-  by minimum overlap,
-* **Forced reinsertion** — on first overflow per level per insertion,
-  the ``reinsert_fraction`` entries farthest from the node centre are
-  removed and re-inserted,
-* **Best-first k-NN search** driven by MINDIST, with simulated disk-page
-  accounting.
-
-Because inserting one point at a time is slow for large builds, the tree
-also offers :meth:`RStarTree.bulk_load`, a *clustering bulk load* that
-recursively bisects the data with balanced 2-means.  This matches the
-paper's description of the RFS structure — "a hierarchical clustering
-technique, similar to the R*-tree" — and produces the compact, well
-separated nodes that representative selection relies on.
-
-Volumes in 37 dimensions overflow raw floats, so all heuristics compare
-log-volumes (see :meth:`repro.index.geometry.MBR.log_area`).
+The tree is never updated in place: online inserts and removes go to
+the serving index's delta segment (:mod:`repro.store.delta`), and a
+compaction bulk-loads the next generation.
 """
 
 from __future__ import annotations
@@ -50,10 +43,6 @@ from repro.utils.validation import check_vectors
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.pool import WorkerPool
-
-# ChooseSubtree considers at most this many lowest-enlargement candidates
-# when computing overlap enlargement (the R*-tree paper's optimisation).
-_CHOOSE_SUBTREE_P = 32
 
 
 class Entry:
@@ -108,21 +97,18 @@ class Node:
 
 
 class RStarTree:
-    """Dynamic R*-tree with simulated I/O accounting.
+    """Bulk-loaded R*-tree with simulated I/O accounting.
 
     Parameters
     ----------
     dims:
         Dimensionality of the indexed points.
-    max_entries / min_entries:
-        Node capacity bounds (paper prototype: 100 / 70).
-    split_min_entries:
-        Lower bound a topological split must respect.  The paper's 70/100
-        capacities cannot both survive a binary split, so splits use this
-        relaxed bound (default ``max(2, 40 % of max)``) and ``min_entries``
-        applies to underflow handling during deletion only.
-    reinsert_fraction:
-        Fraction of entries force-reinserted on first overflow per level.
+    max_entries:
+        Node capacity (paper prototype: 100).  A clustering bulk load
+        keeps every node but the root at or above
+        :attr:`split_min_entries`, ``max(2, 40 % of max)``: the paper's
+        minimum of 70 cannot hold under binary bisection (splitting 101
+        entries cannot give two nodes of >= 70).
     io:
         Optional shared :class:`DiskAccessCounter`; a private counter is
         created when omitted.
@@ -131,8 +117,7 @@ class RStarTree:
     --------
     >>> import numpy as np
     >>> tree = RStarTree(dims=2, max_entries=4)
-    >>> for i, p in enumerate(np.random.default_rng(0).random((20, 2))):
-    ...     tree.insert(p, i)
+    >>> tree.bulk_load(np.random.default_rng(0).random((20, 2)), seed=0)
     >>> len(tree)
     20
     >>> [iid for _, iid in tree.knn(np.array([0.5, 0.5]), k=3)]  # doctest: +ELLIPSIS
@@ -143,9 +128,6 @@ class RStarTree:
         self,
         dims: int,
         max_entries: int = 100,
-        min_entries: Optional[int] = None,
-        split_min_entries: Optional[int] = None,
-        reinsert_fraction: float = 0.3,
         io: Optional[DiskAccessCounter] = None,
     ) -> None:
         if dims < 1:
@@ -156,29 +138,9 @@ class RStarTree:
             )
         self.dims = dims
         self.max_entries = max_entries
-        self.min_entries = (
-            min_entries if min_entries is not None else max(2, max_entries // 3)
-        )
-        if not 2 <= self.min_entries <= max_entries:
-            raise ConfigurationError(
-                f"min_entries must be in [2, {max_entries}], got "
-                f"{self.min_entries}"
-            )
-        self.split_min_entries = (
-            split_min_entries
-            if split_min_entries is not None
-            else max(2, int(0.4 * max_entries))
-        )
-        if not 2 <= self.split_min_entries <= (max_entries + 1) // 2:
-            raise ConfigurationError(
-                "split_min_entries must be in [2, ceil(max/2)], got "
-                f"{self.split_min_entries}"
-            )
-        if not 0 < reinsert_fraction < 1:
-            raise ConfigurationError(
-                f"reinsert_fraction must be in (0, 1), got {reinsert_fraction}"
-            )
-        self.reinsert_fraction = reinsert_fraction
+        # <= ceil(max / 2) for every max >= 4, so a bisection of an
+        # overfull group can always leave both halves at or above it.
+        self.split_min_entries = max(2, int(0.4 * max_entries))
         self.io = io if io is not None else DiskAccessCounter()
         self._node_counter = itertools.count()
         self.root: Node = self._new_node(level=0)
@@ -214,310 +176,6 @@ class RStarTree:
 
     def _new_node(self, level: int) -> Node:
         return Node(node_id=next(self._node_counter), level=level)
-
-    # ------------------------------------------------------------------
-    # Insertion
-    # ------------------------------------------------------------------
-    def insert(self, point: np.ndarray, item_id: int) -> None:
-        """Insert one data point with the given item identifier."""
-        p = np.asarray(point, dtype=np.float64)
-        if p.shape != (self.dims,):
-            raise ConfigurationError(
-                f"point must have shape ({self.dims},), got {p.shape}"
-            )
-        entry = Entry(MBR.from_point(p), item_id=item_id)
-        # One forced-reinsert allowance per level per insertion.
-        self._insert_entry(entry, level=0, reinserted_levels=set())
-        self._size += 1
-
-    def _insert_entry(
-        self, entry: Entry, level: int, reinserted_levels: set[int]
-    ) -> None:
-        node = self._choose_subtree(entry.mbr, level)
-        node.entries.append(entry)
-        if entry.child is not None:
-            entry.child.parent = node
-        self._adjust_upwards(node)
-        if len(node.entries) > self.max_entries:
-            self._overflow_treatment(node, reinserted_levels)
-
-    def _choose_subtree(self, mbr: MBR, level: int) -> Node:
-        node = self.root
-        while node.level > level:
-            if node.level == level + 1 and node.level == 1:
-                # Children are leaves: minimise overlap enlargement.
-                chosen = self._least_overlap_enlargement(node, mbr)
-            else:
-                chosen = self._least_volume_enlargement(node, mbr)
-            node = chosen
-        return node
-
-    def _least_volume_enlargement(self, node: Node, mbr: MBR) -> Node:
-        best_child: Optional[Node] = None
-        best_key: Tuple[float, float] = (np.inf, np.inf)
-        for e in node.entries:
-            key = (e.mbr.enlargement(mbr), e.mbr.log_area())
-            if key < best_key:
-                best_key = key
-                best_child = e.child
-        assert best_child is not None
-        return best_child
-
-    def _least_overlap_enlargement(self, node: Node, mbr: MBR) -> Node:
-        entries = node.entries
-        # Cap the candidate set at the p entries of least volume
-        # enlargement (R*-tree optimisation).
-        if len(entries) > _CHOOSE_SUBTREE_P:
-            enlargements = [e.mbr.enlargement(mbr) for e in entries]
-            order = np.argsort(enlargements)[:_CHOOSE_SUBTREE_P]
-            candidates = [entries[i] for i in order]
-        else:
-            candidates = list(entries)
-        best_child: Optional[Node] = None
-        best_key: Tuple[float, float, float] = (np.inf, np.inf, np.inf)
-        for cand in candidates:
-            enlarged = cand.mbr.union(mbr)
-            overlap_delta = 0.0
-            for other in entries:
-                if other is cand:
-                    continue
-                overlap_delta += enlarged.overlap_measure(other.mbr)
-                overlap_delta -= cand.mbr.overlap_measure(other.mbr)
-            key = (
-                overlap_delta,
-                cand.mbr.enlargement(mbr),
-                cand.mbr.log_area(),
-            )
-            if key < best_key:
-                best_key = key
-                best_child = cand.child
-        assert best_child is not None
-        return best_child
-
-    # ------------------------------------------------------------------
-    # Overflow: forced reinsert, then split
-    # ------------------------------------------------------------------
-    def _overflow_treatment(
-        self, node: Node, reinserted_levels: set[int]
-    ) -> None:
-        if node is not self.root and node.level not in reinserted_levels:
-            reinserted_levels.add(node.level)
-            self._reinsert(node, reinserted_levels)
-        else:
-            self._split(node, reinserted_levels)
-
-    def _reinsert(self, node: Node, reinserted_levels: set[int]) -> None:
-        centre = node.mbr().center()
-        distances = [
-            float(np.linalg.norm(e.mbr.center() - centre))
-            for e in node.entries
-        ]
-        order = np.argsort(distances)  # ascending: closest first
-        p = max(1, int(round(self.reinsert_fraction * len(node.entries))))
-        keep_idx = order[:-p]
-        eject_idx = order[-p:]
-        ejected = [node.entries[i] for i in eject_idx]
-        node.entries = [node.entries[i] for i in keep_idx]
-        self._adjust_upwards(node)
-        # "Close reinsert": re-insert starting with the entry closest to
-        # the centre among the ejected ones.
-        for entry in ejected:
-            self._insert_entry(entry, node.level, reinserted_levels)
-
-    def _split(self, node: Node, reinserted_levels: set[int]) -> None:
-        group_a, group_b = self._topological_split(node.entries)
-        node.entries = group_a
-        for e in group_a:
-            if e.child is not None:
-                e.child.parent = node
-        sibling = self._new_node(level=node.level)
-        sibling.entries = group_b
-        for e in group_b:
-            if e.child is not None:
-                e.child.parent = sibling
-
-        if node is self.root:
-            new_root = self._new_node(level=node.level + 1)
-            for part in (node, sibling):
-                entry = Entry(part.mbr(), child=part)
-                part.parent = new_root
-                new_root.entries.append(entry)
-            self.root = new_root
-            return
-
-        parent = node.parent
-        assert parent is not None
-        self._refresh_parent_entry(parent, node)
-        sibling_entry = Entry(sibling.mbr(), child=sibling)
-        sibling.parent = parent
-        parent.entries.append(sibling_entry)
-        self._adjust_upwards(parent)
-        if len(parent.entries) > self.max_entries:
-            self._overflow_treatment(parent, reinserted_levels)
-
-    def _topological_split(
-        self, entries: List[Entry]
-    ) -> Tuple[List[Entry], List[Entry]]:
-        """R*-tree split: best axis by margin, best distribution by overlap."""
-        m = self.split_min_entries
-        total = len(entries)
-        if total < 2 * m:
-            # Cannot honour the bound; fall back to a balanced cut on the
-            # best axis.
-            m = max(1, total // 2)
-        best_axis = -1
-        best_margin = np.inf
-        lows = np.array([e.mbr.lo for e in entries])
-        highs = np.array([e.mbr.hi for e in entries])
-        for axis in range(self.dims):
-            margin_sum = 0.0
-            for sort_key in (lows[:, axis], highs[:, axis]):
-                order = np.argsort(sort_key, kind="stable")
-                margin_sum += self._distribution_margin_sum(
-                    [entries[i] for i in order], m
-                )
-            if margin_sum < best_margin:
-                best_margin = margin_sum
-                best_axis = axis
-        # Choose the distribution on the winning axis.
-        best_key: Tuple[float, float] = (np.inf, np.inf)
-        best_groups: Optional[Tuple[List[Entry], List[Entry]]] = None
-        for sort_key in (lows[:, best_axis], highs[:, best_axis]):
-            order = np.argsort(sort_key, kind="stable")
-            ordered = [entries[i] for i in order]
-            prefix, suffix = _cumulative_unions(ordered)
-            for split_at in range(m, total - m + 1):
-                box_a = prefix[split_at - 1]
-                box_b = suffix[split_at]
-                key = (
-                    box_a.overlap_measure(box_b),
-                    box_a.log_area() + box_b.log_area(),
-                )
-                if key < best_key:
-                    best_key = key
-                    best_groups = (ordered[:split_at], ordered[split_at:])
-        assert best_groups is not None
-        return best_groups
-
-    def _distribution_margin_sum(self, ordered: List[Entry], m: int) -> float:
-        total = len(ordered)
-        prefix, suffix = _cumulative_unions(ordered)
-        margin = 0.0
-        for split_at in range(m, total - m + 1):
-            margin += prefix[split_at - 1].margin() + suffix[split_at].margin()
-        return margin
-
-    def _refresh_parent_entry(self, parent: Node, child: Node) -> None:
-        for e in parent.entries:
-            if e.child is child:
-                e.mbr = child.mbr()
-                return
-        raise EmptyIndexError(
-            f"node {child.node_id} missing from parent {parent.node_id}"
-        )
-
-    def _adjust_upwards(self, node: Node) -> None:
-        current = node
-        while current.parent is not None:
-            self._refresh_parent_entry(current.parent, current)
-            current = current.parent
-
-    # ------------------------------------------------------------------
-    # Deletion
-    # ------------------------------------------------------------------
-    def delete(self, point: np.ndarray, item_id: int) -> bool:
-        """Remove the entry with the given point and id.
-
-        Returns ``True`` when found and removed.  Underfull nodes (below
-        ``min_entries``) are dissolved and their remaining entries
-        re-inserted (the classic CondenseTree treatment); a root with a
-        single child is shortened.
-        """
-        p = np.asarray(point, dtype=np.float64)
-        if p.shape != (self.dims,):
-            raise ConfigurationError(
-                f"point must have shape ({self.dims},), got {p.shape}"
-            )
-        leaf = self._find_leaf(self.root, p, item_id)
-        if leaf is None:
-            return False
-        leaf.entries = [
-            e
-            for e in leaf.entries
-            if not (e.item_id == item_id and np.array_equal(e.mbr.lo, p))
-        ]
-        self._size -= 1
-        self._condense(leaf)
-        # Shorten a degenerate root chain.
-        while (
-            not self.root.is_leaf and len(self.root.entries) == 1
-        ):
-            only = self.root.entries[0].child
-            assert only is not None
-            only.parent = None
-            self.root = only
-        return True
-
-    def _find_leaf(
-        self, node: Node, point: np.ndarray, item_id: int
-    ) -> Optional[Node]:
-        if node.is_leaf:
-            for e in node.entries:
-                if e.item_id == item_id and np.array_equal(e.mbr.lo, point):
-                    return node
-            return None
-        for e in node.entries:
-            if e.child is not None and e.mbr.contains_point(point):
-                found = self._find_leaf(e.child, point, item_id)
-                if found is not None:
-                    return found
-        return None
-
-    def _condense(self, node: Node) -> None:
-        """CondenseTree: dissolve underfull nodes, reinsert orphans."""
-        orphans: List[Entry] = []
-        orphan_levels: List[int] = []
-        current = node
-        while current is not self.root:
-            parent = current.parent
-            assert parent is not None
-            if len(current.entries) < self.min_entries:
-                parent.entries = [
-                    e for e in parent.entries if e.child is not current
-                ]
-                orphans.extend(current.entries)
-                orphan_levels.extend(
-                    [current.level] * len(current.entries)
-                )
-            else:
-                self._refresh_parent_entry(parent, current)
-            current = parent
-        for entry, level in zip(orphans, orphan_levels):
-            if self.root.is_leaf and level > 0:
-                # Cannot hang an inner entry under a leaf root; graft its
-                # descendants instead.
-                for desc in self._collect_leaf_entries(entry):
-                    self._insert_entry(desc, 0, set())
-            else:
-                self._insert_entry(
-                    entry, min(level, self.root.level), set()
-                )
-        if not self.root.entries and self._size > 0:
-            raise EmptyIndexError("condense produced an empty root")
-
-    def _collect_leaf_entries(self, entry: Entry) -> List[Entry]:
-        if entry.child is None:
-            return [entry]
-        out: List[Entry] = []
-        stack = [entry.child]
-        while stack:
-            node = stack.pop()
-            for e in node.entries:
-                if e.child is None:
-                    out.append(e)
-                else:
-                    stack.append(e.child)
-        return out
 
     # ------------------------------------------------------------------
     # Bulk load (clustering-based)
@@ -738,27 +396,6 @@ class RStarTree:
         out.sort(key=lambda pair: (pair[0], pair[1]))
         return out
 
-    def range_search(
-        self, box: MBR, *, io_category: str = "range"
-    ) -> List[int]:
-        """Item ids of all points inside ``box``."""
-        if self._size == 0:
-            return []
-        found: List[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self.io.access(node.node_id, io_category)
-            for e in node.entries:
-                if not box.intersects(e.mbr):
-                    continue
-                if e.is_leaf_entry:
-                    if box.contains_point(e.mbr.lo):
-                        found.append(e.item_id)
-                else:
-                    stack.append(e.child)
-        return found
-
     # ------------------------------------------------------------------
     # Invariant checking (used by the property-based tests)
     # ------------------------------------------------------------------
@@ -767,7 +404,7 @@ class RStarTree:
         count = 0
         for node in self.iter_nodes():
             if node is self.root and self._size == 0:
-                continue  # an emptied tree keeps a bare root
+                continue  # a tree never loaded has a bare root
             assert node.entries, f"node {node.node_id} is empty"
             if node is not self.root:
                 assert (
@@ -791,21 +428,6 @@ class RStarTree:
                     assert e.child is not None, "point entry at inner level"
                     assert e.child.level == node.level - 1, "level mismatch"
         assert count == self._size, f"size {self._size} != {count} points"
-
-
-def _cumulative_unions(
-    ordered: List[Entry],
-) -> Tuple[List[MBR], List[MBR]]:
-    """Prefix and suffix MBR unions of an ordered entry list."""
-    n = len(ordered)
-    prefix: List[MBR] = [ordered[0].mbr]
-    for i in range(1, n):
-        prefix.append(prefix[-1].union(ordered[i].mbr))
-    suffix: List[Optional[MBR]] = [None] * n
-    suffix[n - 1] = ordered[n - 1].mbr
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1].union(ordered[i].mbr)
-    return prefix, suffix  # type: ignore[return-value]
 
 
 def _str_tile(

@@ -90,16 +90,10 @@ def save_rfs(
         mbr_hi=his,
         centers=centers,
         config=np.array(
-            [
-                config.node_max_entries,
-                config.node_min_entries,
-                config.leaf_subclusters,
-            ],
+            [config.node_max_entries, config.leaf_subclusters],
             dtype=np.int64,
         ),
-        config_floats=np.array(
-            [config.representative_fraction, config.reinsert_fraction]
-        ),
+        config_floats=np.array([config.representative_fraction]),
         # JSON string; build_meta holds only plain ints/strings.
         build_meta=np.array(json.dumps(rfs.build_meta)),
     )
@@ -197,10 +191,10 @@ def load_rfs(
                     node.rep_child_index[rep] = idx
     config = RFSConfig(
         node_max_entries=int(cfg_ints[0]),
-        node_min_entries=int(cfg_ints[1]),
-        leaf_subclusters=int(cfg_ints[2]),
+        # Files written before the node minimum and the reinsert fraction
+        # were dropped store them at [1] and config_floats[1].
+        leaf_subclusters=int(cfg_ints[-1]),
         representative_fraction=float(cfg_floats[0]),
-        reinsert_fraction=float(cfg_floats[1]),
     )
     structure = RFSStructure(
         features=features,

@@ -21,6 +21,11 @@ the rebuild when the stored record is the one it last wrote:
 :meth:`SessionStore.read_record` reads it back as stored, so the
 serving path compares the two — by identity in memory, byte for byte in
 text (:meth:`repro.core.engine.QueryDecompositionEngine.checkout_session`).
+The same comparison guards every write of the serving path: ``put`` and
+``delete`` take the record the op started from (``replacing=``) and
+land only while the store still holds it, so of two ops racing on one
+session exactly one is acknowledged and the other is refused as stale,
+never silently overwritten.
 The base class owns instrumentation: each operation runs inside a
 ``session_store`` span and feeds the ``qd_session_store_*`` metric
 family, labeled by backend and operation, so checkpoint overhead is
@@ -34,13 +39,14 @@ import contextlib
 import json
 import math
 import time
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
-from repro.core.session_state import SessionState
+from repro.core.session_state import ANY_RECORD, SessionState
 from repro.errors import (
     ConfigurationError,
     SessionCodecError,
     SessionNotFoundError,
+    StaleSessionError,
 )
 from repro.obs import get_metrics, get_tracer
 
@@ -90,15 +96,29 @@ class SessionStore(abc.ABC):
     kind: str = "abstract"
 
     # -- public instrumented API ---------------------------------------
-    def put(self, state: SessionState) -> Record:
+    def put(
+        self, state: SessionState, *, replacing: Any = ANY_RECORD
+    ) -> Record:
         """Checkpoint ``state`` (upsert by ``state.session_id``).
 
         Returns the record now stored for the session — exactly what
         :meth:`read_record` yields until someone writes it again.
+        ``replacing`` makes the write conditional: it lands only while
+        the stored record is still that one (a record this store
+        returned; ``None``: no record at all), else
+        :class:`~repro.errors.StaleSessionError` is raised and nothing
+        changes.
         """
         record = self._keep(state)
         with self._op_span("put", state.session_id):
-            stored = self._put(state.session_id, record, state.updated_unix)
+            stored = self._put(
+                state.session_id, record, state.updated_unix, replacing
+            )
+        if stored is False:
+            raise StaleSessionError(
+                f"session {state.session_id!r} was written by another "
+                "request since this one read it; nothing was changed"
+            )
         return record if stored is None else stored
 
     def read_record(self, session_id: str) -> Optional[Record]:
@@ -126,10 +146,16 @@ class SessionStore(abc.ABC):
             )
         return decode_state(payload)
 
-    def delete(self, session_id: str) -> bool:
-        """Remove a record; returns whether one existed."""
+    def delete(
+        self, session_id: str, *, replacing: Any = ANY_RECORD
+    ) -> bool:
+        """Remove a record; returns whether one was removed.
+
+        With ``replacing`` only that record is removed: a session
+        rewritten since it was read stays, and ``False`` is returned.
+        """
         with self._op_span("delete", session_id):
-            return self._delete(session_id)
+            return self._delete(session_id, replacing)
 
     def list_ids(self) -> List[str]:
         """Ids of every stored session, sorted."""
@@ -196,13 +222,19 @@ class SessionStore(abc.ABC):
 
     @abc.abstractmethod
     def _put(
-        self, session_id: str, record: Record, updated_unix: float
-    ) -> Optional[Record]:
-        """Upsert the record :meth:`_keep` made.
+        self,
+        session_id: str,
+        record: Record,
+        updated_unix: float,
+        replacing: Any,
+    ) -> Union[Record, None, bool]:
+        """Upsert the record :meth:`_keep` made, if ``replacing`` allows.
 
-        A backend that stores a re-formatted text returns what
-        :meth:`_get` will read back; the others return ``None``
-        (``record`` is stored as it is).
+        ``False`` when the stored record is not ``replacing`` (unless
+        that is :data:`~repro.core.session_state.ANY_RECORD`) and
+        nothing was written.  Otherwise a backend that stores a
+        re-formatted text returns what :meth:`_get` will read back; the
+        others return ``None`` (``record`` is stored as it is).
         """
 
     @abc.abstractmethod
@@ -210,8 +242,10 @@ class SessionStore(abc.ABC):
         """Stored record, or ``None`` when absent."""
 
     @abc.abstractmethod
-    def _delete(self, session_id: str) -> bool:
-        """Remove a record; return whether it existed."""
+    def _delete(self, session_id: str, replacing: Any = ANY_RECORD) -> bool:
+        """Remove the record (only ``replacing``, unless that is
+        :data:`~repro.core.session_state.ANY_RECORD`); return whether
+        one was removed."""
 
     @abc.abstractmethod
     def _list_ids(self) -> List[str]:

@@ -3,9 +3,13 @@
 The debuggable backend: ``cat <dir>/<session_id>.json`` shows exactly
 what a worker will resume, and a record can be copied between machines
 with ``scp``.  Writes are atomic (temp file + ``os.replace``), so a
-killed worker never leaves a half-written record; concurrent
-checkpoints of the *same* session last-write-win, which matches the
-serving model (one worker owns a session between checkpoints).
+killed worker never leaves a half-written record.  A conditional write
+(``replacing=``) reads the file and compares it with the record it
+replaces just before the ``os.replace``, under a lock of the store
+object: threads of one process sharing it never both win, but two
+processes writing the same session between that read and the replace
+still last-write-win.  Use the SQLite store to share sessions between
+processes.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ import json
 import os
 import re
 import tempfile
+import threading
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Any, List, Optional, Union
 
+from repro.core.session_state import ANY_RECORD
 from repro.errors import SessionStoreError
 from repro.sessionstore.base import SessionStore
 
@@ -34,6 +40,7 @@ class JSONDirectorySessionStore(SessionStore):
     def __init__(self, path: Union[str, Path]) -> None:
         self._dir = Path(path)
         self._dir.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
 
     def _file(self, session_id: str) -> Path:
         if not _SAFE_ID.match(session_id):
@@ -45,8 +52,12 @@ class JSONDirectorySessionStore(SessionStore):
 
     # -- primitives ----------------------------------------------------
     def _put(
-        self, session_id: str, payload: str, updated_unix: float
-    ) -> str:
+        self,
+        session_id: str,
+        payload: str,
+        updated_unix: float,
+        replacing: Any,
+    ) -> Union[str, bool]:
         target = self._file(session_id)
         # Re-indent for humans; the payload is canonical JSON already.
         text = (
@@ -59,7 +70,11 @@ class JSONDirectorySessionStore(SessionStore):
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
-            os.replace(tmp_name, target)
+            with self._lock:
+                if not self._holds(session_id, replacing):
+                    os.unlink(tmp_name)
+                    return False
+                os.replace(tmp_name, target)
         except OSError as exc:
             try:
                 os.unlink(tmp_name)
@@ -77,12 +92,19 @@ class JSONDirectorySessionStore(SessionStore):
         except FileNotFoundError:
             return None
 
-    def _delete(self, session_id: str) -> bool:
-        try:
-            self._file(session_id).unlink()
-            return True
-        except FileNotFoundError:
-            return False
+    def _delete(self, session_id: str, replacing: Any = ANY_RECORD) -> bool:
+        with self._lock:
+            if not self._holds(session_id, replacing):
+                return False
+            try:
+                self._file(session_id).unlink()
+                return True
+            except FileNotFoundError:
+                return False
+
+    def _holds(self, session_id: str, replacing: Any) -> bool:
+        """Is ``replacing`` what is stored (call under the lock)?"""
+        return replacing is ANY_RECORD or self._get(session_id) == replacing
 
     def _list_ids(self) -> List[str]:
         return [

@@ -7,15 +7,16 @@ and dicts, nothing shared with the live session), so a checkpoint
 encodes nothing; :meth:`read_payload` renders the durable backends'
 text on demand and :meth:`get` decodes it, so a resume is the same
 codec round-trip as everywhere else.  Only durability differs: the
-records die with the process.
+records die with the process.  A conditional write (``replacing=``)
+compares the stored record by identity under the store's lock.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.core.session_state import SessionState
+from repro.core.session_state import ANY_RECORD, SessionState
 from repro.sessionstore.base import SessionStore
 
 
@@ -36,18 +37,34 @@ class InMemorySessionStore(SessionStore):
         return state
 
     def _put(
-        self, session_id: str, record: SessionState, updated_unix: float
-    ) -> None:
+        self,
+        session_id: str,
+        record: SessionState,
+        updated_unix: float,
+        replacing: Any,
+    ) -> Optional[bool]:
         with self._lock:
+            if not self._holds(session_id, replacing):
+                return False
             self._records[session_id] = record
+        return None
 
     def _get(self, session_id: str) -> Optional[SessionState]:
         with self._lock:
             return self._records.get(session_id)
 
-    def _delete(self, session_id: str) -> bool:
+    def _delete(self, session_id: str, replacing: Any = ANY_RECORD) -> bool:
         with self._lock:
+            if not self._holds(session_id, replacing):
+                return False
             return self._records.pop(session_id, None) is not None
+
+    def _holds(self, session_id: str, replacing: Any) -> bool:
+        """Is ``replacing`` what is stored (call under the lock)?"""
+        return (
+            replacing is ANY_RECORD
+            or self._records.get(session_id) is replacing
+        )
 
     def _list_ids(self) -> List[str]:
         with self._lock:

@@ -15,7 +15,10 @@ TCP front runs ops on its per-connection handler threads).  The list is
 keyed by pid: a store object may be constructed before a fork and used
 by process-pool workers, each of which starts with an empty list and
 transparently opens its own connections to the shared database file.
-Pickling ships only the path.
+Pickling ships only the path.  A conditional write (``replacing=``)
+is one statement that names the record it replaces: ``UPDATE … WHERE
+session_id = ? AND payload = ?`` (``INSERT … DO NOTHING`` when it
+expects none), so it is atomic across threads and processes.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.core.session_state import ANY_RECORD
 from repro.errors import SessionStoreError
 from repro.sessionstore.base import SessionStore
 
@@ -38,6 +42,22 @@ CREATE TABLE IF NOT EXISTS qd_sessions (
 CREATE INDEX IF NOT EXISTS qd_sessions_updated
     ON qd_sessions (updated_unix);
 """
+
+# A checkpoint: whatever is stored, only where nothing is, or only over
+# the record the writer read.
+_INSERT = (
+    "INSERT INTO qd_sessions (session_id, updated_unix, payload)"
+    " VALUES (?, ?, ?) ON CONFLICT(session_id) DO "
+)
+_UPSERT = _INSERT + (
+    "UPDATE SET updated_unix = excluded.updated_unix,"
+    " payload = excluded.payload"
+)
+_CREATE = _INSERT + "NOTHING"
+_REPLACE = (
+    "UPDATE qd_sessions SET updated_unix = ?, payload = ?"
+    " WHERE session_id = ? AND payload = ?"
+)
 
 
 class SQLiteSessionStore(SessionStore):
@@ -113,24 +133,29 @@ class SQLiteSessionStore(SessionStore):
 
     # -- primitives ----------------------------------------------------
     def _put(
-        self, session_id: str, payload: str, updated_unix: float
-    ) -> None:
+        self,
+        session_id: str,
+        payload: str,
+        updated_unix: float,
+        replacing: Any,
+    ) -> Optional[bool]:
+        if replacing is ANY_RECORD:
+            sql, args = _UPSERT, (session_id, updated_unix, payload)
+        elif replacing is None:
+            sql, args = _CREATE, (session_id, updated_unix, payload)
+        else:
+            sql = _REPLACE
+            args = (updated_unix, payload, session_id, replacing)
         conn = self._acquire()
         try:
-            conn.execute(
-                "INSERT INTO qd_sessions (session_id, updated_unix, payload)"
-                " VALUES (?, ?, ?)"
-                " ON CONFLICT(session_id) DO UPDATE SET"
-                " updated_unix = excluded.updated_unix,"
-                " payload = excluded.payload",
-                (session_id, updated_unix, payload),
-            )
+            cursor = conn.execute(sql, args)
         except sqlite3.Error as exc:
             raise SessionStoreError(
                 f"sqlite checkpoint of {session_id!r} failed: {exc}"
             ) from exc
         finally:
             self._release(conn)
+        return None if cursor.rowcount > 0 else False
 
     def _get(self, session_id: str) -> Optional[str]:
         conn = self._acquire()
@@ -143,13 +168,15 @@ class SQLiteSessionStore(SessionStore):
             self._release(conn)
         return row[0] if row is not None else None
 
-    def _delete(self, session_id: str) -> bool:
+    def _delete(self, session_id: str, replacing: Any = ANY_RECORD) -> bool:
+        sql = "DELETE FROM qd_sessions WHERE session_id = ?"
+        args: tuple = (session_id,)
+        if replacing is not ANY_RECORD:
+            sql += " AND payload IS ?"
+            args += (replacing,)
         conn = self._acquire()
         try:
-            cursor = conn.execute(
-                "DELETE FROM qd_sessions WHERE session_id = ?",
-                (session_id,),
-            )
+            cursor = conn.execute(sql, args)
         finally:
             self._release(conn)
         return cursor.rowcount > 0

@@ -24,7 +24,7 @@ from repro.index.rfs import RFSStructure
 SMALL_DB_IMAGES = 1200
 SMALL_DB_CATEGORIES = 40
 SMALL_RFS = RFSConfig(
-    node_max_entries=60, node_min_entries=30, leaf_subclusters=4
+    node_max_entries=60, leaf_subclusters=4
 )
 
 

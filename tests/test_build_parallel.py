@@ -64,7 +64,7 @@ N_IMAGES = 600
 DIMS = 16
 
 CFG = RFSConfig(
-    node_max_entries=40, node_min_entries=20, leaf_subclusters=3
+    node_max_entries=40, leaf_subclusters=3
 )
 
 
@@ -257,12 +257,7 @@ class TestBuildDigestParity:
         # One partition feeds both: same ids, levels, members, boxes.
         feats = _features(31)
         rfs = RFSStructure.build(feats, CFG, seed=31)
-        tree = RStarTree(
-            dims=DIMS,
-            max_entries=CFG.node_max_entries,
-            min_entries=CFG.node_min_entries,
-            split_min_entries=CFG.split_min_entries,
-        )
+        tree = RStarTree(dims=DIMS, max_entries=CFG.node_max_entries)
         tree.bulk_load(feats, seed=derive_rng(ensure_rng(31), "bulkload"))
         tree.validate()
 

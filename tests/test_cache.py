@@ -32,7 +32,7 @@ from repro.store import FeatureStore
 N_IMAGES = 900
 SEED = 2006
 RFS_CONFIG = RFSConfig(
-    node_max_entries=60, node_min_entries=30, leaf_subclusters=4
+    node_max_entries=60, leaf_subclusters=4
 )
 
 _EXECUTORS = ["serial", "thread"] + (

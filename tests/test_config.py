@@ -1,12 +1,15 @@
 """Tests for the configuration dataclasses."""
 
+import argparse
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from repro import config
 from repro.clustering.kmeans import KMeans, kmeans
+from repro.cli import build_parser
 from repro.config import (
     DatasetConfig,
     FeatureConfig,
@@ -16,7 +19,10 @@ from repro.config import (
 from repro.core.engine import QueryDecompositionEngine
 from repro.errors import ConfigurationError
 from repro.index.diskmodel import DiskAccessCounter
+from repro.index.rfs import RFSStructure
+from repro.index.rstar import RStarTree
 from repro.store import FeatureStore
+from tests.reference_build import structure_digest
 
 
 class TestFeatureConfig:
@@ -54,19 +60,13 @@ class TestRFSConfig:
     def test_paper_defaults(self):
         cfg = RFSConfig()
         assert cfg.node_max_entries == 100
-        assert cfg.node_min_entries == 70
         assert cfg.representative_fraction == 0.05
 
     def test_split_min_entries_is_relaxed_bound(self):
-        assert RFSConfig().split_min_entries == 40
-
-    def test_max_below_min_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RFSConfig(node_max_entries=10, node_min_entries=20)
-
-    def test_min_entries_below_2_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RFSConfig(node_min_entries=1)
+        # The paper's min of 70 cannot survive a binary split of 101;
+        # the build bounds nodes below by 40 % of the max instead.
+        tree = RStarTree(dims=37, max_entries=RFSConfig().node_max_entries)
+        assert tree.split_min_entries == 40
 
     def test_rep_fraction_zero_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -79,12 +79,6 @@ class TestRFSConfig:
     def test_zero_leaf_subclusters_rejected(self):
         with pytest.raises(ConfigurationError):
             RFSConfig(leaf_subclusters=0)
-
-    def test_reinsert_fraction_bounds(self):
-        with pytest.raises(ConfigurationError):
-            RFSConfig(reinsert_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            RFSConfig(reinsert_fraction=1.0)
 
 
 class TestQDConfig:
@@ -135,9 +129,7 @@ SETTABLE_SURFACE = {
         "wavelet_levels",
     ],
     "RFSConfig": [
-        "node_max_entries", "node_min_entries",
-        "representative_fraction", "leaf_subclusters",
-        "reinsert_fraction",
+        "node_max_entries", "representative_fraction", "leaf_subclusters",
     ],
     "QDConfig": [
         "boundary_threshold", "display_size", "max_rounds", "executor",
@@ -154,9 +146,9 @@ SETTABLE_SURFACE = {
     "DatasetConfig": ["total_images", "n_categories", "image_size", "seed"],
     "DiskAccessCounter": [
         "buffer_pages", "physical_reads", "logical_reads", "bytes_read",
-        "per_category", "per_category_logical", "per_worker", "_buffer",
-        "_lock",
+        "per_category", "per_category_logical", "_buffer", "_lock",
     ],
+    "RStarTree": ["dims", "max_entries", "io"],
     "kmeans": ["data", "k", "seed", "n_restarts", "max_iter", "tol"],
     "KMeans": ["k", "seed", "n_restarts", "max_iter", "tol"],
     "FeatureStore.build": ["rfs", "dtype", "tier"],
@@ -174,6 +166,7 @@ _SIGNATURES = {
     "KMeans": KMeans,
     "FeatureStore.build": FeatureStore.build,
     "QueryDecompositionEngine.build": QueryDecompositionEngine.build,
+    "RStarTree": RStarTree,
 }
 
 
@@ -202,3 +195,54 @@ class TestSettableSurface:
     @pytest.mark.parametrize("name", sorted(_SIGNATURES))
     def test_signature_parameters_are_pinned(self, name):
         assert _parameters(_SIGNATURES[name]) == SETTABLE_SURFACE[name]
+
+    def test_build_rfs_flags_are_pinned(self):
+        (commands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = [
+            action.dest
+            for action in commands.choices["build-rfs"]._actions
+            if action.dest != "help"
+        ]
+        assert flags == BUILD_RFS_FLAGS
+
+
+#: ``repro-cbir build-rfs``'s options, by destination.
+BUILD_RFS_FLAGS = [
+    "db", "out", "seed", "node_max", "method", "build_executor",
+    "build_workers", "progress",
+]
+
+#: A value other than the default for every ``RFSConfig`` field.  A new
+#: field fails the test below until it has one here, and then until the
+#: value changes what the build makes.
+CHANGED_RFS_SETTING = {
+    "node_max_entries": 60,
+    "representative_fraction": 0.1,
+    "leaf_subclusters": 3,
+}
+
+
+class TestEveryRFSSettingChangesTheTree:
+    @pytest.fixture(scope="class")
+    def features(self):
+        return np.random.default_rng(5).normal(size=(1500, 8))
+
+    @pytest.fixture(scope="class")
+    def default_digest(self, features):
+        return structure_digest(
+            RFSStructure.build(features, RFSConfig(), seed=7)
+        )
+
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(RFSConfig)]
+    )
+    def test_setting_changes_the_built_structure(
+        self, name, features, default_digest
+    ):
+        changed = RFSConfig(**{name: CHANGED_RFS_SETTING[name]})
+        rfs = RFSStructure.build(features, changed, seed=7)
+        assert structure_digest(rfs) != default_digest

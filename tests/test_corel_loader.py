@@ -152,7 +152,7 @@ class TestLoadCorelDirectory:
         db = load_corel_directory(corel_root)
         rfs = RFSStructure.build(
             db.features,
-            RFSConfig(node_max_entries=8, node_min_entries=4,
+            RFSConfig(node_max_entries=8,
                       leaf_subclusters=2,
                       representative_fraction=0.5),
             seed=0,

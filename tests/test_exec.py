@@ -205,13 +205,13 @@ class TestPoolContract:
         (root,) = tracer.spans  # nothing detached
         assert root.name == "dispatch"
         assert [c.name for c in root.children] == ["pool_task"] * 4
-        relabelled = [
-            key for key in shared.io.worker_stats() if key.startswith("proc")
-        ]
-        # Only process workers need the relabel (each calls itself
-        # MainThread); never the dispatching process's own pid.
-        assert bool(relabelled) == (kind == "process")
-        assert f"proc{os.getpid()}" not in relabelled
+        # Worker page reads come home exactly: a serial run of the same
+        # tasks reads the same pages.
+        serial = _Shared()
+        with WorkerPool("serial", 1) as pool:
+            pool.map(_observed, list(range(4)), serial)
+        assert shared.io.physical_reads == serial.io.physical_reads
+        assert shared.io.logical_reads == serial.io.logical_reads
 
 
 class TestSharedProcessExecutor:
@@ -226,7 +226,7 @@ class TestSharedProcessExecutor:
         that is being replaced, and none leaks."""
         engine = QueryDecompositionEngine.build(
             synthetic_db,
-            RFSConfig(node_max_entries=60, node_min_entries=30),
+            RFSConfig(node_max_entries=60),
             QDConfig(executor="process", workers=2),
             seed=77,
             mutations=MutationConfig(auto_compact=False),
@@ -406,15 +406,24 @@ class TestObservabilityAcrossWorkers:
         tracer = obs.Tracer()
         registry = obs.MetricsRegistry()
         io = rfs.io
-        logical_before = io.logical_reads
+        physical_before, logical_before = io.physical_reads, io.logical_reads
+        execute_final_round(
+            rfs, marks, 24, QDConfig(), rounds_used=1,
+            executor=SerialSubqueryExecutor(),
+        )
+        serial_physical = io.physical_reads - physical_before
+        serial_logical = io.logical_reads - logical_before
+        physical_before, logical_before = io.physical_reads, io.logical_reads
         with obs.use_tracer(tracer), obs.use_metrics(registry):
             with ProcessSubqueryExecutor(2) as procs:
                 execute_final_round(
                     rfs, marks, 24, QDConfig(), rounds_used=1,
                     executor=procs,
                 )
-        # Worker page reads were folded back into the parent counter.
-        assert io.logical_reads > logical_before
+        # Worker page reads were folded back into the parent counter,
+        # exactly as many as the serial round read.
+        assert io.physical_reads - physical_before == serial_physical > 0
+        assert io.logical_reads - logical_before == serial_logical
         # Worker distance computations were merged into the registry.
         dumped = registry.to_payload()
         assert dumped["counters"]["qd_distance_computations"][1] > 0
@@ -433,10 +442,6 @@ class TestObservabilityAcrossWorkers:
             if child.name == "subquery"
         ]
         assert len(grafted) == 4
-        # Per-worker accounting now carries process-labelled entries.
-        assert any(
-            key.startswith("proc") for key in io.worker_stats()
-        )
 
 
 def _walk(span):

@@ -1,4 +1,4 @@
-"""Tests for the extension modules: deletion, serialization, alternative
+"""Tests for the extension modules: serialization, alternative
 hierarchies, client/server model, feature-family weighting, CLI."""
 
 import numpy as np
@@ -14,9 +14,9 @@ from repro.core.clientserver import (
 from repro.errors import ClusteringError, ConfigurationError, DatasetError
 from repro.index.hierarchies import build_hkmeans_hierarchy
 from repro.index.rfs import RFSStructure
-from repro.index.rstar import RStarTree
 from repro.index.serialize import load_rfs, save_rfs
 from repro.retrieval.weighting import FamilyWeights
+from tests.reference_build import structure_digest
 
 
 @pytest.fixture(scope="module")
@@ -26,79 +26,8 @@ def feats():
 
 @pytest.fixture(scope="module")
 def built_rfs(feats):
-    cfg = RFSConfig(node_max_entries=50, node_min_entries=25)
+    cfg = RFSConfig(node_max_entries=50)
     return RFSStructure.build(feats, cfg, seed=4)
-
-
-class TestRStarDelete:
-    def test_delete_then_absent(self, rng):
-        pts = rng.normal(size=(120, 3))
-        tree = RStarTree(dims=3, max_entries=6)
-        for i, p in enumerate(pts):
-            tree.insert(p, i)
-        assert tree.delete(pts[7], 7)
-        assert len(tree) == 119
-        ids = {i for _, i in tree.knn(pts[7], 119)}
-        assert 7 not in ids
-        tree.validate()
-
-    def test_delete_missing_returns_false(self, rng):
-        tree = RStarTree(dims=2, max_entries=4)
-        tree.insert(np.zeros(2), 0)
-        assert not tree.delete(np.ones(2), 1)
-        assert len(tree) == 1
-
-    def test_delete_wrong_dims_rejected(self):
-        tree = RStarTree(dims=3)
-        with pytest.raises(ConfigurationError):
-            tree.delete(np.zeros(2), 0)
-
-    def test_delete_all_empties_tree(self, rng):
-        pts = rng.normal(size=(40, 2))
-        tree = RStarTree(dims=2, max_entries=5)
-        for i, p in enumerate(pts):
-            tree.insert(p, i)
-        for i, p in enumerate(pts):
-            assert tree.delete(p, i)
-        assert len(tree) == 0
-        tree.validate()
-
-    def test_interleaved_insert_delete_keeps_knn_exact(self, rng):
-        tree = RStarTree(dims=3, max_entries=6)
-        alive = {}
-        next_id = 0
-        for step in range(300):
-            if alive and rng.random() < 0.4:
-                victim = list(alive)[int(rng.integers(len(alive)))]
-                assert tree.delete(alive.pop(victim), victim)
-            else:
-                p = rng.normal(size=3)
-                tree.insert(p, next_id)
-                alive[next_id] = p
-                next_id += 1
-        tree.validate()
-        assert len(tree) == len(alive)
-        if alive:
-            q = rng.normal(size=3)
-            pts = np.array(list(alive.values()))
-            ids = list(alive)
-            d = np.linalg.norm(pts - q, axis=1)
-            truth = sorted(
-                ids[j] for j in np.argsort(d, kind="stable")[:5]
-            )
-            got = sorted(i for _, i in tree.knn(q, 5))
-            assert got == truth
-
-    def test_root_chain_shortened(self, rng):
-        pts = rng.normal(size=(60, 2))
-        tree = RStarTree(dims=2, max_entries=4)
-        for i, p in enumerate(pts):
-            tree.insert(p, i)
-        tall = tree.height
-        for i in range(55):
-            tree.delete(pts[i], i)
-        assert tree.height <= tall
-        tree.validate()
 
 
 class TestSerialization:
@@ -141,8 +70,35 @@ class TestSerialization:
         path = tmp_path / "rfs.npz"
         save_rfs(built_rfs, path)
         loaded = load_rfs(path, feats)
-        assert loaded.config.node_max_entries == 50
-        assert loaded.config.node_min_entries == 25
+        assert loaded.config == built_rfs.config
+
+    def test_settings_nothing_reads_are_not_stored(self, built_rfs, feats,
+                                                   tmp_path):
+        path = tmp_path / "rfs.npz"
+        save_rfs(built_rfs, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        cfg = built_rfs.config
+        assert arrays["config"].tolist() == [
+            cfg.node_max_entries, cfg.leaf_subclusters,
+        ]
+        assert arrays["config_floats"].tolist() == [
+            cfg.representative_fraction,
+        ]
+        # The layout of files written while the node minimum and the
+        # reinsert fraction were settings: they load to the same index.
+        arrays["config"] = np.array(
+            [cfg.node_max_entries, 25, cfg.leaf_subclusters]
+        )
+        arrays["config_floats"] = np.array(
+            [cfg.representative_fraction, 0.3]
+        )
+        np.savez(tmp_path / "before.npz", **arrays)
+        before = load_rfs(tmp_path / "before.npz", feats)
+        assert before.config == cfg
+        assert structure_digest(before) == structure_digest(
+            load_rfs(path, feats)
+        )
 
     def test_dim_mismatch_rejected(self, built_rfs, tmp_path):
         path = tmp_path / "rfs.npz"
@@ -183,7 +139,7 @@ class TestHKMeansHierarchy:
     def test_partition_invariants(self, feats):
         registry = {}
         root = build_hkmeans_hierarchy(
-            feats, RFSConfig(node_max_entries=50, node_min_entries=25),
+            feats, RFSConfig(node_max_entries=50),
             registry, seed=0,
         )
         assert root.size == feats.shape[0]
@@ -202,7 +158,7 @@ class TestHKMeansHierarchy:
     def test_full_rfs_build_with_hkmeans(self, feats):
         rfs = RFSStructure.build(
             feats,
-            RFSConfig(node_max_entries=50, node_min_entries=25),
+            RFSConfig(node_max_entries=50),
             seed=1,
             method="hkmeans",
         )
@@ -225,7 +181,7 @@ class TestHKMeansHierarchy:
         dup = np.ones((200, 4))
         registry = {}
         root = build_hkmeans_hierarchy(
-            dup, RFSConfig(node_max_entries=30, node_min_entries=15),
+            dup, RFSConfig(node_max_entries=30),
             registry, seed=0,
         )
         assert root.size == 200
@@ -335,7 +291,7 @@ class TestCLI:
         rfs_path = tmp_path / "rfs.npz"
         assert cli_main([
             "build-rfs", "--db", str(db_path), "--out", str(rfs_path),
-            "--node-max", "40", "--node-min", "20",
+            "--node-max", "40",
         ]) == 0
         assert rfs_path.exists()
         assert cli_main([

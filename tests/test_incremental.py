@@ -27,7 +27,7 @@ def _fresh(n=200, d=8, seed=0, *, compact_threshold=None):
     base = np.random.default_rng(seed).normal(size=(n, d))
     rfs = RFSStructure.build(
         base,
-        RFSConfig(node_max_entries=MAX_ENTRIES, node_min_entries=20,
+        RFSConfig(node_max_entries=MAX_ENTRIES,
                   leaf_subclusters=3),
         seed=seed,
     )

@@ -16,7 +16,6 @@ class TestMBRConstruction:
     def test_from_point_is_degenerate(self):
         b = MBR.from_point(np.array([1.0, 2.0]))
         assert np.array_equal(b.lo, b.hi)
-        assert b.area() == 0.0
 
     def test_from_points_tight(self):
         pts = np.array([[0.0, 5.0], [2.0, 1.0], [1.0, 3.0]])
@@ -47,11 +46,6 @@ class TestMBRConstruction:
 
 
 class TestMBRGeometry:
-    def test_area_and_margin(self):
-        b = box([0, 0], [2, 3])
-        assert b.area() == pytest.approx(6.0)
-        assert b.margin() == pytest.approx(5.0)
-
     def test_diagonal(self):
         b = box([0, 0], [3, 4])
         assert b.diagonal() == pytest.approx(5.0)
@@ -59,47 +53,10 @@ class TestMBRGeometry:
     def test_center(self):
         assert np.array_equal(box([0, 0], [2, 4]).center(), [1, 2])
 
-    def test_log_area_monotone_in_extent(self):
-        small = box([0, 0], [1, 1])
-        big = box([0, 0], [2, 2])
-        assert big.log_area() > small.log_area()
-
-    def test_enlargement_zero_for_contained(self):
-        outer = box([0, 0], [10, 10])
-        inner = box([2, 2], [3, 3])
-        assert outer.enlargement(inner) == pytest.approx(0.0)
-
-    def test_enlargement_positive_for_outside(self):
-        a = box([0, 0], [1, 1])
-        b = box([5, 5], [6, 6])
-        assert a.enlargement(b) > 0
-
     def test_union_commutes(self):
         a = box([0, 0], [1, 1])
         b = box([2, 2], [3, 3])
-        assert a.union(b) == b.union(a)
-
-    def test_intersects_cases(self):
-        a = box([0, 0], [2, 2])
-        assert a.intersects(box([1, 1], [3, 3]))
-        assert a.intersects(box([2, 2], [3, 3]))  # touching counts
-        assert not a.intersects(box([3, 3], [4, 4]))
-
-    def test_overlap_measure_zero_when_disjoint(self):
-        assert box([0, 0], [1, 1]).overlap_measure(
-            box([2, 2], [3, 3])
-        ) == 0.0
-
-    def test_overlap_measure_positive_when_overlapping(self):
-        assert box([0, 0], [2, 2]).overlap_measure(
-            box([1, 1], [3, 3])
-        ) > 0.0
-
-    def test_contains_point(self):
-        b = box([0, 0], [1, 1])
-        assert b.contains_point(np.array([0.5, 0.5]))
-        assert b.contains_point(np.array([1.0, 1.0]))  # boundary
-        assert not b.contains_point(np.array([1.1, 0.5]))
+        assert MBR.union_of([a, b]) == MBR.union_of([b, a])
 
     def test_min_distance_inside_is_zero(self):
         assert box([0, 0], [2, 2]).min_distance(
@@ -108,11 +65,6 @@ class TestMBRGeometry:
 
     def test_min_distance_outside(self):
         assert box([0, 0], [1, 1]).min_distance(
-            np.array([4.0, 5.0])
-        ) == pytest.approx(5.0)
-
-    def test_center_distance(self):
-        assert box([0, 0], [2, 2]).center_distance(
             np.array([4.0, 5.0])
         ) == pytest.approx(5.0)
 

@@ -13,7 +13,7 @@ from tests.conftest import brute_force_knn
 def small_rfs():
     feats = np.random.default_rng(3).normal(size=(400, 8))
     cfg = RFSConfig(
-        node_max_entries=40, node_min_entries=20, leaf_subclusters=3
+        node_max_entries=40, leaf_subclusters=3
     )
     return RFSStructure.build(feats, cfg, seed=5), feats
 
@@ -133,7 +133,7 @@ class TestRepresentatives:
     def test_overall_fraction_close_to_target(self):
         feats = np.random.default_rng(0).normal(size=(2000, 10))
         cfg = RFSConfig(
-            node_max_entries=100, node_min_entries=70,
+            node_max_entries=100,
             representative_fraction=0.05,
         )
         rfs = RFSStructure.build(feats, cfg, seed=1)
@@ -238,6 +238,6 @@ class TestBuildScales:
         """15k images at 100/node give the paper's 3-level RFS tree —
         checked here at proportional scale."""
         feats = np.random.default_rng(1).normal(size=(1500, 12))
-        cfg = RFSConfig(node_max_entries=10, node_min_entries=5)
+        cfg = RFSConfig(node_max_entries=10)
         rfs = RFSStructure.build(feats, cfg, seed=2)
         assert rfs.height >= 3

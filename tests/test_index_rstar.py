@@ -1,10 +1,9 @@
-"""Tests for the R*-tree: inserts, splits, bulk load, k-NN, invariants."""
+"""Tests for the R*-tree: bulk load, k-NN, invariants."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, EmptyIndexError
-from repro.index.geometry import MBR
 from repro.index.rstar import RStarTree
 
 
@@ -33,74 +32,13 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             RStarTree(dims=2, max_entries=3)
 
-    def test_invalid_reinsert_fraction(self):
-        with pytest.raises(ConfigurationError):
-            RStarTree(dims=2, reinsert_fraction=1.0)
-
-    def test_invalid_split_min(self):
-        with pytest.raises(ConfigurationError):
-            RStarTree(dims=2, max_entries=8, split_min_entries=6)
-
     def test_empty_tree(self):
         tree = RStarTree(dims=2)
         assert len(tree) == 0
         assert tree.height == 1
 
 
-class TestInsert:
-    def test_insert_grows_size(self, rng):
-        tree = RStarTree(dims=3, max_entries=5)
-        for i in range(20):
-            tree.insert(rng.random(3), i)
-        assert len(tree) == 20
-
-    def test_wrong_dim_rejected(self):
-        tree = RStarTree(dims=3)
-        with pytest.raises(ConfigurationError):
-            tree.insert(np.zeros(2), 0)
-
-    def test_invariants_after_many_inserts(self, rng):
-        tree = RStarTree(dims=4, max_entries=6)
-        for i in range(300):
-            tree.insert(rng.normal(size=4), i)
-        tree.validate()
-        assert tree.height >= 3
-
-    def test_duplicate_points(self, rng):
-        tree = RStarTree(dims=2, max_entries=4)
-        for i in range(30):
-            tree.insert(np.array([1.0, 1.0]), i)
-        tree.validate()
-        assert len(tree) == 30
-
-    def test_clustered_data(self, rng):
-        tree = RStarTree(dims=2, max_entries=8)
-        idx = 0
-        for cx in (0, 100, 200):
-            for _ in range(40):
-                tree.insert(rng.normal(cx, 1.0, size=2), idx)
-                idx += 1
-        tree.validate()
-
-    def test_root_split_creates_new_root(self, rng):
-        tree = RStarTree(dims=2, max_entries=4)
-        for i in range(5):
-            tree.insert(rng.random(2), i)
-        assert tree.height == 2
-        tree.validate()
-
-
 class TestKnn:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_brute_force_after_inserts(self, seed):
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(250, 3))
-        tree = RStarTree(dims=3, max_entries=8)
-        for i, p in enumerate(pts):
-            tree.insert(p, i)
-        query = rng.normal(size=3)
-        assert_knn_equal(tree.knn(query, 7), brute_knn(pts, query, 7))
-
     def test_matches_brute_force_after_bulk_load(self, rng):
         pts = rng.normal(size=(500, 5))
         tree = RStarTree(dims=5, max_entries=16)
@@ -144,25 +82,6 @@ class TestKnn:
         got = tree.knn(np.zeros(3), 12)
         dists = [d for d, _ in got]
         assert dists == sorted(dists)
-
-
-class TestRangeSearch:
-    def test_finds_exactly_box_members(self, rng):
-        pts = rng.random((200, 2))
-        tree = RStarTree(dims=2, max_entries=8)
-        tree.bulk_load(pts)
-        query = MBR(np.array([0.25, 0.25]), np.array([0.5, 0.5]))
-        got = set(tree.range_search(query))
-        truth = {
-            i for i, p in enumerate(pts)
-            if query.contains_point(p)
-        }
-        assert got == truth
-
-    def test_empty_tree_returns_empty(self):
-        tree = RStarTree(dims=2)
-        query = MBR(np.zeros(2), np.ones(2))
-        assert tree.range_search(query) == []
 
 
 class TestBulkLoad:
@@ -224,7 +143,7 @@ class TestBulkLoad:
         """Two far-apart blobs should not share a leaf."""
         a = rng.normal(0, 0.5, size=(40, 2))
         b = rng.normal(100, 0.5, size=(40, 2))
-        tree = RStarTree(dims=2, max_entries=50, split_min_entries=20)
+        tree = RStarTree(dims=2, max_entries=50)
         tree.bulk_load(np.vstack([a, b]), seed=3)
         for leaf in tree.iter_leaves():
             ids = [e.item_id for e in leaf.entries]
@@ -250,12 +169,9 @@ class TestBulkLoad:
 
 class TestHighDimensional:
     def test_37d_paper_configuration(self, rng):
-        """The paper's setting: 37-d features, 100/70 node capacity."""
+        """The paper's setting: 37-d features, 100 entries per node."""
         pts = rng.normal(size=(2000, 37))
-        tree = RStarTree(
-            dims=37, max_entries=100, min_entries=70,
-            split_min_entries=40,
-        )
+        tree = RStarTree(dims=37, max_entries=100)
         tree.bulk_load(pts, seed=0)
         tree.validate()
         assert tree.height >= 2

@@ -29,7 +29,7 @@ class TestPipelineImageToResult:
         # thin to cover 30 categories; scale it up with the density.
         engine = QueryDecompositionEngine.build(
             db,
-            RFSConfig(node_max_entries=40, node_min_entries=20,
+            RFSConfig(node_max_entries=40,
                       leaf_subclusters=3,
                       representative_fraction=0.2),
             seed=99,
@@ -129,7 +129,7 @@ class TestIOAccounting:
             db = build_synthetic_database(size, n_categories=30, seed=2)
             engine = QueryDecompositionEngine.build(
                 db,
-                RFSConfig(node_max_entries=60, node_min_entries=30),
+                RFSConfig(node_max_entries=60),
                 seed=2,
             )
             target = db.category_names[0]

@@ -24,7 +24,7 @@ from repro.index.rfs import RFSStructure
 from repro.store import FeatureStore
 
 CFG = RFSConfig(
-    node_max_entries=40, node_min_entries=20, leaf_subclusters=3
+    node_max_entries=40, leaf_subclusters=3
 )
 
 N_READERS = 3

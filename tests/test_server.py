@@ -40,7 +40,7 @@ from repro.sessionstore import InMemorySessionStore, make_session_store
 N_IMAGES = 400
 SEED = 1129
 RFS_CONFIG = RFSConfig(
-    node_max_entries=40, node_min_entries=16, leaf_subclusters=3
+    node_max_entries=40, leaf_subclusters=3
 )
 
 
@@ -472,6 +472,65 @@ class TestTCPServer:
             assert json.loads(stream.readline())["status"] == "ok"
         finally:
             sock.close()
+
+    def test_open_of_a_live_session_id_is_refused(self, tcp, engine,
+                                                  database):
+        mark = _mark_fn(database)
+        sock, stream = self._client(tcp)
+        try:
+            opened = {"op": "open", "seed": 4, "session_id": "alice"}
+            assert self._roundtrip(stream, opened)["status"] == "ok"
+            shown = self._roundtrip(
+                stream, {"op": "display", "session_id": "alice"}
+            )["value"]
+            marks = mark(shown)
+            assert marks
+            assert self._roundtrip(
+                stream,
+                {"op": "submit", "session_id": "alice",
+                 "relevant_ids": marks},
+            )["status"] == "ok"
+            before = engine.session_store.get("alice")
+            again = self._roundtrip(stream, dict(opened, seed=5))
+            assert again["status"] == "invalid_request"
+            assert "'alice'" in again["error"]
+            assert engine.session_store.get("alice") == before
+            assert before.round == 1
+            assert before.marked == tuple(sorted(marks))
+            # the live dialogue carries on where it was
+            assert self._roundtrip(
+                stream, {"op": "display", "session_id": "alice"}
+            )["status"] == "ok"
+        finally:
+            sock.close()
+
+    def test_many_connections_leave_no_state_in_the_disk_model(
+        self, tcp, engine
+    ):
+        """Each connection's ops run on its own handler thread; nothing
+        in the engine's disk counter may be kept per thread."""
+        import pickle
+
+        def one_dialogue():
+            sock, stream = self._client(tcp)
+            try:
+                sid = self._roundtrip(stream, {"op": "open", "seed": 1})[
+                    "value"
+                ]
+                for op in ("display", "abandon"):
+                    reply = self._roundtrip(
+                        stream, {"op": op, "session_id": sid}
+                    )
+                    assert reply["status"] == "ok"
+            finally:
+                sock.close()
+
+        one_dialogue()
+        after_one = len(pickle.dumps(engine.rfs.io))
+        for _ in range(199):
+            one_dialogue()
+        assert engine.rfs.io.logical_reads == 200
+        assert len(pickle.dumps(engine.rfs.io)) == after_one
 
     def test_not_found_over_socket(self, tcp):
         sock, stream = self._client(tcp)

@@ -15,7 +15,7 @@ def session_rfs():
     feats = np.random.default_rng(5).normal(size=(500, 10))
     return RFSStructure.build(
         feats,
-        RFSConfig(node_max_entries=50, node_min_entries=25,
+        RFSConfig(node_max_entries=50,
                   leaf_subclusters=3),
         seed=5,
     )

@@ -687,6 +687,143 @@ class TestHotPathParity:
 # ---------------------------------------------------------------------------
 # Where text is produced: at put for the text backends, on read in memory
 # ---------------------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# Two ops racing on one session: one lands, the other is refused
+# ---------------------------------------------------------------------------
+RACING_BACKENDS = ["memory", "sqlite", "jsondir"]
+
+
+@contextlib.contextmanager
+def _two_workers(backend, rendered_db, rfs, tmp_path):
+    """Two front-ends over one session store, as two server slots see
+    it: one engine (the memory store), or two engines holding their own
+    store objects over one SQLite file or one directory."""
+    if backend == "memory":
+        store = InMemorySessionStore()
+        engine = _engine(rendered_db, rfs, store)
+        yield (SessionFrontEnd(engine), SessionFrontEnd(engine)), store
+        return
+    path = tmp_path / "sessions"
+    with make_session_store(backend, str(path)) as one, make_session_store(
+        backend, str(path)
+    ) as two:
+        yield (
+            SessionFrontEnd(_engine(rendered_db, rfs, one)),
+            SessionFrontEnd(_engine(rendered_db, rfs, two)),
+        ), one
+
+
+def _race(monkeypatch, late, early, sid, late_op, early_op):
+    """``late`` takes the session for its op, then all of ``early``'s op
+    runs before ``late`` writes.  Returns both replies, ``early``'s
+    first."""
+    replies = []
+    engine = late.engine
+    checkout = engine.checkout_session
+
+    def checkout_then_race(session_id):
+        session = checkout(session_id)
+        monkeypatch.setattr(engine, "checkout_session", checkout)
+        replies.append(early.handle(early_op[0], session_id=sid,
+                                    **early_op[1]))
+        return session
+
+    monkeypatch.setattr(engine, "checkout_session", checkout_then_race)
+    replies.append(late.handle(late_op[0], session_id=sid, **late_op[1]))
+    return replies
+
+
+class TestRacingOps:
+    """Two requests on one session, interleaved the way two server slots
+    can run them: exactly one is acknowledged, the other answers
+    ``stale_session`` and changes nothing."""
+
+    @pytest.mark.parametrize("backend", RACING_BACKENDS)
+    def test_second_resume_cannot_overwrite_the_hot_copy(
+        self, backend, rendered_db, rfs, tmp_path
+    ):
+        with _two_workers(backend, rendered_db, rfs, tmp_path) as (
+            (front_a, front_b), store
+        ):
+            sid = front_a.open(seed=SEED, session_id="race")
+            shown = front_a.display(sid, screens=SCREENS)
+            a = front_a.engine.checkout_session(sid)  # the hot copy
+            b = front_b.engine.checkout_session(sid)  # from the record
+            assert a is not b
+            a.submit(shown[:2])
+            front_a.engine.checkin_session(a)
+            with pytest.raises(StaleSessionError, match="race"):
+                b.submit(shown[2:4])
+            assert store.get(sid).marked == tuple(sorted(shown[:2]))
+            # the acknowledged dialogue carries on
+            assert front_a.display(sid, screens=SCREENS)
+
+    @pytest.mark.parametrize("backend", RACING_BACKENDS)
+    def test_open_of_a_live_id_is_refused_and_changes_nothing(
+        self, backend, rendered_db, rfs, tmp_path
+    ):
+        with _two_workers(backend, rendered_db, rfs, tmp_path) as (
+            (front_a, front_b), store
+        ):
+            sid = front_a.open(seed=SEED, session_id="alice")
+            shown = front_a.display(sid, screens=SCREENS)
+            front_a.submit(sid, shown[:3])
+            before = store.read_payload(sid)
+            for front in (front_a, front_b):
+                reply = front.handle("open", seed=SEED + 1, session_id=sid)
+                assert (reply.ok, reply.error_kind) == (
+                    False, "invalid_request"
+                )
+                assert "'alice'" in reply.error
+            assert store.read_payload(sid) == before
+            assert front_a.display(sid, screens=SCREENS)
+
+    @pytest.mark.parametrize("backend", RACING_BACKENDS)
+    @pytest.mark.parametrize(
+        "late_op, early_op",
+        [("submit", "submit"), ("display", "display"),
+         ("finalize", "submit")],
+    )
+    def test_interleaved_ops_end_with_one_ok_and_one_stale(
+        self, backend, late_op, early_op, rendered_db, rfs, tmp_path,
+        monkeypatch,
+    ):
+        with _two_workers(backend, rendered_db, rfs, tmp_path) as (
+            (front_a, front_b), store
+        ):
+            sid = front_a.open(seed=SEED, session_id="race")
+            first = front_a.display(sid, screens=SCREENS)[:1]
+            front_a.submit(sid, first)
+            shown = []
+            if early_op == "submit":
+                shown = front_a.display(sid, screens=SCREENS)
+            args = {
+                ("submit", 0): {"relevant_ids": shown[:2]},
+                ("submit", 1): {"relevant_ids": shown[2:4]},
+                ("display", 0): {},
+                ("display", 1): {},
+                ("finalize", 1): {"k": K},
+            }
+            before = store.get(sid)
+            replies = _race(
+                monkeypatch, front_a, front_b, sid,
+                (late_op, args[late_op, 1]), (early_op, args[early_op, 0]),
+            )
+            assert [(r.ok, r.error_kind) for r in replies] == [
+                (True, ""), (False, "stale_session"),
+            ]
+            assert replies[1].retriable
+            after = store.get(sid)
+            if early_op == "submit":
+                assert after.marked == tuple(sorted({*first, *shown[:2]}))
+                assert after.round == before.round
+                assert not after.awaiting_feedback
+            else:
+                assert after.round == before.round + 1
+                assert after.awaiting_feedback
+                assert set(after.display_owner) == set(replies[0].value)
+
+
 @pytest.fixture()
 def encode_calls(monkeypatch):
     """Counts ``encode_state`` calls made through the session stores."""

@@ -35,7 +35,7 @@ from repro.store import FeatureStore
 N_IMAGES = 600
 SEED = 2006
 RFS_CONFIG = RFSConfig(
-    node_max_entries=40, node_min_entries=16, leaf_subclusters=3
+    node_max_entries=40, leaf_subclusters=3
 )
 
 _EXECUTORS = ["serial", "thread"] + (
@@ -318,7 +318,7 @@ class TestShardedParity:
             rng.normal(size=(30, 8)), 20, axis=0
         )  # 600 rows, each vector x20
         config = RFSConfig(
-            node_max_entries=40, node_min_entries=16, leaf_subclusters=3
+            node_max_entries=40, leaf_subclusters=3
         )
         single = RFSStructure.build(features, config, seed=3)
         single.attach_store(FeatureStore.build(single), validate=False)

@@ -53,7 +53,7 @@ def built():
     rfs = RFSStructure.build(
         database.features,
         RFSConfig(
-            node_max_entries=60, node_min_entries=30, leaf_subclusters=4
+            node_max_entries=60, leaf_subclusters=4
         ),
         seed=SEED,
     )
@@ -313,16 +313,6 @@ class TestBatchedGeometry:
         for i, point in enumerate(points):
             assert batch[i] == pytest.approx(box.min_distance(point))
 
-    def test_center_distance_batch_matches_scalar(self):
-        from repro.index.geometry import MBR
-
-        rng = np.random.default_rng(7)
-        box = MBR(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 4.0]))
-        points = rng.normal(size=(10, 3))
-        batch = box.center_distance(points)
-        for i, point in enumerate(points):
-            assert batch[i] == pytest.approx(box.center_distance(point))
-
     def test_stacked_min_distances_matches_per_box(self):
         from repro.index.geometry import MBR, stacked_min_distances
 
@@ -356,7 +346,7 @@ class TestStoreScan:
         store = FeatureStore.build(rfs)
         other = RFSStructure.build(
             np.random.default_rng(9).normal(size=(300, 37)),
-            RFSConfig(node_max_entries=60, node_min_entries=30),
+            RFSConfig(node_max_entries=60),
             seed=9,
         )
         with pytest.raises(ConfigurationError):
@@ -451,7 +441,6 @@ class TestLifecycle:
             database.features,
             RFSConfig(
                 node_max_entries=60,
-                node_min_entries=30,
                 leaf_subclusters=4,
             ),
             seed=SEED,
@@ -477,7 +466,6 @@ class TestLifecycle:
             database.features,
             RFSConfig(
                 node_max_entries=60,
-                node_min_entries=30,
                 leaf_subclusters=4,
             ),
             seed=SEED,
@@ -496,7 +484,6 @@ class TestLifecycle:
             database.features,
             RFSConfig(
                 node_max_entries=60,
-                node_min_entries=30,
                 leaf_subclusters=4,
             ),
             seed=SEED,
@@ -527,7 +514,7 @@ def _run_session(database, store, executor, seed):
     rfs = RFSStructure.build(
         database.features,
         RFSConfig(
-            node_max_entries=60, node_min_entries=30, leaf_subclusters=4
+            node_max_entries=60, leaf_subclusters=4
         ),
         seed=SEED,
     )

@@ -38,7 +38,7 @@ def engine():
     database = build_synthetic_database(400, n_categories=30, seed=SEED)
     with QueryDecompositionEngine.build(
         database,
-        RFSConfig(node_max_entries=40, node_min_entries=16, leaf_subclusters=3),
+        RFSConfig(node_max_entries=40, leaf_subclusters=3),
         QDConfig(),
         seed=SEED,
         mutations=MutationConfig(auto_compact=False),

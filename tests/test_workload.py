@@ -18,7 +18,7 @@ from repro.eval.workload import (
 def small_engine():
     db = build_synthetic_database(1200, n_categories=40, seed=8)
     return QueryDecompositionEngine.build(
-        db, RFSConfig(node_max_entries=60, node_min_entries=30), seed=8
+        db, RFSConfig(node_max_entries=60), seed=8
     )
 
 
