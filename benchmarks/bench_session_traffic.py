@@ -114,9 +114,9 @@ class _TimedStore:
         self._inner = inner
         self.put_seconds: List[float] = []
 
-    def put(self, state) -> str:
+    def put(self, state, **kwargs):
         start = time.perf_counter()
-        payload = self._inner.put(state)
+        payload = self._inner.put(state, **kwargs)
         self.put_seconds.append(time.perf_counter() - start)
         return payload
 

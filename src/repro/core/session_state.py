@@ -91,6 +91,27 @@ def key_sorted(value: Any) -> Any:
     return value
 
 
+def rng_record(state: Mapping[str, Any]) -> Dict[str, Any]:
+    """A bit generator's ``state`` as a record keeps it.
+
+    A numpy state is a dict that may hold one level of dicts; keys are
+    sorted at both levels, and arrays (MT19937, Philox and SFC64 states
+    hold some) become lists of ints, which every state setter takes
+    back exactly.
+    """
+    record: Dict[str, Any] = {}
+    for key in sorted(state):
+        value = state[key]
+        if isinstance(value, dict):
+            value = {inner: _plain(value[inner]) for inner in sorted(value)}
+        record[key] = _plain(value)
+    return record
+
+
+def _plain(value: Any) -> Any:
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 @dataclass(frozen=True)
 class SubQueryState:
     """Serialized form of one active branch (:class:`~repro.core.subquery.SubQuery`).
@@ -149,7 +170,7 @@ class SessionState:
         Exact numpy bit-generator state of the session RNG; restoring
         it makes post-resume "Random" browse picks identical to the
         never-suspended run.  Keys sorted at every level, like
-        ``extra`` (:func:`key_sorted`).
+        ``extra``, and arrays held as lists (:func:`rng_record`).
     config_fingerprint:
         :func:`config_fingerprint` of the session's :class:`QDConfig`.
     structure_version:
@@ -180,10 +201,12 @@ class SessionState:
         (id tuples encode as arrays), so the encoder neither sorts nor
         copies: read the result, edit only its top level.  The one copy
         is ``display_owner``, laid out in the order of its int keys as
-        strings, so only code that produces text pays for that sort.
-        The other dicts come out sorted because whoever built the record
-        made them so — :meth:`FeedbackSession.capture <repro.core.
-        session.FeedbackSession.capture>` and the decoders do.
+        strings.  The other dicts come out sorted because whoever built
+        the record made them so — :meth:`FeedbackSession.capture
+        <repro.core.session.FeedbackSession.capture>` and the decoders
+        do.  The JSON encoder's compact text of this dict is what
+        :func:`~repro.sessionstore.base.encode_state` writes, without
+        building it.
         """
         owner = self.display_owner
         return {

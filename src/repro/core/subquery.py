@@ -14,6 +14,7 @@ from typing import List, Sequence, Set
 
 import numpy as np
 
+from repro.core.session_state import SubQueryState
 from repro.index.rfs import RFSNode
 from repro.obs import get_metrics
 
@@ -52,6 +53,12 @@ class SubQuery:
         default_factory=list, init=False, repr=False, compare=False
     )
     _unseen_at: int = field(default=-1, init=False, repr=False, compare=False)
+    #: What :meth:`frozen` last returned.  Its tuples stand for the
+    #: sets while their lengths match, as both sets only grow.
+    _state: SubQueryState = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._state = SubQueryState(self.node.node_id, (), ())
 
     @property
     def node_id(self) -> int:
@@ -97,6 +104,23 @@ class SubQuery:
         self.shown.update(reps)
         self._unseen_at = len(self.shown)
         return reps
+
+    def frozen(self) -> SubQueryState:
+        """This branch as a record: its ids sorted, in fresh tuples.
+
+        A tuple whose set has not grown since the last call is that
+        call's very tuple, and the record is the same object when
+        neither set grew; records are frozen, so sharing them is safe.
+        """
+        state = self._state
+        marked, shown = state.marked, state.shown
+        if len(marked) != len(self.marked):
+            marked = tuple(sorted(self.marked))
+        if len(shown) != len(self.shown):
+            shown = tuple(sorted(self.shown))
+        if marked is not state.marked or shown is not state.shown:
+            state = self._state = SubQueryState(state.node_id, marked, shown)
+        return state
 
     def query_matrix(self, features: np.ndarray) -> np.ndarray:
         """Feature vectors of the marked relevant images."""

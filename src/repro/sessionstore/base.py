@@ -39,9 +39,14 @@ import contextlib
 import json
 import math
 import time
-from typing import Any, Dict, List, Optional, Union
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.core.session_state import ANY_RECORD, SessionState
+from repro.core.session_state import (
+    ANY_RECORD,
+    STATE_FORMAT_VERSION,
+    SessionState,
+)
 from repro.errors import (
     ConfigurationError,
     SessionCodecError,
@@ -62,13 +67,91 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 Record = Union[str, SessionState]
 
 
+#: Entries a text table holds before it starts over, so that ids no
+#: record holds any more (a long-lived server's compactions renumber
+#: nodes, writes add images) do not pile up.
+_TABLE_LIMIT = 1 << 20
+
+
+class _TextTable(dict):
+    """``key -> text``, each text made once: on the first lookup of
+    its key.
+
+    Process-wide and lock-free: two threads filling the same key write
+    the same text, so whichever lands is right.
+    """
+
+    def __init__(self, render: Callable[[Any], str]) -> None:
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, key: Any) -> str:
+        if len(self) >= _TABLE_LIMIT:
+            self.clear()
+        text = self[key] = self._render(key)
+        return text
+
+
+#: The text of an int (an id, a round, a version).
+_int_text = _TextTable(int.__repr__).__getitem__
+#: The text of a screen entry, ``(image id, owner node id) -> "id":node``.
+_entry_text = _TextTable(
+    lambda entry: f'"{_int_text(entry[0])}":{_int_text(entry[1])}'
+).__getitem__
+
+_BOOL_TEXT = {True: "true", False: "false"}
+_FLOAT_SPECIALS = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _ids(ids) -> str:
+    """A JSON array body: the ids' text, comma-joined."""
+    return ",".join(map(_int_text, ids))
+
+
+def _float(value: float) -> str:
+    """``value`` as the JSON encoder writes a float."""
+    if value != value:
+        return "NaN"
+    return _FLOAT_SPECIALS.get(value) or repr(value)
+
+
 def encode_state(state: SessionState) -> str:
     """Serialize a session record to its canonical JSON text.
 
-    Canonical means compact and sorted-key; the order is
-    :meth:`SessionState.to_dict`'s, nothing is sorted here.
+    Canonical means compact and sorted-key: exactly
+    ``json.dumps(state.to_dict(), separators=(",", ":"))``.  It is
+    written in one pass over a fixed key skeleton: ids and screen
+    entries come from tables that format each once per process, and
+    only ``rng_state`` and ``extra`` go through the JSON encoder.
     """
-    return _encode_json(state.to_dict())
+    # A closing quote sorts before any character of an int, so the
+    # entries' order is their keys' order as strings.
+    screen = ",".join(sorted(map(_entry_text, state.display_owner.items())))
+    active = ",".join(
+        [
+            f'{{"marked":[{_ids(sub.marked)}],'
+            f'"node_id":{_int_text(sub.node_id)},'
+            f'"shown":[{_ids(sub.shown)}]}}'
+            for sub in state.active
+        ]
+    )
+    return (
+        f'{{"active":[{active}],'
+        f'"awaiting_feedback":{_BOOL_TEXT[state.awaiting_feedback]},'
+        f'"config_fingerprint":'
+        f"{_quote(state.config_fingerprint)},"
+        f'"created_unix":{_float(state.created_unix)},'
+        f'"display_owner":{{{screen}}},'
+        f'"extra":{_encode_json(state.extra) if state.extra else "{}"},'
+        f'"finalized":{_BOOL_TEXT[state.finalized]},'
+        f'"marked":[{_ids(state.marked)}],'
+        f'"rng_state":{_encode_json(state.rng_state)},'
+        f'"round":{_int_text(state.round)},'
+        f'"session_id":{_quote(state.session_id)},'
+        f'"state_format":{STATE_FORMAT_VERSION},'
+        f'"structure_version":{_int_text(state.structure_version)},'
+        f'"updated_unix":{_float(state.updated_unix)}}}'
+    )
 
 
 def decode_state(text: str) -> SessionState:
@@ -254,8 +337,8 @@ class SessionStore(abc.ABC):
     def _sweep(self, cutoff_unix: float) -> List[str]:
         """Delete records with ``updated_unix < cutoff``; default scans.
 
-        Backends with an indexed stamp (SQLite) override this with a
-        single query.
+        Backends that keep the stamp in a column of its own (SQLite)
+        override this with a single query.
         """
         swept: List[str] = []
         for session_id in self._list_ids():

@@ -33,14 +33,18 @@ from repro.core.session_state import ANY_RECORD
 from repro.errors import SessionStoreError
 from repro.sessionstore.base import SessionStore
 
+# A checkpoint rewrites a row's stamp and payload, never its session id,
+# so it touches one B-tree: the table's.  An index on ``updated_unix``
+# (databases written before it was dropped still hold one) made that
+# two on every checkpoint, for the sake of the rare TTL sweep, which
+# scans the table instead.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS qd_sessions (
     session_id   TEXT PRIMARY KEY,
     updated_unix REAL NOT NULL,
     payload      TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS qd_sessions_updated
-    ON qd_sessions (updated_unix);
+DROP INDEX IF EXISTS qd_sessions_updated;
 """
 
 # A checkpoint: whatever is stored, only where nothing is, or only over

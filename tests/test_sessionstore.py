@@ -15,7 +15,9 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -32,7 +34,9 @@ from repro.core.session import FeedbackSession
 from repro.core.session_state import (
     STATE_FORMAT_VERSION,
     SessionState,
+    SubQueryState,
     config_fingerprint,
+    key_sorted,
 )
 from repro.errors import (
     ConfigurationError,
@@ -43,6 +47,7 @@ from repro.errors import (
     StaleSessionError,
 )
 from repro.exec import ProcessSubqueryExecutor
+from repro.sessionstore import base as store_base
 from repro.sessionstore import (
     SESSION_STORE_KINDS,
     InMemorySessionStore,
@@ -1291,6 +1296,71 @@ _DIALOGUES = dict(
 )
 
 
+#: Ints a record may hold: small ids, ids past any the table has seen
+#: (the write stream inserts new images), negative ones and ones past
+#: 2**53; 9 / 10 / 100 sort differently as text and as numbers.
+_ANY_INT = st.one_of(
+    st.sampled_from([0, 9, 10, 99, 100, 1000]),
+    st.integers(0, 20_000),
+    st.integers(2**40, 2**70),
+    st.integers(-(2**70), -1),
+)
+_ID_TUPLES = st.lists(_ANY_INT, max_size=12).map(tuple)  # any order
+_STAMPS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), st.floats()
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ANY_INT,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_JSON_OBJECTS = st.dictionaries(
+    st.text(max_size=6), _JSON_VALUES, max_size=4
+).map(key_sorted)
+_SESSION_STATES = st.builds(
+    SessionState,
+    session_id=st.text(max_size=12),
+    round=_ANY_INT,
+    awaiting_feedback=st.booleans(),
+    finalized=st.booleans(),
+    active=st.lists(
+        st.builds(
+            SubQueryState, node_id=_ANY_INT, marked=_ID_TUPLES,
+            shown=_ID_TUPLES,
+        ),
+        max_size=4,
+    ).map(tuple),
+    marked=_ID_TUPLES,
+    display_owner=st.dictionaries(_ANY_INT, _ANY_INT, max_size=24),
+    # Records keep these key-sorted (what capture and decode build).
+    rng_state=_JSON_OBJECTS,
+    config_fingerprint=st.text(max_size=16),
+    structure_version=_ANY_INT,
+    created_unix=_STAMPS,
+    updated_unix=_STAMPS,
+    extra=_JSON_OBJECTS,
+)
+
+
+def _nan_free(state):
+    """``state`` with NaN stamps made comparable (NaN != NaN)."""
+    return dataclasses.replace(
+        state,
+        created_unix=str(state.created_unix),
+        updated_unix=str(state.updated_unix),
+    )
+
+
 class TestRecordEquivalence:
     def test_screens_equal_the_parent_commits(self, rfs):
         digests = []
@@ -1344,6 +1414,56 @@ class TestRecordEquivalence:
         )
         with pytest.raises(SessionStateError, match="display"):
             session.submit(shown[:1])
+
+    @given(state=_SESSION_STATES)
+    @settings(max_examples=300, deadline=None)
+    def test_renderer_writes_what_the_json_encoder_writes(self, state):
+        """Any record, not only the ones a dialogue makes: the one-pass
+        renderer's text is the JSON encoder's over ``to_dict``, byte
+        for byte, and decodes back to the record."""
+        text = encode_state(state)
+        assert text == json.dumps(state.to_dict(), separators=(",", ":"))
+        assert _nan_free(decode_state(text)) == _nan_free(state)
+        assert encode_state(decode_state(text)) == text
+
+    def test_renderer_tables_start_over_under_racing_threads(
+        self, rfs, monkeypatch
+    ):
+        """The id tables are shared, lock-free and cleared when full:
+        threads racing to fill and clear them still write exact text."""
+        monkeypatch.setattr(store_base, "_TABLE_LIMIT", 16)
+        states = []
+        for seed in range(6):
+            session = FeedbackSession(rfs, QDConfig(), seed=seed)
+            session.display(screens=SCREENS)
+            states.append(session.capture())
+        assert all(len(state.display_owner) > 16 for state in states)
+        expected = [
+            json.dumps(state.to_dict(), separators=(",", ":"))
+            for state in states
+        ]
+        wrong = []
+
+        def encode_all():
+            for _ in range(30):
+                for state, text in zip(states, expected):
+                    if encode_state(state) != text:
+                        wrong.append(state.session_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=encode_all) for _ in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     @given(**_DIALOGUES)
     @settings(max_examples=40, deadline=None)
@@ -1434,6 +1554,100 @@ class TestMemoryRecordParity:
                 after_op()
                 session.submit(_marks(shown, n_marks, pick_seed))
                 after_op()
+
+
+# ---------------------------------------------------------------------------
+# Any numpy bit generator, any backend; capture shares unchanged tuples
+# ---------------------------------------------------------------------------
+BIT_GENERATORS = ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"]
+
+
+def _generator(name):
+    return np.random.Generator(getattr(np.random, name)(SEED))
+
+
+class TestBitGenerators:
+    @pytest.mark.parametrize("backend", SESSION_STORE_KINDS)
+    @pytest.mark.parametrize("name", BIT_GENERATORS)
+    def test_suspend_and_resume_on_any_bit_generator(
+        self, rfs, rendered_db, backend, name, tmp_path
+    ):
+        """MT19937, Philox and SFC64 states hold arrays: the record keeps
+        them as lists, and the session resumes bit-identically."""
+        config = QDConfig()
+        mark = _mark_fn(rendered_db.labels)
+        twin = FeedbackSession(rfs, config, seed=_generator(name))
+        with _store(backend, tmp_path) as store:
+            session = FeedbackSession(
+                rfs, config, seed=_generator(name), session_id="bitgen",
+                store=store,
+            )
+            for _ in range(ROUNDS):
+                shown = session.display(screens=SCREENS)
+                assert shown == twin.display(screens=SCREENS)
+                session.checkpoint()
+                json.loads(store.read_payload("bitgen"))
+                session = FeedbackSession.restore(
+                    rfs, store.get("bitgen"), config=config, store=store
+                )
+                session.submit(mark(shown))
+                twin.submit(mark(shown))
+                session = FeedbackSession.restore(
+                    rfs, store.get("bitgen"), config=config, store=store
+                )
+            assert store.get("bitgen").rng_state["bit_generator"] == name
+            assert _signature(session.finalize(K)) == _signature(
+                twin.finalize(K)
+            )
+
+
+class TestCaptureSharing:
+    def test_records_stay_and_unchanged_branches_share_tuples(
+        self, rfs, rendered_db
+    ):
+        session = FeedbackSession(rfs, QDConfig(), seed=SEED)
+        mark = _mark_fn(rendered_db.labels)
+        captured = []
+
+        def capture():
+            state = session.capture()
+            captured.append((state, encode_state(state)))
+            return state
+
+        shown = session.display(screens=SCREENS)
+        before = capture()
+        # Nothing grew: the very same branch records come back.
+        assert all(
+            a is b for a, b in zip(capture().active, before.active)
+        )
+        session.submit(mark(shown))
+        after = capture()
+        earlier = {sub.node_id: sub for sub in before.active}
+        kept = [sub for sub in after.active if sub.node_id in earlier]
+        assert kept, "no branch survived the submit"
+        for sub in kept:
+            # Marks grew, nothing was shown: a new record over the
+            # very tuple the last capture made.
+            assert sub.shown is earlier[sub.node_id].shown
+            assert sub.marked != earlier[sub.node_id].marked
+        session.display(screens=SCREENS)
+        capture()
+        for state, text in captured:
+            assert encode_state(state) == text
+
+    def test_restored_session_captures_its_record(self, rfs, rendered_db):
+        session = FeedbackSession(rfs, QDConfig(), seed=SEED)
+        mark = _mark_fn(rendered_db.labels)
+        session.submit(mark(session.display(screens=SCREENS)))
+        session.display(screens=SCREENS)
+        for state in (session.capture(), decode_state(
+            encode_state(session.capture())
+        )):
+            restored = FeedbackSession.restore(rfs, state)
+            again = restored.capture()
+            assert dataclasses.replace(
+                again, updated_unix=state.updated_unix
+            ) == state
 
 
 def _screen_order(state):
@@ -1597,3 +1811,80 @@ class TestSQLiteConnections:
                 assert clone._conns and not set(
                     map(id, clone._conns)
                 ) & set(map(id, store._conns))
+
+
+# ---------------------------------------------------------------------------
+# SQLite schema: one B-tree per checkpoint
+# ---------------------------------------------------------------------------
+#: The schema ``sessions.db`` files were written with while the table
+#: also carried an index on the stamp every checkpoint rewrites.
+PARENT_SCHEMA = """
+CREATE TABLE IF NOT EXISTS qd_sessions (
+    session_id   TEXT PRIMARY KEY,
+    updated_unix REAL NOT NULL,
+    payload      TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS qd_sessions_updated
+    ON qd_sessions (updated_unix);
+"""
+
+
+def _indexes(path):
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        return sorted(
+            row[0]
+            for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+                " AND sql IS NOT NULL"
+            )
+        )
+
+
+class TestSQLiteSchema:
+    def test_parent_database_drops_the_index_and_keeps_its_records(
+        self, rfs, rendered_db, tmp_path
+    ):
+        path = tmp_path / "sessions.db"
+        mark = _mark_fn(rendered_db.labels)
+        now = 1_790_000_000.0
+        texts = {}
+        with contextlib.closing(
+            sqlite3.connect(path, isolation_level=None)
+        ) as conn:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.executescript(PARENT_SCHEMA)
+            for n in range(6):
+                session = FeedbackSession(
+                    rfs, QDConfig(), seed=SEED + n, session_id=f"s{n}"
+                )
+                shown = session.display(screens=SCREENS)
+                if n % 2:
+                    session.submit(mark(shown))
+                stamp = now - 7200.0 * (n % 3 == 0)
+                state = dataclasses.replace(
+                    session.capture(), updated_unix=stamp
+                )
+                texts[state.session_id] = encode_state(state)
+                conn.execute(
+                    "INSERT INTO qd_sessions VALUES (?, ?, ?)",
+                    (state.session_id, stamp, texts[state.session_id]),
+                )
+        assert _indexes(path) == ["qd_sessions_updated"]
+        with SQLiteSessionStore(path) as store:
+            assert _indexes(path) == []
+            for sid, text in texts.items():
+                assert store.read_record(sid) == text
+                state = store.get(sid)
+                assert encode_state(state) == text
+                resumed = FeedbackSession.restore(rfs, state)
+                assert encode_state(
+                    dataclasses.replace(
+                        resumed.capture(), updated_unix=state.updated_unix
+                    )
+                ) == text
+            assert store.sweep_expired(3600.0, now=now) == ["s0", "s3"]
+            assert store.list_ids() == ["s1", "s2", "s4", "s5"]
+        # A second open finds nothing to drop.
+        with SQLiteSessionStore(path) as store:
+            assert _indexes(path) == []
+            assert len(store) == 4
