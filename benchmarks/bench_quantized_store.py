@@ -1,22 +1,22 @@
-"""Extension — compressed scan tiers of the leaf-contiguous store.
+"""Extension — the compressed scan tier of the leaf-contiguous store.
 
-The quantized store tiers (``repro.store.quantize``) keep the exact
-float32 rows for re-ranking but serve every leaf block scan from a
-compressed codes sidecar — float16 (2x) or int8 scalar quantization
-(4x).  Rankings are bit-identical to the pure-float32 store (the
+The quantized ``int8`` store tier (``repro.store.quantize``) keeps the
+exact float32 rows for re-ranking but serves every leaf block scan from
+a compressed codes sidecar — int8 scalar quantization, 4x fewer bytes.
+Rankings are bit-identical to the pure-float32 store (the
 ε-bounded candidate set provably contains the true top-k, which is then
 re-ranked through the exact rows and kernels); only the bytes moved per
 scan shrink.  This bench measures:
 
-* the on-disk scan-bytes compression ratio per tier,
+* the on-disk scan-bytes compression ratio of the int8 tier,
 * the ``bytes_read`` reduction of a final-round workload (the disk
   model charges leaf blocks at their compressed size),
 * the time of one vectorized batch of item→leaf lookups
   (``RFSStructure.leaves_of_items``).
 
-It times no scan: a compressed tier moves fewer bytes but does more
-work per row (an exact re-rank of the survivors), and at zero device
-latency its cold final round runs at 0.92x the f32 one on two cores.
+It times no scan: the int8 tier moves fewer bytes but does more work
+per row (an exact re-rank of the survivors), and at zero device latency
+its cold final round runs at 0.92x the f32 one on two cores.
 
 Runs two ways:
 
@@ -29,7 +29,7 @@ Runs two ways:
 ``QD_BENCH_TINY=1`` (or ``--tiny``) shrinks the workload for CI.
 
 Acceptance: >= 4x int8 scan-byte compression, with rankings
-bit-identical across tiers.
+bit-identical to f32.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def run_quantized_bench(tiny: bool) -> tuple[list[str], dict]:
     bytes_read = {}
     compression = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for tier in ("f32", "f16", "int8"):
+        for tier in ("f32", "int8"):
             store = FeatureStore.build(rfs, tier=tier)
             compression[tier] = store.compression_ratio
             directory = os.path.join(tmp, tier)
@@ -153,14 +153,11 @@ def run_quantized_bench(tiny: bool) -> tuple[list[str], dict]:
         rfs.detach_store()
 
     # The acceptance property: compressed scans, identical rankings.
-    assert signatures["f16"] == signatures["f32"]
     assert signatures["int8"] == signatures["f32"]
 
     metrics.update(
         int8_compression=compression["int8"],
-        f16_compression=compression["f16"],
         int8_bytes_reduction=bytes_read["f32"] / max(1, bytes_read["int8"]),
-        f16_bytes_reduction=bytes_read["f32"] / max(1, bytes_read["f16"]),
         f32_bytes_read=float(bytes_read["f32"]),
         int8_bytes_read=float(bytes_read["int8"]),
         lookup_batch_s=batch_s,
@@ -173,13 +170,10 @@ def run_quantized_bench(tiny: bool) -> tuple[list[str], dict]:
         f"{p['n_images']} images, {len(marks)} marks, k={p['k']} "
         f"({scale})",
         f"  f32  cold scan  {bytes_read['f32'] / 1e6:8.3f} MB read",
-        f"  f16  cold scan  {bytes_read['f16'] / 1e6:8.3f} MB read   "
-        f"{metrics['f16_bytes_reduction']:.2f}x fewer "
-        f"({compression['f16']:.1f}x compression)",
         f"  int8 cold scan  {bytes_read['int8'] / 1e6:8.3f} MB read   "
         f"{metrics['int8_bytes_reduction']:.2f}x fewer "
         f"({compression['int8']:.1f}x compression)",
-        "  rankings bit-identical across all three tiers",
+        "  rankings bit-identical across both tiers",
         f"  item->leaf lookup: batch {batch_s * 1e6:8.1f} us "
         f"({min(LOOKUP_IDS, p['n_images'])} ids)",
     ]
@@ -195,16 +189,8 @@ def _bench_result(tiny: bool, metrics: dict) -> obs.BenchResult:
         higher_is_better=True,
     )
     result.record(
-        "f16_compression", metrics["f16_compression"], unit="x",
-        higher_is_better=True,
-    )
-    result.record(
         "int8_bytes_reduction", metrics["int8_bytes_reduction"],
         unit="x", higher_is_better=True,
-    )
-    result.record(
-        "f16_bytes_reduction", metrics["f16_bytes_reduction"], unit="x",
-        higher_is_better=True, compare=False,
     )
     result.record(
         "lookup_batch_s", metrics["lookup_batch_s"], unit="s",
@@ -221,7 +207,6 @@ def _bench_result(tiny: bool, metrics: dict) -> obs.BenchResult:
 def _check(metrics: dict) -> None:
     # Acceptance: int8 stores exactly 1 byte/dim vs 4 -> 4x scan bytes.
     assert metrics["int8_compression"] >= 4.0
-    assert metrics["f16_compression"] >= 2.0
     # The disk model charges leaf blocks at compressed size; the scan
     # traffic of the same workload must shrink accordingly (slightly
     # under 4x is legal — the ε-pruning bound may scan an extra leaf).

@@ -85,6 +85,17 @@ if git grep -nE 'allow_pickle *= *True' -- src/; then
         "unpickling ==" >&2
     exit 1
 fi
+# The feature store has one number format: float32 rows plus optional
+# int8 codes.  The float64 store dtype (set only by tests) and the f16
+# scan tier (no faster than int8 while reading twice its bytes) were
+# deleted along with the plumbing that carried the choice through the
+# engine, the shard router and the delta segment.
+if git grep -nE -e 'store_dtype|STORE_DTYPES|_delta_kernel_dtype' \
+        -e "float16|[\"']f16[\"']" -- src/; then
+    echo "== the store holds float32 rows and optional int8 codes only" \
+        "==" >&2
+    exit 1
+fi
 # (Each name is spelled with one bracketed letter so this file does
 # not match its own pattern.)
 if git grep -nE -e 'page_read_latenc[y]|read_bandwidth_bytes_per_[s]' \

@@ -9,14 +9,14 @@ byte-capped LRU keyed by a canonical digest of everything the subquery's
 answer depends on —
 
 * the RFS node the marks grouped into,
-* the query-point matrix (actual bytes, so points gathered from a
-  float32 store and from a float64 one can never alias),
+* the query-point matrix (actual bytes and dtype, so a float32
+  centroid and a float64 one can never alias),
 * the per-dimension feature weights (or their absence),
 * the requested result count,
 * the boundary-expansion threshold, and
-* the store's tier fingerprint (dtype + quantization params), so
-  rankings served from an int8/f16 scan tier never alias entries
-  computed against float32 rows.
+* the store's tier fingerprint (tier tag + quantization params), so
+  rankings served from an int8 scan tier never alias entries computed
+  against the exact float32 rows.
 
 Every entry is stamped with the **RFS structure version**
 (:attr:`repro.index.rfs.RFSStructure.structure_version`) current at
@@ -88,16 +88,16 @@ def subquery_cache_key(
     """Canonical digest of one localized subquery.
 
     ``query_points`` is digested as raw bytes together with its shape and
-    dtype, so the same marks gathered from a float32 feature store and
-    from a float64 one produce *different* keys (their distances differ
-    in the last bits, so their results must too).
+    dtype, so the same points at float32 and at float64 produce
+    *different* keys (their distances differ in the last bits, so their
+    results must too).
     ``requested`` is the uncapped fetch size (quota + over-fetch); the
     cap against the search-node size is deterministic given the
     structure version, so it does not belong in the key.
 
     ``store_fingerprint`` is the serving store's tier fingerprint
-    (:meth:`repro.index.rfs.RFSStructure.store_fingerprint` — dtype,
-    scan tier, quantization params).
+    (:meth:`repro.index.rfs.RFSStructure.store_fingerprint` — scan
+    tier, quantization params).
     Keying on it makes cross-tier aliasing structurally impossible: an
     entry computed against a float32-era configuration can never be
     served after an int8 store is attached, independent of the

@@ -88,16 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", required=True, help="output store directory"
     )
     p_store.add_argument(
-        "--dtype", choices=("float32", "float64"), default="float32"
-    )
-    p_store.add_argument(
         "--tier",
         choices=STORE_TIERS,
         default="f32",
         help=(
-            "scan tier: f16/int8 store a compressed codes sidecar that "
+            "scan tier: int8 stores a compressed codes sidecar that "
             "leaf scans read, with exact float32 re-ranking — rankings "
-            "stay bit-identical, bytes moved shrink (default: f32)"
+            "stay bit-identical, bytes moved shrink 4x (default: f32)"
         ),
     )
     p_store.add_argument("--seed", type=int, default=2006)
@@ -738,7 +735,7 @@ def _cmd_build_store(args: argparse.Namespace) -> int:
             build=_build_config_from_args(args),
             progress=_progress_printer(args),
         )
-    store = FeatureStore.build(rfs, dtype=args.dtype, tier=args.tier)
+    store = FeatureStore.build(rfs, tier=args.tier)
     store.save(args.out)
     tier_note = (
         ""

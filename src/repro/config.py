@@ -194,10 +194,12 @@ class BuildConfig:
 #: :mod:`repro.store`).
 STORE_KINDS: tuple[str, ...] = ("inmem", "memmap")
 
-#: Scan tiers accepted by the CLI ``--store-tier`` / ``--tier`` flags —
-#: re-exported from :mod:`repro.store.quantize` (kept literal here so
-#: importing the config module never pulls in numpy-heavy store code).
-STORE_TIERS: tuple[str, ...] = ("f32", "f16", "int8")
+#: Scan tiers a feature store may carry (the CLI ``--store-tier`` /
+#: ``--tier`` choices): ``f32`` scans the exact float32 rows, ``int8``
+#: scans scalar-quantized codes and re-ranks through the exact rows
+#: (see :mod:`repro.store.quantize`).  Defined here, not in the store
+#: package, so importing the config never pulls in numpy-heavy code.
+STORE_TIERS: tuple[str, ...] = ("f32", "int8")
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,6 @@ class QueryDecompositionEngine:
         seed: RandomState = None,
         io: Optional[DiskAccessCounter] = None,
         store: str = "inmem",
-        store_dtype: str = "float32",
         store_tier: str = "f32",
         cache: Optional[CacheConfig] = None,
         build: Optional[BuildConfig] = None,
@@ -115,9 +114,9 @@ class QueryDecompositionEngine:
         produced here — save one (``FeatureStore.save`` or the CLI
         ``build-store`` command), then ``attach_store(FeatureStore.open
         (dir))`` or pass ``store=`` to the constructor.
-        ``store_tier`` selects the scan tier (``"f32"``, ``"f16"``, or
-        ``"int8"``); quantized tiers scan compressed codes and re-rank
-        through exact float32 rows, so rankings stay bit-identical (see
+        ``store_tier`` selects the scan tier (``"f32"`` or ``"int8"``);
+        ``"int8"`` scans compressed codes and re-ranks through the exact
+        float32 rows, so rankings stay bit-identical (see
         :mod:`repro.store.quantize`).
 
         ``cache`` optionally attaches a cross-session subquery result
@@ -150,7 +149,7 @@ class QueryDecompositionEngine:
         from repro.store import FeatureStore
 
         rfs.attach_store(
-            FeatureStore.build(rfs, dtype=store_dtype, tier=store_tier),
+            FeatureStore.build(rfs, tier=store_tier),
             validate=False,
         )
         if cache is not None and cache.enabled:

@@ -115,26 +115,6 @@ class ImageDatabase:
         """Number of images whose category is in ``names``."""
         return int(self.ids_of_categories(names).shape[0])
 
-    def build_feature_store(
-        self, rfs, *, dtype: str = "float32", tier: str = "f32"
-    ):
-        """Build a leaf-contiguous :class:`~repro.store.FeatureStore`.
-
-        Convenience wrapper over ``FeatureStore.build``: ``rfs`` must be
-        a structure built over this database's feature matrix (the store
-        permutes those rows into the structure's leaf order).  ``tier``
-        selects the scan tier (``"f32"``/``"f16"``/``"int8"``; quantized
-        tiers stay bit-identical through exact re-ranking).
-        """
-        from repro.store import FeatureStore
-
-        if rfs.features is not self.features:
-            raise DatasetError(
-                "the RFS structure was not built over this database's "
-                "feature matrix"
-            )
-        return FeatureStore.build(rfs, dtype=dtype, tier=tier)
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

@@ -10,8 +10,8 @@ that ``map``, in three kinds:
 ``serial``
     In-line on the calling thread.  The reference.
 ``thread``
-    A thread pool over shared memory (NumPy kernels and the simulated
-    page-latency sleeps release the GIL).  Worker spans adopt the
+    A thread pool over shared memory (NumPy kernels release the GIL,
+    the Python around them does not).  Worker spans adopt the
     dispatching span, so traces still reconstruct one tree.
 ``process``
     A fork pool for GIL-free compute.  ``shared`` reaches the workers

@@ -87,11 +87,6 @@ def route_leaf(rfs: RFSStructure, vector: np.ndarray) -> RFSNode:
     return node
 
 
-def _rebuilt_store(rfs: RFSStructure, old: FeatureStore) -> FeatureStore:
-    """An in-RAM store over ``rfs`` at ``old``'s dtype and tier."""
-    return FeatureStore.build(rfs, dtype=old.dtype.name, tier=old.tier)
-
-
 class EpochGuard:
     """Read/write epoch guard serializing mutations against swaps.
 
@@ -405,7 +400,8 @@ class GenerationController:
             built.features = full
             built._leaf_lookup = None  # maps pre-remap ids; rebuild lazily
             built.attach_store(
-                _rebuilt_store(built, old.store), validate=False
+                FeatureStore.build(built, tier=old.store.tier),
+                validate=False,
             )
             if old.result_cache is not None:
                 # Same cache object: surviving traffic keeps its LRU
@@ -453,12 +449,12 @@ class GenerationController:
         )
         n_shards = min(len(old.shards), len(leaves))
         assignment = partition_leaves(leaves, n_shards, strategy)
-        old_store = old.shards[0].rfs.store
+        tier = old.shards[0].rfs.store.tier
         shard_objs: List[Shard] = []
         for index, leaf_ids in enumerate(assignment.shards):
             shard_rfs = build_shard_structure(base, leaf_ids)
             shard_rfs.attach_store(
-                _rebuilt_store(shard_rfs, old_store), validate=False
+                FeatureStore.build(shard_rfs, tier=tier), validate=False
             )
             shard_rfs.structure_version = base.structure_version
             shard_objs.append(

@@ -313,8 +313,8 @@ class RFSStructure:
         self.result_cache: Optional["SubqueryResultCache"] = None
         # Monotonic version stamped on cached subquery results.  Any
         # change that can alter a subquery's answer — a compaction's
-        # new generation, store attach/detach (the store's dtype
-        # changes the distance arithmetic) — bumps it, so stale cache
+        # new generation, store attach/detach (another store may hold
+        # other rows or scan another tier) — bumps it, so stale cache
         # entries are rejected at read time without a global flush.
         self.structure_version = 0
         # JSON-safe description of how the structure was built (method,
@@ -369,17 +369,16 @@ class RFSStructure:
 
         Replaces the store :meth:`localized_knn` scans and
         :meth:`vectors_for` gathers from — a memory-mapped one lets
-        worker processes share the pages zero-copy, a quantized tier
-        scans 2–4x fewer bytes.  ``validate`` cross-checks shape and
+        worker processes share the pages zero-copy, the int8 tier scans
+        4x fewer bytes.  ``validate`` cross-checks shape and
         per-leaf membership against this structure (skip only for
         stores freshly built from the same structure).
 
         Re-attaching the store that is already attached is a no-op (no
         validation, no version bump), so long-running servers can call
         this defensively.  Attaching a *different* store bumps
-        :attr:`structure_version`: the store's dtype changes the
-        distance arithmetic, so results cached against the previous
-        configuration must not be served.
+        :attr:`structure_version`: results cached against the previous
+        store must not be served.
         """
         if store is self._store:
             return
@@ -421,7 +420,7 @@ class RFSStructure:
         """Tier fingerprint of the store scans read through.
 
         Folded into every subquery cache key: the fingerprint covers the
-        store's dtype, scan tier, and quantization parameters, so cache
+        store's scan tier and quantization parameters, so cache
         entries written under one tier configuration can never alias
         another's — even across a detach/attach cycle that happens to
         restore the same structure version.
@@ -501,9 +500,9 @@ class RFSStructure:
         instead of each holding a pickled copy of the feature matrix.
 
         Delta-segment ids (inserted after the generation was built)
-        resolve from the segment's rows, cast to the store's dtype so
-        downstream centroid arithmetic matches what a rebuilt store
-        holding the same rows would produce.  Tombstoned ids still
+        resolve from the segment's float32 kernel rows, so downstream
+        centroid arithmetic matches what a rebuilt store holding the
+        same rows would produce.  Tombstoned ids still
         resolve — a session may keep a removed image as a query point;
         it just never appears in results again.
         """
@@ -516,9 +515,9 @@ class RFSStructure:
         ):
             return self._vectors_main(ids)
         in_delta = ids >= view.base_rows
+        delta_rows, _ = view.kernel_rows()
         out = np.empty(
-            (ids.shape[0], self.features.shape[1]),
-            dtype=self._delta_kernel_dtype(),
+            (ids.shape[0], self.features.shape[1]), dtype=delta_rows.dtype
         )
         main_ids = ids[~in_delta]
         if main_ids.size:
@@ -529,9 +528,7 @@ class RFSStructure:
             raise NodeNotFoundError(
                 f"item {bad} not present in the structure"
             )
-        out[in_delta] = view.rows[delta_idx].astype(
-            out.dtype, copy=False
-        )
+        out[in_delta] = delta_rows[delta_idx]
         return out
 
     def _vectors_main(self, ids: np.ndarray) -> np.ndarray:
@@ -1010,7 +1007,7 @@ class RFSStructure:
         :func:`~repro.index.geometry.stacked_min_distances` call.  Each
         leaf read is one contiguous block of :attr:`store`, charged to
         the I/O model under ``"localized_knn"`` and scanned by the
-        batched store kernels at the store's dtype and tier (see
+        batched store kernels on the store's tier (see
         :meth:`_scan_leaves`).
 
         With a delta segment attached, one immutable view snapshot
@@ -1119,18 +1116,18 @@ class RFSStructure:
     ) -> np.ndarray:
         """Brute-force delta kernel over the selected live rows.
 
-        Mirrors the main scan's final arithmetic: the rows are cast to
-        the store dtype and run through the same exact kernels
-        (quantized tiers re-rank through the exact store dtype, so that
-        is the tier-independent arithmetic).  No simulated disk I/O is
-        charged — delta rows are RAM-resident by design.
+        Mirrors the main scan's final arithmetic: the float32 rows run
+        through the same exact kernels (the int8 tier re-ranks through
+        the exact float32 rows, so that is the tier-independent
+        arithmetic).  No simulated disk I/O is charged — delta rows are
+        RAM-resident by design.
         """
         from repro.store.kernels import (
             point_distances,
             weighted_point_distances,
         )
 
-        block, sqnorms = view.typed_rows(self._delta_kernel_dtype())
+        block, sqnorms = view.kernel_rows()
         rows = block[sel]
         if weights is None:
             dists = point_distances(
@@ -1144,24 +1141,13 @@ class RFSStructure:
         ).inc(int(sel.shape[0]))
         return dists
 
-    def _delta_kernel_dtype(self) -> np.dtype:
-        """Store dtype delta rows are cast to (gathers and the kernel).
-
-        ``ShardedRFS`` overrides this to report the shard stores'
-        dtype — the router holds no store, but a rebuilt deployment
-        would serve those rows from shard store blocks, so the delta
-        arithmetic must match that dtype for the
-        generational-vs-rebuild parity to hold bit for bit.
-        """
-        return self.store.dtype
-
     def _read_leaf(self, leaf: RFSNode):
         """Charge the I/O model for ``leaf`` and slice its scan block.
 
-        On a quantized tier this serves the compressed scan block and
-        the I/O model is charged the *compressed* byte count
+        On the int8 tier this serves the compressed scan block and the
+        I/O model is charged the *compressed* byte count
         (``block_nbytes`` is tier-aware) — the whole point of the tier:
-        cold scans move 2–4x fewer simulated bytes.
+        cold scans move 4x fewer simulated bytes.
         """
         store = self.store
         miss = self.io.access(
@@ -1198,7 +1184,7 @@ class RFSStructure:
         order, paying only that tier's bytes through the disk model.
         With ε the tier's distance-error bound (zero on ``f32``, the
         measured :class:`repro.store.quantize.QuantizationParams` bound
-        on ``f16``/``int8``) and ``κ̂`` the ``take``-th smallest
+        on ``int8``) and ``κ̂`` the ``take``-th smallest
         phase-1 distance so far:
 
         * an unscanned leaf is skipped only when ``MINDIST > κ̂ + ε``

@@ -15,7 +15,7 @@ never re-computes a float:
 
 1. Leaves are never split across shards, and a shard store's per-leaf
    blocks hold the same rows, in the same order, converted element-wise
-   to the same dtype, as the corresponding single-node store blocks —
+   to float32, as the corresponding single-node store blocks —
    so each per-leaf kernel call sees byte-identical inputs and produces
    bit-identical distances.
 2. A shard scans *its* leaves of the search node with the unchanged
@@ -183,21 +183,14 @@ class ShardedRFS(RFSStructure):
         self.base = base
         self.shards = list(shards)
         self.assignment = assignment
-        dtypes = {s.rfs.store.dtype.name for s in self.shards}
-        if len(dtypes) > 1:
-            raise ConfigurationError(
-                "all shards must agree on store dtype (got "
-                f"{sorted(dtypes)}); mixed backings would change gather "
-                "arithmetic mid-query"
-            )
         # id -> owning shard index, for routing store gathers.
         self._item_shard: Optional[np.ndarray] = None
         # Router fan-out pool.  Oversubscribed relative to the shard
         # count: it is shared by every concurrently-served request (the
         # serving front-end runs several workers over one router), and
-        # shard scans mostly sleep in the disk model or release the GIL
-        # in kernels — with exactly n_shards threads, two concurrent
-        # fan-outs would serialize behind each other.
+        # a shard scan spends part of its time in numpy kernels that
+        # release the GIL — with exactly n_shards threads, two
+        # concurrent fan-outs would serialize behind each other.
         self.parallel_fanout = parallel_fanout
         self._fanout = WorkerPool(
             "thread" if parallel_fanout else "serial",
@@ -256,15 +249,6 @@ class ShardedRFS(RFSStructure):
             if mask.any():
                 out[mask] = shard.rfs.store.vectors_for(ids[mask])
         return out
-
-    def _delta_kernel_dtype(self) -> np.dtype:
-        """Shard store dtype for the delta kernel (router store is None).
-
-        A rebuilt deployment would serve delta rows from shard store
-        blocks, so the brute-force delta kernel must cast them to the
-        same dtype for the generational-vs-rebuild parity to hold.
-        """
-        return self.shards[0].rfs.store.dtype
 
     def invalidate_cache_nodes(self, node_ids: Sequence[int]) -> int:
         """Per-node eviction, broadcast to every shard cache.
@@ -388,7 +372,6 @@ class ShardedEngine(QueryDecompositionEngine):
         seed: RandomState = None,
         io: Optional[DiskAccessCounter] = None,
         store: str = "inmem",
-        store_dtype: str = "float32",
         store_tier: str = "f32",
         cache: Optional[CacheConfig] = None,
         build: Optional[BuildConfig] = None,
@@ -424,9 +407,7 @@ class ShardedEngine(QueryDecompositionEngine):
         for index, leaf_ids in enumerate(assignment.shards):
             shard_rfs = build_shard_structure(base, leaf_ids)
             shard_rfs.attach_store(
-                FeatureStore.build(
-                    shard_rfs, dtype=store_dtype, tier=store_tier
-                ),
+                FeatureStore.build(shard_rfs, tier=store_tier),
                 validate=False,
             )
             # Per-shard stores must not skew version bookkeeping:

@@ -15,23 +15,23 @@ the page cache instead of pickled arrays.
 Pieces:
 
 * :class:`~repro.store.feature_store.FeatureStore` — the permuted
-  matrix, id↔row maps both ways, per-node spans, persistence
-  (``save`` / ``open_store``), and block-read accounting;
+  float32 matrix, id↔row maps both ways, per-node spans, persistence
+  (``save`` / ``FeatureStore.open``), and block-read accounting;
 * :mod:`repro.store.kernels` — fused batched distance kernels
   (:func:`~repro.store.kernels.multipoint_distances` and friends) built
   on the ``‖x‖² + ‖q‖² − 2·x·q`` expansion with cached row norms;
-* :mod:`repro.store.quantize` — optional compressed scan tiers (f16 /
-  int8 scalar quantization with measured error bounds): block scans
-  read 2–4x fewer bytes and an exact float32 re-rank keeps final
-  rankings bit-identical to the uncompressed path;
+* :mod:`repro.store.quantize` — the optional ``int8`` scan tier
+  (scalar quantization with measured error bounds): block scans read
+  4x fewer bytes and an exact float32 re-rank keeps final rankings
+  bit-identical to the uncompressed path;
 * :mod:`repro.store.delta` — the mutation path's write side: an
   append-only delta segment (new feature rows + tombstones) whose
   immutable :class:`~repro.store.delta.DeltaView` snapshots final-round
   scans traverse alongside the main blocks, lock-free.
 
 Every :class:`~repro.index.rfs.RFSStructure` scans through a store: an
-in-RAM float32 one of its own unless another (memory-mapped, quantized,
-float64) is attached with
+in-RAM float32 one of its own unless another (memory-mapped, quantized)
+is attached with
 :meth:`~repro.index.rfs.RFSStructure.attach_store`.  Rankings are
 bit-identical between the ``inmem`` and ``memmap`` backings (same
 bytes, same kernel).
@@ -44,11 +44,9 @@ __all__ = [
     "DeltaView",
     "TombstoneSegment",
     "FeatureStore",
-    "STORE_DTYPES",
     "STORE_FORMAT_VERSION",
     "STORE_TIERS",
     "QuantizationParams",
-    "open_store",
     "quantize_matrix",
     "dequantize",
     "dequantized_sqnorms",
@@ -65,10 +63,8 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.store.delta": ("DeltaSegment", "DeltaView", "TombstoneSegment"),
         "repro.store.feature_store": (
-            "STORE_DTYPES",
             "STORE_FORMAT_VERSION",
             "FeatureStore",
-            "open_store",
         ),
         "repro.store.kernels": (
             "approx_point_distances",

@@ -63,7 +63,7 @@ class DeltaView:
         "dead_main_leaves",
         "epoch",
         "_live_idx",
-        "_typed",
+        "_kernel_rows",
         "_live_sel",
         "_dead_sel",
     )
@@ -86,7 +86,7 @@ class DeltaView:
         self.dead_main_leaves = dead_main_leaves
         self.epoch = int(epoch)
         self._live_idx: Optional[np.ndarray] = None
-        self._typed: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._kernel_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._live_sel: Dict[int, np.ndarray] = {}
         self._dead_sel: Dict[int, np.ndarray] = {}
 
@@ -162,24 +162,22 @@ class DeltaView:
         return dead
 
     # -- row access ------------------------------------------------------
-    def typed_rows(self, dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:
-        """All delta rows cast to ``dtype`` plus their squared norms.
+    def kernel_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """All delta rows as float32 plus their squared norms.
 
-        Cached per dtype on the (immutable) view, so repeated scans of
-        a hot store configuration pay the cast once.  The cast matches
-        what :meth:`repro.store.feature_store.FeatureStore.build` does
-        to the same float64 rows — bit-identical stored values — and
-        the norms come from the same ``einsum`` reduction, so the delta
-        kernel's inputs equal what a rebuilt store would hold.
+        Cached on the (immutable) view, so repeated scans pay the cast
+        once.  The cast matches what
+        :meth:`repro.store.feature_store.FeatureStore.build` does to the
+        same float64 rows — bit-identical stored values — and the norms
+        come from the same ``einsum`` reduction, so the delta kernel's
+        inputs (and the gathered query points) equal what a rebuilt
+        store would hold.
         """
-        dt = np.dtype(dtype)
-        cached = self._typed.get(dt.name)
-        if cached is None:
-            block = np.ascontiguousarray(self.rows, dtype=dt)
+        if self._kernel_rows is None:
+            block = np.ascontiguousarray(self.rows, dtype=np.float32)
             sqnorms = np.einsum("ij,ij->i", block, block)
-            cached = (block, sqnorms)
-            self._typed[dt.name] = cached
-        return cached
+            self._kernel_rows = (block, sqnorms)
+        return self._kernel_rows
 
     def contains_delta(self, image_id: int) -> bool:
         """Whether ``image_id`` names a delta row (live or dead)."""

@@ -21,20 +21,25 @@ Because both backings hold identical bytes and the same kernels consume
 them, rankings are bit-identical between the two (the store parity
 tests assert this under the serial, thread, and process executors).
 
-A store may additionally carry a compressed **scan tier** (``f16`` or
-``int8`` scalar-quantized codes of the same rows, see
+Rows are always float32.  A store may additionally carry the ``int8``
+**scan tier** (scalar-quantized codes of the same rows, see
 :mod:`repro.store.quantize`): leaf block scans then read the compressed
-codes — 2–4x fewer bytes through the disk model — and the final ranking
+codes — 4x fewer bytes through the disk model — and the final ranking
 is recovered bit-identically by re-ranking a provably sufficient
 candidate set through the exact matrix (the ε-bound contract documented
 in :mod:`repro.store.quantize`).
 
 Disk layout of a saved store directory::
 
-    <dir>/features.bin   raw C-order matrix bytes (np.memmap target)
-    <dir>/codes.bin      compressed scan-tier codes (quantized tiers)
-    <dir>/meta.npz       permutation maps, node spans, shape, dtype,
-                         tier tag + quantization params + cached norms
+    <dir>/features.bin   raw C-order float32 bytes (np.memmap target)
+    <dir>/codes.bin      int8 scan-tier codes (int8 tier only)
+    <dir>/meta.npz       permutation maps, node spans, shape, dtype tag
+                         (always "float32"), tier tag + quantization
+                         params + cached norms
+
+``open`` refuses a ``dtype`` tag other than ``float32`` and a tier tag
+other than ``f32`` / ``int8`` before mapping anything: the bytes would
+otherwise be reinterpreted as some other number format.
 
 Pickling contract (zero-copy worker sharing): a ``memmap`` store
 serialises only its metadata and path — unpickling reopens the mapping,
@@ -73,9 +78,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Version-1 directories still open — they simply carry no scan tier.
 STORE_FORMAT_VERSION = 2
 
-#: Dtypes a store may hold.  float32 halves memory traffic through the
-#: distance kernels; float64 matches the in-memory matrix bit-for-bit.
-STORE_DTYPES: Tuple[str, ...] = ("float32", "float64")
+#: The one number format of the exact rows (the ``dtype`` tag in
+#: ``meta.npz``), and of the codes the ``int8`` tier scans.
+_ROW_DTYPE = np.dtype(np.float32)
+_CODE_DTYPE = np.dtype(np.int8)
 
 _FEATURES_FILE = "features.bin"
 _CODES_FILE = "codes.bin"
@@ -86,9 +92,6 @@ _META_FILE = "meta.npz"
 #: the true top-k); it is a safety floor so the re-rank gather
 #: amortizes over a few extra rows.
 RERANK_MARGIN = 32
-
-#: Tier tag -> numpy dtype of the stored codes.
-_TIER_CODE_DTYPE = {"f16": np.float16, "int8": np.int8}
 
 
 def _dfs_leaves(node: "RFSNode") -> Iterator["RFSNode"]:
@@ -106,7 +109,8 @@ class FeatureStore:
     Parameters
     ----------
     matrix:
-        (n, d) permuted feature matrix (read-only, C-contiguous).
+        (n, d) permuted float32 feature matrix (read-only,
+        C-contiguous).
     id_of_row:
         (n,) image id stored at each row.
     row_of_id:
@@ -120,8 +124,8 @@ class FeatureStore:
         it on unpickling); ``None`` for never-saved in-RAM stores.
     tier:
         Scan tier — ``"f32"`` (scans read the exact matrix, the
-        default) or ``"f16"`` / ``"int8"`` (scans read ``codes`` and
-        re-rank through the exact matrix).
+        default) or ``"int8"`` (scans read ``codes`` and re-rank
+        through the exact matrix).
     codes / quant:
         The compressed (n, d) code matrix and its
         :class:`~repro.store.quantize.QuantizationParams`; both ``None``
@@ -150,6 +154,11 @@ class FeatureStore:
         if tier != "f32" and (codes is None or quant is None):
             raise ConfigurationError(
                 f"tier {tier!r} needs codes and quantization params"
+            )
+        if matrix.dtype != _ROW_DTYPE:
+            raise StoreCodecError(
+                f"store rows must be {_ROW_DTYPE.name}, got "
+                f"{matrix.dtype.name}"
             )
         self.matrix = matrix
         self.id_of_row = id_of_row
@@ -187,25 +196,18 @@ class FeatureStore:
         cls,
         rfs: "RFSStructure",
         *,
-        dtype: str | np.dtype = "float32",
         tier: str = "f32",
     ) -> "FeatureStore":
-        """Build a store from a built RFS structure.
+        """Build a float32 store from a built RFS structure.
 
         Walks the leaves in depth-first order, concatenates their member
         ids into the row permutation, and registers one contiguous span
         per node (leaves *and* internal nodes — DFS order makes every
-        subtree contiguous).  ``tier`` additionally quantizes a
-        compressed scan copy of the permuted rows (``"f16"`` or
-        ``"int8"``; see :mod:`repro.store.quantize`) — final rankings
-        stay bit-identical to ``"f32"``, block scans read 2–4x fewer
-        bytes.
+        subtree contiguous).  ``tier="int8"`` additionally quantizes a
+        compressed scan copy of the permuted rows (see
+        :mod:`repro.store.quantize`) — final rankings stay
+        bit-identical to ``"f32"``, block scans read 4x fewer bytes.
         """
-        dt = np.dtype(dtype)
-        if dt.name not in STORE_DTYPES:
-            raise ConfigurationError(
-                f"store dtype must be one of {STORE_DTYPES}, got {dt.name!r}"
-            )
         if tier not in STORE_TIERS:
             raise ConfigurationError(
                 f"store tier must be one of {STORE_TIERS}, got {tier!r}"
@@ -239,7 +241,9 @@ class FeatureStore:
                     "members)"
                 )
             spans[node.node_id] = (start, stop)
-        matrix = np.ascontiguousarray(rfs.features[id_of_row], dtype=dt)
+        matrix = np.ascontiguousarray(
+            rfs.features[id_of_row], dtype=_ROW_DTYPE
+        )
         matrix.setflags(write=False)
         id_of_row.setflags(write=False)
         row_of_id.setflags(write=False)
@@ -274,7 +278,7 @@ class FeatureStore:
 
     @property
     def dtype(self) -> np.dtype:
-        """Storage dtype of the matrix."""
+        """Storage dtype of the matrix (always float32)."""
         return self.matrix.dtype
 
     @property
@@ -304,14 +308,16 @@ class FeatureStore:
     def fingerprint(self) -> str:
         """Digest of everything tier-shaped about this store.
 
-        Dtype name, tier tag, and (for quantized tiers) the quantization
-        parameter digest.  Folded into the subquery cache key so entries
-        computed against one tier configuration can never be served to
-        another (see :func:`repro.cache.result_cache.subquery_cache_key`).
+        Row dtype name (always ``float32``; hashed so fingerprints and
+        cache keys stay what they were when other dtypes existed), tier
+        tag, and (on ``int8``) the quantization parameter digest.
+        Folded into the subquery cache key so entries computed against
+        one tier configuration can never be served to another (see
+        :func:`repro.cache.result_cache.subquery_cache_key`).
         """
         if self._fingerprint is None:
             digest = hashlib.blake2b(digest_size=12)
-            digest.update(self.dtype.name.encode())
+            digest.update(_ROW_DTYPE.name.encode())
             digest.update(self.tier.encode())
             if self.quant is not None:
                 digest.update(self.quant.fingerprint().encode())
@@ -541,7 +547,7 @@ class FeatureStore:
             target / _META_FILE,
             format_version=np.int64(STORE_FORMAT_VERSION),
             shape=np.array(self.matrix.shape, dtype=np.int64),
-            dtype=np.array(self.dtype.name),
+            dtype=np.array(_ROW_DTYPE.name),
             tier=np.array(self.tier),
             sqnorms=np.ascontiguousarray(self.sqnorms),
             id_of_row=self.id_of_row,
@@ -564,6 +570,10 @@ class FeatureStore:
         is read until a block is touched); ``inmem`` reads the same
         bytes fully into RAM.  Either way the matrix holds identical
         bits, so rankings cannot differ between the two modes.
+
+        A ``dtype`` tag other than ``float32`` or a tier tag other than
+        ``f32`` / ``int8`` raises :class:`~repro.errors.StoreCodecError`
+        before any file is mapped.
         """
         if mode not in ("memmap", "inmem"):
             raise ConfigurationError(
@@ -584,8 +594,14 @@ class FeatureStore:
                     f"(this build reads versions 1-{STORE_FORMAT_VERSION})"
                 )
             shape = tuple(int(v) for v in meta["shape"])
-            dtype = np.dtype(str(meta["dtype"]))
-            # Version 1 predates scan tiers: exact-f32/f64 rows only.
+            dtype_tag = str(meta["dtype"])
+            if dtype_tag != _ROW_DTYPE.name:
+                raise StoreCodecError(
+                    f"unsupported store dtype tag {dtype_tag!r} (this "
+                    f"build reads {_ROW_DTYPE.name!r} rows only); "
+                    "refusing to reinterpret the bytes"
+                )
+            # Version 1 predates scan tiers: exact rows only.
             tier = str(meta["tier"]) if version >= 2 else "f32"
             if tier not in STORE_TIERS:
                 raise StoreCodecError(
@@ -617,25 +633,24 @@ class FeatureStore:
                 )
                 dq_sq = meta["dq_sqnorms"].copy()
                 dq_sq.setflags(write=False)
-        expected = shape[0] * shape[1] * dtype.itemsize
+        expected = shape[0] * shape[1] * _ROW_DTYPE.itemsize
         actual = bin_path.stat().st_size
         if actual != expected:
             raise DatasetError(
                 f"store data file holds {actual} bytes, expected "
-                f"{expected} for shape {shape} {dtype.name}"
+                f"{expected} for shape {shape} {_ROW_DTYPE.name}"
             )
         if mode == "memmap":
             matrix: np.ndarray = np.memmap(
-                bin_path, dtype=dtype, mode="r", shape=shape
+                bin_path, dtype=_ROW_DTYPE, mode="r", shape=shape
             )
         else:
-            matrix = np.fromfile(bin_path, dtype=dtype).reshape(shape)
+            matrix = np.fromfile(bin_path, dtype=_ROW_DTYPE).reshape(shape)
             matrix.setflags(write=False)
         codes: Optional[np.ndarray] = None
         if tier != "f32":
             codes_path = source / _CODES_FILE
-            code_dtype = np.dtype(_TIER_CODE_DTYPE[tier])
-            expected_codes = shape[0] * shape[1] * code_dtype.itemsize
+            expected_codes = shape[0] * shape[1] * _CODE_DTYPE.itemsize
             if (
                 not codes_path.exists()
                 or codes_path.stat().st_size != expected_codes
@@ -646,11 +661,11 @@ class FeatureStore:
                 )
             if mode == "memmap":
                 codes = np.memmap(
-                    codes_path, dtype=code_dtype, mode="r", shape=shape
+                    codes_path, dtype=_CODE_DTYPE, mode="r", shape=shape
                 )
             else:
                 codes = np.fromfile(
-                    codes_path, dtype=code_dtype
+                    codes_path, dtype=_CODE_DTYPE
                 ).reshape(shape)
                 codes.setflags(write=False)
         id_of_row.setflags(write=False)
@@ -697,10 +712,3 @@ class FeatureStore:
             self.codes = reopened.codes
             self._sqnorms = reopened._sqnorms
             self._dq_sqnorms = reopened._dq_sqnorms
-
-
-def open_store(
-    directory: str | Path, *, mode: str = "memmap"
-) -> FeatureStore:
-    """Module-level alias for :meth:`FeatureStore.open`."""
-    return FeatureStore.open(directory, mode=mode)

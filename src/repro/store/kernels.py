@@ -177,7 +177,7 @@ def approx_point_distances(
     *,
     dq_sqnorms: np.ndarray,
 ) -> np.ndarray:
-    """(n,) distances from *reconstructed* tier codes to one point.
+    """(n,) distances from *reconstructed* int8 codes to one point.
 
     The quantized scan path's kernel: distances to the dequantized rows
     ``x̂``, within ``params.err_bound`` of the exact distances (see
@@ -192,22 +192,17 @@ def approx_point_distances(
     """
     t0 = time.perf_counter()
     q = np.asarray(query, dtype=np.float32)
-    if params.tier == "int8":
-        scaled_q = params.scale * q
-        shifted = codes.astype(np.float32)
-        shifted += 128.0
-        dists = shifted @ scaled_q
-        dists += float(params.offset @ q)
-        kernel = "int8_point"
-    else:  # f16: dequantize is a plain cast
-        dists = codes.astype(np.float32) @ q
-        kernel = "f16_point"
+    scaled_q = params.scale * q
+    shifted = codes.astype(np.float32)
+    shifted += 128.0
+    dists = shifted @ scaled_q
+    dists += float(params.offset @ q)
     dists *= -2.0
     dists += dq_sqnorms
     dists += q @ q
     np.maximum(dists, 0.0, out=dists)
     np.sqrt(dists, out=dists)
-    _observe(t0, codes.shape[0], kernel)
+    _observe(t0, codes.shape[0], "int8_point")
     return dists
 
 
@@ -217,7 +212,7 @@ def approx_weighted_point_distances(
     params,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """(n,) weighted distances from reconstructed tier codes to a point.
+    """(n,) weighted distances from reconstructed int8 codes to a point.
 
     Like :func:`weighted_point_distances`, the diagonal metric does not
     factor through cached norms, so the block is dequantized and the
@@ -235,7 +230,7 @@ def approx_weighted_point_distances(
     dists = diff @ w
     np.maximum(dists, 0.0, out=dists)
     np.sqrt(dists, out=dists)
-    _observe(t0, codes.shape[0], f"{params.tier}_weighted_point")
+    _observe(t0, codes.shape[0], "int8_weighted_point")
     return dists
 
 

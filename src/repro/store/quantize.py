@@ -1,18 +1,13 @@
 """Scalar quantization for the compressed store scan tier.
 
-A :class:`FeatureStore` can carry, next to its exact float32/float64
-matrix, a *compressed* copy of the same rows — the **scan tier** — that
-the leaf block scans read instead of the exact bytes:
-
-``int8``
-    Per-dimension min/max affine codes.  Each dimension ``d`` stores a
-    ``scale_d = (max_d - min_d) / 255`` and ``offset_d = min_d``; a
-    value quantizes to ``round((x - offset_d) / scale_d)`` shifted into
-    the signed int8 range.  4x smaller than float32, worst-case
-    per-dimension reconstruction error ``scale_d / 2``.
-``f16``
-    IEEE half precision (``np.float16``).  2x smaller than float32,
-    value-dependent roundoff error.
+A :class:`FeatureStore` can carry, next to its exact float32 matrix, a
+*compressed* copy of the same rows — the ``int8`` **scan tier** — that
+the leaf block scans read instead of the exact bytes: per-dimension
+min/max affine codes.  Each dimension ``d`` stores a
+``scale_d = (max_d - min_d) / 255`` and ``offset_d = min_d``; a value
+quantizes to ``round((x - offset_d) / scale_d)`` shifted into the
+signed int8 range.  4x smaller than float32, worst-case per-dimension
+reconstruction error ``scale_d / 2``.
 
 Exactness contract — the reason this module records **error bounds**:
 the scan computes *approximate* distances on dequantized codes, but the
@@ -56,14 +51,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.config import STORE_TIERS
 from repro.errors import ConfigurationError, StoreCodecError
-
-#: Scan tiers a store may carry.  ``f32`` means "no compressed tier":
-#: scans read the exact matrix directly (the pre-quantization behaviour).
-STORE_TIERS: Tuple[str, ...] = ("f32", "f16", "int8")
-
-#: Bytes per element each tier's scan path reads.
-TIER_ITEMSIZE = {"f32": 4, "f16": 2, "int8": 1}
 
 
 @dataclass(frozen=True)
@@ -73,12 +62,11 @@ class QuantizationParams:
     Attributes
     ----------
     tier:
-        ``"f16"`` or ``"int8"`` (``"f32"`` stores carry no params).
+        ``"int8"`` (``"f32"`` stores carry no params); hashed into
+        :meth:`fingerprint`, so cache keys name the tier.
     scale / offset:
         (d,) float32 affine reconstruction arrays; int8 codes decode as
-        ``(code + 128) * scale + offset``.  For ``f16`` both are
-        identity placeholders (scale 1, offset 0) — kept so the cache
-        fingerprint and the on-disk format are uniform across tiers.
+        ``(code + 128) * scale + offset``.
     dim_err:
         (d,) float64 measured max absolute reconstruction error per
         dimension (``max_rows |x̂ - x|``).
@@ -124,41 +112,27 @@ def quantize_matrix(
 ) -> Tuple[np.ndarray, QuantizationParams]:
     """Compress ``matrix`` into ``tier`` codes with measured error bounds.
 
-    Returns ``(codes, params)``; ``codes`` is (n, d) ``int8`` or
-    ``float16``.  Constant dimensions get scale 1.0 (every value maps to
-    code 0 and reconstructs exactly), so the affine decode never divides
-    by zero and ``dim_err`` stays 0 there.
+    Returns ``(codes, params)``; ``codes`` is (n, d) ``int8``, and
+    ``int8`` is the only quantizable tier.  Constant dimensions get
+    scale 1.0 (every value maps to code 0 and reconstructs exactly), so
+    the affine decode never divides by zero and ``dim_err`` stays 0
+    there.
     """
-    if tier not in ("f16", "int8"):
+    if tier != "int8":
         raise ConfigurationError(
-            f"quantizable tiers are 'f16' and 'int8', got {tier!r}"
+            f"the quantizable tier is 'int8', got {tier!r}"
         )
     src = np.asarray(matrix, dtype=np.float32)
-    if tier == "f16":
-        # Clamp to the finite f16 range: an overflow would make the
-        # measured error bound infinite and degrade every scan to a
-        # full re-rank (still correct, never fast).
-        f16_max = np.float32(np.finfo(np.float16).max)
-        codes = np.clip(src, -f16_max, f16_max).astype(np.float16)
-        dims = src.shape[1]
-        scale = np.ones(dims, dtype=np.float32)
-        offset = np.zeros(dims, dtype=np.float32)
-        dim_err = np.max(
-            np.abs(codes.astype(np.float32) - src), axis=0
-        ).astype(np.float64)
-    else:
-        lo = src.min(axis=0).astype(np.float32)
-        hi = src.max(axis=0).astype(np.float32)
-        scale = (hi - lo) / 255.0
-        scale = np.where(scale > 0, scale, np.float32(1.0)).astype(
-            np.float32
-        )
-        offset = lo
-        steps = np.rint((src - offset) / scale)
-        np.clip(steps, 0.0, 255.0, out=steps)
-        codes = (steps - 128.0).astype(np.int8)
-        recon = (steps * scale + offset).astype(np.float32)
-        dim_err = np.max(np.abs(recon - src), axis=0).astype(np.float64)
+    lo = src.min(axis=0).astype(np.float32)
+    hi = src.max(axis=0).astype(np.float32)
+    scale = (hi - lo) / 255.0
+    scale = np.where(scale > 0, scale, np.float32(1.0)).astype(np.float32)
+    offset = lo
+    steps = np.rint((src - offset) / scale)
+    np.clip(steps, 0.0, 255.0, out=steps)
+    codes = (steps - 128.0).astype(np.int8)
+    recon = (steps * scale + offset).astype(np.float32)
+    dim_err = np.max(np.abs(recon - src), axis=0).astype(np.float64)
     codes.setflags(write=False)
     err_bound = float(np.sqrt(np.sum(dim_err * dim_err)))
     return codes, QuantizationParams(
@@ -171,16 +145,14 @@ def quantize_matrix(
 
 
 def dequantize(codes: np.ndarray, params: QuantizationParams) -> np.ndarray:
-    """Reconstruct float32 rows from tier codes."""
-    if params.tier == "f16":
-        return codes.astype(np.float32)
-    if params.tier == "int8":
-        shifted = codes.astype(np.float32)
-        shifted += 128.0
-        shifted *= params.scale
-        shifted += params.offset
-        return shifted
-    raise StoreCodecError(f"unknown quantization tier {params.tier!r}")
+    """Reconstruct float32 rows from int8 codes."""
+    if params.tier != "int8":
+        raise StoreCodecError(f"unknown quantization tier {params.tier!r}")
+    shifted = codes.astype(np.float32)
+    shifted += 128.0
+    shifted *= params.scale
+    shifted += params.offset
+    return shifted
 
 
 def dequantized_sqnorms(
@@ -200,7 +172,6 @@ def dequantized_sqnorms(
 
 __all__ = [
     "STORE_TIERS",
-    "TIER_ITEMSIZE",
     "QuantizationParams",
     "quantize_matrix",
     "dequantize",

@@ -139,7 +139,7 @@ class TestCacheKey:
         )
         assert bare != tagged
         assert tagged != subquery_cache_key(
-            1, points, 10, 0.4, store_fingerprint="float32:f16:def"
+            1, points, 10, 0.4, store_fingerprint="float32:f32:def"
         )
 
 
@@ -552,13 +552,13 @@ class TestStoreSwapInvalidation:
             return sig, delta["hits"] - before["hits"]
 
         sigs = {}
-        for tier in ("int8", "f32", "f16"):
+        for tier in ("int8", "f32"):
             sigs[tier], hits = run(tier)
             assert hits == 0, f"tier {tier} aliased another tier's entries"
         # The tiers' final rankings agree (the parity contract) — which
         # is exactly why aliasing would go unnoticed without the
         # fingerprint guard on intermediate results.
-        assert sigs["int8"] == sigs["f32"] == sigs["f16"]
+        assert sigs["int8"] == sigs["f32"]
         _, rerun_hits = run("int8")
         assert rerun_hits > 0
 

@@ -21,6 +21,7 @@ from repro.errors import ConfigurationError
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import RFSStructure
 from repro.index.rstar import RStarTree
+from repro.shard.engine import ShardedEngine
 from repro.store import FeatureStore
 from tests.reference_build import structure_digest
 
@@ -151,11 +152,15 @@ SETTABLE_SURFACE = {
     "RStarTree": ["dims", "max_entries", "io"],
     "kmeans": ["data", "k", "seed", "n_restarts", "max_iter", "tol"],
     "KMeans": ["k", "seed", "n_restarts", "max_iter", "tol"],
-    "FeatureStore.build": ["rfs", "dtype", "tier"],
+    "FeatureStore.build": ["rfs", "tier"],
     "QueryDecompositionEngine.build": [
         "database", "rfs_config", "qd_config", "seed", "io", "store",
-        "store_dtype", "store_tier", "cache", "build", "mutations",
-        "progress",
+        "store_tier", "cache", "build", "mutations", "progress",
+    ],
+    "ShardedEngine.build": [
+        "database", "rfs_config", "qd_config", "shards", "partition",
+        "parallel_fanout", "seed", "io", "store", "store_tier", "cache",
+        "build", "mutations", "progress",
     ],
 }
 
@@ -167,6 +172,7 @@ _SIGNATURES = {
     "FeatureStore.build": FeatureStore.build,
     "QueryDecompositionEngine.build": QueryDecompositionEngine.build,
     "RStarTree": RStarTree,
+    "ShardedEngine.build": ShardedEngine.build,
 }
 
 
@@ -197,23 +203,40 @@ class TestSettableSurface:
         assert _parameters(_SIGNATURES[name]) == SETTABLE_SURFACE[name]
 
     def test_build_rfs_flags_are_pinned(self):
-        (commands,) = [
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        flags = [
-            action.dest
-            for action in commands.choices["build-rfs"]._actions
-            if action.dest != "help"
-        ]
-        assert flags == BUILD_RFS_FLAGS
+        assert _command_flags("build-rfs") == BUILD_RFS_FLAGS
+
+    def test_build_store_flags_are_pinned(self):
+        assert _command_flags("build-store") == BUILD_STORE_FLAGS
+
+    def test_store_tiers_are_pinned(self):
+        # Rows are float32; the one compressed scan tier is int8.
+        assert config.STORE_TIERS == ("f32", "int8")
+
+
+def _command_flags(command):
+    """A ``repro-cbir`` subcommand's options, by destination."""
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return [
+        action.dest
+        for action in commands.choices[command]._actions
+        if action.dest != "help"
+    ]
 
 
 #: ``repro-cbir build-rfs``'s options, by destination.
 BUILD_RFS_FLAGS = [
     "db", "out", "seed", "node_max", "method", "build_executor",
     "build_workers", "progress",
+]
+
+#: ``repro-cbir build-store``'s options, by destination.
+BUILD_STORE_FLAGS = [
+    "db", "rfs", "out", "tier", "seed", "build_executor", "build_workers",
+    "progress",
 ]
 
 #: A value other than the default for every ``RFSConfig`` field.  A new

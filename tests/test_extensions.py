@@ -301,6 +301,50 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "precision" in out
 
+    def test_store_commands_round_trip(self, db_path, tmp_path, capsys):
+        rfs_path = tmp_path / "rfs.npz"
+        store_dir = tmp_path / "store"
+        assert cli_main([
+            "build-rfs", "--db", str(db_path), "--out", str(rfs_path),
+        ]) == 0
+        assert cli_main([
+            "build-store", "--db", str(db_path), "--rfs", str(rfs_path),
+            "--out", str(store_dir), "--tier", "int8",
+        ]) == 0
+        capsys.readouterr()
+        assert cli_main(["store", "info", "--path", str(store_dir)]) == 0
+        info = capsys.readouterr().out
+        assert "dtype:             float32" in info
+        assert "tier:              int8" in info
+        assert "compression:       4.00x" in info
+        query = [
+            "query", "--db", str(db_path), "--rfs", str(rfs_path),
+            "--query", "bird", "--seed", "2", "--k", "20",
+        ]
+        assert cli_main(
+            query + ["--store", "memmap", "--store-path", str(store_dir)]
+        ) == 0
+        from_store = capsys.readouterr().out
+        assert cli_main(query + ["--store", "inmem"]) == 0
+        in_memory = capsys.readouterr().out
+        assert "precision" in from_store and "GTIR" in from_store
+        assert from_store == in_memory
+
+    @pytest.mark.parametrize(
+        "flags", [["--tier", "f16"], ["--dtype", "float64"]],
+        ids=["tier-f16", "dtype"],
+    )
+    def test_build_store_refuses_removed_formats(
+        self, db_path, tmp_path, capsys, flags
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "build-store", "--db", str(db_path),
+                "--out", str(tmp_path / "store"), *flags,
+            ])
+        assert exc.value.code == 2
+        assert not (tmp_path / "store").exists()
+
     def test_query_without_prebuilt_rfs(self, db_path, capsys):
         assert cli_main([
             "query", "--db", str(db_path), "--query", "bird",

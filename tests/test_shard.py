@@ -189,21 +189,6 @@ class TestShardedRFS:
         with pytest.raises(ConfigurationError):
             router.attach_store(FeatureStore.build(base_rfs))
 
-    def test_rejects_mixed_shard_backings(self, database, base_rfs):
-        leaves = dfs_leaves(base_rfs.root)
-        cut = len(leaves) // 2
-        single = build_shard_structure(
-            base_rfs, [leaf.node_id for leaf in leaves[:cut]]
-        )
-        double = build_shard_structure(
-            base_rfs, [leaf.node_id for leaf in leaves[cut:]]
-        )
-        double.attach_store(
-            FeatureStore.build(double, dtype="float64"), validate=False
-        )
-        with pytest.raises(ConfigurationError):
-            ShardedRFS(base_rfs, [Shard(0, single), Shard(1, double)])
-
     def test_vectors_for_matches_global_store(self, router, base_rfs):
         global_store = FeatureStore.build(base_rfs)
         ids = np.arange(0, N_IMAGES, 7, dtype=np.int64)

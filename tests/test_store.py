@@ -31,7 +31,6 @@ from repro.retrieval.topk import top_pairs
 from repro.store import (
     FeatureStore,
     multipoint_distances,
-    open_store,
     pairwise_distances,
     point_distances,
     weighted_point_distances,
@@ -99,9 +98,10 @@ class TestBuild:
 
     def test_matrix_is_permuted_features(self, built):
         database, rfs = built
-        store = FeatureStore.build(rfs, dtype="float64")
+        store = FeatureStore.build(rfs)
         assert np.array_equal(
-            np.asarray(store.matrix), database.features[store.id_of_row]
+            np.asarray(store.matrix),
+            database.features[store.id_of_row].astype(np.float32),
         )
 
     def test_default_dtype_float32_contiguous_readonly(self, built):
@@ -110,11 +110,6 @@ class TestBuild:
         assert store.dtype == np.float32
         assert store.matrix.flags["C_CONTIGUOUS"]
         assert not store.matrix.flags["WRITEABLE"]
-
-    def test_rejects_unknown_dtype(self, built):
-        _, rfs = built
-        with pytest.raises(ConfigurationError):
-            FeatureStore.build(rfs, dtype="int16")
 
     def test_leaf_node_of_matches_tree_descent(self, built):
         # The structure's item -> leaf map must agree with the store
@@ -138,15 +133,6 @@ class TestBuild:
         assert np.allclose(store.sqnorms, expected)
         assert store.sqnorms is store.sqnorms  # cached object
 
-    def test_database_convenience_wrapper(self, built):
-        database, rfs = built
-        store = database.build_feature_store(rfs)
-        assert store.n_rows == database.size
-        other = np.zeros_like(database.features)
-        foreign = RFSStructure.build(other, RFSConfig(), seed=1)
-        with pytest.raises(DatasetError):
-            database.build_feature_store(foreign)
-
 
 # ----------------------------------------------------------------------
 # Save -> load roundtrip
@@ -168,7 +154,7 @@ class TestRoundtrip:
 
     def test_roundtrip_inmem_bitwise(self, saved_store):
         _, store, directory = saved_store
-        loaded = open_store(directory, mode="inmem")
+        loaded = FeatureStore.open(directory, mode="inmem")
         assert loaded.kind == "inmem"
         assert np.array_equal(
             np.asarray(loaded.matrix), np.asarray(store.matrix)
@@ -407,12 +393,13 @@ class TestStoreScan:
 
     def test_vectors_for_uses_store(self, built):
         database, rfs = built
-        store = FeatureStore.build(rfs, dtype="float64")
+        store = FeatureStore.build(rfs)
         rfs.attach_store(store)
         try:
             ids = np.array([3, 141, 590])
             assert np.array_equal(
-                rfs.vectors_for(ids), database.features[ids]
+                rfs.vectors_for(ids),
+                database.features[ids].astype(np.float32),
             )
         finally:
             rfs.detach_store()
