@@ -96,6 +96,18 @@ if git grep -nE -e 'store_dtype|STORE_DTYPES|_delta_kernel_dtype' \
         "==" >&2
     exit 1
 fi
+# Each write path has one implementation.  Sessions are kept in memory
+# or in SQLite: the JSON-directory store, whose conditional write two
+# processes could both win, was deleted.  Index mutations and
+# compaction swaps serialize on one lock: the epoch guard's read lease
+# had no caller, and the retired-generation window is the constant
+# generations.MAX_RETIRED, not a setting only tests changed.
+if git grep -nE 'jsondir|JSONDirectorySessionStore|EpochGuard|max_retired' \
+        -- src/; then
+    echo "== one session store per durability, one mutation lock, no" \
+        "retired-window setting ==" >&2
+    exit 1
+fi
 # (Each name is spelled with one bracketed letter so this file does
 # not match its own pattern.)
 if git grep -nE -e 'page_read_latenc[y]|read_bandwidth_bytes_per_[s]' \
@@ -206,7 +218,7 @@ run_gate "build parity" tests/test_build_parallel.py Parity \
 # show up as passed.
 run_gate "session resume" tests/test_sessionstore.py Parity \
     TestResumeParity TestHotPathParity
-# f16/int8 rankings bit-identical to pure float32 across executors,
+# int8 rankings bit-identical to pure float32 across executors,
 # backings, cached reruns, and tombstones.
 run_gate "quantized parity" tests/test_store_quantized.py Parity
 # Rankings from a sharded router bit-identical to single-node for every

@@ -493,8 +493,8 @@ def _add_session_flags(
         "--session-path",
         metavar="PATH",
         help=(
-            "session-store location: database file for sqlite, record "
-            "directory for jsondir (unused by memory)"
+            "session-store location: database file for sqlite (unused "
+            "by memory)"
         ),
     )
 

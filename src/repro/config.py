@@ -239,7 +239,7 @@ class CacheConfig:
 
 #: Session-store backends accepted by the CLI ``--session-store`` flag
 #: (see :mod:`repro.sessionstore`).
-SESSION_STORE_KINDS: tuple[str, ...] = ("memory", "sqlite", "jsondir")
+SESSION_STORE_KINDS: tuple[str, ...] = ("memory", "sqlite")
 
 
 @dataclass(frozen=True)
@@ -331,27 +331,17 @@ class MutationConfig:
         writes keep flowing against the old generation; the swap
         replays rows that landed mid-build).  Synchronous by default —
         deterministic and simplest to reason about in tests.
-    max_retired:
-        How many retired generations to keep addressable for sessions
-        pinned to an older ``structure_version``.  Oldest entries are
-        dropped beyond this (their sessions then fail staleness
-        fencing, exactly like before this subsystem existed).
     """
 
     auto_compact: bool = True
     compact_threshold: int = 256
     background: bool = False
-    max_retired: int = 4
 
     def __post_init__(self) -> None:
         if self.compact_threshold < 1:
             raise ConfigurationError(
                 f"compact_threshold must be >= 1, got "
                 f"{self.compact_threshold}"
-            )
-        if self.max_retired < 0:
-            raise ConfigurationError(
-                f"max_retired must be >= 0, got {self.max_retired}"
             )
 
 

@@ -231,7 +231,8 @@ class QueryDecompositionEngine:
         ``(id(rfs), mutation_epoch)``, so it re-forks lazily on the
         next subquery; nothing else holds the old structure except the
         sessions pinned to it — so the hot copies go, or one could keep
-        a generation alive after it left the ``max_retired`` window.
+        a generation alive after it left the retired window
+        (:data:`~repro.index.generations.MAX_RETIRED`).
         """
         self.rfs = rfs
         self._clear_hot_sessions()
@@ -255,14 +256,6 @@ class QueryDecompositionEngine:
     def remove_image(self, image_id: int) -> None:
         """Remove an image by id (tombstone; compaction reclaims it)."""
         self._require_mutations().remove(image_id)
-
-    def compact_index(self) -> Optional[int]:
-        """Force a compaction now; returns the new structure version.
-
-        Returns ``None`` when the delta is empty.  Normally compaction
-        triggers itself at ``MutationConfig.compact_threshold``.
-        """
-        return self._require_mutations().compact()
 
     @property
     def executor(self) -> SubqueryExecutor:
@@ -389,8 +382,8 @@ class QueryDecompositionEngine:
         now-compacted generation resumes against that *retired*
         generation (image ids are stable across swaps, so its marks
         and query points stay valid) — until the generation falls out
-        of the ``max_retired`` window, at which point the usual
-        staleness fencing rejects it.
+        of the retired window (``generations.MAX_RETIRED``), at which
+        point the usual staleness fencing rejects it.
         """
         store = self._session_store
         if store is None:

@@ -22,7 +22,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "BuildProgress",
     "DiskAccessCounter",
-    "EpochGuard",
     "GenerationController",
     "MBR",
     "build_hkmeans_hierarchy",
@@ -41,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.index.diskmodel": ("DiskAccessCounter",),
         "repro.index.generations": (
-            "EpochGuard",
             "GenerationController",
             "generation_seed",
             "route_leaf",

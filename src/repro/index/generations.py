@@ -26,14 +26,14 @@ read/write traffic instead:
   the hot path (a serial build, as :meth:`RFSStructure.build` runs by
   default), rebuilds the store at the same tier, carries the shared
   result cache (one version bump retires old entries lazily), and
-  atomically swaps the generation in behind the
-  :class:`EpochGuard`.  Mutations that raced the build are replayed
-  into the new generation's segment at swap time, preserving every
-  global image id.
+  atomically swaps the generation in under the write lock every
+  mutation takes.  Mutations that raced the build are replayed into
+  the new generation's segment at swap time, preserving every global
+  image id.
 * **Sessions pin a generation**: a session holds its structure object,
   so in-flight rounds finish against the generation they started on;
   checkpointed sessions resume through the retired-generation map
-  until it overflows ``max_retired`` (then the existing staleness
+  until it overflows :data:`MAX_RETIRED` (then the existing staleness
   fencing rejects them, exactly as before).
 
 Image ids are stable across generations by construction: a compacted
@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -57,6 +56,12 @@ from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
 from repro.store import FeatureStore
 from repro.store.delta import DeltaSegment
+
+#: How many retired generations stay addressable for sessions pinned to
+#: an older ``structure_version``.  Oldest entries are dropped beyond
+#: this (their sessions then fail staleness fencing, exactly like before
+#: generations existed).
+MAX_RETIRED = 4
 
 
 def generation_seed(seed: int, generation: int) -> int:
@@ -87,62 +92,14 @@ def route_leaf(rfs: RFSStructure, vector: np.ndarray) -> RFSNode:
     return node
 
 
-class EpochGuard:
-    """Read/write epoch guard serializing mutations against swaps.
-
-    Scans do **not** take this guard — they are lock-free against
-    immutable :class:`~repro.store.delta.DeltaView` snapshots.  The
-    guard coordinates the *writer* side: individual mutations and the
-    compaction swap exclude each other, and long consistency sweeps
-    (e.g. the verify CLI) can hold a read lease that keeps the
-    structure identity stable while they walk it.  ``epoch`` counts
-    completed write sections.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writing = False
-        self.epoch = 0
-
-    @contextmanager
-    def read(self) -> Iterator[int]:
-        """Shared lease: blocks writers, never other readers."""
-        with self._cond:
-            while self._writing:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield self.epoch
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        """Exclusive section; bumps ``epoch`` on release."""
-        with self._cond:
-            while self._writing or self._readers:
-                self._cond.wait()
-            self._writing = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writing = False
-                self.epoch += 1
-                self._cond.notify_all()
-
-
 class GenerationController:
     """Owns the mutable side of a generational index deployment.
 
     Wraps the serving :class:`~repro.index.rfs.RFSStructure` (or a
-    ``ShardedRFS`` router), attaches a delta segment to it, and routes
-    every mutation through the :class:`EpochGuard`.  ``current`` is
-    the serving generation; ``retired`` maps the structure versions of
+    ``ShardedRFS`` router), attaches a delta segment to it, and runs
+    every mutation and every compaction swap under one write lock
+    (scans take none: they read immutable delta views).  ``current``
+    is the serving generation; ``retired`` maps the structure versions of
     swapped-out generations to their (frozen) structures so pinned
     sessions can still resume.  ``on_swap`` callbacks fire after every
     generation swap with the new structure (the engine uses one to
@@ -158,7 +115,7 @@ class GenerationController:
     ) -> None:
         self.config = config or MutationConfig()
         self.seed = int(seed)
-        self.guard = EpochGuard()
+        self._write_lock = threading.Lock()
         self.generation = 0
         self.current = rfs
         self.retired: "OrderedDict[int, RFSStructure]" = OrderedDict()
@@ -226,7 +183,7 @@ class GenerationController:
             )
         if not np.isfinite(vec).all():
             raise QueryError("vector contains non-finite values")
-        with self.guard.write():
+        with self._write_lock:
             rfs = self.current
             leaf = route_leaf(rfs, vec)
             new_id = rfs.delta.insert(vec, leaf.node_id)
@@ -253,7 +210,7 @@ class GenerationController:
         ):
             raise QueryError(f"image_id must be an integer, got {image_id!r}")
         item = int(image_id)
-        with self.guard.write():
+        with self._write_lock:
             rfs = self.current
             view = rfs.delta.view
             if item >= view.base_rows:
@@ -323,7 +280,7 @@ class GenerationController:
                 tombstones=snapshot.n_dead_main,
             ) as span:
                 built = self._build_generation(old, snapshot, gen)
-                with self.guard.write():
+                with self._write_lock:
                     replayed = self._swap(old, snapshot, built, gen)
                 span.set(
                     replayed=replayed,
@@ -387,18 +344,33 @@ class GenerationController:
             raise ConfigurationError(
                 "cannot compact an index with zero live items"
             )
+        base = RFSStructure.build(
+            full[live_ids],
+            old.config,
+            seed=generation_seed(self.seed, gen),
+            io=old.io,
+        )
+        self._remap(base, live_ids)
+        base.features = full
+        base._leaf_lookup = None  # maps pre-remap ids; rebuild lazily
+        base.structure_version = old.structure_version + 1
         if getattr(old, "shards", None):
-            built = self._build_sharded(old, full, live_ids, gen)
-        else:
-            built = RFSStructure.build(
-                full[live_ids],
-                old.config,
-                seed=generation_seed(self.seed, gen),
-                io=old.io,
+            from repro.shard.engine import build_router
+
+            # Same deployment shape: strategy, tier, fan-out mode and
+            # the shard caches carry over (old-version entries drop
+            # lazily on lookup).
+            n_leaves = sum(node.is_leaf for node in base.nodes.values())
+            built = build_router(
+                base,
+                min(len(old.shards), n_leaves),
+                old.assignment.strategy,
+                tier=old.shards[0].rfs.store.tier,
+                caches=[shard.cache for shard in old.shards],
+                parallel_fanout=old.parallel_fanout,
             )
-            self._remap(built, live_ids)
-            built.features = full
-            built._leaf_lookup = None  # maps pre-remap ids; rebuild lazily
+        else:
+            built = base
             built.attach_store(
                 FeatureStore.build(built, tier=old.store.tier),
                 validate=False,
@@ -415,57 +387,6 @@ class GenerationController:
         )
         self._attach_segment(built)
         return built
-
-    def _build_sharded(
-        self,
-        old: RFSStructure,
-        full: np.ndarray,
-        live_ids: np.ndarray,
-        gen: int,
-    ) -> RFSStructure:
-        """Rebuild a sharded router: new base tree, same deployment shape."""
-        from repro.shard.engine import Shard, ShardedRFS
-        from repro.shard.partition import (
-            build_shard_structure,
-            dfs_leaves,
-            partition_leaves,
-        )
-
-        base = RFSStructure.build(
-            full[live_ids],
-            old.config,
-            seed=generation_seed(self.seed, gen),
-            io=old.io,
-        )
-        self._remap(base, live_ids)
-        base.features = full
-        base._leaf_lookup = None
-        base.structure_version = old.structure_version + 1
-        leaves = dfs_leaves(base.root)
-        strategy = (
-            old.assignment.strategy
-            if old.assignment is not None
-            else "contiguous"
-        )
-        n_shards = min(len(old.shards), len(leaves))
-        assignment = partition_leaves(leaves, n_shards, strategy)
-        tier = old.shards[0].rfs.store.tier
-        shard_objs: List[Shard] = []
-        for index, leaf_ids in enumerate(assignment.shards):
-            shard_rfs = build_shard_structure(base, leaf_ids)
-            shard_rfs.attach_store(
-                FeatureStore.build(shard_rfs, tier=tier), validate=False
-            )
-            shard_rfs.structure_version = base.structure_version
-            shard_objs.append(
-                Shard(index, shard_rfs, old.shards[index].cache)
-            )
-        return ShardedRFS(
-            base,
-            shard_objs,
-            assignment=assignment,
-            parallel_fanout=old.parallel_fanout,
-        )
 
     def _swap(
         self, old: RFSStructure, snapshot, built: RFSStructure, gen: int
@@ -512,7 +433,7 @@ class GenerationController:
             )
             replayed += 1
         self.retired[old.structure_version] = old
-        while len(self.retired) > self.config.max_retired:
+        while len(self.retired) > MAX_RETIRED:
             self.retired.popitem(last=False)
         self.current = built
         self.generation = gen
@@ -536,7 +457,7 @@ class GenerationController:
 
 
 __all__ = [
-    "EpochGuard",
+    "MAX_RETIRED",
     "GenerationController",
     "generation_seed",
     "route_leaf",

@@ -456,10 +456,6 @@ class RFSStructure:
         """
         self.delta = segment
 
-    def detach_delta(self) -> None:
-        """Detach the delta segment (scans revert to main-only)."""
-        self.delta = None
-
     def delta_view(self) -> Optional["DeltaView"]:
         """The current delta snapshot, or ``None`` without a segment."""
         if self.delta is None:

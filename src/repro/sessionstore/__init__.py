@@ -12,30 +12,24 @@ backend      durability  concurrency   use when
 ``memory``   none        threads       single-process servers, tests
 ``sqlite``   one file    threads +     several workers on one host
                          processes
-``jsondir``  one file    last-write-   debugging, tiny deployments,
-             per session wins          hand-inspecting records
 ===========  ==========  ============  ===========================
 
-All backends expose the same canonical JSON text (``memory`` renders
+Both backends expose the same canonical JSON text (``memory`` renders
 it on read), so a session checkpointed into one backend can be copied
-into another; rankings never depend on the backend choice.
+into the other; rankings never depend on the backend choice.
 """
 
 from repro._lazy import lazy_exports
-
-#: Backend names accepted by :func:`make_session_store` and the CLI
-#: ``--session-store`` flag.
-SESSION_STORE_KINDS: tuple[str, ...] = ("memory", "sqlite", "jsondir")
+from repro.config import SESSION_STORE_KINDS
 
 
 def make_session_store(kind: str, path: str = "") -> "SessionStore":
     """Construct a session store by backend name.
 
     ``memory`` ignores ``path``; ``sqlite`` treats it as the database
-    file; ``jsondir`` as the record directory.  Raises
-    :class:`~repro.errors.SessionStoreError` on an unknown kind or a
-    missing required path.  Only the chosen backend's module is
-    imported.
+    file.  Raises :class:`~repro.errors.SessionStoreError` on an
+    unknown kind or a missing required path.  Only the chosen backend's
+    module is imported.
     """
     from repro.errors import SessionStoreError
 
@@ -51,14 +45,6 @@ def make_session_store(kind: str, path: str = "") -> "SessionStore":
         from repro.sessionstore.sqlite import SQLiteSessionStore
 
         return SQLiteSessionStore(path)
-    if kind == "jsondir":
-        if not path:
-            raise SessionStoreError(
-                "jsondir session store needs a directory path"
-            )
-        from repro.sessionstore.jsondir import JSONDirectorySessionStore
-
-        return JSONDirectorySessionStore(path)
     raise SessionStoreError(
         f"unknown session store kind {kind!r} "
         f"(expected one of {SESSION_STORE_KINDS})"
@@ -68,7 +54,6 @@ def make_session_store(kind: str, path: str = "") -> "SessionStore":
 __all__ = [
     "SESSION_STORE_KINDS",
     "InMemorySessionStore",
-    "JSONDirectorySessionStore",
     "SQLiteSessionStore",
     "SessionStore",
     "decode_state",
@@ -84,7 +69,6 @@ __getattr__, __dir__ = lazy_exports(
             "decode_state",
             "encode_state",
         ),
-        "repro.sessionstore.jsondir": ("JSONDirectorySessionStore",),
         "repro.sessionstore.memory": ("InMemorySessionStore",),
         "repro.sessionstore.sqlite": ("SQLiteSessionStore",),
     },

@@ -2,17 +2,15 @@
 
 A :class:`SessionStore` persists :class:`~repro.core.session_state.
 SessionState` records under their session id so *any* worker can resume
-*any* session, and a process restart loses nothing.  Three backends
+*any* session, and a process restart loses nothing.  Two backends
 ship (see the package docstring for the selection matrix):
 
 * :class:`~repro.sessionstore.memory.InMemorySessionStore` — dict +
   lock; fastest, single-process only.
 * :class:`~repro.sessionstore.sqlite.SQLiteSessionStore` — one WAL
   database file, safe under concurrent threads and worker processes.
-* :class:`~repro.sessionstore.jsondir.JSONDirectorySessionStore` — one
-  JSON file per session, trivially debuggable (``cat`` a session).
 
-The durable backends store the record's canonical JSON text, one
+The durable backend stores the record's canonical JSON text, one
 :func:`encode_state` per put; the in-memory one keeps the captured
 record itself (it shares nothing with the live session) and renders
 that text only in :meth:`SessionStore.read_payload`.  A worker may skip

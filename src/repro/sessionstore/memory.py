@@ -4,7 +4,7 @@ The fastest backend and the right default for a single-process server
 or tests.  It keeps the frozen record that
 :meth:`~repro.core.session.FeedbackSession.capture` built (fresh tuples
 and dicts, nothing shared with the live session), so a checkpoint
-encodes nothing; :meth:`read_payload` renders the durable backends'
+encodes nothing; :meth:`read_payload` renders the SQLite backend's
 text on demand and :meth:`get` decodes it, so a resume is the same
 codec round-trip as everywhere else.  Only durability differs: the
 records die with the process.  A conditional write (``replacing=``)

@@ -22,6 +22,7 @@ __all__ = [
     "ShardAssignment",
     "ShardedEngine",
     "ShardedRFS",
+    "build_router",
     "build_shard_structure",
     "dfs_leaves",
     "partition_leaves",
@@ -30,7 +31,12 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.shard.engine": ("Shard", "ShardedEngine", "ShardedRFS"),
+        "repro.shard.engine": (
+            "Shard",
+            "ShardedEngine",
+            "ShardedRFS",
+            "build_router",
+        ),
         "repro.shard.partition": (
             "PARTITION_STRATEGIES",
             "ShardAssignment",

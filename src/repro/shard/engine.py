@@ -170,7 +170,7 @@ class ShardedRFS(RFSStructure):
         base: RFSStructure,
         shards: Sequence[Shard],
         *,
-        assignment: Optional[ShardAssignment] = None,
+        assignment: ShardAssignment,
         parallel_fanout: bool = True,
     ) -> None:
         super().__init__(
@@ -350,6 +350,40 @@ class ShardedRFS(RFSStructure):
         return merged
 
 
+def build_router(
+    base: RFSStructure,
+    n_shards: int,
+    strategy: str,
+    *,
+    tier: str,
+    caches: Sequence[Optional["SubqueryResultCache"]],
+    parallel_fanout: bool,
+) -> ShardedRFS:
+    """Deal ``base``'s leaves over ``n_shards`` shards behind a router.
+
+    Partitions the DFS leaf order with ``strategy``, builds each
+    shard's pruned tree and in-RAM ``tier`` store, and gives shard
+    ``i`` the cache ``caches[i]``.  Every shard keeps ``base``'s
+    structure version (resume parity needs the global version
+    everywhere), so set it on ``base`` before the call.
+    """
+    assignment = partition_leaves(dfs_leaves(base.root), n_shards, strategy)
+    shard_objs: List[Shard] = []
+    for index, leaf_ids in enumerate(assignment.shards):
+        shard_rfs = build_shard_structure(base, leaf_ids)
+        shard_rfs.attach_store(
+            FeatureStore.build(shard_rfs, tier=tier), validate=False
+        )
+        shard_rfs.structure_version = base.structure_version
+        shard_objs.append(Shard(index, shard_rfs, caches[index]))
+    return ShardedRFS(
+        base,
+        shard_objs,
+        assignment=assignment,
+        parallel_fanout=parallel_fanout,
+    )
+
+
 class ShardedEngine(QueryDecompositionEngine):
     """A :class:`QueryDecompositionEngine` over a sharded deployment.
 
@@ -400,29 +434,20 @@ class ShardedEngine(QueryDecompositionEngine):
                 "build() can only create 'inmem' shard stores; got "
                 f"{store!r}"
             )
-        assignment = partition_leaves(
-            dfs_leaves(base.root), shards, partition
-        )
-        shard_objs: List[Shard] = []
-        for index, leaf_ids in enumerate(assignment.shards):
-            shard_rfs = build_shard_structure(base, leaf_ids)
-            shard_rfs.attach_store(
-                FeatureStore.build(shard_rfs, tier=store_tier),
-                validate=False,
-            )
-            # Per-shard stores must not skew version bookkeeping:
-            # resume parity requires the global version everywhere.
-            shard_rfs.structure_version = base.structure_version
-            shard_cache: Optional["SubqueryResultCache"] = None
-            if cache is not None and cache.enabled:
-                from repro.cache import SubqueryResultCache
+        caches: List[Optional["SubqueryResultCache"]] = [None] * shards
+        if cache is not None and cache.enabled:
+            from repro.cache import SubqueryResultCache
 
-                shard_cache = SubqueryResultCache(cache.capacity_bytes)
-            shard_objs.append(Shard(index, shard_rfs, shard_cache))
-        router = ShardedRFS(
+            caches = [
+                SubqueryResultCache(cache.capacity_bytes)
+                for _ in range(shards)
+            ]
+        router = build_router(
             base,
-            shard_objs,
-            assignment=assignment,
+            shards,
+            partition,
+            tier=store_tier,
+            caches=caches,
             parallel_fanout=parallel_fanout,
         )
         engine = cls(database, router, qd_config)
@@ -446,13 +471,7 @@ class ShardedEngine(QueryDecompositionEngine):
         return self.sharded_rfs.n_shards
 
     def close(self) -> None:
-        """Release executor, router pool, and shard store mappings."""
+        """Release the executor and the router's fan-out pool."""
         super().close()
-        router = self.rfs
-        if isinstance(router, ShardedRFS):
-            router.close()
-            for shard in router.shards:
-                store = shard.rfs.store
-                if store.kind == "memmap":
-                    shard.rfs.detach_store()
-                    store.close()
+        if isinstance(self.rfs, ShardedRFS):
+            self.rfs.close()

@@ -179,10 +179,6 @@ class DeltaView:
             self._kernel_rows = (block, sqnorms)
         return self._kernel_rows
 
-    def contains_delta(self, image_id: int) -> bool:
-        """Whether ``image_id`` names a delta row (live or dead)."""
-        return 0 <= int(image_id) - self.base_rows < self.n_delta
-
     def leaf_of_delta(self, image_id: int) -> int:
         """Routed main-tree leaf of a delta id (live or dead)."""
         idx = int(image_id) - self.base_rows

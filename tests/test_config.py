@@ -142,7 +142,7 @@ SETTABLE_SURFACE = {
         "workers", "queue_limit", "default_deadline_s", "drain_timeout_s",
     ],
     "MutationConfig": [
-        "auto_compact", "compact_threshold", "background", "max_retired",
+        "auto_compact", "compact_threshold", "background",
     ],
     "DatasetConfig": ["total_images", "n_categories", "image_size", "seed"],
     "DiskAccessCounter": [
@@ -211,6 +211,10 @@ class TestSettableSurface:
     def test_store_tiers_are_pinned(self):
         # Rows are float32; the one compressed scan tier is int8.
         assert config.STORE_TIERS == ("f32", "int8")
+
+    def test_session_store_kinds_are_pinned(self):
+        # One in-process store and one durable one.
+        assert config.SESSION_STORE_KINDS == ("memory", "sqlite")
 
 
 def _command_flags(command):

@@ -9,8 +9,6 @@ tiers, executors, shard counts, and pre/post-compaction cache states.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -24,8 +22,8 @@ from repro.errors import (
     QueryError,
     StaleSessionError,
 )
+from repro.index import generations
 from repro.index.generations import (
-    EpochGuard,
     GenerationController,
     generation_seed,
     route_leaf,
@@ -113,29 +111,6 @@ def _assert_scan_parity(gen_rfs, rebuilt, live, queries, k, *,
 def _queries(rfs, n=6, seed=17):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, rfs.features.shape[1]))
-
-
-class TestEpochGuard:
-    def test_write_bumps_epoch(self):
-        guard = EpochGuard()
-        with guard.write():
-            assert guard.epoch == 0
-        assert guard.epoch == 1
-
-    def test_readers_share_and_block_writers(self):
-        guard = EpochGuard()
-        order = []
-        with guard.read():
-            with guard.read():  # shared: no deadlock
-                writer = threading.Thread(
-                    target=lambda: (guard.write().__enter__(),
-                                    order.append("wrote"))
-                )
-                writer.start()
-                writer.join(timeout=0.2)
-                assert order == []  # writer waits for the lease
-        writer.join(timeout=2.0)
-        assert order == ["wrote"]
 
 
 class TestDeltaMutations:
@@ -249,7 +224,7 @@ class TestRefusedWrites:
             assert controller.generation == 2  # two automatic compactions
             assert self._live(controller.current) == expected
             engine.insert_image(rng.normal(size=dims))
-            assert engine.compact_index() is not None
+            assert engine.mutations.compact() is not None
             assert controller.n_items == len(expected) + 1
 
     @pytest.mark.parametrize("image_id", [1.7, 1.0, True, "1"])
@@ -484,7 +459,7 @@ class TestCacheParity:
                 engine.insert_image(rng.normal(
                     size=engine.database.dims))
             engine.remove_image(10)
-            engine.compact_index()
+            engine.mutations.compact()
             assert engine.rfs.result_cache is cache  # carried over
             self._finalize_all(engine)  # stale entries die lazily
             assert cache.snapshot()["stale_evictions"] >= 0
@@ -515,12 +490,50 @@ class TestShardedParity:
             rebuilt, live = _rebuild_of(router, tier="f32")
             _assert_scan_parity(router, rebuilt, live,
                                 _queries(router), k=25)
-            assert engine.compact_index() is not None
+            assert engine.mutations.compact() is not None
             router = engine.rfs
             assert len(router.shards) >= 1
             rebuilt, live = _rebuild_of(router, tier="f32")
             _assert_scan_parity(router, rebuilt, live,
                                 _queries(router), k=25)
+        finally:
+            engine.close()
+
+    def test_compaction_keeps_the_deployment_shape(self):
+        from repro.config import CacheConfig
+        from repro.shard import ShardedEngine
+
+        database = build_synthetic_database(500, n_categories=20,
+                                            seed=10)
+        engine = ShardedEngine.build(
+            database, qd_config=QDConfig(), shards=3,
+            partition="roundrobin", parallel_fanout=False, seed=23,
+            store_tier="int8", cache=CacheConfig(enabled=True),
+            mutations=MutationConfig(auto_compact=False),
+        )
+        try:
+            old = engine.rfs
+            caches = [shard.cache for shard in old.shards]
+            assert all(cache is not None for cache in caches)
+            engine.insert_image(np.zeros(database.dims))
+            engine.remove_image(150)
+            version = engine.mutations.compact()
+            router = engine.rfs
+            assert router is not old
+            assert router.assignment.strategy == "roundrobin"
+            assert router.n_shards == 3
+            assert router.parallel_fanout is False
+            assert all(
+                shard.cache is cache
+                for shard, cache in zip(router.shards, caches)
+            )
+            assert {shard.rfs.store.tier for shard in router.shards} == {
+                "int8"
+            }
+            assert router.structure_version == version
+            assert {
+                shard.rfs.structure_version for shard in router.shards
+            } == {version}
         finally:
             engine.close()
 
@@ -557,12 +570,14 @@ class TestCompaction:
         assert controller.compact() is None
         assert controller.generation == 0
 
-    def test_retired_map_serves_old_versions_and_is_bounded(self):
+    def test_retired_map_serves_old_versions_and_is_bounded(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(generations, "MAX_RETIRED", 2)
         rfs = _base()
         v0 = rfs.structure_version
         controller = GenerationController(
-            rfs,
-            config=MutationConfig(auto_compact=False, max_retired=2),
+            rfs, config=MutationConfig(auto_compact=False)
         )
         rng = np.random.default_rng(14)
         versions = [v0]
@@ -613,14 +628,17 @@ class TestEngineMutations:
         with pytest.raises(ConfigurationError):
             engine.enable_mutations(MutationConfig())
 
-    def test_swap_repoints_engine_and_sessions_resume_pinned(self):
+    def test_swap_repoints_engine_and_sessions_resume_pinned(
+        self, monkeypatch
+    ):
         from repro.sessionstore import make_session_store
 
+        monkeypatch.setattr(generations, "MAX_RETIRED", 2)
         database = build_synthetic_database(500, n_categories=20,
                                             seed=16)
         engine = QueryDecompositionEngine.build(
             database, CFG, QDConfig(), seed=3,
-            mutations=MutationConfig(auto_compact=False, max_retired=2),
+            mutations=MutationConfig(auto_compact=False),
         )
         engine.attach_session_store(make_session_store("memory"))
         with engine:
@@ -629,21 +647,22 @@ class TestEngineMutations:
             session.submit(shown[:3])
             old_rfs = engine.rfs
             engine.insert_image(np.zeros(database.dims))
-            engine.compact_index()
+            engine.mutations.compact()
             assert engine.rfs is not old_rfs
             resumed = engine.resume_session(session.session_id)
             assert resumed.rfs is old_rfs  # pinned generation
             result = resumed.finalize(k=20)
             assert result.groups
 
-    def test_resume_beyond_retired_window_is_fenced(self):
+    def test_resume_beyond_retired_window_is_fenced(self, monkeypatch):
         from repro.sessionstore import make_session_store
 
+        monkeypatch.setattr(generations, "MAX_RETIRED", 1)
         database = build_synthetic_database(500, n_categories=20,
                                             seed=16)
         engine = QueryDecompositionEngine.build(
             database, CFG, QDConfig(), seed=3,
-            mutations=MutationConfig(auto_compact=False, max_retired=1),
+            mutations=MutationConfig(auto_compact=False),
         )
         engine.attach_session_store(make_session_store("memory"))
         with engine:
@@ -652,7 +671,7 @@ class TestEngineMutations:
             session.submit(shown[:3])
             for _ in range(2):  # two swaps push v0 out of the window
                 engine.insert_image(np.zeros(database.dims))
-                engine.compact_index()
+                engine.mutations.compact()
             with pytest.raises(StaleSessionError):
                 engine.resume_session(session.session_id)
 

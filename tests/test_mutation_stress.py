@@ -125,7 +125,7 @@ class TestMutationStress:
         # Quiesce: join any in-flight compactor, then force a final
         # compaction so the whole delta is folded in.
         controller.close()
-        engine.compact_index()
+        engine.mutations.compact()
         current = engine.rfs
         assert validate_structure(current) == []
         if background:

@@ -103,7 +103,7 @@ class TestConfigValidation:
     def test_session_ttl_rejects_non_positive(self, ttl, tmp_path):
         # A zero, negative or infinite TTL would reap every live session
         # (or, for NaN, none): every backend refuses it before sweeping.
-        for kind in ("memory", "sqlite", "jsondir"):
+        for kind in ("memory", "sqlite"):
             with make_session_store(
                 kind, str(tmp_path / kind)
             ) as store, pytest.raises(ConfigurationError):

@@ -51,7 +51,6 @@ from repro.sessionstore import base as store_base
 from repro.sessionstore import (
     SESSION_STORE_KINDS,
     InMemorySessionStore,
-    JSONDirectorySessionStore,
     SQLiteSessionStore,
     decode_state,
     encode_state,
@@ -193,7 +192,7 @@ class TestResumeParity:
                 session.submit(mark(shown))
             assert (shown_log, _signature(session.finalize(K))) == reference
 
-    @pytest.mark.parametrize("backend", ["sqlite", "jsondir"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_fresh_process_resume_parity(self, rfs, rendered_db, backend, tmp_path):
         """A brand-new interpreter resumes to the identical final ranking.
 
@@ -570,16 +569,18 @@ class TestHotPathParity:
         assert engine._hot_sessions == {}
 
     def test_generation_swap_goes_cold_and_frees_the_old_tree(
-        self, rendered_db, decode_calls
+        self, rendered_db, decode_calls, monkeypatch
     ):
         import numpy as np
 
         from repro.config import MutationConfig
         from repro.core.engine import QueryDecompositionEngine
+        from repro.index import generations
 
+        monkeypatch.setattr(generations, "MAX_RETIRED", 1)
         engine = QueryDecompositionEngine.build(
             rendered_db, seed=77,
-            mutations=MutationConfig(compact_threshold=10**6, max_retired=1),
+            mutations=MutationConfig(compact_threshold=10**6),
         )
         engine.attach_session_store(InMemorySessionStore())
         front = SessionFrontEnd(engine)
@@ -588,7 +589,7 @@ class TestHotPathParity:
 
         def swap():
             engine.insert_image(rng.normal(size=rendered_db.dims))
-            assert engine.compact_index() is not None
+            assert engine.mutations.compact() is not None
 
         sid = front.open(seed=SEED, session_id="pinned")
         shown = front.display(sid, screens=SCREENS)
@@ -601,7 +602,7 @@ class TestHotPathParity:
         assert engine._hot_sessions[sid].rfs is old_tree()
         front.display(sid, screens=SCREENS)
         assert len(decode_calls) == 1
-        # out of the max_retired window: fenced as before, tree released
+        # out of the MAX_RETIRED window: fenced as before, tree released
         swap()
         with pytest.raises(StaleSessionError, match="structure version"):
             front.submit(sid, [])
@@ -695,7 +696,7 @@ class TestHotPathParity:
 # ---------------------------------------------------------------------------
 # Two ops racing on one session: one lands, the other is refused
 # ---------------------------------------------------------------------------
-RACING_BACKENDS = ["memory", "sqlite", "jsondir"]
+RACING_BACKENDS = ["memory", "sqlite"]
 
 
 @contextlib.contextmanager
@@ -1000,10 +1001,23 @@ class TestStoreBackends:
             make_session_store("sqlite")
         assert isinstance(make_session_store("memory"), InMemorySessionStore)
 
-    def test_jsondir_rejects_unsafe_session_ids(self, tmp_path):
-        store = JSONDirectorySessionStore(tmp_path / "dir")
-        with pytest.raises(SessionStoreError, match="safe"):
-            store.get("../escape")
+    def test_factory_refuses_the_removed_jsondir_kind(self, tmp_path):
+        with pytest.raises(SessionStoreError, match="'jsondir'"):
+            make_session_store("jsondir", str(tmp_path / "dir"))
+        assert not (tmp_path / "dir").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--db", "db.npz"], ["sessions", "list"]],
+        ids=["serve", "sessions-list"],
+    )
+    def test_cli_refuses_the_removed_jsondir_kind(self, argv, capsys):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--session-store", "jsondir"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'jsondir'" in capsys.readouterr().err
 
     def test_sqlite_two_worker_checkpoint_contention(
         self, rfs, rendered_db, tmp_path
@@ -1121,7 +1135,7 @@ class TestEngineLifecycle:
         from repro.core.engine import QueryDecompositionEngine
 
         engine = QueryDecompositionEngine(rendered_db, rfs, QDConfig())
-        with _store("jsondir", tmp_path) as store:
+        with _store("sqlite", tmp_path) as store:
             engine.attach_session_store(store)
             session = engine.open_session(seed=SEED, session_id="flow")
             # Round-zero record is durable before any feedback.

@@ -24,6 +24,7 @@ from repro.exec import ProcessSubqueryExecutor
 from repro.index.rfs import RFSStructure
 from repro.shard import (
     Shard,
+    ShardAssignment,
     ShardedEngine,
     ShardedRFS,
     build_shard_structure,
@@ -274,18 +275,21 @@ class TestShardedParity:
         # the most uneven split the leaf granularity allows.
         base = _build_rfs(database)
         leaves = dfs_leaves(base.root)
-        buckets = (
-            [leaves[0].node_id],
-            [leaf.node_id for leaf in leaves[1:]],
+        assignment = ShardAssignment(
+            shards=(
+                (leaves[0].node_id,),
+                tuple(leaf.node_id for leaf in leaves[1:]),
+            ),
+            strategy="contiguous",
         )
         shards = []
-        for index, bucket in enumerate(buckets):
+        for index, bucket in enumerate(assignment.shards):
             shard_rfs = build_shard_structure(base, bucket)
             shard_rfs.attach_store(
                 FeatureStore.build(shard_rfs), validate=False
             )
             shards.append(Shard(index, shard_rfs))
-        router = ShardedRFS(base, shards)
+        router = ShardedRFS(base, shards, assignment=assignment)
         with QueryDecompositionEngine(
             database, router, QDConfig()
         ) as engine:

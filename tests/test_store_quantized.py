@@ -547,7 +547,7 @@ class TestTombstoneScanParity:
         if drain:
             k = node.size  # take == every live row under the node
         for rfs in tiers.values():
-            rfs.detach_delta()
+            rfs.delta = None
         clean = f32.localized_knn(node, query, k, weights=weights)
         dead = sorted(
             {clean[len(clean) - 1 - r][1] for r in dead_ranks
