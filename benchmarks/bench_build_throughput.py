@@ -6,7 +6,17 @@ Models the offline index build at the paper's scale (15,000 images).
 one worker, median of five.  This is what a ``serve`` start and an
 inline compaction pay, and the number a change to the build kernels
 moves (the 2-means bisect, k-means++ seeding, Lloyd, nearest-candidate
-search).
+search).  ``tree_cpu_s`` and ``reps_cpu_s`` split each of those builds
+at its ``progress`` events — the cluster tree, then representative
+selection — so a change can name the phase it moves; they are
+information only (not compared).
+
+The BLAS under numpy is pinned to one thread, as the e2e benchmark pins
+its server: an idle second OpenBLAS thread spins, and process CPU counts
+it.  The pin is set before numpy loads, which it does in the script
+entry; under pytest numpy is loaded first, so set ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 in the
+environment there.
 
 Two untimed legs build with the thread and process executors and check
 parity only: every leg must produce a bit-identical structure — same
@@ -32,14 +42,23 @@ Acceptance: the parallel builds are bit-identical to the serial one;
 from __future__ import annotations
 
 import os
-import statistics
-import time
 
-from _harness import TINY_ENV, emit, tiny_arg_parser
-from repro.config import BuildConfig, RFSConfig
-from repro.obs.bench import BenchResult
-from repro.datasets.build import build_synthetic_database
-from repro.index.rfs import RFSStructure
+os.environ.update(
+    {
+        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+)
+
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+from _harness import TINY_ENV, emit, tiny_arg_parser  # noqa: E402
+from repro.config import BuildConfig, RFSConfig  # noqa: E402
+from repro.obs.bench import BenchResult  # noqa: E402
+from repro.datasets.build import build_synthetic_database  # noqa: E402
+from repro.index.rfs import RFSStructure  # noqa: E402
 
 TINY = os.environ.get("QD_BENCH_TINY") == "1"
 SEED = 2006
@@ -72,17 +91,30 @@ def _signature(rfs: RFSStructure) -> list:
     return out
 
 
-def _build(features, build_cfg: BuildConfig) -> RFSStructure:
+def _build(features, build_cfg: BuildConfig, progress=None) -> RFSStructure:
     return RFSStructure.build(
-        features, RFSConfig(), seed=SEED, build=build_cfg
+        features, RFSConfig(), seed=SEED, build=build_cfg, progress=progress
     )
 
 
-def _cpu_build(features) -> float:
-    """Process CPU seconds of one serial build."""
+def _cpu_build(features) -> tuple[float, float, float]:
+    """Process CPU seconds of one serial build: whole, tree, reps.
+
+    The tree phase runs from the first ``cluster_tree`` event to the
+    last; representative selection from there to the last
+    ``representatives`` event.
+    """
+    marks = {}
+
+    def progress(event) -> None:
+        if event.done == event.total:
+            marks[event.phase] = time.process_time()
+
     start = time.process_time()
-    _build(features, BuildConfig())
-    return time.process_time() - start
+    _build(features, BuildConfig(), progress)
+    total = time.process_time() - start
+    tree = marks["cluster_tree"] - start
+    return total, tree, marks["representatives"] - marks["cluster_tree"]
 
 
 def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
@@ -96,7 +128,9 @@ def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
     # What the build costs in CPU, on one worker.  The first build pays
     # the lazy imports, so it is run and not counted.
     serial_rfs = _build(features, BuildConfig())
-    cpu_s = [_cpu_build(features) for _ in range(CPU_REPEATS)]
+    cpu_s, tree_s, reps_s = zip(
+        *(_cpu_build(features) for _ in range(CPU_REPEATS))
+    )
 
     # Thread and process executors: parity checks only.
     baseline_sig = _signature(serial_rfs)
@@ -113,10 +147,16 @@ def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
         f"  serial               {statistics.median(cpu_s) * 1000:8.1f} ms"
         f" CPU   (median of {CPU_REPEATS}, "
         f"min {min(cpu_s) * 1000:.1f})",
+        f"    tree               {statistics.median(tree_s) * 1000:8.1f} ms",
+        f"    representatives    {statistics.median(reps_s) * 1000:8.1f} ms",
         f"  thread x {WORKERS}, process x {WORKERS}: bit-identical "
         "(untimed)",
     ]
-    return rows, {"serial_cpu_s": cpu_s}
+    return rows, {
+        "serial_cpu_s": list(cpu_s),
+        "tree_cpu_s": list(tree_s),
+        "reps_cpu_s": list(reps_s),
+    }
 
 
 def _bench_result(tiny: bool, metrics: dict) -> BenchResult:
@@ -127,6 +167,11 @@ def _bench_result(tiny: bool, metrics: dict) -> BenchResult:
         "serial_cpu_s", metrics["serial_cpu_s"], unit="s",
         higher_is_better=False, compare=True,
     )
+    for phase in ("tree_cpu_s", "reps_cpu_s"):
+        result.record(
+            phase, metrics[phase], unit="s", higher_is_better=False,
+            compare=False,
+        )
     return result
 
 

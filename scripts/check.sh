@@ -116,6 +116,15 @@ if git grep -nE -e 'page_read_latenc[y]|read_bandwidth_bytes_per_[s]' \
     echo "== no simulated device sleep and no build knob that fed it ==" >&2
     exit 1
 fi
+# One k-means: kmeans() is the B = 1 call of kmeans_stacked, and each
+# rank's equal-shape nodes cluster in one stacked call.  No one-problem
+# Lloyd run, scatter-add update, separate distance kernel or per-node
+# selection task comes back beside it.
+if git grep -nE -e '_single_run|_DistanceRows|pairwise_sq_distances' \
+        -e 'np\.add\.at\(|_node_reps_task' -- src/; then
+    echo "== one k-means implementation, one selection task per group ==" >&2
+    exit 1
+fi
 if git grep -n 'time\.sleep' -- src/repro/index/ src/repro/clustering/; then
     echo "== nothing in the index or the clustering sleeps ==" >&2
     exit 1
@@ -206,9 +215,12 @@ run_gate "cache invalidation" tests/test_cache.py Invalidation
 # A parallel offline build must be bit-identical to the serial one —
 # node ids, members, boxes, representatives — and every build to the
 # structure digests recorded before the build stopped going through the
-# R*-tree's object graph; the same selection holds the build kernels to
-# their reference forms in tests/reference_build.py, so both classes
-# must show up as passed.
+# R*-tree's object graph.  The same selection holds the build kernels to
+# their reference forms in tests/reference_build.py: the stacked k-means
+# (B equal-shape problems, every restart at once, one generator per
+# problem) against one-problem runs problem by problem — centroids,
+# labels, inertia, n_iter and generator state — so both classes must
+# show up as passed.
 run_gate "build parity" tests/test_build_parallel.py Parity \
     TestBuildDigestParity TestKernelReferenceParity
 # A session checkpointed after any round and resumed — even by a fresh

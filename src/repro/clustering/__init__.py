@@ -8,12 +8,18 @@ implemented here on plain numpy.
 """
 
 from repro._lazy import lazy_exports
-from repro.clustering.kmeans import KMeans, KMeansResult, kmeans
+from repro.clustering.kmeans import (
+    KMeans,
+    KMeansResult,
+    kmeans,
+    kmeans_stacked,
+)
 
 __all__ = [
     "KMeans",
     "KMeansResult",
     "kmeans",
+    "kmeans_stacked",
     "PCA",
     "cluster_separation_ratio",
     "pairwise_centroid_distances",

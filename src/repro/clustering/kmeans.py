@@ -11,24 +11,42 @@ This is the workhorse behind representative-image selection in the RFS
 structure (paper §3.1) and the cluster grouping inside the Qcluster and
 MARS multipoint baselines.
 
-The Lloyd iteration is fully vectorized: assignment runs through the
-norm-expansion kernel shared with :mod:`repro.store.kernels`, and the
-centroid update is a single ``np.bincount`` + ``np.add.at`` scatter.
-Both are **bit-identical** to the naive per-cluster loops they replace
-(``np.add.at`` accumulates sequentially, exactly like
-``members.mean(axis=0)`` per cluster; the expansion's addition order
-matches the original broadcast form), so the full-batch path reproduces
-the historical results to the last bit — the naive reference
-implementations live with the tests that pin them
-(``tests/reference_build.py``).  A run also stops as soon as it has
-*provably* converged — the labels repeated with no cluster empty, so one
-more iteration could only reproduce the same centroids — and reports
-the iteration count the full loop would have.
+There is one implementation, :func:`kmeans_stacked`: ``B`` problems of
+one shape ``(B, n, d)``, each with its own generator, clustered
+together — every restart of every problem runs the same numpy call per
+Lloyd step, so a build's many small leaf problems pay numpy's call
+overhead once per group instead of once per node.  :func:`kmeans` is
+its ``B = 1`` call.  Each problem's result is **bit-identical** to
+clustering it alone, because every stacked operation is exact per
+slice:
+
+* ``np.matmul`` on a stack runs the same gemm once per slice, so
+  ``(R, n, d) @ (R, d, k)`` equals each slice's ``X @ C.T``.  (A
+  *padded* stack would not: it changes gemm's row count.)
+* Reductions over the last axis (row norms, seeding totals, the
+  inertia) reduce each row with the 1-D summation of that row.
+* Centroid sums come from one ``np.bincount`` over (run, cluster,
+  column) keys, which adds each bin's rows in row order from 0.0 —
+  the sequential scatter of ``np.add.at``.
+* k-means++ draws each problem's values from its own generator in the
+  order a lone run draws them, so the generator's state afterwards is
+  that of a lone run too; every restart of every problem then picks
+  at once.
+
+Lloyd iterates every run at once; a run drops out when its own stop
+test fires.  A run also stops as soon as it has *provably* converged —
+the labels repeated with no cluster empty, so one more iteration could
+only reproduce the same centroids — and reports the iteration count
+the full loop would have.  The historical kernels these reproduce live
+with the tests that pin them (``tests/reference_build.py``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -79,117 +97,163 @@ def sq_distances_into(
     ``np.sum((points - centre) ** 2, axis=1)`` without its two (n, d)
     temporaries: the same subtract, square and pairwise row sum, in the
     same order, written into the caller's ``scratch`` (n, d) and ``out``
-    (n,) — so the result is bit-identical to the expression.  The one
-    hot kernel of the offline build (2-means passes and k-means++).
+    (n,) — so the result is bit-identical to the expression.  The hot
+    kernel of the bisect's 2-means passes; :class:`_SeedingRows`
+    computes its stacked form for k-means++.
     """
     np.subtract(points, centre, out=scratch)
     np.multiply(scratch, scratch, out=scratch)
     return np.add.reduce(scratch, axis=1, out=out)
 
 
-#: Bytes of distance rows one :func:`kmeans` call keeps for reuse by
-#: its k-means++ picks.  A row is 8 bytes per sample, so small inputs
-#: keep every row and a 50 000-candidate node keeps the first 80 it
-#: computes (the rest are recomputed, as without the memo).
+#: Bytes of distance rows one :func:`kmeans_stacked` call keeps, over
+#: all its problems, for reuse by its k-means++ picks.  A row is 8 bytes
+#: per sample, so small inputs keep every row and a 50 000-sample
+#: problem keeps the first 83 rows computed (the rest are recomputed, as
+#: without the memo).
 _ROW_MEMO_BYTES = 32 << 20
 
 
-class _DistanceRows:
-    """Squared distances of every sample to sample ``i``, computed once.
+class _SeedingRows:
+    """Squared distances of every sample to a picked sample, per problem.
 
-    k-means++ picks samples as centres, and the restarts of one
-    :func:`kmeans` call — or later picks of the same run — keep picking
-    the same ones when ``k`` is a large share of ``n``.  Each row comes
-    from :func:`sq_distances_into` on the picked sample, the arithmetic
-    a pick always used, so a reused row holds the very bits a fresh
-    pass would.  The first rows computed are kept up to
-    :data:`_ROW_MEMO_BYTES`; past that a row is computed into a spare
-    buffer that the next uncached row overwrites.
+    k-means++ picks samples as centres, and the restarts of one call —
+    or later picks of the same run — keep picking the same ones when
+    ``k`` is a large share of ``n``.  A row is the subtract, square and
+    row sum of :func:`sq_distances_into` on the picked sample, stacked
+    over the rows one step needs, so each row holds the bits a lone pick
+    computes.  The first rows computed are kept up to
+    :data:`_ROW_MEMO_BYTES`; past that a row is computed afresh.
     """
 
-    def __init__(self, data: np.ndarray) -> None:
-        n = data.shape[0]
+    def __init__(self, data: np.ndarray, runs: int) -> None:
         self.data = data
-        self.scratch = np.empty_like(data)
-        capacity = min(n, _ROW_MEMO_BYTES // (8 * n))
-        self.rows = np.empty((capacity, n), dtype=np.float64)
-        self.slot = np.full(n, -1, dtype=np.intp)
-        self.used = 0
-        self.spare = np.empty(n, dtype=np.float64)
+        self.scratch = np.empty((runs,) + data.shape[1:])
+        self.kept: Dict[Tuple[int, int], np.ndarray] = {}
+        self.room = _ROW_MEMO_BYTES // (8 * data.shape[1])
 
-    def __call__(self, index: int) -> np.ndarray:
-        """Row ``index`` — valid until the next uncached row past the cap."""
-        slot = self.slot[index]
-        if slot >= 0:
-            return self.rows[slot]
-        if self.used < self.rows.shape[0]:
-            out = self.rows[self.used]
-            self.slot[index] = self.used
-            self.used += 1
-        else:
-            out = self.spare
-        return sq_distances_into(
-            self.data, self.data[index], self.scratch, out
-        )
+    def _compute(self, keys: List[Tuple[int, int]]) -> np.ndarray:
+        """Rows of the (problem, sample) ``keys``, sorted by problem."""
+        diff = self.scratch[: len(keys)]
+        start = 0
+        for problem, group in itertools.groupby(keys, key=itemgetter(0)):
+            picks = [sample for _, sample in group]
+            points = self.data[problem]
+            np.subtract(
+                points,
+                points[picks][:, None, :],
+                out=diff[start : start + len(picks)],
+            )
+            start += len(picks)
+        np.multiply(diff, diff, out=diff)
+        return np.add.reduce(diff, axis=-1)
+
+    def __call__(self, problems: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        """(L, n) rows of ``picks[i]`` in problem ``problems[i]``."""
+        keys = list(zip(problems.tolist(), picks.tolist()))
+        missing = sorted({k for k in keys if k not in self.kept})
+        fresh: Dict[Tuple[int, int], np.ndarray] = {}
+        if missing:
+            fresh = dict(zip(missing, self._compute(missing)))
+            for key in missing[: max(0, self.room - len(self.kept))]:
+                self.kept[key] = fresh[key]
+        return np.array([self.kept.get(k, fresh.get(k)) for k in keys])
+
+
+def _plus_plus_picks(
+    problem: np.ndarray,
+    first: np.ndarray,
+    uniforms: np.ndarray,
+    rows: _SeedingRows,
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ (D² weighting) picks of ``R`` runs, from their draws.
+
+    Run ``r`` seeds problem ``problem[r]`` from sample ``first[r]``;
+    its ``i``-th later pick inverts the cumulative distribution at
+    ``uniforms[r, i - 1]`` — the sampling ``rng.choice(n, p=probs)``
+    performs once it has validated ``probs``.  On the non-decreasing
+    distribution, the count of entries ``<= u`` is
+    ``searchsorted(u, side="right")``.  Returns the (R, k) picked
+    sample indices and, per run, the step at which all its points
+    coincided with chosen centroids (``k`` if they never did): such a
+    run stops picking there.
+    """
+    runs, k = first.shape[0], uniforms.shape[1] + 1
+    chosen = np.empty((runs, k), dtype=np.intp)
+    chosen[:, 0] = first
+    spent_at = np.full(runs, k)
+    live = np.arange(runs)
+    closest_sq = rows(problem, first)
+    for i in range(1, k):
+        total = np.add.reduce(closest_sq, axis=1)
+        spent = total <= 1e-24
+        if spent.any():
+            spent_at[live[spent]] = i
+            live, total = live[~spent], total[~spent]
+            closest_sq = closest_sq[~spent]
+            if not live.size:
+                break
+        cdf = closest_sq / total[:, None]
+        np.add.accumulate(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        picks = (cdf <= uniforms[live, i - 1, None]).sum(axis=1)
+        chosen[live, i] = picks
+        if i + 1 < k:  # after the last pick nothing reads the distances
+            np.minimum(
+                closest_sq, rows(problem[live], picks), out=closest_sq
+            )
+    return chosen, spent_at
 
 
 def _plus_plus_init(
     data: np.ndarray,
     k: int,
-    rng: np.random.Generator,
-    rows: _DistanceRows | None = None,
+    rngs: Sequence[np.random.Generator],
+    n_restarts: int,
 ) -> np.ndarray:
-    """k-means++ (D² weighting) initial centroid selection.
+    """k-means++ starts of every restart of ``B`` problems, together.
 
-    Each pick inverts the cumulative distribution at one uniform draw —
-    the sampling ``rng.choice(n, p=probs)`` performs once it has
-    validated ``probs``, so the picks and the generator's state are
-    the ones ``choice`` would give.  ``rows`` serves each picked
-    sample's distance row (shared by the restarts of one
-    :func:`kmeans` call; a private one otherwise).
+    A lone restart draws ``rng.integers(n)`` and then one
+    ``rng.random()`` per pick, so each problem draws all its restarts'
+    values up front, in that order, and every restart of every problem
+    picks at once: run ``r * B + b`` is restart ``r`` of problem ``b``.
+    A restart whose points all coincide with chosen centroids draws
+    differently: it fills its other centroids with
+    ``rng.integers(n, size=...)`` and leaves the rest of its uniforms
+    undrawn.  Its problem is then replayed from its generator's state
+    before the draws, one restart at a time, each restart's draws
+    redone up to the step it stopped at.  Either way each generator
+    ends where a lone run's would.
     """
-    n = data.shape[0]
-    if rows is None:
-        rows = _DistanceRows(data)
-    centroids = np.empty((k, data.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = data[first]
-    closest_sq = rows(first).copy()
-    cdf = np.empty(n, dtype=np.float64)
-    for i in range(1, k):
-        total = closest_sq.sum()
-        if total <= 1e-24:
-            # All remaining points coincide with a chosen centroid; fill
-            # the rest with random picks.
-            centroids[i:] = data[rng.integers(n, size=k - i)]
-            break
-        np.divide(closest_sq, total, out=cdf)
-        np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]
-        choice = int(cdf.searchsorted(rng.random(), side="right"))
-        centroids[i] = data[choice]
-        if i + 1 < k:  # after the last pick nothing reads the distances
-            np.minimum(closest_sq, rows(choice), out=closest_sq)
-    return centroids
-
-
-def _sq_distance_table(
-    data: np.ndarray,
-    centroids: np.ndarray,
-    data_sqnorms: np.ndarray,
-    cent_sqnorms: np.ndarray,
-) -> np.ndarray:
-    """(n, k) squared distances via the shared norm-expansion kernel."""
-    # Imported lazily: repro.store pulls in the index package, which
-    # imports this module at its own load time.
-    from repro.store.kernels import pairwise_sq_distances
-
-    return pairwise_sq_distances(
-        data,
-        centroids,
-        block_sqnorms=data_sqnorms,
-        rep_sqnorms=cent_sqnorms,
+    n_problems, n, _ = data.shape
+    rows = _SeedingRows(data, n_restarts * n_problems)
+    states = [rng.bit_generator.state for rng in rngs]
+    first = np.empty((n_restarts, n_problems), dtype=np.intp)
+    uniforms = np.empty((n_restarts, n_problems, k - 1))
+    for b, rng in enumerate(rngs):
+        for r in range(n_restarts):
+            first[r, b] = rng.integers(n)
+            uniforms[r, b] = rng.random(k - 1)
+    problem = np.tile(np.arange(n_problems), n_restarts)
+    chosen, spent_at = _plus_plus_picks(
+        problem, first.ravel(), uniforms.reshape(problem.size, k - 1), rows
     )
+    for b in np.unique(problem[spent_at < k]):
+        rng = rngs[b]
+        rng.bit_generator.state = states[b]
+        for r in range(n_restarts):
+            state = rng.bit_generator.state
+            one_first, one_uniforms = rng.integers(n), rng.random(k - 1)
+            picks, (stop,) = _plus_plus_picks(
+                np.array([b]), np.array([one_first]), one_uniforms[None], rows
+            )
+            if stop < k:
+                rng.bit_generator.state = state
+                rng.integers(n)
+                rng.random(stop - 1)
+                picks[0, stop:] = rng.integers(n, size=k - stop)
+            chosen[r * n_problems + b] = picks[0]
+    return data[problem[:, None], chosen]
 
 
 def _assign(
@@ -198,12 +262,29 @@ def _assign(
     *,
     data_sqnorms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Label each sample with the index of its nearest centroid."""
+    """Label each sample with the index of its nearest centroid.
+
+    ``data`` is ``(..., n, d)`` and ``centroids`` ``(..., k, d)``: one
+    table ``‖x‖² − 2·x·c + ‖c‖²`` per slice, its product one gemm per
+    slice.  Argmin reads the raw expansion — no root, no clamp, which
+    could merge distinct near-zero values into ties.
+    """
     if data_sqnorms is None:
-        data_sqnorms = np.sum(data**2, axis=1)
-    cent_sqnorms = np.sum(centroids**2, axis=1)
-    table = _sq_distance_table(data, centroids, data_sqnorms, cent_sqnorms)
-    return np.argmin(table, axis=1)
+        data_sqnorms = np.add.reduce(data * data, axis=-1)
+    cent_sqnorms = np.add.reduce(centroids * centroids, axis=-1)
+    table = np.matmul(data, np.swapaxes(centroids, -1, -2))
+    table *= -2.0
+    table += data_sqnorms[..., :, None]
+    table += cent_sqnorms[..., None, :]
+    return np.argmin(table, axis=-1)
+
+
+def _cluster_counts(labels: np.ndarray, k: int) -> np.ndarray:
+    """(R, k) member count of every cluster of every run."""
+    keys = labels + (np.arange(labels.shape[0]) * k)[:, None]
+    return np.bincount(
+        keys.ravel(), minlength=labels.shape[0] * k
+    ).reshape(-1, k)
 
 
 def _reseed_empty(
@@ -213,7 +294,7 @@ def _reseed_empty(
     new_centroids: np.ndarray,
     empties: np.ndarray,
 ) -> None:
-    """Re-seed empty clusters at distinct farthest-first samples.
+    """Re-seed one run's empty clusters at distinct farthest-first samples.
 
     Every empty cluster takes the next-farthest sample from its
     assigned centroid, so several clusters emptying in one iteration
@@ -231,75 +312,176 @@ def _reseed_empty(
 def _lloyd_update(
     data: np.ndarray,
     labels: np.ndarray,
-    k: int,
+    counts: np.ndarray,
     centroids: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized centroid update with empty-cluster repair.
+    """Centroid update of ``R`` runs ``(R, n, d)``, empty clusters repaired.
 
-    ``np.add.at`` accumulates rows sequentially (unbuffered scatter),
-    which is bit-identical to summing each cluster's members with
-    ``members.sum(axis=0)`` — so dividing by the counts reproduces the
-    per-cluster ``members.mean(axis=0)`` loop exactly.
+    ``counts`` is :func:`_cluster_counts` of ``labels``.  One
+    ``np.bincount`` over (run, cluster, column) keys sums every
+    cluster's rows in row order from 0.0 — what the sequential
+    ``np.add.at`` scatter, and so each cluster's ``members.sum(axis=0)``,
+    computes — so dividing by the counts reproduces the per-cluster
+    ``members.mean(axis=0)`` loop exactly.
     """
-    counts = np.bincount(labels, minlength=k)
-    sums = np.zeros((k, data.shape[1]), dtype=np.float64)
-    np.add.at(sums, labels, data)
-    if counts.all():
-        return sums / counts[:, None]
-    new_centroids = np.empty_like(centroids)
+    runs, k = counts.shape
+    dims = data.shape[2]
+    cells = (labels + (np.arange(runs) * k)[:, None])[:, :, None] * dims
+    sums = np.bincount(
+        (cells + np.arange(dims)).ravel(),
+        weights=data.ravel(),
+        minlength=runs * k * dims,
+    ).reshape(runs, k, dims)
     filled = counts > 0
-    new_centroids[filled] = sums[filled] / counts[filled, None]
-    empties = np.flatnonzero(~filled)
-    if empties.size:
-        _reseed_empty(data, labels, centroids, new_centroids, empties)
+    if filled.all():
+        return np.divide(sums, counts[:, :, None], out=sums)
+    new_centroids = np.divide(
+        sums, counts[:, :, None], out=sums, where=filled[:, :, None]
+    )
+    for r in np.flatnonzero(~filled.all(axis=1)):
+        _reseed_empty(
+            data[r],
+            labels[r],
+            centroids[r],
+            new_centroids[r],
+            np.flatnonzero(~filled[r]),
+        )
     return new_centroids
 
 
-def _single_run(
+def _lloyd(
     data: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
+    data_sqnorms: np.ndarray,
+    centroids: np.ndarray,
     max_iter: int,
     tol: float,
-    *,
-    rows: _DistanceRows | None = None,
-) -> KMeansResult:
-    """One full Lloyd's-algorithm run from a k-means++ start.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd's algorithm on ``R`` runs at once, each to its own stop.
 
-    The loop ends on the centroid-shift test, or one iteration earlier
+    A run ends on the centroid-shift test, or one iteration earlier
     when that test's outcome is already known: if an assignment
     reproduces the previous labels and no cluster is empty, the next
     update would recompute the very same means (shift exactly 0) and
     the next assignment the same labels.  That iteration is counted in
     ``n_iter`` but not run.  (An empty cluster re-seeds from the
-    *previous* centroids, so the argument does not cover it.)
+    *previous* centroids, so the argument does not cover it.)  Returns
+    every run's final centroids, labels and ``n_iter``.
     """
-    centroids = _plus_plus_init(data, k, rng, rows)
-    data_sqnorms = np.sum(data**2, axis=1)
+    runs, k = centroids.shape[:2]
     labels = _assign(data, centroids, data_sqnorms=data_sqnorms)
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
-        new_centroids = _lloyd_update(data, labels, k, centroids)
-        shift = float(np.max(np.abs(new_centroids - centroids)))
+    counts = _cluster_counts(labels, k)
+    final_centroids = centroids.copy()
+    final_labels = labels.copy()
+    n_iter = np.zeros(runs, dtype=np.intp)
+    active = np.arange(runs)
+    for it in range(1, max_iter + 1):
+        new_centroids = _lloyd_update(data, labels, counts, centroids)
+        shift = np.abs(new_centroids - centroids).max(axis=(1, 2))
         centroids = new_centroids
         previous = labels
         labels = _assign(data, centroids, data_sqnorms=data_sqnorms)
-        if shift <= tol:
+        counts = _cluster_counts(labels, k)
+        stop = shift <= tol
+        proven = np.zeros_like(stop)
+        if tol >= 0 and it < max_iter:
+            proven = (
+                ~stop
+                & (labels == previous).all(axis=1)
+                & counts.all(axis=1)
+            )
+        done = stop | proven | (it == max_iter)
+        if not done.any():
+            continue
+        ended = active[done]
+        final_centroids[ended] = centroids[done]
+        final_labels[ended] = labels[done]
+        n_iter[ended] = it + proven[done]
+        keep = ~done
+        if not keep.any():
             break
-        if (
-            tol >= 0
-            and n_iter < max_iter
-            and np.array_equal(labels, previous)
-            and np.bincount(labels, minlength=k).all()
-        ):
-            n_iter += 1
-            break
-    inertia = float(
-        np.sum((data - centroids[labels]) ** 2)
+        active = active[keep]
+        data, data_sqnorms = data[keep], data_sqnorms[keep]
+        centroids, labels = centroids[keep], labels[keep]
+        counts = counts[keep]
+    return final_centroids, final_labels, n_iter
+
+
+def kmeans_stacked(
+    data: np.ndarray,
+    k: int,
+    *,
+    seeds: Sequence[RandomState],
+    n_restarts: int = 3,
+    max_iter: int = 100,
+    tol: float = 1e-6,
+) -> List[KMeansResult]:
+    """Cluster each of ``B`` problems into ``k`` groups, together.
+
+    Parameters
+    ----------
+    data:
+        (B, n, d) stack of sample matrices, n >= k.
+    k:
+        Number of clusters of every problem.
+    seeds:
+        One seed or generator per problem, for its initialisation.
+    n_restarts:
+        Independent runs per problem; the lowest-inertia result wins
+        (the first one among equals).
+    max_iter / tol:
+        Lloyd iteration budget and centroid-shift convergence threshold.
+
+    Returns each problem's result, in order — bit for bit the result
+    (and generator state) of clustering that problem alone.
+    """
+    stack = np.asarray(data, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ClusteringError(
+            f"data must be a (B, n, d) stack, got shape {stack.shape}"
+        )
+    n_problems, n, dims = stack.shape
+    check_vectors("data", stack.reshape(n_problems * n, dims))
+    if len(seeds) != n_problems:
+        raise ClusteringError(
+            f"need one seed per problem: {len(seeds)} for {n_problems}"
+        )
+    if k < 1:
+        raise ClusteringError(f"k must be >= 1, got {k}")
+    if n < k:
+        raise ClusteringError(f"need at least k={k} samples, got {n}")
+    if n_restarts < 1:
+        raise ClusteringError(f"n_restarts must be >= 1, got {n_restarts}")
+    if not n_problems:
+        return []
+    rngs = [ensure_rng(seed) for seed in seeds]
+    # Run r * B + b is restart r of problem b.
+    starts = _plus_plus_init(stack, k, rngs, n_restarts)
+    runs_data = np.concatenate([stack] * n_restarts)
+    sqnorms = np.add.reduce(stack * stack, axis=-1)
+    centroids, labels, n_iter = _lloyd(
+        runs_data,
+        np.concatenate([sqnorms] * n_restarts),
+        starts,
+        max_iter,
+        tol,
     )
-    return KMeansResult(
-        centroids=centroids, labels=labels, inertia=inertia, n_iter=n_iter
-    )
+    every = np.arange(labels.shape[0])[:, None]
+    residual = runs_data - centroids[every, labels]
+    np.multiply(residual, residual, out=residual)
+    inertia = residual.reshape(every.shape[0], -1).sum(axis=1)
+    best = inertia.reshape(n_restarts, n_problems).argmin(axis=0)
+    results = []
+    for b, restart in enumerate(best):
+        run = restart * n_problems + b
+        results.append(
+            KMeansResult(
+                centroids=centroids[run].copy(),
+                labels=labels[run].copy(),
+                inertia=float(inertia[run]),
+                n_iter=int(n_iter[run]),
+            )
+        )
+    return results
 
 
 def kmeans(
@@ -312,6 +494,8 @@ def kmeans(
     tol: float = 1e-6,
 ) -> KMeansResult:
     """Cluster ``data`` into ``k`` groups; return the best of several runs.
+
+    The ``B = 1`` call of :func:`kmeans_stacked`.
 
     Parameters
     ----------
@@ -327,22 +511,14 @@ def kmeans(
         Lloyd iteration budget and centroid-shift convergence threshold.
     """
     matrix = check_vectors("data", data)
-    n = matrix.shape[0]
-    if k < 1:
-        raise ClusteringError(f"k must be >= 1, got {k}")
-    if n < k:
-        raise ClusteringError(f"need at least k={k} samples, got {n}")
-    if n_restarts < 1:
-        raise ClusteringError(f"n_restarts must be >= 1, got {n_restarts}")
-    rng = ensure_rng(seed)
-    rows = _DistanceRows(matrix)  # shared by every restart's seeding
-    best: KMeansResult | None = None
-    for _ in range(n_restarts):
-        result = _single_run(matrix, k, rng, max_iter, tol, rows=rows)
-        if best is None or result.inertia < best.inertia:
-            best = result
-    assert best is not None  # n_restarts >= 1 guarantees a result
-    return best
+    return kmeans_stacked(
+        matrix[None],
+        k,
+        seeds=[seed],
+        n_restarts=n_restarts,
+        max_iter=max_iter,
+        tol=tol,
+    )[0]
 
 
 class KMeans:

@@ -47,7 +47,11 @@ from repro.index.rstar import BisectLevel, RStarTree
 from repro.obs import get_metrics, get_tracer
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
 from repro.utils.validation import check_vectors
-from repro.clustering.kmeans import kmeans
+from repro.clustering.kmeans import kmeans_stacked
+
+# Every final round scans through the store's kernels: loading them with
+# the index keeps that import out of a server's first finalize.
+import repro.store.kernels  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.cache.result_cache import SubqueryResultCache
@@ -92,66 +96,78 @@ class _RepsPayload:
 
 
 def _select_leaf_reps(
-    payload: _RepsPayload, node_id: int, item_ids: np.ndarray
-) -> List[int]:
-    """Cluster a leaf's images; pick images nearest the centres.
+    payload: _RepsPayload, node_ids: Sequence[int], item_ids: np.ndarray
+) -> List[List[int]]:
+    """Cluster equal-size leaves together; pick images nearest the
+    centres of each.
 
-    Randomness comes from ``derive_rng(rng, f"leaf{node_id}")`` — a
-    stream addressed by the node, not by execution order — so the result
-    is identical no matter which worker runs the task.
+    ``item_ids`` is (B, n): one row of member ids per leaf.  Each
+    leaf's randomness comes from ``derive_rng(rng, f"leaf{node_id}")``
+    — a stream addressed by the node, not by execution order or by the
+    leaves it is stacked with — so the result is identical no matter
+    which worker runs the group.
     """
     config = payload.config
-    size = int(item_ids.shape[0])
+    n_leaves, size = item_ids.shape
     target = _rep_budget(config, size)
-    members = payload.features[item_ids]
+    stacked = payload.features[item_ids]
     k = min(config.leaf_subclusters, size)
-    result = kmeans(
-        members,
+    results = kmeans_stacked(
+        stacked,
         k,
-        seed=derive_rng(payload.rng, f"leaf{node_id}"),
+        seeds=[derive_rng(payload.rng, f"leaf{i}") for i in node_ids],
     )
-    reps: List[int] = []
-    sizes = result.cluster_sizes()
-    for j in range(k):
-        mask = result.labels == j
-        if not mask.any():
-            continue
-        # Proportional share of the budget, at least one per subcluster.
-        share = max(1, int(round(target * sizes[j] / size)))
-        member_ids = item_ids[mask]
-        dists = np.linalg.norm(
-            members[mask] - result.centroids[j], axis=1
-        )
-        order = np.argsort(dists, kind="stable")[:share]
-        reps.extend(int(member_ids[i]) for i in order)
-    return sorted(set(reps))
+    every = np.arange(n_leaves)[:, None]
+    labels = np.stack([r.labels for r in results])
+    centroids = np.stack([r.centroids for r in results])
+    # Each member's distance to its subcluster centre: per row the
+    # square, row sum and sqrt of ``np.linalg.norm(..., axis=1)``.
+    diff = stacked - centroids[every, labels]
+    np.multiply(diff, diff, out=diff)
+    dists = np.sqrt(np.add.reduce(diff, axis=-1))
+    # Proportional share of the budget, at least one per subcluster;
+    # ``np.rint`` rounds half to even, as ``round`` does.
+    sizes = np.stack([r.cluster_sizes() for r in results])
+    shares = np.maximum(1, np.rint(target * sizes / size)).astype(np.intp)
+    # Members by subcluster, nearest first (ties by id, as a stable
+    # sort of each subcluster's distances gives): keep each
+    # subcluster's first ``share``.
+    order = np.lexsort((dists, labels), axis=-1)
+    ranked = labels[every, order]
+    first = np.cumsum(sizes, axis=1) - sizes
+    keep = np.arange(size) - first[every, ranked] < shares[every, ranked]
+    chosen = item_ids[every, order]
+    return [np.sort(row[mask]).tolist() for row, mask in zip(chosen, keep)]
 
 
 def _select_inner_reps(
     payload: _RepsPayload,
-    node_id: int,
+    node_ids: Sequence[int],
     cand_ids: np.ndarray,
-    size: int,
-) -> List[int]:
-    """Re-cluster child representatives; pick the candidate nearest each
-    centre.
+    target: int,
+) -> List[List[int]]:
+    """Re-cluster child representatives of nodes with equal candidate
+    counts and targets; pick the candidate nearest each centre.
 
-    The nearest-candidate search runs over centroid blocks instead of a
+    ``cand_ids`` is (B, n): one row of candidate ids per node.  A
+    target that keeps every candidate needs no clustering.  The
+    nearest-candidate search runs over centroid blocks instead of a
     per-centroid Python loop; the distances match the historical
     ``np.linalg.norm`` loop bit-for-bit (same difference/reduction
     order, same sqrt), so the chosen representatives are unchanged.
     """
-    target = min(_rep_budget(payload.config, size), cand_ids.shape[0])
-    if target >= cand_ids.shape[0]:
-        return [int(c) for c in cand_ids]
-    cand_feats = payload.features[cand_ids]
-    result = kmeans(
-        cand_feats,
+    if target >= cand_ids.shape[1]:
+        return [[int(c) for c in row] for row in cand_ids]
+    stacked = payload.features[cand_ids]
+    results = kmeans_stacked(
+        stacked,
         target,
-        seed=derive_rng(payload.rng, f"inner{node_id}"),
+        seeds=[derive_rng(payload.rng, f"inner{i}") for i in node_ids],
     )
-    nearest = _nearest_candidates(cand_feats, result.centroids)
-    return sorted({int(cand_ids[i]) for i in nearest})
+    return [
+        sorted({int(ids[i]) for i in _nearest_candidates(feats, r.centroids)})
+        for ids, feats, r in zip(cand_ids, stacked, results)
+    ]
 
 
 #: Bytes of the (block, n_candidates, d) difference tensor one pass of
@@ -192,13 +208,14 @@ def _nearest_candidates(
     return nearest
 
 
-def _node_reps_task(payload: _RepsPayload, item: tuple) -> List[int]:
-    """One representative-selection work unit (leaf or inner node):
-    the single pool task of the phase, dispatched on node kind."""
-    kind, node_id, data, size = item
+def _group_reps_task(payload: _RepsPayload, group: tuple) -> List[List[int]]:
+    """One representative-selection work unit — the nodes of one rank,
+    kind and shape, clustered in one stacked k-means: the single pool
+    task of the phase, dispatched on node kind."""
+    kind, node_ids, ids, target = group
     if kind == "leaf":
-        return _select_leaf_reps(payload, node_id, data)
-    return _select_inner_reps(payload, node_id, data, size)
+        return _select_leaf_reps(payload, node_ids, ids)
+    return _select_inner_reps(payload, node_ids, ids, target)
 
 
 class RFSNode:
@@ -721,10 +738,13 @@ class RFSStructure:
 
         Nodes are processed one tree rank at a time, bottom rank first:
         within a rank every node's selection is independent (an inner
-        node only reads its *children's* finished representatives), so
-        the rank fans out over ``executor``.  Results are applied — and
-        ``progress`` emitted — in serial post-order; per-node derived
-        RNG streams make the outcome identical across executors.
+        node only reads its *children's* finished representatives).  A
+        rank's nodes are grouped by kind and shape — leaves by size,
+        inner nodes by candidate count and target — and each group is
+        one stacked k-means and one task of ``executor``.  Results are
+        applied — and ``progress`` emitted — in serial post-order;
+        per-node derived RNG streams make the outcome identical across
+        executors and groupings.
         """
         order = list(self._post_order(self.root))
         total = len(order)
@@ -749,14 +769,13 @@ class RFSStructure:
         done = 0
         for r in sorted(by_rank):
             batch = by_rank[r]
-            items = []
+            groups: Dict[tuple, Tuple[List[int], List[np.ndarray]]] = {}
             for node in batch:
                 if node.is_leaf:
-                    items.append(
-                        ("leaf", node.node_id, node.item_ids, node.size)
-                    )
+                    ids = node.item_ids
+                    key = ("leaf", ids.shape[0], 0)
                 else:
-                    cand_ids = np.array(
+                    ids = np.array(
                         sorted(
                             {
                                 rep
@@ -766,11 +785,24 @@ class RFSStructure:
                         ),
                         dtype=np.int64,
                     )
-                    items.append(
-                        ("inner", node.node_id, cand_ids, node.size)
+                    target = min(
+                        _rep_budget(self.config, node.size), ids.shape[0]
                     )
-            results = executor.map(_node_reps_task, items, payload)
-            for node, reps in zip(batch, results):
+                    key = ("inner", ids.shape[0], target)
+                members, rows = groups.setdefault(key, ([], []))
+                members.append(node.node_id)
+                rows.append(ids)
+            items = [
+                (kind, node_ids, np.stack(rows), target)
+                for (kind, _, target), (node_ids, rows) in groups.items()
+            ]
+            chosen: Dict[int, List[int]] = {}
+            for (_, node_ids, _, _), picked in zip(
+                items, executor.map(_group_reps_task, items, payload)
+            ):
+                chosen.update(zip(node_ids, picked))
+            for node in batch:
+                reps = chosen[node.node_id]
                 node.representatives = reps
                 if not node.is_leaf:
                     # Route each representative to the child owning it.
@@ -1195,19 +1227,18 @@ class RFSStructure:
 
         Phase 2 re-runs the exact kernels over the *full* float32
         blocks of the leaves holding survivors and selects the
-        survivors' entries.  Re-ranking gathered candidate rows would
-        NOT be bit-identical: BLAS matrix-vector reductions change
-        summation order with the matrix's row count, so the same row
-        can produce a last-ulp-different distance inside a 3-row gather
-        than inside its 60-row block.  Running the identical kernel
-        call the ``f32`` scan would run (same arrays, same shape) makes
-        the returned ``(score, id)`` ranking **bit-identical** to the
-        uncompressed path by construction (the check.sh
-        quantized-parity gate asserts it across executors and
-        backings).  Exact blocks touched here are not charged to the
-        disk model — like every ``vectors_for`` gather, they model
-        row-level fetches; the scan phase's sequential block reads are
-        what the model meters, at compressed size.
+        survivors' entries: the identical kernel call the ``f32`` scan
+        makes (same arrays, same shape), so the returned ``(score, id)``
+        ranking is **bit-identical** to the uncompressed path by
+        construction (the check.sh quantized-parity gate asserts it
+        across executors and backings).  The kernels reduce each row
+        with ``einsum``, whose result does not depend on the block's
+        row count, so re-ranking only the gathered survivor rows would
+        give the same bits; that narrower re-rank is a change of its
+        own, not made here.  Exact blocks touched here are not charged
+        to the disk model — like every ``vectors_for`` gather, they
+        model row-level fetches; the scan phase's sequential block reads
+        are what the model meters, at compressed size.
 
         Delta tombstones (``dead_ids``) get their phase-1 distances
         forced to ``+inf`` in place, after the kernel ran over the

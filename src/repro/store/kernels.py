@@ -83,40 +83,6 @@ def pairwise_distances(
     return table
 
 
-def pairwise_sq_distances(
-    block: np.ndarray,
-    reps: np.ndarray,
-    *,
-    block_sqnorms: Optional[np.ndarray] = None,
-    rep_sqnorms: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """(n, m) *squared* distances from block rows to representatives.
-
-    The no-sqrt variant backing Lloyd assignment in
-    :mod:`repro.clustering.kmeans`: argmin over squared distances needs
-    neither the root nor a non-negativity clamp, and clamping could
-    collapse distinct near-zero values into ties — so the raw expansion
-    result (last-bit negatives included) is returned untouched.
-
-    ``rep_sqnorms`` additionally skips the ``‖q‖²`` pass when the caller
-    holds the centroid norms across assignment chunks.
-    """
-    t0 = time.perf_counter()
-    reps = np.asarray(reps, dtype=block.dtype)
-    if reps.ndim == 1:
-        reps = reps[None, :]
-    if block_sqnorms is None:
-        block_sqnorms = np.einsum("ij,ij->i", block, block)
-    if rep_sqnorms is None:
-        rep_sqnorms = np.einsum("ij,ij->i", reps, reps)
-    table = block @ reps.T
-    table *= -2.0
-    table += block_sqnorms[:, None]
-    table += rep_sqnorms[None, :]
-    _observe(t0, block.shape[0] * reps.shape[0], "pairwise_sq")
-    return table
-
-
 def point_distances(
     block: np.ndarray,
     query: np.ndarray,

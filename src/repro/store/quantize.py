@@ -33,14 +33,14 @@ The weighted-metric variant is ``ε_w = sqrt(Σ_d w_d · e_d²)``.  With
 
 so pruning on ``κ̂ + ε`` and re-ranking the ``d̂ ≤ κ̂ + 2ε`` candidates
 through the exact matrix reproduces the float32 ranking **bit for
-bit**.  One subtlety makes the *shape* of the re-rank kernel call part
-of the contract: BLAS matrix-vector products change their reduction
-order with the matrix's row count, so the same row can yield a
-last-ulp-different distance inside a small gathered candidate matrix
-than inside its full leaf block.  The re-rank therefore reruns the
-exact kernel over the *full* float32 blocks of the leaves holding
-survivors — byte-for-byte the calls the ``f32`` scan makes — and
-selects the survivors' entries.
+bit**.  The re-rank reruns the exact kernel over the *full* float32
+blocks of the leaves holding survivors — byte-for-byte the calls the
+``f32`` scan makes — and selects the survivors' entries.  The exact
+kernels reduce each row with ``einsum``, which gives a row the same
+bits in any block shape (BLAS matrix-vector products would not: their
+reduction order changes with the row count), so a re-rank of the
+gathered survivor rows alone would be exact too; it is a separate
+change to the scan, not made here.
 """
 
 from __future__ import annotations

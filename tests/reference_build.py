@@ -4,8 +4,10 @@ Everything here is the *historical* form of a build kernel, kept out of
 ``src/`` on purpose: the naive per-cluster loops the vectorized Lloyd
 iteration replaced, the bodies ``_plus_plus_init``, ``_single_run``
 and ``_split_once`` had before the build stopped computing what it
-could prove (commit 7d9c120), and ``kmeans()``'s restart loop before
-its k-means++ picks shared distance rows.  The shipped kernels must reproduce these
+could prove (commit 7d9c120), ``kmeans()``'s restart loop before its
+k-means++ picks shared distance rows, and the one-problem assignment
+and ``np.add.at`` centroid update Lloyd ran before k-means was
+stacked.  The shipped kernels must reproduce these
 bit for bit — centroids, labels, inertia, ``n_iter``, the partition, and
 the random generator's state afterwards — which is what
 ``tests/test_build_parallel.py`` checks against them.
@@ -23,12 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.clustering.kmeans import (
-    KMeansResult,
-    _assign,
-    _lloyd_update,
-    _reseed_empty,
-)
+from repro.clustering.kmeans import KMeansResult, _reseed_empty
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +71,43 @@ def nearest_candidates_naive(
 
 
 # ----------------------------------------------------------------------
+# One problem's Lloyd kernels, before k-means was stacked
+# ----------------------------------------------------------------------
+def assign_reference(
+    data: np.ndarray,
+    centroids: np.ndarray,
+    *,
+    data_sqnorms: np.ndarray | None = None,
+) -> np.ndarray:
+    """Norm-expansion assignment of one (n, d) problem."""
+    if data_sqnorms is None:
+        data_sqnorms = np.sum(data**2, axis=1)
+    cent_sqnorms = np.sum(centroids**2, axis=1)
+    table = data @ centroids.T
+    table *= -2.0
+    table += data_sqnorms[:, None]
+    table += cent_sqnorms[None, :]
+    return np.argmin(table, axis=1)
+
+
+def lloyd_update_reference(
+    data: np.ndarray, labels: np.ndarray, k: int, centroids: np.ndarray
+) -> np.ndarray:
+    """Centroid update through the sequential ``np.add.at`` scatter."""
+    counts = np.bincount(labels, minlength=k)
+    sums = np.zeros((k, data.shape[1]), dtype=np.float64)
+    np.add.at(sums, labels, data)
+    if counts.all():
+        return sums / counts[:, None]
+    new_centroids = np.empty_like(centroids)
+    filled = counts > 0
+    new_centroids[filled] = sums[filled] / counts[filled, None]
+    empties = np.flatnonzero(~filled)
+    _reseed_empty(data, labels, centroids, new_centroids, empties)
+    return new_centroids
+
+
+# ----------------------------------------------------------------------
 # The parent commit's k-means run and balanced split
 # ----------------------------------------------------------------------
 def plus_plus_init_reference(
@@ -107,20 +141,22 @@ def single_run_reference(
 ) -> KMeansResult:
     """One Lloyd run that iterates until the shift test says stop.
 
-    Assignment and update are the shipped (unchanged) kernels, as in
-    the parent's body: the naive update is not interchangeable here —
-    on one-column data ``mean(axis=0)`` sums pairwise where the scatter
+    Assignment and update are the one-problem kernels above, as in the
+    parent's body: the naive update is not interchangeable here — on
+    one-column data ``mean(axis=0)`` sums pairwise where the scatter
     sums in sequence, so the two can differ in the last bit.
     """
     centroids = plus_plus_init_reference(data, k, rng)
     data_sqnorms = np.sum(data**2, axis=1)
-    labels = _assign(data, centroids, data_sqnorms=data_sqnorms)
+    labels = assign_reference(data, centroids, data_sqnorms=data_sqnorms)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        new_centroids = _lloyd_update(data, labels, k, centroids)
+        new_centroids = lloyd_update_reference(data, labels, k, centroids)
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
-        labels = _assign(data, centroids, data_sqnorms=data_sqnorms)
+        labels = assign_reference(
+            data, centroids, data_sqnorms=data_sqnorms
+        )
         if shift <= tol:
             break
     inertia = float(np.sum((data - centroids[labels]) ** 2))

@@ -30,9 +30,8 @@ from repro.clustering.kmeans import (
     _assign,
     _lloyd_update,
     _plus_plus_init,
-    _single_run,
     kmeans,
-    sq_distances_into,
+    kmeans_stacked,
 )
 from repro.config import BuildConfig, MutationConfig, RFSConfig
 from repro.datasets.build import build_synthetic_database
@@ -346,7 +345,9 @@ class TestKernelReferenceParity:
         data = _kernel_data(kind, n, d, seed)
         k = {"one": 1, "all": n, "some": 1 + seed % n}[k_pick]
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-        got = _single_run(data, k, rng, max_iter, tol)
+        got = kmeans(
+            data, k, seed=rng, n_restarts=1, max_iter=max_iter, tol=tol
+        )
         want = single_run_reference(data, k, ref_rng, max_iter, tol)
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert np.array_equal(got.labels, want.labels)
@@ -371,7 +372,7 @@ class TestKernelReferenceParity:
 
             monkeypatch.setattr(km, name, counted)
         data = _kernel_data("uniform", 50, 4, 3)
-        got = km._single_run(data, 4, np.random.default_rng(3), 100, 1e-6)
+        got = km.kmeans(data, 4, seed=3, n_restarts=1)
         want = single_run_reference(
             data, 4, np.random.default_rng(3), 100, 1e-6
         )
@@ -380,7 +381,7 @@ class TestKernelReferenceParity:
         assert calls["_assign"] == want.n_iter
         assert calls["_reseed_empty"] == 0
         data = _kernel_data("duplicated", 24, 3, 5)
-        km._single_run(data, 24, np.random.default_rng(5), 100, 1e-6)
+        km.kmeans(data, 24, seed=5, n_restarts=1)
         assert calls["_reseed_empty"] > 0
 
     @given(
@@ -397,7 +398,7 @@ class TestKernelReferenceParity:
         data = _kernel_data(kind, n, d, seed)
         k = {"one": 1, "all": n, "some": 1 + seed % n}[k_pick]
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-        got = _plus_plus_init(data, k, rng)
+        got = _plus_plus_init(data[None], k, [rng], 1)[0]
         want = plus_plus_init_reference(data, k, ref_rng)
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -438,16 +439,17 @@ class TestKernelReferenceParity:
         self, monkeypatch, memo_rows
     ):
         # 3 restarts x 149 picks that read a row, over 200 samples: with
-        # the memo no row is computed twice; with no room for a row,
-        # every pick computes its own, as before the memo.
+        # the memo no row is computed twice; with no room for a row, a
+        # row is computed again whenever a later step picks its sample.
         n, k = 200, 150
         calls = []
+        compute = _km._SeedingRows._compute
 
-        def counted(points, centre, scratch, out):
-            calls.append(centre.tobytes())
-            return sq_distances_into(points, centre, scratch, out)
+        def counted(self, keys):
+            calls.extend(self.data[p, j].tobytes() for p, j in keys)
+            return compute(self, keys)
 
-        monkeypatch.setattr(_km, "sq_distances_into", counted)
+        monkeypatch.setattr(_km._SeedingRows, "_compute", counted)
         if memo_rows is not None:
             monkeypatch.setattr(_km, "_ROW_MEMO_BYTES", memo_rows)
         kmeans(_kernel_data("uniform", n, 6, 1), k, seed=1, n_restarts=3)
@@ -455,7 +457,84 @@ class TestKernelReferenceParity:
             assert len(calls) == len(set(calls)) <= n
             assert len(calls) < 3 * (k - 1)
         else:
-            assert len(calls) == 3 * (k - 1)
+            assert len(set(calls)) < len(calls) <= 3 * (k - 1)
+
+    @given(
+        kind=_KINDS,
+        n_problems=st.integers(1, 6),
+        # Both sides of numpy's 128-element pairwise summation block.
+        n=st.one_of(st.integers(1, 40), st.integers(100, 600)),
+        d=st.one_of(st.integers(1, 9), st.just(37)),
+        k_pick=st.sampled_from(["one", "all", "some"]),
+        n_restarts=st.integers(1, 3),
+        max_iter=st.sampled_from([1, 2, 100]),
+        tol=st.sampled_from([1e-6, 0.0, -1.0]),
+        seed=st.integers(0, 2**20),
+    )
+    # Coincident rows: seeding runs out of distinct points (the
+    # generator draws differently) and clusters empty out and re-seed.
+    @example(kind="duplicated", n_problems=3, n=24, d=3, k_pick="all",
+             n_restarts=3, max_iter=100, tol=1e-6, seed=5)
+    @example(kind="duplicated", n_problems=4, n=5, d=2, k_pick="some",
+             n_restarts=3, max_iter=100, tol=1e-6, seed=7)
+    @example(kind="uniform", n_problems=6, n=483, d=37, k_pick="some",
+             n_restarts=3, max_iter=100, tol=1e-6, seed=304)
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_kmeans_matches_reference_per_problem(
+        self, kind, n_problems, n, d, k_pick, n_restarts, max_iter, tol,
+        seed,
+    ):
+        data = np.stack(
+            [_kernel_data(kind, n, d, seed + b) for b in range(n_problems)]
+        )
+        k = {"one": 1, "all": n, "some": 1 + seed % n}[k_pick]
+        rngs = [np.random.default_rng(seed + b) for b in range(n_problems)]
+        refs = [np.random.default_rng(seed + b) for b in range(n_problems)]
+        got = kmeans_stacked(
+            data, k, seeds=rngs, n_restarts=n_restarts, max_iter=max_iter,
+            tol=tol,
+        )
+        for b, result in enumerate(got):
+            want = kmeans_reference(
+                data[b], k, refs[b], n_restarts, max_iter=max_iter, tol=tol
+            )
+            assert result.centroids.tobytes() == want.centroids.tobytes()
+            assert np.array_equal(result.labels, want.labels)
+            assert result.inertia == want.inertia
+            assert result.n_iter == want.n_iter
+            assert rngs[b].bit_generator.state == refs[b].bit_generator.state
+
+    def test_stacked_problems_stop_at_their_own_iteration(self, monkeypatch):
+        # The differential above is only worth its name if one group
+        # mixes runs that stop at different iterations and problems
+        # whose seeding runs out of distinct points.
+        calls = {"_plus_plus_picks": 0}
+        picks = _km._plus_plus_picks
+
+        def counted(*args, **kw):
+            calls["_plus_plus_picks"] += 1
+            return picks(*args, **kw)
+
+        monkeypatch.setattr(_km, "_plus_plus_picks", counted)
+        data = np.stack([_kernel_data("uniform", 60, 4, b) for b in range(5)])
+        got = kmeans_stacked(
+            data, 6, seeds=[np.random.default_rng(b) for b in range(5)]
+        )
+        assert len({r.n_iter for r in got}) > 1
+        assert calls["_plus_plus_picks"] == 1  # every restart at once
+        spent = np.stack(
+            [_kernel_data("uniform", 24, 3, 1), np.zeros((24, 3))]
+        )
+        rngs = [np.random.default_rng(b) for b in range(2)]
+        refs = [np.random.default_rng(b) for b in range(2)]
+        got = kmeans_stacked(spent, 4, seeds=rngs)
+        # One pass for the group, then the coincident problem's three
+        # restarts replayed one at a time.
+        assert calls["_plus_plus_picks"] == 1 + 1 + 3
+        for b in range(2):
+            want = kmeans_reference(spent[b], 4, refs[b], 3)
+            assert got[b].centroids.tobytes() == want.centroids.tobytes()
+            assert rngs[b].bit_generator.state == refs[b].bit_generator.state
 
     @given(
         kind=_KINDS,
@@ -539,7 +618,10 @@ class TestLloydEquivalence:
         k = 7
         centroids = data[:k].copy()
         labels = _assign(data, centroids)
-        vec = _lloyd_update(data, labels, k, centroids)
+        counts = np.bincount(labels, minlength=k)
+        vec = _lloyd_update(
+            data[None], labels[None], counts[None], centroids[None]
+        )[0]
         ref = lloyd_update_naive(data, labels, k, centroids)
         assert vec.tobytes() == ref.tobytes()
 
@@ -572,7 +654,10 @@ class TestEmptyClusterRepair:
         labels = np.array([0, 0, 1, 1, 0, 1])
         centroids = np.zeros((4, 2))
         centroids[1] = [10.0, 0.0]
-        repaired = _lloyd_update(data, labels, 4, centroids)
+        repaired = _lloyd_update(
+            data[None], labels[None], np.array([[3, 3, 0, 0]]),
+            centroids[None],
+        )[0]
         # Farthest-first: [50, 0] (dist 50 from centroid 0), then
         # [40, 0] (dist 30 from centroid 1).
         assert repaired[2].tolist() == [50.0, 0.0]
@@ -583,7 +668,9 @@ class TestEmptyClusterRepair:
         data = np.array([[0.0], [1.0], [2.0], [9.0]])
         labels = np.array([0, 0, 0, 0])
         centroids = np.array([[0.0], [100.0]])
-        repaired = _lloyd_update(data, labels, 2, centroids)
+        repaired = _lloyd_update(
+            data[None], labels[None], np.array([[4, 0]]), centroids[None]
+        )[0]
         assert repaired[1].tolist() == [9.0]
         ref = lloyd_update_naive(data, labels, 2, centroids)
         assert repaired.tobytes() == ref.tobytes()

@@ -10,10 +10,13 @@ staying bit-identical to the pure-float32 path across executors,
 backings, and cached reruns.
 
 The small-``fetch`` sweep in ``TestQuantizedParity`` is a regression
-test for a subtle trap: BLAS matrix-vector reductions change summation
-order with the matrix's row count, so re-ranking a *gathered* candidate
-matrix produces last-ulp-different distances than the full-block scan.
-The re-rank must rerun the exact kernel over full leaf blocks.
+test for a trap the re-rank once fell into: BLAS matrix-vector
+reductions change summation order with the matrix's row count, so
+re-ranking a *gathered* candidate matrix through ``X @ q`` produced
+last-ulp-different distances than the full-block scan.  The exact
+kernels reduce with ``einsum``, whose per-row result does not depend on
+the block's shape (``TestKernelShapeIndependence``); the re-rank still
+reruns them over full leaf blocks, the calls the ``f32`` scan makes.
 """
 
 from __future__ import annotations
@@ -463,6 +466,47 @@ class TestQuantizedParity:
             ) == quant.localized_knn(
                 other, queries[0], min(10, node.size), weights=weights
             )
+
+
+class TestKernelShapeIndependence:
+    @given(
+        n=st.integers(1, 300),
+        d=st.one_of(st.integers(1, 16), st.just(37), st.just(64)),
+        seed=st.integers(0, 2**20),
+        cached_norms=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gathered_rows_score_as_in_the_full_block(
+        self, n, d, seed, cached_norms
+    ):
+        # A row's exact distance is the same bits whether it is scored
+        # in its full float32 block or in any gather of it (any size,
+        # order, repeats): the reductions are einsum's, not gemv's.
+        from repro.store.kernels import (
+            point_distances,
+            weighted_point_distances,
+        )
+
+        rng = np.random.default_rng(seed)
+        scale = np.float32(rng.uniform(0.1, 10.0))
+        block = rng.normal(size=(n, d)).astype(np.float32) * scale
+        query = rng.normal(size=d).astype(np.float32)
+        weights = rng.uniform(0.5, 2.0, size=d).astype(np.float32)
+        idx = rng.integers(n, size=int(rng.integers(1, n + 1)))
+        sqnorms = np.einsum("ij,ij->i", block, block)
+        full = point_distances(
+            block, query, block_sqnorms=sqnorms if cached_norms else None
+        )
+        gathered = point_distances(
+            block[idx],
+            query,
+            block_sqnorms=sqnorms[idx] if cached_norms else None,
+        )
+        assert gathered.tobytes() == full[idx].tobytes()
+        assert (
+            weighted_point_distances(block[idx], query, weights).tobytes()
+            == weighted_point_distances(block, query, weights)[idx].tobytes()
+        )
 
 
 # ----------------------------------------------------------------------
