@@ -219,8 +219,14 @@ run_gate "cache invalidation" tests/test_cache.py Invalidation
 # their reference forms in tests/reference_build.py: the stacked k-means
 # (B equal-shape problems, every restart at once, one generator per
 # problem) against one-problem runs problem by problem — centroids,
-# labels, inertia, n_iter and generator state — so both classes must
-# show up as passed.
+# labels, inertia, n_iter and generator state — and the bisect's split
+# and the nearest-candidate search, whose sides, farthest and nearest
+# rows a certified float filter decides (a BLAS product with a rounding
+# margin, the exact distance kernel on every near-tie), against bodies
+# that run the exact kernel on every row — on integer grids, duplicated
+# rows, an offset of 1e6 and scales 1e-160 / 1e150, with one input
+# proven to reach the exact fallback.  Both classes must show up as
+# passed.
 run_gate "build parity" tests/test_build_parallel.py Parity \
     TestBuildDigestParity TestKernelReferenceParity
 # A session checkpointed after any round and resumed — even by a fresh

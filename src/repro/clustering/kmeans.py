@@ -44,6 +44,7 @@ with the tests that pin them (``tests/reference_build.py``).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
@@ -97,13 +98,180 @@ def sq_distances_into(
     ``np.sum((points - centre) ** 2, axis=1)`` without its two (n, d)
     temporaries: the same subtract, square and pairwise row sum, in the
     same order, written into the caller's ``scratch`` (n, d) and ``out``
-    (n,) — so the result is bit-identical to the expression.  The hot
-    kernel of the bisect's 2-means passes; :class:`_SeedingRows`
-    computes its stacked form for k-means++.
+    (n,) — so the result is bit-identical to the expression.  Each row
+    is reduced on its own, so a subset of rows gets the bits the whole
+    matrix would, and ``centre`` may be one (d,) centre or one centre
+    per row.  The build's exact distance kernel: :class:`DistanceFilter`
+    runs it on the rows its float filter cannot settle and the bisect on
+    its final centres; :class:`_SeedingRows` computes its stacked form
+    for k-means++.
     """
     np.subtract(points, centre, out=scratch)
     np.multiply(scratch, scratch, out=scratch)
     return np.add.reduce(scratch, axis=1, out=out)
+
+
+#: Relative half-width of :class:`DistanceFilter`'s intervals, per unit
+#: of ``S² = (‖x‖ + ‖a‖ + ‖b‖)²`` — the row and the centres compared.
+#: The filter's product and the exact kernel are each within
+#: ``γ(d + 3)·S²`` of the true value (``γ(m) = m·u / (1 − m·u)``,
+#: ``u = 2⁻⁵³``, for any summation order, FMA included), so they differ
+#: by at most ``3·γ(d + 3)·S²`` ≈ 1.3e-14·S² at d = 37: κ is ≈ 75× that.
+_FILTER_KAPPA = 1e-12
+#: Absolute part of the half-width: it covers the absolute error of
+#: gradual underflow, a few 2⁻¹⁰⁷⁴ per operation.
+_FILTER_TINY = 1e-300
+#: The filter decides only while ``S² < _FILTER_HUGE`` on every row, so
+#: that no product or sum can overflow, and rows are at most
+#: ``_FILTER_MAX_DIMS`` wide, so that ``3·γ(d + 3)`` stays under κ / 10.
+#: Past either, every row goes to the exact kernel.
+_FILTER_HUGE = 1e306
+_FILTER_MAX_DIMS = 300
+
+
+class DistanceFilter:
+    """Decisions on the exact kernel's distances from the rows of
+    ``points``, with that kernel run only where a float filter is unsure.
+
+    Each decision — which of two centres every row is nearer
+    (:meth:`sides`), which row is farthest from a centre
+    (:meth:`farthest`), which row is nearest each of several centres
+    (:meth:`nearest`) — is the one :func:`sq_distances_into`'s values
+    give, first index winning ties.  It is made first on an approximation
+    ``f`` from one BLAS product, whose every value gets a half-width
+    ``m = 2κ·(‖x‖² + r²) + tiny`` (:data:`_FILTER_KAPPA`), ``r`` the
+    centres' norm sum — at least ``κ·(‖x‖ + r)² = κ·S²``, and one add per
+    row.  The exact kernel's value (or difference) lies within
+    ``[f − m, f + m]``.  A row whose interval settles the decision is
+    decided by ``f``; every other row goes through the exact kernel, so
+    each answer is the exact kernel's.
+
+    Every test is written so that a NaN or an infinity reads as unsure,
+    and the products run under ``np.errstate`` so nothing warns.
+    """
+
+    def __init__(self, points: np.ndarray) -> None:
+        self.points = points
+        self.scratch = np.empty_like(points)
+        with np.errstate(all="ignore"):
+            self.sqnorms = np.einsum("ij,ij->i", points, points)
+            self._row_width = self.sqnorms * (2.0 * _FILTER_KAPPA)
+        # The largest row norm: inf (never certain) when the rows are too
+        # wide for κ; NaN, from a non-finite row, is never certain either.
+        self._top = (
+            math.sqrt(float(self.sqnorms.max(initial=0.0)))
+            if points.shape[1] <= _FILTER_MAX_DIMS
+            else math.inf
+        )
+
+    def _certain(self, reach: float) -> bool:
+        """Whether intervals around centres of norm sum ``reach`` are
+        trustworthy: no value can overflow."""
+        span = self._top + reach
+        return span * span < _FILTER_HUGE
+
+    def _half_width(self, reach_sq) -> np.ndarray:
+        """Every row's half-width for centres of squared norm sum
+        ``reach_sq`` (a scalar, or a column of one per centre)."""
+        return self._row_width + (2.0 * _FILTER_KAPPA * reach_sq + _FILTER_TINY)
+
+    def _exact(self, rows: np.ndarray, centre: np.ndarray) -> np.ndarray:
+        """The exact kernel on ``points[rows]``."""
+        count = rows.shape[0]
+        return sq_distances_into(
+            self.points[rows], centre, self.scratch[:count], np.empty(count)
+        )
+
+    def sides(self, centre_a: np.ndarray, centre_b: np.ndarray) -> np.ndarray:
+        """``da <= db`` per row: is the row as near ``centre_a`` as
+        ``centre_b`` by the exact kernel?
+
+        ``f = 2·x·(b − a) + ‖a‖² − ‖b‖²`` is ``da − db`` in exact
+        arithmetic; a row with ``|f| > m`` is on the side of ``f``'s sign.
+        """
+        sq_a = float(np.dot(centre_a, centre_a))
+        sq_b = float(np.dot(centre_b, centre_b))
+        reach = math.sqrt(sq_a) + math.sqrt(sq_b)
+        n = self.points.shape[0]
+        if self._certain(reach):
+            with np.errstate(all="ignore"):
+                normal = centre_b - centre_a
+                normal *= 2.0
+                approx = self.points @ normal
+                approx += sq_a - sq_b
+                side = approx < 0.0
+                np.abs(approx, out=approx)
+                width = self._half_width(reach * reach)
+                unsure = np.flatnonzero(~(approx > width))
+        else:
+            side = np.empty(n, dtype=bool)
+            unsure = np.arange(n)
+        if unsure.size:
+            side[unsure] = self._exact(unsure, centre_a) <= self._exact(
+                unsure, centre_b
+            )
+        return side
+
+    def farthest(self, centre: np.ndarray) -> int:
+        """``np.argmax`` of the exact kernel's distances to ``centre``.
+
+        The candidates are the rows whose upper bound reaches the
+        largest lower bound: every exact maximum is among them, so the
+        first exact maximum over the candidates is the first overall.
+        """
+        sq_c = float(np.dot(centre, centre))
+        if self._certain(math.sqrt(sq_c)):
+            with np.errstate(all="ignore"):
+                approx = self.points @ (centre * -2.0)
+                approx += self.sqnorms
+                approx += sq_c
+                width = self._half_width(sq_c)
+                lower = approx - width
+                approx += width
+                rows = np.flatnonzero(~(approx < lower.max()))
+        else:
+            rows = np.arange(self.points.shape[0])
+        return int(rows[np.argmax(self._exact(rows, centre))])
+
+    def nearest(self, centres: np.ndarray) -> np.ndarray:
+        """Per centre, ``np.argmin`` of the square roots of the exact
+        kernel's distances from it.
+
+        The candidates of a centre are the rows whose lower bound is at
+        or below the smallest upper bound.  The half-width is far wider
+        than the range over which ``sqrt`` can round two sums to one
+        distance, so every row whose root could tie the least one is a
+        candidate, and every other row's root is larger: the roots of
+        the candidates, ``inf`` elsewhere, have the same first minimum.
+        """
+        n = self.points.shape[0]
+        with np.errstate(all="ignore"):
+            sq_c = np.einsum("ij,ij->i", centres, centres)
+            reach = math.sqrt(float(sq_c.max(initial=0.0)))
+            if self._certain(reach):
+                approx = centres @ self.points.T
+                approx *= -2.0
+                approx += self.sqnorms
+                approx += sq_c[:, None]
+                width = self._half_width(sq_c[:, None])
+                lower = approx - width
+                approx += width
+                near = ~(lower > approx.min(axis=1, keepdims=True))
+            else:
+                near = np.ones((centres.shape[0], n), dtype=bool)
+        which, rows = np.nonzero(near)
+        exact = np.empty(rows.shape[0])
+        for start in range(0, rows.shape[0], n):
+            stop = start + n
+            exact[start:stop] = self._exact(
+                rows[start:stop], centres[which[start:stop]]
+            )
+        # The sqrt stays although argmin ignores monotone maps: it can
+        # round two different sums to one distance, and the tie then
+        # goes to the first index.
+        dists = np.full(near.shape, np.inf)
+        dists[which, rows] = np.sqrt(exact)
+        return np.argmin(dists, axis=1)
 
 
 #: Bytes of distance rows one :func:`kmeans_stacked` call keeps, over
@@ -238,7 +406,7 @@ def _plus_plus_init(
     chosen, spent_at = _plus_plus_picks(
         problem, first.ravel(), uniforms.reshape(problem.size, k - 1), rows
     )
-    for b in np.unique(problem[spent_at < k]):
+    for b in sorted(set(problem[spent_at < k].tolist())):
         rng = rngs[b]
         rng.bit_generator.state = states[b]
         for r in range(n_restarts):

@@ -47,7 +47,7 @@ from repro.index.rstar import BisectLevel, RStarTree
 from repro.obs import get_metrics, get_tracer
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
 from repro.utils.validation import check_vectors
-from repro.clustering.kmeans import kmeans_stacked
+from repro.clustering.kmeans import DistanceFilter, kmeans_stacked
 
 # Every final round scans through the store's kernels: loading them with
 # the index keeps that import out of a server's first finalize.
@@ -151,10 +151,11 @@ def _select_inner_reps(
 
     ``cand_ids`` is (B, n): one row of candidate ids per node.  A
     target that keeps every candidate needs no clustering.  The
-    nearest-candidate search runs over centroid blocks instead of a
-    per-centroid Python loop; the distances match the historical
-    ``np.linalg.norm`` loop bit-for-bit (same difference/reduction
-    order, same sqrt), so the chosen representatives are unchanged.
+    nearest-candidate search (:meth:`DistanceFilter.nearest`: one
+    product over all centroids proposes the few candidates each could
+    pick, and the exact kernel decides among those, square root
+    included) picks what the historical per-centroid
+    ``np.linalg.norm`` loop picks, so the representatives are unchanged.
     """
     if target >= cand_ids.shape[1]:
         return [[int(c) for c in row] for row in cand_ids]
@@ -165,47 +166,9 @@ def _select_inner_reps(
         seeds=[derive_rng(payload.rng, f"inner{i}") for i in node_ids],
     )
     return [
-        sorted({int(ids[i]) for i in _nearest_candidates(feats, r.centroids)})
+        sorted({int(ids[i]) for i in DistanceFilter(feats).nearest(r.centroids)})
         for ids, feats, r in zip(cand_ids, stacked, results)
     ]
-
-
-#: Bytes of the (block, n_candidates, d) difference tensor one pass of
-#: :func:`_nearest_candidates` may hold — small enough to stay in cache.
-_NEAREST_BLOCK_BYTES = 1 << 20
-
-
-def _nearest_candidates(
-    cand_feats: np.ndarray, centroids: np.ndarray
-) -> np.ndarray:
-    """Index of the candidate nearest each centroid, over centroid
-    blocks instead of a per-centroid Python loop.
-
-    The block is sized from a byte budget, not a centroid count — the
-    tensor grows with the candidate count too.  Each centroid's
-    distances are computed independently of its block, so the answer
-    is the same for any block size.
-    """
-    target = centroids.shape[0]
-    n_cand, dims = cand_feats.shape
-    nearest = np.empty(target, dtype=np.int64)
-    block = max(1, _NEAREST_BLOCK_BYTES // (n_cand * dims * 8))
-    diff = np.empty((min(block, target), n_cand, dims), dtype=np.float64)
-    dists = np.empty(diff.shape[:2], dtype=np.float64)
-    for start in range(0, target, block):
-        centres = centroids[start : start + block]
-        m = centres.shape[0]
-        np.subtract(
-            cand_feats[None, :, :], centres[:, None, :], out=diff[:m]
-        )
-        np.multiply(diff[:m], diff[:m], out=diff[:m])
-        np.add.reduce(diff[:m], axis=2, out=dists[:m])
-        # The sqrt stays although argmin ignores monotone maps: it can
-        # round two different sums to one distance, and the tie then
-        # goes to the first index.
-        np.sqrt(dists[:m], out=dists[:m])
-        nearest[start : start + m] = np.argmin(dists[:m], axis=1)
-    return nearest
 
 
 def _group_reps_task(payload: _RepsPayload, group: tuple) -> List[List[int]]:

@@ -34,7 +34,7 @@ from typing import (
 
 import numpy as np
 
-from repro.clustering.kmeans import sq_distances_into
+from repro.clustering.kmeans import DistanceFilter, sq_distances_into
 from repro.errors import ConfigurationError, EmptyIndexError
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.geometry import MBR
@@ -540,6 +540,14 @@ def _close(new: np.ndarray, old: np.ndarray) -> bool:
     return bool(np.all(np.abs(new - old) <= 1e-8 + 1e-5 * np.abs(old)))
 
 
+def _mean_of(pts: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """``pts[members].mean(axis=0)`` bit for bit: the same row order,
+    column sums and division by the count, with the rows gathered by
+    ``take`` (faster than a boolean mask) and no ``mean`` wrapper."""
+    rows = np.flatnonzero(members)
+    return np.add.reduce(pts.take(rows, axis=0), axis=0) / rows.shape[0]
+
+
 def _split_once(
     all_points: np.ndarray,
     indices: np.ndarray,
@@ -549,40 +557,43 @@ def _split_once(
     """One balanced 2-means split of ``indices`` into (left, right).
 
     ``rng`` is the split's own derived stream; the single draw seeds the
-    first 2-means centre.
+    first 2-means centre, and the row farthest from it the second.
 
-    Every pass ends with the distances to the centres it just moved,
-    so the next pass — or the balanced cut — reads them instead of
-    recomputing them.  The loop stops when both centres stop moving
-    (:func:`_close`), and that test needs no computing once the
+    The passes decide each row's side, and the farthest row, through
+    :class:`~repro.clustering.kmeans.DistanceFilter`: a BLAS product
+    with a certified rounding margin settles almost every row, and the
+    exact kernel runs only on the near-ties, so every decision is the
+    one the exact distances give.  The loop stops when both centres stop
+    moving (:func:`_close`), and that test needs no computing once the
     membership mask repeats: the same members give the same means bit
-    for bit, and a finite value is always close to itself.
+    for bit, and a finite value is always close to itself.  The exact
+    kernel then computes every row's distances to the final centres,
+    because the balanced cut's stable sort of their difference sets the
+    children's row order.
     """
     pts = all_points[indices]
     n = pts.shape[0]
-    scratch = np.empty_like(pts)
-    da = np.empty(n, dtype=np.float64)
-    db = np.empty(n, dtype=np.float64)
+    rows = DistanceFilter(pts)
     # 2-means to find the natural separation direction.
     centre_a = pts[int(rng.integers(n))]
-    sq_distances_into(pts, centre_a, scratch, da)
     # Pick the second seed far from the first.
-    centre_b = pts[int(np.argmax(da))]
-    sq_distances_into(pts, centre_b, scratch, db)
-    side_a = da <= db
+    centre_b = pts[rows.farthest(centre_a)]
+    side_a = rows.sides(centre_a, centre_b)
     for _ in range(12):
         if np.count_nonzero(side_a) in (0, n):
             break
-        new_a = pts[side_a].mean(axis=0)
-        new_b = pts[~side_a].mean(axis=0)
+        new_a = _mean_of(pts, side_a)
+        new_b = _mean_of(pts, ~side_a)
         settled = _close(new_a, centre_a) and _close(new_b, centre_b)
         centre_a, centre_b = new_a, new_b
-        sq_distances_into(pts, centre_a, scratch, da)
-        sq_distances_into(pts, centre_b, scratch, db)
-        previous, side_a = side_a, da <= db
-        if settled or np.array_equal(side_a, previous):
+        if settled:
             break
-    natural = int(np.count_nonzero(side_a))
+        previous, side_a = side_a, rows.sides(centre_a, centre_b)
+        if np.array_equal(side_a, previous):
+            break
+    da = sq_distances_into(pts, centre_a, rows.scratch, np.empty(n))
+    db = sq_distances_into(pts, centre_b, rows.scratch, np.empty(n))
+    natural = int(np.count_nonzero(da <= db))
     # Balanced cut: order by affinity difference and cut so both halves
     # stay within bounds.
     order = np.argsort(np.subtract(da, db, out=da), kind="stable")

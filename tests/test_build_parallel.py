@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.clustering.kmeans import (
     _ROW_MEMO_BYTES,
+    DistanceFilter,
     KMeans,
     _assign,
     _lloyd_update,
@@ -309,17 +310,50 @@ class TestBuildDigestParity:
 # The shipped kernels == the parent commit's, bit for bit
 # ----------------------------------------------------------------------
 def _kernel_data(kind, n, d, seed):
-    """Inputs that stress ties, duplicates and empty clusters."""
+    """Inputs that stress ties, duplicates and empty clusters — and,
+    for the build's certified distance filter, exact ties (an integer
+    grid), rounding far above the spread (an offset of 1e6), gradual
+    underflow (scale 1e-160), squares near the top of the range (scale
+    1e150) and norm sums whose square would overflow (scale 1e153)."""
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         return rng.random((n, d))
     if kind == "rounded":
         return np.round(rng.random((n, d)) * 2.0, 1)
+    if kind == "grid":
+        return rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    if kind == "offset":
+        return 1e6 + rng.random((n, d))
+    if kind == "tiny":
+        return rng.random((n, d)) * 1e-160
+    if kind == "huge":
+        return rng.random((n, d)) * 1e150
+    if kind == "brink":
+        return rng.random((n, d)) * 1e153
     distinct = rng.normal(size=(max(1, n // 4), d))
     return distinct[rng.integers(distinct.shape[0], size=n)]
 
 
 _KINDS = st.sampled_from(["uniform", "rounded", "duplicated"])
+_FILTER_KINDS = st.sampled_from(
+    ["uniform", "rounded", "duplicated", "grid", "offset", "tiny", "huge",
+     "brink"]
+)
+
+
+def _split_both(kind, n, d, seed):
+    """``_split_once`` and its reference on the same rows and seed."""
+    points = _kernel_data(kind, n + 5, d, seed)
+    indices = np.random.default_rng(seed + 1).permutation(n + 5)[:n]
+    group_min = 1 + seed % (n // 2)
+    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+    got = _split_once(points, indices, group_min, rng)
+    want = split_once_reference(points, indices, group_min, ref_rng)
+    return got, want, rng, ref_rng
+
+
+#: (kind, n, d, seed) of a split whose side filter falls back.
+_FALLBACK_SPLIT = ("grid", 200, 3, 11)
 
 
 class TestKernelReferenceParity:
@@ -537,34 +571,63 @@ class TestKernelReferenceParity:
             assert rngs[b].bit_generator.state == refs[b].bit_generator.state
 
     @given(
-        kind=_KINDS,
-        n=st.integers(4, 120),
-        d=st.integers(1, 9),
+        kind=_FILTER_KINDS,
+        n=st.integers(4, 600),
+        d=st.one_of(st.integers(1, 9), st.just(37)),
         seed=st.integers(0, 2**20),
     )
+    # Grid rows tie exactly between the centres: the side filter is
+    # unsure of them and hands them to the exact kernel.
+    @example(kind=_FALLBACK_SPLIT[0], n=_FALLBACK_SPLIT[1],
+             d=_FALLBACK_SPLIT[2], seed=_FALLBACK_SPLIT[3])
     @settings(max_examples=150, deadline=None)
     def test_split_once_matches_reference(self, kind, n, d, seed):
-        points = _kernel_data(kind, n + 5, d, seed)
-        indices = np.random.default_rng(seed + 1).permutation(n + 5)[:n]
-        group_min = 1 + seed % (n // 2)
-        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-        got = _split_once(points, indices, group_min, rng)
-        want = split_once_reference(points, indices, group_min, ref_rng)
+        got, want, rng, ref_rng = _split_both(kind, n, d, seed)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("n_cand", [3, 180, 2000])
-    def test_nearest_candidates_block_size_is_invisible(self, n_cand):
-        # 2000 candidates x 12 dims is 192 kB per centroid: five per
-        # block under the byte budget, so the 40 centroids take 8 blocks.
-        from repro.index.rfs import _nearest_candidates
+    def test_split_filter_falls_back_on_near_ties(self, monkeypatch):
+        # The differential above is only worth its name if its inputs
+        # reach the exact fallback.  The farthest pick runs the exact
+        # kernel once, on its candidates; every further call is a side
+        # test handing its near-ties over.
+        calls = []
+        exact = _km.DistanceFilter._exact
 
-        rng = np.random.default_rng(n_cand)
-        cand_feats = np.round(rng.normal(size=(n_cand, 12)), 1)
-        centroids = np.round(rng.normal(size=(40, 12)), 1)
+        def counted(self, rows, centre):
+            calls.append(rows.shape[0])
+            return exact(self, rows, centre)
+
+        monkeypatch.setattr(_km.DistanceFilter, "_exact", counted)
+        _split_both(*_FALLBACK_SPLIT)
+        assert len(calls) > 1
+        # Some rows, not all: the filter settled the others.
+        assert all(0 < rows < _FALLBACK_SPLIT[1] for rows in calls[1:])
+        # ... on well-spread rows the filter settles every side ...
+        calls.clear()
+        _split_both("uniform", 500, 37, 3)
+        assert len(calls) == 1
+        # ... and where its sums could overflow it decides nothing.
+        calls.clear()
+        _split_both("brink", 500, 37, 3)
+        assert len(calls) > 1
+        assert all(rows == 500 for rows in calls)
+
+    @pytest.mark.parametrize("kind", ["rounded", "duplicated", "offset"])
+    @pytest.mark.parametrize("n_cand", [3, 180, 2000])
+    def test_nearest_candidates_block_size_is_invisible(self, n_cand, kind):
+        # The exact kernel decides each centroid's near-ties in chunks
+        # of ``n_cand`` pairs: 3 candidates take many chunks, and the
+        # offset rows (rounding far above their spread) leave many
+        # candidates per centroid.  The first 20 centroids are
+        # candidates themselves — duplicated rows tie exactly.
+        cand_feats = _kernel_data(kind, n_cand, 12, n_cand)
+        centroids = np.vstack(
+            [cand_feats[:20], _kernel_data(kind, 40, 12, n_cand + 1)]
+        )
         assert np.array_equal(
-            _nearest_candidates(cand_feats, centroids),
+            DistanceFilter(cand_feats).nearest(centroids),
             nearest_candidates_naive(cand_feats, centroids),
         )
 
@@ -601,13 +664,11 @@ class TestLloydEquivalence:
 
     @pytest.mark.parametrize("trial", range(5))
     def test_nearest_candidates_matches_naive(self, trial):
-        from repro.index.rfs import _nearest_candidates
-
         rng = np.random.default_rng(300 + trial)
         cand_feats = rng.normal(size=(180, 12))
         centroids = rng.normal(size=(150, 12))
         assert np.array_equal(
-            _nearest_candidates(cand_feats, centroids),
+            DistanceFilter(cand_feats).nearest(centroids),
             nearest_candidates_naive(cand_feats, centroids),
         )
 
