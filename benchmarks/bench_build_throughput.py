@@ -9,7 +9,11 @@ moves (the 2-means bisect, k-means++ seeding, Lloyd, nearest-candidate
 search).  ``tree_cpu_s`` and ``reps_cpu_s`` split each of those builds
 at its ``progress`` events — the cluster tree, then representative
 selection — so a change can name the phase it moves; they are
-information only (not compared).
+information only (not compared).  So is ``exact_rows``: the rows one
+serial build runs through the exact distance kernel
+(``clustering.kmeans.sq_distances_into``, the build's only one), a
+count that repeats exactly and shows how much of the build's distance
+work the certified float filter settles without it.
 
 The BLAS under numpy is pinned to one thread, as the e2e benchmark pins
 its server: an idle second OpenBLAS thread spins, and process CPU counts
@@ -51,6 +55,7 @@ os.environ.update(
     }
 )
 
+import importlib  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
@@ -117,6 +122,25 @@ def _cpu_build(features) -> tuple[float, float, float]:
     return total, tree, marks["representatives"] - marks["cluster_tree"]
 
 
+def _exact_rows(features) -> int:
+    """Rows one serial build runs through the exact distance kernel."""
+    kmeans_module = importlib.import_module("repro.clustering.kmeans")
+    kernel = kmeans_module.sq_distances_into
+    rows = 0
+
+    def counted(points, *args):
+        nonlocal rows
+        rows += points.size // points.shape[-1]
+        return kernel(points, *args)
+
+    kmeans_module.sq_distances_into = counted
+    try:
+        _build(features, BuildConfig())
+    finally:
+        kmeans_module.sq_distances_into = kernel
+    return rows
+
+
 def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
     """Run every measurement; returns (report rows, metrics dict)."""
     p = _params(tiny)
@@ -131,6 +155,7 @@ def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
     cpu_s, tree_s, reps_s = zip(
         *(_cpu_build(features) for _ in range(CPU_REPEATS))
     )
+    exact_rows = _exact_rows(features)
 
     # Thread and process executors: parity checks only.
     baseline_sig = _signature(serial_rfs)
@@ -149,6 +174,7 @@ def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
         f"min {min(cpu_s) * 1000:.1f})",
         f"    tree               {statistics.median(tree_s) * 1000:8.1f} ms",
         f"    representatives    {statistics.median(reps_s) * 1000:8.1f} ms",
+        f"  exact-kernel rows    {exact_rows:8d}",
         f"  thread x {WORKERS}, process x {WORKERS}: bit-identical "
         "(untimed)",
     ]
@@ -156,6 +182,7 @@ def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
         "serial_cpu_s": list(cpu_s),
         "tree_cpu_s": list(tree_s),
         "reps_cpu_s": list(reps_s),
+        "exact_rows": exact_rows,
     }
 
 
@@ -172,6 +199,10 @@ def _bench_result(tiny: bool, metrics: dict) -> BenchResult:
             phase, metrics[phase], unit="s", higher_is_better=False,
             compare=False,
         )
+    result.record(
+        "exact_rows", metrics["exact_rows"], unit="rows",
+        higher_is_better=False, compare=False,
+    )
     return result
 
 

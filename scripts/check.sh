@@ -125,6 +125,15 @@ if git grep -nE -e '_single_run|_DistanceRows|pairwise_sq_distances' \
     echo "== one k-means implementation, one selection task per group ==" >&2
     exit 1
 fi
+# The index reaches the exact distance kernel only through
+# clustering.kmeans.DistanceFilter: every side, farthest pick, nearest
+# candidate and balanced cut is a certified decision that runs the
+# kernel on the near-ties alone, so no index module runs it on every row.
+if git grep -n 'sq_distances_into' -- src/repro/index/; then
+    echo "== the index reaches the exact kernel only through" \
+        "DistanceFilter ==" >&2
+    exit 1
+fi
 if git grep -n 'time\.sleep' -- src/repro/index/ src/repro/clustering/; then
     echo "== nothing in the index or the clustering sleeps ==" >&2
     exit 1
@@ -219,14 +228,15 @@ run_gate "cache invalidation" tests/test_cache.py Invalidation
 # their reference forms in tests/reference_build.py: the stacked k-means
 # (B equal-shape problems, every restart at once, one generator per
 # problem) against one-problem runs problem by problem — centroids,
-# labels, inertia, n_iter and generator state — and the bisect's split
-# and the nearest-candidate search, whose sides, farthest and nearest
+# labels, inertia, n_iter and generator state — and k-means++ seeding,
+# the bisect's split, its balanced cut and the nearest-candidate search,
+# whose closest distances, sides, farthest pick, cut order and nearest
 # rows a certified float filter decides (a BLAS product with a rounding
 # margin, the exact distance kernel on every near-tie), against bodies
 # that run the exact kernel on every row — on integer grids, duplicated
-# rows, an offset of 1e6 and scales 1e-160 / 1e150, with one input
-# proven to reach the exact fallback.  Both classes must show up as
-# passed.
+# rows, an offset of 1e6 and scales 1e-160 / 1e150 / 1e153, with the
+# exact fallback counted on near-ties and past the overflow limit.
+# Both classes must show up as passed.
 run_gate "build parity" tests/test_build_parallel.py Parity \
     TestBuildDigestParity TestKernelReferenceParity
 # A session checkpointed after any round and resumed — even by a fresh

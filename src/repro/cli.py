@@ -35,13 +35,26 @@ from repro.config import (
 )
 from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.database import ImageDatabase
-from repro.datasets.queryset import get_query, query_names
 from repro.errors import ReproError
 from repro.index.rfs import RFSStructure
 
 # What only some subcommands need (rendering, evaluation, index files,
 # the trace exporters) is imported inside them: ``serve`` starts
 # without compiling it.
+
+
+class _QueryNames:
+    """``query --query``'s choices, read from the query set only when
+    argparse checks or prints them, so building the parser loads none
+    of it."""
+
+    def __iter__(self) -> Iterator[str]:
+        from repro.datasets.queryset import query_names
+
+        return iter(query_names())
+
+    def __contains__(self, name: object) -> bool:
+        return name in list(self)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--db", required=True)
     p_query.add_argument("--rfs", help="optional pre-built RFS .npz")
     p_query.add_argument(
-        "--query", required=True, choices=query_names(),
+        "--query", required=True, choices=_QueryNames(), metavar="NAME",
+        help="test query: %(choices)s",
     )
     p_query.add_argument("--k", type=int, default=0,
                          help="result size (0 = ground-truth size)")
@@ -763,6 +777,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     session_store = _session_store_from_args(args)
     if session_store is not None:
         engine.attach_session_store(session_store)
+    from repro.datasets.queryset import get_query
+
     query = get_query(args.query)
     user = SimulatedUser(database, query, seed=args.seed)
     k = args.k or database.ground_truth_size(

@@ -31,7 +31,14 @@ slice:
 * k-means++ draws each problem's values from its own generator in the
   order a lone run draws them, so the generator's state afterwards is
   that of a lone run too; every restart of every problem then picks
-  at once.
+  at once.  A pick's distance row is the exact kernel's
+  (:func:`sq_distances_into`) only where it matters: a later pick can
+  only lower a sample's closest distance, and one BLAS product bounds
+  the pick's distance from below with :class:`DistanceFilter`'s
+  certified margin, so only the samples whose bound does not clear
+  their closest distance go through the exact kernel
+  (:class:`_SeedingRows`).  Every closest distance, and so every
+  sampling probability, is the one full exact rows give.
 
 Lloyd iterates every run at once; a run drops out when its own stop
 test fires.  A run also stops as soon as it has *provably* converged —
@@ -43,11 +50,9 @@ with the tests that pin them (``tests/reference_build.py``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,20 +100,21 @@ def sq_distances_into(
 ) -> np.ndarray:
     """Squared distance of every row of ``points`` to ``centre``.
 
-    ``np.sum((points - centre) ** 2, axis=1)`` without its two (n, d)
+    ``np.sum((points - centre) ** 2, axis=-1)`` without its two
     temporaries: the same subtract, square and pairwise row sum, in the
-    same order, written into the caller's ``scratch`` (n, d) and ``out``
-    (n,) — so the result is bit-identical to the expression.  Each row
-    is reduced on its own, so a subset of rows gets the bits the whole
-    matrix would, and ``centre`` may be one (d,) centre or one centre
-    per row.  The build's exact distance kernel: :class:`DistanceFilter`
-    runs it on the rows its float filter cannot settle and the bisect on
-    its final centres; :class:`_SeedingRows` computes its stacked form
-    for k-means++.
+    same order, written into the caller's ``scratch`` (shaped like
+    ``points``) and ``out`` — so the result is bit-identical to the
+    expression.  Each row is reduced on its own, so a subset of rows
+    gets the bits the whole matrix would, ``centre`` may be one (d,)
+    centre or one centre per row, and ``points`` may be a stack
+    (L, n, d) with one (L, 1, d) centre per slice.  The build's one exact
+    distance kernel: k-means++'s first picks run it on every row, and
+    otherwise :class:`DistanceFilter` and :class:`_SeedingRows` run it
+    only on the rows their certified float filter cannot settle.
     """
     np.subtract(points, centre, out=scratch)
     np.multiply(scratch, scratch, out=scratch)
-    return np.add.reduce(scratch, axis=1, out=out)
+    return np.add.reduce(scratch, axis=-1, out=out)
 
 
 #: Relative half-width of :class:`DistanceFilter`'s intervals, per unit
@@ -134,7 +140,8 @@ class DistanceFilter:
     ``points``, with that kernel run only where a float filter is unsure.
 
     Each decision — which of two centres every row is nearer
-    (:meth:`sides`), which row is farthest from a centre
+    (:meth:`sides`), the rows' stable order by that difference
+    (:meth:`cut_order`), which row is farthest from a centre
     (:meth:`farthest`), which row is nearest each of several centres
     (:meth:`nearest`) — is the one :func:`sq_distances_into`'s values
     give, first index winning ties.  It is made first on an approximation
@@ -175,6 +182,24 @@ class DistanceFilter:
         ``reach_sq`` (a scalar, or a column of one per centre)."""
         return self._row_width + (2.0 * _FILTER_KAPPA * reach_sq + _FILTER_TINY)
 
+    def _difference(
+        self, centre_a: np.ndarray, centre_b: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Every row's ``f = 2·x·(b − a) + ‖a‖² − ‖b‖²`` — ``da − db``
+        in exact arithmetic — and its half-width, or ``None`` when the
+        intervals cannot be trusted."""
+        sq_a = float(np.dot(centre_a, centre_a))
+        sq_b = float(np.dot(centre_b, centre_b))
+        reach = math.sqrt(sq_a) + math.sqrt(sq_b)
+        if not self._certain(reach):
+            return None
+        with np.errstate(all="ignore"):
+            normal = centre_b - centre_a
+            normal *= 2.0
+            approx = self.points @ normal
+            approx += sq_a - sq_b
+            return approx, self._half_width(reach * reach)
+
     def _exact(self, rows: np.ndarray, centre: np.ndarray) -> np.ndarray:
         """The exact kernel on ``points[rows]``."""
         count = rows.shape[0]
@@ -189,28 +214,65 @@ class DistanceFilter:
         ``f = 2·x·(b − a) + ‖a‖² − ‖b‖²`` is ``da − db`` in exact
         arithmetic; a row with ``|f| > m`` is on the side of ``f``'s sign.
         """
-        sq_a = float(np.dot(centre_a, centre_a))
-        sq_b = float(np.dot(centre_b, centre_b))
-        reach = math.sqrt(sq_a) + math.sqrt(sq_b)
-        n = self.points.shape[0]
-        if self._certain(reach):
-            with np.errstate(all="ignore"):
-                normal = centre_b - centre_a
-                normal *= 2.0
-                approx = self.points @ normal
-                approx += sq_a - sq_b
-                side = approx < 0.0
-                np.abs(approx, out=approx)
-                width = self._half_width(reach * reach)
-                unsure = np.flatnonzero(~(approx > width))
+        bounds = self._difference(centre_a, centre_b)
+        if bounds is None:
+            side = np.empty(self.points.shape[0], dtype=bool)
+            unsure = np.arange(side.shape[0])
         else:
-            side = np.empty(n, dtype=bool)
-            unsure = np.arange(n)
+            approx, width = bounds
+            side = approx < 0.0
+            np.abs(approx, out=approx)
+            unsure = np.flatnonzero(~(approx > width))
         if unsure.size:
             side[unsure] = self._exact(unsure, centre_a) <= self._exact(
                 unsure, centre_b
             )
         return side
+
+    def cut_order(
+        self, centre_a: np.ndarray, centre_b: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
+        """``np.argsort(da − db, kind="stable")`` and the count of
+        ``da <= db``, from the exact kernel's distances to the centres.
+
+        The rows are sorted by ``f`` of :meth:`sides`, and the sorted
+        rows split into runs wherever every earlier upper bound
+        ``f + m`` is below every later lower bound ``f − m``: the exact
+        differences then sort in run order.  A run of two or more rows
+        is re-sorted by (exact difference, position) — the stable sort's
+        order — and a row whose sign ``f`` cannot settle is counted by
+        its exact difference.
+        """
+        n = self.points.shape[0]
+        bounds = self._difference(centre_a, centre_b)
+        if bounds is None:
+            diff = self._exact(np.arange(n), centre_a)
+            diff -= self._exact(np.arange(n), centre_b)
+            return (
+                np.argsort(diff, kind="stable"),
+                int(np.count_nonzero(diff <= 0.0)),
+            )
+        approx, width = bounds
+        order = np.argsort(approx)
+        approx = approx[order]
+        width = width[order]
+        upper = np.maximum.accumulate(approx + width)
+        lower = np.minimum.accumulate((approx - width)[::-1])[::-1]
+        # edge[t]: a run starts at slot t (and one ends before it).
+        edge = np.ones(n + 1, dtype=bool)
+        np.less(upper[:-1], lower[1:], out=edge[1:n])
+        unsure = ~(np.abs(approx) > width)
+        alone = edge[:-1] & edge[1:]
+        slots = np.flatnonzero(~alone | unsure)
+        natural = int(np.count_nonzero((approx < 0.0) & alone & ~unsure))
+        if slots.size:
+            rows = order[slots]
+            diff = self._exact(rows, centre_a)
+            diff -= self._exact(rows, centre_b)
+            natural += int(np.count_nonzero(diff <= 0.0))
+            run = np.cumsum(edge[:-1])[slots]
+            order[slots] = rows[np.lexsort((rows, diff, run))]
+        return order, natural
 
     def farthest(self, centre: np.ndarray) -> int:
         """``np.argmax`` of the exact kernel's distances to ``centre``.
@@ -274,58 +336,78 @@ class DistanceFilter:
         return np.argmin(dists, axis=1)
 
 
-#: Bytes of distance rows one :func:`kmeans_stacked` call keeps, over
-#: all its problems, for reuse by its k-means++ picks.  A row is 8 bytes
-#: per sample, so small inputs keep every row and a 50 000-sample
-#: problem keeps the first 83 rows computed (the rest are recomputed, as
-#: without the memo).
-_ROW_MEMO_BYTES = 32 << 20
-
-
 class _SeedingRows:
-    """Squared distances of every sample to a picked sample, per problem.
+    """k-means++'s closest squared distances, lowered through
+    :class:`DistanceFilter`'s certified margin.
 
-    k-means++ picks samples as centres, and the restarts of one call —
-    or later picks of the same run — keep picking the same ones when
-    ``k`` is a large share of ``n``.  A row is the subtract, square and
-    row sum of :func:`sq_distances_into` on the picked sample, stacked
-    over the rows one step needs, so each row holds the bits a lone pick
-    computes.  The first rows computed are kept up to
-    :data:`_ROW_MEMO_BYTES`; past that a row is computed afresh.
+    A run's first pick needs the exact kernel's distance from every
+    sample.  A later pick ``c`` only lowers the samples it is nearer
+    than their closest pick so far, and one BLAS product bounds that
+    distance from below: ``‖x‖² − 2·x·c + ‖c‖²`` minus the filter's
+    half-width ``m = 2κ·(‖x‖² + ‖c‖²) + tiny``, computed as the product
+    of a sample row ``[x, ‖x‖²·(1 − 2κ), 1]`` with a centre row
+    ``[−2·c, 1, ‖c‖²·(1 − 2κ) − tiny]``.  A sample whose bound exceeds
+    its closest distance keeps it; every other one gets
+    :func:`sq_distances_into`'s value on its own row — the bits a whole
+    row of the kernel holds — and the minimum of the two.  So every
+    closest distance is the one the exact rows give.  Where a product
+    could overflow, or the rows are too wide for κ, every sample goes to
+    the exact kernel.
     """
 
-    def __init__(self, data: np.ndarray, runs: int) -> None:
+    def __init__(self, data: np.ndarray) -> None:
         self.data = data
-        self.scratch = np.empty((runs,) + data.shape[1:])
-        self.kept: Dict[Tuple[int, int], np.ndarray] = {}
-        self.room = _ROW_MEMO_BYTES // (8 * data.shape[1])
+        with np.errstate(all="ignore"):
+            sqnorms = np.einsum("bnd,bnd->bn", data, data)
+            base = sqnorms - sqnorms * (2.0 * _FILTER_KAPPA)
+        ones = np.ones(sqnorms.shape + (1,))
+        self.samples = np.concatenate([data, base[..., None], ones], axis=-1)
+        self.centres = np.concatenate(
+            [data * -2.0, ones, base[..., None] - _FILTER_TINY], axis=-1
+        )
+        # Centres are samples: ‖x‖ + ‖c‖ is at most twice the top norm.
+        span = (
+            2.0 * math.sqrt(float(sqnorms.max(initial=0.0)))
+            if data.shape[2] <= _FILTER_MAX_DIMS
+            else math.inf
+        )
+        self.certain = span * span < _FILTER_HUGE
 
-    def _compute(self, keys: List[Tuple[int, int]]) -> np.ndarray:
-        """Rows of the (problem, sample) ``keys``, sorted by problem."""
-        diff = self.scratch[: len(keys)]
-        start = 0
-        for problem, group in itertools.groupby(keys, key=itemgetter(0)):
-            picks = [sample for _, sample in group]
-            points = self.data[problem]
-            np.subtract(
-                points,
-                points[picks][:, None, :],
-                out=diff[start : start + len(picks)],
+    def first(
+        self, samples: np.ndarray, problems: np.ndarray, picks: np.ndarray
+    ) -> np.ndarray:
+        """(L, n) exact rows of ``picks[i]`` in problem ``problems[i]``;
+        ``samples`` is ``self.samples[problems]``."""
+        points = samples[:, :, : self.data.shape[2]]
+        return sq_distances_into(
+            points,
+            self.data[problems, picks][:, None, :],
+            np.empty(points.shape),
+            np.empty(points.shape[:2]),
+        )
+
+    def lower(
+        self,
+        closest_sq: np.ndarray,
+        samples: np.ndarray,
+        problems: np.ndarray,
+        picks: np.ndarray,
+    ) -> None:
+        """Lower ``closest_sq[i]`` to the exact distances to ``picks[i]``
+        in problem ``problems[i]`` wherever they are smaller."""
+        if self.certain:
+            bounds = np.matmul(
+                samples, self.centres[problems, picks][:, :, None]
             )
-            start += len(picks)
-        np.multiply(diff, diff, out=diff)
-        return np.add.reduce(diff, axis=-1)
-
-    def __call__(self, problems: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        """(L, n) rows of ``picks[i]`` in problem ``problems[i]``."""
-        keys = list(zip(problems.tolist(), picks.tolist()))
-        missing = sorted({k for k in keys if k not in self.kept})
-        fresh: Dict[Tuple[int, int], np.ndarray] = {}
-        if missing:
-            fresh = dict(zip(missing, self._compute(missing)))
-            for key in missing[: max(0, self.room - len(self.kept))]:
-                self.kept[key] = fresh[key]
-        return np.array([self.kept.get(k, fresh.get(k)) for k in keys])
+            run, sample = np.nonzero(~(bounds[:, :, 0] > closest_sq))
+        else:
+            run, sample = np.nonzero(np.ones(closest_sq.shape, dtype=bool))
+        where = problems[run]
+        diff = self.data[where, sample]
+        exact = sq_distances_into(
+            diff, self.data[where, picks[run]], diff, np.empty(run.size)
+        )
+        closest_sq[run, sample] = np.minimum(closest_sq[run, sample], exact)
 
 
 def _plus_plus_picks(
@@ -351,25 +433,26 @@ def _plus_plus_picks(
     chosen[:, 0] = first
     spent_at = np.full(runs, k)
     live = np.arange(runs)
-    closest_sq = rows(problem, first)
+    samples = rows.samples[problem]
+    closest_sq = rows.first(samples, problem, first)
     for i in range(1, k):
         total = np.add.reduce(closest_sq, axis=1)
-        spent = total <= 1e-24
-        if spent.any():
+        if total.min() <= 1e-24:
+            spent = total <= 1e-24
             spent_at[live[spent]] = i
-            live, total = live[~spent], total[~spent]
-            closest_sq = closest_sq[~spent]
+            kept = ~spent
+            live, total = live[kept], total[kept]
             if not live.size:
                 break
+            closest_sq, uniforms = closest_sq[kept], uniforms[kept]
+            problem, samples = problem[kept], samples[kept]
         cdf = closest_sq / total[:, None]
         np.add.accumulate(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        picks = (cdf <= uniforms[live, i - 1, None]).sum(axis=1)
+        picks = (cdf <= uniforms[:, i - 1, None]).sum(axis=1)
         chosen[live, i] = picks
         if i + 1 < k:  # after the last pick nothing reads the distances
-            np.minimum(
-                closest_sq, rows(problem[live], picks), out=closest_sq
-            )
+            rows.lower(closest_sq, samples, problem, picks)
     return chosen, spent_at
 
 
@@ -379,7 +462,8 @@ def _plus_plus_init(
     rngs: Sequence[np.random.Generator],
     n_restarts: int,
 ) -> np.ndarray:
-    """k-means++ starts of every restart of ``B`` problems, together.
+    """k-means++ picks of every restart of ``B`` problems, together:
+    the (R·B, k) sample indices of run ``r * B + b``'s starting centres.
 
     A lone restart draws ``rng.integers(n)`` and then one
     ``rng.random()`` per pick, so each problem draws all its restarts'
@@ -394,7 +478,7 @@ def _plus_plus_init(
     ends where a lone run's would.
     """
     n_problems, n, _ = data.shape
-    rows = _SeedingRows(data, n_restarts * n_problems)
+    rows = _SeedingRows(data)
     states = [rng.bit_generator.state for rng in rngs]
     first = np.empty((n_restarts, n_problems), dtype=np.intp)
     uniforms = np.empty((n_restarts, n_problems, k - 1))
@@ -421,7 +505,7 @@ def _plus_plus_init(
                 rng.random(stop - 1)
                 picks[0, stop:] = rng.integers(n, size=k - stop)
             chosen[r * n_problems + b] = picks[0]
-    return data[problem[:, None], chosen]
+    return chosen
 
 
 def _assign(
@@ -623,7 +707,9 @@ def kmeans_stacked(
         return []
     rngs = [ensure_rng(seed) for seed in seeds]
     # Run r * B + b is restart r of problem b.
-    starts = _plus_plus_init(stack, k, rngs, n_restarts)
+    picks = _plus_plus_init(stack, k, rngs, n_restarts)
+    problem = np.tile(np.arange(n_problems), n_restarts)
+    starts = stack[problem[:, None], picks]
     runs_data = np.concatenate([stack] * n_restarts)
     sqnorms = np.add.reduce(stack * stack, axis=-1)
     centroids, labels, n_iter = _lloyd(

@@ -29,17 +29,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache import SubqueryResultCache, scan_and_publish, subquery_cache_key
 from repro.config import EXECUTOR_KINDS, QDConfig
 from repro.errors import ConfigurationError
 from repro.exec.pool import WorkerPool, fork_available
 from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
 from repro.retrieval.multipoint import MultipointQuery
+
+if TYPE_CHECKING:  # the cache module loads only when a cache is attached
+    from repro.cache import SubqueryResultCache
 
 #: Rows fetched beyond a subquery's quota (and beyond a top-up's
 #: deficit), so the sequential dedup against the other subqueries
@@ -140,6 +142,8 @@ def prepare_subquery(
     key = entry = None
     version = rfs.structure_version
     if cache is not None:
+        from repro.cache import subquery_cache_key
+
         key = subquery_cache_key(
             leaf.node_id,
             query_points,
@@ -191,6 +195,8 @@ def scan_subquery(rfs: RFSStructure, prepared: PreparedSubquery) -> SubqueryOutc
     else:
         main_ranked = prepared.cached
         if main_ranked is None:
+            from repro.cache import scan_and_publish
+
             main_ranked = scan_and_publish(
                 prepared.cache, prepared.key, prepared.version,
                 rfs, node, centroid, prepared.fetch, weights=weights,

@@ -32,10 +32,8 @@ work already submitted.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Hashable, List, Sequence, Tuple
 
 from repro.config import EXECUTOR_KINDS
@@ -52,6 +50,8 @@ def default_worker_count() -> int:
 
 def fork_available() -> bool:
     """Whether the fork start method exists on this platform."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -174,6 +174,9 @@ class WorkerPool:
                 self._pool.shutdown(wait=True)  # its snapshot is stale
                 self._pool = None
             if self._pool is None and forked:
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     mp_context=multiprocessing.get_context("fork"),
@@ -182,6 +185,8 @@ class WorkerPool:
                 )
                 self._fork_key = fork_key
             elif self._pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.workers, thread_name_prefix=self._name
                 )

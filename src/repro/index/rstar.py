@@ -34,7 +34,7 @@ from typing import (
 
 import numpy as np
 
-from repro.clustering.kmeans import DistanceFilter, sq_distances_into
+from repro.clustering.kmeans import DistanceFilter
 from repro.errors import ConfigurationError, EmptyIndexError
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.geometry import MBR
@@ -566,10 +566,11 @@ def _split_once(
     one the exact distances give.  The loop stops when both centres stop
     moving (:func:`_close`), and that test needs no computing once the
     membership mask repeats: the same members give the same means bit
-    for bit, and a finite value is always close to itself.  The exact
-    kernel then computes every row's distances to the final centres,
-    because the balanced cut's stable sort of their difference sets the
-    children's row order.
+    for bit, and a finite value is always close to itself.  The balanced
+    cut's stable sort of the final centres' distance difference, which
+    sets the children's row order, and its natural size come from the
+    same filter (:meth:`DistanceFilter.cut_order`): only rows whose
+    intervals overlap, or whose sign is unsure, get exact differences.
     """
     pts = all_points[indices]
     n = pts.shape[0]
@@ -591,12 +592,9 @@ def _split_once(
         previous, side_a = side_a, rows.sides(centre_a, centre_b)
         if np.array_equal(side_a, previous):
             break
-    da = sq_distances_into(pts, centre_a, rows.scratch, np.empty(n))
-    db = sq_distances_into(pts, centre_b, rows.scratch, np.empty(n))
-    natural = int(np.count_nonzero(da <= db))
     # Balanced cut: order by affinity difference and cut so both halves
     # stay within bounds.
-    order = np.argsort(np.subtract(da, db, out=da), kind="stable")
+    order, natural = rows.cut_order(centre_a, centre_b)
     # group_min <= ceil(group_max / 2) guarantees n > group_max implies
     # n >= 2 * group_min, so this window is always non-empty.
     cut = int(np.clip(natural, group_min, n - group_min))

@@ -110,26 +110,32 @@ def lloyd_update_reference(
 # ----------------------------------------------------------------------
 # The parent commit's k-means run and balanced split
 # ----------------------------------------------------------------------
+def plus_plus_picks_reference(
+    data: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The sample indices k-means++ seeding picks, drawing through
+    ``Generator.choice``; every distance row computed in full."""
+    n = data.shape[0]
+    picks = np.empty(k, dtype=np.intp)
+    picks[0] = int(rng.integers(n))
+    closest_sq = np.sum((data - data[picks[0]]) ** 2, axis=1)
+    for i in range(1, k):
+        total = closest_sq.sum()
+        if total <= 1e-24:
+            picks[i:] = rng.integers(n, size=k - i)
+            break
+        probs = closest_sq / total
+        picks[i] = int(rng.choice(n, p=probs))
+        dist_sq = np.sum((data - data[picks[i]]) ** 2, axis=1)
+        np.minimum(closest_sq, dist_sq, out=closest_sq)
+    return picks
+
+
 def plus_plus_init_reference(
     data: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """k-means++ seeding drawing through ``Generator.choice``."""
-    n = data.shape[0]
-    centroids = np.empty((k, data.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = data[first]
-    closest_sq = np.sum((data - centroids[0]) ** 2, axis=1)
-    for i in range(1, k):
-        total = closest_sq.sum()
-        if total <= 1e-24:
-            centroids[i:] = data[rng.integers(n, size=k - i)]
-            break
-        probs = closest_sq / total
-        choice = int(rng.choice(n, p=probs))
-        centroids[i] = data[choice]
-        dist_sq = np.sum((data - centroids[i]) ** 2, axis=1)
-        np.minimum(closest_sq, dist_sq, out=closest_sq)
-    return centroids
+    return data[plus_plus_picks_reference(data, k, rng)]
 
 
 def single_run_reference(

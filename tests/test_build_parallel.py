@@ -17,7 +17,7 @@ below were generated on the last commit that ran them (7d9c120).
 import functools
 import importlib
 import json
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.kmeans import (
-    _ROW_MEMO_BYTES,
     DistanceFilter,
     KMeans,
     _assign,
@@ -52,6 +51,7 @@ from tests.reference_build import (
     lloyd_update_naive,
     nearest_candidates_naive,
     plus_plus_init_reference,
+    plus_plus_picks_reference,
     single_run_reference,
     split_once_reference,
     structure_digest,
@@ -339,6 +339,11 @@ _FILTER_KINDS = st.sampled_from(
     ["uniform", "rounded", "duplicated", "grid", "offset", "tiny", "huge",
      "brink"]
 )
+#: Without "brink": its seeding totals overflow past a few rows (the
+#: reference's ``Generator.choice`` refuses them); an example covers it.
+_SEEDING_KINDS = st.sampled_from(
+    ["uniform", "rounded", "duplicated", "grid", "offset", "tiny", "huge"]
+)
 
 
 def _split_both(kind, n, d, seed):
@@ -432,7 +437,7 @@ class TestKernelReferenceParity:
         data = _kernel_data(kind, n, d, seed)
         k = {"one": 1, "all": n, "some": 1 + seed % n}[k_pick]
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-        got = _plus_plus_init(data[None], k, [rng], 1)[0]
+        got = data[_plus_plus_init(data[None], k, [rng], 1)[0]]
         want = plus_plus_init_reference(data, k, ref_rng)
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -444,23 +449,18 @@ class TestKernelReferenceParity:
         k_gap=st.integers(0, 3),
         n_restarts=st.integers(1, 4),
         seed=st.integers(0, 2**20),
-        memo_rows=st.sampled_from([None, None, 0, 2]),
     )
     # k = n over a quarter as many distinct rows: seeding runs out of
     # distinct samples, and every restart picks the same rows again.
-    @example(kind="duplicated", n=24, d=3, k_gap=0, n_restarts=3, seed=5,
-             memo_rows=None)
+    @example(kind="duplicated", n=24, d=3, k_gap=0, n_restarts=3, seed=5)
     @settings(max_examples=150, deadline=None)
     def test_kmeans_shared_rows_match_reference(
-        self, kind, n, d, k_gap, n_restarts, seed, memo_rows
+        self, kind, n, d, k_gap, n_restarts, seed
     ):
-        # memo_rows caps the memo (None: the shipped cap keeps them all).
         data = _kernel_data(kind, n, d, seed)
         k = max(1, n - k_gap)
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-        cap = _ROW_MEMO_BYTES if memo_rows is None else memo_rows * 8 * n
-        with mock.patch.object(_km, "_ROW_MEMO_BYTES", cap):
-            got = kmeans(data, k, seed=rng, n_restarts=n_restarts)
+        got = kmeans(data, k, seed=rng, n_restarts=n_restarts)
         want = kmeans_reference(data, k, ref_rng, n_restarts)
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert np.array_equal(got.labels, want.labels)
@@ -468,30 +468,108 @@ class TestKernelReferenceParity:
         assert got.n_iter == want.n_iter
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("memo_rows", [None, 0])
-    def test_kmeans_computes_each_seeding_row_once(
-        self, monkeypatch, memo_rows
+    @given(
+        kind=_SEEDING_KINDS,
+        n_problems=st.integers(1, 4),
+        n=st.one_of(st.integers(1, 40), st.integers(100, 300)),
+        d=st.one_of(st.integers(1, 9), st.just(37)),
+        k_pick=st.sampled_from(["one", "all", "some"]),
+        n_restarts=st.integers(1, 3),
+        seed=st.integers(0, 2**20),
+    )
+    # Coincident rows: a restart runs out of distinct samples, and its
+    # problem is replayed one restart at a time.
+    @example(kind="duplicated", n_problems=3, n=24, d=3, k_pick="all",
+             n_restarts=3, seed=5)
+    # Rounding far above the spread: a bound without its half-width
+    # would skip samples the pick is nearer, and change later picks.
+    @example(kind="offset", n_problems=2, n=200, d=37, k_pick="some",
+             n_restarts=3, seed=50)
+    # Squares below the smallest normal: every restart is spent at once.
+    @example(kind="tiny", n_problems=2, n=30, d=4, k_pick="some",
+             n_restarts=2, seed=9)
+    # Norms whose bound could overflow: every sample goes exact.
+    @example(kind="brink", n_problems=2, n=20, d=2, k_pick="some",
+             n_restarts=3, seed=3)
+    @settings(max_examples=150, deadline=None)
+    def test_seeding_filter_matches_reference(
+        self, kind, n_problems, n, d, k_pick, n_restarts, seed
     ):
-        # 3 restarts x 149 picks that read a row, over 200 samples: with
-        # the memo no row is computed twice; with no room for a row, a
-        # row is computed again whenever a later step picks its sample.
-        n, k = 200, 150
-        calls = []
-        compute = _km._SeedingRows._compute
+        data = np.stack(
+            [_kernel_data(kind, n, d, seed + b) for b in range(n_problems)]
+        )
+        k = {"one": 1, "all": n, "some": 1 + seed % n}[k_pick]
+        rngs = [np.random.default_rng(seed + b) for b in range(n_problems)]
+        refs = [np.random.default_rng(seed + b) for b in range(n_problems)]
+        picks = _plus_plus_init(data, k, rngs, n_restarts)
+        for b in range(n_problems):
+            for r in range(n_restarts):
+                got = picks[r * n_problems + b]
+                want = plus_plus_picks_reference(data[b], k, refs[b])
+                assert np.array_equal(got, want)
+            assert rngs[b].bit_generator.state == refs[b].bit_generator.state
 
-        def counted(self, keys):
-            calls.extend(self.data[p, j].tobytes() for p, j in keys)
-            return compute(self, keys)
+    def test_seeding_filter_falls_back_on_near_ties(self, monkeypatch):
+        # The differential above is only worth its name if its inputs
+        # reach the exact fallback.  Each later pick must leave every
+        # closest distance at the exact rows' minimum, and the exact
+        # kernel runs on the samples its bound cannot clear.
+        steps = []
+        exact_rows = []
+        kernel = _km.sq_distances_into
+        lower = _km._SeedingRows.lower
 
-        monkeypatch.setattr(_km._SeedingRows, "_compute", counted)
-        if memo_rows is not None:
-            monkeypatch.setattr(_km, "_ROW_MEMO_BYTES", memo_rows)
-        kmeans(_kernel_data("uniform", n, 6, 1), k, seed=1, n_restarts=3)
-        if memo_rows is None:
-            assert len(calls) == len(set(calls)) <= n
-            assert len(calls) < 3 * (k - 1)
-        else:
-            assert len(set(calls)) < len(calls) <= 3 * (k - 1)
+        def counted(points, *args):
+            exact_rows.append(points.size // points.shape[-1])
+            return kernel(points, *args)
+
+        def checked(self, closest_sq, samples, problems, picks):
+            rows = self.data[problems]
+            centres = rows[np.arange(len(picks)), picks][:, None]
+            want = np.minimum(closest_sq, np.sum((rows - centres) ** 2, axis=-1))
+            before = len(exact_rows)
+            lower(self, closest_sq, samples, problems, picks)
+            assert closest_sq.tobytes() == want.tobytes()
+            steps.append((sum(exact_rows[before:]), closest_sq.size))
+
+        monkeypatch.setattr(_km, "sq_distances_into", counted)
+        monkeypatch.setattr(_km._SeedingRows, "lower", checked)
+
+        def seed(kind, n, d, k):
+            steps.clear()
+            exact_rows.clear()
+            data = _kernel_data(kind, n, d, 1)[None]
+            _plus_plus_init(data, k, [np.random.default_rng(1)], 3)
+            assert exact_rows[0] == 3 * n  # the first picks: every row
+            return [rows for rows, _ in steps], [size for _, size in steps]
+
+        # Well-spread rows: the bound clears most samples of a late pick.
+        rows, sizes = seed("uniform", 300, 6, 40)
+        assert len(rows) == 38
+        assert 0 < sum(rows) < sum(sizes) // 4
+        # Exact ties of an integer grid and of duplicated rows reach the
+        # exact kernel at every step, some rows not all ...
+        for kind in ("grid", "duplicated"):
+            rows, sizes = seed(kind, 300, 3, 40)
+            assert all(0 < r < s for r, s in zip(rows, sizes))
+        # ... the half-width outgrows the spread of rows offset by 1e6 ...
+        rows, sizes = seed("offset", 300, 3, 40)
+        assert rows == sizes
+        # ... and where the bound could overflow it decides nothing.
+        rows, sizes = seed("brink", 20, 2, 6)
+        assert rows == sizes
+
+    def test_kmeans_memory_stays_linear(self):
+        # The hkmeans split's shape (k = 8, one restart): every table is
+        # O(n·d) or O(n·k).  An n × n one would be 3.2 GB at n = 20 000.
+        data = _kernel_data("uniform", 20_000, 8, 0)
+        tracemalloc.start()
+        try:
+            kmeans(data, 8, seed=0, n_restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
 
     @given(
         kind=_KINDS,
@@ -588,31 +666,78 @@ class TestKernelReferenceParity:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_split_filter_falls_back_on_near_ties(self, monkeypatch):
-        # The differential above is only worth its name if its inputs
-        # reach the exact fallback.  The farthest pick runs the exact
-        # kernel once, on its candidates; every further call is a side
-        # test handing its near-ties over.
-        calls = []
+        # The differentials are only worth their name if their inputs
+        # reach the exact fallback: rows through the exact kernel, by
+        # the filter method that sent them.
+        calls = {}
         exact = _km.DistanceFilter._exact
+        method = []
 
         def counted(self, rows, centre):
-            calls.append(rows.shape[0])
+            calls.setdefault(method[-1], []).append(rows.shape[0])
             return exact(self, rows, centre)
 
+        def tagged(name):
+            real = getattr(_km.DistanceFilter, name)
+
+            def call(self, *args):
+                method.append(name)
+                try:
+                    return real(self, *args)
+                finally:
+                    method.pop()
+
+            return call
+
         monkeypatch.setattr(_km.DistanceFilter, "_exact", counted)
+        for name in ("farthest", "sides", "cut_order"):
+            monkeypatch.setattr(_km.DistanceFilter, name, tagged(name))
+        n = _FALLBACK_SPLIT[1]
         _split_both(*_FALLBACK_SPLIT)
-        assert len(calls) > 1
-        # Some rows, not all: the filter settled the others.
-        assert all(0 < rows < _FALLBACK_SPLIT[1] for rows in calls[1:])
-        # ... on well-spread rows the filter settles every side ...
+        # The farthest pick runs the exact kernel once, on its
+        # candidates; the side tests hand over their near-ties, some
+        # rows not all; the grid's tied differences reach the cut's.
+        assert len(calls["farthest"]) == 1
+        assert calls["sides"] and all(0 < r < n for r in calls["sides"])
+        assert calls["cut_order"] and all(r > 0 for r in calls["cut_order"])
+        # ... on well-spread rows the filter settles every side and the
+        # whole cut ...
         calls.clear()
         _split_both("uniform", 500, 37, 3)
-        assert len(calls) == 1
+        assert list(calls) == ["farthest"]
         # ... and where its sums could overflow it decides nothing.
         calls.clear()
         _split_both("brink", 500, 37, 3)
-        assert len(calls) > 1
-        assert all(rows == 500 for rows in calls)
+        assert set(calls) == {"farthest", "sides", "cut_order"}
+        assert all(r == 500 for rows in calls.values() for r in rows)
+
+    @given(
+        kind=_FILTER_KINDS,
+        n=st.integers(1, 600),
+        d=st.one_of(st.integers(1, 9), st.just(37)),
+        centres=st.sampled_from(["rows", "halves", "same"]),
+        seed=st.integers(0, 2**20),
+    )
+    # One centre twice: every difference is 0, one run of every row.
+    @example(kind="grid", n=200, d=3, centres="same", seed=11)
+    # Grid centres: many rows tie, on both sides of the cut.
+    @example(kind="grid", n=200, d=3, centres="rows", seed=11)
+    @example(kind="offset", n=300, d=37, centres="halves", seed=2)
+    @example(kind="brink", n=300, d=37, centres="rows", seed=2)
+    @settings(max_examples=150, deadline=None)
+    def test_cut_order_matches_stable_sort(self, kind, n, d, centres, seed):
+        pts = _kernel_data(kind, n, d, seed)
+        rng = np.random.default_rng(seed)
+        if centres == "halves":
+            a, b = pts[: (n + 1) // 2].mean(axis=0), pts[n // 2 :].mean(axis=0)
+        else:
+            a = pts[rng.integers(n)]
+            b = a if centres == "same" else pts[rng.integers(n)]
+        da = np.sum((pts - a) ** 2, axis=1)
+        db = np.sum((pts - b) ** 2, axis=1)
+        order, natural = DistanceFilter(pts).cut_order(a, b)
+        assert np.array_equal(order, np.argsort(da - db, kind="stable"))
+        assert natural == np.count_nonzero(da <= db)
 
     @pytest.mark.parametrize("kind", ["rounded", "duplicated", "offset"])
     @pytest.mark.parametrize("n_cand", [3, 180, 2000])

@@ -3,8 +3,9 @@
 Package re-exports resolve on first attribute access and subcommand-only
 dependencies are imported inside their subcommands, so ``serve`` compiles
 none of the imaging, evaluation, baseline, feature-extraction, database
-building or trace-export code.  Each check runs in a fresh interpreter:
-this process has long imported everything.
+building or trace-export code, nor a worker pool, result cache or query
+set it was not asked for.  Each check runs in a fresh interpreter: this
+process has long imported everything.
 """
 
 from __future__ import annotations
@@ -26,10 +27,15 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 #: Modules (and packages, with everything under them) ``serve`` must not
 #: import before its first reply.
 DEFERRED = (
+    "concurrent.futures.process",
+    "concurrent.futures.thread",
+    "multiprocessing",
     "repro.baselines",
+    "repro.cache.result_cache",
     "repro.datasets.build",
     "repro.datasets.concepts",
     "repro.datasets.corel_loader",
+    "repro.datasets.queryset",
     "repro.eval",
     "repro.features.color",
     "repro.features.edges",
