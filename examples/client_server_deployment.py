@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Client/server deployment and user-defined feature importance.
+"""Client/server deployment of Query Decomposition.
 
-Demonstrates the paper's two "beyond the prototype" capabilities:
-
-1. **Client-side feedback (§6, "More Scalable")** — persist the RFS
-   structure, measure the payload a client would download, and compare
-   server load against a traditional relevance-feedback deployment.
-2. **Feature-importance weighting (future work)** — re-run the same
-   session's final retrieval with colour declared three times as
-   important as texture/edges, and compare the result composition.
+Demonstrates the paper's "beyond the prototype" deployment (§6, "More
+Scalable"): persist the RFS structure, measure the payload a client
+would download, compare server load against a traditional
+relevance-feedback deployment, then run a whole feedback session on
+the client against the downloaded structure; only the final round
+touches the server.
 
 Run:  python examples/client_server_deployment.py
 """
@@ -25,7 +23,6 @@ from repro import (
 from repro.core.clientserver import compare_deployments
 from repro.eval import SimulatedUser
 from repro.index.serialize import load_rfs, save_rfs
-from repro.retrieval.weighting import FamilyWeights
 
 
 def main() -> None:
@@ -44,7 +41,7 @@ def main() -> None:
     client_engine = QueryDecompositionEngine(database, client_rfs)
     print(compare_deployments(client_engine.rfs).format())
 
-    # --- 2. run feedback "on the client", retrieve with weights -------
+    # --- 2. run feedback "on the client", then the final round --------
     query = get_query("rose")
     user = SimulatedUser(database, query, seed=5)
     session = client_engine.new_session(seed=5)
@@ -52,36 +49,18 @@ def main() -> None:
         session.submit(user.mark(session.display(screens=screens)))
 
     k = 24
-    # Can't finalize twice; replay the recorded marks for the variants.
-    from repro.core.ranking import execute_final_round
-
-    marks = session.marked_ids
-    plain = execute_final_round(
-        client_engine.rfs, marks, k, client_engine.config, rounds_used=3
+    result = session.finalize(k)
+    counts: dict[str, int] = {}
+    for image_id in result.flatten(k):
+        cat = database.category_of(image_id)
+        counts[cat] = counts.get(cat, 0) + 1
+    composition = ", ".join(
+        f"{name} x{n}"
+        for name, n in sorted(counts.items(), key=lambda kv: -kv[1])
     )
-    color_heavy = execute_final_round(
-        client_engine.rfs, marks, k, client_engine.config, rounds_used=3,
-        dim_weights=FamilyWeights(color=3.0).as_vector(),
-    )
-
-    def composition(result) -> str:
-        counts: dict[str, int] = {}
-        for image_id in result.flatten(k):
-            cat = database.category_of(image_id)
-            counts[cat] = counts.get(cat, 0) + 1
-        return ", ".join(
-            f"{name} x{n}"
-            for name, n in sorted(counts.items(), key=lambda kv: -kv[1])
-        )
-
-    print(f"\nquery '{query.description}', k={k}")
-    print(f"  unweighted:    {composition(plain)}")
-    print(f"  colour-heavy:  {composition(color_heavy)}")
-    print(
-        "\nWith colour weighted 3x, the retrieval sharpens around each "
-        "rose colour cluster (the paper's user-defined feature "
-        "importance extension)."
-    )
+    print(f"\nquery '{query.description}', k={k}, "
+          f"{result.n_groups} localized subqueries")
+    print(f"  result: {composition}")
 
 
 if __name__ == "__main__":

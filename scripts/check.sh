@@ -55,11 +55,29 @@ fi
 # text is read, so no encode_state( call site lives outside
 # src/repro/sessionstore/ to put an encode back on the feedback round.
 echo "== structure =="
-if git grep -nE '(Thread|Process)PoolExecutor\(' -- src/ \
-        ':!src/repro/exec/pool.py'; then
-    echo "== pools are constructed only in src/repro/exec/pool.py ==" >&2
-    exit 1
-fi
+# forbid MESSAGE... -- GIT_GREP_ARGS...
+#
+# fails the gate when `git grep GIT_GREP_ARGS` finds anything: the
+# matches are printed, then the MESSAGE words joined by spaces.
+forbid() {
+    local message=()
+    while (( $# )) && [[ "$1" != "--" ]]; do
+        message+=("$1")
+        shift
+    done
+    if (( $# == 0 )); then
+        echo "usage: forbid MESSAGE... -- GIT_GREP_ARGS..." >&2
+        exit 2
+    fi
+    shift
+    if git grep "$@"; then
+        echo "== ${message[*]} ==" >&2
+        exit 1
+    fi
+}
+forbid "pools are constructed only in src/repro/exec/pool.py" -- \
+    -nE '(Thread|Process)PoolExecutor\(' -- src/ \
+    ':!src/repro/exec/pool.py'
 epoch_sites=$(git grep -nE '\.invalidation_epoch\(\)' -- src/ || true)
 if [[ $(grep -c . <<<"$epoch_sites") != 1 ]]; then
     echo "$epoch_sites" >&2
@@ -75,74 +93,63 @@ if [[ $(grep -c . <<<"$merge_sites") != 1 ]]; then
         "(core.ranking.execute_final_round) ==" >&2
     exit 1
 fi
-if git grep -n 'read_block' -- src/; then
-    echo "== no read_block hook in src/: _scan_leaves reads its own" \
-        "blocks ==" >&2
-    exit 1
-fi
-if git grep -nE 'allow_pickle *= *True' -- src/; then
-    echo "== no allow_pickle=True in src/: files are read without" \
-        "unpickling ==" >&2
-    exit 1
-fi
+forbid "no read_block hook in src/: _scan_leaves reads its own blocks" -- \
+    -n 'read_block' -- src/
+forbid "no allow_pickle=True in src/: files are read without unpickling" -- \
+    -nE 'allow_pickle *= *True' -- src/
 # The feature store has one number format: float32 rows plus optional
 # int8 codes.  The float64 store dtype (set only by tests) and the f16
 # scan tier (no faster than int8 while reading twice its bytes) were
 # deleted along with the plumbing that carried the choice through the
 # engine, the shard router and the delta segment.
-if git grep -nE -e 'store_dtype|STORE_DTYPES|_delta_kernel_dtype' \
-        -e "float16|[\"']f16[\"']" -- src/; then
-    echo "== the store holds float32 rows and optional int8 codes only" \
-        "==" >&2
-    exit 1
-fi
+forbid "the store holds float32 rows and optional int8 codes only" -- \
+    -nE -e 'store_dtype|STORE_DTYPES|_delta_kernel_dtype' \
+    -e "float16|[\"']f16[\"']" -- src/
 # Each write path has one implementation.  Sessions are kept in memory
 # or in SQLite: the JSON-directory store, whose conditional write two
 # processes could both win, was deleted.  Index mutations and
 # compaction swaps serialize on one lock: the epoch guard's read lease
 # had no caller, and the retired-generation window is the constant
 # generations.MAX_RETIRED, not a setting only tests changed.
-if git grep -nE 'jsondir|JSONDirectorySessionStore|EpochGuard|max_retired' \
-        -- src/; then
-    echo "== one session store per durability, one mutation lock, no" \
-        "retired-window setting ==" >&2
-    exit 1
-fi
+forbid "one session store per durability, one mutation lock, no" \
+    "retired-window setting" -- \
+    -nE 'jsondir|JSONDirectorySessionStore|EpochGuard|max_retired' \
+    -- src/
 # (Each name is spelled with one bracketed letter so this file does
 # not match its own pattern.)
-if git grep -nE -e 'page_read_latenc[y]|read_bandwidth_bytes_per_[s]' \
-        -e 'charge_i[o]|kmeans_minibatc[h]|kmeans_chun[k]' \
-        -- src/ benchmarks/; then
-    echo "== no simulated device sleep and no build knob that fed it ==" >&2
-    exit 1
-fi
+forbid "no simulated device sleep and no build knob that fed it" -- \
+    -nE -e 'page_read_latenc[y]|read_bandwidth_bytes_per_[s]' \
+    -e 'charge_i[o]|kmeans_minibatc[h]|kmeans_chun[k]' \
+    -- src/ benchmarks/
 # One k-means: kmeans() is the B = 1 call of kmeans_stacked, and each
 # rank's equal-shape nodes cluster in one stacked call.  No one-problem
 # Lloyd run, scatter-add update, separate distance kernel or per-node
 # selection task comes back beside it.
-if git grep -nE -e '_single_run|_DistanceRows|pairwise_sq_distances' \
-        -e 'np\.add\.at\(|_node_reps_task' -- src/; then
-    echo "== one k-means implementation, one selection task per group ==" >&2
-    exit 1
-fi
+forbid "one k-means implementation, one selection task per group" -- \
+    -nE -e '_single_run|_DistanceRows|pairwise_sq_distances' \
+    -e 'np\.add\.at\(|_node_reps_task' -- src/
 # The index reaches the exact distance kernel only through
 # clustering.kmeans.DistanceFilter: every side, farthest pick, nearest
 # candidate and balanced cut is a certified decision that runs the
 # kernel on the near-ties alone, so no index module runs it on every row.
-if git grep -n 'sq_distances_into' -- src/repro/index/; then
-    echo "== the index reaches the exact kernel only through" \
-        "DistanceFilter ==" >&2
-    exit 1
-fi
-if git grep -n 'time\.sleep' -- src/repro/index/ src/repro/clustering/; then
-    echo "== nothing in the index or the clustering sleeps ==" >&2
-    exit 1
-fi
-if git grep -n 'encode_state(' -- src/ ':!src/repro/sessionstore/'; then
-    echo "== encode_state() is called only under src/repro/sessionstore/" \
-        "==" >&2
-    exit 1
-fi
+forbid "the index reaches the exact kernel only through DistanceFilter" -- \
+    -n 'sq_distances_into' -- src/repro/index/
+forbid "nothing in the index or the clustering sleeps" -- \
+    -n 'time\.sleep' -- src/repro/index/ src/repro/clustering/
+forbid "encode_state() is called only under src/repro/sessionstore/" -- \
+    -n 'encode_state(' -- src/ ':!src/repro/sessionstore/'
+# The final round ranks by one metric, plain Euclidean distance (the
+# paper's §3.3–3.4; user-set feature importance is §6 future work):
+# no per-dimension weights ride from the session through the executors,
+# the shard router and the cache key down to the scan kernels.  The
+# weighted kernel is kept, uncalled, only because the e2e benchmark's
+# tracing TARGETS still wraps it.
+forbid "the final round ranks by one metric: no dim_weights path" -- \
+    -nE -e 'dim_weights|FamilyWeights' \
+    -e 'approx_weighted_point_distances|weighted_err_bound' -- src/
+forbid "weighted_point_distances is defined in store/kernels.py and" \
+    "called nowhere in src/" -- \
+    -n 'weighted_point_distances' -- src/ ':!src/repro/store/kernels.py'
 # Every module under src/repro/ is imported by something the CLI, a
 # benchmark or a script reaches (lazy re-exports resolved): a module
 # only its own tests or an example import is code nothing serving or

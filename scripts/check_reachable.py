@@ -32,10 +32,6 @@ ALLOWED: Dict[str, str] = {
         "loads the paper's own Corel collection; unreached only because "
         "no Corel files ship with the checkout"
     ),
-    "repro.retrieval.weighting": (
-        "builds the dim_weights that finalize and the scan kernels still "
-        "accept"
-    ),
 }
 
 

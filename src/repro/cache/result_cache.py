@@ -11,7 +11,6 @@ answer depends on —
 * the RFS node the marks grouped into,
 * the query-point matrix (actual bytes and dtype, so a float32
   centroid and a float64 one can never alias),
-* the per-dimension feature weights (or their absence),
 * the requested result count,
 * the boundary-expansion threshold, and
 * the store's tier fingerprint (tier tag + quantization params), so
@@ -82,7 +81,6 @@ def subquery_cache_key(
     query_points: np.ndarray,
     requested: int,
     boundary_threshold: float,
-    weights: Optional[np.ndarray] = None,
     store_fingerprint: str = "",
 ) -> str:
     """Canonical digest of one localized subquery.
@@ -113,12 +111,6 @@ def subquery_cache_key(
     digest.update(str(points.dtype).encode())
     digest.update(struct.pack("<q", points.shape[1] if points.ndim > 1 else 1))
     digest.update(points.tobytes())
-    if weights is None:
-        digest.update(b"\x00no-weights")
-    else:
-        w = np.ascontiguousarray(weights)
-        digest.update(b"\x01" + str(w.dtype).encode())
-        digest.update(w.tobytes())
     return digest.hexdigest()
 
 
@@ -403,8 +395,6 @@ def scan_and_publish(
     node: Any,
     query: np.ndarray,
     k: int,
-    *,
-    weights: Optional[np.ndarray] = None,
 ) -> List[Tuple[float, int]]:
     """Scan ``node`` main-only and publish the ranking under ``key``.
 
@@ -418,8 +408,6 @@ def scan_and_publish(
     step, as after a hit.
     """
     epoch = cache.invalidation_epoch()
-    ranked = rfs.localized_knn(
-        node, query, k, weights=weights, include_delta=False
-    )
+    ranked = rfs.localized_knn(node, query, k, include_delta=False)
     cache.put(key, version, node.node_id, query, ranked, epoch=epoch)
     return ranked

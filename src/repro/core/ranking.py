@@ -123,7 +123,6 @@ def merge_outcomes(
     outcomes: Sequence[SubqueryOutcome],
     *,
     rounds_used: int,
-    dim_weights: Optional[np.ndarray] = None,
     merge_span,
 ) -> QueryResult:
     """Sequential dedup/merge + top-up over already-executed outcomes.
@@ -194,9 +193,7 @@ def merge_outcomes(
             fetch = min(
                 rfs.effective_node_size(node), len(have) + deficit + OVERFETCH
             )
-            ranked = rfs.localized_knn(
-                node, payload["centroid"], fetch, weights=dim_weights
-            )
+            ranked = rfs.localized_knn(node, payload["centroid"], fetch)
             for dist, image_id in ranked:
                 if total >= k:
                     break
@@ -240,7 +237,6 @@ def execute_final_round(
     *,
     rounds_used: int,
     uniform_merge: bool = False,
-    dim_weights: Optional[np.ndarray] = None,
     executor: Optional[SubqueryExecutor] = None,
 ) -> QueryResult:
     """Run the localized subqueries and merge their results.
@@ -268,11 +264,6 @@ def execute_final_round(
         When true, every subquery receives an equal share of the k result
         slots instead of the paper's mark-proportional allocation — the
         ablation of the §3.4 merge rule.
-    dim_weights:
-        Optional per-dimension metric weights (e.g. from
-        :class:`repro.retrieval.weighting.FamilyWeights`) applied to the
-        localized similarity computation — the paper's future-work
-        user-defined feature importance.
     executor:
         Optional pre-built executor (e.g. an engine's persistent pool).
         When omitted, one is built from ``config`` and closed before
@@ -295,9 +286,7 @@ def execute_final_round(
     )
     with merge_span:
         try:
-            outcomes = executor.run_subqueries(
-                rfs, plan.tasks, config, dim_weights=dim_weights
-            )
+            outcomes = executor.run_subqueries(rfs, plan.tasks, config)
         finally:
             if owned_executor:
                 executor.close()
@@ -306,7 +295,6 @@ def execute_final_round(
             plan,
             outcomes,
             rounds_used=rounds_used,
-            dim_weights=dim_weights,
             merge_span=merge_span,
         )
     if cache is not None:

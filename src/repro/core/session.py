@@ -282,7 +282,6 @@ class FeedbackSession:
         k: int,
         *,
         uniform_merge: bool = False,
-        dim_weights=None,
     ) -> QueryResult:
         """Run the localized multipoint k-NN subqueries and merge.
 
@@ -291,11 +290,10 @@ class FeedbackSession:
         thread pool, or process pool — the ranking is bit-identical
         either way).  ``uniform_merge`` replaces the paper's
         mark-proportional result allocation with equal shares (used by
-        the merge-rule ablation); ``dim_weights`` applies user-defined
-        per-dimension feature importance (see
-        :class:`repro.retrieval.weighting.FamilyWeights`).  Raises
-        :class:`SessionStateError` when no relevant image was ever
-        marked.
+        the merge-rule ablation).  Raises :class:`SessionStateError`
+        when no relevant image was ever marked.  A call refused for its
+        arguments (``k < 1`` raises :class:`~repro.errors.QueryError`)
+        leaves the session open.
         """
         if self.finalized:
             raise SessionStateError("session already finalized")
@@ -303,7 +301,6 @@ class FeedbackSession:
             raise SessionStateError(
                 "cannot finalize: no relevant images were marked"
             )
-        self.finalized = True
         io = self.rfs.io
         physical_before = io.physical_reads
         with get_tracer().span(
@@ -318,9 +315,9 @@ class FeedbackSession:
                 self.config,
                 rounds_used=self.round,
                 uniform_merge=uniform_merge,
-                dim_weights=dim_weights,
                 executor=self._executor,
             )
+            self.finalized = True
             span.set(
                 groups=result.n_groups,
                 pages_read=io.physical_reads - physical_before,

@@ -95,7 +95,6 @@ class PreparedSubquery:
     """
 
     task: SubqueryTask
-    dim_weights: Optional[np.ndarray]
     search_node: RFSNode
     centroid: np.ndarray
     fetch: int
@@ -116,7 +115,6 @@ def prepare_subquery(
     rfs: RFSStructure,
     config: QDConfig,
     task: SubqueryTask,
-    dim_weights: Optional[np.ndarray] = None,
 ) -> PreparedSubquery:
     """Resolve what a subquery will scan — or that the cache has it.
 
@@ -149,7 +147,6 @@ def prepare_subquery(
             query_points,
             requested,
             config.boundary_threshold,
-            dim_weights,
             store_fingerprint=rfs.store_fingerprint(),
         )
         entry = cache.get(key, version)
@@ -163,7 +160,6 @@ def prepare_subquery(
         centroid = MultipointQuery(query_points).centroid()
     return PreparedSubquery(
         task,
-        dim_weights,
         search_node,
         centroid,
         min(rfs.effective_node_size(search_node), requested),
@@ -187,11 +183,8 @@ def scan_subquery(rfs: RFSStructure, prepared: PreparedSubquery) -> SubqueryOutc
     """
     node = prepared.search_node
     centroid = prepared.centroid
-    weights = prepared.dim_weights
     if prepared.cache is None:
-        ranked = rfs.localized_knn(
-            node, centroid, prepared.fetch, weights=weights
-        )
+        ranked = rfs.localized_knn(node, centroid, prepared.fetch)
     else:
         main_ranked = prepared.cached
         if main_ranked is None:
@@ -199,10 +192,10 @@ def scan_subquery(rfs: RFSStructure, prepared: PreparedSubquery) -> SubqueryOutc
 
             main_ranked = scan_and_publish(
                 prepared.cache, prepared.key, prepared.version,
-                rfs, node, centroid, prepared.fetch, weights=weights,
+                rfs, node, centroid, prepared.fetch
             )
         ranked = rfs.merge_delta_ranked(
-            node, main_ranked, centroid, prepared.fetch, weights=weights
+            node, main_ranked, centroid, prepared.fetch
         )
     return SubqueryOutcome(
         leaf_id=prepared.task.leaf_id,
@@ -216,7 +209,6 @@ def run_subquery_task(
     rfs: RFSStructure,
     config: QDConfig,
     task: SubqueryTask,
-    dim_weights: Optional[np.ndarray] = None,
 ) -> SubqueryOutcome:
     """Execute one localized subquery (boundary expansion + k-NN).
 
@@ -233,7 +225,7 @@ def run_subquery_task(
         quota=task.quota,
         marks=len(task.query_ids),
     ) as span:
-        prepared = prepare_subquery(rfs, config, task, dim_weights)
+        prepared = prepare_subquery(rfs, config, task)
         outcome = scan_subquery(rfs, prepared)
         span.set(
             search_node=outcome.search_node_id,
@@ -246,11 +238,11 @@ def run_subquery_task(
 
 def _run_item(
     rfs: RFSStructure,
-    item: Tuple[SubqueryTask, QDConfig, Optional[np.ndarray]],
+    item: Tuple[SubqueryTask, QDConfig],
 ) -> SubqueryOutcome:
     """:class:`WorkerPool` task: one subquery against the shared RFS."""
-    task, config, dim_weights = item
-    return run_subquery_task(rfs, config, task, dim_weights)
+    task, config = item
+    return run_subquery_task(rfs, config, task)
 
 
 class SubqueryExecutor:
@@ -274,8 +266,6 @@ class SubqueryExecutor:
         rfs: RFSStructure,
         tasks: Sequence[SubqueryTask],
         config: QDConfig,
-        *,
-        dim_weights: Optional[np.ndarray] = None,
     ) -> List[SubqueryOutcome]:
         """Execute ``tasks``, returning outcomes in submission order."""
         # Process workers answer from the structure as of their fork: a
@@ -284,7 +274,7 @@ class SubqueryExecutor:
         return self._record_outcomes(
             self.pool.map(
                 _run_item,
-                [(task, config, dim_weights) for task in tasks],
+                [(task, config) for task in tasks],
                 rfs,
                 key=rfs.mutation_epoch,
             )
@@ -346,15 +336,10 @@ class SerialSubqueryExecutor(SubqueryExecutor):
         rfs: RFSStructure,
         tasks: Sequence[SubqueryTask],
         config: QDConfig,
-        *,
-        dim_weights: Optional[np.ndarray] = None,
     ) -> List[SubqueryOutcome]:
         # The path every served request takes: no pool dispatch at all.
         return self._record_outcomes(
-            [
-                run_subquery_task(rfs, config, task, dim_weights)
-                for task in tasks
-            ]
+            [run_subquery_task(rfs, config, task) for task in tasks]
         )
 
 

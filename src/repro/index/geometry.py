@@ -146,21 +146,15 @@ def stacked_min_distances(
     los: np.ndarray,
     his: np.ndarray,
     point: np.ndarray,
-    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """MINDIST from one point to many boxes, vectorized across boxes.
 
     ``los``/``his`` are (n, d) stacks of box bounds (e.g. every leaf
     under a search node — see
     :meth:`repro.index.rfs.RFSStructure.localized_knn`, which uses this
-    to prune leaves without a per-leaf Python call).  ``weights``
-    optionally applies the per-dimension weighted metric so the bound
-    stays consistent with a weighted scan.
+    to prune leaves without a per-leaf Python call).
     """
     p = np.asarray(point, dtype=np.float64)
     below = np.maximum(los - p, 0.0)
     above = np.maximum(p - his, 0.0)
-    gap = below + above
-    if weights is None:
-        return np.linalg.norm(gap, axis=1)
-    return np.sqrt(np.sum(weights * gap * gap, axis=1))
+    return np.linalg.norm(below + above, axis=1)

@@ -976,7 +976,6 @@ class RFSStructure:
         query_point: np.ndarray,
         k: int,
         *,
-        weights: Optional[np.ndarray] = None,
         include_delta: bool = True,
     ) -> List[tuple[float, int]]:
         """k nearest images to ``query_point`` inside ``node``'s subtree.
@@ -987,11 +986,6 @@ class RFSStructure:
         when boundary expansion widened the search node (the paper's
         §5.2.2 I/O behaviour: "processing of all the localized k-NN
         subqueries need to access only a few neighborhoods").
-
-        ``weights`` optionally applies a per-dimension weighted Euclidean
-        metric (e.g. from
-        :class:`repro.retrieval.weighting.FamilyWeights`); the leaf
-        MINDIST bound is weighted consistently, so pruning stays exact.
 
         Leaf MINDIST pruning is vectorized: the leaves' stacked bounding
         boxes are cached per search node and all bounds come from one
@@ -1014,13 +1008,6 @@ class RFSStructure:
         if node.size == 0:
             raise EmptyIndexError(f"node {node.node_id} covers no images")
         query = np.asarray(query_point, dtype=np.float64)
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != query.shape:
-                raise ConfigurationError(
-                    f"weights shape {weights.shape} != query "
-                    f"{query.shape}"
-                )
 
         view = self.delta_view()
         if view is not None and not view.affects_scans:
@@ -1036,7 +1023,7 @@ class RFSStructure:
                 dead_ids = None
             else:
                 main_live = node.size - int(dead_ids.shape[0])
-        mindists = stacked_min_distances(los, his, query, weights)
+        mindists = stacked_min_distances(los, his, query)
         order = np.argsort(mindists, kind="stable")
         take = min(k, main_live)
         with get_tracer().span(
@@ -1050,11 +1037,11 @@ class RFSStructure:
             else:
                 best = self._scan_leaves(
                     leaves, mindists, order, query, take,
-                    weights=weights, span=span, dead_ids=dead_ids,
+                    span=span, dead_ids=dead_ids,
                 )
         if include_delta and view is not None and view.live_count:
             best = self.merge_delta_ranked(
-                node, best, query, k, weights=weights, view=view
+                node, best, query, k, view=view
             )
         return best
 
@@ -1065,7 +1052,6 @@ class RFSStructure:
         query_point: np.ndarray,
         k: int,
         *,
-        weights: Optional[np.ndarray] = None,
         view: Optional["DeltaView"] = None,
     ) -> List[tuple[float, int]]:
         """Merge the live delta rows under ``node`` into a main ranking.
@@ -1089,7 +1075,7 @@ class RFSStructure:
             )
             if sel.size:
                 query = np.asarray(query_point, dtype=np.float64)
-                dists = self._delta_distances(view, sel, query, weights)
+                dists = self._delta_distances(view, sel, query)
                 ids = view.base_rows + sel
                 merged.extend(
                     (float(d), int(i)) for d, i in zip(dists, ids)
@@ -1103,29 +1089,21 @@ class RFSStructure:
         view: "DeltaView",
         sel: np.ndarray,
         query: np.ndarray,
-        weights: Optional[np.ndarray],
     ) -> np.ndarray:
         """Brute-force delta kernel over the selected live rows.
 
         Mirrors the main scan's final arithmetic: the float32 rows run
-        through the same exact kernels (the int8 tier re-ranks through
+        through the same exact kernel (the int8 tier re-ranks through
         the exact float32 rows, so that is the tier-independent
         arithmetic).  No simulated disk I/O is charged — delta rows are
         RAM-resident by design.
         """
-        from repro.store.kernels import (
-            point_distances,
-            weighted_point_distances,
-        )
+        from repro.store.kernels import point_distances
 
         block, sqnorms = view.kernel_rows()
-        rows = block[sel]
-        if weights is None:
-            dists = point_distances(
-                rows, query, block_sqnorms=sqnorms[sel]
-            )
-        else:
-            dists = weighted_point_distances(rows, query, weights)
+        dists = point_distances(
+            block[sel], query, block_sqnorms=sqnorms[sel]
+        )
         get_metrics().counter(
             "qd_delta_scan_rows_total",
             "delta-segment rows scanned by the brute-force kernel",
@@ -1159,7 +1137,6 @@ class RFSStructure:
         query: np.ndarray,
         take: int,
         *,
-        weights: Optional[np.ndarray],
         span,
         dead_ids: Optional[np.ndarray] = None,
     ) -> List[tuple[float, int]]:
@@ -1213,9 +1190,7 @@ class RFSStructure:
         """
         from repro.store.kernels import (
             approx_point_distances,
-            approx_weighted_point_distances,
             point_distances,
-            weighted_point_distances,
         )
         from repro.retrieval.topk import top_pairs
         from repro.store.feature_store import RERANK_MARGIN
@@ -1224,11 +1199,7 @@ class RFSStructure:
         params = store.quant
         # Tiny relative slack absorbs float32 kernel roundoff on top of
         # the (real-arithmetic) reconstruction bound.
-        eps = (
-            0.0
-            if params is None
-            else params.weighted_err_bound(weights) * 1.000001 + 1e-9
-        )
+        eps = 0.0 if params is None else params.err_bound * 1.000001 + 1e-9
 
         dist_parts: List[np.ndarray] = []
         id_parts: List[np.ndarray] = []
@@ -1246,19 +1217,10 @@ class RFSStructure:
             leaves_read += 1
             distance_evals += rows.shape[0]
             if params is None:
-                if weights is None:
-                    dists = point_distances(
-                        rows, query, block_sqnorms=sqnorms
-                    )
-                else:
-                    dists = weighted_point_distances(rows, query, weights)
-            elif weights is None:
+                dists = point_distances(rows, query, block_sqnorms=sqnorms)
+            else:
                 dists = approx_point_distances(
                     rows, query, params, dq_sqnorms=sqnorms
-                )
-            else:
-                dists = approx_weighted_point_distances(
-                    rows, query, params, weights
                 )
             if dead_ids is not None:
                 # ``dists`` is freshly computed (owned), so in-place is
@@ -1309,14 +1271,7 @@ class RFSStructure:
                     continue
                 block, _, sqnorms = store.node_block(leaf.node_id)
                 distance_evals += block.shape[0]
-                if weights is None:
-                    exact = point_distances(
-                        block, query, block_sqnorms=sqnorms
-                    )
-                else:
-                    exact = weighted_point_distances(
-                        block, query, weights
-                    )
+                exact = point_distances(block, query, block_sqnorms=sqnorms)
                 exact_parts.append(exact[mask])
             cand_dists = np.concatenate(exact_parts)
             rerank_attrs = {

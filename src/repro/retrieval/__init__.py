@@ -14,7 +14,6 @@ __all__ = [
     "quadratic_form_distance",
     "weighted_euclidean",
     "MultipointQuery",
-    "FamilyWeights",
     "RankedList",
     "merge_ranked_lists",
     "top_k",
@@ -31,6 +30,5 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.retrieval.multipoint": ("MultipointQuery",),
         "repro.retrieval.topk": ("RankedList", "merge_ranked_lists", "top_k"),
-        "repro.retrieval.weighting": ("FamilyWeights",),
     },
 )

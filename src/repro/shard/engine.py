@@ -82,8 +82,8 @@ class Shard:
 
     All distance arithmetic happens here, through the unchanged
     single-node scan of the pruned tree.  The shard-level cache
-    memoizes whole per-shard scans keyed by (node, query, k, weights,
-    store fingerprint) at the global structure version, so a warm
+    memoizes whole per-shard scans keyed by (node, query, k, store
+    fingerprint) at the global structure version, so a warm
     rerun never touches leaf blocks yet returns bit-identical pairs.
     """
 
@@ -114,13 +114,11 @@ class Shard:
         node_id: int,
         query: np.ndarray,
         k: int,
-        *,
-        weights: Optional[np.ndarray] = None,
     ) -> List[Tuple[float, int]]:
         """This shard's top-``k`` of its slice of global ``node_id``."""
         node = self.rfs.nodes[node_id]
         if self.cache is None:
-            return self.rfs.localized_knn(node, query, k, weights=weights)
+            return self.rfs.localized_knn(node, query, k)
         from repro.cache import scan_and_publish, subquery_cache_key
 
         key = subquery_cache_key(
@@ -128,7 +126,6 @@ class Shard:
             np.ascontiguousarray(query).reshape(1, -1),
             k,
             _SHARD_KEY_TAG,
-            weights,
             store_fingerprint=self.rfs.store_fingerprint(),
         )
         version = self.rfs.structure_version
@@ -139,15 +136,14 @@ class Shard:
         # live delta rows once, over the gather), so the main-only
         # ranking that gets published is this shard's whole answer.
         return scan_and_publish(
-            self.cache, key, version, self.rfs, node, query, k,
-            weights=weights,
+            self.cache, key, version, self.rfs, node, query, k
         )
 
 
 def _scan_shard(call: tuple, shard: Shard) -> List[Tuple[float, int]]:
     """Router fan-out task: one shard's slice of one scatter."""
-    node_id, query, take, weights = call
-    return shard.localized_knn(node_id, query, take, weights=weights)
+    node_id, query, take = call
+    return shard.localized_knn(node_id, query, take)
 
 
 class ShardedRFS(RFSStructure):
@@ -278,7 +274,6 @@ class ShardedRFS(RFSStructure):
         query_point: np.ndarray,
         k: int,
         *,
-        weights: Optional[np.ndarray] = None,
         include_delta: bool = True,
     ) -> List[tuple[float, int]]:
         """Scatter the scan to covering shards, gather by (dist, id).
@@ -297,13 +292,6 @@ class ShardedRFS(RFSStructure):
         if node.size == 0:
             raise EmptyIndexError(f"node {node.node_id} covers no images")
         query = np.asarray(query_point, dtype=np.float64)
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != query.shape:
-                raise ConfigurationError(
-                    f"weights shape {weights.shape} != query "
-                    f"{query.shape}"
-                )
         view = self.delta_view()
         if view is not None and not view.affects_scans:
             view = None
@@ -328,7 +316,7 @@ class ShardedRFS(RFSStructure):
             partials = self._fanout.map(
                 _scan_shard,
                 participants,
-                (node.node_id, query, take, weights),
+                (node.node_id, query, take),
             )
             merged: List[Tuple[float, int]] = []
             for ranked in partials:
@@ -340,7 +328,7 @@ class ShardedRFS(RFSStructure):
             span.set(candidates=sum(len(r) for r in partials))
             if include_delta and view is not None and view.live_count:
                 merged = self.merge_delta_ranked(
-                    node, merged, query, k, weights=weights, view=view
+                    node, merged, query, k, view=view
                 )
         if participants:
             get_metrics().counter(

@@ -51,11 +51,9 @@ __all__ = [
     "dequantize",
     "dequantized_sqnorms",
     "approx_point_distances",
-    "approx_weighted_point_distances",
     "multipoint_distances",
     "pairwise_distances",
     "point_distances",
-    "weighted_point_distances",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -68,11 +66,9 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.store.kernels": (
             "approx_point_distances",
-            "approx_weighted_point_distances",
             "multipoint_distances",
             "pairwise_distances",
             "point_distances",
-            "weighted_point_distances",
         ),
         "repro.store.quantize": (
             "STORE_TIERS",

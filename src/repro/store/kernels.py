@@ -123,6 +123,10 @@ def weighted_point_distances(
     single vectorized pass, no per-row Python loop.  As in
     :func:`point_distances`, the final reduction is ``einsum`` so each
     row's result is independent of the block shape it was scanned in.
+
+    No scan calls it; it stays only because ``TARGETS`` in
+    ``benchmarks/e2e/tracing.py`` wraps it, and the e2e smoke run fails
+    on the warning a missing target prints.
     """
     t0 = time.perf_counter()
     q = np.asarray(query, dtype=block.dtype)
@@ -169,34 +173,6 @@ def approx_point_distances(
     np.maximum(dists, 0.0, out=dists)
     np.sqrt(dists, out=dists)
     _observe(t0, codes.shape[0], "int8_point")
-    return dists
-
-
-def approx_weighted_point_distances(
-    codes: np.ndarray,
-    query: np.ndarray,
-    params,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """(n,) weighted distances from reconstructed int8 codes to a point.
-
-    Like :func:`weighted_point_distances`, the diagonal metric does not
-    factor through cached norms, so the block is dequantized and the
-    direct form runs on it — the bytes *read* are still the compressed
-    tier; the float32 reconstruction is scan-local scratch.
-    """
-    from repro.store.quantize import dequantize
-
-    t0 = time.perf_counter()
-    q = np.asarray(query, dtype=np.float32)
-    w = np.asarray(weights, dtype=np.float32)
-    diff = dequantize(codes, params)
-    diff -= q
-    diff *= diff
-    dists = diff @ w
-    np.maximum(dists, 0.0, out=dists)
-    np.sqrt(dists, out=dists)
-    _observe(t0, codes.shape[0], "int8_weighted_point")
     return dists
 
 

@@ -22,8 +22,7 @@ inequality gives
 where ``ε = ‖(e_1, …, e_D)‖₂`` and ``e_d`` is the *measured* maximum
 absolute reconstruction error of dimension ``d`` (measured at quantize
 time, so the bound is tight for the actual data, not the worst case).
-The weighted-metric variant is ``ε_w = sqrt(Σ_d w_d · e_d²)``.  With
-``κ̂`` the k-th smallest approximate distance seen so far:
+With ``κ̂`` the k-th smallest approximate distance seen so far:
 
 * an unscanned leaf with ``MINDIST > κ̂ + ε`` cannot hold a true
   top-k row (every row there has true distance ≥ MINDIST, while the
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -79,17 +78,6 @@ class QuantizationParams:
     offset: np.ndarray
     dim_err: np.ndarray
     err_bound: float
-
-    def weighted_err_bound(self, weights: Optional[np.ndarray]) -> float:
-        """Distance-error bound under a diagonal weighted metric.
-
-        ``sqrt(Σ_d w_d · e_d²)``; with ``weights=None`` this is the
-        plain Euclidean ``err_bound``.
-        """
-        if weights is None:
-            return self.err_bound
-        w = np.asarray(weights, dtype=np.float64)
-        return float(np.sqrt(np.sum(w * self.dim_err * self.dim_err)))
 
     def fingerprint(self) -> str:
         """Digest of the tier tag and reconstruction arrays.

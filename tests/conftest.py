@@ -28,7 +28,7 @@ SMALL_RFS = RFSConfig(
 )
 
 
-def brute_force_knn(features, query, k, *, live_ids=None, weights=None):
+def brute_force_knn(features, query, k, *, live_ids=None):
     """The reference for the one scan path: plain float64 numpy.
 
     ``np.linalg.norm`` over the live item set (``live_ids``, default
@@ -45,8 +45,6 @@ def brute_force_knn(features, query, k, *, live_ids=None, weights=None):
     diff = np.asarray(features, dtype=np.float64)[ids] - np.asarray(
         query, dtype=np.float64
     )
-    if weights is not None:
-        diff = diff * np.sqrt(np.asarray(weights, dtype=np.float64))
     dists = np.linalg.norm(diff, axis=1)
     order = np.lexsort((ids, dists))[:k]
     return [(float(dists[i]), int(ids[i])) for i in order]

@@ -116,18 +116,6 @@ class TestCacheKey:
         nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
         assert base != subquery_cache_key(1, nudged, 10, 0.4)
 
-    def test_weights_partition_the_key_space(self):
-        points = np.ones((2, 4))
-        unweighted = subquery_cache_key(1, points, 10, 0.4)
-        weighted = subquery_cache_key(1, points, 10, 0.4, np.ones(4))
-        assert unweighted != weighted
-        assert weighted == subquery_cache_key(
-            1, points, 10, 0.4, np.ones(4)
-        )
-        assert weighted != subquery_cache_key(
-            1, points, 10, 0.4, np.full(4, 2.0)
-        )
-
     def test_store_fingerprint_partitions_the_key_space(self):
         points = np.ones((2, 4))
         bare = subquery_cache_key(1, points, 10, 0.4)
@@ -271,24 +259,6 @@ class TestFinalRoundCaching:
         for _ in range(4):
             assert _finalize(rfs, marks, 40, config)[0] == baseline
         assert io.physical_reads - single_reads < 2 * single_reads
-
-    def test_weighted_round_does_not_hit_unweighted_entries(
-        self, database
-    ):
-        rfs = _build_rfs(database)
-        marks = _marks(database, 7)
-        config = QDConfig()
-        weights = np.linspace(0.5, 1.5, database.dims)
-        baseline, _ = _finalize(
-            rfs, marks, 20, config, dim_weights=weights
-        )
-        rfs.attach_cache(SubqueryResultCache(8 << 20))
-        _finalize(rfs, marks, 20, config)  # warm the unweighted keys
-        weighted_sig, weighted_res = _finalize(
-            rfs, marks, 20, config, dim_weights=weights
-        )
-        assert weighted_sig == baseline
-        assert weighted_res.stats["cache_hits"] == 0
 
     @pytest.mark.parametrize("executor", _EXECUTORS)
     def test_cached_sessions_bit_identical_across_executors(

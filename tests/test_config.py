@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import config
+from repro.cache import subquery_cache_key
 from repro.clustering.kmeans import KMeans, kmeans
 from repro.cli import build_parser
 from repro.config import (
@@ -17,11 +18,13 @@ from repro.config import (
     RFSConfig,
 )
 from repro.core.engine import QueryDecompositionEngine
+from repro.core.ranking import execute_final_round
+from repro.core.session import FeedbackSession
 from repro.errors import ConfigurationError
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import RFSStructure
 from repro.index.rstar import RStarTree
-from repro.shard.engine import ShardedEngine
+from repro.shard.engine import Shard, ShardedEngine, ShardedRFS
 from repro.store import FeatureStore
 from tests.reference_build import structure_digest
 
@@ -162,6 +165,21 @@ SETTABLE_SURFACE = {
         "parallel_fanout", "seed", "io", "store", "store_tier", "cache",
         "build", "mutations", "progress",
     ],
+    # The final round ranks by one metric, plain Euclidean distance
+    # over the feature vector: no per-dimension weights are settable
+    # anywhere from the session down to the scan and its cache key.
+    "FeedbackSession.finalize": ["k", "uniform_merge"],
+    "execute_final_round": [
+        "rfs", "marked_ids", "k", "config", "rounds_used",
+        "uniform_merge", "executor",
+    ],
+    "RFSStructure.localized_knn": ["node", "query_point", "k", "include_delta"],
+    "ShardedRFS.localized_knn": ["node", "query_point", "k", "include_delta"],
+    "Shard.localized_knn": ["node_id", "query", "k"],
+    "subquery_cache_key": [
+        "node_id", "query_points", "requested", "boundary_threshold",
+        "store_fingerprint",
+    ],
 }
 
 
@@ -173,6 +191,12 @@ _SIGNATURES = {
     "QueryDecompositionEngine.build": QueryDecompositionEngine.build,
     "RStarTree": RStarTree,
     "ShardedEngine.build": ShardedEngine.build,
+    "FeedbackSession.finalize": FeedbackSession.finalize,
+    "execute_final_round": execute_final_round,
+    "RFSStructure.localized_knn": RFSStructure.localized_knn,
+    "ShardedRFS.localized_knn": ShardedRFS.localized_knn,
+    "Shard.localized_knn": Shard.localized_knn,
+    "subquery_cache_key": subquery_cache_key,
 }
 
 

@@ -105,6 +105,18 @@ class TestSessionLifecycle:
         with pytest.raises(SessionStateError):
             session.finalize(10)
 
+    def test_refused_finalize_leaves_the_session_open(self, rfs):
+        # A call refused for its arguments is not the final round: the
+        # same session still finalizes afterwards.
+        session = FeedbackSession(rfs, seed=0)
+        shown = session.display(screens=5)
+        session.submit(shown[:2])
+        with pytest.raises(QueryError):
+            session.finalize(0)
+        assert not session.finalized
+        assert len(session.finalize(10).flatten(10)) == 10
+        assert session.finalized
+
     def test_display_after_finalize_raises(self, rfs):
         session = FeedbackSession(rfs, seed=0)
         shown = session.display(screens=5)

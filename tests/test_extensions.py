@@ -1,11 +1,11 @@
 """Tests for the extension modules: serialization, alternative
-hierarchies, client/server model, feature-family weighting, CLI."""
+hierarchies, client/server model, CLI."""
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.config import FeatureConfig, RFSConfig
+from repro.config import RFSConfig
 from repro.core.clientserver import (
     ClientPayload,
     client_payload,
@@ -15,7 +15,6 @@ from repro.errors import ClusteringError, ConfigurationError, DatasetError
 from repro.index.hierarchies import build_hkmeans_hierarchy
 from repro.index.rfs import RFSStructure
 from repro.index.serialize import load_rfs, save_rfs
-from repro.retrieval.weighting import FamilyWeights
 from tests.reference_build import structure_digest
 
 
@@ -220,55 +219,6 @@ class TestClientServer:
     def test_format_contains_multiplier(self, built_rfs):
         text = compare_deployments(built_rfs).format()
         assert "capacity multiplier" in text
-
-
-class TestFamilyWeights:
-    def test_vector_layout(self):
-        weights = FamilyWeights(color=2.0, texture=1.0, edges=1.0)
-        vec = weights.as_vector(FeatureConfig())
-        assert vec.shape == (37,)
-        assert np.all(vec[:9] > vec[9])  # colour boosted
-
-    def test_normalised_to_dimensionality(self):
-        vec = FamilyWeights(color=5, texture=1, edges=1).as_vector()
-        assert vec.sum() == pytest.approx(37.0)
-
-    def test_equal_weights_are_unweighted(self):
-        vec = FamilyWeights().as_vector()
-        assert np.allclose(vec, 1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FamilyWeights(color=-1.0)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FamilyWeights(color=0, texture=0, edges=0)
-
-    def test_zero_family_excluded_from_metric(self, built_rfs, feats):
-        # (10-d fixture: build a matching weight vector by hand.)
-        weights = np.ones(10)
-        weights[:5] = 0.0
-        base = feats[0].copy()
-        twin = base.copy()
-        twin[:5] += 100.0  # differs only on zero-weighted dims
-        diff = np.sqrt(np.sum(weights * (twin - base) ** 2))
-        assert diff == 0.0
-
-    def test_weighted_final_round(self, engine):
-        """dim_weights plumb through session finalize."""
-        from repro.datasets.queryset import get_query
-        from repro.eval.oracle import SimulatedUser
-
-        db = engine.database
-        user = SimulatedUser(db, get_query("rose"), seed=2)
-        session = engine.new_session(seed=2)
-        for _ in range(3):
-            session.submit(user.mark(session.display(screens=6)))
-        result = session.finalize(
-            20, dim_weights=FamilyWeights(color=3.0).as_vector()
-        )
-        assert len(result.flatten(20)) == 20
 
 
 class TestCLI:

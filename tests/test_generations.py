@@ -91,19 +91,18 @@ def _rebuild_of(rfs, *, seed=991, tier=None):
     return built, live
 
 
-def _scan(rfs, query, k, *, weights=None):
+def _scan(rfs, query, k):
     """Root-subtree scan: every live item competes."""
-    return rfs.localized_knn(rfs.root, query, k, weights=weights)
+    return rfs.localized_knn(rfs.root, query, k)
 
 
-def _assert_scan_parity(gen_rfs, rebuilt, live, queries, k, *,
-                        weights=None):
+def _assert_scan_parity(gen_rfs, rebuilt, live, queries, k):
     """Generational scan == rebuilt scan, bit for bit, id for id."""
     for query in queries:
-        got = _scan(gen_rfs, query, k, weights=weights)
+        got = _scan(gen_rfs, query, k)
         want = [
             (dist, int(live[pos]))
-            for dist, pos in _scan(rebuilt, query, k, weights=weights)
+            for dist, pos in _scan(rebuilt, query, k)
         ]
         assert got == want
 
@@ -251,18 +250,6 @@ class TestMutationParity:
         _mutate(controller, np.random.default_rng(2))
         rebuilt, live = _rebuild_of(rfs, tier=tier)
         _assert_scan_parity(rfs, rebuilt, live, _queries(rfs), k=25)
-
-    def test_weighted_scan_parity(self):
-        rfs = _base(tier="f32")
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
-        _mutate(controller, np.random.default_rng(3))
-        weights = np.linspace(0.5, 2.0, rfs.features.shape[1])
-        rebuilt, live = _rebuild_of(rfs, tier="f32")
-        _assert_scan_parity(
-            rfs, rebuilt, live, _queries(rfs), k=25, weights=weights
-        )
 
     def test_post_compaction_equals_rebuild_at_generation_seed(self):
         rfs = _base(tier="f32")

@@ -44,11 +44,11 @@ def test_every_module_is_reached_or_allow_listed():
 def test_a_planted_orphan_fails_the_gate(copy):
     (copy / "src/repro/index/orphan.py").write_text("VALUE = 1\n")
     # ... and so does an allow-listed module that is gone.
-    (copy / "src/repro/retrieval/weighting.py").unlink()
+    (copy / "src/repro/datasets/corel_loader.py").unlink()
     done = _gate(copy)
     assert done.returncode == 1
     assert "repro.index.orphan: no entry point imports it" in done.stderr
-    assert "repro.retrieval.weighting: allow-listed" in done.stderr
+    assert "repro.datasets.corel_loader: allow-listed" in done.stderr
 
 
 def test_a_lazy_re_export_counts_as_an_import(copy):

@@ -33,8 +33,8 @@ from repro.store import (
     multipoint_distances,
     pairwise_distances,
     point_distances,
-    weighted_point_distances,
 )
+from repro.store.kernels import weighted_point_distances
 from tests.conftest import brute_force_knn
 
 N_IMAGES = 900
@@ -310,17 +310,9 @@ class TestBatchedGeometry:
         los = np.stack([b.lo for b in boxes])
         his = np.stack([b.hi for b in boxes])
         q = rng.normal(size=4)
-        w = rng.uniform(0.2, 2.0, size=4)
         plain = stacked_min_distances(los, his, q)
-        weighted = stacked_min_distances(los, his, q, w)
         for i, box in enumerate(boxes):
             assert plain[i] == pytest.approx(box.min_distance(q))
-            below = np.maximum(box.lo - q, 0.0)
-            above = np.maximum(q - box.hi, 0.0)
-            gap = below + above
-            assert weighted[i] == pytest.approx(
-                float(np.sqrt(np.sum(w * gap * gap)))
-            )
 
 
 # ----------------------------------------------------------------------
@@ -354,22 +346,6 @@ class TestStoreScan:
         assert np.allclose(
             [d for d, _ in fast], [d for d, _ in reference], atol=1e-3
         )
-
-    def test_store_scan_weighted_matches_legacy_ids(self, built):
-        database, rfs = built
-        query = database.features[77]
-        weights = np.linspace(0.5, 1.5, database.dims)
-        leaf = rfs.leaf_of_item(77)
-        reference = brute_force_knn(
-            database.features, query, 20,
-            live_ids=leaf.item_ids, weights=weights,
-        )
-        rfs.attach_store(FeatureStore.build(rfs))
-        try:
-            fast = rfs.localized_knn(leaf, query, 20, weights=weights)
-        finally:
-            rfs.detach_store()
-        assert [i for _, i in fast] == [i for _, i in reference]
 
     def test_store_scan_accounts_io_and_bytes(self, built):
         database, rfs = built
@@ -562,10 +538,9 @@ class TestParity:
         database, _ = built
         stored = _run_session(database, None, "serial", 11)
 
-        def reference(self, node, query_point, k, *, weights=None, **_):
+        def reference(self, node, query_point, k, **_):
             return brute_force_knn(
-                self.features, query_point, k,
-                live_ids=node.item_ids, weights=weights,
+                self.features, query_point, k, live_ids=node.item_ids
             )
 
         monkeypatch.setattr(RFSStructure, "localized_knn", reference)

@@ -166,15 +166,6 @@ class TestRoundTripBounds:
         assert np.array_equal(dequantize(codes, quant), matrix)
         assert quant.err_bound == 0.0
 
-    def test_weighted_err_bound(self):
-        rng = np.random.default_rng(5)
-        matrix = rng.normal(size=(30, 6)).astype(np.float32)
-        _, quant = quantize_matrix(matrix, "int8")
-        w = rng.uniform(0.1, 3.0, size=6)
-        expected = float(np.sqrt(np.sum(w * quant.dim_err**2)))
-        assert quant.weighted_err_bound(w) == pytest.approx(expected)
-        assert quant.weighted_err_bound(None) == quant.err_bound
-
     def test_dequantize_unknown_tier_raises(self):
         params = QuantizationParams(
             tier="pq4",
@@ -452,7 +443,6 @@ class TestQuantizedParity:
         queries = database.features[
             rng.integers(0, database.size, size=3)
         ]
-        weights = rng.uniform(0.5, 2.0, size=database.features.shape[1])
         for node in f32.iter_nodes():
             other = quant.get_node(node.node_id)
             for fetch in (1, 3, 10):
@@ -461,11 +451,6 @@ class TestQuantizedParity:
                     assert f32.localized_knn(
                         node, query, take
                     ) == quant.localized_knn(other, query, take)
-            assert f32.localized_knn(
-                node, queries[0], min(10, node.size), weights=weights
-            ) == quant.localized_knn(
-                other, queries[0], min(10, node.size), weights=weights
-            )
 
 
 class TestKernelShapeIndependence:
@@ -512,7 +497,7 @@ class TestKernelShapeIndependence:
 # ----------------------------------------------------------------------
 # The one scan loop, where the f32 and quantized loops used to differ
 # ----------------------------------------------------------------------
-def _reference_f32_scan(rfs, node, query, k, weights, dead):
+def _reference_f32_scan(rfs, node, query, k, dead):
     """The f32 block scan written out plainly, as the reference.
 
     Exact kernel per full block in MINDIST order, tombstoned rows
@@ -522,14 +507,11 @@ def _reference_f32_scan(rfs, node, query, k, weights, dead):
     """
     from repro.index.geometry import stacked_min_distances
     from repro.retrieval.topk import top_pairs
-    from repro.store.kernels import (
-        point_distances,
-        weighted_point_distances,
-    )
+    from repro.store.kernels import point_distances
 
     store = rfs.store
     leaves, los, his = rfs._leaf_geometry(node)
-    mindists = stacked_min_distances(los, his, query, weights)
+    mindists = stacked_min_distances(los, his, query)
     take = min(k, node.size - len(dead))
     dists, ids, kth, leaves_read = [], [], np.inf, 0
     for pos in np.argsort(mindists, kind="stable"):
@@ -537,10 +519,7 @@ def _reference_f32_scan(rfs, node, query, k, weights, dead):
             break
         block, block_ids, sqnorms = store.node_block(leaves[pos].node_id)
         leaves_read += 1
-        if weights is None:
-            d = point_distances(block, query, block_sqnorms=sqnorms)
-        else:
-            d = weighted_point_distances(block, query, weights)
+        d = point_distances(block, query, block_sqnorms=sqnorms)
         alive = ~np.isin(block_ids, dead)
         dists.append(d[alive])
         ids.append(block_ids[alive])
@@ -568,15 +547,13 @@ class TestTombstoneScanParity:
         item=st.integers(0, N_IMAGES - 1),
         levels_up=st.integers(0, 2),
         k=st.integers(1, 70),
-        weighted=st.booleans(),
         # Which ranks of the clean ranking to tombstone, counted back
         # from the k-th: 0 = the k-th itself, 1 = just inside it, ...
         dead_ranks=st.sets(st.integers(0, 3), max_size=4),
         drain=st.booleans(),
     )
     def test_tiers_agree_under_tombstones(
-        self, tiers, database, item, levels_up, k, weighted, dead_ranks,
-        drain,
+        self, tiers, database, item, levels_up, k, dead_ranks, drain,
     ):
         from repro.store.delta import DeltaSegment
 
@@ -585,14 +562,11 @@ class TestTombstoneScanParity:
         for _ in range(levels_up):
             node = node.parent or node
         query = np.asarray(database.features[item], dtype=np.float64)
-        weights = (
-            np.linspace(0.5, 2.0, database.dims) if weighted else None
-        )
         if drain:
             k = node.size  # take == every live row under the node
         for rfs in tiers.values():
             rfs.delta = None
-        clean = f32.localized_knn(node, query, k, weights=weights)
+        clean = f32.localized_knn(node, query, k)
         dead = sorted(
             {clean[len(clean) - 1 - r][1] for r in dead_ranks
              if r < len(clean)}
@@ -613,12 +587,12 @@ class TestTombstoneScanParity:
             rfs.attach_delta(segment)
             rfs.io.reset()
             results[tier] = rfs.localized_knn(
-                rfs.get_node(node.node_id), query, k, weights=weights
+                rfs.get_node(node.node_id), query, k
             )
             reads[tier] = rfs.io.per_category["localized_knn"]
 
         want, want_reads = _reference_f32_scan(
-            f32, node, query, k, weights, np.array(dead, dtype=np.int64)
+            f32, node, query, k, np.array(dead, dtype=np.int64)
         )
         assert results["f32"] == want
         assert reads["f32"] == want_reads  # ε = 0 prunes like before
