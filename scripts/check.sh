@@ -97,14 +97,22 @@ forbid "no read_block hook in src/: _scan_leaves reads its own blocks" -- \
     -n 'read_block' -- src/
 forbid "no allow_pickle=True in src/: files are read without unpickling" -- \
     -nE 'allow_pickle *= *True' -- src/
-# The feature store has one number format: float32 rows plus optional
-# int8 codes.  The float64 store dtype (set only by tests) and the f16
-# scan tier (no faster than int8 while reading twice its bytes) were
-# deleted along with the plumbing that carried the choice through the
-# engine, the shard router and the delta segment.
-forbid "the store holds float32 rows and optional int8 codes only" -- \
+# The feature store has one number format, float32 rows, and a leaf
+# scan one kernel, point_distances over the exact rows.  The float64
+# store dtype (set only by tests), the f16 scan tier and then the int8
+# one (each slower than float32 on a cold round: the exact re-rank cost
+# more than the smaller read saved) were deleted along with the
+# plumbing that carried the choice through the engine, the shard
+# router, compaction and the cache key.  -w keeps uint8 (image pixels)
+# legal.
+forbid "the store holds float32 rows only" -- \
     -nE -e 'store_dtype|STORE_DTYPES|_delta_kernel_dtype' \
     -e "float16|[\"']f16[\"']" -- src/
+forbid "no int8 scan tier: a leaf scan reads the exact float32 rows" -- \
+    -nwi int8 -- src/
+forbid "no quantized scan tier, approximate kernel or re-rank phase" -- \
+    -ni -e quantiz -e approx_point_distances -e dq_sqnorms \
+    -e RERANK_MARGIN -- src/
 # Each write path has one implementation.  Sessions are kept in memory
 # or in SQLite: the JSON-directory store, whose conditional write two
 # processes could both win, was deleted.  Index mutations and
@@ -253,15 +261,18 @@ run_gate "build parity" tests/test_build_parallel.py Parity \
 # show up as passed.
 run_gate "session resume" tests/test_sessionstore.py Parity \
     TestResumeParity TestHotPathParity
-# int8 rankings bit-identical to pure float32 across executors,
-# backings, cached reruns, and tombstones.
-run_gate "quantized parity" tests/test_store_quantized.py Parity
+# The leaf scan against its references: bit-identical rankings between
+# the inmem and memmap backings under every executor, and, under
+# tombstones and through the final round's top-up, the plain block scan
+# (rankings and leaves read) and the brute-force float64 k-NN.
+run_gate "scan parity" tests/test_store.py Parity \
+    TestParity TestTombstoneScanParity
 # Rankings from a sharded router bit-identical to single-node for every
 # shard count, partition strategy, executor, store backing, and cache
 # state, including sessions resumed across routers with different
 # shard counts.
 run_gate "sharded parity" tests/test_shard.py Parity
 # Rankings over main + delta bit-identical to a from-scratch rebuild of
-# the same item set, across executors, store tiers, shard counts, and
+# the same item set, across executors, store attachment, shard counts, and
 # pre/post-compaction cache states.
 run_gate "mutation parity" tests/test_generations.py Parity

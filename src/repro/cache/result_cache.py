@@ -11,11 +11,8 @@ answer depends on —
 * the RFS node the marks grouped into,
 * the query-point matrix (actual bytes and dtype, so a float32
   centroid and a float64 one can never alias),
-* the requested result count,
-* the boundary-expansion threshold, and
-* the store's tier fingerprint (tier tag + quantization params), so
-  rankings served from an int8 scan tier never alias entries computed
-  against the exact float32 rows.
+* the requested result count, and
+* the boundary-expansion threshold.
 
 Every entry is stamped with the **RFS structure version**
 (:attr:`repro.index.rfs.RFSStructure.structure_version`) current at
@@ -81,7 +78,6 @@ def subquery_cache_key(
     query_points: np.ndarray,
     requested: int,
     boundary_threshold: float,
-    store_fingerprint: str = "",
 ) -> str:
     """Canonical digest of one localized subquery.
 
@@ -91,15 +87,10 @@ def subquery_cache_key(
     results must too).
     ``requested`` is the uncapped fetch size (quota + over-fetch); the
     cap against the search-node size is deterministic given the
-    structure version, so it does not belong in the key.
-
-    ``store_fingerprint`` is the serving store's tier fingerprint
-    (:meth:`repro.index.rfs.RFSStructure.store_fingerprint` — scan
-    tier, quantization params).
-    Keying on it makes cross-tier aliasing structurally impossible: an
-    entry computed against a float32-era configuration can never be
-    served after an int8 store is attached, independent of the
-    structure-version stamp.
+    structure version, so it does not belong in the key.  Which store
+    the scan read is not in the key either: every store holds exact
+    float32 rows, and attaching another one bumps the structure version
+    each entry is stamped with.
     """
     points = np.ascontiguousarray(query_points)
     digest = hashlib.blake2b(digest_size=20)
@@ -107,7 +98,6 @@ def subquery_cache_key(
         struct.pack("<qqqd", int(node_id), int(requested),
                     points.shape[0], float(boundary_threshold))
     )
-    digest.update(store_fingerprint.encode())
     digest.update(str(points.dtype).encode())
     digest.update(struct.pack("<q", points.shape[1] if points.ndim > 1 else 1))
     digest.update(points.tobytes())

@@ -104,11 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tier",
         choices=STORE_TIERS,
         default="f32",
-        help=(
-            "scan tier: int8 stores a compressed codes sidecar that "
-            "leaf scans read, with exact float32 re-ranking — rankings "
-            "stay bit-identical, bytes moved shrink 4x (default: f32)"
-        ),
+        help="scan tier: f32, the exact float32 rows (the only tier)",
     )
     p_store.add_argument("--seed", type=int, default=2006)
     _add_build_flags(p_store)
@@ -163,10 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sinfo = store_sub.add_parser(
         "info",
-        help=(
-            "describe a saved store: tier, dtype, bytes on disk, "
-            "compression ratio"
-        ),
+        help="describe a saved store: shape, dtype, bytes, node spans",
     )
     p_sinfo.add_argument(
         "--path", required=True, help="saved store directory"
@@ -370,7 +363,6 @@ def _build_serving_engine(
         partition=getattr(args, "partition", "contiguous"),
         seed=args.seed,
         store=store_kind,
-        store_tier=getattr(args, "store_tier", "f32") or "f32",
         cache=cache,
     )
     _enable_mutations_from_args(engine, args)
@@ -478,11 +470,7 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
         "--store-tier",
         choices=STORE_TIERS,
         default="f32",
-        help=(
-            "scan tier for '--store inmem' builds (memmap stores carry "
-            "their tier in meta.npz); rankings are bit-identical across "
-            "tiers, only scan bytes differ (default: f32)"
-        ),
+        help="scan tier: f32, the exact float32 rows (the only tier)",
     )
 
 
@@ -613,10 +601,7 @@ def _attach_store_from_args(
     from repro.store import FeatureStore
 
     if getattr(args, "store", "inmem") == "inmem":
-        tier = getattr(args, "store_tier", "f32")
-        rfs.attach_store(
-            FeatureStore.build(rfs, tier=tier), validate=False
-        )
+        rfs.attach_store(FeatureStore.build(rfs), validate=False)
         return
     path = getattr(args, "store_path", None)
     if not path:
@@ -749,20 +734,12 @@ def _cmd_build_store(args: argparse.Namespace) -> int:
             build=_build_config_from_args(args),
             progress=_progress_printer(args),
         )
-    store = FeatureStore.build(rfs, tier=args.tier)
+    store = FeatureStore.build(rfs)
     store.save(args.out)
-    tier_note = (
-        ""
-        if store.tier == "f32"
-        else (
-            f", {store.tier} scan tier {store.scan_nbytes / 1e6:.1f} MB"
-            f" ({store.compression_ratio:.1f}x)"
-        )
-    )
     print(
         f"built store: {store.n_rows} rows x {store.dims} dims "
         f"({store.dtype.name}, {store.nbytes / 1e6:.1f} MB, "
-        f"{len(store.spans)} node spans{tier_note}) -> {args.out}"
+        f"{len(store.spans)} node spans) -> {args.out}"
     )
     return 0
 
@@ -901,20 +878,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(f"path:              {args.path}")
         print(f"rows x dims:       {store.n_rows} x {store.dims}")
         print(f"dtype:             {store.dtype.name}")
-        print(f"tier:              {store.tier}")
-        print(f"exact bytes:       {store.nbytes}")
-        print(f"scan bytes:        {store.scan_nbytes}")
-        print(f"compression:       {store.compression_ratio:.2f}x")
+        print(f"bytes:             {store.nbytes}")
         print(f"node spans:        {len(store.spans)}")
-        print(f"fingerprint:       {store.fingerprint()}")
-        if store.tier != "f32":
-            quant = store.quant
-            print(f"quant err bound:   {quant.err_bound:.6g}")
-            print(
-                "quant dim err:     "
-                f"max {float(quant.dim_err.max()):.6g} / "
-                f"mean {float(quant.dim_err.mean()):.6g}"
-            )
     finally:
         store.close()
     return 0

@@ -194,12 +194,10 @@ class BuildConfig:
 #: :mod:`repro.store`).
 STORE_KINDS: tuple[str, ...] = ("inmem", "memmap")
 
-#: Scan tiers a feature store may carry (the CLI ``--store-tier`` /
-#: ``--tier`` choices): ``f32`` scans the exact float32 rows, ``int8``
-#: scans scalar-quantized codes and re-ranks through the exact rows
-#: (see :mod:`repro.store.quantize`).  Defined here, not in the store
-#: package, so importing the config never pulls in numpy-heavy code.
-STORE_TIERS: tuple[str, ...] = ("f32", "int8")
+#: The CLI ``--store-tier`` / ``--tier`` choices.  Every store scans its
+#: exact float32 rows; the flags keep their names, and a removed tier
+#: value is an argparse usage error.
+STORE_TIERS: tuple[str, ...] = ("f32",)
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,6 @@ class QueryDecompositionEngine:
         seed: RandomState = None,
         io: Optional[DiskAccessCounter] = None,
         store: str = "inmem",
-        store_tier: str = "f32",
         cache: Optional[CacheConfig] = None,
         build: Optional[BuildConfig] = None,
         mutations: Optional[MutationConfig] = None,
@@ -114,10 +113,6 @@ class QueryDecompositionEngine:
         produced here — save one (``FeatureStore.save`` or the CLI
         ``build-store`` command), then ``attach_store(FeatureStore.open
         (dir))`` or pass ``store=`` to the constructor.
-        ``store_tier`` selects the scan tier (``"f32"`` or ``"int8"``);
-        ``"int8"`` scans compressed codes and re-ranks through the exact
-        float32 rows, so rankings stay bit-identical (see
-        :mod:`repro.store.quantize`).
 
         ``cache`` optionally attaches a cross-session subquery result
         cache (see :mod:`repro.cache`) sized by
@@ -148,10 +143,7 @@ class QueryDecompositionEngine:
             )
         from repro.store import FeatureStore
 
-        rfs.attach_store(
-            FeatureStore.build(rfs, tier=store_tier),
-            validate=False,
-        )
+        rfs.attach_store(FeatureStore.build(rfs), validate=False)
         if cache is not None and cache.enabled:
             from repro.cache import SubqueryResultCache
 

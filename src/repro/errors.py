@@ -103,9 +103,9 @@ class DatasetError(ReproError):
 class StoreCodecError(DatasetError):
     """A saved feature store could not be decoded.
 
-    Covers unsupported store format versions and unknown quantization
-    tier tags — cases where silently reinterpreting the bytes would
-    corrupt every ranking served from the store."""
+    Covers unsupported store format versions and foreign dtype or tier
+    tags — cases where silently reinterpreting the bytes would corrupt
+    every ranking served from the store."""
 
 
 class UnknownConceptError(DatasetError):

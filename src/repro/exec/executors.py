@@ -147,7 +147,6 @@ def prepare_subquery(
             query_points,
             requested,
             config.boundary_threshold,
-            store_fingerprint=rfs.store_fingerprint(),
         )
         entry = cache.get(key, version)
     if entry is not None:

@@ -24,7 +24,7 @@ read/write traffic instead:
   invalidate_nodes`).  No global flush, no store detach.
 * **A compactor re-bulk-loads** delta+main into a new generation off
   the hot path (a serial build, as :meth:`RFSStructure.build` runs by
-  default), rebuilds the store at the same tier, carries the shared
+  default), rebuilds the store, carries the shared
   result cache (one version bump retires old entries lazily), and
   atomically swaps the generation in under the write lock every
   mutation takes.  Mutations that raced the build are replayed into
@@ -357,7 +357,7 @@ class GenerationController:
         if getattr(old, "shards", None):
             from repro.shard.engine import build_router
 
-            # Same deployment shape: strategy, tier, fan-out mode and
+            # Same deployment shape: strategy, fan-out mode and
             # the shard caches carry over (old-version entries drop
             # lazily on lookup).
             n_leaves = sum(node.is_leaf for node in base.nodes.values())
@@ -365,16 +365,12 @@ class GenerationController:
                 base,
                 min(len(old.shards), n_leaves),
                 old.assignment.strategy,
-                tier=old.shards[0].rfs.store.tier,
                 caches=[shard.cache for shard in old.shards],
                 parallel_fanout=old.parallel_fanout,
             )
         else:
             built = base
-            built.attach_store(
-                FeatureStore.build(built, tier=old.store.tier),
-                validate=False,
-            )
+            built.attach_store(FeatureStore.build(built), validate=False)
             if old.result_cache is not None:
                 # Same cache object: surviving traffic keeps its LRU
                 # heat; old-version entries are dropped lazily on

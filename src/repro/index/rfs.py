@@ -294,8 +294,8 @@ class RFSStructure:
         # Monotonic version stamped on cached subquery results.  Any
         # change that can alter a subquery's answer — a compaction's
         # new generation, store attach/detach (another store may hold
-        # other rows or scan another tier) — bumps it, so stale cache
-        # entries are rejected at read time without a global flush.
+        # other rows) — bumps it, so stale cache entries are rejected
+        # at read time without a global flush.
         self.structure_version = 0
         # JSON-safe description of how the structure was built (method,
         # point count, executor, …); persisted by serialize.save_rfs.
@@ -329,7 +329,7 @@ class RFSStructure:
         """The leaf-contiguous store every scan and gather reads through.
 
         The store most recently passed to :meth:`attach_store`;
-        otherwise an in-RAM float32 ``f32``-tier
+        otherwise an in-RAM float32
         :class:`~repro.store.FeatureStore` of the structure's own,
         built on first use (no version bump: nothing can have been
         scanned or cached before it existed).  Like the other derived
@@ -349,10 +349,10 @@ class RFSStructure:
 
         Replaces the store :meth:`localized_knn` scans and
         :meth:`vectors_for` gathers from — a memory-mapped one lets
-        worker processes share the pages zero-copy, the int8 tier scans
-        4x fewer bytes.  ``validate`` cross-checks shape and
-        per-leaf membership against this structure (skip only for
-        stores freshly built from the same structure).
+        worker processes share the pages zero-copy.  ``validate``
+        cross-checks shape and per-leaf membership against this
+        structure (skip only for stores freshly built from the same
+        structure).
 
         Re-attaching the store that is already attached is a no-op (no
         validation, no version bump), so long-running servers can call
@@ -395,17 +395,6 @@ class RFSStructure:
         if self._store is not None:
             self._store = None
             self.structure_version += 1
-
-    def store_fingerprint(self) -> str:
-        """Tier fingerprint of the store scans read through.
-
-        Folded into every subquery cache key: the fingerprint covers the
-        store's scan tier and quantization parameters, so cache
-        entries written under one tier configuration can never alias
-        another's — even across a detach/attach cycle that happens to
-        restore the same structure version.
-        """
-        return self.store.fingerprint()
 
     def attach_cache(self, cache: "SubqueryResultCache") -> None:
         """Attach a cross-session subquery result cache.
@@ -991,9 +980,8 @@ class RFSStructure:
         boxes are cached per search node and all bounds come from one
         :func:`~repro.index.geometry.stacked_min_distances` call.  Each
         leaf read is one contiguous block of :attr:`store`, charged to
-        the I/O model under ``"localized_knn"`` and scanned by the
-        batched store kernels on the store's tier (see
-        :meth:`_scan_leaves`).
+        the I/O model under ``"localized_knn"`` and scanned by one exact
+        kernel call (see :meth:`_scan_leaves`).
 
         With a delta segment attached, one immutable view snapshot
         drives the whole call: tombstoned rows are filtered out of the
@@ -1092,11 +1080,9 @@ class RFSStructure:
     ) -> np.ndarray:
         """Brute-force delta kernel over the selected live rows.
 
-        Mirrors the main scan's final arithmetic: the float32 rows run
-        through the same exact kernel (the int8 tier re-ranks through
-        the exact float32 rows, so that is the tier-independent
-        arithmetic).  No simulated disk I/O is charged — delta rows are
-        RAM-resident by design.
+        Mirrors the main scan's arithmetic: the float32 rows run through
+        the same exact kernel.  No simulated disk I/O is charged — delta
+        rows are RAM-resident by design.
         """
         from repro.store.kernels import point_distances
 
@@ -1111,12 +1097,11 @@ class RFSStructure:
         return dists
 
     def _read_leaf(self, leaf: RFSNode):
-        """Charge the I/O model for ``leaf`` and slice its scan block.
+        """Charge the I/O model for ``leaf`` and slice its block.
 
-        On the int8 tier this serves the compressed scan block and the
-        I/O model is charged the *compressed* byte count
-        (``block_nbytes`` is tier-aware) — the whole point of the tier:
-        cold scans move 4x fewer simulated bytes.
+        Returns the zero-copy ``(rows, ids, sqnorms)`` views of
+        :meth:`~repro.store.FeatureStore.node_block`; the I/O model is
+        charged the block's float32 byte count.
         """
         store = self.store
         miss = self.io.access(
@@ -1125,9 +1110,7 @@ class RFSStructure:
             nbytes=store.block_nbytes(leaf.node_id),
         )
         store.record_block_access(leaf.node_id, miss)
-        if store.quant is None:
-            return store.node_block(leaf.node_id)
-        return store.scan_block(leaf.node_id)
+        return store.node_block(leaf.node_id)
 
     def _scan_leaves(
         self,
@@ -1140,95 +1123,49 @@ class RFSStructure:
         span,
         dead_ids: Optional[np.ndarray] = None,
     ) -> List[tuple[float, int]]:
-        """The leaf scan: prune on the scan tier, rank on exact rows.
+        """The leaf scan: exact distances, MINDIST-pruned, top ``take``.
 
-        Each leaf is one zero-copy slice of the store; distances come
-        from the batched kernels (with cached squared norms), and the
-        top-``take`` selection is a single vectorized partition +
-        lexsort over the accumulated candidates.  Ties are broken by
+        Leaves are read in ascending MINDIST order.  Each is one
+        zero-copy slice of the store, scored by one
+        :func:`~repro.store.kernels.point_distances` call with the
+        store's cached squared norms.  With ``κ`` the ``take``-th
+        smallest distance pooled so far, the scan stops at the first
+        leaf whose MINDIST exceeds ``κ``: none of its rows can beat the
+        current k-th best.  The top-``take`` selection is one vectorized
+        partition + lexsort over the pooled candidates, ties broken by
         ascending id.
 
-        Phase 1 scans the store's scan-tier blocks in ascending MINDIST
-        order, paying only that tier's bytes through the disk model.
-        With ε the tier's distance-error bound (zero on ``f32``, the
-        measured :class:`repro.store.quantize.QuantizationParams` bound
-        on ``int8``) and ``κ̂`` the ``take``-th smallest
-        phase-1 distance so far:
-
-        * an unscanned leaf is skipped only when ``MINDIST > κ̂ + ε``
-          (its rows' true distances all exceed the true k-th best), and
-        * every row with ``d̂ ≤ κ̂ + 2ε`` — a superset of the true
-          top-``take``, k-th-distance ties included — survives to
-          phase 2, padded to at least ``take + RERANK_MARGIN``
-          candidates.
-
-        On ``f32`` the phase-1 distances are already exact, so every
-        scanned row is a candidate as it stands and phase 2 is skipped.
-
-        Phase 2 re-runs the exact kernels over the *full* float32
-        blocks of the leaves holding survivors and selects the
-        survivors' entries: the identical kernel call the ``f32`` scan
-        makes (same arrays, same shape), so the returned ``(score, id)``
-        ranking is **bit-identical** to the uncompressed path by
-        construction (the check.sh quantized-parity gate asserts it
-        across executors and backings).  The kernels reduce each row
-        with ``einsum``, whose result does not depend on the block's
-        row count, so re-ranking only the gathered survivor rows would
-        give the same bits; that narrower re-rank is a change of its
-        own, not made here.  Exact blocks touched here are not charged
-        to the disk model — like every ``vectors_for`` gather, they
-        model row-level fetches; the scan phase's sequential block reads
-        are what the model meters, at compressed size.
-
-        Delta tombstones (``dead_ids``) get their phase-1 distances
-        forced to ``+inf`` in place, after the kernel ran over the
-        untouched full block — surviving rows' distances are
-        byte-identical to the no-mutation scan, ``κ̂`` can never
-        undershoot (pruning stays off until ``take`` live rows are
-        pooled), and the ``+inf`` rows are dropped before selection, so
-        they can never appear in the returned ranking.
+        Delta tombstones (``dead_ids``) get their distances forced to
+        ``+inf`` in place, after the kernel ran over the untouched full
+        block — surviving rows' distances are byte-identical to the
+        no-mutation scan, ``κ`` can never undershoot (pruning stays off
+        until ``take`` live rows are pooled), and the ``+inf`` rows are
+        dropped before selection, so they can never appear in the
+        returned ranking.
         """
-        from repro.store.kernels import (
-            approx_point_distances,
-            point_distances,
-        )
         from repro.retrieval.topk import top_pairs
-        from repro.store.feature_store import RERANK_MARGIN
-
-        store = self.store
-        params = store.quant
-        # Tiny relative slack absorbs float32 kernel roundoff on top of
-        # the (real-arithmetic) reconstruction bound.
-        eps = 0.0 if params is None else params.err_bound * 1.000001 + 1e-9
+        from repro.store.kernels import point_distances
 
         dist_parts: List[np.ndarray] = []
         id_parts: List[np.ndarray] = []
-        leaf_parts: List[RFSNode] = []
         count = 0
-        kth_hat = np.inf
+        kth = np.inf
         leaves_read = 0
         distance_evals = 0
         physical_before = self.io.physical_reads
         for pos in order:
-            leaf = leaves[pos]
-            if count >= take and mindists[pos] > kth_hat + eps:
+            if count >= take and mindists[pos] > kth:
                 break
-            rows, ids, sqnorms = self._read_leaf(leaf)
+            rows, ids, sqnorms = self._read_leaf(leaves[pos])
             leaves_read += 1
             distance_evals += rows.shape[0]
-            if params is None:
-                dists = point_distances(rows, query, block_sqnorms=sqnorms)
-            else:
-                dists = approx_point_distances(
-                    rows, query, params, dq_sqnorms=sqnorms
-                )
+            dists = point_distances(rows, query, block_sqnorms=sqnorms)
             if dead_ids is not None:
                 # ``dists`` is freshly computed (owned), so in-place is
                 # safe; +inf keeps rows and ids aligned.
                 dists[np.isin(ids, dead_ids)] = np.inf
             dist_parts.append(dists)
             id_parts.append(ids)
-            leaf_parts.append(leaf)
             count += dists.shape[0]
             if count >= take:
                 pool = (
@@ -1236,53 +1173,18 @@ class RFSStructure:
                     if len(dist_parts) == 1
                     else np.concatenate(dist_parts)
                 )
-                kth_hat = float(np.partition(pool, take - 1)[take - 1])
+                kth = float(np.partition(pool, take - 1)[take - 1])
 
         cand_dists = np.concatenate(dist_parts)
         cand_ids = np.concatenate(id_parts)
-        rerank_attrs = {}
-        if params is None:
-            if dead_ids is not None:
-                live = cand_dists != np.inf
-                cand_dists = cand_dists[live]
-                cand_ids = cand_ids[live]
-        else:
-            if count > take:
-                keep = cand_dists <= kth_hat + 2.0 * eps
-                floor = min(count, take + RERANK_MARGIN)
-                if int(keep.sum()) < floor:
-                    keep[
-                        np.argpartition(cand_dists, floor - 1)[:floor]
-                    ] = True
-            else:
-                keep = np.ones(count, dtype=bool)
-            if dead_ids is not None:
-                keep &= cand_dists != np.inf
-            cand_ids = cand_ids[keep]
-            # Exact pass over the full blocks of leaves holding
-            # survivors — identical kernel calls to the f32 scan, so
-            # identical floats.
-            exact_parts: List[np.ndarray] = []
-            offset = 0
-            for leaf, ids_part in zip(leaf_parts, id_parts):
-                mask = keep[offset:offset + ids_part.shape[0]]
-                offset += ids_part.shape[0]
-                if not mask.any():
-                    continue
-                block, _, sqnorms = store.node_block(leaf.node_id)
-                distance_evals += block.shape[0]
-                exact = point_distances(block, query, block_sqnorms=sqnorms)
-                exact_parts.append(exact[mask])
-            cand_dists = np.concatenate(exact_parts)
-            rerank_attrs = {
-                "rerank_candidates": int(cand_ids.shape[0]),
-                "rerank_blocks": len(exact_parts),
-            }
+        if dead_ids is not None:
+            live = cand_dists != np.inf
+            cand_dists = cand_dists[live]
+            cand_ids = cand_ids[live]
         span.set(
             leaves_read=leaves_read,
             distance_computations=distance_evals,
             pages_read=self.io.physical_reads - physical_before,
-            **rerank_attrs,
         )
         return top_pairs(cand_dists, cand_ids, take)
 

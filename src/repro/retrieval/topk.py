@@ -188,14 +188,15 @@ def proportional_allocation(
         out[order[idx % len(order)]] += 1
         diff -= 1
         idx += 1
+    # Over budget only when the one-slot floor was applied, i.e. when
+    # total >= len(nonempty): then a sum above total leaves some group
+    # holding two or more slots, so each pass takes one and this ends.
     idx = 0
     order_low = sorted(nonempty, key=remainder)
-    while diff < 0 and order_low:
+    while diff < 0:
         j = order_low[idx % len(order_low)]
-        if out[j] > 1 or (diff < 0 and out[j] > 0 and total < len(nonempty)):
+        if out[j] > 1:
             out[j] -= 1
             diff += 1
         idx += 1
-        if idx > 10 * len(order_low):  # safety: cannot rebalance further
-            break
     return out

@@ -82,8 +82,8 @@ class Shard:
 
     All distance arithmetic happens here, through the unchanged
     single-node scan of the pruned tree.  The shard-level cache
-    memoizes whole per-shard scans keyed by (node, query, k, store
-    fingerprint) at the global structure version, so a warm
+    memoizes whole per-shard scans keyed by (node, query, k) at the
+    global structure version, so a warm
     rerun never touches leaf blocks yet returns bit-identical pairs.
     """
 
@@ -126,7 +126,6 @@ class Shard:
             np.ascontiguousarray(query).reshape(1, -1),
             k,
             _SHARD_KEY_TAG,
-            store_fingerprint=self.rfs.store_fingerprint(),
         )
         version = self.rfs.structure_version
         hit = self.cache.get(key, version)
@@ -259,15 +258,6 @@ class ShardedRFS(RFSStructure):
                 dropped += shard.cache.invalidate_nodes(node_ids)
         return dropped
 
-    def store_fingerprint(self) -> str:
-        """Fingerprint of the (uniform) shard stores.
-
-        Router-level consumers (the engine-level subquery cache) must
-        key on the same tier identity a single-node store would expose,
-        or warm entries could alias across tiers after a re-deployment.
-        """
-        return self.shards[0].rfs.store.fingerprint()
-
     def localized_knn(
         self,
         node: RFSNode,
@@ -343,14 +333,13 @@ def build_router(
     n_shards: int,
     strategy: str,
     *,
-    tier: str,
     caches: Sequence[Optional["SubqueryResultCache"]],
     parallel_fanout: bool,
 ) -> ShardedRFS:
     """Deal ``base``'s leaves over ``n_shards`` shards behind a router.
 
     Partitions the DFS leaf order with ``strategy``, builds each
-    shard's pruned tree and in-RAM ``tier`` store, and gives shard
+    shard's pruned tree and in-RAM store, and gives shard
     ``i`` the cache ``caches[i]``.  Every shard keeps ``base``'s
     structure version (resume parity needs the global version
     everywhere), so set it on ``base`` before the call.
@@ -360,7 +349,7 @@ def build_router(
     for index, leaf_ids in enumerate(assignment.shards):
         shard_rfs = build_shard_structure(base, leaf_ids)
         shard_rfs.attach_store(
-            FeatureStore.build(shard_rfs, tier=tier), validate=False
+            FeatureStore.build(shard_rfs), validate=False
         )
         shard_rfs.structure_version = base.structure_version
         shard_objs.append(Shard(index, shard_rfs, caches[index]))
@@ -394,7 +383,6 @@ class ShardedEngine(QueryDecompositionEngine):
         seed: RandomState = None,
         io: Optional[DiskAccessCounter] = None,
         store: str = "inmem",
-        store_tier: str = "f32",
         cache: Optional[CacheConfig] = None,
         build: Optional[BuildConfig] = None,
         mutations: Optional[MutationConfig] = None,
@@ -434,7 +422,6 @@ class ShardedEngine(QueryDecompositionEngine):
             base,
             shards,
             partition,
-            tier=store_tier,
             caches=caches,
             parallel_fanout=parallel_fanout,
         )

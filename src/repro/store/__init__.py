@@ -19,18 +19,16 @@ Pieces:
   (``save`` / ``FeatureStore.open``), and block-read accounting;
 * :mod:`repro.store.kernels` — fused batched distance kernels
   (:func:`~repro.store.kernels.multipoint_distances` and friends) built
-  on the ``‖x‖² + ‖q‖² − 2·x·q`` expansion with cached row norms;
-* :mod:`repro.store.quantize` — the optional ``int8`` scan tier
-  (scalar quantization with measured error bounds): block scans read
-  4x fewer bytes and an exact float32 re-rank keeps final rankings
-  bit-identical to the uncompressed path;
+  on the ``‖x‖² + ‖q‖² − 2·x·q`` expansion with cached row norms; a
+  leaf scan is one exact :func:`~repro.store.kernels.point_distances`
+  call over the block's float32 rows;
 * :mod:`repro.store.delta` — the mutation path's write side: an
   append-only delta segment (new feature rows + tombstones) whose
   immutable :class:`~repro.store.delta.DeltaView` snapshots final-round
   scans traverse alongside the main blocks, lock-free.
 
 Every :class:`~repro.index.rfs.RFSStructure` scans through a store: an
-in-RAM float32 one of its own unless another (memory-mapped, quantized)
+in-RAM float32 one of its own unless another (a memory-mapped one)
 is attached with
 :meth:`~repro.index.rfs.RFSStructure.attach_store`.  Rankings are
 bit-identical between the ``inmem`` and ``memmap`` backings (same
@@ -45,12 +43,6 @@ __all__ = [
     "TombstoneSegment",
     "FeatureStore",
     "STORE_FORMAT_VERSION",
-    "STORE_TIERS",
-    "QuantizationParams",
-    "quantize_matrix",
-    "dequantize",
-    "dequantized_sqnorms",
-    "approx_point_distances",
     "multipoint_distances",
     "pairwise_distances",
     "point_distances",
@@ -65,17 +57,9 @@ __getattr__, __dir__ = lazy_exports(
             "FeatureStore",
         ),
         "repro.store.kernels": (
-            "approx_point_distances",
             "multipoint_distances",
             "pairwise_distances",
             "point_distances",
-        ),
-        "repro.store.quantize": (
-            "STORE_TIERS",
-            "QuantizationParams",
-            "dequantize",
-            "dequantized_sqnorms",
-            "quantize_matrix",
         ),
     },
 )

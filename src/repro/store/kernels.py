@@ -140,42 +140,6 @@ def weighted_point_distances(
     return dists
 
 
-def approx_point_distances(
-    codes: np.ndarray,
-    query: np.ndarray,
-    params,
-    *,
-    dq_sqnorms: np.ndarray,
-) -> np.ndarray:
-    """(n,) distances from *reconstructed* int8 codes to one point.
-
-    The quantized scan path's kernel: distances to the dequantized rows
-    ``x̂``, within ``params.err_bound`` of the exact distances (see
-    :mod:`repro.store.quantize`).  ``dq_sqnorms`` are the persisted
-    ``‖x̂‖²`` norms, so an int8 block scan touches only the 1-byte codes:
-    the norm expansion needs just ``x̂ · q``, computed on the shifted
-    codes against a pre-scaled query —
-
-        ``x̂ · q = (codes + 128) · (scale ∘ q) + offset · q``
-
-    — one (n, d) cast plus one gemv, no full dequantized matrix kept.
-    """
-    t0 = time.perf_counter()
-    q = np.asarray(query, dtype=np.float32)
-    scaled_q = params.scale * q
-    shifted = codes.astype(np.float32)
-    shifted += 128.0
-    dists = shifted @ scaled_q
-    dists += float(params.offset @ q)
-    dists *= -2.0
-    dists += dq_sqnorms
-    dists += q @ q
-    np.maximum(dists, 0.0, out=dists)
-    np.sqrt(dists, out=dists)
-    _observe(t0, codes.shape[0], "int8_point")
-    return dists
-
-
 def multipoint_distances(
     block: np.ndarray,
     reps: np.ndarray,

@@ -116,20 +116,6 @@ class TestCacheKey:
         nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
         assert base != subquery_cache_key(1, nudged, 10, 0.4)
 
-    def test_store_fingerprint_partitions_the_key_space(self):
-        points = np.ones((2, 4))
-        bare = subquery_cache_key(1, points, 10, 0.4)
-        assert bare == subquery_cache_key(
-            1, points, 10, 0.4, store_fingerprint=""
-        )
-        tagged = subquery_cache_key(
-            1, points, 10, 0.4, store_fingerprint="float32:int8:abc"
-        )
-        assert bare != tagged
-        assert tagged != subquery_cache_key(
-            1, points, 10, 0.4, store_fingerprint="float32:f32:def"
-        )
-
 
 # ----------------------------------------------------------------------
 # LRU mechanics
@@ -496,39 +482,4 @@ class TestStoreSwapInvalidation:
         rfs.detach_cache()
         baseline_sig, _ = _finalize(rfs, marks, 20, config)
         assert detached_sig == baseline_sig
-
-    def test_tier_flip_misses_instead_of_aliasing(self, database):
-        """Same tree version, different scan tier → different keys.
-
-        Three freshly built structures land on identical structure
-        versions, so without the store fingerprint in the cache key a
-        shared cache would serve the first tier's entries to the other
-        two.  Each tier must take its own cold misses; a rerun on the
-        same tier must hit.
-        """
-        cache = SubqueryResultCache(8 << 20)
-        marks = _marks(database, 9)
-        config = QDConfig()
-
-        def run(tier):
-            rfs = _build_rfs(database)
-            rfs.attach_store(
-                FeatureStore.build(rfs, tier=tier), validate=False
-            )
-            rfs.attach_cache(cache)
-            before = cache.snapshot()
-            sig, _ = _finalize(rfs, marks, 20, config)
-            delta = cache.snapshot()
-            return sig, delta["hits"] - before["hits"]
-
-        sigs = {}
-        for tier in ("int8", "f32"):
-            sigs[tier], hits = run(tier)
-            assert hits == 0, f"tier {tier} aliased another tier's entries"
-        # The tiers' final rankings agree (the parity contract) — which
-        # is exactly why aliasing would go unnoticed without the
-        # fingerprint guard on intermediate results.
-        assert sigs["int8"] == sigs["f32"]
-        _, rerun_hits = run("int8")
-        assert rerun_hits > 0
 

@@ -155,14 +155,14 @@ SETTABLE_SURFACE = {
     "RStarTree": ["dims", "max_entries", "io"],
     "kmeans": ["data", "k", "seed", "n_restarts", "max_iter", "tol"],
     "KMeans": ["k", "seed", "n_restarts", "max_iter", "tol"],
-    "FeatureStore.build": ["rfs", "tier"],
+    "FeatureStore.build": ["rfs"],
     "QueryDecompositionEngine.build": [
         "database", "rfs_config", "qd_config", "seed", "io", "store",
-        "store_tier", "cache", "build", "mutations", "progress",
+        "cache", "build", "mutations", "progress",
     ],
     "ShardedEngine.build": [
         "database", "rfs_config", "qd_config", "shards", "partition",
-        "parallel_fanout", "seed", "io", "store", "store_tier", "cache",
+        "parallel_fanout", "seed", "io", "store", "cache",
         "build", "mutations", "progress",
     ],
     # The final round ranks by one metric, plain Euclidean distance
@@ -178,7 +178,6 @@ SETTABLE_SURFACE = {
     "Shard.localized_knn": ["node_id", "query", "k"],
     "subquery_cache_key": [
         "node_id", "query_points", "requested", "boundary_threshold",
-        "store_fingerprint",
     ],
 }
 
@@ -233,8 +232,8 @@ class TestSettableSurface:
         assert _command_flags("build-store") == BUILD_STORE_FLAGS
 
     def test_store_tiers_are_pinned(self):
-        # Rows are float32; the one compressed scan tier is int8.
-        assert config.STORE_TIERS == ("f32", "int8")
+        # Every scan reads the exact float32 rows: one tier.
+        assert config.STORE_TIERS == ("f32",)
 
     def test_session_store_kinds_are_pinned(self):
         # One in-process store and one durable one.

@@ -2,15 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import QDConfig
 from repro.core.presentation import QueryResult, ResultGroup
-from repro.core.ranking import execute_final_round, group_marks_by_leaf
+from repro.core.ranking import (
+    FinalRoundPlan,
+    execute_final_round,
+    group_marks_by_leaf,
+    merge_outcomes,
+)
 from repro.core.session import FeedbackSession
 from repro.core.subquery import SubQuery
 from repro.datasets.queryset import get_query
 from repro.errors import QueryError, SessionStateError
 from repro.eval.oracle import SimulatedUser
+from repro.exec import SubqueryOutcome, SubqueryTask
+from repro.obs import get_tracer
 from repro.retrieval.topk import RankedList
 
 
@@ -196,6 +205,22 @@ class TestExecuteFinalRound:
         )
         assert len(result.all_ids()) == 30
 
+    def test_many_leaves_return_exactly_k(self, rfs):
+        # 40 marks in one leaf and one in each of 20 others: the one-
+        # slot floor overshoots k = 25 by 11, and every slot of the
+        # overshoot must come back off before the subqueries run.
+        leaves = sorted(
+            (n for n in rfs.iter_nodes() if n.is_leaf),
+            key=lambda n: (-n.size, n.node_id),
+        )
+        marks = [int(i) for i in leaves[0].item_ids[:40]]
+        marks += [int(leaf.item_ids[0]) for leaf in leaves[1:21]]
+        result = execute_final_round(
+            rfs, marks, k=25, config=QDConfig(), rounds_used=3
+        )
+        assert len(result.groups) == 21
+        assert len(result.all_ids()) == 25
+
     def test_no_duplicate_results(self, rfs):
         result = execute_final_round(
             rfs, [0, 1, 2, 200, 300], k=50, config=QDConfig(),
@@ -247,6 +272,75 @@ class TestExecuteFinalRound:
         )
         by_leaf = {g.leaf_node_id: len(g) for g in result.groups}
         assert by_leaf[leaf_a.node_id] > by_leaf[leaf_b.node_id]
+
+
+# One outcome per group: (quota, ranked ids).  Ids come from a pool of
+# 40 so groups share many of them, and lists run short of their quota,
+# so the merge both deduplicates and tops up.
+_outcome_sets = st.lists(
+    st.tuples(
+        st.integers(1, 15),
+        st.lists(st.integers(0, 39), max_size=25, unique=True),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestMergeOutcomesProperty:
+    @settings(max_examples=150, deadline=None)
+    @example(groups=[(10, list(range(8))), (10, list(range(8)))])
+    @given(groups=_outcome_sets)
+    def test_no_ranked_id_is_silently_dropped(self, rfs, groups):
+        """Each ranked id is returned, or its group's quota was filled
+        by ids ranked before it.
+
+        A merge that drops an id present in one input only (a list-of-
+        tuples merge that keeps only what every input shares) fails
+        this.  Every returned id sits in exactly one group, and the
+        top-up fills the result to ``k``.
+        """
+        leaves = [n for n in rfs.iter_nodes() if n.is_leaf][: len(groups)]
+        tasks, outcomes = [], []
+        for leaf, (quota, ranked_ids) in zip(leaves, groups):
+            tasks.append(
+                SubqueryTask(
+                    leaf_id=leaf.node_id,
+                    quota=quota,
+                    query_ids=(int(leaf.item_ids[0]),),
+                )
+            )
+            outcomes.append(
+                SubqueryOutcome(
+                    leaf_id=leaf.node_id,
+                    search_node_id=leaf.node_id,
+                    centroid=rfs.features[int(leaf.item_ids[0])],
+                    ranked=[
+                        (float(rank), image_id)
+                        for rank, image_id in enumerate(ranked_ids)
+                    ],
+                )
+            )
+        k = sum(quota for quota, _ in groups)
+        plan = FinalRoundPlan(k=k, tasks=tuple(tasks), uniform_merge=False)
+        with get_tracer().span("merge") as span:
+            result = merge_outcomes(
+                rfs, plan, outcomes, rounds_used=1, merge_span=span
+            )
+        # Groups are presented by ranking score, not in plan order.
+        returned = {
+            group.leaf_node_id: set(group.items.ids())
+            for group in result.groups
+        }
+        every = [i for ids in returned.values() for i in ids]
+        assert len(every) == len(set(every)) == k
+        for task, (quota, ranked_ids) in zip(tasks, groups):
+            got = returned[task.leaf_id]
+            for rank, image_id in enumerate(ranked_ids):
+                if image_id in every:
+                    continue
+                ahead = got.intersection(ranked_ids[:rank])
+                assert len(ahead) >= quota, (image_id, rank)
 
 
 class TestPresentation:

@@ -259,14 +259,13 @@ class TestCLI:
         ]) == 0
         assert cli_main([
             "build-store", "--db", str(db_path), "--rfs", str(rfs_path),
-            "--out", str(store_dir), "--tier", "int8",
+            "--out", str(store_dir),
         ]) == 0
         capsys.readouterr()
         assert cli_main(["store", "info", "--path", str(store_dir)]) == 0
         info = capsys.readouterr().out
         assert "dtype:             float32" in info
-        assert "tier:              int8" in info
-        assert "compression:       4.00x" in info
+        assert "node spans:" in info
         query = [
             "query", "--db", str(db_path), "--rfs", str(rfs_path),
             "--query", "bird", "--seed", "2", "--k", "20",
@@ -281,17 +280,30 @@ class TestCLI:
         assert from_store == in_memory
 
     @pytest.mark.parametrize(
-        "flags", [["--tier", "f16"], ["--dtype", "float64"]],
-        ids=["tier-f16", "dtype"],
+        "argv",
+        [
+            ["build-store", "--tier", "f16"],
+            ["build-store", "--dtype", "float64"],
+            ["build-store", "--tier", "int8"],
+            ["query", "--store-tier", "int8"],
+            ["serve", "--session-store", "memory", "--store-tier", "int8"],
+        ],
+        ids=["tier-f16", "dtype", "tier-int8", "store-tier-int8",
+             "serve-store-tier-int8"],
     )
     def test_build_store_refuses_removed_formats(
-        self, db_path, tmp_path, capsys, flags
+        self, db_path, tmp_path, capsys, argv
     ):
+        # A removed format keeps its flag name; the value is an argparse
+        # usage error, raised before anything is built or served.
+        command, *flags = argv
+        out = (
+            ["--out", str(tmp_path / "store")]
+            if command == "build-store"
+            else []
+        )
         with pytest.raises(SystemExit) as exc:
-            cli_main([
-                "build-store", "--db", str(db_path),
-                "--out", str(tmp_path / "store"), *flags,
-            ])
+            cli_main([command, "--db", str(db_path), *out, *flags])
         assert exc.value.code == 2
         assert not (tmp_path / "store").exists()
 

@@ -37,13 +37,11 @@ CFG = RFSConfig(
 )
 
 
-def _base(n=220, d=16, seed=5, *, tier=None):
+def _base(n=220, d=16, seed=5, *, attach_store=False):
     feats = np.random.default_rng(seed).normal(size=(n, d))
     rfs = RFSStructure.build(feats, CFG, seed=seed)
-    if tier is not None:
-        rfs.attach_store(
-            FeatureStore.build(rfs, tier=tier), validate=False
-        )
+    if attach_store:
+        rfs.attach_store(FeatureStore.build(rfs), validate=False)
     return rfs
 
 
@@ -61,7 +59,7 @@ def _mutate(controller, rng, *, inserts=9, removes=6):
     return new_ids, removed
 
 
-def _rebuild_of(rfs, *, seed=991, tier=None):
+def _rebuild_of(rfs, *, seed=991, attach_store=False):
     """From-scratch structure over ``rfs``'s live items.
 
     Returns ``(built, live)`` where ``live[pos]`` maps the rebuild's
@@ -84,10 +82,8 @@ def _rebuild_of(rfs, *, seed=991, tier=None):
         )
     live = np.concatenate([live_main, live_delta]).astype(np.int64)
     built = RFSStructure.build(full[live], CFG, seed=seed)
-    if tier is not None:
-        built.attach_store(
-            FeatureStore.build(built, tier=tier), validate=False
-        )
+    if attach_store:
+        built.attach_store(FeatureStore.build(built), validate=False)
     return built, live
 
 
@@ -167,7 +163,7 @@ class TestDeltaMutations:
             assert leaf.is_leaf
 
     def test_validate_structure_clean_under_delta(self):
-        rfs = _base(tier="f32")
+        rfs = _base(attach_store=True)
         controller = GenerationController(
             rfs, config=MutationConfig(auto_compact=False)
         )
@@ -241,18 +237,20 @@ class TestRefusedWrites:
 class TestMutationParity:
     """The gate: delta-bearing scans == from-scratch rebuild scans."""
 
-    @pytest.mark.parametrize("tier", [None, "f32", "int8"])
-    def test_scan_parity_across_store_tiers(self, tier):
-        rfs = _base(tier=tier)
+    # The structure's own lazily built store, or one attached from
+    # FeatureStore.build.
+    @pytest.mark.parametrize("attach_store", [False, True])
+    def test_scan_parity_with_own_and_attached_store(self, attach_store):
+        rfs = _base(attach_store=attach_store)
         controller = GenerationController(
             rfs, config=MutationConfig(auto_compact=False)
         )
         _mutate(controller, np.random.default_rng(2))
-        rebuilt, live = _rebuild_of(rfs, tier=tier)
+        rebuilt, live = _rebuild_of(rfs, attach_store=attach_store)
         _assert_scan_parity(rfs, rebuilt, live, _queries(rfs), k=25)
 
     def test_post_compaction_equals_rebuild_at_generation_seed(self):
-        rfs = _base(tier="f32")
+        rfs = _base(attach_store=True)
         controller = GenerationController(
             rfs, config=MutationConfig(auto_compact=False), seed=41
         )
@@ -270,7 +268,7 @@ class TestMutationParity:
         assert version == current.structure_version
         # Same tree as an independent bulk load at the derived seed.
         rebuilt, live = _rebuild_of(
-            current, seed=generation_seed(41, 1), tier="f32"
+            current, seed=generation_seed(41, 1), attach_store=True
         )
         assert np.array_equal(np.sort(live), live_before)
         assert np.array_equal(
@@ -281,7 +279,7 @@ class TestMutationParity:
         assert validate_structure(current) == []
 
     def test_parity_holds_across_repeated_compactions(self):
-        rfs = _base(tier="f32")
+        rfs = _base(attach_store=True)
         controller = GenerationController(
             rfs, config=MutationConfig(auto_compact=False), seed=8
         )
@@ -294,7 +292,7 @@ class TestMutationParity:
             rebuilt, live = _rebuild_of(
                 current,
                 seed=generation_seed(8, round_no + 1),
-                tier="f32",
+                attach_store=True,
             )
             _assert_scan_parity(current, rebuilt, live,
                                 _queries(current, n=3), k=20)
@@ -474,13 +472,13 @@ class TestShardedParity:
             for item in (2, 150, 333):
                 engine.remove_image(item)
             router = engine.rfs
-            rebuilt, live = _rebuild_of(router, tier="f32")
+            rebuilt, live = _rebuild_of(router, attach_store=True)
             _assert_scan_parity(router, rebuilt, live,
                                 _queries(router), k=25)
             assert engine.mutations.compact() is not None
             router = engine.rfs
             assert len(router.shards) >= 1
-            rebuilt, live = _rebuild_of(router, tier="f32")
+            rebuilt, live = _rebuild_of(router, attach_store=True)
             _assert_scan_parity(router, rebuilt, live,
                                 _queries(router), k=25)
         finally:
@@ -495,7 +493,7 @@ class TestShardedParity:
         engine = ShardedEngine.build(
             database, qd_config=QDConfig(), shards=3,
             partition="roundrobin", parallel_fanout=False, seed=23,
-            store_tier="int8", cache=CacheConfig(enabled=True),
+            cache=CacheConfig(enabled=True),
             mutations=MutationConfig(auto_compact=False),
         )
         try:
@@ -514,9 +512,6 @@ class TestShardedParity:
                 shard.cache is cache
                 for shard, cache in zip(router.shards, caches)
             )
-            assert {shard.rfs.store.tier for shard in router.shards} == {
-                "int8"
-            }
             assert router.structure_version == version
             assert {
                 shard.rfs.structure_version for shard in router.shards

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.retrieval.distance import (
@@ -259,6 +261,36 @@ class TestProportionalAllocation:
 
     def test_empty_groups(self):
         assert proportional_allocation([], 5) == []
+
+    def test_one_heavy_group_and_many_singletons(self):
+        # The floor of one slot per group overshoots by 11 here; every
+        # excess slot must come back off the heavy group.
+        out = proportional_allocation([40] + [1] * 20, 25)
+        assert out == [5] + [1] * 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # A few groups of any size beside many singletons, and totals
+        # near the number of non-empty groups: the one-slot floor then
+        # overshoots by the most, with the fewest groups to take from.
+        others=st.lists(st.integers(0, 200), max_size=6),
+        singletons=st.integers(0, 40),
+        slack=st.integers(-10, 400),
+    )
+    def test_sum_is_exact_and_nonempty_groups_get_a_slot(
+        self, others, singletons, slack
+    ):
+        sizes = others + [1] * singletons
+        total = max(0, sum(1 for s in sizes if s > 0) + slack)
+        out = proportional_allocation(sizes, total)
+        assert len(out) == len(sizes)
+        assert all(v >= 0 for v in out)
+        if sizes:
+            assert sum(out) == total
+        nonempty = [i for i, s in enumerate(sizes) if s > 0]
+        if nonempty and total >= len(nonempty):
+            assert all(out[i] >= 1 for i in nonempty)
+            assert all(out[i] == 0 for i, s in enumerate(sizes) if s == 0)
 
     def test_paper_merge_rule(self):
         """§3.4: result count proportional to marked query images."""

@@ -198,10 +198,7 @@ class TestShardedRFS:
         assert gathered.dtype == expected.dtype
         assert np.array_equal(gathered, expected)
 
-    def test_fingerprint_matches_single_node_store(self, router, base_rfs):
-        assert router.store_fingerprint() == FeatureStore.build(
-            base_rfs
-        ).fingerprint()
+    def test_router_holds_no_store_or_cache(self, router):
         assert router.store is None
         assert router.result_cache is None
 

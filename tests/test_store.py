@@ -1,11 +1,14 @@
 """Tests for the leaf-contiguous feature store (repro.store).
 
 Covers the build invariants (permutation maps, per-node contiguity),
-the save -> memmap/inmem load roundtrip, the zero-copy pickling
-contract, the batched kernels against naive references, the store-backed
-``localized_knn`` fast path, and — the acceptance property — bit-identical
-rankings between the ``inmem`` and ``memmap`` backings under the serial,
-thread, and process executors.
+the save -> memmap/inmem load roundtrip, the on-disk format tags (a
+foreign dtype or tier tag, a future version, version-1 back-compat), the
+zero-copy pickling contract, the batched kernels against naive
+references and their block-shape independence, the store-backed
+``localized_knn`` fast path against the brute-force reference — with
+tombstones, and through the final round's top-up — and the acceptance
+property: bit-identical rankings between the ``inmem`` and ``memmap``
+backings under the serial, thread, and process executors.
 """
 
 from __future__ import annotations
@@ -14,13 +17,17 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
+from repro.core.ranking import execute_final_round
 from repro.errors import (
     ConfigurationError,
     DatasetError,
     NodeNotFoundError,
+    StoreCodecError,
 )
 from repro.exec import ProcessSubqueryExecutor
 from repro.index.rfs import RFSStructure
@@ -34,6 +41,7 @@ from repro.store import (
     pairwise_distances,
     point_distances,
 )
+from repro.store.delta import DeltaSegment
 from repro.store.kernels import weighted_point_distances
 from tests.conftest import brute_force_knn
 
@@ -210,6 +218,94 @@ class TestRoundtrip:
         assert loaded.store.n_rows == rfs.root.size
 
 
+#: The codes file a store of each removed scan tier carried.
+_CODE_DTYPES = {"f16": np.float16, "int8": np.int8}
+
+
+def _rewrite_meta(directory, **fields):
+    meta = dict(np.load(directory / "meta.npz"))
+    meta.update(fields)
+    np.savez_compressed(directory / "meta.npz", **meta)
+    return meta
+
+
+class TestFormatTags:
+    @pytest.mark.parametrize(
+        "tag,value",
+        [
+            ("dtype", "float64"),
+            ("dtype", "int64"),
+            ("dtype", "complex64"),
+            ("dtype", "object"),
+            ("tier", "f16"),
+            ("tier", "int8"),
+            ("tier", "pq4"),
+        ],
+        ids=["float64", "int64", "complex64", "object", "f16", "int8", "pq4"],
+    )
+    def test_foreign_number_format_tag_rejected(
+        self, saved_store, tag, value
+    ):
+        """Rows are float32 and scans read them exactly; any other tag
+        is refused by name.
+
+        A foreign ``dtype`` gets its data file rewritten at that width,
+        so the byte size matches what the tag claims and only the tag
+        check stands between the bytes and a reinterpretation.  A
+        foreign ``tier`` gets the codes file such a store carried.
+        """
+        _, store, directory = saved_store
+        if tag == "dtype":
+            np.asarray(store.matrix, dtype=np.float64).tofile(
+                directory / "features.bin"
+            )
+        elif value in _CODE_DTYPES:
+            np.zeros(store.matrix.shape, dtype=_CODE_DTYPES[value]).tofile(
+                directory / "codes.bin"
+            )
+        _rewrite_meta(directory, **{tag: np.array(value)})
+        for mode in ("memmap", "inmem"):
+            with pytest.raises(StoreCodecError, match=repr(value)):
+                FeatureStore.open(directory, mode=mode)
+
+    def test_future_format_version_rejected(self, saved_store):
+        _, _, directory = saved_store
+        _rewrite_meta(directory, format_version=np.int64(99))
+        with pytest.raises(StoreCodecError):
+            FeatureStore.open(directory)
+
+    def test_version1_directory_opens_as_f32(self, saved_store):
+        _, store, directory = saved_store
+        meta = dict(np.load(directory / "meta.npz"))
+        # Version 1 predates the tier tag and the persisted norms.
+        del meta["tier"], meta["sqnorms"]
+        meta["format_version"] = np.int64(1)
+        np.savez_compressed(directory / "meta.npz", **meta)
+        loaded = FeatureStore.open(directory)
+        assert np.array_equal(
+            np.asarray(loaded.matrix), np.asarray(store.matrix)
+        )
+        assert np.array_equal(loaded.sqnorms, store.sqnorms)
+
+    def test_saved_tags_open_in_older_readers(self, saved_store):
+        # Format version 2 with the "f32" tier tag and a float32 dtype
+        # tag: what every reader of this format since the tag existed
+        # expects, so stores move both ways between versions.
+        _, _, directory = saved_store
+        with np.load(directory / "meta.npz") as meta:
+            assert int(meta["format_version"]) == 2
+            assert str(meta["tier"]) == "f32"
+            assert str(meta["dtype"]) == "float32"
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "features.bin", "meta.npz",
+        ]
+
+    def test_scan_block_refuses(self, saved_store):
+        _, store, _ = saved_store
+        with pytest.raises(ConfigurationError, match="node_block"):
+            store.scan_block(next(iter(store.spans)))
+
+
 # ----------------------------------------------------------------------
 # Kernels and trusted fast paths
 # ----------------------------------------------------------------------
@@ -366,6 +462,15 @@ class TestStoreScan:
             )
         finally:
             rfs.detach_store()
+
+    def test_block_nbytes_counts_float32_rows(self, built):
+        _, rfs = built
+        store = FeatureStore.build(rfs)
+        for node in rfs.iter_nodes():
+            start, stop = store.span_of(node.node_id)
+            assert store.block_nbytes(node.node_id) == (
+                (stop - start) * store.dims * 4
+            )
 
     def test_vectors_for_uses_store(self, built):
         database, rfs = built
@@ -550,3 +655,227 @@ class TestParity:
         legacy_ids = [{i for i, _ in group[1]} for group in legacy]
         stored_ids = [{i for i, _ in group[1]} for group in stored]
         assert legacy_ids == stored_ids
+
+
+class TestKernelShapeIndependence:
+    @given(
+        n=st.integers(1, 300),
+        d=st.one_of(st.integers(1, 16), st.just(37), st.just(64)),
+        seed=st.integers(0, 2**20),
+        cached_norms=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gathered_rows_score_as_in_the_full_block(
+        self, n, d, seed, cached_norms
+    ):
+        # A row's exact distance is the same bits whether it is scored
+        # in its full float32 block or in any gather of it (any size,
+        # order, repeats): the reductions are einsum's, not gemv's.
+        # The delta scan and the leaf scan rely on it.
+        rng = np.random.default_rng(seed)
+        scale = np.float32(rng.uniform(0.1, 10.0))
+        block = rng.normal(size=(n, d)).astype(np.float32) * scale
+        query = rng.normal(size=d).astype(np.float32)
+        weights = rng.uniform(0.5, 2.0, size=d).astype(np.float32)
+        idx = rng.integers(n, size=int(rng.integers(1, n + 1)))
+        sqnorms = np.einsum("ij,ij->i", block, block)
+        full = point_distances(
+            block, query, block_sqnorms=sqnorms if cached_norms else None
+        )
+        gathered = point_distances(
+            block[idx],
+            query,
+            block_sqnorms=sqnorms[idx] if cached_norms else None,
+        )
+        assert gathered.tobytes() == full[idx].tobytes()
+        assert (
+            weighted_point_distances(block[idx], query, weights).tobytes()
+            == weighted_point_distances(block, query, weights)[idx].tobytes()
+        )
+
+
+# ----------------------------------------------------------------------
+# The leaf scan under tombstones, against the brute-force reference
+# ----------------------------------------------------------------------
+def _reference_scan(rfs, node, query, k, dead):
+    """The block scan written out plainly, as the reference.
+
+    Exact kernel per full block in MINDIST order, tombstoned rows
+    dropped, stop at the first leaf whose MINDIST is strictly beyond
+    the ``take``-th best live distance.  Returns ``(ranking,
+    leaves_read)``.
+    """
+    from repro.index.geometry import stacked_min_distances
+
+    store = rfs.store
+    leaves, los, his = rfs._leaf_geometry(node)
+    mindists = stacked_min_distances(los, his, query)
+    take = min(k, node.size - len(dead))
+    dists, ids, kth, leaves_read = [], [], np.inf, 0
+    for pos in np.argsort(mindists, kind="stable"):
+        if sum(map(len, ids)) >= take and mindists[pos] > kth:
+            break
+        block, block_ids, sqnorms = store.node_block(leaves[pos].node_id)
+        leaves_read += 1
+        d = point_distances(block, query, block_sqnorms=sqnorms)
+        alive = ~np.isin(block_ids, dead)
+        dists.append(d[alive])
+        ids.append(block_ids[alive])
+        if sum(map(len, ids)) >= take:
+            kth = float(np.sort(np.concatenate(dists))[take - 1])
+    return (
+        top_pairs(np.concatenate(dists), np.concatenate(ids), take),
+        leaves_read,
+    )
+
+
+def _tombstone(rfs, database, dead):
+    segment = DeltaSegment(base_rows=database.size, dims=database.dims)
+    for victim in dead:
+        segment.remove_main(victim, rfs.leaf_of_item(victim).node_id)
+    rfs.attach_delta(segment)
+
+
+def _brute_force_localized_knn(dead):
+    """``RFSStructure.localized_knn`` replaced by the float64 reference
+    over the node's live members."""
+
+    def localized_knn(self, node, query_point, k, **_):
+        live = np.setdiff1d(node.item_ids, dead)
+        return brute_force_knn(
+            self.features, query_point, k, live_ids=live
+        )
+
+    return localized_knn
+
+
+class TestTombstoneScanParity:
+    @pytest.fixture(scope="class")
+    def scanned(self, built):
+        """A structure of its own: the tests attach delta segments."""
+        database, _ = built
+        rfs = RFSStructure.build(
+            database.features,
+            RFSConfig(node_max_entries=60, leaf_subclusters=4),
+            seed=SEED,
+        )
+        return database, rfs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        item=st.integers(0, N_IMAGES - 1),
+        levels_up=st.integers(0, 2),
+        k=st.integers(1, 70),
+        # Which ranks of the clean ranking to tombstone, counted back
+        # from the k-th: 0 = the k-th itself, 1 = just inside it, ...
+        dead_ranks=st.sets(st.integers(0, 3), max_size=4),
+        drain=st.booleans(),
+    )
+    def test_scan_matches_brute_force_under_tombstones(
+        self, scanned, item, levels_up, k, dead_ranks, drain,
+    ):
+        database, rfs = scanned
+        node = rfs.leaf_of_item(item)
+        for _ in range(levels_up):
+            node = node.parent or node
+        # Off the item itself: float32 scores a row against itself
+        # as ~1e-3, not 0, through the norm expansion.
+        query = database.features[item] + np.random.default_rng(
+            item
+        ).normal(0.0, 0.05, size=database.dims)
+        if drain:
+            k = node.size  # take == every live row under the node
+        rfs.delta = None
+        clean = rfs.localized_knn(node, query, k)
+        dead = sorted(
+            {clean[len(clean) - 1 - r][1] for r in dead_ranks
+             if r < len(clean)}
+        )
+        if len(dead) == node.size:
+            dead = dead[1:]  # keep one live row to rank
+        _tombstone(rfs, database, dead)
+        rfs.io.reset()
+        got = rfs.localized_knn(node, query, k)
+        reads = rfs.io.per_category["localized_knn"]
+
+        want, want_reads = _reference_scan(
+            rfs, node, query, k, np.array(dead, dtype=np.int64)
+        )
+        assert got == want
+        assert reads == want_reads
+        assert rfs.effective_node_size(node) == node.size - len(dead)
+        reference = _brute_force_localized_knn(dead)(rfs, node, query, k)
+        # float32 cannot order rows a few 1e-4 apart, so compare the id
+        # sets, and the distances to the float64 ones.
+        assert {i for _, i in got} == {i for _, i in reference}
+        assert np.allclose(
+            [d for d, _ in got], [d for d, _ in reference], atol=1e-3
+        )
+        assert len(got) == min(k, node.size - len(dead))
+        assert not set(dead) & {i for _, i in got}
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_topup_under_tombstones_matches_brute_force(
+        self, scanned, monkeypatch, seed
+    ):
+        """The top-up drains promoted search nodes through the scan.
+
+        Marks fall in two leaves and ``k`` exceeds what both hold, so
+        every group is promoted and topped up past its leaf; tombstones
+        sit in the marked leaves and their parents.  The same final
+        round with every scan replaced by the brute-force reference over
+        live rows must pick the same images per group.
+        """
+        database, rfs = scanned
+        rng = np.random.default_rng(seed)
+        leaves = [n for n in rfs.iter_nodes() if n.is_leaf]
+        picked = rng.choice(len(leaves), size=2, replace=False)
+        marks = sorted(
+            int(i)
+            for j in picked
+            for i in rng.choice(leaves[j].item_ids, size=3, replace=False)
+        )
+        pool = np.setdiff1d(
+            np.concatenate(
+                [leaves[j].parent.item_ids for j in picked]
+            ),
+            marks,
+        )
+        dead = np.sort(rng.choice(pool, size=12, replace=False))
+        k = sum(leaves[j].size for j in picked) + 40
+        config = QDConfig()
+
+        def finalize():
+            result = execute_final_round(
+                rfs, marks, k, config, rounds_used=1
+            )
+            return [
+                (
+                    group.search_node_id,
+                    {item.item_id: item.score for item in group.items},
+                )
+                for group in result.groups
+            ]
+
+        rfs.delta = None
+        _tombstone(rfs, database, dead)
+        got = finalize()
+        monkeypatch.setattr(
+            RFSStructure, "localized_knn", _brute_force_localized_knn(dead)
+        )
+        want = finalize()
+        assert [node for node, _ in got] == [node for node, _ in want]
+        assert all(
+            node not in (leaves[j].node_id for j in picked)
+            for node, _ in got
+        )
+        for (_, scan), (_, reference) in zip(got, want):
+            assert set(scan) == set(reference)
+            assert np.allclose(
+                [scan[i] for i in sorted(scan)],
+                [reference[i] for i in sorted(reference)],
+                atol=1e-3,
+            )
+        returned = [i for _, group in got for i in group]
+        assert len(returned) == len(set(returned)) == k
+        assert not set(dead.tolist()) & set(returned)
