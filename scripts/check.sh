@@ -158,6 +158,17 @@ forbid "the final round ranks by one metric: no dim_weights path" -- \
 forbid "weighted_point_distances is defined in store/kernels.py and" \
     "called nowhere in src/" -- \
     -n 'weighted_point_distances' -- src/ ':!src/repro/store/kernels.py'
+# One ranking type from the leaf scan to the wire: a RankedList holds
+# (ids, scores) arrays, and rank() in src/repro/retrieval/topk.py is the
+# one code that orders them (ascending score, ties by id).  No list of
+# (score, id) tuples or RankedItem objects is re-sorted with a lambda
+# outside the R*-tree's own k-NN, and the tuple-era helpers and the
+# boxed-pair cache charge stay deleted.
+forbid "results are ordered only by rank() in retrieval/topk.py" -- \
+    -nE "sort\(key=lambda (pair|it)" -- src ':!src/repro/index/rstar.py'
+forbid "no top_pairs, top_k or RANKED_PAIR_BYTES: rank() and RankedList" \
+    "replace them" -- \
+    -nw -e top_pairs -e top_k -e RANKED_PAIR_BYTES -- src
 # Every module under src/repro/ is imported by something the CLI, a
 # benchmark or a script reaches (lazy re-exports resolved): a module
 # only its own tests or an example import is code nothing serving or
@@ -272,6 +283,12 @@ run_gate "scan parity" tests/test_store.py Parity \
 # state, including sessions resumed across routers with different
 # shard counts.
 run_gate "sharded parity" tests/test_shard.py Parity
+# The array ranking path against its tuple-and-set reference
+# (tests/reference_ranking.py): random outcome sets with shared ids, the
+# top-up and promotion passes, live delta rows with tombstones and a
+# 2-shard gather, id for id and bit for bit; both classes must pass.
+run_gate "ranking oracle" tests/test_ranking_oracle.py Oracle \
+    TestMergeOracle TestScanOracle
 # Rankings over main + delta bit-identical to a from-scratch rebuild of
 # the same item set, across executors, store attachment, shard counts, and
 # pre/post-compaction cache states.

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.datasets.database import ImageDatabase
 from repro.errors import QueryError, SessionStateError
-from repro.retrieval.topk import RankedList, top_k
+from repro.retrieval.topk import RankedList, rank
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -62,7 +62,7 @@ class FeedbackTechnique(abc.ABC):
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
         scores = self._score(self.database.features)
-        return top_k(scores, list(range(self.database.size)), k)
+        return rank(scores, np.arange(self.database.size), k)
 
     def feedback(self, relevant_ids: Sequence[int]) -> None:
         """Incorporate the user's relevance marks into the query model."""

@@ -29,7 +29,7 @@ import numpy as np
 from repro.baselines.base import FeedbackTechnique
 from repro.config import FeatureConfig
 from repro.errors import QueryError
-from repro.retrieval.topk import RankedList
+from repro.retrieval.topk import RankedList, rank
 
 
 class FaginMerge(FeedbackTechnique):
@@ -120,10 +120,7 @@ class FaginMerge(FeedbackTechnique):
         aggregate = np.zeros(len(candidates))
         for name in names:
             aggregate += scores[name][candidates]
-        order = np.argsort(aggregate, kind="stable")[:k_eff]
-        return RankedList.from_pairs(
-            (float(aggregate[i]), int(candidates[i])) for i in order
-        )
+        return rank(aggregate, np.asarray(candidates, dtype=np.int64), k_eff)
 
     @property
     def sorted_access_depth(self) -> int:

@@ -32,7 +32,7 @@ a green bus) at the price of admitting channel-matched irrelevant images
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.config import FeatureConfig
 from repro.retrieval.topk import (
     RankedList,
     merge_ranked_lists,
-    top_k,
+    rank,
 )
 from repro.retrieval.distance import weighted_euclidean
 from repro.errors import QueryError
@@ -140,15 +140,7 @@ class MultipleViewpoints(FeedbackTechnique):
         self._require_started()
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
-        per_channel: List[RankedList] = []
-        ids = list(range(self.database.size))
-        for ch in self.channels:
-            dist = weighted_euclidean(
-                self.database.features,
-                ch.transform(self._query_point),
-                ch.weights,
-            )
-            per_channel.append(top_k(dist, ids, k))
+        per_channel = list(self.channel_results(k).values())
         share = max(1, k // len(self.channels))
         chosen: dict[int, float] = {}
         for ranked in per_channel:
@@ -167,20 +159,22 @@ class MultipleViewpoints(FeedbackTechnique):
                     break
                 if item.item_id not in chosen:
                     chosen[item.item_id] = item.score
-        return RankedList.from_pairs(
-            (score, image_id) for image_id, score in chosen.items()
-        ).truncate(k)
+        return rank(
+            np.fromiter(chosen.values(), dtype=np.float64),
+            np.fromiter(chosen.keys(), dtype=np.int64),
+            k,
+        )
 
     def channel_results(self, k: int) -> dict[str, RankedList]:
         """Per-channel top-k lists (for analysis and the case studies)."""
         self._require_started()
         out: dict[str, RankedList] = {}
-        ids = list(range(self.database.size))
+        ids = np.arange(self.database.size)
         for ch in self.channels:
             dist = weighted_euclidean(
                 self.database.features,
                 ch.transform(self._query_point),
                 ch.weights,
             )
-            out[ch.name] = top_k(dist, ids, k)
+            out[ch.name] = rank(dist, ids, k)
         return out

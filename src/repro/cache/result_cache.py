@@ -57,20 +57,17 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import get_metrics
+from repro.retrieval.topk import RankedList
 
 #: Fixed per-entry bookkeeping charge (key, dict slot, dataclass) added
 #: to the measured payload size when accounting against the byte cap.
 ENTRY_OVERHEAD_BYTES = 256
-
-#: Bytes charged per ``(score, id)`` pair of a cached ranked list (two
-#: boxed numbers plus the tuple holding them).
-RANKED_PAIR_BYTES = 88
 
 
 def subquery_cache_key(
@@ -108,13 +105,14 @@ def subquery_cache_key(
 class CachedSubquery:
     """One cached subquery answer.
 
-    ``ranked`` is stored as an immutable tuple; readers receive a fresh
-    list copy so downstream merge code can never corrupt the cache.
+    Every reader gets the same ``ranked`` object: its arrays and the
+    centroid are read-only, so no session can change what another one
+    reads from the cache.
     """
 
     search_node_id: int
     centroid: np.ndarray
-    ranked: Tuple[Tuple[float, int], ...]
+    ranked: RankedList
     version: int
 
     @property
@@ -123,7 +121,8 @@ class CachedSubquery:
         return (
             ENTRY_OVERHEAD_BYTES
             + int(self.centroid.nbytes)
-            + RANKED_PAIR_BYTES * len(self.ranked)
+            + int(self.ranked.item_ids.nbytes)
+            + int(self.ranked.scores.nbytes)
         )
 
 
@@ -231,7 +230,7 @@ class SubqueryResultCache:
         version: int,
         search_node_id: int,
         centroid: np.ndarray,
-        ranked: List[Tuple[float, int]],
+        ranked: RankedList,
         *,
         epoch: Optional[int] = None,
     ) -> None:
@@ -248,9 +247,7 @@ class SubqueryResultCache:
         entry = CachedSubquery(
             search_node_id=int(search_node_id),
             centroid=frozen,
-            ranked=tuple(
-                (float(score), int(image_id)) for score, image_id in ranked
-            ),
+            ranked=ranked,
             version=int(version),
         )
         if entry.nbytes > self.capacity_bytes:
@@ -385,7 +382,7 @@ def scan_and_publish(
     node: Any,
     query: np.ndarray,
     k: int,
-) -> List[Tuple[float, int]]:
+) -> RankedList:
     """Scan ``node`` main-only and publish the ranking under ``key``.
 
     How a scan result gets into a cache, for every caller that missed

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.retrieval.topk import RankedItem, RankedList
+from repro.retrieval.topk import RankedList, merge_ranked_lists
 
 
 @dataclass
@@ -78,10 +78,10 @@ class QueryResult:
         seen: set[int] = set()
         out: List[int] = []
         for group in self.groups:
-            for item in group.items:
-                if item.item_id not in seen:
-                    seen.add(item.item_id)
-                    out.append(item.item_id)
+            for item_id in group.items.ids():
+                if item_id not in seen:
+                    seen.add(item_id)
+                    out.append(item_id)
         return out
 
     def flatten(self, k: Optional[int] = None) -> List[int]:
@@ -91,18 +91,7 @@ class QueryResult:
 
     def flatten_by_score(self, k: Optional[int] = None) -> RankedList:
         """Single ranked list ordered by individual similarity score."""
-        best: dict[int, float] = {}
-        for group in self.groups:
-            for item in group.items:
-                if item.item_id not in best or item.score < best[item.item_id]:
-                    best[item.item_id] = item.score
-        items = [
-            RankedItem(item_id=i, score=s) for i, s in best.items()
-        ]
-        items.sort(key=lambda it: (it.score, it.item_id))
-        if k is not None:
-            items = items[:k]
-        return RankedList(items)
+        return merge_ranked_lists([group.items for group in self.groups], k)
 
     def describe(self) -> str:
         """Human-readable multi-line summary of the grouped result."""

@@ -19,7 +19,7 @@ Implements §3.3 and §3.4 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,11 @@ from repro.exec import (
 )
 from repro.index.rfs import RFSStructure
 from repro.obs import get_metrics, get_tracer
-from repro.retrieval.topk import RankedList, proportional_allocation
+from repro.retrieval.topk import (
+    RankedList,
+    merge_ranked_lists,
+    proportional_allocation,
+)
 
 
 def group_marks_by_leaf(
@@ -136,18 +140,27 @@ def merge_outcomes(
         "qd_merge_candidates", "candidates fetched per merge decision"
     )
     k = plan.k
-    claimed: Set[int] = set()
+    # claimed[i]: image i is already in some group (grown on demand).
+    claimed = np.zeros(0, dtype=bool)
+
+    def claim(ranked: RankedList, limit: int) -> RankedList:
+        """The first ``limit`` of ``ranked`` not yet claimed, claimed."""
+        nonlocal claimed
+        ids = ranked.item_ids
+        if ids.size and ids.max() >= claimed.size:
+            claimed = np.concatenate(
+                (claimed, np.zeros(ids.max() + 1 - claimed.size, dtype=bool))
+            )
+        fresh = np.flatnonzero(~claimed[ids])[:limit]
+        claimed[ids[fresh]] = True
+        return RankedList(ids[fresh], ranked.scores[fresh])
+
     payloads: List[dict] = []
     # Sequential, order-fixed dedup: later (smaller-quota) groups
     # yield overlapping images to earlier ones, exactly as in the
     # serial implementation.
     for task, outcome in zip(plan.tasks, outcomes):
-        fresh = [
-            (dist, image_id)
-            for dist, image_id in outcome.ranked
-            if image_id not in claimed
-        ][: task.quota]
-        claimed.update(image_id for _, image_id in fresh)
+        fresh = claim(outcome.ranked, task.quota)
         merge_span.event(
             "merge_decision",
             leaf=task.leaf_id,
@@ -163,7 +176,7 @@ def merge_outcomes(
                 "search_node": rfs.get_node(outcome.search_node_id),
                 "centroid": outcome.centroid,
                 "query_ids": list(task.query_ids),
-                "results": fresh,
+                "results": [fresh],
             }
         )
 
@@ -172,7 +185,7 @@ def merge_outcomes(
     # search node is exhausted, promote it to its parent (wider
     # locality) and keep going — so a full k results are returned
     # whenever the database holds that many images.
-    total = sum(len(p["results"]) for p in payloads)
+    total = sum(len(payload["results"][0]) for payload in payloads)
     topup_passes = 0
     topup_added = 0
     while total < k:
@@ -182,7 +195,7 @@ def merge_outcomes(
             if total >= k:
                 break
             node = payload["search_node"]
-            have = {image_id for _, image_id in payload["results"]}
+            held = sum(map(len, payload["results"]))
             # Fetch just enough to cover this group's share of the
             # deficit (plus what is already held and possibly claimed
             # elsewhere) — never a full subtree ranking.
@@ -191,18 +204,14 @@ def merge_outcomes(
             # tombstones, so a top-up can drain exactly what a rebuilt
             # structure of the same items would hold under this node.
             fetch = min(
-                rfs.effective_node_size(node), len(have) + deficit + OVERFETCH
+                rfs.effective_node_size(node), held + deficit + OVERFETCH
             )
             ranked = rfs.localized_knn(node, payload["centroid"], fetch)
-            for dist, image_id in ranked:
-                if total >= k:
-                    break
-                if image_id in claimed or image_id in have:
-                    continue
-                payload["results"].append((dist, image_id))
-                claimed.add(image_id)
-                total += 1
-                added += 1
+            # A group holds only claimed ids, so one mask skips both.
+            fresh = claim(ranked, deficit)
+            payload["results"].append(fresh)
+            total += len(fresh)
+            added += len(fresh)
         topup_added += added
         if total >= k:
             break
@@ -222,7 +231,7 @@ def merge_outcomes(
             leaf_node_id=payload["leaf_id"],
             search_node_id=payload["search_node"].node_id,
             query_image_ids=payload["query_ids"],
-            items=RankedList.from_pairs(payload["results"]),
+            items=merge_ranked_lists(payload["results"], dedupe=False),
         )
         for payload in payloads
     ]

@@ -39,6 +39,7 @@ from repro.exec.pool import WorkerPool, fork_available
 from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
 from repro.retrieval.multipoint import MultipointQuery
+from repro.retrieval.topk import RankedList
 
 if TYPE_CHECKING:  # the cache module loads only when a cache is attached
     from repro.cache import SubqueryResultCache
@@ -73,16 +74,21 @@ class SubqueryTask:
 class SubqueryOutcome:
     """What one subquery execution produced.
 
-    ``ranked`` is the full over-fetched ranked list — dedup against the
+    ``ranked`` is the full over-fetched ranking — dedup against the
     other subqueries happens sequentially in the merge, not here, so the
-    outcome is independent of every other task.
+    outcome is independent of every other task.  ``(score, id)`` pairs
+    are ranked on construction.
     """
 
     leaf_id: int
     search_node_id: int
     centroid: np.ndarray
-    ranked: List[Tuple[float, int]]
+    ranked: RankedList
     duration_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.ranked, RankedList):
+            self.ranked = RankedList.from_pairs(self.ranked)
 
 
 @dataclass
@@ -101,7 +107,7 @@ class PreparedSubquery:
     cache: Optional[SubqueryResultCache] = None
     key: Optional[str] = None
     version: int = 0
-    cached: Optional[Sequence[Tuple[float, int]]] = None
+    cached: Optional[RankedList] = None
 
     @property
     def cache_state(self) -> str:

@@ -45,6 +45,7 @@ from repro.index.diskmodel import DiskAccessCounter
 from repro.index.geometry import MBR, stacked_min_distances
 from repro.index.rstar import BisectLevel, RStarTree
 from repro.obs import get_metrics, get_tracer
+from repro.retrieval.topk import RankedList, rank
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
 from repro.utils.validation import check_vectors
 from repro.clustering.kmeans import DistanceFilter, kmeans_stacked
@@ -966,7 +967,7 @@ class RFSStructure:
         k: int,
         *,
         include_delta: bool = True,
-    ) -> List[tuple[float, int]]:
+    ) -> RankedList:
         """k nearest images to ``query_point`` inside ``node``'s subtree.
 
         Leaf pages under ``node`` are read in ascending MINDIST order and
@@ -1021,7 +1022,7 @@ class RFSStructure:
             store=self.store.kind,
         ) as span:
             if take <= 0:
-                best: List[tuple[float, int]] = []
+                best = RankedList()
             else:
                 best = self._scan_leaves(
                     leaves, mindists, order, query, take,
@@ -1036,12 +1037,12 @@ class RFSStructure:
     def merge_delta_ranked(
         self,
         node: RFSNode,
-        ranked: Sequence[tuple[float, int]],
+        ranked: RankedList,
         query_point: np.ndarray,
         k: int,
         *,
         view: Optional["DeltaView"] = None,
-    ) -> List[tuple[float, int]]:
+    ) -> RankedList:
         """Merge the live delta rows under ``node`` into a main ranking.
 
         ``ranked`` must be a tombstone-filtered main-only ranking of at
@@ -1050,13 +1051,12 @@ class RFSStructure:
         stores).  The merge is exact: every visible delta row's
         distance is computed by the brute-force delta kernel (same
         dtype and arithmetic a rebuilt store would use for those rows),
-        the pools are combined, sorted by ``(distance, id)``, and cut
-        to ``k`` — bit-identical to a from-scratch rebuild containing
-        the same items ranking the same candidates.
+        and the pools are combined and ranked to ``k`` by :func:`rank`
+        — bit-identical to a from-scratch rebuild containing the same
+        items ranking the same candidates.
         """
         if view is None:
             view = self.delta_view()
-        merged = list(ranked)
         if view is not None and view.live_count:
             sel = view.live_under(
                 self._leaf_ids_under(node), node.node_id
@@ -1064,13 +1064,14 @@ class RFSStructure:
             if sel.size:
                 query = np.asarray(query_point, dtype=np.float64)
                 dists = self._delta_distances(view, sel, query)
-                ids = view.base_rows + sel
-                merged.extend(
-                    (float(d), int(i)) for d, i in zip(dists, ids)
+                return rank(
+                    np.concatenate(
+                        (ranked.scores, dists.astype(np.float64))
+                    ),
+                    np.concatenate((ranked.item_ids, view.base_rows + sel)),
+                    k,
                 )
-                merged.sort(key=lambda pair: (pair[0], pair[1]))
-        del merged[k:]
-        return merged
+        return ranked.truncate(k)
 
     def _delta_distances(
         self,
@@ -1122,7 +1123,7 @@ class RFSStructure:
         *,
         span,
         dead_ids: Optional[np.ndarray] = None,
-    ) -> List[tuple[float, int]]:
+    ) -> RankedList:
         """The leaf scan: exact distances, MINDIST-pruned, top ``take``.
 
         Leaves are read in ascending MINDIST order.  Each is one
@@ -1131,9 +1132,9 @@ class RFSStructure:
         store's cached squared norms.  With ``κ`` the ``take``-th
         smallest distance pooled so far, the scan stops at the first
         leaf whose MINDIST exceeds ``κ``: none of its rows can beat the
-        current k-th best.  The top-``take`` selection is one vectorized
-        partition + lexsort over the pooled candidates, ties broken by
-        ascending id.
+        current k-th best.  The top-``take`` selection is one
+        :func:`~repro.retrieval.topk.rank` call over the pooled
+        candidates.
 
         Delta tombstones (``dead_ids``) get their distances forced to
         ``+inf`` in place, after the kernel ran over the untouched full
@@ -1143,7 +1144,6 @@ class RFSStructure:
         dropped before selection, so they can never appear in the
         returned ranking.
         """
-        from repro.retrieval.topk import top_pairs
         from repro.store.kernels import point_distances
 
         dist_parts: List[np.ndarray] = []
@@ -1186,7 +1186,7 @@ class RFSStructure:
             distance_computations=distance_evals,
             pages_read=self.io.physical_reads - physical_before,
         )
-        return top_pairs(cand_dists, cand_ids, take)
+        return rank(cand_dists, cand_ids, take)
 
     def _leaf_geometry(
         self, node: RFSNode

@@ -16,7 +16,7 @@ __all__ = [
     "MultipointQuery",
     "RankedList",
     "merge_ranked_lists",
-    "top_k",
+    "rank",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -29,6 +29,6 @@ __getattr__, __dir__ = lazy_exports(
             "weighted_euclidean",
         ),
         "repro.retrieval.multipoint": ("MultipointQuery",),
-        "repro.retrieval.topk": ("RankedList", "merge_ranked_lists", "top_k"),
+        "repro.retrieval.topk": ("RankedList", "merge_ranked_lists", "rank"),
     },
 )

@@ -8,8 +8,8 @@ user's feedback; the "merge information from multiple systems" baselines
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,124 +24,127 @@ class RankedItem:
     score: float
 
 
-@dataclass
+def _read_only(values, dtype: type) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array, copied if writeable."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 class RankedList:
-    """A list of results ordered by ascending score.
+    """Results in ``(score, id)`` order: ascending score, ties by id.
+
+    ``item_ids`` (int64) and ``scores`` (float64) are two aligned,
+    read-only arrays, so one ranking can be shared — by the result
+    cache, across sessions — without a defensive copy.  :func:`rank` is
+    the only code that puts them in order; iterating yields
+    :class:`RankedItem` objects, built on demand.
 
     Examples
     --------
-    >>> rl = RankedList.from_pairs([(0.5, 7), (0.1, 3)])
-    >>> [item.item_id for item in rl]
+    >>> RankedList.from_pairs([(0.5, 7), (0.1, 3)]).ids()
     [3, 7]
     """
 
-    items: List[RankedItem] = field(default_factory=list)
+    __slots__ = ("item_ids", "scores")
+
+    def __init__(self, item_ids=(), scores=()) -> None:
+        self.item_ids = _read_only(item_ids, np.int64)
+        self.scores = _read_only(scores, np.float64)
+        if self.item_ids.ndim != 1 or self.item_ids.shape != self.scores.shape:
+            raise QueryError(
+                f"ids of shape {self.item_ids.shape} do not match scores "
+                f"of shape {self.scores.shape}"
+            )
 
     @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[Tuple[float, int]]
-    ) -> "RankedList":
-        """Build from ``(score, item_id)`` pairs (sorted internally)."""
-        items = [RankedItem(item_id=i, score=float(s)) for s, i in pairs]
-        items.sort(key=lambda it: (it.score, it.item_id))
-        return cls(items)
+    def from_pairs(cls, pairs: Iterable[Tuple[float, int]]) -> "RankedList":
+        """Rank ``(score, item_id)`` pairs (through :func:`rank`)."""
+        pairs = list(pairs)
+        return rank([s for s, _ in pairs], [i for _, i in pairs])
 
     def __iter__(self) -> Iterator[RankedItem]:
-        return iter(self.items)
+        return map(RankedItem, self.item_ids.tolist(), self.scores.tolist())
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.item_ids.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return np.array_equal(self.item_ids, other.item_ids) and (
+            np.array_equal(self.scores, other.scores)
+        )
+
+    def __reduce__(self):
+        # Through __init__, so an unpickled copy is read-only too.
+        return (RankedList, (self.item_ids, self.scores))
 
     def ids(self) -> List[int]:
         """Result ids in rank order."""
-        return [it.item_id for it in self.items]
+        return self.item_ids.tolist()
 
     def truncate(self, k: int) -> "RankedList":
-        """The first ``k`` results as a new list."""
-        return RankedList(self.items[:k])
+        """The first ``k`` results (read-only views, no copy)."""
+        return RankedList(self.item_ids[:k], self.scores[:k])
 
     def total_score(self) -> float:
-        """Sum of member scores — the paper's group 'ranking score'."""
-        return float(sum(it.score for it in self.items))
+        """Sum of member scores — the paper's group 'ranking score'.
+
+        A left-to-right Python ``sum`` in rank order, not the pairwise
+        ``np.sum``, so the §3.4 group order never moves by a last bit.
+        """
+        return float(sum(self.scores.tolist()))
 
 
-def top_k(
-    scores: np.ndarray, ids: Sequence[int], k: int
-) -> RankedList:
-    """Lowest-``k`` entries of a score vector as a :class:`RankedList`."""
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != len(ids):
-        raise QueryError(
-            f"scores shape {arr.shape} does not match {len(ids)} ids"
-        )
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    take = min(k, arr.shape[0])
-    order = np.argsort(arr, kind="stable")[:take]
-    return RankedList.from_pairs(
-        (float(arr[i]), int(ids[i])) for i in order
-    )
+def rank(scores, ids, k: Optional[int] = None) -> RankedList:
+    """The lowest-``k`` entries (all when ``k`` is ``None``), ranked.
 
-
-def top_pairs(
-    scores: np.ndarray, ids: np.ndarray, k: int
-) -> List[Tuple[float, int]]:
-    """Lowest-``k`` ``(score, id)`` pairs, ties broken by ascending id.
-
-    Fully vectorized (partition + lexsort) — the store-backed localized
-    k-NN uses it instead of the per-member Python append/sort loop.
-    Ties that straddle the ``k``-th score are resolved by id, exactly
-    matching a stable ``(score, id)`` sort of the full input.
+    The one definition of result order: ascending score, ties broken by
+    ascending id — equal to a stable ``(score, id)`` sort of the whole
+    input, truncated.  A partition keeps everything at or below the
+    ``k``-th score, so ties straddling the cut reach the id tie-break,
+    then one lexsort orders the survivors.  Scores come back float64.
     """
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
     scores = np.asarray(scores)
-    ids = np.asarray(ids)
-    n = scores.shape[0]
-    take = min(k, n)
-    if take == 0:
-        return []
-    if n > take:
-        # Keep everything at or below the k-th score so boundary ties
-        # survive into the id tie-break.
-        kth = np.partition(scores, take - 1)[take - 1]
-        keep = scores <= kth
-        scores = scores[keep]
-        ids = ids[keep]
-    order = np.lexsort((ids, scores))[:take]
-    return list(
-        zip(
-            scores[order].astype(np.float64).tolist(),
-            ids[order].tolist(),
+    ids = np.asarray(ids, dtype=np.int64)
+    if scores.ndim != 1 or scores.shape != ids.shape:
+        raise QueryError(
+            f"scores shape {scores.shape} does not match {ids.shape[0]} ids"
         )
-    )
+    if k is not None and k < 1:
+        raise QueryError(f"k must be >= 1, got {k}")
+    take = scores.shape[0] if k is None else min(k, scores.shape[0])
+    if scores.shape[0] > take:
+        keep = scores <= np.partition(scores, take - 1)[take - 1]
+        scores, ids = scores[keep], ids[keep]
+    order = np.lexsort((ids, scores))[:take]
+    return RankedList(ids[order], scores[order].astype(np.float64))
 
 
 def merge_ranked_lists(
-    lists: Sequence[RankedList], k: int, dedupe: bool = True
+    lists: Sequence[RankedList], k: Optional[int] = None, dedupe: bool = True
 ) -> RankedList:
     """Merge several ranked lists into one global top-k by score.
 
     Ties broken by item id; with ``dedupe`` an item appearing in several
-    lists keeps its best score.
+    lists keeps its best score (its first entry in a stable sort by
+    ``(id, score)``).  ``k=None`` keeps every result.
     """
-    if k < 1:
+    if k is not None and k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
-    best: dict[int, float] = {}
-    all_items: List[RankedItem] = []
-    for rl in lists:
-        for it in rl:
-            if dedupe:
-                if it.item_id not in best or it.score < best[it.item_id]:
-                    best[it.item_id] = it.score
-            else:
-                all_items.append(it)
-    if dedupe:
-        all_items = [
-            RankedItem(item_id=i, score=s) for i, s in best.items()
-        ]
-    all_items.sort(key=lambda it: (it.score, it.item_id))
-    return RankedList(all_items[:k])
+    if not lists:
+        return RankedList()
+    ids = np.concatenate([rl.item_ids for rl in lists])
+    scores = np.concatenate([rl.scores for rl in lists])
+    if dedupe and ids.size:
+        order = np.lexsort((scores, ids))
+        ids, scores = ids[order], scores[order]
+        first = np.concatenate(([True], ids[1:] != ids[:-1]))
+        ids, scores = ids[first], scores[first]
+    return rank(scores, ids, k)
 
 
 def proportional_allocation(

@@ -131,10 +131,13 @@ def _json_value(value: Any) -> Any:
         return {
             "groups": [
                 {
-                    "items": [
-                        [item.item_id, item.score]
-                        for item in group.items
-                    ],
+                    # [id, score] pairs (JSON writes a tuple as a list)
+                    "items": list(
+                        zip(
+                            group.items.item_ids.tolist(),
+                            group.items.scores.tolist(),
+                        )
+                    ),
                     "leaf_node_id": group.leaf_node_id,
                     "search_node_id": group.search_node_id,
                 }

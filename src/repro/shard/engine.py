@@ -23,9 +23,8 @@ never re-computes a float:
    break), so any member of the global top-``take`` is necessarily in
    its own shard's local top-``take``; leaves no shard scanned hold
    only distances strictly beyond the global k-th.
-3. The gather sorts the union of shard candidates by ``(distance, id)``
-   and truncates — exactly the order and tie-break of
-   :func:`repro.retrieval.topk.top_pairs`, which defines the
+3. The gather ranks the union of shard candidates with
+   :func:`repro.retrieval.topk.rank`, the same function that orders the
    single-node result.
 
 :class:`ShardedRFS` subclasses the global structure and overrides only
@@ -40,7 +39,7 @@ with a different shard count.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from repro.exec.pool import WorkerPool
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
+from repro.retrieval.topk import RankedList, merge_ranked_lists
 from repro.shard.partition import (
     ShardAssignment,
     build_shard_structure,
@@ -84,7 +84,7 @@ class Shard:
     single-node scan of the pruned tree.  The shard-level cache
     memoizes whole per-shard scans keyed by (node, query, k) at the
     global structure version, so a warm
-    rerun never touches leaf blocks yet returns bit-identical pairs.
+    rerun never touches leaf blocks yet returns a bit-identical ranking.
     """
 
     def __init__(
@@ -114,7 +114,7 @@ class Shard:
         node_id: int,
         query: np.ndarray,
         k: int,
-    ) -> List[Tuple[float, int]]:
+    ) -> RankedList:
         """This shard's top-``k`` of its slice of global ``node_id``."""
         node = self.rfs.nodes[node_id]
         if self.cache is None:
@@ -130,7 +130,7 @@ class Shard:
         version = self.rfs.structure_version
         hit = self.cache.get(key, version)
         if hit is not None:
-            return list(hit.ranked)
+            return hit.ranked
         # A shard tree only ever sees tombstones (the router merges the
         # live delta rows once, over the gather), so the main-only
         # ranking that gets published is this shard's whole answer.
@@ -139,7 +139,7 @@ class Shard:
         )
 
 
-def _scan_shard(call: tuple, shard: Shard) -> List[Tuple[float, int]]:
+def _scan_shard(call: tuple, shard: Shard) -> RankedList:
     """Router fan-out task: one shard's slice of one scatter."""
     node_id, query, take = call
     return shard.localized_knn(node_id, query, take)
@@ -265,7 +265,7 @@ class ShardedRFS(RFSStructure):
         k: int,
         *,
         include_delta: bool = True,
-    ) -> List[tuple[float, int]]:
+    ) -> RankedList:
         """Scatter the scan to covering shards, gather by (dist, id).
 
         Shards own their blocks and charge the shared disk model
@@ -308,13 +308,11 @@ class ShardedRFS(RFSStructure):
                 participants,
                 (node.node_id, query, take),
             )
-            merged: List[Tuple[float, int]] = []
-            for ranked in partials:
-                merged.extend(ranked)
-            # Same order and tie-break as topk.top_pairs: ascending
-            # score, then ascending id among equals.
-            merged.sort(key=lambda pair: (pair[0], pair[1]))
-            del merged[take:]
+            merged = (
+                merge_ranked_lists(partials, take, dedupe=False)
+                if take > 0
+                else RankedList()
+            )
             span.set(candidates=sum(len(r) for r in partials))
             if include_delta and view is not None and view.live_count:
                 merged = self.merge_delta_ranked(

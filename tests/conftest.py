@@ -18,6 +18,7 @@ from repro.datasets.build import (
     build_synthetic_database,
 )
 from repro.index.rfs import RFSStructure
+from repro.retrieval.topk import RankedList
 
 # Small-but-real scales: every named category exists, leaves hold a few
 # dozen images, the tree has >= 2 levels.
@@ -33,9 +34,9 @@ def brute_force_knn(features, query, k, *, live_ids=None):
 
     ``np.linalg.norm`` over the live item set (``live_ids``, default
     every row) — no tree, no store, no cache.  Returns the ``k`` nearest
-    as ``(distance, id)`` pairs ordered by ``(distance, id)``.  The
-    store scans at float32, so compare ids exactly and distances to
-    ~1e-3.
+    as a :class:`~repro.retrieval.topk.RankedList` in ``(distance, id)``
+    order, sorted here by its own lexsort.  The store scans at float32,
+    so compare ids exactly and distances to ~1e-3.
     """
     ids = (
         np.arange(features.shape[0])
@@ -47,7 +48,7 @@ def brute_force_knn(features, query, k, *, live_ids=None):
     )
     dists = np.linalg.norm(diff, axis=1)
     order = np.lexsort((ids, dists))[:k]
-    return [(float(dists[i]), int(ids[i])) for i in order]
+    return RankedList(ids[order], dists[order])
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.exec import ProcessSubqueryExecutor
 from repro.index.generations import GenerationController
 from repro.index.rfs import RFSStructure
+from repro.retrieval.topk import RankedList
 from repro.shard import ShardedEngine
 from repro.store import FeatureStore
 
@@ -77,18 +78,18 @@ def _marks(database, label, count=8):
 
 
 def _put(cache, key, *, version=0, node=1, n_ranked=10, dim=8):
-    """Insert a synthetic entry of known size (256 + 8*dim + 88*n)."""
+    """Insert a synthetic entry of known size (256 + 8*dim + 16*n)."""
     cache.put(
         key,
         version,
         node,
         np.arange(dim, dtype=np.float64),
-        [(float(i), i) for i in range(n_ranked)],
+        RankedList.from_pairs((float(i), i) for i in range(n_ranked)),
     )
 
 
 #: Size of the entries ``_put`` makes with its defaults.
-_PUT_BYTES = 256 + 8 * 8 + 88 * 10
+_PUT_BYTES = 256 + 8 * 8 + 16 * 10
 
 
 # ----------------------------------------------------------------------
@@ -136,9 +137,7 @@ class TestResultCacheLRU:
         assert entry.version == 3
         assert entry.centroid.dtype == np.float64
         assert not entry.centroid.flags["WRITEABLE"]
-        assert entry.ranked == tuple(
-            (float(i), i) for i in range(10)
-        )
+        assert entry.ranked == RankedList(np.arange(10), np.arange(10.0))
         assert cache.stats["hits"] == 1
         assert cache.get("absent", 3) is None
         assert cache.stats["misses"] == 1
@@ -380,7 +379,7 @@ class TestCacheInvalidation:
 
         def scan_then_remove(self, node, query_point, k, **kwargs):
             ranked = real_scan(self, node, query_point, k, **kwargs)
-            found = [i for _, i in ranked if i in victims]
+            found = [i for i in ranked.ids() if i in victims]
             if found and not removed:
                 removed.append(found[0])
                 engine.remove_image(found[0])

@@ -164,10 +164,11 @@ class TestResultCacheUnderContention:
         import numpy as np
 
         from repro.cache import SubqueryResultCache
+        from repro.retrieval.topk import RankedList
 
         cache = SubqueryResultCache(64 << 20)
         centroid = np.zeros(8)
-        ranked = [(1.0, 1)]
+        ranked = RankedList.from_pairs([(1.0, 1)])
         for key in range(32):
             cache.put(str(key), 0, key, centroid, ranked)
 

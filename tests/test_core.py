@@ -377,7 +377,7 @@ class TestPresentation:
         result = QueryResult(groups=[g1, g2], rounds_used=3)
         flat = result.flatten_by_score()
         assert flat.ids() == [10]
-        assert flat.items[0].score == pytest.approx(0.1)
+        assert flat.scores[0] == pytest.approx(0.1)
 
     def test_describe_mentions_groups(self):
         text = self._result().describe()

@@ -160,7 +160,7 @@ class TestLoadCorelDirectory:
         owl = int(db.ids_of_category("bird_owl")[0])
         leaf = rfs.leaf_of_item(owl)
         got = rfs.localized_knn(leaf, db.features[owl], 3)
-        assert got[0][1] == owl
+        assert got.item_ids[0] == owl
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(DatasetError):

@@ -320,7 +320,7 @@ class TestRunSubqueryTask:
         outcome = run_subquery_task(rfs, QDConfig(), task)
         assert outcome.leaf_id == leaf_id
         assert len(outcome.ranked) >= 5
-        scores = [dist for dist, _ in outcome.ranked]
+        scores = outcome.ranked.scores.tolist()
         assert scores == sorted(scores)
         assert outcome.duration_s >= 0.0
 

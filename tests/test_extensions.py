@@ -52,7 +52,7 @@ class TestSerialization:
         loaded = load_rfs(path, feats)
         leaf = loaded.leaf_of_item(3)
         got = loaded.localized_knn(leaf, feats[3], 3)
-        assert got[0][1] == 3
+        assert got.item_ids[0] == 3
 
     def test_loaded_routing_consistent(self, built_rfs, feats, tmp_path):
         path = tmp_path / "rfs.npz"
@@ -164,7 +164,7 @@ class TestHKMeansHierarchy:
         assert rfs.root.size == feats.shape[0]
         assert rfs.root.representatives
         leaf = rfs.leaf_of_item(10)
-        assert rfs.localized_knn(leaf, feats[10], 1)[0][1] == 10
+        assert rfs.localized_knn(leaf, feats[10], 1).item_ids[0] == 10
 
     def test_unknown_method_rejected(self, feats):
         with pytest.raises(ConfigurationError):

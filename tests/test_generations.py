@@ -30,6 +30,7 @@ from repro.index.generations import (
 )
 from repro.index.incremental import validate_structure
 from repro.index.rfs import RFSStructure
+from repro.retrieval.topk import RankedList
 from repro.store import FeatureStore
 
 CFG = RFSConfig(
@@ -96,11 +97,8 @@ def _assert_scan_parity(gen_rfs, rebuilt, live, queries, k):
     """Generational scan == rebuilt scan, bit for bit, id for id."""
     for query in queries:
         got = _scan(gen_rfs, query, k)
-        want = [
-            (dist, int(live[pos]))
-            for dist, pos in _scan(rebuilt, query, k)
-        ]
-        assert got == want
+        want = _scan(rebuilt, query, k)
+        assert got == RankedList(live[want.item_ids], want.scores)
 
 
 def _queries(rfs, n=6, seed=17):
@@ -120,7 +118,7 @@ class TestDeltaMutations:
         new_id = controller.insert(vec)
         assert new_id == rfs.features.shape[0]
         got = _scan(rfs, vec, 1)
-        assert got[0][1] == new_id
+        assert got.item_ids[0] == new_id
 
     def test_removed_id_disappears_from_scans(self):
         rfs = _base()
@@ -129,7 +127,7 @@ class TestDeltaMutations:
         )
         victim = int(rfs.root.item_ids[0])
         controller.remove(victim)
-        ids = {item for _, item in _scan(rfs, rfs.features[victim], 50)}
+        ids = set(_scan(rfs, rfs.features[victim], 50).ids())
         assert victim not in ids
 
     def test_remove_unknown_raises(self):
@@ -307,7 +305,7 @@ class TestMutationParity:
         controller.remove(int(rfs.root.item_ids[1]))
         controller.compact()
         got = _scan(controller.current, vec, 1)
-        assert got[0][1] == new_id  # same global id, now a main row
+        assert got.item_ids[0] == new_id  # same global id, now a main row
 
 
 class TestExecutorParity:

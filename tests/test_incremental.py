@@ -46,7 +46,7 @@ def _validate(controller):
 
 def _nearest(controller, vector):
     rfs = controller.current
-    return rfs.localized_knn(rfs.root, vector, 1)[0][1]
+    return rfs.localized_knn(rfs.root, vector, 1).item_ids[0]
 
 
 def _leaves(controller):
@@ -69,7 +69,7 @@ class TestInsert:
         new_id = inc.insert(vec)
         leaf = inc.current.leaf_of_item(new_id)
         got = inc.current.localized_knn(leaf, vec, 1)
-        assert got[0][1] == new_id
+        assert got.item_ids[0] == new_id
 
     def test_wrong_dims_rejected(self):
         inc = _fresh()
@@ -179,7 +179,7 @@ class TestLazyRefresh:
             new_id = inc.insert(vec)
             leaf = inc.current.leaf_of_item(new_id)
             got = inc.current.localized_knn(leaf, vec, 1)
-            assert got[0][1] == new_id
+            assert got.item_ids[0] == new_id
         assert inc.generation >= 2
 
 

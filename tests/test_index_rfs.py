@@ -183,14 +183,14 @@ class TestLocalizedKnn:
         leaf = rfs.leaf_of_item(10)
         got = rfs.localized_knn(leaf, feats[10], 5)
         members = set(leaf.item_ids.tolist())
-        assert all(i in members for _, i in got)
+        assert all(i in members for i in got.ids())
 
     def test_self_is_nearest(self, small_rfs):
         rfs, feats = small_rfs
         leaf = rfs.leaf_of_item(10)
         got = rfs.localized_knn(leaf, feats[10], 1)
-        assert got[0][1] == 10
-        assert got[0][0] == pytest.approx(0.0)
+        assert got.item_ids[0] == 10
+        assert got.scores[0] == pytest.approx(0.0)
 
     def test_k_capped_at_subtree_size(self, small_rfs):
         rfs, feats = small_rfs
@@ -202,7 +202,7 @@ class TestLocalizedKnn:
         rfs, feats = small_rfs
         leaf = rfs.leaf_of_item(20)
         got = rfs.localized_knn(leaf, feats[20], 10)
-        dists = [d for d, _ in got]
+        dists = got.scores.tolist()
         assert dists == sorted(dists)
 
     def test_charges_one_page_per_leaf(self, small_rfs):
@@ -227,10 +227,8 @@ class TestLocalizedKnn:
         rfs, feats = small_rfs
         got = rfs.localized_knn(rfs.root, feats[7], 9)
         expected = brute_force_knn(feats, feats[7], 9)
-        assert [i for _, i in got] == [i for _, i in expected]
-        assert np.allclose(
-            [d for d, _ in got], [d for d, _ in expected], atol=1e-3
-        )
+        assert got.ids() == expected.ids()
+        assert np.allclose(got.scores, expected.scores, atol=1e-3)
 
 
 class TestBuildScales:

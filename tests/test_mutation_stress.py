@@ -21,6 +21,7 @@ from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.build import build_synthetic_database
 from repro.index.incremental import validate_structure
 from repro.index.rfs import RFSStructure
+from repro.retrieval.topk import RankedList
 from repro.store import FeatureStore
 
 CFG = RFSConfig(
@@ -49,9 +50,9 @@ def _build_engine(*, background):
 def _check_scan(ranked, *, k, pre_removed, max_id_box):
     """One scan's internal consistency (a torn scan violates these)."""
     assert len(ranked) <= k
-    ids = [item for _, item in ranked]
+    ids = ranked.ids()
     assert len(ids) == len(set(ids)), "duplicate id in one scan"
-    dists = [dist for dist, _ in ranked]
+    dists = ranked.scores.tolist()
     assert dists == sorted(dists), "unsorted ranking"
     for dist in dists:
         assert np.isfinite(dist)
@@ -146,13 +147,8 @@ class TestMutationStress:
         )
         for query in queries:
             got = current.localized_knn(current.root, query, 25)
-            want = [
-                (dist, int(live[pos]))
-                for dist, pos in rebuilt.localized_knn(
-                    rebuilt.root, query, 25
-                )
-            ]
-            assert got == want
+            want = rebuilt.localized_knn(rebuilt.root, query, 25)
+            assert got == RankedList(live[want.item_ids], want.scores)
         for item in pre_removed:
             assert item not in set(live)
         engine.close()

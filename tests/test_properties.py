@@ -16,7 +16,7 @@ from repro.retrieval.topk import (
     RankedList,
     merge_ranked_lists,
     proportional_allocation,
-    top_k,
+    rank,
 )
 
 finite = st.floats(
@@ -146,7 +146,7 @@ class TestTopKProperties:
     def test_topk_returns_minimum_scores(self, pairs, k):
         scores = np.array([s for s, _ in pairs])
         ids = [i for _, i in pairs]
-        ranked = top_k(scores, ids, k)
+        ranked = rank(scores, ids, k)
         cutoff = sorted(scores)[: min(k, len(pairs))][-1]
         assert all(item.score <= cutoff + 1e-12 for item in ranked)
 

@@ -15,10 +15,11 @@ from repro.retrieval.distance import (
 )
 from repro.retrieval.multipoint import MultipointQuery
 from repro.retrieval.topk import (
+    RankedItem,
     RankedList,
     merge_ranked_lists,
     proportional_allocation,
-    top_k,
+    rank,
 )
 
 
@@ -164,24 +165,42 @@ class TestMultipointQuery:
 class TestTopK:
     def test_returns_lowest_scores(self):
         scores = np.array([5.0, 1.0, 3.0, 2.0])
-        rl = top_k(scores, [10, 11, 12, 13], 2)
+        rl = rank(scores, [10, 11, 12, 13], 2)
         assert rl.ids() == [11, 13]
 
     def test_k_larger_than_n(self):
-        rl = top_k(np.array([1.0, 2.0]), [0, 1], 10)
+        rl = rank(np.array([1.0, 2.0]), [0, 1], 10)
         assert len(rl) == 2
 
     def test_mismatched_ids_rejected(self):
         with pytest.raises(QueryError):
-            top_k(np.array([1.0]), [0, 1], 1)
+            rank(np.array([1.0]), [0, 1], 1)
 
     def test_invalid_k_rejected(self):
         with pytest.raises(QueryError):
-            top_k(np.array([1.0]), [0], 0)
+            rank(np.array([1.0]), [0], 0)
 
     def test_tie_broken_by_id(self):
-        rl = top_k(np.array([1.0, 1.0, 1.0]), [5, 3, 4], 3)
+        rl = rank(np.array([1.0, 1.0, 1.0]), [5, 3, 4], 3)
         assert rl.ids() == [3, 4, 5]
+
+    def test_tie_at_the_cut_goes_to_the_lower_id(self):
+        # Two ids tie for the last slot: the lower id takes it, whatever
+        # its position (a truncated stable argsort would keep id 5).
+        rl = rank(np.array([1.0, 1.0, 2.0]), [5, 3, 1], 1)
+        assert rl.ids() == [3]
+        assert rl.scores.tolist() == [1.0]
+
+    def test_without_k_ranks_everything(self):
+        rl = rank(np.array([0.3, 0.1, 0.2]), [7, 8, 9])
+        assert rl.ids() == [8, 9, 7]
+        assert rl.scores.dtype == np.float64
+        assert rl.item_ids.dtype == np.int64
+
+    def test_float32_scores_come_back_as_float64(self):
+        scores = np.array([0.1, 0.3], dtype=np.float32)
+        rl = rank(scores, [1, 2], 2)
+        assert rl.scores.tolist() == scores.astype(np.float64).tolist()
 
 
 class TestRankedList:
@@ -197,10 +216,59 @@ class TestRankedList:
         rl = RankedList.from_pairs([(0.1, 1), (0.2, 2)])
         assert rl.total_score() == pytest.approx(0.3)
 
+    def test_total_score_sums_left_to_right(self):
+        # Eight scores where numpy's pairwise sum and a left-to-right
+        # sum differ in the last bit: the group order follows the latter.
+        scores = sorted(1.0 / (i + 3) for i in range(8))
+        rl = RankedList.from_pairs((s, i) for i, s in enumerate(scores))
+        assert rl.total_score() == sum(scores)
+        assert float(np.sum(np.array(scores))) != sum(scores)
+
     def test_len_and_iter(self):
         rl = RankedList.from_pairs([(0.1, 1)])
         assert len(rl) == 1
         assert [it.item_id for it in rl] == [1]
+
+    def test_iteration_yields_python_numbers(self):
+        rl = RankedList.from_pairs([(0.5, 7), (0.25, 3)])
+        assert list(rl) == [RankedItem(3, 0.25), RankedItem(7, 0.5)]
+        first = next(iter(rl))
+        assert type(first.item_id) is int
+        assert type(first.score) is float
+
+    def test_arrays_are_read_only(self):
+        rl = RankedList.from_pairs([(0.1, 1), (0.2, 2)])
+        with pytest.raises(ValueError):
+            rl.item_ids[0] = 5
+        with pytest.raises(ValueError):
+            rl.scores[0] = 0.0
+        with pytest.raises(ValueError):
+            rl.truncate(1).scores[0] = 0.0
+
+    def test_constructor_copies_writeable_input(self):
+        ids = np.array([1, 2])
+        rl = RankedList(ids, np.array([0.1, 0.2]))
+        ids[0] = 9
+        assert rl.ids() == [1, 2]
+
+    def test_equality_is_exact_on_both_arrays(self):
+        a = RankedList.from_pairs([(0.1, 1), (0.2, 2)])
+        assert a == RankedList.from_pairs([(0.2, 2), (0.1, 1)])
+        assert a != RankedList.from_pairs([(0.1, 1), (0.2, 3)])
+        assert a != RankedList.from_pairs([(0.1, 1), (0.2 + 1e-16, 2)])
+        assert a != RankedList.from_pairs([(0.1, 1)])
+
+    def test_pickle_round_trip_stays_read_only(self):
+        import pickle
+
+        rl = RankedList.from_pairs([(0.1, 1), (0.2, 2)])
+        back = pickle.loads(pickle.dumps(rl))
+        assert back == rl
+        assert not back.scores.flags.writeable
+
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(QueryError):
+            RankedList(np.arange(2), np.zeros(3))
 
 
 class TestMergeRankedLists:
@@ -214,7 +282,7 @@ class TestMergeRankedLists:
         a = RankedList.from_pairs([(0.5, 1)])
         b = RankedList.from_pairs([(0.1, 1)])
         merged = merge_ranked_lists([a, b], k=1)
-        assert merged.items[0].score == pytest.approx(0.1)
+        assert merged.scores[0] == pytest.approx(0.1)
 
     def test_invalid_k(self):
         with pytest.raises(QueryError):

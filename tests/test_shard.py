@@ -298,7 +298,7 @@ class TestShardedParity:
     def test_tie_heavy_distances_node_sweep(self):
         # Massively duplicated rows force exact distance ties, so the
         # gather's (distance, id) ordering is the only thing separating
-        # candidates — across shards it must reproduce top_pairs.
+        # candidates — across shards it must reproduce rank().
         rng = np.random.default_rng(5)
         features = np.repeat(
             rng.normal(size=(30, 8)), 20, axis=0

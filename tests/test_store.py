@@ -34,7 +34,7 @@ from repro.index.rfs import RFSStructure
 from repro.index.serialize import load_rfs, save_rfs
 from repro.retrieval.distance import euclidean_many, weighted_euclidean
 from repro.retrieval.multipoint import MultipointQuery
-from repro.retrieval.topk import top_pairs
+from repro.retrieval.topk import rank
 from repro.store import (
     FeatureStore,
     multipoint_distances,
@@ -371,13 +371,15 @@ class TestKernels:
         )
 
     def test_top_pairs_matches_full_sort(self):
+        # rank's partition + lexsort equals a stable (score, id) sort
+        # of the whole input, boundary ties included.
         rng = np.random.default_rng(5)
         scores = rng.integers(0, 10, size=200).astype(np.float64)
         ids = rng.permutation(200)
         expected = sorted(zip(scores.tolist(), ids.tolist()))[:25]
-        assert top_pairs(scores, ids, 25) == [
-            (float(s), int(i)) for s, i in expected
-        ]
+        got = rank(scores, ids, 25)
+        assert got.ids() == [i for _, i in expected]
+        assert got.scores.tolist() == [s for s, _ in expected]
 
 
 # ----------------------------------------------------------------------
@@ -438,10 +440,8 @@ class TestStoreScan:
             fast = rfs.localized_knn(leaf, query, 30)
         finally:
             rfs.detach_store()
-        assert [i for _, i in fast] == [i for _, i in reference]
-        assert np.allclose(
-            [d for d, _ in fast], [d for d, _ in reference], atol=1e-3
-        )
+        assert fast.ids() == reference.ids()
+        assert np.allclose(fast.scores, reference.scores, atol=1e-3)
 
     def test_store_scan_accounts_io_and_bytes(self, built):
         database, rfs = built
@@ -723,10 +723,7 @@ def _reference_scan(rfs, node, query, k, dead):
         ids.append(block_ids[alive])
         if sum(map(len, ids)) >= take:
             kth = float(np.sort(np.concatenate(dists))[take - 1])
-    return (
-        top_pairs(np.concatenate(dists), np.concatenate(ids), take),
-        leaves_read,
-    )
+    return rank(np.concatenate(dists), np.concatenate(ids), take), leaves_read
 
 
 def _tombstone(rfs, database, dead):
@@ -788,7 +785,7 @@ class TestTombstoneScanParity:
         rfs.delta = None
         clean = rfs.localized_knn(node, query, k)
         dead = sorted(
-            {clean[len(clean) - 1 - r][1] for r in dead_ranks
+            {clean.ids()[len(clean) - 1 - r] for r in dead_ranks
              if r < len(clean)}
         )
         if len(dead) == node.size:
@@ -807,12 +804,10 @@ class TestTombstoneScanParity:
         reference = _brute_force_localized_knn(dead)(rfs, node, query, k)
         # float32 cannot order rows a few 1e-4 apart, so compare the id
         # sets, and the distances to the float64 ones.
-        assert {i for _, i in got} == {i for _, i in reference}
-        assert np.allclose(
-            [d for d, _ in got], [d for d, _ in reference], atol=1e-3
-        )
+        assert set(got.ids()) == set(reference.ids())
+        assert np.allclose(got.scores, reference.scores, atol=1e-3)
         assert len(got) == min(k, node.size - len(dead))
-        assert not set(dead) & {i for _, i in got}
+        assert not set(dead) & set(got.ids())
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_topup_under_tombstones_matches_brute_force(
