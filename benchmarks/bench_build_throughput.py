@@ -1,9 +1,8 @@
-"""Perf — the offline RFS build: CPU of the serial build, and executor
-parity.
+"""Perf — the offline RFS build: CPU of the build.
 
 Models the offline index build at the paper's scale (15,000 images).
-``serial_cpu_s`` is the process CPU seconds of ``RFSStructure.build`` on
-one worker, median of five.  This is what a ``serve`` start and an
+``serial_cpu_s`` is the process CPU seconds of ``RFSStructure.build``
+(which runs on the calling thread), median of five.  This is what a ``serve`` start and an
 inline compaction pay, and the number a change to the build kernels
 moves (the 2-means bisect, k-means++ seeding, Lloyd, nearest-candidate
 search).  ``tree_cpu_s`` and ``reps_cpu_s`` split each of those builds
@@ -22,13 +21,6 @@ entry; under pytest numpy is loaded first, so set ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 in the
 environment there.
 
-Two untimed legs build with the thread and process executors and check
-parity only: every leg must produce a bit-identical structure — same
-node ids, members, boxes, and representatives — which is the build
-pipeline's core contract.  Their wall time is not reported: on two
-cores the thread build runs at 0.65-0.78x the serial one, and whether
-it pays needs a run with real parallelism.
-
 Runs two ways:
 
 * ``pytest benchmarks/bench_build_throughput.py`` — report/benchmark
@@ -38,8 +30,7 @@ Runs two ways:
 
 ``QD_BENCH_TINY=1`` (or ``--tiny``) shrinks the workload for CI.
 
-Acceptance: the parallel builds are bit-identical to the serial one;
-``serial_cpu_s`` is gated against the committed baseline by
+Acceptance: ``serial_cpu_s`` is gated against the committed baseline by
 ``scripts/bench_compare.py``.
 """
 
@@ -60,14 +51,13 @@ import statistics  # noqa: E402
 import time  # noqa: E402
 
 from _harness import TINY_ENV, emit, tiny_arg_parser  # noqa: E402
-from repro.config import BuildConfig, RFSConfig  # noqa: E402
+from repro.config import RFSConfig  # noqa: E402
 from repro.obs.bench import BenchResult  # noqa: E402
 from repro.datasets.build import build_synthetic_database  # noqa: E402
 from repro.index.rfs import RFSStructure  # noqa: E402
 
 TINY = os.environ.get("QD_BENCH_TINY") == "1"
 SEED = 2006
-WORKERS = 4
 #: Serial builds behind ``serial_cpu_s`` (median reported).
 CPU_REPEATS = 5
 
@@ -78,27 +68,9 @@ def _params(tiny: bool) -> dict:
     return dict(n_images=15_000, n_categories=150)
 
 
-def _signature(rfs: RFSStructure) -> list:
-    """Everything that defines a built structure, bit-for-bit."""
-    out = []
-    for node_id in sorted(rfs.nodes):
-        node = rfs.nodes[node_id]
-        out.append(
-            (
-                node_id,
-                node.level,
-                node.item_ids.tobytes(),
-                tuple(node.representatives),
-                node.mbr.lo.tobytes(),
-                node.mbr.hi.tobytes(),
-            )
-        )
-    return out
-
-
-def _build(features, build_cfg: BuildConfig, progress=None) -> RFSStructure:
+def _build(features, progress=None) -> RFSStructure:
     return RFSStructure.build(
-        features, RFSConfig(), seed=SEED, build=build_cfg, progress=progress
+        features, RFSConfig(), seed=SEED, progress=progress
     )
 
 
@@ -116,7 +88,7 @@ def _cpu_build(features) -> tuple[float, float, float]:
             marks[event.phase] = time.process_time()
 
     start = time.process_time()
-    _build(features, BuildConfig(), progress)
+    _build(features, progress)
     total = time.process_time() - start
     tree = marks["cluster_tree"] - start
     return total, tree, marks["representatives"] - marks["cluster_tree"]
@@ -135,7 +107,7 @@ def _exact_rows(features) -> int:
 
     kmeans_module.sq_distances_into = counted
     try:
-        _build(features, BuildConfig())
+        _build(features)
     finally:
         kmeans_module.sq_distances_into = kernel
     return rows
@@ -149,21 +121,13 @@ def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
     )
     features = database.features
 
-    # What the build costs in CPU, on one worker.  The first build pays
-    # the lazy imports, so it is run and not counted.
-    serial_rfs = _build(features, BuildConfig())
+    # What the build costs in CPU.  The first build pays the lazy
+    # imports, so it is run and not counted.
+    serial_rfs = _build(features)
     cpu_s, tree_s, reps_s = zip(
         *(_cpu_build(features) for _ in range(CPU_REPEATS))
     )
     exact_rows = _exact_rows(features)
-
-    # Thread and process executors: parity checks only.
-    baseline_sig = _signature(serial_rfs)
-    for kind in ("thread", "process"):
-        parallel = _build(
-            features, BuildConfig(executor=kind, workers=WORKERS)
-        )
-        assert _signature(parallel) == baseline_sig, kind
 
     scale = "tiny" if tiny else "full"
     rows = [
@@ -175,8 +139,6 @@ def run_build_bench(tiny: bool) -> tuple[list[str], dict]:
         f"    tree               {statistics.median(tree_s) * 1000:8.1f} ms",
         f"    representatives    {statistics.median(reps_s) * 1000:8.1f} ms",
         f"  exact-kernel rows    {exact_rows:8d}",
-        f"  thread x {WORKERS}, process x {WORKERS}: bit-identical "
-        "(untimed)",
     ]
     return rows, {
         "serial_cpu_s": list(cpu_s),

@@ -144,6 +144,20 @@ forbid "the index reaches the exact kernel only through DistanceFilter" -- \
     -n 'sq_distances_into' -- src/repro/index/
 forbid "nothing in the index or the clustering sleeps" -- \
     -n 'time\.sleep' -- src/repro/index/ src/repro/clustering/
+# The offline build runs on the calling thread, the serial path being
+# the reference: no build executor, worker count or frontier-parallel
+# bisect is settable or defined, and the index and the clustering use
+# no worker pool.  (The query side's repro.exec.build_executor factory
+# is not a build setting, so the CLI dest is matched as args.NAME.)
+forbid "the offline build runs on the calling thread: no build executor" \
+    "or worker setting, no parallel bisect or selection task" -- \
+    -nE -e 'BuildConfig|args\.build_executor|args, "build_executor"' \
+    -e 'build-executor|build_workers|build-workers' \
+    -e 'INLINE_BISECT_THRESHOLD|_bisect_task|_BisectPayload' \
+    -e '_RepsPayload|_group_reps_task|_balanced_bisect_parallel' \
+    -- src/ benchmarks/
+forbid "the index and the clustering import nothing from repro.exec" -- \
+    -n 'repro\.exec' -- src/repro/index src/repro/clustering
 forbid "encode_state() is called only under src/repro/sessionstore/" -- \
     -n 'encode_state(' -- src/ ':!src/repro/sessionstore/'
 # The final round ranks by one metric, plain Euclidean distance (the
@@ -247,10 +261,10 @@ run_gate "store roundtrip" tests/test_store.py Roundtrip
 # The staleness contract: a cached subquery served across a mutation, a
 # compaction, or a store swap would silently corrupt rankings.
 run_gate "cache invalidation" tests/test_cache.py Invalidation
-# A parallel offline build must be bit-identical to the serial one —
-# node ids, members, boxes, representatives — and every build to the
-# structure digests recorded before the build stopped going through the
-# R*-tree's object graph.  The same selection holds the build kernels to
+# The offline build runs on the calling thread, and every build must
+# equal — node ids, members, boxes, representatives, registry order —
+# the structure digests recorded before the build stopped going through
+# the R*-tree's object graph.  The same selection holds the build kernels to
 # their reference forms in tests/reference_build.py: the stacked k-means
 # (B equal-shape problems, every restart at once, one generator per
 # problem) against one-problem runs problem by problem — centroids,

@@ -28,7 +28,6 @@ from repro.config import (
     EXECUTOR_KINDS,
     STORE_KINDS,
     STORE_TIERS,
-    BuildConfig,
     DatasetConfig,
     QDConfig,
     RFSConfig,
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("--db", required=True)
     p_exp.add_argument("--seed", type=int, default=2006)
-    p_exp.add_argument("--trials", type=int, default=3)
+    p_exp.add_argument("--trials", type=_positive_int, default=3)
     _add_exec_flags(p_exp)
     _add_store_flags(p_exp)
     _add_cache_flags(p_exp)
@@ -287,17 +286,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0 (argparse refuses anything else)."""
+def _int_at_least(text: str, low: int) -> int:
+    """An integer ``>= low`` parsed from ``text``, or the argparse error
+    that makes argparse refuse it (exit 2)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}"
         ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    return _int_at_least(text, 1)
 
 
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
@@ -405,32 +415,9 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
 def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     """Shared offline-build flags (build-rfs/build-store)."""
     parser.add_argument(
-        "--build-executor",
-        choices=EXECUTOR_KINDS,
-        default="serial",
-        help=(
-            "how offline build work runs (the built structure is "
-            "bit-identical across executors)"
-        ),
-    )
-    parser.add_argument(
-        "--build-workers",
-        type=int,
-        default=0,
-        help="worker count for parallel builds (0 = cpu count)",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="print build progress (nodes clustered / total)",
-    )
-
-
-def _build_config_from_args(args: argparse.Namespace) -> BuildConfig:
-    """Build-pipeline config from the ``--build-*`` flags."""
-    return BuildConfig(
-        executor=getattr(args, "build_executor", "serial"),
-        workers=getattr(args, "build_workers", 0),
     )
 
 
@@ -707,7 +694,6 @@ def _cmd_build_rfs(args: argparse.Namespace) -> int:
         RFSConfig(node_max_entries=args.node_max),
         seed=args.seed,
         method=args.method,
-        build=_build_config_from_args(args),
         progress=_progress_printer(args),
     )
     save_rfs(rfs, args.out)
@@ -731,8 +717,7 @@ def _cmd_build_store(args: argparse.Namespace) -> int:
         rfs = RFSStructure.build(
             database.features,
             seed=args.seed,
-            build=_build_config_from_args(args),
-            progress=_progress_printer(args),
+                progress=_progress_printer(args),
         )
     store = FeatureStore.build(rfs)
     store.save(args.out)

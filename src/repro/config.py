@@ -154,42 +154,6 @@ class QDConfig:
             )
 
 
-@dataclass(frozen=True)
-class BuildConfig:
-    """Parameters of the offline RFS build pipeline (see :mod:`repro.exec.pool`).
-
-    The offline build — clustering bulk load plus bottom-up representative
-    selection — fans independent work units (subtree bisections, per-node
-    k-means) over a build executor.  Every node derives its own RNG stream,
-    so the built structure is **bit-identical** across executor kinds and
-    worker counts; these knobs only trade wall-clock time.
-
-    Attributes
-    ----------
-    executor:
-        How build work units are dispatched — ``"serial"`` (in-line, the
-        default), ``"thread"``, or ``"process"`` (fork-based; falls back
-        to threads where fork is unavailable).
-    workers:
-        Worker count for the parallel executors; ``0`` (default) picks
-        the machine's CPU count.  Ignored by the serial executor.
-    """
-
-    executor: str = "serial"
-    workers: int = 0
-
-    def __post_init__(self) -> None:
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigurationError(
-                f"build executor must be one of {EXECUTOR_KINDS}, got "
-                f"{self.executor!r}"
-            )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"build workers must be >= 0 (0 = auto), got {self.workers}"
-            )
-
-
 #: Feature-store backings accepted by the CLI ``--store`` flag (see
 #: :mod:`repro.store`).
 STORE_KINDS: tuple[str, ...] = ("inmem", "memmap")

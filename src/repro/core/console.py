@@ -74,7 +74,8 @@ def run_console_session(
         candidate (e.g. an ASCII thumbnail).
 
     ``input_fn``/``print_fn`` default to the built-ins, resolved at call
-    time so test harnesses can monkeypatch them.
+    time so test harnesses can monkeypatch them.  Input that ends before
+    a round is answered raises :class:`QueryError` naming the round.
     """
     if input_fn is None:
         input_fn = input
@@ -94,9 +95,14 @@ def run_console_session(
             if preview is not None:
                 print_fn(preview(image_id))
         while True:
-            raw = input_fn(
-                "relevant picks (positions, 'all', or empty): "
-            )
+            try:
+                raw = input_fn(
+                    "relevant picks (positions, 'all', or empty): "
+                )
+            except EOFError:
+                raise QueryError(
+                    f"input ended before round {round_no} was answered"
+                ) from None
             try:
                 picks = parse_picks(raw, shown)
                 break

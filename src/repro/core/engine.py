@@ -12,7 +12,6 @@ import time
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from repro.config import (
-    BuildConfig,
     CacheConfig,
     MutationConfig,
     QDConfig,
@@ -100,7 +99,6 @@ class QueryDecompositionEngine:
         io: Optional[DiskAccessCounter] = None,
         store: str = "inmem",
         cache: Optional[CacheConfig] = None,
-        build: Optional[BuildConfig] = None,
         mutations: Optional[MutationConfig] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> "QueryDecompositionEngine":
@@ -118,11 +116,8 @@ class QueryDecompositionEngine:
         cache (see :mod:`repro.cache`) sized by
         :attr:`CacheConfig.capacity_mb` when ``cache.enabled`` is true.
 
-        ``build`` configures the offline pipeline (parallel executor,
-        worker count — see :class:`repro.config.BuildConfig`); the built
-        structure is bit-identical across executors.  ``progress``
-        receives :class:`repro.index.BuildProgress` events so long
-        builds are not silent.
+        ``progress`` receives :class:`repro.index.BuildProgress` events
+        so long builds are not silent.
 
         ``mutations`` enables the generational insert/remove path
         immediately (see :meth:`enable_mutations` and
@@ -133,7 +128,6 @@ class QueryDecompositionEngine:
             rfs_config,
             seed=seed,
             io=io,
-            build=build,
             progress=progress,
         )
         if store != "inmem":

@@ -1,8 +1,8 @@
-"""Parallel execution: one worker pool, used by queries and builds alike.
+"""Parallel execution of queries: one worker pool.
 
 :mod:`repro.exec.pool` is the order-preserving serial / thread / fork
-pool every fan-out in the repo runs on (final-round subqueries, the
-shard router, the offline build's bisect and representative phases).
+pool every fan-out in the repo runs on (final-round subqueries and the
+shard router; the offline build runs on the calling thread).
 :mod:`repro.exec.executors` maps the final-round subqueries over it
 with the determinism guarantee (serial, thread, and process execution
 return bit-identical rankings).

@@ -1,10 +1,9 @@
 """The one worker pool behind every fan-out in the repo.
 
-Final-round subqueries (§3.3), the shard router's scatter and the
-offline build's subtrees all need the same thing: run
-``fn(shared, item)`` per item and get the results back **in item
-order**, so the caller's sequential merge is deterministic and the
-outcome is bit-identical whichever kind ran it.  :class:`WorkerPool` is
+Final-round subqueries (§3.3) and the shard router's scatter both need
+the same thing: run ``fn(shared, item)`` per item and get the results
+back **in item order**, so the caller's sequential merge is
+deterministic and the outcome is bit-identical whichever kind ran it.  :class:`WorkerPool` is
 that ``map``, in three kinds:
 
 ``serial``

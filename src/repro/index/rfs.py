@@ -35,7 +35,7 @@ from typing import (
 
 import numpy as np
 
-from repro.config import BuildConfig, RFSConfig
+from repro.config import RFSConfig
 from repro.errors import (
     ConfigurationError,
     EmptyIndexError,
@@ -56,7 +56,6 @@ import repro.store.kernels  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.cache.result_cache import SubqueryResultCache
-    from repro.exec.pool import WorkerPool
     from repro.store.delta import DeltaView
     from repro.store.feature_store import FeatureStore
 
@@ -83,40 +82,29 @@ def _rep_budget(config: RFSConfig, size: int) -> int:
     return max(1, int(round(config.representative_fraction * size)))
 
 
-@dataclass
-class _RepsPayload:
-    """Fork/thread-shared state for one representative-selection phase.
-
-    A process pool ships this to workers by fork inheritance, so the
-    feature matrix is never pickled.
-    """
-
-    features: np.ndarray
-    config: RFSConfig
-    rng: np.random.Generator
-
-
 def _select_leaf_reps(
-    payload: _RepsPayload, node_ids: Sequence[int], item_ids: np.ndarray
+    features: np.ndarray,
+    config: RFSConfig,
+    rng: np.random.Generator,
+    node_ids: Sequence[int],
+    item_ids: np.ndarray,
 ) -> List[List[int]]:
     """Cluster equal-size leaves together; pick images nearest the
     centres of each.
 
     ``item_ids`` is (B, n): one row of member ids per leaf.  Each
     leaf's randomness comes from ``derive_rng(rng, f"leaf{node_id}")``
-    — a stream addressed by the node, not by execution order or by the
-    leaves it is stacked with — so the result is identical no matter
-    which worker runs the group.
+    — a stream addressed by the node, not by processing order or by the
+    leaves it is stacked with.
     """
-    config = payload.config
     n_leaves, size = item_ids.shape
     target = _rep_budget(config, size)
-    stacked = payload.features[item_ids]
+    stacked = features[item_ids]
     k = min(config.leaf_subclusters, size)
     results = kmeans_stacked(
         stacked,
         k,
-        seeds=[derive_rng(payload.rng, f"leaf{i}") for i in node_ids],
+        seeds=[derive_rng(rng, f"leaf{i}") for i in node_ids],
     )
     every = np.arange(n_leaves)[:, None]
     labels = np.stack([r.labels for r in results])
@@ -142,7 +130,8 @@ def _select_leaf_reps(
 
 
 def _select_inner_reps(
-    payload: _RepsPayload,
+    features: np.ndarray,
+    rng: np.random.Generator,
     node_ids: Sequence[int],
     cand_ids: np.ndarray,
     target: int,
@@ -160,26 +149,16 @@ def _select_inner_reps(
     """
     if target >= cand_ids.shape[1]:
         return [[int(c) for c in row] for row in cand_ids]
-    stacked = payload.features[cand_ids]
+    stacked = features[cand_ids]
     results = kmeans_stacked(
         stacked,
         target,
-        seeds=[derive_rng(payload.rng, f"inner{i}") for i in node_ids],
+        seeds=[derive_rng(rng, f"inner{i}") for i in node_ids],
     )
     return [
         sorted({int(ids[i]) for i in DistanceFilter(feats).nearest(r.centroids)})
         for ids, feats, r in zip(cand_ids, stacked, results)
     ]
-
-
-def _group_reps_task(payload: _RepsPayload, group: tuple) -> List[List[int]]:
-    """One representative-selection work unit — the nodes of one rank,
-    kind and shape, clustered in one stacked k-means: the single pool
-    task of the phase, dispatched on node kind."""
-    kind, node_ids, ids, target = group
-    if kind == "leaf":
-        return _select_leaf_reps(payload, node_ids, ids)
-    return _select_inner_reps(payload, node_ids, ids, target)
 
 
 class RFSNode:
@@ -299,7 +278,7 @@ class RFSStructure:
         # at read time without a global flush.
         self.structure_version = 0
         # JSON-safe description of how the structure was built (method,
-        # point count, executor, …); persisted by serialize.save_rfs.
+        # point count, …); persisted by serialize.save_rfs.
         self.build_meta: dict = {}
         # node_id -> (leaves, stacked lo bounds, stacked hi bounds)
         self._leaf_geometry_cache: Dict[
@@ -513,7 +492,6 @@ class RFSStructure:
         seed: RandomState = None,
         io: Optional[DiskAccessCounter] = None,
         method: str = "rstar",
-        build: Optional[BuildConfig] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> "RFSStructure":
         """Build the RFS structure over an (n, d) feature matrix.
@@ -529,113 +507,82 @@ class RFSStructure:
         Representatives are then selected bottom-up with k-means either
         way.
 
-        ``build`` configures the offline pipeline (executor kind, worker
-        count — see :class:`repro.config.BuildConfig`).
-        Every parallel work unit draws from an RNG stream derived from
-        its node id or tree path, so the built structure is
-        **bit-identical** across executor kinds and worker counts.
+        Every split and every node's k-means draws from an RNG stream
+        derived from its tree path or node id, so the built structure is
+        a pure function of the features, the config and the seed.
         ``progress`` receives :class:`BuildProgress` events as the build
         advances.
         """
         matrix = check_vectors("features", features)
         cfg = config or RFSConfig()
-        build_cfg = build or BuildConfig()
         rng = ensure_rng(seed)
         counter = io if io is not None else DiskAccessCounter()
         metrics = get_metrics()
 
-        # Imported here: repro.exec's package import reaches this module.
-        from repro.exec.pool import WorkerPool
-
-        executor = WorkerPool(
-            build_cfg.executor, build_cfg.workers, name="qd-build"
-        )
-        try:
-            with get_tracer().span(
-                "rfs_build",
-                method=method,
-                n_points=matrix.shape[0],
-                executor=build_cfg.executor,
-            ):
-                nodes: Dict[int, RFSNode] = {}
-                if progress is not None:
-                    progress(BuildProgress("cluster_tree", 0, 1))
-                t0 = time.perf_counter()
-                with get_tracer().span("build_tree"):
-                    if method == "rstar":
-                        tree = RStarTree(
-                            dims=matrix.shape[1],
-                            max_entries=cfg.node_max_entries,
-                        )
-                        levels = tree.bisect_levels(
-                            matrix,
-                            seed=derive_rng(rng, "bulkload"),
-                            executor=executor,
-                        )
-                        root = cls._nodes_from_levels(
-                            levels, matrix, nodes
-                        )
-                        build_meta = {
-                            "method": "bisect",
-                            "n_points": int(matrix.shape[0]),
-                        }
-                    elif method == "hkmeans":
-                        from repro.index.hierarchies import (
-                            build_hkmeans_hierarchy,
-                        )
-
-                        root = build_hkmeans_hierarchy(
-                            matrix,
-                            cfg,
-                            nodes,
-                            seed=derive_rng(rng, "hkmeans"),
-                        )
-                        build_meta = {
-                            "method": "hkmeans",
-                            "n_points": int(matrix.shape[0]),
-                        }
-                    else:
-                        raise ConfigurationError(
-                            f"unknown hierarchy method {method!r}; "
-                            "use 'rstar' or 'hkmeans'"
-                        )
-                build_labels = {"executor": build_cfg.executor}
-                metrics.histogram(
-                    "qd_build_tree_seconds",
-                    "hierarchical clustering (tree) phase wall time",
-                    labels=build_labels,
-                ).observe(time.perf_counter() - t0)
-                if progress is not None:
-                    progress(BuildProgress("cluster_tree", 1, 1))
-                structure = cls(matrix, root, nodes, cfg, counter)
-                build_meta["executor"] = build_cfg.executor
-                structure.build_meta = build_meta
-                t1 = time.perf_counter()
-                with get_tracer().span(
-                    "select_representatives", nodes=len(nodes)
-                ):
-                    structure._select_representatives(
-                        derive_rng(rng, "reps"),
-                        executor=executor,
-                        progress=progress,
+        with get_tracer().span(
+            "rfs_build", method=method, n_points=matrix.shape[0]
+        ):
+            nodes: Dict[int, RFSNode] = {}
+            if progress is not None:
+                progress(BuildProgress("cluster_tree", 0, 1))
+            t0 = time.perf_counter()
+            with get_tracer().span("build_tree"):
+                if method == "rstar":
+                    tree = RStarTree(
+                        dims=matrix.shape[1],
+                        max_entries=cfg.node_max_entries,
                     )
-                metrics.histogram(
-                    "qd_build_reps_seconds",
-                    "representative selection phase wall time",
-                    labels=build_labels,
-                ).observe(time.perf_counter() - t1)
-                metrics.counter(
-                    "qd_builds_total",
-                    "offline RFS builds",
-                    labels=build_labels,
-                ).inc()
-                metrics.counter(
-                    "qd_build_nodes_total",
-                    "RFS nodes built",
-                    labels=build_labels,
-                ).inc(len(nodes))
-        finally:
-            executor.close()
+                    levels = tree.bisect_levels(
+                        matrix, seed=derive_rng(rng, "bulkload")
+                    )
+                    root = cls._nodes_from_levels(levels, matrix, nodes)
+                    build_meta = {
+                        "method": "bisect",
+                        "n_points": int(matrix.shape[0]),
+                    }
+                elif method == "hkmeans":
+                    from repro.index.hierarchies import (
+                        build_hkmeans_hierarchy,
+                    )
+
+                    root = build_hkmeans_hierarchy(
+                        matrix,
+                        cfg,
+                        nodes,
+                        seed=derive_rng(rng, "hkmeans"),
+                    )
+                    build_meta = {
+                        "method": "hkmeans",
+                        "n_points": int(matrix.shape[0]),
+                    }
+                else:
+                    raise ConfigurationError(
+                        f"unknown hierarchy method {method!r}; "
+                        "use 'rstar' or 'hkmeans'"
+                    )
+            metrics.histogram(
+                "qd_build_tree_seconds",
+                "hierarchical clustering (tree) phase wall time",
+            ).observe(time.perf_counter() - t0)
+            if progress is not None:
+                progress(BuildProgress("cluster_tree", 1, 1))
+            structure = cls(matrix, root, nodes, cfg, counter)
+            structure.build_meta = build_meta
+            t1 = time.perf_counter()
+            with get_tracer().span(
+                "select_representatives", nodes=len(nodes)
+            ):
+                structure._select_representatives(
+                    derive_rng(rng, "reps"), progress=progress
+                )
+            metrics.histogram(
+                "qd_build_reps_seconds",
+                "representative selection phase wall time",
+            ).observe(time.perf_counter() - t1)
+            metrics.counter("qd_builds_total", "offline RFS builds").inc()
+            metrics.counter(
+                "qd_build_nodes_total", "RFS nodes built"
+            ).inc(len(nodes))
         return structure
 
     @staticmethod
@@ -684,7 +631,6 @@ class RFSStructure:
         self,
         rng: np.random.Generator,
         *,
-        executor: "WorkerPool",
         progress: Optional[ProgressCallback] = None,
     ) -> None:
         """Bottom-up k-means representative selection (paper §3.1).
@@ -694,10 +640,9 @@ class RFSStructure:
         node only reads its *children's* finished representatives).  A
         rank's nodes are grouped by kind and shape — leaves by size,
         inner nodes by candidate count and target — and each group is
-        one stacked k-means and one task of ``executor``.  Results are
-        applied — and ``progress`` emitted — in serial post-order;
-        per-node derived RNG streams make the outcome identical across
-        executors and groupings.
+        one stacked k-means.  Results are applied — and ``progress``
+        emitted — in post-order; per-node derived RNG streams make the
+        outcome independent of the grouping.
         """
         order = list(self._post_order(self.root))
         total = len(order)
@@ -714,11 +659,6 @@ class RFSStructure:
             )
             rank[node.node_id] = r
             by_rank.setdefault(r, []).append(node)
-        payload = _RepsPayload(
-            features=self.features,
-            config=self.config,
-            rng=rng,
-        )
         done = 0
         for r in sorted(by_rank):
             batch = by_rank[r]
@@ -745,14 +685,17 @@ class RFSStructure:
                 members, rows = groups.setdefault(key, ([], []))
                 members.append(node.node_id)
                 rows.append(ids)
-            items = [
-                (kind, node_ids, np.stack(rows), target)
-                for (kind, _, target), (node_ids, rows) in groups.items()
-            ]
             chosen: Dict[int, List[int]] = {}
-            for (_, node_ids, _, _), picked in zip(
-                items, executor.map(_group_reps_task, items, payload)
-            ):
+            for (kind, _, target), (node_ids, rows) in groups.items():
+                ids = np.stack(rows)
+                if kind == "leaf":
+                    picked = _select_leaf_reps(
+                        self.features, self.config, rng, node_ids, ids
+                    )
+                else:
+                    picked = _select_inner_reps(
+                        self.features, rng, node_ids, ids, target
+                    )
                 chosen.update(zip(node_ids, picked))
             for node in batch:
                 reps = chosen[node.node_id]

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Iterator,
     List,
@@ -40,9 +38,6 @@ from repro.index.diskmodel import DiskAccessCounter
 from repro.index.geometry import MBR
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
 from repro.utils.validation import check_vectors
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec.pool import WorkerPool
 
 
 class Entry:
@@ -205,8 +200,6 @@ class RStarTree:
         self,
         points: np.ndarray,
         seed: RandomState = None,
-        *,
-        executor: Optional["WorkerPool"] = None,
     ) -> List["BisectLevel"]:
         """The partition :meth:`bulk_load` builds its nodes from.
 
@@ -222,7 +215,6 @@ class RStarTree:
             self.max_entries,
             self.split_min_entries,
             ensure_rng(seed),
-            executor,
         )
 
     def bulk_load(
@@ -230,8 +222,6 @@ class RStarTree:
         points: np.ndarray,
         item_ids: Optional[Sequence[int]] = None,
         seed: RandomState = None,
-        *,
-        executor: Optional["WorkerPool"] = None,
     ) -> None:
         """Replace the tree contents with a clustering bulk load.
 
@@ -243,17 +233,10 @@ class RStarTree:
 
         Every split draws its randomness from a stream derived from the
         split's tree path (``derive_rng(rng, "L0ll...")``), so the
-        partition is a pure function of the seed and the data.  With a
-        thread or process ``executor`` (a serial one takes the plain
-        recursion), independent subtrees after each split are bisected
-        in parallel: point sets at or below
-        :data:`INLINE_BISECT_THRESHOLD` recurse in-line inside one task,
-        larger ones split once and re-enter the task queue.  The
-        resulting groups — and hence the tree — are bit-identical to the
-        serial build.
+        partition is a pure function of the seed and the data.
         """
         pts, ids = self._bulk_input(points, item_ids)
-        levels = self.bisect_levels(pts, seed, executor=executor)
+        levels = self.bisect_levels(pts, seed)
         nodes = self._leaves_of(levels[0].groups, pts, ids)
         below = levels[0]
         for level, above in enumerate(levels[1:], start=1):
@@ -464,13 +447,6 @@ def _str_tile(
     return out
 
 
-#: Point-set size at or below which a parallel bisection task recurses
-#: in-line instead of splitting off children for the pool: small
-#: subtrees are cheaper to finish locally than to re-dispatch.  Read at
-#: call time, so a forked worker sees the value its parent had.
-INLINE_BISECT_THRESHOLD = 4096
-
-
 class BisectLevel(NamedTuple):
     """One level of a clustering bulk load's partition.
 
@@ -489,29 +465,15 @@ def _bisect_levels(
     group_max: int,
     group_min: int,
     rng: np.random.Generator,
-    executor: Optional["WorkerPool"],
 ) -> List[BisectLevel]:
     """Partition ``points`` bottom-up into the levels of a tree.
 
-    Points are bisected into leaf groups (on ``executor`` when it is a
-    parallel one and the input is large enough to feed it); every upper
-    level bisects the box centres of the level below.  Those levels
-    shrink by ~``group_max`` per step, so they stay serial.
+    Points are bisected into leaf groups; every upper level bisects the
+    box centres of the level below.
     """
-    n = points.shape[0]
-    everything = np.arange(n)
-    if (
-        executor is not None
-        and executor.kind != "serial"
-        and n > INLINE_BISECT_THRESHOLD
-    ):
-        groups = _balanced_bisect_parallel(
-            points, everything, group_max, group_min, rng, executor, "L0"
-        )
-    else:
-        groups = _balanced_bisect(
-            points, everything, group_max, group_min, rng, "L0"
-        )
+    groups = _balanced_bisect(
+        points, np.arange(points.shape[0]), group_max, group_min, rng, "L0"
+    )
     # Bounds of the members being grouped: at level 0 a point is its own
     # box, above that the boxes of the level below.
     lows = highs = points
@@ -618,8 +580,8 @@ def _balanced_bisect(
 
     Every split uses ``derive_rng(rng, path)`` — a stream addressed by
     the split's position in the recursion tree, never the shared parent
-    sequence — so any subset of splits can run in any order (or another
-    process) and still produce this exact partition.
+    sequence — so the partition does not depend on the order the splits
+    run in.
     """
     if indices.shape[0] <= group_max:
         return [indices]
@@ -635,89 +597,3 @@ def _balanced_bisect(
         )
     )
     return out
-
-
-@dataclass
-class _BisectPayload:
-    """Fork/thread-shared state for one parallel bisect phase."""
-
-    points: np.ndarray
-    group_max: int
-    group_min: int
-    rng: np.random.Generator
-
-
-def _bisect_task(
-    payload: _BisectPayload, item: Tuple[np.ndarray, str]
-) -> List[Tuple[np.ndarray, Optional[str]]]:
-    """One parallel bisect step.
-
-    Small point sets recurse fully in-line (path ``None`` marks a
-    finished group); large ones split once and hand both halves back to
-    the frontier.  Derived RNG streams make the output independent of
-    which worker ran the task.
-    """
-    indices, path = item
-    if indices.shape[0] <= payload.group_max:
-        return [(indices, None)]
-    if indices.shape[0] <= INLINE_BISECT_THRESHOLD:
-        groups = _balanced_bisect(
-            payload.points,
-            indices,
-            payload.group_max,
-            payload.group_min,
-            payload.rng,
-            path,
-        )
-        return [(group, None) for group in groups]
-    left, right = _split_once(
-        payload.points,
-        indices,
-        payload.group_min,
-        derive_rng(payload.rng, path),
-    )
-    return [(left, path + "l"), (right, path + "r")]
-
-
-def _balanced_bisect_parallel(
-    all_points: np.ndarray,
-    indices: np.ndarray,
-    group_max: int,
-    group_min: int,
-    rng: np.random.Generator,
-    executor: "WorkerPool",
-    path: str,
-) -> List[np.ndarray]:
-    """Frontier-parallel :func:`_balanced_bisect` — identical output.
-
-    Maintains the work list in serial DFS order and splices each task's
-    results back in place, so the final group order matches the serial
-    recursion exactly; the path-derived RNG streams make each split's
-    outcome order-independent.
-    """
-    payload = _BisectPayload(all_points, group_max, group_min, rng)
-    # (finished, indices, path) in DFS order; unfinished entries are
-    # re-submitted each round until everything is a leaf group.
-    entries: List[Tuple[bool, np.ndarray, Optional[str]]] = [
-        (False, indices, path)
-    ]
-    while True:
-        pending = [
-            (idx, pth)
-            for finished, idx, pth in entries
-            if not finished and pth is not None
-        ]
-        if not pending:
-            break
-        results = iter(executor.map(_bisect_task, pending, payload))
-        spliced: List[Tuple[bool, np.ndarray, Optional[str]]] = []
-        for finished, idx, pth in entries:
-            if finished:
-                spliced.append((finished, idx, pth))
-            else:
-                for sub_indices, sub_path in next(results):
-                    spliced.append(
-                        (sub_path is None, sub_indices, sub_path)
-                    )
-        entries = spliced
-    return [idx for _, idx, _ in entries]

@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 import numpy as np
 
 from repro.config import (
-    BuildConfig,
     CacheConfig,
     MutationConfig,
     QDConfig,
@@ -382,7 +381,6 @@ class ShardedEngine(QueryDecompositionEngine):
         io: Optional[DiskAccessCounter] = None,
         store: str = "inmem",
         cache: Optional[CacheConfig] = None,
-        build: Optional[BuildConfig] = None,
         mutations: Optional[MutationConfig] = None,
         progress: Optional["ProgressCallback"] = None,
     ) -> "ShardedEngine":
@@ -400,7 +398,6 @@ class ShardedEngine(QueryDecompositionEngine):
             rfs_config,
             seed=seed,
             io=io,
-            build=build,
             progress=progress,
         )
         if store != "inmem":

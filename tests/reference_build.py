@@ -232,7 +232,7 @@ def structure_digest(rfs) -> str:
     node id, level, child order, parent, representatives, routing, the
     bytes of ``item_ids`` / centre / box bounds, then the root id, the
     registry's key order and ``build_meta`` — except its ``executor``
-    entry, the one field allowed to differ between executor kinds.
+    entry, which only files written by older builds carry.
     """
     h = hashlib.sha256()
 
@@ -253,6 +253,9 @@ def structure_digest(rfs) -> str:
             put(str(arr.dtype), arr.shape)
             h.update(np.ascontiguousarray(arr).tobytes())
     put(int(rfs.root.node_id), [int(i) for i in rfs.nodes])
+    # Index files written while the build had an executor option carry
+    # an ``executor`` entry; a build today writes none, and both digest
+    # alike.
     meta = {k: v for k, v in rfs.build_meta.items() if k != "executor"}
     put(json.dumps(meta, sort_keys=True))
     return h.hexdigest()

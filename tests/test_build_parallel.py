@@ -1,14 +1,13 @@
-"""Offline build pipeline: executor parity and vectorized-kernel
+"""Offline build pipeline: structure digests and vectorized-kernel
 equivalence.
 
 The build pipeline's contract is stronger than "same quality": the
-structure produced by a parallel build must be **bit-identical** to the
-serial build — same node ids, same member sets, same bounding boxes,
-same representatives — because every downstream result (rankings,
-caches, serialized indexes) is keyed off it.  These tests pin that
-contract across the thread and process executors, and pin the
-vectorized Lloyd's-iteration kernels to their naive reference
-implementations sample-for-sample.  The references — and the build
+built structure must be **bit-identical** to the one recorded — same
+node ids, same member sets, same bounding boxes, same representatives —
+because every downstream result (rankings, caches, serialized indexes)
+is keyed off it.  These tests pin that contract with structure digests,
+and pin the vectorized Lloyd's-iteration kernels to their naive
+reference implementations sample-for-sample.  The references — and the build
 kernels as they were before they stopped computing what they could
 prove — live in ``tests/reference_build.py``; the structure digests
 below were generated on the last commit that ran them (7d9c120).
@@ -33,17 +32,13 @@ from repro.clustering.kmeans import (
     kmeans,
     kmeans_stacked,
 )
-from repro.config import BuildConfig, MutationConfig, RFSConfig
+from repro.config import MutationConfig, RFSConfig
 from repro.datasets.build import build_synthetic_database
-from repro.errors import ConfigurationError
-from repro.exec.pool import WorkerPool
-from repro.index import rstar
 from repro.index.generations import GenerationController, generation_seed
 from repro.index.geometry import MBR
 from repro.index.rfs import BuildProgress, RFSStructure
 from repro.index.rstar import RStarTree, _split_once
 from repro.index.serialize import load_rfs, save_rfs
-from repro.retrieval.multipoint import MultipointQuery
 from repro.utils.rng import derive_rng, ensure_rng
 from tests.reference_build import (
     assign_naive,
@@ -66,14 +61,6 @@ DIMS = 16
 CFG = RFSConfig(
     node_max_entries=40, leaf_subclusters=3
 )
-
-
-@pytest.fixture(autouse=True)
-def _small_inline_threshold(monkeypatch):
-    # Small threshold so the 600-point bulk load actually exercises the
-    # parallel bisect frontier, not just the in-line fallback.  A forked
-    # process build inherits the patched module value.
-    monkeypatch.setattr(rstar, "INLINE_BISECT_THRESHOLD", 64)
 
 
 def _features(seed=0, n=N_IMAGES, d=DIMS):
@@ -103,95 +90,6 @@ def _signature(rfs):
 
 
 # ----------------------------------------------------------------------
-# Executor parity (gated no-skip in scripts/check.sh)
-# ----------------------------------------------------------------------
-class TestBuildParity:
-    @pytest.mark.parametrize("seed", [7, 2006])
-    def test_thread_build_identical_to_serial(self, seed):
-        feats = _features(seed)
-        serial = RFSStructure.build(feats, CFG, seed=seed)
-        threaded = RFSStructure.build(
-            feats,
-            CFG,
-            seed=seed,
-            build=BuildConfig(executor="thread", workers=4),
-        )
-        assert _signature(serial) == _signature(threaded)
-
-    def test_process_build_identical_to_serial(self):
-        feats = _features(7)
-        serial = RFSStructure.build(feats, CFG, seed=7)
-        forked = RFSStructure.build(
-            feats,
-            CFG,
-            seed=7,
-            build=BuildConfig(executor="process", workers=4),
-        )
-        assert _signature(serial) == _signature(forked)
-
-    def test_worker_count_does_not_change_tree(self):
-        feats = _features(3)
-        builds = [
-            RFSStructure.build(
-                feats,
-                CFG,
-                seed=3,
-                build=BuildConfig(executor="thread", workers=w),
-            )
-            for w in (1, 2, 4)
-        ]
-        first = _signature(builds[0])
-        assert all(_signature(b) == first for b in builds[1:])
-
-    def test_hkmeans_thread_build_identical_to_serial(self):
-        feats = _features(5)
-        serial = RFSStructure.build(feats, CFG, seed=5, method="hkmeans")
-        threaded = RFSStructure.build(
-            feats,
-            CFG,
-            seed=5,
-            method="hkmeans",
-            build=BuildConfig(executor="thread", workers=4),
-        )
-        assert _signature(serial) == _signature(threaded)
-
-    def test_query_results_identical_after_parallel_build(self):
-        feats = _features(11)
-        serial = RFSStructure.build(feats, CFG, seed=11)
-        threaded = RFSStructure.build(
-            feats,
-            CFG,
-            seed=11,
-            build=BuildConfig(executor="thread", workers=4),
-        )
-        centroid = MultipointQuery(feats[:4]).centroid()
-        assert serial.localized_knn(
-            serial.root, centroid, 25
-        ) == threaded.localized_knn(threaded.root, centroid, 25)
-
-
-class TestBisectParity:
-    def test_parallel_bulk_load_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(rstar, "INLINE_BISECT_THRESHOLD", 100)
-        pts = _features(21, n=900, d=8)
-        trees = []
-        for executor in (None, WorkerPool("thread", 4)):
-            tree = RStarTree(dims=8, max_entries=40)
-            tree.bulk_load(pts, seed=9, executor=executor)
-            if executor is not None:
-                executor.close()
-            trees.append(tree)
-
-        def leaf_groups(tree):
-            return [
-                tuple(sorted(e.item_id for e in leaf.entries))
-                for leaf in tree.iter_leaves()
-            ]
-
-        assert leaf_groups(trees[0]) == leaf_groups(trees[1])
-
-
-# ----------------------------------------------------------------------
 # The build is the parent commit's build, digest for digest
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
@@ -199,51 +97,43 @@ def _synthetic(n):
     return build_synthetic_database(n, n_categories=150, seed=2006).features
 
 
-#: (n, seed, config, method, BuildConfig extras) -> structure digest of
+#: (n, seed, config, method) -> structure digest of
 #: ``RFSStructure.build`` on commit 7d9c120, the last one whose build
 #: went through ``RStarTree.bulk_load`` + ``_materialise`` and drew
 #: k-means++ picks through ``Generator.choice``.
 PARENT_DIGESTS = {
     "default-777": (
-        (777, 3, None, "rstar", {}),
+        (777, 3, None, "rstar"),
         "6b3882268be43535933bf1e72e0f4edde10e3b302200784d3f906c9f4ac5f2e3",
     ),
     "default-2000": (
-        (2000, 1, None, "rstar", {}),
+        (2000, 1, None, "rstar"),
         "29d89b6418486f4d5ef1f34a67517bf678fa00c4ae9393202a4139c270a56f28",
     ),
     "default-5000": (
-        (5000, 2, None, "rstar", {}),
+        (5000, 2, None, "rstar"),
         "e4cb828debe314905a544bb7048513309366bba33fa7e075212d58ecb51945ba",
     ),
     "hkmeans-2000": (
-        (2000, 1, None, "hkmeans", {}),
+        (2000, 1, None, "hkmeans"),
         "5ac0914ed22017474c23e4148bfdb8fead94f373b715ae258db9ec1c39684964",
     ),
     "small-capacity-2000": (
-        (2000, 1, CFG, "rstar", {}),
+        (2000, 1, CFG, "rstar"),
         "a125b87f1862be78e3f49f6226e861958d331bac6fc60de87845fe2b6bf788fb",
     ),
 }
 
 
 class TestBuildDigestParity:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     @pytest.mark.parametrize("case", sorted(PARENT_DIGESTS))
-    def test_digest_equals_parent_commit(
-        self, case, executor, monkeypatch
-    ):
-        (n, seed, config, method, extras), want = PARENT_DIGESTS[case]
-        if executor != "serial":
-            # Two workers, and a threshold the 2000-point cases cross.
-            extras = dict(extras, executor=executor, workers=2)
-            monkeypatch.setattr(rstar, "INLINE_BISECT_THRESHOLD", 512)
+    def test_digest_equals_parent_commit(self, case):
+        (n, seed, config, method), want = PARENT_DIGESTS[case]
         rfs = RFSStructure.build(
-            _synthetic(n), config, seed=seed, method=method,
-            build=BuildConfig(**extras),
+            _synthetic(n), config, seed=seed, method=method
         )
         assert structure_digest(rfs) == want
-        assert rfs.build_meta["executor"] == executor
+        assert "executor" not in rfs.build_meta
 
     def test_build_makes_no_per_point_boxes(self, monkeypatch):
         def from_point(cls, point):
@@ -863,7 +753,7 @@ class TestEmptyClusterRepair:
 
 
 # ----------------------------------------------------------------------
-# Build metadata, progress events, config validation
+# Build metadata and progress events
 # ----------------------------------------------------------------------
 class TestBuildMeta:
     def test_build_meta_json_safe_and_persisted(self, tmp_path):
@@ -876,6 +766,22 @@ class TestBuildMeta:
         save_rfs(rfs, path)
         restored = load_rfs(path, feats)
         assert restored.build_meta == rfs.build_meta
+
+    def test_file_with_an_executor_entry_still_loads(self, tmp_path):
+        # Index files written while the build still had an executor
+        # option record it in build_meta; they load unchanged and hold
+        # the tree a build makes today.  Both sides go through a file:
+        # loading lists the registry root first.
+        feats = _features(17)
+        old = RFSStructure.build(feats, CFG, seed=17)
+        old.build_meta = dict(old.build_meta, executor="process")
+        save_rfs(old, tmp_path / "old.npz")
+        save_rfs(RFSStructure.build(feats, CFG, seed=17), tmp_path / "new.npz")
+        restored = load_rfs(tmp_path / "old.npz", feats)
+        fresh = load_rfs(tmp_path / "new.npz", feats)
+        assert restored.build_meta["executor"] == "process"
+        assert "executor" not in fresh.build_meta
+        assert structure_digest(restored) == structure_digest(fresh)
 
     def test_str_bulk_load_records_plain_int_sort_dims(self):
         pts = _features(19, n=300, d=6)
@@ -899,26 +805,3 @@ class TestBuildProgress:
         reps = [e for e in events if e.phase == "representatives"]
         assert [e.done for e in reps] == list(range(1, len(rfs.nodes) + 1))
         assert all(e.total == len(rfs.nodes) for e in reps)
-
-    def test_progress_emitted_from_parallel_build_too(self):
-        feats = _features(23)
-        events = []
-        rfs = RFSStructure.build(
-            feats,
-            CFG,
-            seed=23,
-            build=BuildConfig(executor="thread", workers=4),
-            progress=events.append,
-        )
-        reps = [e for e in events if e.phase == "representatives"]
-        assert [e.done for e in reps] == list(range(1, len(rfs.nodes) + 1))
-
-
-class TestBuildConfigValidation:
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ConfigurationError):
-            BuildConfig(executor="gpu")
-
-    def test_rejects_negative_workers(self):
-        with pytest.raises(ConfigurationError):
-            BuildConfig(workers=-1)

@@ -53,6 +53,40 @@ class TestExperimentSubcommands:
         ]) == 0
         assert "final result" in capsys.readouterr().out
 
+    def test_interactive_end_of_input_is_one_error_line(
+        self, db_path, capsys, monkeypatch
+    ):
+        replies = iter(["all"])
+
+        def scripted(prompt=""):
+            try:
+                return next(replies)
+            except StopIteration:
+                raise EOFError from None
+
+        monkeypatch.setattr("builtins.input", scripted)
+        assert cli_main([
+            "interactive", "--db", str(db_path), "--k", "10",
+            "--rounds", "3", "--screens", "1", "--seed", "5",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: input ended before round 2 was answered"
+        ]
+
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_is_a_usage_error(
+        self, db_path, capsys, name, trials
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([
+                "experiment", name, "--db", str(db_path),
+                "--trials", trials,
+            ])
+        assert exc.value.code == 2
+        assert "--trials: must be >= 1" in capsys.readouterr().err
+
 
 class TestEngineHelpers:
     def test_screens_for_round_int(self):

@@ -139,7 +139,6 @@ SETTABLE_SURFACE = {
         "boundary_threshold", "display_size", "max_rounds", "executor",
         "workers",
     ],
-    "BuildConfig": ["executor", "workers"],
     "CacheConfig": ["enabled", "capacity_mb"],
     "ServeConfig": [
         "workers", "queue_limit", "default_deadline_s", "drain_timeout_s",
@@ -153,17 +152,25 @@ SETTABLE_SURFACE = {
         "per_category", "per_category_logical", "_buffer", "_lock",
     ],
     "RStarTree": ["dims", "max_entries", "io"],
+    # The offline build runs on the calling thread: no executor or
+    # worker count is settable anywhere from the engines down to the
+    # bisect.
+    "RStarTree.bisect_levels": ["points", "seed"],
+    "RStarTree.bulk_load": ["points", "item_ids", "seed"],
+    "RFSStructure.build": [
+        "features", "config", "seed", "io", "method", "progress",
+    ],
     "kmeans": ["data", "k", "seed", "n_restarts", "max_iter", "tol"],
     "KMeans": ["k", "seed", "n_restarts", "max_iter", "tol"],
     "FeatureStore.build": ["rfs"],
     "QueryDecompositionEngine.build": [
         "database", "rfs_config", "qd_config", "seed", "io", "store",
-        "cache", "build", "mutations", "progress",
+        "cache", "mutations", "progress",
     ],
     "ShardedEngine.build": [
         "database", "rfs_config", "qd_config", "shards", "partition",
         "parallel_fanout", "seed", "io", "store", "cache",
-        "build", "mutations", "progress",
+        "mutations", "progress",
     ],
     # The final round ranks by one metric, plain Euclidean distance
     # over the feature vector: no per-dimension weights are settable
@@ -189,6 +196,9 @@ _SIGNATURES = {
     "FeatureStore.build": FeatureStore.build,
     "QueryDecompositionEngine.build": QueryDecompositionEngine.build,
     "RStarTree": RStarTree,
+    "RStarTree.bisect_levels": RStarTree.bisect_levels,
+    "RStarTree.bulk_load": RStarTree.bulk_load,
+    "RFSStructure.build": RFSStructure.build,
     "ShardedEngine.build": ShardedEngine.build,
     "FeedbackSession.finalize": FeedbackSession.finalize,
     "execute_final_round": execute_final_round,
@@ -231,6 +241,21 @@ class TestSettableSurface:
     def test_build_store_flags_are_pinned(self):
         assert _command_flags("build-store") == BUILD_STORE_FLAGS
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-rfs", "--db", "db.npz", "--out", "rfs.npz",
+             "--build-executor", "thread"],
+            ["build-store", "--db", "db.npz", "--out", "store",
+             "--build-workers", "2"],
+        ],
+        ids=["build-executor", "build-workers"],
+    )
+    def test_removed_build_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_store_tiers_are_pinned(self):
         # Every scan reads the exact float32 rows: one tier.
         assert config.STORE_TIERS == ("f32",)
@@ -256,14 +281,12 @@ def _command_flags(command):
 
 #: ``repro-cbir build-rfs``'s options, by destination.
 BUILD_RFS_FLAGS = [
-    "db", "out", "seed", "node_max", "method", "build_executor",
-    "build_workers", "progress",
+    "db", "out", "seed", "node_max", "method", "progress",
 ]
 
 #: ``repro-cbir build-store``'s options, by destination.
 BUILD_STORE_FLAGS = [
-    "db", "rfs", "out", "tier", "seed", "build_executor", "build_workers",
-    "progress",
+    "db", "rfs", "out", "tier", "seed", "progress",
 ]
 
 #: A value other than the default for every ``RFSConfig`` field.  A new
