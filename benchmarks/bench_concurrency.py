@@ -11,8 +11,6 @@ work: QD pays only the final localized k-NNs; a traditional deployment
 pays one global k-NN per feedback round per session.
 """
 
-from repro.config import QDConfig
-from repro.core.engine import QueryDecompositionEngine
 from repro.eval.workload import (
     WorkloadSpec,
     generate_workload,
@@ -48,49 +46,3 @@ def test_concurrent_user_capacity(benchmark, paper_engine, report):
         result.qd_server_page_reads
         < result.traditional_server_page_reads
     )
-
-
-def test_concurrent_user_capacity_threaded(
-    benchmark, paper_engine, report
-):
-    """Same workload replayed through the thread-pool executor.
-
-    The executor changes where the final-round subqueries run, not what
-    they compute — so session counts and page-read accounting must match
-    the serial replay exactly, at full workload scale.
-    """
-    serial_engine = paper_engine
-    threaded_engine = QueryDecompositionEngine(
-        serial_engine.database,
-        serial_engine.rfs,
-        QDConfig(executor="thread", workers=4),
-    )
-    workload = generate_workload(
-        serial_engine.database,
-        WorkloadSpec(n_queries=60, max_targets=3, zipf_s=1.0),
-        seed=2006,
-    )
-
-    serial_result = simulate_concurrent_users(
-        serial_engine, workload, seed=2006
-    )
-    with threaded_engine:
-        threaded_result = benchmark.pedantic(
-            lambda: simulate_concurrent_users(
-                threaded_engine, workload, seed=2006
-            ),
-            rounds=1,
-            iterations=1,
-        )
-    report(
-        "Threaded replay parity: "
-        f"{threaded_result.n_sessions} sessions, "
-        f"{threaded_result.qd_server_page_reads} page reads "
-        f"(serial: {serial_result.qd_server_page_reads})"
-    )
-    assert threaded_result.n_sessions == serial_result.n_sessions
-    assert (
-        threaded_result.qd_server_page_reads
-        == serial_result.qd_server_page_reads
-    )
-    assert threaded_result.throughput_multiplier > 3

@@ -181,8 +181,7 @@ def _run_baseline(engine, plans, p, labels) -> Tuple[float, Dict[str, list]]:
     start = time.perf_counter()
     for plan in plans:
         session = FeedbackSession(
-            engine.rfs, engine.config, seed=plan.seed,
-            executor=engine.executor, session_id=plan.sid,
+            engine.rfs, engine.config, seed=plan.seed, session_id=plan.sid,
         )
         mark = _mark_fn(labels, plan.category)
         rounds = plan.abandon_after or p["rounds"]

@@ -147,17 +147,35 @@ forbid "nothing in the index or the clustering sleeps" -- \
 # The offline build runs on the calling thread, the serial path being
 # the reference: no build executor, worker count or frontier-parallel
 # bisect is settable or defined, and the index and the clustering use
-# no worker pool.  (The query side's repro.exec.build_executor factory
-# is not a build setting, so the CLI dest is matched as args.NAME.)
+# no worker pool.
 forbid "the offline build runs on the calling thread: no build executor" \
     "or worker setting, no parallel bisect or selection task" -- \
-    -nE -e 'BuildConfig|args\.build_executor|args, "build_executor"' \
+    -nE -e 'BuildConfig|build_executor' \
     -e 'build-executor|build_workers|build-workers' \
     -e 'INLINE_BISECT_THRESHOLD|_bisect_task|_BisectPayload' \
     -e '_RepsPayload|_group_reps_task|_balanced_bisect_parallel' \
     -- src/ benchmarks/
 forbid "the index and the clustering import nothing from repro.exec" -- \
     -n 'repro\.exec' -- src/repro/index src/repro/clustering
+# The final round runs its subqueries on the calling thread, through
+# SerialSubqueryExecutor.run_subqueries once per finalize: the thread
+# and process subquery executors lost to it on every row of their
+# verdict (docs/ARCHITECTURE.md, "Query executor kinds") and were
+# deleted with the executor settings and the fork pool.  So no executor
+# argument, property or one-valued label comes back from the engine
+# down to the merge, and nothing ships spans, metrics or disk-access
+# deltas home from a child process or keys a fork snapshot on an
+# epoch.  -w keeps SerialSubqueryExecutor and merge_delta_ranked legal.
+forbid "the final round runs on the calling thread: no subquery" \
+    "executor kinds or settings, no fork pool or grafting" -- \
+    -nwE -e 'ThreadedSubqueryExecutor|ProcessSubqueryExecutor' \
+    -e 'SubqueryExecutor|resolve_executor|EXECUTOR_KINDS' \
+    -e 'fork_available|_adopt_shared|_process_entry|_graft|_fork_key' \
+    -e 'mutation_epoch|span_from_dict|to_payload|merge_payload' \
+    -e 'merge_state|delta_marker|delta_since|merge_delta' \
+    -e 'ProcessPoolExecutor|multiprocessing' -- src/
+forbid "no executor argument, property or label in src/" -- \
+    -nE -e 'executor=|\.executor\b|"executor"' -- src/
 forbid "encode_state() is called only under src/repro/sessionstore/" -- \
     -n 'encode_state(' -- src/ ':!src/repro/sessionstore/'
 # The final round ranks by one metric, plain Euclidean distance (the
@@ -280,22 +298,21 @@ run_gate "cache invalidation" tests/test_cache.py Invalidation
 run_gate "build parity" tests/test_build_parallel.py Parity \
     TestBuildDigestParity TestKernelReferenceParity
 # A session checkpointed after any round and resumed — even by a fresh
-# process — continues bit-identically, for every store backend and
-# executor; the same selection covers the hot copy (a worker may skip
-# the rebuild only when that changes nothing), so both classes must
-# show up as passed.
+# process — continues bit-identically, for every store backend; the
+# same selection covers the hot copy (a worker may skip the rebuild
+# only when that changes nothing), so both classes must show up as
+# passed.
 run_gate "session resume" tests/test_sessionstore.py Parity \
     TestResumeParity TestHotPathParity
 # The leaf scan against its references: bit-identical rankings between
-# the inmem and memmap backings under every executor, and, under
-# tombstones and through the final round's top-up, the plain block scan
-# (rankings and leaves read) and the brute-force float64 k-NN.
+# the inmem and memmap backings, and, under tombstones and through the
+# final round's top-up, the plain block scan (rankings and leaves read)
+# and the brute-force float64 k-NN.
 run_gate "scan parity" tests/test_store.py Parity \
     TestParity TestTombstoneScanParity
 # Rankings from a sharded router bit-identical to single-node for every
-# shard count, partition strategy, executor, store backing, and cache
-# state, including sessions resumed across routers with different
-# shard counts.
+# shard count, partition strategy, store backing, and cache state,
+# including sessions resumed across routers with different shard counts.
 run_gate "sharded parity" tests/test_shard.py Parity
 # The array ranking path against its tuple-and-set reference
 # (tests/reference_ranking.py): random outcome sets with shared ids, the
@@ -304,6 +321,6 @@ run_gate "sharded parity" tests/test_shard.py Parity
 run_gate "ranking oracle" tests/test_ranking_oracle.py Oracle \
     TestMergeOracle TestScanOracle
 # Rankings over main + delta bit-identical to a from-scratch rebuild of
-# the same item set, across executors, store attachment, shard counts, and
+# the same item set, across store attachment, shard counts, and
 # pre/post-compaction cache states.
 run_gate "mutation parity" tests/test_generations.py Parity

@@ -23,12 +23,9 @@ stops matching and is dropped on its next lookup (or evicted by LRU
 pressure, whichever comes first).
 
 A hit returns the subquery's search node, centroid, and ranked list —
-the boundary expansion and the block scan are skipped entirely.  Because
-every executor path funnels through the same computation, a cached entry
-is interchangeable between the serial, thread, and process executors
-(process-pool caveat: workers run against a forked snapshot of the
-cache, so their insertions stay in the child — hits still work for
-entries warm at fork time).
+the boundary expansion and the block scan are skipped entirely.  A
+cached entry was produced by the same computation a miss runs, so
+serving it cannot change any ranking.
 
 The generational mutation engine adds a *surgical* third path next to
 version stamping and LRU pressure: :meth:`SubqueryResultCache.

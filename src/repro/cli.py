@@ -25,16 +25,14 @@ from typing import Iterator, Optional, Sequence
 
 from repro import obs
 from repro.config import (
-    EXECUTOR_KINDS,
     STORE_KINDS,
     STORE_TIERS,
     DatasetConfig,
-    QDConfig,
     RFSConfig,
 )
 from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.database import ImageDatabase
-from repro.errors import ReproError
+from repro.errors import ReproError, SessionCodecError, SessionNotFoundError
 from repro.index.rfs import RFSStructure
 
 # What only some subcommands need (rendering, evaluation, index files,
@@ -228,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--db", required=True)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
-        "--port", type=int, default=7306,
+        "--port", type=_port, default=7306,
         help="TCP port (0 = OS-assigned)",
     )
     p_serve.add_argument("--seed", type=int, default=7)
@@ -310,6 +308,14 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _port(text: str) -> int:
+    """argparse type: a TCP port, 0-65535 (0 = OS-assigned)."""
+    value = _int_at_least(text, 0)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(f"must be <= 65535, got {value}")
+    return value
+
+
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     """Shared sharding flags (query/serve)."""
     parser.add_argument(
@@ -331,9 +337,7 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_serving_engine(
-    args: argparse.Namespace,
-    database: ImageDatabase,
-    qd_config: QDConfig,
+    args: argparse.Namespace, database: ImageDatabase
 ) -> QueryDecompositionEngine:
     """The engine the query/serve commands run — sharded when asked.
 
@@ -344,7 +348,7 @@ def _build_serving_engine(
     """
     shards = getattr(args, "shards", 0)
     if shards == 0:
-        engine = _single_node_engine(args, database, qd_config)
+        engine = _single_node_engine(args, database)
         _enable_mutations_from_args(engine, args)
         return engine
     from repro.config import CacheConfig
@@ -368,7 +372,6 @@ def _build_serving_engine(
         )
     engine = ShardedEngine.build(
         database,
-        qd_config=qd_config,
         shards=shards,
         partition=getattr(args, "partition", "contiguous"),
         seed=args.seed,
@@ -380,9 +383,7 @@ def _build_serving_engine(
 
 
 def _single_node_engine(
-    args: argparse.Namespace,
-    database: ImageDatabase,
-    qd_config: QDConfig,
+    args: argparse.Namespace, database: ImageDatabase
 ) -> QueryDecompositionEngine:
     """Load (``--rfs``) or build the tree, then attach store and cache."""
     if getattr(args, "rfs", None):
@@ -393,22 +394,27 @@ def _single_node_engine(
         rfs = RFSStructure.build(database.features, seed=args.seed)
     _attach_store_from_args(rfs, args)
     _attach_cache_from_args(rfs, args)
-    return QueryDecompositionEngine(database, rfs, qd_config)
+    return QueryDecompositionEngine(database, rfs)
 
 
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
-    """Shared executor flags (query/interactive/experiment)."""
+    """Shared executor flags (query/interactive/experiment/serve).
+
+    The final round runs its subqueries on the calling thread; the
+    flags keep their names and accept only that model's values.
+    """
     parser.add_argument(
         "--executor",
-        choices=EXECUTOR_KINDS,
+        choices=("serial",),
         default="serial",
-        help="how the final-round subqueries run (ranking is identical)",
+        help="how the final-round subqueries run (in-line; the only kind)",
     )
     parser.add_argument(
         "--workers",
         type=int,
+        choices=(0,),
         default=0,
-        help="worker count for thread/process executors (0 = cpu count)",
+        help="subquery worker count (0; the final round has no pool)",
     )
 
 
@@ -599,14 +605,6 @@ def _attach_store_from_args(
     rfs.attach_store(FeatureStore.open(path, mode="memmap"))
 
 
-def _qd_config_from_args(args: argparse.Namespace) -> QDConfig:
-    """Build the session config from the executor flags."""
-    return QDConfig(
-        executor=getattr(args, "executor", "serial"),
-        workers=getattr(args, "workers", 0),
-    )
-
-
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """Shared observability flags (query/interactive/experiment)."""
     parser.add_argument(
@@ -734,8 +732,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.eval.oracle import SimulatedUser
 
     database = ImageDatabase.load(args.db)
-    qd_config = _qd_config_from_args(args)
-    engine = _build_serving_engine(args, database, qd_config)
+    engine = _build_serving_engine(args, database)
     session_store = _session_store_from_args(args)
     if session_store is not None:
         engine.attach_session_store(session_store)
@@ -798,8 +795,7 @@ def _cmd_interactive(args: argparse.Namespace) -> int:
     from repro.core.console import run_console_session
 
     database = ImageDatabase.load(args.db)
-    qd_config = _qd_config_from_args(args)
-    engine = _single_node_engine(args, database, qd_config)
+    engine = _single_node_engine(args, database)
     session_store = _session_store_from_args(args)
     if session_store is not None:
         engine.attach_session_store(session_store)
@@ -829,9 +825,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(result.format_figure10())
             print(result.format_figure11())
             return 0
-        engine = _single_node_engine(
-            args, database, _qd_config_from_args(args)
-        )
+        engine = _single_node_engine(args, database)
         with engine:
             if args.name == "table1":
                 print(
@@ -892,7 +886,14 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
         print(f"{'session':34s} {'round':>5s} {'marked':>6s} "
               f"{'branches':>8s} {'idle s':>8s}")
         for session_id in ids:
-            state = store.get(session_id)
+            try:
+                state = store.get(session_id)
+            except SessionNotFoundError:
+                continue  # finalized or swept since it was listed
+            except SessionCodecError as exc:
+                # Left in the store for a human to inspect.
+                print(f"{session_id:34s} unreadable: {exc}")
+                continue
             print(
                 f"{session_id:34s} {state.round:5d} "
                 f"{len(state.marked):6d} {state.n_subqueries:8d} "
@@ -968,14 +969,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import QDServer, serve_tcp
 
     database = ImageDatabase.load(args.db)
-    qd_config = _qd_config_from_args(args)
     serve_config = ServeConfig(
         workers=args.serve_workers,
         queue_limit=args.queue_limit,
         default_deadline_s=args.deadline_s,
         drain_timeout_s=args.drain_timeout_s,
     )
-    engine = _build_serving_engine(args, database, qd_config)
+    engine = _build_serving_engine(args, database)
     session_store = _session_store_from_args(args)
     assert session_store is not None  # --session-store is required
     engine.attach_session_store(session_store)
@@ -1001,9 +1001,8 @@ def _sigterm_interrupts() -> Iterator[None]:
 
     The handler raises ``KeyboardInterrupt``, which ``serve_tcp`` turns
     into a drain and ``core.close()``; the ``with`` around it then
-    closes the engine and its worker pool.  SIGTERM's default action
-    ends the process outright, which leaves the fork pool of a
-    ``--executor process`` server running without a parent.
+    closes the engine.  SIGTERM's default action ends the process
+    outright, abandoning in-flight requests mid-operation.
     """
 
     def interrupt(signum: int, frame: object) -> None:

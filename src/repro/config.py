@@ -96,11 +96,6 @@ class RFSConfig:
             raise ConfigurationError("leaf_subclusters must be >= 1")
 
 
-#: Executor kinds accepted by :attr:`QDConfig.executor` (see
-#: :mod:`repro.exec`).
-EXECUTOR_KINDS: tuple[str, ...] = ("serial", "thread", "process")
-
-
 @dataclass(frozen=True)
 class QDConfig:
     """Parameters of the Query Decomposition engine.
@@ -117,21 +112,11 @@ class QDConfig:
     max_rounds:
         Feedback rounds before the final localized k-NN (paper protocol: 3
         rounds total).
-    executor:
-        How the final-round subquery fan-out is dispatched — one of
-        ``"serial"`` (in-line, the default), ``"thread"`` (shared-memory
-        thread pool), or ``"process"`` (fork-based process pool).  All
-        three produce bit-identical rankings; see :mod:`repro.exec`.
-    workers:
-        Worker count for the parallel executors; ``0`` (default) picks
-        the machine's CPU count.  Ignored by the serial executor.
     """
 
     boundary_threshold: float = 0.4
     display_size: int = 21
     max_rounds: int = 3
-    executor: str = "serial"
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.boundary_threshold <= 1:
@@ -143,15 +128,6 @@ class QDConfig:
             raise ConfigurationError("display_size must be >= 1")
         if self.max_rounds < 1:
             raise ConfigurationError("max_rounds must be >= 1")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigurationError(
-                f"executor must be one of {EXECUTOR_KINDS}, got "
-                f"{self.executor!r}"
-            )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0 (0 = auto), got {self.workers}"
-            )
 
 
 #: Feature-store backings accepted by the CLI ``--store`` flag (see
@@ -187,10 +163,10 @@ class CacheConfig:
     capacity_mb: float = 64.0
 
     def __post_init__(self) -> None:
-        if self.capacity_mb <= 0:
+        if not (math.isfinite(self.capacity_mb) and self.capacity_mb > 0):
             raise ConfigurationError(
-                f"cache capacity_mb must be positive, got "
-                f"{self.capacity_mb}"
+                f"cache capacity_mb must be a positive finite number, "
+                f"got {self.capacity_mb}"
             )
 
     @property

@@ -21,7 +21,6 @@ from repro.errors import ConfigurationError, QueryError, StaleSessionError
 from repro.core.presentation import QueryResult
 from repro.core.session import FeedbackSession
 from repro.datasets.database import ImageDatabase
-from repro.exec import SubqueryExecutor, resolve_executor
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import ProgressCallback, RFSStructure
 from repro.obs import get_metrics, get_tracer
@@ -74,13 +73,11 @@ class QueryDecompositionEngine:
         rfs: RFSStructure,
         config: Optional[QDConfig] = None,
         *,
-        executor: Optional[SubqueryExecutor] = None,
         store: Optional["FeatureStore"] = None,
     ) -> None:
         self.database = database
         self.rfs = rfs
         self.config = config or QDConfig()
-        self._executor = executor
         self._session_store: Optional["SessionStore"] = None
         self._hot_sessions: Dict[str, FeedbackSession] = {}
         self._hot_lock = threading.Lock()
@@ -213,11 +210,9 @@ class QueryDecompositionEngine:
     def _on_generation_swap(self, rfs: RFSStructure) -> None:
         """Serve new sessions from the freshly compacted generation.
 
-        The process executor's fork pool keys on
-        ``(id(rfs), mutation_epoch)``, so it re-forks lazily on the
-        next subquery; nothing else holds the old structure except the
-        sessions pinned to it — so the hot copies go, or one could keep
-        a generation alive after it left the retired window
+        Nothing else holds the old structure except the sessions pinned
+        to it — so the hot copies go, or one could keep a generation
+        alive after it left the retired window
         (:data:`~repro.index.generations.MAX_RETIRED`).
         """
         self.rfs = rfs
@@ -243,30 +238,16 @@ class QueryDecompositionEngine:
         """Remove an image by id (tombstone; compaction reclaims it)."""
         self._require_mutations().remove(image_id)
 
-    @property
-    def executor(self) -> SubqueryExecutor:
-        """The engine's subquery executor (built from config on demand).
-
-        A single pool is shared by every session of this engine, so the
-        thread/process workers warm up once; :meth:`close` releases it.
-        """
-        if self._executor is None:
-            self._executor = resolve_executor(self.config)
-        return self._executor
-
     def close(self) -> None:
-        """Release the engine's pooled resources (safe to call twice).
+        """Release the engine's resources (safe to call twice).
 
-        Closes the executor's worker pool and, when the feature store
-        is memory-mapped, detaches it and closes the mapping — a
+        Closes the mutation controller and, when the feature store is
+        memory-mapped, detaches it and closes the mapping — a
         long-running server that cycles engines would otherwise leak
         one file handle per engine.  In-RAM stores are left attached
         (they hold no OS resources and may be shared).
         """
-        self._clear_hot_sessions()  # they hold the executor
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        self._clear_hot_sessions()
         if self._mutations is not None:
             self._mutations.close()
             self._mutations = None
@@ -320,7 +301,6 @@ class QueryDecompositionEngine:
             self.rfs,
             self.config,
             seed=seed,
-            executor=self.executor,
             session_id=session_id,
             store=self._session_store,
         )
@@ -385,7 +365,6 @@ class QueryDecompositionEngine:
             self._structure_for(state.structure_version),
             state,
             config=self.config,
-            executor=self.executor,
             store=store,
         )
         session.stored_record = record
@@ -587,12 +566,7 @@ class QueryDecompositionEngine:
             if delta:
                 result.stats[f"disk_reads_{category}"] = float(delta)
         metrics = get_metrics()
-        executor_labels = {"executor": self.executor.name}
-        metrics.counter(
-            "qd_sessions_total",
-            "completed QD sessions",
-            labels=executor_labels,
-        ).inc()
+        metrics.counter("qd_sessions_total", "completed QD sessions").inc()
         metrics.counter(
             "qd_disk_physical_reads", "buffer-missing page reads"
         ).inc(physical_delta)
@@ -603,9 +577,7 @@ class QueryDecompositionEngine:
             "qd_session_rounds", "feedback rounds to convergence"
         ).observe(result.rounds_used)
         metrics.histogram(
-            "qd_session_seconds",
-            "end-to-end scripted session wall time",
-            labels=executor_labels,
+            "qd_session_seconds", "end-to-end scripted session wall time"
         ).observe(time.perf_counter() - session_t0)
         for phase in ("initial", "iteration", "final_knn"):
             metrics.histogram(

@@ -19,7 +19,7 @@ Implements §3.3 and §3.4 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,10 +28,9 @@ from repro.core.presentation import QueryResult, ResultGroup
 from repro.errors import QueryError
 from repro.exec import (
     OVERFETCH,
-    SubqueryExecutor,
+    SerialSubqueryExecutor,
     SubqueryOutcome,
     SubqueryTask,
-    resolve_executor,
 )
 from repro.index.rfs import RFSStructure
 from repro.obs import get_metrics, get_tracer
@@ -70,11 +69,9 @@ class FinalRoundPlan:
     """The deterministic task list of one final round.
 
     Produced by :func:`plan_final_round`, consumed by
-    :func:`execute_final_round` (serial/thread/process fan-out).  The
-    task order — larger allocations first, ties by leaf id — is part of
-    the ranking contract: the sequential dedup consumes outcomes in this
-    order, so any executor that preserves it reproduces the serial merge
-    exactly.
+    :func:`execute_final_round`.  The task order — larger allocations
+    first, ties by leaf id — is part of the ranking contract: the
+    sequential dedup consumes outcomes in this order.
     """
 
     k: int
@@ -246,15 +243,12 @@ def execute_final_round(
     *,
     rounds_used: int,
     uniform_merge: bool = False,
-    executor: Optional[SubqueryExecutor] = None,
 ) -> QueryResult:
     """Run the localized subqueries and merge their results.
 
-    The subqueries are independent, so their execution fans out through
-    a :class:`repro.exec.SubqueryExecutor` (serial, thread pool, or
-    process pool per ``config.executor``); the dedup/merge that follows
-    consumes the outcomes sequentially in a fixed order, so the final
-    ranking is bit-identical whichever executor computed them.
+    The subqueries run in-line on the calling thread
+    (:class:`repro.exec.SerialSubqueryExecutor`); the dedup/merge that
+    follows consumes their outcomes in the plan's task order.
 
     Parameters
     ----------
@@ -265,7 +259,7 @@ def execute_final_round(
     k:
         Total number of result images to return.
     config:
-        QD parameters (boundary threshold, executor selection).
+        QD parameters (boundary threshold).
     rounds_used:
         Number of feedback rounds that preceded this computation (kept in
         the result for reporting).
@@ -273,15 +267,8 @@ def execute_final_round(
         When true, every subquery receives an equal share of the k result
         slots instead of the paper's mark-proportional allocation — the
         ablation of the §3.4 merge rule.
-    executor:
-        Optional pre-built executor (e.g. an engine's persistent pool).
-        When omitted, one is built from ``config`` and closed before
-        returning.
     """
     plan = plan_final_round(rfs, marked_ids, k, uniform_merge=uniform_merge)
-    owned_executor = executor is None
-    if owned_executor:
-        executor = resolve_executor(config)
     cache = rfs.result_cache
     cache_before = cache.snapshot() if cache is not None else None
     merge_span = get_tracer().span(
@@ -289,16 +276,12 @@ def execute_final_round(
         k=k,
         groups=len(plan.tasks),
         strategy="uniform" if uniform_merge else "proportional",
-        executor=executor.name,
-        workers=executor.workers,
         cache="on" if cache is not None else "off",
     )
     with merge_span:
-        try:
-            outcomes = executor.run_subqueries(rfs, plan.tasks, config)
-        finally:
-            if owned_executor:
-                executor.close()
+        outcomes = SerialSubqueryExecutor().run_subqueries(
+            rfs, plan.tasks, config
+        )
         result = merge_outcomes(
             rfs,
             plan,
@@ -308,9 +291,7 @@ def execute_final_round(
         )
     if cache is not None:
         # Warm-vs-cold accounting for this round (deltas, so a cache
-        # shared across concurrent sessions still attributes roughly;
-        # the process executor resolves hits in forked children, whose
-        # counters do not reach this parent-side snapshot).
+        # shared across concurrent sessions still attributes roughly).
         after = cache.snapshot()
         result.stats["cache_hits"] = float(
             after["hits"] - cache_before["hits"]

@@ -24,10 +24,7 @@ Resume safety is enforced with two fingerprints carried by the record:
   version raises :class:`~repro.errors.StaleSessionError` (node ids and
   routing may no longer mean the same thing).
 * ``config_fingerprint`` — a digest of the *ranking-relevant* QD
-  parameters (boundary threshold, display size, round budget).  The
-  executor kind and worker count are deliberately excluded: all
-  executors produce bit-identical rankings, so a session may suspend on
-  a serial worker and resume on a process-pool worker.
+  parameters (boundary threshold, display size, round budget).
 """
 
 from __future__ import annotations
@@ -55,9 +52,7 @@ ANY_RECORD: Any = object()
 def config_fingerprint(config: QDConfig) -> str:
     """Digest of the QD parameters that affect session behaviour.
 
-    Only ranking-relevant fields participate — ``executor``/``workers``
-    change *where* subqueries run, never what they return, so a session
-    may legally hop between differently-configured workers.
+    Only ranking-relevant fields participate.
     """
     return _fingerprint(
         config.boundary_threshold, config.display_size, config.max_rounds

@@ -1,28 +1,20 @@
-"""Executors for the final-round subquery fan-out.
+"""The final round's subquery fan-out.
 
 The defining structural property of Query Decomposition is that one
 query splits into many *independent* localized multipoint k-NN
-subqueries — one per relevant RFS subtree (§3.3).  This module turns
-that independence into wall-clock parallelism while keeping the merge
-deterministic:
+subqueries — one per relevant RFS subtree (§3.3).  Each one reads about
+one leaf page, so :class:`SerialSubqueryExecutor` runs them in-line on
+the calling thread and returns their outcomes **in task submission
+order**; the sequential dedup/merge in :mod:`repro.core.ranking` then
+consumes them in that order.  Concurrency comes from serving several
+requests at once (``serve --serve-workers``), not from splitting one.
 
-* every executor returns outcomes **in task submission order**, never in
-  completion order;
-* each subquery's ranked list is a pure function of the RFS structure
-  and the task, so serial, thread, and process execution produce
-  bit-identical rankings (ties are broken by image id everywhere);
-* the sequential dedup/merge in :mod:`repro.core.ranking` then consumes
-  the outcomes identically regardless of where they were computed.
-
-The three executor kinds (:attr:`repro.config.QDConfig.executor`, CLI
-``--executor`` / ``--workers``) are the three kinds of
-:class:`repro.exec.pool.WorkerPool` — see there for what each does with
-threads, ``fork``, traces and disk-access accounting.  A subquery runs
-in two halves, :func:`prepare_subquery` (cache consult, boundary
-expansion) and :func:`scan_subquery` (scan, publish, delta merge).
-:func:`run_subquery_task` runs one after the other; the seam between
-the cache consult and the scan is where a racing write lands, and it
-stays callable so that interleaving can be scheduled deterministically.
+A subquery runs in two halves, :func:`prepare_subquery` (cache consult,
+boundary expansion) and :func:`scan_subquery` (scan, publish, delta
+merge).  :func:`run_subquery_task` runs one after the other; the seam
+between the cache consult and the scan is where a racing write lands,
+and it stays callable so that interleaving can be scheduled
+deterministically.
 """
 
 from __future__ import annotations
@@ -33,9 +25,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import EXECUTOR_KINDS, QDConfig
-from repro.errors import ConfigurationError
-from repro.exec.pool import WorkerPool, fork_available
+from repro.config import QDConfig
 from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
 from repro.retrieval.multipoint import MultipointQuery
@@ -124,10 +114,8 @@ def prepare_subquery(
 ) -> PreparedSubquery:
     """Resolve what a subquery will scan — or that the cache has it.
 
-    Query points come from :meth:`RFSStructure.vectors_for`: with a
-    memory-mapped feature store attached, a forked or reopened worker
-    gathers them from the shared mapping instead of a per-process copy
-    of the feature matrix.
+    Query points come from :meth:`RFSStructure.vectors_for` (with a
+    memory-mapped feature store attached, gathered from the mapping).
 
     With a :class:`repro.cache.SubqueryResultCache` on the structure the
     task is first looked up by its canonical digest, keyed *before*
@@ -219,9 +207,8 @@ def run_subquery_task(
 
     Pure with respect to the RFS structure: reads the index and the
     feature matrix, mutates only the shared I/O counter, the result
-    cache and the obs layer (all thread-safe).  All executors funnel
-    through this one function, which is what makes their outputs
-    bit-identical.
+    cache and the obs layer (all thread-safe, so concurrent requests
+    may run subqueries at once).
     """
     t0 = time.perf_counter()
     with get_tracer().span(
@@ -241,30 +228,8 @@ def run_subquery_task(
     return outcome
 
 
-def _run_item(
-    rfs: RFSStructure,
-    item: Tuple[SubqueryTask, QDConfig],
-) -> SubqueryOutcome:
-    """:class:`WorkerPool` task: one subquery against the shared RFS."""
-    task, config = item
-    return run_subquery_task(rfs, config, task)
-
-
-class SubqueryExecutor:
-    """Order-preserving execution of subquery tasks over a worker pool.
-
-    A subclass names the :class:`~repro.exec.pool.WorkerPool` kind.  The
-    pool is created lazily and reusable across final rounds, so an
-    engine can hold one executor for its whole lifetime — and share it
-    between the serving front-end's worker threads.  Executors are
-    context managers — leaving the ``with`` block closes the pool.
-    """
-
-    name: str = "base"
-
-    def __init__(self, workers: int = 0) -> None:
-        self.pool = WorkerPool(self.name, workers, name="qd-subquery")
-        self.workers = self.pool.workers
+class SerialSubqueryExecutor:
+    """Runs a final round's subquery tasks in-line on the calling thread."""
 
     def run_subqueries(
         self,
@@ -272,114 +237,20 @@ class SubqueryExecutor:
         tasks: Sequence[SubqueryTask],
         config: QDConfig,
     ) -> List[SubqueryOutcome]:
-        """Execute ``tasks``, returning outcomes in submission order."""
-        # Process workers answer from the structure as of their fork: a
-        # delta insert/remove after it would be invisible to them, so
-        # the mutation epoch keys the pool.
-        return self._record_outcomes(
-            self.pool.map(
-                _run_item,
-                [(task, config) for task in tasks],
-                rfs,
-                key=rfs.mutation_epoch,
-            )
-        )
+        """Execute ``tasks``, returning outcomes in submission order.
 
-    def _record_outcomes(
-        self, outcomes: List[SubqueryOutcome]
-    ) -> List[SubqueryOutcome]:
-        """Record per-executor fan-out metrics; returns ``outcomes``.
-
-        One counter family and one latency histogram, each labeled with
-        the executor kind, so serial/thread/process runs land in
-        separate children of the same metric family.  Always called in
-        the dispatching process (worker durations travel in the
-        outcomes), keeping one recording site per task.
+        Records one counter and one latency histogram per round.
         """
+        outcomes = [run_subquery_task(rfs, config, task) for task in tasks]
         metrics = get_metrics()
         if not metrics.enabled or not outcomes:
             return outcomes
-        labels = {"executor": self.name}
         metrics.counter(
-            "qd_subqueries_total",
-            "localized subqueries executed",
-            labels=labels,
+            "qd_subqueries_total", "localized subqueries executed"
         ).inc(len(outcomes))
         latency = metrics.histogram(
-            "qd_subquery_seconds",
-            "per-subquery wall time",
-            labels=labels,
+            "qd_subquery_seconds", "per-subquery wall time"
         )
         for outcome in outcomes:
             latency.observe(outcome.duration_s)
         return outcomes
-
-    def close(self) -> None:
-        """Release pool resources (idempotent)."""
-        self.pool.close()
-
-    def __enter__(self) -> "SubqueryExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
-class SerialSubqueryExecutor(SubqueryExecutor):
-    """Runs every task in-line on the calling thread."""
-
-    name = "serial"
-
-    def __init__(self) -> None:
-        super().__init__(workers=1)
-
-    def run_subqueries(
-        self,
-        rfs: RFSStructure,
-        tasks: Sequence[SubqueryTask],
-        config: QDConfig,
-    ) -> List[SubqueryOutcome]:
-        # The path every served request takes: no pool dispatch at all.
-        return self._record_outcomes(
-            [run_subquery_task(rfs, config, task) for task in tasks]
-        )
-
-
-class ThreadedSubqueryExecutor(SubqueryExecutor):
-    """Shared-memory thread pool over the subquery fan-out."""
-
-    name = "thread"
-
-
-class ProcessSubqueryExecutor(SubqueryExecutor):
-    """Fork-based process pool over the subquery fan-out.
-
-    Workers run against a forked (copy-on-write) view of the RFS
-    structure; their spans, metrics and I/O deltas are grafted into the
-    parent's, so traces and accounting look the same as a thread run.
-    Degrades to threads on platforms without ``fork``.
-    """
-
-    name = "process"
-    fork_available = staticmethod(fork_available)
-
-
-def build_executor(kind: str, workers: int = 0) -> SubqueryExecutor:
-    """Construct an executor by kind name (``serial``/``thread``/``process``)."""
-    if kind == "serial":
-        return SerialSubqueryExecutor()
-    if kind == "thread":
-        return ThreadedSubqueryExecutor(workers)
-    if kind == "process":
-        return ProcessSubqueryExecutor(workers)
-    raise ConfigurationError(
-        f"executor must be one of {EXECUTOR_KINDS}, got {kind!r}"
-    )
-
-
-def resolve_executor(config: QDConfig) -> SubqueryExecutor:
-    """Executor for a :class:`QDConfig` (its ``executor``/``workers``)."""
-    return build_executor(config.executor, config.workers)

@@ -7,9 +7,9 @@ one disk page and count page reads, with an optional LRU buffer pool so
 repeated reads of a hot node (e.g. the root) can be served from memory —
 mirroring how a real DBMS would behave.
 
-The counter is shared by every layer of one engine and, since the
-parallel subquery executors landed, by every worker thread of the final
-round — so all mutation happens under a lock.  The model counts
+The counter is shared by every layer of one engine and by every thread
+that serves it (the server's request slots, the shard router's fan-out)
+— so all mutation happens under a lock.  The model counts
 accesses; it charges no time.
 """
 
@@ -26,8 +26,8 @@ class DiskAccessCounter:
     """Counts simulated page reads, optionally through an LRU buffer.
 
     Thread-safe: counters, the per-category breakdowns, and the LRU
-    buffer all mutate under one internal lock, so concurrent subquery
-    workers never lose an update.
+    buffer all mutate under one internal lock, so concurrent requests
+    never lose an update.
 
     Parameters
     ----------
@@ -129,60 +129,3 @@ class DiskAccessCounter:
             for key, value in sorted(self.per_category_logical.items()):
                 out[f"logical_reads[{key}]"] = value
             return out
-
-    # ------------------------------------------------------------------
-    # Delta capture / merge — the process-pool executor runs against a
-    # forked copy of this counter, so its accesses must be shipped back
-    # and folded into the parent's counter.
-    # ------------------------------------------------------------------
-    def delta_marker(self) -> Dict[str, Any]:
-        """A snapshot marker for :meth:`delta_since`."""
-        with self._lock:
-            return {
-                "physical_reads": self.physical_reads,
-                "logical_reads": self.logical_reads,
-                "bytes_read": self.bytes_read,
-                "per_category": dict(self.per_category),
-                "per_category_logical": dict(self.per_category_logical),
-            }
-
-    def delta_since(self, marker: Dict[str, Any]) -> Dict[str, Any]:
-        """Accesses recorded since ``marker`` (picklable plain dicts)."""
-        current = self.delta_marker()
-        delta: Dict[str, Any] = {
-            "physical_reads": (
-                current["physical_reads"] - marker["physical_reads"]
-            ),
-            "logical_reads": (
-                current["logical_reads"] - marker["logical_reads"]
-            ),
-            "bytes_read": (
-                current["bytes_read"] - marker["bytes_read"]
-            ),
-            "per_category": {},
-            "per_category_logical": {},
-        }
-        for key in ("per_category", "per_category_logical"):
-            before = marker[key]
-            for category, total in current[key].items():
-                diff = total - before.get(category, 0)
-                if diff:
-                    delta[key][category] = diff
-        return delta
-
-    def merge_delta(self, delta: Dict[str, Any]) -> None:
-        """Fold a :meth:`delta_since` dump (e.g. from a worker process)."""
-        with self._lock:
-            self.physical_reads += int(delta.get("physical_reads", 0))
-            self.logical_reads += int(delta.get("logical_reads", 0))
-            self.bytes_read += int(delta.get("bytes_read", 0))
-            for category, diff in delta.get("per_category", {}).items():
-                self.per_category[category] = (
-                    self.per_category.get(category, 0) + diff
-                )
-            for category, diff in delta.get(
-                "per_category_logical", {}
-            ).items():
-                self.per_category_logical[category] = (
-                    self.per_category_logical.get(category, 0) + diff
-                )

@@ -411,19 +411,6 @@ class RFSStructure:
             return None
         return self.delta.view
 
-    @property
-    def mutation_epoch(self) -> int:
-        """Monotonic count of delta mutations (-1 without a segment).
-
-        The process executor folds this into its fork-pool staleness
-        key: forked workers hold the delta state captured at fork time,
-        so a new epoch means the pool must re-fork before the next
-        subquery (the same contract ``id(rfs)`` provides for swaps).
-        """
-        if self.delta is None:
-            return -1
-        return self.delta.view.epoch
-
     def invalidate_cache_nodes(self, node_ids: Sequence[int]) -> int:
         """Evict cached subqueries whose search node is in ``node_ids``.
 

@@ -69,7 +69,6 @@ __all__ = [
     "read_rss_bytes",
     "set_metrics",
     "set_tracer",
-    "span_from_dict",
     "summarize",
     "use_metrics",
     "use_tracer",
@@ -123,7 +122,6 @@ __getattr__, __dir__ = lazy_exports(
             "Tracer",
             "get_tracer",
             "set_tracer",
-            "span_from_dict",
             "use_tracer",
         ),
     },

@@ -26,7 +26,7 @@ Histograms
 ----------
 :class:`Histogram` is a bounded-memory *streaming* histogram: every
 observation lands in fixed log-spaced buckets (shared across all
-instruments so worker payloads merge exactly) plus a deterministic
+instruments) plus a deterministic
 reservoir capped at ``reservoir_cap`` samples.  ``percentile`` is exact
 while the reservoir still holds every sample (count <= cap) and
 switches to a documented bucket estimator above the cap — see
@@ -67,10 +67,9 @@ LabelItems = Tuple[Tuple[str, str], ...]
 RESERVOIR_CAP = 1024
 
 #: Shared log-spaced bucket upper bounds: 5 per decade, 1e-9 .. 1e9.
-#: Fixed and global so histograms merged across process workers add
-#: bucket counts exactly.  Values <= the smallest bound (including
-#: zeros and negatives) land in bucket 0; values beyond the largest
-#: bound land in the overflow bucket.
+#: Values <= the smallest bound (including zeros and negatives) land in
+#: bucket 0; values beyond the largest bound land in the overflow
+#: bucket.
 BUCKET_BOUNDS: Tuple[float, ...] = tuple(
     10.0 ** (exp / 5.0) for exp in range(-45, 46)
 )
@@ -99,15 +98,10 @@ def instrument_key(name: str, labels: LabelsLike = None) -> str:
 _HANDLE_CACHE_CAP = 4096
 
 
-def family_name(key: str) -> str:
-    """The family (metric) name of a child key."""
-    return key.split("{", 1)[0]
-
-
 class Counter:
     """Monotonically increasing value.
 
-    Mutation is lock-protected so concurrent subquery workers never lose
+    Mutation is lock-protected so concurrent request threads never lose
     an increment (``value += amount`` is a read-modify-write that is not
     atomic across threads).
     """
@@ -175,11 +169,10 @@ class Histogram:
     (:data:`BUCKET_BOUNDS`), running count/sum/min/max, and a reservoir
     of at most ``cap`` raw samples maintained with Algorithm R under a
     deterministic RNG seeded from the instrument key — so two runs that
-    observe the same stream hold the same reservoir, and a process
-    worker's histogram merges into the parent's reproducibly.
+    observe the same stream hold the same reservoir.
 
-    ``observe`` and merges are lock-protected so concurrent workers
-    cannot drop samples.
+    ``observe`` is lock-protected so concurrent threads cannot drop
+    samples.
     """
 
     __slots__ = (
@@ -329,48 +322,6 @@ class Histogram:
             if not out or out[-1][0] != math.inf:
                 out.append((math.inf, cumulative))
             return out
-
-    # -- worker payload plumbing ---------------------------------------
-    def state(self) -> Dict[str, Any]:
-        """Picklable full state (for process-worker payloads)."""
-        with self._lock:
-            return {
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min,
-                "max": self._max,
-                "counts": list(self._counts),
-                "reservoir": list(self._reservoir),
-            }
-
-    def merge_state(self, state: Mapping[str, Any]) -> None:
-        """Fold another histogram's :meth:`state` into this one.
-
-        Bucket counts, count, and sum merge exactly; the reservoir
-        merge is exact while the combined stream fits under the cap
-        (both reservoirs are then complete) and a deterministic
-        re-sample beyond it.
-        """
-        with self._lock:
-            other_count = int(state.get("count", 0))
-            if not other_count:
-                return
-            self._count += other_count
-            self._sum += float(state.get("sum", 0.0))
-            self._min = min(self._min, float(state.get("min", math.inf)))
-            self._max = max(self._max, float(state.get("max", -math.inf)))
-            for idx, n in enumerate(state.get("counts", ())):
-                if n:
-                    self._counts[idx] += int(n)
-            for value in state.get("reservoir", ()):
-                value = float(value)
-                if len(self._reservoir) < self.cap:
-                    self._reservoir.append(value)
-                else:
-                    slot = self._rng.randrange(self._seen + 1)
-                    if slot < self.cap:
-                        self._reservoir[slot] = value
-                self._seen += 1
 
 
 class _NullInstrument:
@@ -544,59 +495,6 @@ class MetricsRegistry:
         if hkey is not None and len(self._handles) < _HANDLE_CACHE_CAP:
             self._handles[hkey] = inst
         return inst
-
-    def to_payload(self) -> Dict[str, Any]:
-        """Picklable dump of every instrument (for worker processes).
-
-        A process-pool worker records into its own registry (mutating
-        the forked copy of the parent's would be invisible), ships this
-        payload back, and the parent folds it in via
-        :meth:`merge_payload`.  Entries are keyed by the full child key
-        and carry ``(help, value_or_state, label_items)`` tuples, so
-        labeled children merge into the matching labeled instrument.
-        """
-        return {
-            "counters": {
-                k: (c.help, c.value, tuple(c.labels.items()))
-                for k, c in self.counters.items()
-            },
-            "gauges": {
-                k: (g.help, g.value, tuple(g.labels.items()))
-                for k, g in self.gauges.items()
-            },
-            "histograms": {
-                k: (h.help, h.state(), tuple(h.labels.items()))
-                for k, h in self.histograms.items()
-            },
-        }
-
-    def merge_payload(self, payload: Dict[str, Any]) -> None:
-        """Fold a worker's :meth:`to_payload` dump into this registry.
-
-        Counters add, histograms merge bucket/reservoir state; gauges
-        take the worker's last value (point-in-time semantics).  Labeled
-        children merge into the instrument with the same name *and*
-        labels.
-        """
-        for key, (help_, value, labels) in payload.get(
-            "counters", {}
-        ).items():
-            if value:
-                self.counter(
-                    family_name(key), help_, labels=dict(labels)
-                ).inc(value)
-        for key, (help_, value, labels) in payload.get(
-            "gauges", {}
-        ).items():
-            self.gauge(family_name(key), help_, labels=dict(labels)).set(
-                value
-            )
-        for key, (help_, state, labels) in payload.get(
-            "histograms", {}
-        ).items():
-            self.histogram(
-                family_name(key), help_, labels=dict(labels)
-            ).merge_state(state)
 
     def snapshot(self) -> Dict[str, float]:
         """Flat key -> value view (histograms report count/sum/p95)."""

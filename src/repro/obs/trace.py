@@ -116,23 +116,6 @@ class Span:
         )
 
 
-def span_from_dict(tracer: "Tracer", data: Dict[str, Any]) -> Span:
-    """Rebuild a finished :class:`Span` tree from its ``to_dict`` form.
-
-    Used to graft spans recorded in a worker process (where they cannot
-    attach to the parent's live tracer) back into the dispatching
-    session's trace, so traces still reconstruct the full session tree
-    under the process-pool executor.
-    """
-    span = Span(tracer, str(data.get("name", "")), data.get("attributes"))
-    span.start = float(data.get("start", 0.0))
-    span.duration = float(data.get("duration", 0.0))
-    span.children = [
-        span_from_dict(tracer, child) for child in data.get("children", [])
-    ]
-    return span
-
-
 class _NullSpan:
     """Shared do-nothing span returned by the no-op tracer."""
 

@@ -214,7 +214,8 @@ class _Handler(socketserver.StreamRequestHandler):
     def _respond(server: "QDTCPServer", line: bytes) -> ServerResponse:
         try:
             return server.core_request(json.loads(line))
-        except (ValueError, TypeError) as exc:
+        # RecursionError: a line nested deeper than the decoder's stack.
+        except (ValueError, TypeError, RecursionError) as exc:
             return ServerResponse(
                 op="?", status="invalid_request", error=str(exc)
             )

@@ -30,8 +30,8 @@ never re-computes a float:
 :class:`ShardedRFS` subclasses the global structure and overrides only
 :meth:`localized_knn`, so the entire stack above it — feedback
 sessions, :func:`~repro.core.ranking.plan_final_round` /
-``merge_outcomes``, the serial/thread/process subquery executors,
-session checkpoint/resume — runs unchanged on a sharded deployment.
+``merge_outcomes``, the subquery executor, session checkpoint/resume —
+runs unchanged on a sharded deployment.
 ``structure_version`` is inherited from the global tree, so a session
 checkpointed under one router resumes bit-identically under a router
 with a different shard count.
@@ -441,7 +441,7 @@ class ShardedEngine(QueryDecompositionEngine):
         return self.sharded_rfs.n_shards
 
     def close(self) -> None:
-        """Release the executor and the router's fan-out pool."""
+        """Release the router's fan-out pool."""
         super().close()
         if isinstance(self.rfs, ShardedRFS):
             self.rfs.close()

@@ -19,7 +19,7 @@ Two backings share the exact same bytes and code paths:
 
 Because both backings hold identical bytes and the same kernels consume
 them, rankings are bit-identical between the two (the store parity
-tests assert this under the serial, thread, and process executors).
+tests assert this).
 
 Rows are always float32, and every leaf scan reads them exactly: one
 :func:`~repro.store.kernels.point_distances` call per block.
@@ -135,8 +135,8 @@ class FeatureStore:
             "cache_misses": 0,
             "bytes_read": 0,
         }
-        # stats increments are read-modify-write; the thread executor
-        # scans blocks concurrently, so they must be serialized.
+        # stats increments are read-modify-write; concurrent requests
+        # scan blocks at once, so they must be serialized.
         self._stats_lock = threading.Lock()
         get_metrics().gauge(
             "qd_store_bytes_mapped", "bytes of feature data backing the store"

@@ -4,8 +4,7 @@ Covers the canonical cache key, the byte-capped LRU (eviction order,
 oversized entries, byte accounting, pickling), versioned and per-node
 invalidation against generational mutations (the no-skip gate in
 ``scripts/check.sh`` targets the ``Invalidation`` classes), and cached
-final rounds staying bit-identical to the uncached path across all
-executors.
+final rounds staying bit-identical to the uncached path.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.config import CacheConfig, MutationConfig, QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
 from repro.core.ranking import execute_final_round
 from repro.errors import ConfigurationError
-from repro.exec import ProcessSubqueryExecutor
 from repro.index.generations import GenerationController
 from repro.index.rfs import RFSStructure
 from repro.retrieval.topk import RankedList
@@ -35,11 +33,6 @@ SEED = 2006
 RFS_CONFIG = RFSConfig(
     node_max_entries=60, leaf_subclusters=4
 )
-
-_EXECUTORS = ["serial", "thread"] + (
-    ["process"] if ProcessSubqueryExecutor.fork_available() else []
-)
-
 
 @pytest.fixture(scope="module")
 def database():
@@ -245,10 +238,7 @@ class TestFinalRoundCaching:
             assert _finalize(rfs, marks, 40, config)[0] == baseline
         assert io.physical_reads - single_reads < 2 * single_reads
 
-    @pytest.mark.parametrize("executor", _EXECUTORS)
-    def test_cached_sessions_bit_identical_across_executors(
-        self, database, executor
-    ):
+    def test_cached_sessions_bit_identical_to_uncached(self, database):
         relevant = set(np.flatnonzero(database.labels == 3).tolist())
         relevant |= set(np.flatnonzero(database.labels == 7).tolist())
 
@@ -264,9 +254,7 @@ class TestFinalRoundCaching:
             )
 
         engine = QueryDecompositionEngine(
-            database,
-            _build_rfs(database),
-            QDConfig(executor=executor, workers=2),
+            database, _build_rfs(database), QDConfig()
         )
         engine.attach_cache(SubqueryResultCache(8 << 20))
         with engine:
@@ -274,12 +262,8 @@ class TestFinalRoundCaching:
             second = engine.run_scripted(mark, k=50, seed=11)
         assert _signature(first) == baseline
         assert _signature(second) == baseline
-        if executor != "process":
-            # Fork-based workers insert into their own copy-on-write
-            # snapshot, so only the shared-memory executors can show
-            # hits on the repeat session.
-            assert second.stats["cache_hits"] > 0
-            assert second.stats["cache_misses"] == 0
+        assert second.stats["cache_hits"] > 0
+        assert second.stats["cache_misses"] == 0
 
 
 # ----------------------------------------------------------------------

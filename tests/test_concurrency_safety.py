@@ -1,7 +1,7 @@
 """Concurrency-safety stress tests for the shared mutable state.
 
-The thread executor mutates three things from worker threads: the
-simulated disk counter (buffer pool + accounting), the metrics registry,
+Concurrent requests (the server's slots, the shard router's fan-out
+threads) mutate three shared things: the simulated disk counter (buffer pool + accounting), the metrics registry,
 and the tracer.  These tests hammer each one from many threads and
 assert exact totals — a lost update anywhere shows up as an off-by-N.
 """
@@ -65,25 +65,6 @@ class TestDiskCounterUnderContention:
         assert not io.access(3)
         assert not io.access(4)
         assert io.access(2)  # 2 was the one evicted
-
-    def test_delta_round_trip_merges_exactly(self):
-        io = DiskAccessCounter(buffer_pages=4)
-        io.access(1, "feedback")
-        marker = io.delta_marker()
-        io.access(1, "knn")  # hit
-        io.access(2, "knn")  # miss
-        delta = io.delta_since(marker)
-        assert delta["logical_reads"] == 2
-        assert delta["physical_reads"] == 1
-        assert delta["per_category"] == {"knn": 1}
-        assert delta["per_category_logical"] == {"knn": 2}
-
-        other = DiskAccessCounter(buffer_pages=4)
-        other.merge_delta(delta)
-        assert other.logical_reads == 2
-        assert other.physical_reads == 1
-        assert other.per_category == {"knn": 1}
-        assert other.per_category_logical == {"knn": 2}
 
     def test_pickling_drops_and_restores_lock(self):
         import pickle

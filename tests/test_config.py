@@ -135,10 +135,7 @@ SETTABLE_SURFACE = {
     "RFSConfig": [
         "node_max_entries", "representative_fraction", "leaf_subclusters",
     ],
-    "QDConfig": [
-        "boundary_threshold", "display_size", "max_rounds", "executor",
-        "workers",
-    ],
+    "QDConfig": ["boundary_threshold", "display_size", "max_rounds"],
     "CacheConfig": ["enabled", "capacity_mb"],
     "ServeConfig": [
         "workers", "queue_limit", "default_deadline_s", "drain_timeout_s",
@@ -176,9 +173,14 @@ SETTABLE_SURFACE = {
     # over the feature vector: no per-dimension weights are settable
     # anywhere from the session down to the scan and its cache key.
     "FeedbackSession.finalize": ["k", "uniform_merge"],
+    # The final round runs its subqueries on the calling thread: no
+    # executor is settable from the engine down to the merge.
+    "QueryDecompositionEngine": ["database", "rfs", "config", "store"],
+    "FeedbackSession": ["rfs", "config", "seed", "session_id", "store"],
+    "FeedbackSession.restore": ["rfs", "state", "config", "store"],
     "execute_final_round": [
         "rfs", "marked_ids", "k", "config", "rounds_used",
-        "uniform_merge", "executor",
+        "uniform_merge",
     ],
     "RFSStructure.localized_knn": ["node", "query_point", "k", "include_delta"],
     "ShardedRFS.localized_knn": ["node", "query_point", "k", "include_delta"],
@@ -201,6 +203,9 @@ _SIGNATURES = {
     "RFSStructure.build": RFSStructure.build,
     "ShardedEngine.build": ShardedEngine.build,
     "FeedbackSession.finalize": FeedbackSession.finalize,
+    "QueryDecompositionEngine": QueryDecompositionEngine,
+    "FeedbackSession": FeedbackSession,
+    "FeedbackSession.restore": FeedbackSession.restore,
     "execute_final_round": execute_final_round,
     "RFSStructure.localized_knn": RFSStructure.localized_knn,
     "ShardedRFS.localized_knn": ShardedRFS.localized_knn,
@@ -255,6 +260,30 @@ class TestSettableSurface:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["query", "--db", "db.npz", "--query", "bird"],
+            ["interactive", "--db", "db.npz"],
+            ["experiment", "table1", "--db", "db.npz"],
+            ["serve", "--db", "db.npz", "--session-store", "memory"],
+        ],
+        ids=["query", "interactive", "experiment", "serve"],
+    )
+    def test_executor_flags_accept_only_the_serial_model(self, command):
+        args = build_parser().parse_args(
+            command + ["--executor", "serial", "--workers", "0"]
+        )
+        assert (args.executor, args.workers) == ("serial", 0)
+        for flag in (
+            ["--executor", "thread"],
+            ["--executor", "process"],
+            ["--workers", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(command + flag)
+            assert exc.value.code == 2
 
     def test_store_tiers_are_pinned(self):
         # Every scan reads the exact float32 rows: one tier.

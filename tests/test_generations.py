@@ -3,7 +3,7 @@
 The load-bearing guarantee under test: an index serving from
 ``main store + delta segment`` ranks **bit-identically** to a
 from-scratch rebuild containing the same live items — across store
-tiers, executors, shard counts, and pre/post-compaction cache states.
+tiers, shard counts, and pre/post-compaction cache states.
 ``scripts/check.sh`` runs the ``Parity`` classes as a no-skip gate.
 """
 
@@ -308,49 +308,6 @@ class TestMutationParity:
         assert got.item_ids[0] == new_id  # same global id, now a main row
 
 
-class TestExecutorParity:
-    """Final rounds over a delta-bearing index across executors."""
-
-    @pytest.fixture(scope="class")
-    def mutated_db_engine(self):
-        database = build_synthetic_database(600, n_categories=20, seed=6)
-        engine = QueryDecompositionEngine.build(
-            database, CFG, QDConfig(), seed=31,
-            mutations=MutationConfig(auto_compact=False),
-        )
-        rng = np.random.default_rng(7)
-        for _ in range(8):
-            engine.insert_image(rng.normal(size=database.dims))
-        for item in (3, 77, 200):
-            engine.remove_image(item)
-        yield database, engine
-        engine.close()
-
-    @staticmethod
-    def _flat(result):
-        return [
-            (g.leaf_node_id, g.search_node_id,
-             [(it.item_id, it.score) for it in g.items])
-            for g in result.groups
-        ]
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_final_round_matches_serial(self, mutated_db_engine,
-                                        executor):
-        database, serial_engine = mutated_db_engine
-        other = QueryDecompositionEngine(
-            database, serial_engine.rfs,
-            QDConfig(executor=executor, workers=2),
-        )
-        mark = lambda shown: list(shown[:4])  # noqa: E731
-        want = serial_engine.run_scripted(mark, k=30, rounds=2, seed=13)
-        try:
-            got = other.run_scripted(mark, k=30, rounds=2, seed=13)
-        finally:
-            other.close()
-        assert self._flat(got) == self._flat(want)
-
-
 class TestCacheParity:
     """Cache pre/post-compaction: correct results, surgical evictions.
 
@@ -381,8 +338,7 @@ class TestCacheParity:
         """Each query's final round, run as its session would run it."""
         results = [
             execute_final_round(
-                engine.rfs, marks, k, engine.config, rounds_used=0,
-                executor=engine.executor,
+                engine.rfs, marks, k, engine.config, rounds_used=0
             )
             for marks, k in self.QUERIES
         ]

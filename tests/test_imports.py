@@ -4,7 +4,8 @@ Package re-exports resolve on first attribute access and subcommand-only
 dependencies are imported inside their subcommands, so ``serve`` compiles
 none of the imaging, evaluation, baseline, feature-extraction, database
 building or trace-export code, nor a worker pool, result cache or query
-set it was not asked for.  Each check runs in a fresh interpreter: this
+set it was not asked for (a single-node server's final round runs
+on the request's thread).  Each check runs in a fresh interpreter: this
 process has long imported everything.
 """
 
@@ -37,6 +38,7 @@ DEFERRED = (
     "repro.datasets.corel_loader",
     "repro.datasets.queryset",
     "repro.eval",
+    "repro.exec.pool",
     "repro.features.color",
     "repro.features.edges",
     "repro.features.extractor",

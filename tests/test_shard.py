@@ -6,8 +6,8 @@ rows, dropped representatives), the router surface (store routing,
 fingerprints, refusal of a global store) and — the acceptance property,
 targeted by the no-skip ``Parity`` gate in ``scripts/check.sh`` —
 sharded rankings staying **bit-identical** to single-node across shard
-counts (1/2/7 and the gate's 1/2/4), partition strategies, executors,
-store backings, cache states, tie-heavy distances, and a mid-session
+counts (1/2/7 and the gate's 1/2/4), partition strategies, store
+backings, cache states, tie-heavy distances, and a mid-session
 resume handed off between routers with different shard counts.
 """
 
@@ -20,7 +20,6 @@ from repro.config import CacheConfig, QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.build import build_synthetic_database
 from repro.errors import ConfigurationError
-from repro.exec import ProcessSubqueryExecutor
 from repro.index.rfs import RFSStructure
 from repro.shard import (
     Shard,
@@ -39,9 +38,6 @@ RFS_CONFIG = RFSConfig(
     node_max_entries=40, leaf_subclusters=3
 )
 
-_EXECUTORS = ["serial", "thread"] + (
-    ["process"] if ProcessSubqueryExecutor.fork_available() else []
-)
 #: The satellite's shard counts (1/2/7) union the gate's (1/2/4).
 _SHARD_COUNTS = [1, 2, 4, 7]
 
@@ -88,7 +84,6 @@ def _sharded(
     database,
     *,
     shards,
-    executor="serial",
     store="inmem",
     partition="contiguous",
     cache=False,
@@ -97,7 +92,7 @@ def _sharded(
     return ShardedEngine.build(
         database,
         RFS_CONFIG,
-        QDConfig(executor=executor, workers=2),
+        QDConfig(),
         shards=shards,
         partition=partition,
         parallel_fanout=parallel_fanout,
@@ -209,28 +204,18 @@ class TestShardedRFS:
 class TestShardedParity:
     @pytest.fixture(scope="class")
     def baseline_store(self, database):
-        """Single-node signatures, per executor, with a feature store."""
-        baselines = {}
-        for executor in _EXECUTORS:
-            rfs = _build_rfs(database)
-            rfs.attach_store(FeatureStore.build(rfs), validate=False)
-            with QueryDecompositionEngine(
-                database, rfs, QDConfig(executor=executor, workers=2)
-            ) as engine:
-                baselines[executor] = _run_session(engine, database)
-        return baselines
+        """Single-node signature with a feature store."""
+        rfs = _build_rfs(database)
+        rfs.attach_store(FeatureStore.build(rfs), validate=False)
+        with QueryDecompositionEngine(database, rfs, QDConfig()) as engine:
+            return _run_session(engine, database)
 
     @pytest.mark.parametrize("shards", _SHARD_COUNTS)
-    @pytest.mark.parametrize("executor", _EXECUTORS)
     def test_sessions_bit_identical_with_stores(
-        self, database, baseline_store, shards, executor
+        self, database, baseline_store, shards
     ):
-        with _sharded(
-            database, shards=shards, executor=executor
-        ) as engine:
-            assert _run_session(engine, database) == baseline_store[
-                executor
-            ]
+        with _sharded(database, shards=shards) as engine:
+            assert _run_session(engine, database) == baseline_store
 
     @pytest.mark.parametrize("partition", ["contiguous", "roundrobin"])
     def test_partition_strategy_is_invisible(
@@ -240,7 +225,7 @@ class TestShardedParity:
             database, shards=4, partition=partition
         ) as engine:
             assert (
-                _run_session(engine, database) == baseline_store["serial"]
+                _run_session(engine, database) == baseline_store
             )
 
     def test_serial_fanout_matches_parallel(
@@ -250,7 +235,7 @@ class TestShardedParity:
             database, shards=4, parallel_fanout=False
         ) as engine:
             assert (
-                _run_session(engine, database) == baseline_store["serial"]
+                _run_session(engine, database) == baseline_store
             )
 
     def test_cached_rerun_bit_identical(self, database, baseline_store):
@@ -261,8 +246,8 @@ class TestShardedParity:
                 shard.cache.snapshot()["hits"]
                 for shard in engine.shards
             )
-        assert cold == baseline_store["serial"]
-        assert warm == baseline_store["serial"]
+        assert cold == baseline_store
+        assert warm == baseline_store
         assert hits > 0
 
     def test_heavily_skewed_manual_partition(
@@ -291,7 +276,7 @@ class TestShardedParity:
             database, router, QDConfig()
         ) as engine:
             assert (
-                _run_session(engine, database) == baseline_store["serial"]
+                _run_session(engine, database) == baseline_store
             )
         router.close()
 

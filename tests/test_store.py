@@ -8,7 +8,7 @@ references and their block-shape independence, the store-backed
 ``localized_knn`` fast path against the brute-force reference — with
 tombstones, and through the final round's top-up — and the acceptance
 property: bit-identical rankings between the ``inmem`` and ``memmap``
-backings under the serial, thread, and process executors.
+backings.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.errors import (
     NodeNotFoundError,
     StoreCodecError,
 )
-from repro.exec import ProcessSubqueryExecutor
 from repro.index.rfs import RFSStructure
 from repro.index.serialize import load_rfs, save_rfs
 from repro.retrieval.distance import euclidean_many, weighted_euclidean
@@ -566,7 +565,7 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Parity: inmem vs memmap, across executors — the acceptance property
+# Parity: inmem vs memmap — the acceptance property
 # ----------------------------------------------------------------------
 def _signature(result):
     return [
@@ -578,7 +577,7 @@ def _signature(result):
     ]
 
 
-def _run_session(database, store, executor, seed):
+def _run_session(database, store, seed):
     rfs = RFSStructure.build(
         database.features,
         RFSConfig(
@@ -590,9 +589,7 @@ def _run_session(database, store, executor, seed):
         rfs.attach_store(store)
     relevant = set(np.flatnonzero(database.labels == 3).tolist())
     relevant |= set(np.flatnonzero(database.labels == 7).tolist())
-    engine = QueryDecompositionEngine(
-        database, rfs, QDConfig(executor=executor, workers=2)
-    )
+    engine = QueryDecompositionEngine(database, rfs, QDConfig())
     with engine:
         result = engine.run_scripted(
             lambda shown: [i for i in shown if i in relevant],
@@ -602,46 +599,24 @@ def _run_session(database, store, executor, seed):
     return _signature(result)
 
 
-_EXECUTORS = ["serial", "thread"] + (
-    ["process"] if ProcessSubqueryExecutor.fork_available() else []
-)
-
-
 class TestParity:
-    @pytest.mark.parametrize("executor", _EXECUTORS)
     @pytest.mark.parametrize("seed", [11, 23])
     def test_inmem_and_memmap_rankings_bit_identical(
-        self, saved_store, built, executor, seed
+        self, saved_store, built, seed
     ):
         database, _ = built
         _, _, directory = saved_store
         inmem = FeatureStore.open(directory, mode="inmem")
         memmap = FeatureStore.open(directory, mode="memmap")
-        sig_inmem = _run_session(database, inmem, executor, seed)
-        sig_memmap = _run_session(database, memmap, executor, seed)
+        sig_inmem = _run_session(database, inmem, seed)
+        sig_memmap = _run_session(database, memmap, seed)
         assert sig_inmem == sig_memmap
-
-    @pytest.mark.parametrize("executor", _EXECUTORS)
-    def test_executors_agree_on_store_rankings(
-        self, saved_store, built, executor
-    ):
-        database, _ = built
-        _, _, directory = saved_store
-        store = FeatureStore.open(directory, mode="memmap")
-        sig = _run_session(database, store, executor, 11)
-        baseline = _run_session(
-            database,
-            FeatureStore.open(directory, mode="memmap"),
-            "serial",
-            11,
-        )
-        assert sig == baseline
 
     def test_store_ids_match_legacy_session(self, built, monkeypatch):
         # The same session with every scan replaced by the brute-force
         # reference must pick the same images.
         database, _ = built
-        stored = _run_session(database, None, "serial", 11)
+        stored = _run_session(database, None, 11)
 
         def reference(self, node, query_point, k, **_):
             return brute_force_knn(
@@ -649,7 +624,7 @@ class TestParity:
             )
 
         monkeypatch.setattr(RFSStructure, "localized_knn", reference)
-        legacy = _run_session(database, None, "serial", 11)
+        legacy = _run_session(database, None, 11)
         # Per group, as sets: float32 cannot order the marked images
         # themselves, a few 1e-4 from their own centroid.
         legacy_ids = [{i for i, _ in group[1]} for group in legacy]
