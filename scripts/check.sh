@@ -34,9 +34,9 @@ else
 fi
 
 # Structural gates (plain git grep): decisions that live in one place
-# stay there.  Worker pools are built only by repro.exec.pool — a
-# second construction site is how the serial/thread/process pool came to
-# exist four times, only some of them locked — and a scan result enters
+# stay there.  No worker pool is built anywhere under src/ — every
+# parallel leg (build, final round, shard fan-out) lost to the calling
+# thread on a 2-CPU host and was deleted — and a scan result enters
 # a result cache only through repro.cache.scan_and_publish, the single
 # reader of the invalidation epoch that keeps a scan racing a removal
 # from re-publishing what the removal evicted.  A final round has one
@@ -75,9 +75,8 @@ forbid() {
         exit 1
     fi
 }
-forbid "pools are constructed only in src/repro/exec/pool.py" -- \
-    -nE '(Thread|Process)PoolExecutor\(' -- src/ \
-    ':!src/repro/exec/pool.py'
+forbid "no thread or process pool under src/" -- \
+    -nE '(Thread|Process)PoolExecutor' -- src/
 epoch_sites=$(git grep -nE '\.invalidation_epoch\(\)' -- src/ || true)
 if [[ $(grep -c . <<<"$epoch_sites") != 1 ]]; then
     echo "$epoch_sites" >&2
@@ -174,6 +173,23 @@ forbid "the final round runs on the calling thread: no subquery" \
     -e 'mutation_epoch|span_from_dict|to_payload|merge_payload' \
     -e 'merge_state|delta_marker|delta_since|merge_delta' \
     -e 'ProcessPoolExecutor|multiprocessing' -- src/
+# The shard router scans its covering shards one after another on the
+# request's own thread: the thread fan-out lost to that loop on every
+# row of its verdict (docs/ARCHITECTURE.md, "Shard fan-out kinds") and
+# went with the pool behind it, its fan-out setting and the tracer's
+# span adoption, whose only caller was that pool.
+forbid "the shard scatter runs on the calling thread: no worker pool," \
+    "fan-out setting or pool kinds" -- \
+    -nwE 'WorkerPool|POOL_KINDS|default_worker_count|parallel_fanout' \
+    -- src/
+forbid "no span adoption: spans nest on the thread that opens them" -- \
+    -nE '\.adopt\(' -- src/
+# Nothing under src/ forks or pickles a store, a cache or a session
+# store, so none keys state on the process id or defines pickling hooks.
+forbid "no fork guard or pickling hook in the session store, the" \
+    "feature store or the result cache" -- \
+    -nE 'getpid|__getstate__|__setstate__' -- src/repro/sessionstore \
+    src/repro/store src/repro/cache
 forbid "no executor argument, property or label in src/" -- \
     -nE -e 'executor=|\.executor\b|"executor"' -- src/
 forbid "encode_state() is called only under src/repro/sessionstore/" -- \

@@ -351,25 +351,6 @@ class SubqueryResultCache:
             f"bytes={self.stats['bytes']}/{self.capacity_bytes})"
         )
 
-    # ------------------------------------------------------------------
-    # Pickling: a forked/pickled copy gets a fresh lock (the cache rides
-    # inside an RFSStructure that fork-based workers inherit).
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        with self._lock:
-            state = self.__dict__.copy()
-            state["_entries"] = OrderedDict(self._entries)
-            state["_by_node"] = {
-                node: set(keys) for node, keys in self._by_node.items()
-            }
-            state["stats"] = dict(self.stats)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.__dict__["_lock"] = threading.Lock()
-
 
 def scan_and_publish(
     cache: SubqueryResultCache,

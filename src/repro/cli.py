@@ -27,7 +27,9 @@ from repro import obs
 from repro.config import (
     STORE_KINDS,
     STORE_TIERS,
+    CacheConfig,
     DatasetConfig,
+    MutationConfig,
     RFSConfig,
 )
 from repro.core.engine import QueryDecompositionEngine
@@ -344,16 +346,27 @@ def _build_serving_engine(
     With ``--shards N`` the store/cache flags translate into *per-shard*
     stores and caches (a sharded deployment has no global store), so
     ``--store memmap``/``--rfs`` combinations that imply one are
-    rejected with a clear error instead of silently ignored.
+    rejected with a clear error instead of silently ignored.  Refused
+    cache and mutation values fail before any tree is built.
     """
+    mutations = _mutation_config_from_args(args)
     shards = getattr(args, "shards", 0)
     if shards == 0:
         engine = _single_node_engine(args, database)
-        _enable_mutations_from_args(engine, args)
-        return engine
-    from repro.config import CacheConfig
+    else:
+        engine = _sharded_engine(args, database, shards)
+    if mutations is not None:
+        engine.enable_mutations(mutations, seed=getattr(args, "seed", 0) or 0)
+    return engine
+
+
+def _sharded_engine(
+    args: argparse.Namespace, database: ImageDatabase, shards: int
+) -> QueryDecompositionEngine:
+    """Build the global tree and deal it over ``shards`` shards."""
     from repro.shard import ShardedEngine
 
+    cache = _cache_config_from_args(args)
     if getattr(args, "rfs", None):
         raise ReproError(
             "--shards builds its own (identical) global tree; drop "
@@ -365,12 +378,7 @@ def _build_serving_engine(
             "--shards cannot map one saved store across shards; use "
             "--store inmem (per-shard stores) or run single-node"
         )
-    cache = None
-    if getattr(args, "cache", False):
-        cache = CacheConfig(
-            enabled=True, capacity_mb=getattr(args, "cache_mb", 64.0)
-        )
-    engine = ShardedEngine.build(
+    return ShardedEngine.build(
         database,
         shards=shards,
         partition=getattr(args, "partition", "contiguous"),
@@ -378,14 +386,13 @@ def _build_serving_engine(
         store=store_kind,
         cache=cache,
     )
-    _enable_mutations_from_args(engine, args)
-    return engine
 
 
 def _single_node_engine(
     args: argparse.Namespace, database: ImageDatabase
 ) -> QueryDecompositionEngine:
     """Load (``--rfs``) or build the tree, then attach store and cache."""
+    cache = _cache_config_from_args(args)
     if getattr(args, "rfs", None):
         from repro.index.serialize import load_rfs
 
@@ -393,7 +400,10 @@ def _single_node_engine(
     else:
         rfs = RFSStructure.build(database.features, seed=args.seed)
     _attach_store_from_args(rfs, args)
-    _attach_cache_from_args(rfs, args)
+    if cache is not None:
+        from repro.cache import SubqueryResultCache
+
+        rfs.attach_cache(SubqueryResultCache(cache.capacity_bytes))
     return QueryDecompositionEngine(database, rfs)
 
 
@@ -536,20 +546,15 @@ def _add_mutation_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _enable_mutations_from_args(
-    engine: QueryDecompositionEngine, args: argparse.Namespace
-) -> None:
-    """Turn on the mutation path when ``--mutations`` asks for it."""
+def _mutation_config_from_args(
+    args: argparse.Namespace,
+) -> Optional[MutationConfig]:
+    """The mutation config ``--mutations`` asks for, if any."""
     if not getattr(args, "mutations", False):
-        return
-    from repro.config import MutationConfig
-
-    engine.enable_mutations(
-        MutationConfig(
-            compact_threshold=getattr(args, "compact_threshold", 256),
-            background=getattr(args, "compact_background", False),
-        ),
-        seed=getattr(args, "seed", 0) or 0,
+        return None
+    return MutationConfig(
+        compact_threshold=getattr(args, "compact_threshold", 256),
+        background=getattr(args, "compact_background", False),
     )
 
 
@@ -572,19 +577,15 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _attach_cache_from_args(
-    rfs: RFSStructure, args: argparse.Namespace
-) -> None:
-    """Attach the subquery result cache ``--cache`` asks for, if any."""
+def _cache_config_from_args(
+    args: argparse.Namespace,
+) -> Optional[CacheConfig]:
+    """The subquery result cache config ``--cache`` asks for, if any."""
     if not getattr(args, "cache", False):
-        return
-    from repro.cache import SubqueryResultCache
-    from repro.config import CacheConfig
-
-    config = CacheConfig(
+        return None
+    return CacheConfig(
         enabled=True, capacity_mb=getattr(args, "cache_mb", 64.0)
     )
-    rfs.attach_cache(SubqueryResultCache(config.capacity_bytes))
 
 
 def _attach_store_from_args(

@@ -1,8 +1,7 @@
-"""Query execution: the final round's subqueries and one worker pool.
+"""Query execution: the final round's subqueries.
 
 :mod:`repro.exec.executors` runs the final-round subqueries in-line on
-the calling thread, in submission order.  :mod:`repro.exec.pool` is the
-order-preserving serial / thread pool the shard router fans out over.
+the calling thread, in submission order.
 """
 
 from repro._lazy import lazy_exports
@@ -12,8 +11,6 @@ __all__ = [
     "SerialSubqueryExecutor",
     "SubqueryOutcome",
     "SubqueryTask",
-    "WorkerPool",
-    "default_worker_count",
     "run_subquery_task",
 ]
 
@@ -27,6 +24,5 @@ __getattr__, __dir__ = lazy_exports(
             "SubqueryTask",
             "run_subquery_task",
         ),
-        "repro.exec.pool": ("WorkerPool", "default_worker_count"),
     },
 )

@@ -8,8 +8,8 @@ repeated reads of a hot node (e.g. the root) can be served from memory —
 mirroring how a real DBMS would behave.
 
 The counter is shared by every layer of one engine and by every thread
-that serves it (the server's request slots, the shard router's fan-out)
-— so all mutation happens under a lock.  The model counts
+that serves it (the server's request slots) — so all mutation happens
+under a lock.  The model counts
 accesses; it charges no time.
 """
 

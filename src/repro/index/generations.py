@@ -357,16 +357,14 @@ class GenerationController:
         if getattr(old, "shards", None):
             from repro.shard.engine import build_router
 
-            # Same deployment shape: strategy, fan-out mode and
-            # the shard caches carry over (old-version entries drop
-            # lazily on lookup).
+            # Same deployment shape: strategy and the shard caches
+            # carry over (old-version entries drop lazily on lookup).
             n_leaves = sum(node.is_leaf for node in base.nodes.values())
             built = build_router(
                 base,
                 min(len(old.shards), n_leaves),
                 old.assignment.strategy,
                 caches=[shard.cache for shard in old.shards],
-                parallel_fanout=old.parallel_fanout,
             )
         else:
             built = base

@@ -328,11 +328,9 @@ class RFSStructure:
         """Attach a leaf-contiguous :class:`~repro.store.FeatureStore`.
 
         Replaces the store :meth:`localized_knn` scans and
-        :meth:`vectors_for` gathers from — a memory-mapped one lets
-        worker processes share the pages zero-copy.  ``validate``
-        cross-checks shape and per-leaf membership against this
-        structure (skip only for stores freshly built from the same
-        structure).
+        :meth:`vectors_for` gathers from.  ``validate`` cross-checks
+        shape and per-leaf membership against this structure (skip only
+        for stores freshly built from the same structure).
 
         Re-attaching the store that is already attached is a no-op (no
         validation, no version bump), so long-running servers can call
@@ -426,10 +424,6 @@ class RFSStructure:
 
     def vectors_for(self, item_ids: Sequence[int]) -> np.ndarray:
         """Feature vectors for ``item_ids``, gathered from the store.
-
-        With a memory-mapped store attached this gathers from the shared
-        mapping — worker processes touch the same page-cache pages
-        instead of each holding a pickled copy of the feature matrix.
 
         Delta-segment ids (inserted after the generation was built)
         resolve from the segment's float32 kernel rows, so downstream

@@ -163,11 +163,6 @@ class NullTracer:
         """No open spans, ever (matches :meth:`Tracer.open_stacks`)."""
         return []
 
-    @contextmanager
-    def adopt(self, parent: Optional[Span]) -> Iterator[None]:
-        """No-op parent adoption (matches :meth:`Tracer.adopt`)."""
-        yield
-
 
 NULL_TRACER = NullTracer()
 
@@ -175,13 +170,11 @@ NULL_TRACER = NullTracer()
 class Tracer:
     """Records a forest of spans for one traced run.
 
-    The open-span stack is *thread-local*: each worker thread nests its
-    own spans independently, and :meth:`adopt` seeds a worker's stack
-    with the dispatching span so subquery work recorded on a pool thread
-    still attaches under the session tree.  Attaching a finished span to
-    its parent is a single ``list.append`` (atomic under the GIL), so
-    concurrent workers can safely share one tracer; sibling order across
-    threads is completion order.
+    The open-span stack is *thread-local*: each thread serving a request
+    nests its own spans independently, so concurrent requests build
+    separate trees.  Attaching a finished span to its parent is a single
+    ``list.append`` (atomic under the GIL), so concurrent threads can
+    safely share one tracer.
     """
 
     enabled = True
@@ -220,26 +213,6 @@ class Tracer:
     def span(self, name: str, **attributes: Any) -> Span:
         """Create a span; use as a context manager to time a region."""
         return Span(self, name, attributes)
-
-    @contextmanager
-    def adopt(self, parent: Optional[Span]) -> Iterator[None]:
-        """Parent this thread's spans under ``parent`` for the block.
-
-        Executors capture :attr:`current` on the dispatching thread and
-        adopt it inside each worker, so spans opened on the worker attach
-        to the dispatching span instead of becoming detached roots.
-        ``None`` is accepted and adopts nothing (untraced runs).
-        """
-        if parent is None:
-            yield
-            return
-        stack = self._stack
-        stack.append(parent)
-        try:
-            yield
-        finally:
-            if stack and stack[-1] is parent:
-                stack.pop()
 
     def event(self, name: str, **attributes: Any) -> Span:
         """Record an instantaneous span under the innermost open span."""

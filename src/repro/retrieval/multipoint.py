@@ -80,8 +80,8 @@ class MultipointQuery:
         ``dist(x) = sum_i w_i * ||x - p_i||`` — the weighted combination
         of individual distances described in the survey.  Computed one
         representative at a time: an (n, d) scratch buffer instead of
-        the (n, m, d) broadcast tensor, so large candidate batches (the
-        parallel fan-out runs several at once) stay memory-lean.
+        the (n, m, d) broadcast tensor, so large candidate batches
+        (concurrent requests run several at once) stay memory-lean.
 
         ``trusted=True`` routes an already-validated store block (see
         :mod:`repro.store`) through the fused batched kernel: no

@@ -6,28 +6,24 @@ journaling lets readers proceed while a writer commits, and a generous
 instead of failing; every statement runs in autocommit so no worker
 ever holds a long transaction.
 
-Connections are pooled per process: an operation takes one from a
-last-in-first-out free-list (opening one only when the list is empty)
-and puts it back when done, so the store holds as many connections as
-it ever had operations in flight at once — not one per thread that ever
-touched it, which leaks a file descriptor per short-lived thread (the
-TCP front runs ops on its per-connection handler threads).  The list is
-keyed by pid: a store object may be constructed before a fork and used
-by process-pool workers, each of which starts with an empty list and
-transparently opens its own connections to the shared database file.
-Pickling ships only the path.  A conditional write (``replacing=``)
-is one statement that names the record it replaces: ``UPDATE … WHERE
-session_id = ? AND payload = ?`` (``INSERT … DO NOTHING`` when it
-expects none), so it is atomic across threads and processes.
+Connections are pooled: an operation takes one from a last-in-first-out
+free-list (opening one only when the list is empty) and puts it back
+when done, so the store holds as many connections as it ever had
+operations in flight at once — not one per thread that ever touched it,
+which leaks a file descriptor per short-lived thread (the TCP front runs
+ops on its per-connection handler threads).  A
+conditional write (``replacing=``) is one statement that names the
+record it replaces: ``UPDATE … WHERE session_id = ? AND payload = ?``
+(``INSERT … DO NOTHING`` when it expects none), so it is atomic across
+threads and processes.
 """
 
 from __future__ import annotations
 
-import os
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, List, Optional, Union
 
 from repro.core.session_state import ANY_RECORD
 from repro.errors import SessionStoreError
@@ -67,11 +63,11 @@ _REPLACE = (
 class SQLiteSessionStore(SessionStore):
     """Session records in one SQLite file (WAL, concurrent-worker safe).
 
-    Safe to share between threads and across a fork: every operation
-    borrows a connection from the process's free-list for as long as
-    its statement (or, for a sweep, its transaction) runs, so the store
-    holds as many connections as it ever had operations in flight at
-    once, and :meth:`close` closes them all.
+    Safe to share between threads: every operation borrows a
+    connection from the free-list for as long as its statement (or, for
+    a sweep, its transaction) runs, so the store holds as many
+    connections as it ever had operations in flight at once, and
+    :meth:`close` closes them all.
     """
 
     kind = "sqlite"
@@ -81,11 +77,10 @@ class SQLiteSessionStore(SessionStore):
     ) -> None:
         self._path = str(path)
         self._busy_timeout_s = float(busy_timeout_s)
-        #: Idle connections of process ``_pid`` (a stack) and every
-        #: connection this object opened or inherited, for ``close``.
+        #: Idle connections (a stack) and every connection this object
+        #: opened, for ``close``.
         self._free: List[sqlite3.Connection] = []
         self._conns: List[sqlite3.Connection] = []
-        self._pid = os.getpid()
         self._conns_lock = threading.Lock()
         self._closed = False
         # Create the schema eagerly so a bad path fails at construction,
@@ -99,14 +94,6 @@ class SQLiteSessionStore(SessionStore):
             raise SessionStoreError(
                 f"sqlite session store {self._path} is closed"
             )
-        pid = os.getpid()
-        if self._pid != pid:
-            # Forked: the parent's connections stay the parent's (kept
-            # referenced in ``_conns``, never handed out here), and its
-            # lock may have been copied while held.
-            self._free = []
-            self._conns_lock = threading.Lock()
-            self._pid = pid
         try:
             return self._free.pop()
         except IndexError:
@@ -233,14 +220,3 @@ class SQLiteSessionStore(SessionStore):
                 conn.close()
             except sqlite3.Error:  # pragma: no cover - close is best-effort
                 pass
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Path-only pickling: fork/spawn workers reopen their own
-        # connections against the shared database file.
-        return {
-            "_path": self._path,
-            "_busy_timeout_s": self._busy_timeout_s,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(state["_path"], busy_timeout_s=state["_busy_timeout_s"])

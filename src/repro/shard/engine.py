@@ -51,7 +51,6 @@ from repro.config import (
 )
 from repro.core.engine import QueryDecompositionEngine
 from repro.errors import ConfigurationError, EmptyIndexError
-from repro.exec.pool import WorkerPool
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import RFSNode, RFSStructure
 from repro.obs import get_metrics, get_tracer
@@ -138,12 +137,6 @@ class Shard:
         )
 
 
-def _scan_shard(call: tuple, shard: Shard) -> RankedList:
-    """Router fan-out task: one shard's slice of one scatter."""
-    node_id, query, take = call
-    return shard.localized_knn(node_id, query, take)
-
-
 class ShardedRFS(RFSStructure):
     """The global tree with scatter-gather localized scans.
 
@@ -165,7 +158,6 @@ class ShardedRFS(RFSStructure):
         shards: Sequence[Shard],
         *,
         assignment: ShardAssignment,
-        parallel_fanout: bool = True,
     ) -> None:
         super().__init__(
             base.features, base.root, base.nodes, base.config, base.io
@@ -179,18 +171,6 @@ class ShardedRFS(RFSStructure):
         self.assignment = assignment
         # id -> owning shard index, for routing store gathers.
         self._item_shard: Optional[np.ndarray] = None
-        # Router fan-out pool.  Oversubscribed relative to the shard
-        # count: it is shared by every concurrently-served request (the
-        # serving front-end runs several workers over one router), and
-        # a shard scan spends part of its time in numpy kernels that
-        # release the GIL — with exactly n_shards threads, two
-        # concurrent fan-outs would serialize behind each other.
-        self.parallel_fanout = parallel_fanout
-        self._fanout = WorkerPool(
-            "thread" if parallel_fanout else "serial",
-            min(64, len(self.shards) * 8),
-            name="qd-shard-router",
-        )
 
     # -- routing -------------------------------------------------------
     @property
@@ -207,10 +187,6 @@ class ShardedRFS(RFSStructure):
             table.setflags(write=False)
             self._item_shard = table
         return self._item_shard[ids]
-
-    def close(self) -> None:
-        """Shut the router pool down (safe to call twice)."""
-        self._fanout.close()
 
     # -- overridden structure surface ----------------------------------
     @property
@@ -267,8 +243,10 @@ class ShardedRFS(RFSStructure):
     ) -> RankedList:
         """Scatter the scan to covering shards, gather by (dist, id).
 
-        Shards own their blocks and charge the shared disk model
-        themselves; the shard-level cache deduplicates repeated scans.
+        The covering shards are scanned one after another, in shard
+        order, on the calling thread.  Shards own their blocks and
+        charge the shared disk model themselves; the shard-level cache
+        deduplicates repeated scans.
 
         With a delta segment attached, shards hold tombstone-only
         adapters — each filters dead rows out of its own blocks but
@@ -302,11 +280,10 @@ class ShardedRFS(RFSStructure):
             k=int(k),
             shards=len(participants),
         ) as span:
-            partials = self._fanout.map(
-                _scan_shard,
-                participants,
-                (node.node_id, query, take),
-            )
+            partials = [
+                shard.localized_knn(node.node_id, query, take)
+                for shard in participants
+            ]
             merged = (
                 merge_ranked_lists(partials, take, dedupe=False)
                 if take > 0
@@ -331,7 +308,6 @@ def build_router(
     strategy: str,
     *,
     caches: Sequence[Optional["SubqueryResultCache"]],
-    parallel_fanout: bool,
 ) -> ShardedRFS:
     """Deal ``base``'s leaves over ``n_shards`` shards behind a router.
 
@@ -350,12 +326,7 @@ def build_router(
         )
         shard_rfs.structure_version = base.structure_version
         shard_objs.append(Shard(index, shard_rfs, caches[index]))
-    return ShardedRFS(
-        base,
-        shard_objs,
-        assignment=assignment,
-        parallel_fanout=parallel_fanout,
-    )
+    return ShardedRFS(base, shard_objs, assignment=assignment)
 
 
 class ShardedEngine(QueryDecompositionEngine):
@@ -376,7 +347,6 @@ class ShardedEngine(QueryDecompositionEngine):
         *,
         shards: int = 2,
         partition: str = "contiguous",
-        parallel_fanout: bool = True,
         seed: RandomState = None,
         io: Optional[DiskAccessCounter] = None,
         store: str = "inmem",
@@ -413,13 +383,7 @@ class ShardedEngine(QueryDecompositionEngine):
                 SubqueryResultCache(cache.capacity_bytes)
                 for _ in range(shards)
             ]
-        router = build_router(
-            base,
-            shards,
-            partition,
-            caches=caches,
-            parallel_fanout=parallel_fanout,
-        )
+        router = build_router(base, shards, partition, caches=caches)
         engine = cls(database, router, qd_config)
         if mutations is not None:
             engine.enable_mutations(
@@ -439,9 +403,3 @@ class ShardedEngine(QueryDecompositionEngine):
     @property
     def n_shards(self) -> int:
         return self.sharded_rfs.n_shards
-
-    def close(self) -> None:
-        """Release the router's fan-out pool."""
-        super().close()
-        if isinstance(self.rfs, ShardedRFS):
-            self.rfs.close()

@@ -9,8 +9,8 @@ This package reorders the database once, at store-build time, into
 that every RFS node's vectors occupy one contiguous slice.  Leaf scans
 then serve zero-copy read-only views, the distance kernels fuse the
 whole block × representative computation into one pass, and the blocks
-persist via ``np.memmap`` so worker processes share the bytes through
-the page cache instead of pickled arrays.
+persist via ``np.memmap``, so processes that open one store share its
+bytes through the page cache.
 
 Pieces:
 

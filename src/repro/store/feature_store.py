@@ -15,7 +15,7 @@ Two backings share the exact same bytes and code paths:
 ``memmap``
     The matrix is an ``np.memmap`` over ``features.bin`` opened
     read-only; the OS page cache shares the mapping across every
-    process that opens (or forks with) it — zero copies, no pickling.
+    process that opens it — zero copies.
 
 Because both backings hold identical bytes and the same kernels consume
 them, rankings are bit-identical between the two (the store parity
@@ -34,18 +34,13 @@ Disk layout of a saved store directory::
 ``open`` refuses a ``dtype`` tag other than ``float32`` and a tier tag
 other than ``f32`` before mapping anything: the bytes would otherwise
 be reinterpreted as some other number format.
-
-Pickling contract (zero-copy worker sharing): a ``memmap`` store
-serialises only its metadata and path — unpickling reopens the mapping,
-so shipping a store (or an RFS holding one) to a worker process moves
-kilobytes of maps, never the feature matrix itself.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -102,8 +97,8 @@ class FeatureStore:
     kind:
         ``"inmem"`` or ``"memmap"``.
     path:
-        Directory the store was opened from (memmap stores reopen from
-        it on unpickling); ``None`` for never-saved in-RAM stores.
+        Directory the store was opened from; ``None`` for never-saved
+        in-RAM stores.
     """
 
     def __init__(
@@ -485,27 +480,3 @@ class FeatureStore:
             sqnorms=sqnorms,
         )
 
-    # ------------------------------------------------------------------
-    # Pickling — the zero-copy worker-sharing contract
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        state["_sqnorms"] = None
-        del state["_stats_lock"]  # locks don't pickle; workers get fresh
-        if self.kind == "memmap" and self.path is not None:
-            # Ship the path, not the bytes: the worker reopens the
-            # mapping and shares pages through the OS cache.
-            state["matrix"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.__dict__["_stats_lock"] = threading.Lock()
-        if self.matrix is None:
-            if self.path is None:  # pragma: no cover - defensive
-                raise DatasetError(
-                    "cannot reopen a memmap store without a path"
-                )
-            reopened = FeatureStore.open(self.path, mode="memmap")
-            self.matrix = reopened.matrix
-            self._sqnorms = reopened._sqnorms

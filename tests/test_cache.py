@@ -1,15 +1,13 @@
 """Tests for the cross-session subquery result cache.
 
 Covers the canonical cache key, the byte-capped LRU (eviction order,
-oversized entries, byte accounting, pickling), versioned and per-node
+oversized entries, byte accounting), versioned and per-node
 invalidation against generational mutations (the no-skip gate in
 ``scripts/check.sh`` targets the ``Invalidation`` classes), and cached
 final rounds staying bit-identical to the uncached path.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -178,16 +176,6 @@ class TestResultCacheLRU:
         assert cache.stats["bytes"] == 0
         assert cache.stats["inserts"] == 4  # counters survive clear
 
-    def test_pickle_roundtrip_recreates_lock(self):
-        cache = SubqueryResultCache(1 << 20)
-        _put(cache, "k1", node=9)
-        clone = pickle.loads(pickle.dumps(cache))
-        entry = clone.get("k1", 0)
-        assert entry is not None and entry.search_node_id == 9
-        _put(clone, "k2")  # usable lock after unpickling
-        assert len(clone) == 2
-        assert len(cache) == 1  # independent copies
-
 
 # ----------------------------------------------------------------------
 # Cached final rounds — parity with the uncached path
@@ -345,8 +333,7 @@ class TestCacheInvalidation:
         }
         if shards:
             engine = ShardedEngine.build(
-                database, RFS_CONFIG, QDConfig(), shards=shards,
-                parallel_fanout=False, **build,
+                database, RFS_CONFIG, QDConfig(), shards=shards, **build
             )
         else:
             engine = QueryDecompositionEngine.build(

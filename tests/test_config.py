@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import RFSStructure
 from repro.index.rstar import RStarTree
-from repro.shard.engine import Shard, ShardedEngine, ShardedRFS
+from repro.shard.engine import Shard, ShardedEngine, ShardedRFS, build_router
 from repro.store import FeatureStore
 from tests.reference_build import structure_digest
 
@@ -164,11 +164,14 @@ SETTABLE_SURFACE = {
         "database", "rfs_config", "qd_config", "seed", "io", "store",
         "cache", "mutations", "progress",
     ],
+    # A shard scan runs on the request's own thread: no fan-out mode is
+    # settable on the engine, the router or the function that builds it.
     "ShardedEngine.build": [
         "database", "rfs_config", "qd_config", "shards", "partition",
-        "parallel_fanout", "seed", "io", "store", "cache",
-        "mutations", "progress",
+        "seed", "io", "store", "cache", "mutations", "progress",
     ],
+    "ShardedRFS": ["base", "shards", "assignment"],
+    "build_router": ["base", "n_shards", "strategy", "caches"],
     # The final round ranks by one metric, plain Euclidean distance
     # over the feature vector: no per-dimension weights are settable
     # anywhere from the session down to the scan and its cache key.
@@ -202,6 +205,8 @@ _SIGNATURES = {
     "RStarTree.bulk_load": RStarTree.bulk_load,
     "RFSStructure.build": RFSStructure.build,
     "ShardedEngine.build": ShardedEngine.build,
+    "ShardedRFS": ShardedRFS,
+    "build_router": build_router,
     "FeedbackSession.finalize": FeedbackSession.finalize,
     "QueryDecompositionEngine": QueryDecompositionEngine,
     "FeedbackSession": FeedbackSession,

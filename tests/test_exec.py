@@ -3,25 +3,15 @@
 The final round's subqueries run in-line through
 :class:`repro.exec.SerialSubqueryExecutor`; ``TestRunSubqueryTask`` and
 ``TestSubqueryObservability`` pin what one of them returns and records.
-Underneath the shard router sits one :class:`repro.exec.pool.WorkerPool`,
-whose contract ``TestPoolContract`` pins once per kind.
 """
 
 from __future__ import annotations
-
-import os
-import threading
-import time
-
-import pytest
 
 from repro import obs
 from repro.config import QDConfig
 from repro.core.engine import QueryDecompositionEngine
 from repro.core.ranking import execute_final_round
-from repro.errors import ConfigurationError
-from repro.exec import SubqueryTask, WorkerPool, run_subquery_task
-from repro.index.diskmodel import DiskAccessCounter
+from repro.exec import SubqueryTask, run_subquery_task
 
 
 def _marks_across_leaves(rfs, n_leaves: int, per_leaf: int = 2) -> list:
@@ -47,116 +37,6 @@ def _signature(result):
         )
         for group in result.groups
     ]
-
-
-POOL_KINDS = ["serial", "thread"]
-
-
-class _Shared:
-    """What a pool call shares with its tasks: an offset to prove it
-    arrived, a disk counter to charge."""
-
-    def __init__(self) -> None:
-        self.offset = 100
-        self.io = DiskAccessCounter()
-
-
-def _offset_square(shared, item):
-    time.sleep(0.001 * (3 - item % 4))  # finish out of submission order
-    return shared.offset + item * item
-
-
-def _where(shared, item):
-    return os.getpid(), threading.get_ident()
-
-
-def _fail_on_three(shared, item):
-    if item == 3:
-        raise ValueError("task three failed")
-    return item
-
-
-def _observed(shared, item):
-    shared.io.access(item, "pool_contract")
-    with obs.get_tracer().span("pool_task", item=item):
-        obs.get_metrics().counter(
-            "pool_contract_tasks", "tasks run by the contract test"
-        ).inc()
-    return item
-
-
-class TestPoolContract:
-    """One suite for the one pool, whatever runs on it."""
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            WorkerPool("gpu")
-
-    def test_worker_counts(self):
-        assert WorkerPool("serial", 8).workers == 1
-        assert WorkerPool("thread", 3).workers == 3
-        assert WorkerPool("thread").workers >= 1  # 0 = the CPU count
-
-    @pytest.mark.parametrize("kind", POOL_KINDS)
-    def test_results_come_back_in_submission_order(self, kind):
-        items = list(range(12))
-        with WorkerPool(kind, 3) as pool:
-            assert pool.map(_offset_square, items, _Shared()) == [
-                100 + i * i for i in items
-            ]
-            assert pool.map(_offset_square, [], _Shared()) == []
-
-    @pytest.mark.parametrize("kind", POOL_KINDS)
-    def test_raising_task_propagates_and_pool_stays_usable(self, kind):
-        shared = _Shared()
-        with WorkerPool(kind, 2) as pool:
-            with pytest.raises(ValueError, match="task three failed"):
-                pool.map(_fail_on_three, list(range(6)), shared)
-            assert pool.map(_fail_on_three, [0, 1, 2], shared) == [0, 1, 2]
-
-    @pytest.mark.parametrize("kind", POOL_KINDS)
-    def test_close_is_idempotent_and_pool_reusable(self, kind):
-        shared = _Shared()
-        pool = WorkerPool(kind, 2)
-        pool.close()  # nothing started yet
-        assert pool.map(_offset_square, [1, 2], shared) == [101, 104]
-        pool.close()
-        pool.close()
-        assert pool.map(_offset_square, [3, 4], shared) == [109, 116]
-        pool.close()
-
-    @pytest.mark.parametrize("kind", POOL_KINDS)
-    def test_single_item_runs_inline(self, kind):
-        here = (os.getpid(), threading.get_ident())
-        with WorkerPool(kind, 2) as pool:
-            assert pool.map(_where, [0], None) == [here]
-            spread = pool.map(_where, [0, 1, 2], None)
-        if kind == "serial":
-            assert spread == [here] * 3
-        else:
-            assert all(pid == here[0] for pid, _ in spread)
-            assert all(ident != here[1] for _, ident in spread)
-
-    @pytest.mark.parametrize("kind", POOL_KINDS)
-    def test_worker_observability_lands_under_dispatching_span(self, kind):
-        shared = _Shared()
-        tracer = obs.Tracer()
-        registry = obs.MetricsRegistry()
-        with obs.use_tracer(tracer), obs.use_metrics(registry):
-            with WorkerPool(kind, 2) as pool, tracer.span("dispatch"):
-                pool.map(_observed, list(range(4)), shared)
-        assert shared.io.logical_reads == 4
-        assert registry.counters["pool_contract_tasks"].value == 4
-        (root,) = tracer.spans  # nothing detached
-        assert root.name == "dispatch"
-        assert [c.name for c in root.children] == ["pool_task"] * 4
-        # Worker page reads land exactly: a serial run of the same tasks
-        # reads the same pages.
-        serial = _Shared()
-        with WorkerPool("serial", 1) as pool:
-            pool.map(_observed, list(range(4)), serial)
-        assert shared.io.physical_reads == serial.io.physical_reads
-        assert shared.io.logical_reads == serial.io.logical_reads
 
 
 class TestRunSubqueryTask:

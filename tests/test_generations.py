@@ -446,7 +446,7 @@ class TestShardedParity:
                                             seed=10)
         engine = ShardedEngine.build(
             database, qd_config=QDConfig(), shards=3,
-            partition="roundrobin", parallel_fanout=False, seed=23,
+            partition="roundrobin", seed=23,
             cache=CacheConfig(enabled=True),
             mutations=MutationConfig(auto_compact=False),
         )
@@ -461,7 +461,6 @@ class TestShardedParity:
             assert router is not old
             assert router.assignment.strategy == "roundrobin"
             assert router.n_shards == 3
-            assert router.parallel_fanout is False
             assert all(
                 shard.cache is cache
                 for shard, cache in zip(router.shards, caches)

@@ -4,9 +4,9 @@ Package re-exports resolve on first attribute access and subcommand-only
 dependencies are imported inside their subcommands, so ``serve`` compiles
 none of the imaging, evaluation, baseline, feature-extraction, database
 building or trace-export code, nor a worker pool, result cache or query
-set it was not asked for (a single-node server's final round runs
-on the request's thread).  Each check runs in a fresh interpreter: this
-process has long imported everything.
+set it was not asked for (the final round, and a sharded server's
+scatter over its shards, run on the request's thread).  Each check runs
+in a fresh interpreter: this process has long imported everything.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ DEFERRED = (
     "repro.datasets.corel_loader",
     "repro.datasets.queryset",
     "repro.eval",
-    "repro.exec.pool",
     "repro.features.color",
     "repro.features.edges",
     "repro.features.extractor",
@@ -148,6 +147,18 @@ def test_serve_start_defers_what_serving_never_runs(db_path, tmp_path, store):
     # ``np.unique`` imports numpy.ma (16–24 ms of start CPU) on its first
     # call; serving deduplicates by sorting, so no part of it loads it.
     assert "numpy.ma" not in seen["start"] + seen["dialogue"]
+
+
+def test_sharded_serve_scatters_without_a_thread_pool(db_path):
+    # k = 300 of 400 images: the finalize scans a node both shards hold
+    # leaves of, so the scatter has two shards to visit.
+    seen = _run(
+        SERVE_SCRIPT.replace("k=40", "k=300"),
+        "serve", "--db", str(db_path), "--seed", "3",
+        "--session-store", "memory", "--shards", "2",
+    )
+    assert "concurrent.futures.thread" not in seen["start"]
+    assert "concurrent.futures.thread" not in seen["dialogue"]
 
 
 def test_every_exported_name_resolves():

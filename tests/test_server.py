@@ -184,6 +184,40 @@ class TestConfigValidation:
         assert err.startswith("error: cache capacity_mb must be a positive")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("shards", ["0", "2"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--cache", "--cache-mb", "nan"],
+                "error: cache capacity_mb must be a positive finite "
+                "number, got nan",
+            ),
+            (
+                ["--mutations", "--compact-threshold", "0"],
+                "error: compact_threshold must be >= 1, got 0",
+            ),
+        ],
+        ids=["cache-mb", "compact-threshold"],
+    )
+    def test_cli_refused_values_fail_before_the_build(
+        self, database, tmp_path, capsys, monkeypatch, shards, flags, message
+    ):
+        from repro.index.rfs import RFSStructure
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the tree was built before the refusal")
+
+        monkeypatch.setattr(RFSStructure, "build", no_build)
+        db_path = tmp_path / "db.npz"
+        database.save(db_path)
+        code = cli_main([
+            "serve", "--db", str(db_path), "--port", "0",
+            "--session-store", "memory", "--shards", shards, *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
     @pytest.mark.parametrize("port", ["-1", "65536"])
     def test_cli_refuses_out_of_range_port(self, port, capsys):
         with pytest.raises(SystemExit) as exc:

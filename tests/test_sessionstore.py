@@ -1775,41 +1775,6 @@ class TestSQLiteConnections:
             del store._acquire, store._release
             assert len(store) == 0
 
-    def test_forked_child_starts_with_an_empty_free_list(
-        self, state, tmp_path, monkeypatch
-    ):
-        from repro.sessionstore import sqlite as sqlite_module
-
-        with SQLiteSessionStore(tmp_path / "fork.db") as store:
-            store.put(state)
-            (inherited,) = store._free
-            child_pid = store._pid + 1
-            monkeypatch.setattr(
-                sqlite_module.os, "getpid", lambda: child_pid
-            )
-            # as the child sees it: nothing idle, the parent's
-            # connection is never handed out
-            assert store.read_payload(state.session_id) is not None
-            (own,) = store._free
-            assert own is not inherited
-            assert store._conns == [inherited, own]
-            assert store._pid == child_pid
-
-    def test_pickling_ships_only_the_path(self, state, tmp_path):
-        import pickle
-
-        path = tmp_path / "pickled.db"
-        with SQLiteSessionStore(path, busy_timeout_s=7.0) as store:
-            store.put(state)
-            assert store.__getstate__() == {
-                "_path": str(path), "_busy_timeout_s": 7.0
-            }
-            with pickle.loads(pickle.dumps(store)) as clone:
-                assert clone.get(state.session_id) == state
-                assert clone._conns and not set(
-                    map(id, clone._conns)
-                ) & set(map(id, store._conns))
-
 
 # ---------------------------------------------------------------------------
 # SQLite schema: one B-tree per checkpoint

@@ -13,9 +13,12 @@ resume handed off between routers with different shard counts.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import CacheConfig, QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.build import build_synthetic_database
@@ -87,7 +90,6 @@ def _sharded(
     store="inmem",
     partition="contiguous",
     cache=False,
-    parallel_fanout=True,
 ) -> ShardedEngine:
     return ShardedEngine.build(
         database,
@@ -95,7 +97,6 @@ def _sharded(
         QDConfig(),
         shards=shards,
         partition=partition,
-        parallel_fanout=parallel_fanout,
         seed=SEED,
         store=store,
         cache=CacheConfig(enabled=True, capacity_mb=8) if cache else None,
@@ -228,16 +229,6 @@ class TestShardedParity:
                 _run_session(engine, database) == baseline_store
             )
 
-    def test_serial_fanout_matches_parallel(
-        self, database, baseline_store
-    ):
-        with _sharded(
-            database, shards=4, parallel_fanout=False
-        ) as engine:
-            assert (
-                _run_session(engine, database) == baseline_store
-            )
-
     def test_cached_rerun_bit_identical(self, database, baseline_store):
         with _sharded(database, shards=4, cache=True) as engine:
             cold = _run_session(engine, database)
@@ -278,7 +269,6 @@ class TestShardedParity:
             assert (
                 _run_session(engine, database) == baseline_store
             )
-        router.close()
 
     def test_tie_heavy_distances_node_sweep(self):
         # Massively duplicated rows force exact distance ties, so the
@@ -312,7 +302,6 @@ class TestShardedParity:
                     assert single.localized_knn(
                         node, query, k
                     ) == router.localized_knn(routed, query, k)
-        router.close()
 
     def test_resume_on_router_with_different_shard_count(self, database):
         """A session checkpointed under a 2-shard router finishes
@@ -345,6 +334,45 @@ class TestShardedParity:
                 session = engine_b.resume_session(sid)
                 session.submit(mark(session.display(screens=2)))
                 assert _signature(session.finalize(k)) == expected
+
+
+# ----------------------------------------------------------------------
+# The scatter: one thread, one span tree
+# ----------------------------------------------------------------------
+def _parented(span, parent=None):
+    """Every ``(parent, span)`` pair of the tree under ``span``."""
+    yield parent, span
+    for child in span.children:
+        yield from _parented(child, span)
+
+
+class TestScatterOnCallingThread:
+    def test_shard_scans_run_on_the_calling_thread_under_one_tree(
+        self, database, monkeypatch
+    ):
+        threads = []
+        scan = Shard.localized_knn
+
+        def recording_scan(shard, node_id, query, k):
+            threads.append(threading.get_ident())
+            return scan(shard, node_id, query, k)
+
+        monkeypatch.setattr(Shard, "localized_knn", recording_scan)
+        tracer = obs.Tracer()
+        # k = 400 of 600 images widens the search node to one that
+        # both shards hold leaves of.
+        with _sharded(database, shards=2) as engine, obs.use_tracer(tracer):
+            engine.run_scripted(_mark_fn(database), k=400, seed=11)
+        assert threads
+        assert set(threads) == {threading.get_ident()}
+        (root,) = tracer.spans  # the session's one tree, nothing detached
+        parents = [
+            parent for parent, span in _parented(root)
+            if span.name == "localized_knn"
+        ]
+        assert len(parents) == len(threads)
+        assert {parent.name for parent in parents} == {"sharded_knn"}
+        assert max(parent.attributes["shards"] for parent in parents) == 2
 
 
 # ----------------------------------------------------------------------

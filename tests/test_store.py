@@ -3,7 +3,7 @@
 Covers the build invariants (permutation maps, per-node contiguity),
 the save -> memmap/inmem load roundtrip, the on-disk format tags (a
 foreign dtype or tier tag, a future version, version-1 back-compat), the
-zero-copy pickling contract, the batched kernels against naive
+batched kernels against naive
 references and their block-shape independence, the store-backed
 ``localized_knn`` fast path against the brute-force reference — with
 tombstones, and through the final round's top-up — and the acceptance
@@ -12,8 +12,6 @@ backings.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -191,18 +189,6 @@ class TestRoundtrip:
         _, _, directory = saved_store
         with pytest.raises(ConfigurationError):
             FeatureStore.open(directory, mode="mmap")
-
-    def test_memmap_pickle_ships_path_not_bytes(self, saved_store):
-        _, _, directory = saved_store
-        loaded = FeatureStore.open(directory, mode="memmap")
-        blob = pickle.dumps(loaded)
-        # Zero-copy contract: the pickled form must be metadata-sized,
-        # never the feature matrix itself.
-        assert len(blob) < loaded.nbytes / 2
-        clone = pickle.loads(blob)
-        assert np.array_equal(
-            np.asarray(clone.matrix), np.asarray(loaded.matrix)
-        )
 
     def test_save_rfs_with_store_dir(self, built, tmp_path):
         database, rfs = built
