@@ -50,9 +50,8 @@ import importlib  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
-from _harness import TINY_ENV, emit, tiny_arg_parser  # noqa: E402
+from _harness import TINY_ENV, BenchResult, emit, tiny_arg_parser  # noqa: E402
 from repro.config import RFSConfig  # noqa: E402
-from repro.obs.bench import BenchResult  # noqa: E402
 from repro.datasets.build import build_synthetic_database  # noqa: E402
 from repro.index.rfs import RFSStructure  # noqa: E402
 

@@ -33,9 +33,8 @@ import time
 
 import numpy as np
 
-from _harness import TINY_ENV, emit, tiny_arg_parser
+from _harness import TINY_ENV, BenchResult, emit, tiny_arg_parser
 from repro.cache import SubqueryResultCache
-from repro.obs.bench import BenchResult
 from repro.config import QDConfig, RFSConfig
 from repro.core.ranking import execute_final_round
 from repro.datasets.build import build_synthetic_database

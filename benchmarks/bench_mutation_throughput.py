@@ -33,14 +33,13 @@ import time
 
 import numpy as np
 
-from _harness import TINY_ENV, emit, tiny_arg_parser
+from _harness import TINY_ENV, BenchResult, emit, tiny_arg_parser
 from repro.cache import SubqueryResultCache
 from repro.config import MutationConfig, QDConfig, RFSConfig
 from repro.core.ranking import execute_final_round
 from repro.datasets.build import build_synthetic_database
 from repro.index.generations import GenerationController
 from repro.index.rfs import RFSStructure
-from repro.obs.bench import BenchResult
 from repro.store import FeatureStore
 
 TINY = os.environ.get("QD_BENCH_TINY") == "1"

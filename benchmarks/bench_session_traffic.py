@@ -58,12 +58,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from _harness import TINY_ENV, emit, tiny_arg_parser
+from _harness import TINY_ENV, BenchResult, emit, tiny_arg_parser
 from repro.core import QueryDecompositionEngine, SessionFrontEnd
 from repro.core.session import FeedbackSession
 from repro.errors import SessionStateError
 from repro.datasets.build import build_synthetic_database
-from repro.obs.bench import BenchResult
 from repro.sessionstore import SQLiteSessionStore, SessionStore
 
 TINY = os.environ.get("QD_BENCH_TINY") == "1"

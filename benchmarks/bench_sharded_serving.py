@@ -43,10 +43,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from _harness import TINY_ENV, emit, tiny_arg_parser
+from _harness import TINY_ENV, BenchResult, emit, tiny_arg_parser
 from repro.config import QDConfig, RFSConfig, ServeConfig
 from repro.datasets.build import build_synthetic_database
-from repro.obs.bench import BenchResult
 from repro.serve import QDServer
 from repro.sessionstore import InMemorySessionStore
 from repro.shard import ShardedEngine

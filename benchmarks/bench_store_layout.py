@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from _harness import TINY_ENV, emit, tiny_arg_parser
+from _harness import TINY_ENV, BenchResult, emit, tiny_arg_parser
 from repro import obs
 from repro.config import QDConfig, RFSConfig
 from repro.core.ranking import execute_final_round
@@ -205,10 +205,10 @@ def run_store_bench(tiny: bool) -> tuple[list[str], dict]:
     return rows, metrics
 
 
-def _bench_result(tiny: bool, metrics: dict) -> obs.BenchResult:
+def _bench_result(tiny: bool, metrics: dict) -> BenchResult:
     """The canonical ``BENCH_store_layout.json`` record."""
     p = _params(tiny)
-    result = obs.BenchResult.new("store_layout", {**p, "tiny": tiny})
+    result = BenchResult.new("store_layout", {**p, "tiny": tiny})
     result.record(
         "kernel_speedup", metrics["kernel_speedup"], unit="x",
         higher_is_better=True,

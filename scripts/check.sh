@@ -192,6 +192,23 @@ forbid "no fork guard or pickling hook in the session store, the" \
     src/repro/store src/repro/cache
 forbid "no executor argument, property or label in src/" -- \
     -nE -e 'executor=|\.executor\b|"executor"' -- src/
+# The CLI has no setting with one legal value: --executor serial,
+# --workers 0, --store-tier f32 and build-store --tier f32 named the
+# one model left after their alternatives were deleted, and went with
+# the constant that listed the tiers.  A removed flag is an argparse
+# usage error (exit 2).
+forbid "no one-valued CLI setting: no executor, worker-count or tier" \
+    "flag" -- -nwE 'STORE_TIERS|store_tier|_add_exec_flags' -- src/
+forbid "no --executor, --workers, --store-tier or --tier flag in the CLI" \
+    -- -nE '"--(executor|workers|store-tier|tier)"' -- src/repro/cli.py
+# Benchmark records are written by benchmarks/_harness.py and compared
+# by scripts/bench_compare.py; the served package carries neither.
+forbid "no benchmark-record tooling under src/" -- \
+    -nE 'repro\.obs\.bench|BenchResult|compare_dirs' -- src/
+# Nothing under src/ pickles a ranking or the disk counter.
+forbid "no pickling hook in the rankings or the index" -- \
+    -nE '__reduce__|__getstate__|__setstate__' -- src/repro/retrieval \
+    src/repro/index
 forbid "encode_state() is called only under src/repro/sessionstore/" -- \
     -n 'encode_state(' -- src/ ':!src/repro/sessionstore/'
 # The final round ranks by one metric, plain Euclidean distance (the

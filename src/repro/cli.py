@@ -26,7 +26,6 @@ from typing import Iterator, Optional, Sequence
 from repro import obs
 from repro.config import (
     STORE_KINDS,
-    STORE_TIERS,
     CacheConfig,
     DatasetConfig,
     MutationConfig,
@@ -99,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_store.add_argument(
         "--out", required=True, help="output store directory"
     )
-    p_store.add_argument(
-        "--tier",
-        choices=STORE_TIERS,
-        default="f32",
-        help="scan tier: f32, the exact float32 rows (the only tier)",
-    )
     p_store.add_argument("--seed", type=int, default=2006)
     _add_build_flags(p_store)
 
@@ -122,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--seed", type=int, default=7)
     p_query.add_argument("--rounds", type=int, default=3)
     _add_shard_flags(p_query)
-    _add_exec_flags(p_query)
     _add_store_flags(p_query)
     _add_cache_flags(p_query)
     _add_session_flags(p_query)
@@ -174,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--rounds", type=int, default=3)
     p_int.add_argument("--screens", type=int, default=2)
     p_int.add_argument("--seed", type=int, default=7)
-    _add_exec_flags(p_int)
     _add_store_flags(p_int)
     _add_cache_flags(p_int)
     _add_session_flags(p_int)
@@ -190,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--db", required=True)
     p_exp.add_argument("--seed", type=int, default=2006)
     p_exp.add_argument("--trials", type=_positive_int, default=3)
-    _add_exec_flags(p_exp)
     _add_store_flags(p_exp)
     _add_cache_flags(p_exp)
     _add_obs_flags(p_exp)
@@ -249,39 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="graceful-drain budget on shutdown (0 = wait forever)",
     )
     _add_shard_flags(p_serve)
-    _add_exec_flags(p_serve)
     _add_store_flags(p_serve)
     _add_cache_flags(p_serve)
     _add_session_flags(p_serve, required=True)
     _add_mutation_flags(p_serve)
     _add_obs_flags(p_serve)
-
-    p_bench = sub.add_parser(
-        "bench", help="inspect canonical benchmark results"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_report = bench_sub.add_parser(
-        "report",
-        help=(
-            "print a trend table of BENCH_*.json results and, when a "
-            "baseline directory exists, the noise-aware diff against it"
-        ),
-    )
-    p_report.add_argument(
-        "--results",
-        default="benchmarks/results",
-        help="directory of fresh BENCH_*.json files",
-    )
-    p_report.add_argument(
-        "--baseline",
-        default="benchmarks/baselines",
-        help="directory of committed baseline BENCH_*.json files",
-    )
-    p_report.add_argument(
-        "--include-times",
-        action="store_true",
-        help="also diff machine-dependent raw-time metrics",
-    )
 
     return parser
 
@@ -407,27 +369,6 @@ def _single_node_engine(
     return QueryDecompositionEngine(database, rfs)
 
 
-def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
-    """Shared executor flags (query/interactive/experiment/serve).
-
-    The final round runs its subqueries on the calling thread; the
-    flags keep their names and accept only that model's values.
-    """
-    parser.add_argument(
-        "--executor",
-        choices=("serial",),
-        default="serial",
-        help="how the final-round subqueries run (in-line; the only kind)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        choices=(0,),
-        default=0,
-        help="subquery worker count (0; the final round has no pool)",
-    )
-
-
 def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     """Shared offline-build flags (build-rfs/build-store)."""
     parser.add_argument(
@@ -468,12 +409,6 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
         "--store-path",
         metavar="DIR",
         help="saved store directory (required with --store memmap)",
-    )
-    parser.add_argument(
-        "--store-tier",
-        choices=STORE_TIERS,
-        default="f32",
-        help="scan tier: f32, the exact float32 rows (the only tier)",
     )
 
 
@@ -903,71 +838,9 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``bench report``: trend table + optional baseline diff."""
-    from pathlib import Path
-
-    from repro.obs.bench import (
-        BenchSchemaError,
-        compare_dirs,
-        format_comparison,
-        load_bench_dir,
-    )
-
-    try:
-        currents = load_bench_dir(args.results)
-    except BenchSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not currents:
-        print(
-            f"no BENCH_*.json under {args.results} — run the "
-            "benchmarks/ entry points first",
-            file=sys.stderr,
-        )
-        return 1
-
-    for name, result in sorted(currents.items()):
-        print(f"{name}  (sha {result.git_sha[:12]})")
-        for metric, entry in sorted(result.metrics.items()):
-            direction = {True: "higher", False: "lower"}.get(
-                entry.get("higher_is_better"), "info"
-            )
-            gate = "gated" if entry.get("compare") else "info"
-            print(
-                f"  {metric:24s} p50 {entry['p50']:10.3f} "
-                f"{entry.get('unit', ''):5s} "
-                f"p95 {entry['p95']:10.3f}  [{direction}, {gate}]"
-            )
-        print()
-
-    if not Path(args.baseline).is_dir():
-        print(f"(no baseline directory {args.baseline}; skipping diff)")
-        return 0
-    try:
-        deltas, missing = compare_dirs(
-            args.baseline,
-            args.results,
-            include_times=args.include_times,
-        )
-    except BenchSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(format_comparison(deltas, missing))
-    n_regressions = sum(d.regression for d in deltas) + len(missing)
-    if n_regressions:
-        print(
-            f"\n{n_regressions} regression(s) vs {args.baseline}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"\n{len(deltas)} metric(s) within the noise gate")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.config import ServeConfig
-    from repro.serve import QDServer, serve_tcp
+    from repro.serve import QDServer, QDTCPServer
 
     database = ImageDatabase.load(args.db)
     serve_config = ServeConfig(
@@ -984,15 +857,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     shape = (
         f"{args.shards} shard(s)" if args.shards else "single-node"
     )
-    print(
-        f"serving {database.size} images ({shape}, "
-        f"{serve_config.workers} workers, queue {serve_config.queue_limit},"
-        f" deadline {serve_config.default_deadline_s:g}s) on "
-        f"{args.host}:{args.port} — one JSON request per line, "
-        "Ctrl-C or SIGTERM drains and exits"
-    )
     with _obs_scope(args), engine, _sigterm_interrupts():
-        serve_tcp(core, args.host, args.port)
+        # Bound before the announcement, so --port 0 prints the port
+        # the OS picked.
+        server = QDTCPServer((args.host, args.port), core)
+        host, port = server.server_address[:2]
+        print(
+            f"serving {database.size} images ({shape}, "
+            f"{serve_config.workers} workers, queue "
+            f"{serve_config.queue_limit}, deadline "
+            f"{serve_config.default_deadline_s:g}s) on {host}:{port} — "
+            "one JSON request per line, Ctrl-C or SIGTERM drains and exits",
+            flush=True,
+        )
+        server.serve_until_interrupted()
     return 0
 
 
@@ -1000,8 +878,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _sigterm_interrupts() -> Iterator[None]:
     """Make SIGTERM take Ctrl-C's path out of ``serve``.
 
-    The handler raises ``KeyboardInterrupt``, which ``serve_tcp`` turns
-    into a drain and ``core.close()``; the ``with`` around it then
+    The handler raises ``KeyboardInterrupt``, which
+    ``QDTCPServer.serve_until_interrupted`` turns into a drain and
+    ``core.close()``; the ``with`` around it then
     closes the engine.  SIGTERM's default action ends the process
     outright, abandoning in-flight requests mid-operation.
     """
@@ -1028,7 +907,6 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
     "sessions": _cmd_sessions,
     "serve": _cmd_serve,
-    "bench": _cmd_bench,
 }
 
 

@@ -134,11 +134,6 @@ class QDConfig:
 #: :mod:`repro.store`).
 STORE_KINDS: tuple[str, ...] = ("inmem", "memmap")
 
-#: The CLI ``--store-tier`` / ``--tier`` choices.  Every store scans its
-#: exact float32 rows; the flags keep their names, and a removed tier
-#: value is an argparse usage error.
-STORE_TIERS: tuple[str, ...] = ("f32",)
-
 
 @dataclass(frozen=True)
 class CacheConfig:

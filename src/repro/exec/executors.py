@@ -66,8 +66,7 @@ class SubqueryOutcome:
 
     ``ranked`` is the full over-fetched ranking — dedup against the
     other subqueries happens sequentially in the merge, not here, so the
-    outcome is independent of every other task.  ``(score, id)`` pairs
-    are ranked on construction.
+    outcome is independent of every other task.
     """
 
     leaf_id: int
@@ -75,10 +74,6 @@ class SubqueryOutcome:
     centroid: np.ndarray
     ranked: RankedList
     duration_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.ranked, RankedList):
-            self.ranked = RankedList.from_pairs(self.ranked)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Dict
 
 
 @dataclass
@@ -65,15 +65,6 @@ class DiskAccessCounter:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks cannot be pickled
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.__dict__["_lock"] = threading.Lock()
 
     def access(
         self, page_id: int, category: str = "node", *, nbytes: int = 0

@@ -35,12 +35,9 @@ from repro.obs.summarize import (
 
 __all__ = [
     "BUCKET_BOUNDS",
-    "BenchResult",
-    "BenchSchemaError",
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricDelta",
     "MetricsRegistry",
     "NULL_METRICS",
     "NULL_TRACER",
@@ -53,16 +50,11 @@ __all__ = [
     "TraceSummary",
     "Tracer",
     "collapsed_from_trace",
-    "compare_dirs",
-    "compare_results",
     "console_summary",
-    "format_comparison",
     "get_metrics",
     "get_tracer",
     "instrument_key",
     "iter_spans",
-    "load_bench_dir",
-    "load_bench_result",
     "load_jsonl_trace",
     "phase_durations",
     "prometheus_text",
@@ -72,24 +64,12 @@ __all__ = [
     "summarize",
     "use_metrics",
     "use_tracer",
-    "validate_bench_result",
     "write_jsonl_trace",
 ]
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.obs.bench": (
-            "BenchResult",
-            "BenchSchemaError",
-            "MetricDelta",
-            "compare_dirs",
-            "compare_results",
-            "format_comparison",
-            "load_bench_dir",
-            "load_bench_result",
-            "validate_bench_result",
-        ),
         "repro.obs.export": (
             "console_summary",
             "load_jsonl_trace",

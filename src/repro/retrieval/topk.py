@@ -78,10 +78,6 @@ class RankedList:
             np.array_equal(self.scores, other.scores)
         )
 
-    def __reduce__(self):
-        # Through __init__, so an unpickled copy is read-only too.
-        return (RankedList, (self.item_ids, self.scores))
-
     def ids(self) -> List[int]:
         """Result ids in rank order."""
         return self.item_ids.tolist()

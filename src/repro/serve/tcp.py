@@ -298,6 +298,17 @@ class QDTCPServer(socketserver.ThreadingTCPServer):
         thread.start()
         return thread
 
+    def serve_until_interrupted(self) -> None:
+        """Run ``serve_forever`` on this thread until ``KeyboardInterrupt``,
+        then close the socket and drain the core."""
+        try:
+            self.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            self.server_close()
+            self.core.close()
+
     def close(self) -> None:
         """Stop accepting, close the socket, drain the core."""
         self.shutdown()
@@ -322,14 +333,8 @@ def serve_tcp(
     server = QDTCPServer((host, port), core)
     if background:
         server.serve_background()
-        return server
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        server.server_close()
-        core.close()
+    else:
+        server.serve_until_interrupted()
     return server
 
 

@@ -1,27 +1,37 @@
 """Canonical benchmark records and the noise-aware regression gate.
 
 Covers the ``BENCH_*.json`` schema round-trip, validation failures,
-the directory loader, and the :func:`compare_results` threshold logic
-the CI ``bench-regress`` job relies on: a real slowdown fails, run
-jitter passes, silently dropped metrics/benches fail.
+the directory loader (``benchmarks/_harness.py``, the records' writer),
+and the :func:`compare_results` threshold logic of
+``scripts/bench_compare.py`` that the CI ``bench-regress`` job relies
+on: a real slowdown fails, run jitter passes, silently dropped
+metrics/benches fail.
 """
 
-import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.obs.bench import (
+ROOT = Path(__file__).resolve().parent.parent
+# The records' writer and their reader live outside the package.
+sys.path[:0] = [str(ROOT / "benchmarks"), str(ROOT / "scripts")]
+
+from _harness import (  # noqa: E402
     BENCH_SCHEMA_VERSION,
-    DEFAULT_MIN_ABS,
     BenchResult,
     BenchSchemaError,
-    compare_dirs,
-    compare_results,
-    format_comparison,
     load_bench_dir,
     load_bench_result,
     machine_fingerprint,
     validate_bench_result,
+)
+from bench_compare import (  # noqa: E402
+    DEFAULT_MIN_ABS,
+    compare_dirs,
+    compare_results,
+    format_comparison,
+    main,
 )
 
 
@@ -247,27 +257,11 @@ class TestCompareDirs:
 
 
 class TestBenchCompareScript:
-    """The CLI gate around :func:`compare_dirs` (exit codes)."""
+    """The CLI gate around :func:`compare_dirs` (exit codes, output)."""
 
     @pytest.fixture()
     def script_main(self):
-        import importlib.util
-        import sys
-        from pathlib import Path
-
-        path = (
-            Path(__file__).resolve().parent.parent
-            / "scripts"
-            / "bench_compare.py"
-        )
-        spec = importlib.util.spec_from_file_location(
-            "bench_compare", path
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["bench_compare"] = module
-        spec.loader.exec_module(module)
-        yield module.main
-        sys.modules.pop("bench_compare", None)
+        return main
 
     def test_exit_codes(self, script_main, tmp_path, capsys):
         base_dir = tmp_path / "base"
@@ -296,3 +290,25 @@ class TestBenchCompareScript:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_prints_trend_rows_before_the_diff(
+        self, script_main, tmp_path, capsys
+    ):
+        base_dir = tmp_path / "base"
+        cur_dir = tmp_path / "cur"
+        _result("a", m=(2.0, dict(higher_is_better=True))).write(base_dir)
+        _result(
+            "a",
+            m=(2.0, dict(unit="x", higher_is_better=True)),
+            wall_s=([0.5, 1.5], dict(unit="s", compare=False)),
+        ).write(cur_dir)
+        assert script_main(
+            ["--baseline", str(base_dir), "--current", str(cur_dir)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.index("a  (sha ") < out.index("bench ")  # trend first
+        assert (
+            "  m                        p50      2.000 x     "
+            "p95      2.000  [higher, gated]"
+        ) in out
+        assert "  wall_s " in out and "[info, info]" in out

@@ -67,16 +67,6 @@ class TestDiskCounterUnderContention:
         assert not io.access(4)
         assert io.access(2)  # 2 was the one evicted
 
-    def test_pickling_drops_and_restores_lock(self):
-        import pickle
-
-        io = DiskAccessCounter(buffer_pages=2)
-        io.access(1)
-        clone = pickle.loads(pickle.dumps(io))
-        assert clone.physical_reads == 1
-        clone.access(2)  # usable lock after unpickling
-        assert clone.logical_reads == 2
-
 
 class TestMetricsUnderContention:
     def test_counter_exact_under_contention(self):

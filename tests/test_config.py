@@ -219,6 +219,16 @@ _SIGNATURES = {
 }
 
 
+#: The subcommands that took ``--executor`` / ``--workers`` /
+#: ``--store-tier``, each with its required arguments.
+_ONE_VALUED_FLAG_COMMANDS = {
+    "query": ["query", "--db", "db.npz", "--query", "bird"],
+    "interactive": ["interactive", "--db", "db.npz"],
+    "experiment": ["experiment", "table1", "--db", "db.npz"],
+    "serve": ["serve", "--db", "db.npz", "--session-store", "memory"],
+}
+
+
 def _parameters(fn):
     return [
         name
@@ -258,41 +268,37 @@ class TestSettableSurface:
              "--build-executor", "thread"],
             ["build-store", "--db", "db.npz", "--out", "store",
              "--build-workers", "2"],
+            ["build-store", "--db", "db.npz", "--out", "store",
+             "--tier", "f32"],
+            *(
+                command + flag
+                for command in _ONE_VALUED_FLAG_COMMANDS.values()
+                for flag in (
+                    ["--executor", "serial"],
+                    ["--workers", "0"],
+                    ["--store-tier", "f32"],
+                )
+            ),
+            ["index", "verify", "--db", "db.npz", "--rfs", "rfs.npz",
+             "--store-tier", "f32"],
         ],
-        ids=["build-executor", "build-workers"],
+        ids=[
+            "build-executor",
+            "build-workers",
+            "build-store-tier",
+            *(
+                f"{name}-{flag}"
+                for name in _ONE_VALUED_FLAG_COMMANDS
+                for flag in ("executor", "workers", "store-tier")
+            ),
+            "index-verify-store-tier",
+        ],
     )
     def test_removed_build_flags_are_usage_errors(self, argv):
+        # Each removed flag, given the one value it used to accept.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["query", "--db", "db.npz", "--query", "bird"],
-            ["interactive", "--db", "db.npz"],
-            ["experiment", "table1", "--db", "db.npz"],
-            ["serve", "--db", "db.npz", "--session-store", "memory"],
-        ],
-        ids=["query", "interactive", "experiment", "serve"],
-    )
-    def test_executor_flags_accept_only_the_serial_model(self, command):
-        args = build_parser().parse_args(
-            command + ["--executor", "serial", "--workers", "0"]
-        )
-        assert (args.executor, args.workers) == ("serial", 0)
-        for flag in (
-            ["--executor", "thread"],
-            ["--executor", "process"],
-            ["--workers", "2"],
-        ):
-            with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(command + flag)
-            assert exc.value.code == 2
-
-    def test_store_tiers_are_pinned(self):
-        # Every scan reads the exact float32 rows: one tier.
-        assert config.STORE_TIERS == ("f32",)
 
     def test_session_store_kinds_are_pinned(self):
         # One in-process store and one durable one.
@@ -320,7 +326,7 @@ BUILD_RFS_FLAGS = [
 
 #: ``repro-cbir build-store``'s options, by destination.
 BUILD_STORE_FLAGS = [
-    "db", "rfs", "out", "tier", "seed", "progress",
+    "db", "rfs", "out", "seed", "progress",
 ]
 
 #: A value other than the default for every ``RFSConfig`` field.  A new

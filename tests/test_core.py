@@ -315,10 +315,10 @@ class TestMergeOutcomesProperty:
                     leaf_id=leaf.node_id,
                     search_node_id=leaf.node_id,
                     centroid=rfs.features[int(leaf.item_ids[0])],
-                    ranked=[
+                    ranked=RankedList.from_pairs(
                         (float(rank), image_id)
                         for rank, image_id in enumerate(ranked_ids)
-                    ],
+                    ),
                 )
             )
         k = sum(quota for quota, _ in groups)

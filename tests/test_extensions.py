@@ -294,8 +294,8 @@ class TestCLI:
     def test_build_store_refuses_removed_formats(
         self, db_path, tmp_path, capsys, argv
     ):
-        # A removed format keeps its flag name; the value is an argparse
-        # usage error, raised before anything is built or served.
+        # The tier flags and --dtype are gone: each is an argparse usage
+        # error, raised before anything is built or served.
         command, *flags = argv
         out = (
             ["--out", str(tmp_path / "store")]

@@ -43,7 +43,6 @@ DEFERRED = (
     "repro.features.extractor",
     "repro.features.texture",
     "repro.imaging",
-    "repro.obs.bench",
     "repro.obs.export",
     "repro.obs.profile",
 )
@@ -53,12 +52,11 @@ DEFERRED = (
 #: loaded at the first reply, and those the dialogue loaded after it.
 SERVE_SCRIPT = """
 import json, socket, sys
-import repro.serve
 import repro.serve.tcp
 from repro import cli
 
-def serve_tcp(core, host, port):
-    server = repro.serve.tcp.serve_tcp(core, host, 0, background=True)
+def serve_until_interrupted(server):
+    server.serve_background()
     sock = socket.create_connection(server.server_address[:2], timeout=60)
     stream = sock.makefile("rw", encoding="utf-8")
 
@@ -83,7 +81,7 @@ def serve_tcp(core, host, port):
         "dialogue": sorted(after_dialogue - at_first_reply),
     }))
 
-repro.serve.serve_tcp = serve_tcp
+repro.serve.tcp.QDTCPServer.serve_until_interrupted = serve_until_interrupted
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -130,7 +128,7 @@ def db_path(tmp_path_factory):
 def test_serve_start_defers_what_serving_never_runs(db_path, tmp_path, store):
     seen = _run(
         SERVE_SCRIPT, "serve", "--db", str(db_path), "--seed", "3",
-        "--session-store", store,
+        "--port", "0", "--session-store", store,
         "--session-path", str(tmp_path / "sessions.db"),
     )
     loaded = [
@@ -154,7 +152,7 @@ def test_sharded_serve_scatters_without_a_thread_pool(db_path):
     # leaves of, so the scatter has two shards to visit.
     seen = _run(
         SERVE_SCRIPT.replace("k=40", "k=300"),
-        "serve", "--db", str(db_path), "--seed", "3",
+        "serve", "--db", str(db_path), "--seed", "3", "--port", "0",
         "--session-store", "memory", "--shards", "2",
     )
     assert "concurrent.futures.thread" not in seen["start"]

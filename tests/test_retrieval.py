@@ -258,14 +258,6 @@ class TestRankedList:
         assert a != RankedList.from_pairs([(0.1, 1), (0.2 + 1e-16, 2)])
         assert a != RankedList.from_pairs([(0.1, 1)])
 
-    def test_pickle_round_trip_stays_read_only(self):
-        import pickle
-
-        rl = RankedList.from_pairs([(0.1, 1), (0.2, 2)])
-        back = pickle.loads(pickle.dumps(rl))
-        assert back == rl
-        assert not back.scores.flags.writeable
-
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(QueryError):
             RankedList(np.arange(2), np.zeros(3))

@@ -624,7 +624,14 @@ class TestTCPServer:
     ):
         """Each connection's ops run on its own handler thread; nothing
         in the engine's disk counter may be kept per thread."""
-        import pickle
+
+        def footprint():
+            io = engine.rfs.io
+            return [
+                sys.getsizeof(io._buffer),
+                sys.getsizeof(io.per_category),
+                sys.getsizeof(io.per_category_logical),
+            ]
 
         def one_dialogue():
             sock, stream = self._client(tcp)
@@ -641,11 +648,11 @@ class TestTCPServer:
                 sock.close()
 
         one_dialogue()
-        after_one = len(pickle.dumps(engine.rfs.io))
+        after_one = footprint()
         for _ in range(199):
             one_dialogue()
         assert engine.rfs.io.logical_reads == 200
-        assert len(pickle.dumps(engine.rfs.io)) == after_one
+        assert footprint() == after_one
 
     def test_not_found_over_socket(self, tcp):
         sock, stream = self._client(tcp)
@@ -1105,6 +1112,47 @@ class TestServeSignals:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30.0) == 0
             sock.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            log.close()
+
+    def test_port_zero_announces_the_bound_port(self, database, tmp_path):
+        """``--port 0`` lets the OS pick the port; the startup line
+        names the one that was bound, so a client can reach it."""
+        db_path = tmp_path / "db.npz"
+        database.save(db_path)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        log_path = tmp_path / "server.log"
+        log = open(log_path, "wb")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--db", str(db_path), "--port", "0",
+                "--seed", str(SEED), "--session-store", "memory",
+            ],
+            env=env, stdout=log, stderr=subprocess.STDOUT,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while " on 127.0.0.1:" not in log_path.read_text():
+                assert proc.poll() is None, log_path.read_text()
+                assert time.monotonic() < deadline, "no startup line"
+                time.sleep(0.05)
+            line = log_path.read_text().splitlines()[0]
+            port = int(line.split(" on 127.0.0.1:")[1].split()[0])
+            assert port != 0
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=30.0
+            ) as sock:
+                stream = sock.makefile("rw", encoding="utf-8")
+                stream.write(json.dumps({"op": "open", "seed": 1}) + "\n")
+                stream.flush()
+                assert json.loads(stream.readline())["status"] == "ok"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30.0) == 0
         finally:
             if proc.poll() is None:
                 proc.kill()
