@@ -10,10 +10,10 @@ parallel device time), so whether sharding pays needs real
 parallelism.
 
 A second leg measures the admission-control story under overload: a
-burst far beyond queue capacity must be *shed* (structured retriable
-responses, shed rate > 0) while every admitted-and-executed request
-stays within its deadline (violations == 0) and executed p99 stays
-bounded by the queue depth — the point of bounding the queue.
+burst of callers far beyond queue capacity must be *shed* (structured
+retriable responses, shed rate > 0) while every admitted-and-executed
+request stays within its deadline (violations == 0) and executed p99
+stays bounded by the queue depth — the point of bounding the queue.
 
 Measured:
 
@@ -155,9 +155,11 @@ def _overload_leg(p: dict, database) -> dict:
     """Burst one slow server far past its queue bound.
 
     The burst is made of ``finalize`` requests — the final-round scan
-    is the costliest op, and the burst is queued far faster than one
-    worker drains it.  Each request gets its own prepared dialogue (opened, displayed,
-    marked) so every finalize is a full scatter scan.
+    is the costliest op — from ``overload_burst`` caller threads that
+    a barrier releases into ``request()`` at once, far faster than one
+    slot serves them.  Each request gets its own prepared dialogue
+    (opened, displayed, marked) so every finalize is a full scatter
+    scan.
     """
     relevant = set(np.flatnonzero(database.labels <= 4).tolist())
     engine = _build_engine(p, database, shards=1)
@@ -177,11 +179,21 @@ def _overload_leg(p: dict, database) -> dict:
                 default_deadline_s=p["overload_deadline_s"],
             ),
         )
-        futures = [
-            server.submit("finalize", session_id=sid, k=p["k"])
-            for sid in prepared
+        start = threading.Barrier(len(prepared))
+        responses: List = [None] * len(prepared)
+
+        def caller(n: int, sid: str) -> None:
+            start.wait()
+            responses[n] = server.request("finalize", session_id=sid, k=p["k"])
+
+        threads = [
+            threading.Thread(target=caller, args=(n, sid), daemon=True)
+            for n, sid in enumerate(prepared)
         ]
-        responses = [f.result(timeout=300.0) for f in futures]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300.0)
         server.close()
     finally:
         engine.close()

@@ -184,6 +184,15 @@ forbid "the shard scatter runs on the calling thread: no worker pool," \
     -- src/
 forbid "no span adoption: spans nest on the thread that opens them" -- \
     -nE '\.adopt\(' -- src/
+# Every request runs on the thread that brought it: QDServer.request()
+# is the one way an op executes, and a caller with no free slot waits
+# on the server's condition.  The worker threads, submit() and the
+# futures that carried their answers back were a second execution path
+# no benchmark workload reached, and were deleted.
+forbid "the serving core starts no thread: no submit(), worker loop or" \
+    "future in serve/server.py" -- \
+    -nE -e 'def submit\(|_worker_loop|concurrent\.futures|Future\b' \
+    -e 'threading\.Thread\(' -- src/repro/serve/server.py
 # Nothing under src/ forks or pickles a store, a cache or a session
 # store, so none keys state on the process id or defines pickling hooks.
 forbid "no fork guard or pickling hook in the session store, the" \

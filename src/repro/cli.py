@@ -224,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=7)
     p_serve.add_argument(
         "--serve-workers", type=int, default=4, metavar="N",
-        help="requests executing at once (slots; as many worker threads)",
+        help="requests executing at once, each on its own connection's thread",
     )
     p_serve.add_argument(
         "--queue-limit", type=int, default=64, metavar="N",
-        help="admission-queue bound; requests beyond it are shed",
+        help="callers that may wait for a slot; one more is shed",
     )
     p_serve.add_argument(
         "--deadline-s", type=float, default=30.0, metavar="SECONDS",

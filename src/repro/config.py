@@ -191,22 +191,22 @@ class ServeConfig:
         Execution slots, each owning a
         :class:`~repro.core.SessionFrontEnd` over the shared session
         store (and the engine's hot session copies): how many requests
-        execute at once, whether on the thread that brought them or on
-        one of as many worker threads.
+        execute at once.  Every request runs on the thread that brought
+        it; the server starts no thread of its own.
     queue_limit:
-        Bound of the admission queue (requests waiting for a slot).  A
-        request arriving while the queue is full is *shed* immediately
-        with a retriable response instead of waiting unboundedly — the
-        queue bound is what keeps tail latency finite under overload.
+        How many callers may wait for a slot.  A request arriving while
+        that many wait is *shed* immediately with a retriable response
+        instead of waiting unboundedly — the bound is what keeps tail
+        latency finite under overload.
     default_deadline_s:
         Per-request deadline applied when the caller does not set one.
-        A request still queued past its deadline is answered
-        ``deadline_expired`` without executing (running it would waste
-        server time on an answer the client has given up on).
+        A caller still waiting for a slot at its deadline is answered
+        ``deadline_expired`` then, without executing (running it would
+        waste server time on an answer the client has given up on).
     drain_timeout_s:
-        How long :meth:`repro.serve.QDServer.close` waits for queued
-        requests to finish during a graceful drain before abandoning
-        the remainder (``0`` waits forever).
+        How long :meth:`repro.serve.QDServer.close` waits for waiting
+        and executing requests to finish during a graceful drain before
+        returning without them (``0`` waits forever).
     """
 
     workers: int = 4

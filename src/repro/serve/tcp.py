@@ -3,8 +3,8 @@
 One request per line, one response per line — deliberately minimal (no
 HTTP dependency; the repo's rule is stdlib-only).  Each connection gets
 a handler thread (:class:`socketserver.ThreadingTCPServer`), which runs
-the op itself when the server core has a free execution slot and waits
-on the core's bounded admission queue otherwise — every op needs a
+each op itself through :meth:`QDServer.request`, waiting in the core's
+bounded line when every execution slot is taken — every op needs a
 slot, so connection count never defeats admission control.
 
 Request object::
@@ -54,7 +54,7 @@ import math
 import reprlib
 import socketserver
 import threading
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.serve.server import QDServer, ServerResponse
 
@@ -230,6 +230,8 @@ class QDTCPServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: Tuple[str, int], core: QDServer) -> None:
         super().__init__(address, _Handler)
         self.core = core
+        #: The thread running the accept loop, once serve_background ran.
+        self._accept_loop: Optional[threading.Thread] = None
 
     def core_request(self, payload: Dict[str, Any]) -> ServerResponse:
         """Validate one decoded request and run it through the core."""
@@ -290,13 +292,13 @@ class QDTCPServer(socketserver.ThreadingTCPServer):
 
     def serve_background(self) -> threading.Thread:
         """Run ``serve_forever`` on a daemon thread; returns it."""
-        thread = threading.Thread(
+        self._accept_loop = threading.Thread(
             target=self.serve_forever,
             name="qd-tcp-accept",
             daemon=True,
         )
-        thread.start()
-        return thread
+        self._accept_loop.start()
+        return self._accept_loop
 
     def serve_until_interrupted(self) -> None:
         """Run ``serve_forever`` on this thread until ``KeyboardInterrupt``,
@@ -311,7 +313,11 @@ class QDTCPServer(socketserver.ThreadingTCPServer):
 
     def close(self) -> None:
         """Stop accepting, close the socket, drain the core."""
-        self.shutdown()
+        # shutdown() waits for a running serve_forever: with no accept
+        # loop started it would wait forever.
+        if self._accept_loop is not None:
+            self.shutdown()
+            self._accept_loop = None
         self.server_close()
         self.core.close()
 

@@ -3,10 +3,11 @@
 Package re-exports resolve on first attribute access and subcommand-only
 dependencies are imported inside their subcommands, so ``serve`` compiles
 none of the imaging, evaluation, baseline, feature-extraction, database
-building or trace-export code, nor a worker pool, result cache or query
-set it was not asked for (the final round, and a sharded server's
-scatter over its shards, run on the request's thread).  Each check runs
-in a fresh interpreter: this process has long imported everything.
+building or trace-export code, nor a worker pool, future, result cache
+or query set it was not asked for (every request, its final round and a
+sharded server's scatter over its shards run on the request's thread).
+Each check runs in a fresh interpreter: this process has long imported
+everything.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 #: Modules (and packages, with everything under them) ``serve`` must not
 #: import before its first reply.
 DEFERRED = (
-    "concurrent.futures.process",
-    "concurrent.futures.thread",
+    "concurrent.futures",
     "multiprocessing",
     "repro.baselines",
     "repro.cache.result_cache",
@@ -155,8 +155,8 @@ def test_sharded_serve_scatters_without_a_thread_pool(db_path):
         "serve", "--db", str(db_path), "--seed", "3", "--port", "0",
         "--session-store", "memory", "--shards", "2",
     )
-    assert "concurrent.futures.thread" not in seen["start"]
-    assert "concurrent.futures.thread" not in seen["dialogue"]
+    assert "concurrent.futures" not in seen["start"]
+    assert "concurrent.futures" not in seen["dialogue"]
 
 
 def test_every_exported_name_resolves():
