@@ -80,7 +80,7 @@ def scalability_result(obs_registry):
     """One shared Figure 10/11 sweep (both figures read the same runs).
 
     Phase timings (including the p95 columns) come from per-session
-    traces — see ``repro.obs.phase_durations`` — not TimingLog plumbing.
+    traces — see ``repro.obs.phase_durations``.
     """
     from repro.eval.experiments import run_scalability
 

@@ -214,6 +214,18 @@ forbid "no --executor, --workers, --store-tier or --tier flag in the CLI" \
 # by scripts/bench_compare.py; the served package carries neither.
 forbid "no benchmark-record tooling under src/" -- \
     -nE 'repro\.obs\.bench|BenchResult|compare_dirs' -- src/
+# A run's time is recorded once, in its trace: --profile writes the
+# trace's collapsed stacks (exact self time per span path), and the
+# Figure 10/11 phases are read from round spans.  The sampling profiler
+# thread, the tracer's cross-thread stack registry it read, and the
+# TimingLog / Stopwatch timers were deleted; nothing under obs/ starts
+# a thread.
+forbid "one record of a run's time, the trace: no sampling profiler," \
+    "stack registry or timing log in src/" -- \
+    -nE -e 'SpanProfiler|open_stacks|TimingLog|Stopwatch' \
+    -e 'read_rss_bytes|utils\.timing|obs\.profile' -- src/
+forbid "nothing under src/repro/obs/ starts a thread" -- \
+    -n 'threading\.Thread(' -- src/repro/obs/
 # Nothing under src/ pickles a ranking or the disk counter.
 forbid "no pickling hook in the rankings or the index" -- \
     -nE '__reduce__|__getstate__|__setstate__' -- src/repro/retrieval \

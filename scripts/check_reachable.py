@@ -78,8 +78,8 @@ def imports(tree: ast.AST) -> Iterator[Tuple[str, Tuple[str, ...]]]:
     """``(module, names)`` for every import in ``tree``.
 
     An attribute read on an imported name counts as the import it
-    stands for: ``obs.SpanProfiler`` after ``from repro import obs``
-    reads what ``from repro.obs import SpanProfiler`` would.
+    stands for: ``obs.collapsed_from_trace`` after ``from repro import
+    obs`` reads what ``from repro.obs import collapsed_from_trace`` would.
     """
     bound: Dict[str, str] = {}  # local name -> the dotted name it binds
     nodes = list(ast.walk(tree))

@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import signal
 import sys
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from repro import obs
@@ -557,8 +558,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         "--profile",
         metavar="FILE",
         help=(
-            "sample the live span stack and write a collapsed-stack "
-            "profile (flamegraph input) to FILE"
+            "write the run's collapsed-stack profile (flamegraph input: "
+            "each span path's self time in microseconds) to FILE"
         ),
     )
 
@@ -567,8 +568,9 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 def _obs_scope(args: argparse.Namespace) -> Iterator[None]:
     """Install tracing/metrics for a command when its flags ask for it.
 
-    On exit, writes the JSONL trace (``--trace FILE``) and prints the
-    console summary plus a Prometheus dump (``--metrics``).
+    On exit, writes the collapsed-stack profile of the trace
+    (``--profile FILE``), the JSONL trace (``--trace FILE``), and prints
+    the console summary plus a Prometheus dump (``--metrics``).
     """
     trace_path = getattr(args, "trace", None)
     profile_path = getattr(args, "profile", None)
@@ -578,18 +580,16 @@ def _obs_scope(args: argparse.Namespace) -> Iterator[None]:
         return
     tracer = obs.Tracer()
     registry = obs.MetricsRegistry()
-    profiler = (
-        obs.SpanProfiler(tracer).start() if profile_path else None
-    )
     try:
         with obs.use_tracer(tracer), obs.use_metrics(registry):
             yield
     finally:
         # Flush even when the command dies mid-run (crash, Ctrl-C):
         # a partial trace of a failed session is the one you want most.
-        if profiler is not None:
-            profiler.stop()
-            n_stacks = profiler.write_collapsed(profile_path)
+        if profile_path:
+            text = obs.collapsed_from_trace(tracer)
+            Path(profile_path).write_text(text)
+            n_stacks = text.count("\n")
             print(f"profile: {n_stacks} stack(s) -> {profile_path}")
         if trace_path:
             n_spans = obs.write_jsonl_trace(tracer, trace_path)

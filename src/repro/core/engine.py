@@ -25,7 +25,6 @@ from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import ProgressCallback, RFSStructure
 from repro.obs import get_metrics, get_tracer
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
-from repro.utils.timing import TimingLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     import numpy as np
@@ -486,7 +485,6 @@ class QueryDecompositionEngine:
         rounds: Optional[int] = None,
         screens_per_round: Sequence[int] | int = DEFAULT_BROWSE_SCREENS,
         seed: RandomState = None,
-        timing: Optional[TimingLog] = None,
         round_callback: Optional[
             Callable[[int, FeedbackSession], None]
         ] = None,
@@ -507,18 +505,20 @@ class QueryDecompositionEngine:
             How many random screens the user browses each round — either
             one integer for all rounds or a per-round sequence (the last
             value repeats if the sequence is short).
-        timing:
-            Optional :class:`TimingLog`; phases ``"initial"``,
-            ``"iteration"``, and ``"final_knn"`` are recorded, matching
-            the paper's Figure 10/11 decomposition.
         round_callback:
             Invoked after each round with ``(round_number, session)`` —
             used by the Table 2 experiment to snapshot per-round state.
+
+        The wall time of each Figure 10/11 phase (``"initial"``,
+        ``"iteration"``, ``"final_knn"``) is summed into
+        ``result.stats["time_<phase>"]`` and the ``qd_phase_seconds``
+        histogram; per-round samples are the session trace's ``round``
+        and ``final_round`` spans (:func:`repro.obs.phase_durations`).
         """
         rng = ensure_rng(seed)
         total_rounds = rounds if rounds is not None else self.config.max_rounds
         session = self.new_session(seed=derive_rng(rng, "session"))
-        log = timing if timing is not None else TimingLog()
+        phase_s = {"initial": 0.0, "iteration": 0.0, "final_knn": 0.0}
         tracer = get_tracer()
         session_t0 = time.perf_counter()
         io = self.io
@@ -530,13 +530,15 @@ class QueryDecompositionEngine:
                 phase = "initial" if round_no == 1 else "iteration"
                 with tracer.span(
                     "round", round=round_no, phase=phase
-                ) as round_span, log.measure(phase):
+                ) as round_span:
+                    t0 = time.perf_counter()
                     shown = session.display(
                         screens=_screens_for_round(
                             screens_per_round, round_no
                         )
                     )
                     session.submit(mark_fn(shown))
+                    phase_s[phase] += time.perf_counter() - t0
                     round_span.set(
                         shown=len(shown),
                         marked=len(session.marked_ids),
@@ -544,8 +546,9 @@ class QueryDecompositionEngine:
                     )
                 if round_callback is not None:
                     round_callback(round_no, session)
-            with log.measure("final_knn"):
-                result = session.finalize(k)
+            t0 = time.perf_counter()
+            result = session.finalize(k)
+            phase_s["final_knn"] += time.perf_counter() - t0
             physical_delta = io.physical_reads - physical_before
             logical_delta = io.logical_reads - logical_before
             root.set(
@@ -554,9 +557,8 @@ class QueryDecompositionEngine:
                 disk_physical_reads=physical_delta,
                 disk_logical_reads=logical_delta,
             )
-        result.stats["time_initial"] = log.total("initial")
-        result.stats["time_iteration"] = log.total("iteration")
-        result.stats["time_final_knn"] = log.total("final_knn")
+        for phase, seconds in phase_s.items():
+            result.stats[f"time_{phase}"] = seconds
         # Disk accounting for this session (deltas, so a shared counter
         # across sessions still attributes correctly).
         result.stats["disk_physical_reads"] = float(physical_delta)
@@ -579,12 +581,12 @@ class QueryDecompositionEngine:
         metrics.histogram(
             "qd_session_seconds", "end-to-end scripted session wall time"
         ).observe(time.perf_counter() - session_t0)
-        for phase in ("initial", "iteration", "final_knn"):
+        for phase, seconds in phase_s.items():
             metrics.histogram(
                 "qd_phase_seconds",
                 "per-session wall time of one Figure 10/11 phase",
                 labels={"phase": phase},
-            ).observe(log.total(phase))
+            ).observe(seconds)
         return result
 
 

@@ -8,6 +8,7 @@ each to its table/figure.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +41,6 @@ from repro.eval.protocol import (
 from repro.eval.reporting import format_series, format_table
 from repro.obs import Tracer, get_tracer, phase_durations, use_tracer
 from repro.utils.rng import RandomState, derive_rng, ensure_rng, spawn_seeds
-from repro.utils.timing import TimingLog
 
 #: Oracle noise used in the quality experiments: the paper's 20 students
 #: overlooked some relevant thumbnails; a 10 % miss rate models that.
@@ -714,6 +714,11 @@ def _trimmed_mean(values: Sequence[float], trim: float = 0.1) -> float:
     return float(core.mean())
 
 
+def _p95(values: Sequence[float]) -> float:
+    """95th percentile of the samples (0.0 when there are none)."""
+    return float(np.percentile(values, 95)) if values else 0.0
+
+
 def run_scalability(
     db_sizes: Sequence[int] = (2_000, 4_000, 8_000, 12_000, 15_000),
     *,
@@ -739,7 +744,11 @@ def run_scalability(
         rng = ensure_rng(seed + size)
         feedback_reads: List[float] = []
         localized_reads: List[float] = []
-        timing = TimingLog()  # phases: overall / iteration / final_knn
+        # Per-query seconds: whole session, each feedback iteration,
+        # final localized k-NN.
+        overall_s: List[float] = []
+        iteration_s: List[float] = []
+        final_knn_s: List[float] = []
         target_rng = derive_rng(rng, "targets")
         outer_tracer = get_tracer()
         for q in range(n_queries):
@@ -761,8 +770,7 @@ def run_scalability(
                 ]
 
             # Phase timings are read from the session trace (one tracer
-            # per session, so sessions never share spans) instead of the
-            # old ad-hoc TimingLog plumbing.
+            # per session, so sessions never share spans).
             tracer = Tracer()
             # The paper retrieves as many images as the ground truth
             # holds; ground-truth size scales with the database, so the
@@ -787,13 +795,12 @@ def run_scalability(
                 # the CLI's --trace) instead of discarding them.
                 outer_tracer.spans.extend(tracer.spans)
             phases = phase_durations(tracer)
-            timing.record("overall", sum(
+            overall_s.append(sum(
                 sum(phases.get(p, ())) for p in
                 ("initial", "iteration", "final_knn")
             ))
-            for sample in phases.get("iteration", ()):
-                timing.record("iteration", sample)
-            timing.record("final_knn", sum(phases.get("final_knn", ())))
+            iteration_s.extend(phases.get("iteration", ()))
+            final_knn_s.append(sum(phases.get("final_knn", ())))
             feedback_reads.append(
                 result.stats.get("disk_reads_feedback", 0.0)
             )
@@ -804,30 +811,24 @@ def run_scalability(
         # Cost of one traditional global k-NN feedback round at this
         # size: a full-database scan query (what QPM/MARS/MV pay every
         # round).
-        knn_timer = TimingLog()
+        global_s: List[float] = []
         probe_rng = derive_rng(rng, "probe")
         for _ in range(min(n_queries, 40)):
             probe = database.features[
                 int(probe_rng.integers(database.size))
             ]
-            with knn_timer.measure("global"):
-                dists = np.linalg.norm(database.features - probe, axis=1)
-                np.argsort(dists, kind="stable")[:50]
-        global_round = _trimmed_mean(knn_timer.samples.get("global", []))
+            t0 = time.perf_counter()
+            dists = np.linalg.norm(database.features - probe, axis=1)
+            np.argsort(dists, kind="stable")[:50]
+            global_s.append(time.perf_counter() - t0)
 
         points.append(
             ScalabilityPoint(
                 db_size=size,
-                overall_query_time=_trimmed_mean(
-                    timing.samples.get("overall", [])
-                ),
-                iteration_time=_trimmed_mean(
-                    timing.samples.get("iteration", [])
-                ),
-                final_knn_time=_trimmed_mean(
-                    timing.samples.get("final_knn", [])
-                ),
-                global_knn_round_time=global_round,
+                overall_query_time=_trimmed_mean(overall_s),
+                iteration_time=_trimmed_mean(iteration_s),
+                final_knn_time=_trimmed_mean(final_knn_s),
+                global_knn_round_time=_trimmed_mean(global_s),
                 feedback_page_reads=(
                     float(np.mean(feedback_reads)) if feedback_reads else 0.0
                 ),
@@ -836,8 +837,8 @@ def run_scalability(
                     if localized_reads
                     else 0.0
                 ),
-                overall_query_time_p95=timing.percentile("overall", 95),
-                iteration_time_p95=timing.percentile("iteration", 95),
+                overall_query_time_p95=_p95(overall_s),
+                iteration_time_p95=_p95(iteration_s),
             )
         )
     return ScalabilityResult(points=points, n_queries=n_queries)

@@ -29,7 +29,6 @@ from repro.errors import EvaluationError
 from repro.eval.metrics import gtir, precision_at
 from repro.eval.oracle import SimulatedUser
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
-from repro.utils.timing import TimingLog
 
 #: Re-exported for the experiment drivers: the per-round browse budget
 #: (screens of 21 images) of the default persistent-user model.
@@ -76,7 +75,6 @@ def run_qd_session(
     seed: RandomState = None,
     miss_rate: float = 0.0,
     false_mark_rate: float = 0.0,
-    timing: Optional[TimingLog] = None,
 ) -> Tuple[QueryResult, List[QDRoundRecord]]:
     """Run one oracle-driven QD session; return result + round records."""
     database = engine.database
@@ -109,7 +107,6 @@ def run_qd_session(
         rounds=rounds,
         screens_per_round=screens_per_round,
         seed=derive_rng(rng, "engine"),
-        timing=timing,
         round_callback=snapshot,
     )
     final_ids = result.flatten(k_final)

@@ -9,8 +9,14 @@ The three pieces, all behind zero-overhead no-op defaults:
   histograms (distance computations, page reads, subqueries per round,
   rounds to convergence, ...);
 * **exporters** (:mod:`repro.obs.export`) — JSONL trace writer,
-  Prometheus text dump, console summary — plus the
+  collapsed-stack profile (each span path's exact self time, flamegraph
+  input), Prometheus text dump, console summary — plus the
   :func:`repro.obs.summarize` trace analysis helper.
+
+A run's time is recorded once, in its trace: the per-phase breakdown
+(:func:`repro.obs.phase_durations`), the summary and the profile are
+all read from finished spans, and nothing under ``repro.obs`` starts a
+thread.
 
 Quick start::
 
@@ -45,7 +51,6 @@ __all__ = [
     "NullTracer",
     "RESERVOIR_CAP",
     "Span",
-    "SpanProfiler",
     "SpanStats",
     "TraceSummary",
     "Tracer",
@@ -58,7 +63,6 @@ __all__ = [
     "load_jsonl_trace",
     "phase_durations",
     "prometheus_text",
-    "read_rss_bytes",
     "set_metrics",
     "set_tracer",
     "summarize",
@@ -71,6 +75,7 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.obs.export": (
+            "collapsed_from_trace",
             "console_summary",
             "load_jsonl_trace",
             "prometheus_text",
@@ -89,11 +94,6 @@ __getattr__, __dir__ = lazy_exports(
             "instrument_key",
             "set_metrics",
             "use_metrics",
-        ),
-        "repro.obs.profile": (
-            "SpanProfiler",
-            "collapsed_from_trace",
-            "read_rss_bytes",
         ),
         "repro.obs.trace": (
             "NULL_TRACER",

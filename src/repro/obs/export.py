@@ -12,6 +12,10 @@ The JSONL format is one span per line, depth-first, with explicit
 Truncated or corrupt lines — the tail of a crashed run's trace — are
 skipped with a warning instead of raising, so a partial trace is still
 summarizable.
+
+:func:`collapsed_from_trace` renders the same trace as collapsed stacks
+(``session;round;localized_knn 420``, flamegraph input): each span
+path's exact self time in microseconds.
 """
 
 from __future__ import annotations
@@ -20,28 +24,20 @@ import json
 import math
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer
-
-SpanDict = Dict[str, Any]
-TraceSource = Union[Tracer, Sequence[Span], Sequence[SpanDict]]
-
-
-def _as_span_dicts(trace: TraceSource) -> List[SpanDict]:
-    """Normalise a tracer / span list / dict list to nested dicts."""
-    if isinstance(trace, Tracer):
-        return trace.to_dicts()
-    out: List[SpanDict] = []
-    for span in trace:
-        out.append(span.to_dict() if isinstance(span, Span) else dict(span))
-    return out
+from repro.obs.summarize import (
+    SpanDict,
+    TraceSource,
+    as_span_dicts,
+    summarize,
+)
 
 
 def write_jsonl_trace(trace: TraceSource, path: Union[str, Path]) -> int:
     """Write a trace as JSONL; returns the number of lines written."""
-    roots = _as_span_dicts(trace)
+    roots = as_span_dicts(trace)
     lines: List[str] = []
     next_id = 1
 
@@ -111,6 +107,35 @@ def load_jsonl_trace(path: Union[str, Path]) -> List[SpanDict]:
             else:
                 parent["children"].append(span)
     return roots
+
+
+def collapsed_from_trace(trace: TraceSource) -> str:
+    """Collapsed stacks of a finished trace: one ``a;b;c weight`` line.
+
+    Weights are per-path self time (duration minus children) in integer
+    microseconds, so the output is flamegraph input and deterministic
+    given a trace.  Paths with no self time are left out.
+    """
+    weights: Dict[Tuple[str, ...], int] = {}
+
+    def walk(span: SpanDict, prefix: Tuple[str, ...]) -> None:
+        path = prefix + (str(span.get("name", "")),)
+        children = span.get("children", [])
+        child_s = sum(float(c.get("duration", 0.0)) for c in children)
+        self_s = max(0.0, float(span.get("duration", 0.0)) - child_s)
+        self_us = int(round(self_s * 1e6))
+        if self_us:
+            weights[path] = weights.get(path, 0) + self_us
+        for child in children:
+            walk(child, path)
+
+    for root in as_span_dicts(trace):
+        walk(root, ())
+    lines = [
+        f"{';'.join(path)} {weight}"
+        for path, weight in sorted(weights.items())
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +254,9 @@ def console_summary(
     Reports p95 alongside the mean for every span kind, as the Figure
     10/11 methodology requires.
     """
-    from repro.obs.summarize import summarize
-
     blocks: List[str] = []
     if trace is not None:
-        blocks.append(summarize(_as_span_dicts(trace)).format())
+        blocks.append(summarize(trace).format())
     if registry is not None and registry.enabled:
         lines = ["Metrics"]
         for key in sorted(registry.counters):

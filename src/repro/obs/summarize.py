@@ -19,6 +19,9 @@ import numpy as np
 from repro.obs.trace import Span, Tracer
 
 SpanDict = Dict[str, Any]
+#: Every form a trace reader accepts: a tracer, finished spans, nested
+#: span dicts, or the path of a JSONL trace file.
+TraceSource = Union[Tracer, str, Path, Sequence[SpanDict], Sequence[Span]]
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,12 @@ class TraceSummary:
         return "\n".join(lines)
 
 
-def _normalise(
-    trace: Union[Tracer, str, Path, Sequence[SpanDict], Sequence[Span]],
-) -> List[SpanDict]:
-    """Coerce any supported trace form into nested span dictionaries."""
+def as_span_dicts(trace: TraceSource) -> List[SpanDict]:
+    """Coerce any supported trace form into nested span dictionaries.
+
+    The one normaliser every trace reader goes through (summaries,
+    phase durations, the JSONL writer, collapsed stacks).
+    """
     if isinstance(trace, Tracer):
         return trace.to_dicts()
     if isinstance(trace, (str, Path)):
@@ -110,19 +115,16 @@ def iter_spans(roots: Sequence[SpanDict]) -> Iterator[SpanDict]:
         stack.extend(reversed(span.get("children", [])))
 
 
-def phase_durations(
-    trace: Union[Tracer, str, Path, Sequence[SpanDict], Sequence[Span]],
-) -> Dict[str, List[float]]:
+def phase_durations(trace: TraceSource) -> Dict[str, List[float]]:
     """Per-phase durations in the Figure 10/11 decomposition.
 
     Maps ``round`` spans to their ``phase`` attribute ("initial" /
-    "iteration") and ``final_round`` spans to ``"final_knn"`` — the
-    trace-based replacement for the old ``TimingLog`` plumbing.
+    "iteration") and ``final_round`` spans to ``"final_knn"``.
     """
     out: Dict[str, List[float]] = {
         "initial": [], "iteration": [], "final_knn": [],
     }
-    for span in iter_spans(_normalise(trace)):
+    for span in iter_spans(as_span_dicts(trace)):
         if span.get("name") == "round":
             phase = span.get("attributes", {}).get("phase", "iteration")
             out.setdefault(str(phase), []).append(
@@ -133,11 +135,9 @@ def phase_durations(
     return out
 
 
-def summarize(
-    trace: Union[Tracer, str, Path, Sequence[SpanDict], Sequence[Span]],
-) -> TraceSummary:
+def summarize(trace: TraceSource) -> TraceSummary:
     """Aggregate a trace (tracer, span dicts, or JSONL path)."""
-    roots = _normalise(trace)
+    roots = as_span_dicts(trace)
     summary = TraceSummary()
     durations: Dict[str, List[float]] = {}
     for span in iter_spans(roots):

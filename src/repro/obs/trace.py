@@ -159,10 +159,6 @@ class NullTracer:
         """No-op instantaneous event."""
         return _NULL_SPAN
 
-    def open_stacks(self) -> List[List[Span]]:
-        """No open spans, ever (matches :meth:`Tracer.open_stacks`)."""
-        return []
-
 
 NULL_TRACER = NullTracer()
 
@@ -182,33 +178,13 @@ class Tracer:
     def __init__(self) -> None:
         self.spans: List[Span] = []
         self._local = threading.local()
-        # Registry of every thread's open-span stack, so a sampling
-        # profiler (repro.obs.profile) can snapshot the live stacks
-        # from its own thread.  Guarded for dict mutation only; the
-        # sampler reads stack contents under the GIL.
-        self._stacks: Dict[int, List[Span]] = {}
-        self._stacks_lock = threading.Lock()
 
     @property
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
-            with self._stacks_lock:
-                self._stacks[threading.get_ident()] = stack
         return stack
-
-    def open_stacks(self) -> List[List[Span]]:
-        """Snapshot of every thread's currently open span stack.
-
-        Returns shallow copies (outermost first), skipping threads with
-        nothing open.  This is the sampling surface of the span
-        profiler; each snapshot is taken under the GIL so a concurrent
-        push/pop can at worst shift one frame.
-        """
-        with self._stacks_lock:
-            stacks = list(self._stacks.values())
-        return [list(stack) for stack in stacks if stack]
 
     def span(self, name: str, **attributes: Any) -> Span:
         """Create a span; use as a context manager to time a region."""

@@ -1,4 +1,4 @@
-"""Shared low-level helpers: seeded RNG management, validation, timing."""
+"""Shared low-level helpers: seeded RNG management and validation."""
 
 from repro._lazy import lazy_exports
 
@@ -6,8 +6,6 @@ __all__ = [
     "RandomState",
     "derive_rng",
     "ensure_rng",
-    "Stopwatch",
-    "TimingLog",
     "check_fraction",
     "check_positive",
     "check_probability",
@@ -19,7 +17,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.utils.rng": ("RandomState", "derive_rng", "ensure_rng"),
-        "repro.utils.timing": ("Stopwatch", "TimingLog"),
         "repro.utils.validation": (
             "check_fraction",
             "check_positive",

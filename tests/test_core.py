@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.config import QDConfig
 from repro.core.presentation import QueryResult, ResultGroup
 from repro.core.ranking import (
@@ -411,15 +412,22 @@ class TestEngineScripted:
         assert seen == [1, 2, 3]
 
     def test_timing_recorded(self, engine):
-        from repro.utils.timing import TimingLog
-
         db = engine.database
         user = SimulatedUser(db, get_query("bird"), seed=2)
-        log = TimingLog()
-        engine.run_scripted(user.mark, k=20, seed=2, timing=log)
-        assert log.count("initial") == 1
-        assert log.count("iteration") == 2
-        assert log.count("final_knn") == 1
+        tracer, registry = obs.Tracer(), obs.MetricsRegistry()
+        with obs.use_tracer(tracer), obs.use_metrics(registry):
+            result = engine.run_scripted(user.mark, k=20, seed=2)
+        phases = obs.phase_durations(tracer)
+        assert {p: len(v) for p, v in phases.items()} == {
+            "initial": 1, "iteration": 2, "final_knn": 1,
+        }
+        for phase in phases:
+            # One observation per phase per session, summing its rounds.
+            hist = registry.histogram(
+                "qd_phase_seconds", labels={"phase": phase}
+            )
+            assert hist.count == 1
+            assert result.stats[f"time_{phase}"] == hist.sum > 0.0
 
     def test_rounds_override(self, engine):
         db = engine.database

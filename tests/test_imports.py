@@ -44,7 +44,6 @@ DEFERRED = (
     "repro.features.texture",
     "repro.imaging",
     "repro.obs.export",
-    "repro.obs.profile",
 )
 
 #: Runs ``repro-cbir serve`` through ``cli.main`` with the accept loop

@@ -1,10 +1,8 @@
-"""Span profiler: sampling, collapsed stacks, resource attributes.
+"""Collapsed-stack profiles: read from a finished trace.
 
-Covers the profiler contract: live sampling of open-span stacks into
-flamegraph-consumable collapsed text, the deterministic no-op behaviour
-against a :class:`NullTracer`, the exact after-the-fact
-:func:`collapsed_from_trace` equivalent, the RSS/disk resource sampler,
-and the CLI ``--profile`` wiring.
+Covers :func:`repro.obs.collapsed_from_trace` (each span path's exact
+self time in microseconds, flamegraph input) and the CLI ``--profile``
+wiring, which writes that text for the run's trace and starts no thread.
 """
 
 import threading
@@ -13,112 +11,8 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs.profile import (
-    SpanProfiler,
-    collapsed_from_trace,
-    read_rss_bytes,
-)
-from repro.obs.trace import NULL_TRACER
-
-
-class TestSpanProfiler:
-    def test_samples_live_span_stacks(self):
-        tracer = obs.Tracer()
-        with SpanProfiler(tracer, interval_s=0.001) as prof:
-            with tracer.span("outer"):
-                with tracer.span("inner"):
-                    time.sleep(0.03)
-        assert prof.n_samples > 0
-        assert ("outer", "inner") in prof.stack_counts
-        text = prof.collapsed()
-        assert "outer;inner " in text
-        assert text.endswith("\n")
-        # Every line is "path count" with a positive integer count.
-        for line in text.splitlines():
-            path, count = line.rsplit(" ", 1)
-            assert path
-            assert int(count) > 0
-
-    def test_null_tracer_yields_empty_output_deterministically(self):
-        """Under Null defaults the profiler must be an exact no-op."""
-        for _ in range(3):
-            with SpanProfiler(NULL_TRACER, interval_s=0.001) as prof:
-                time.sleep(0.01)
-            assert prof.stack_counts == {}
-            assert prof.collapsed() == ""
-            assert prof.n_samples > 0  # it did sample; there was nothing
-
-    def test_defaults_to_installed_tracer(self):
-        tracer = obs.Tracer()
-        with obs.use_tracer(tracer):
-            prof = SpanProfiler(interval_s=0.001).start()
-            assert prof.tracer is tracer
-            prof.stop()
-
-    def test_start_twice_raises(self):
-        prof = SpanProfiler(NULL_TRACER, interval_s=0.001).start()
-        try:
-            with pytest.raises(RuntimeError, match="already started"):
-                prof.start()
-        finally:
-            prof.stop()
-
-    def test_stop_annotates_root_spans_with_resources(self):
-        tracer = obs.Tracer()
-        prof = SpanProfiler(tracer, interval_s=0.001).start()
-        with tracer.span("session"):
-            time.sleep(0.01)
-        prof.stop()
-        (root,) = tracer.spans
-        assert root.attributes["profile_samples"] == prof.n_samples
-        assert root.attributes["profile_rss_peak_bytes"] > 0
-        assert "profile_bytes_read" not in root.attributes  # no disk
-
-    def test_disk_model_deltas_recorded(self):
-        class FakeDisk:
-            bytes_read = 1000
-            physical_reads = 5
-
-        disk = FakeDisk()
-        tracer = obs.Tracer()
-        prof = SpanProfiler(tracer, interval_s=0.001, disk=disk).start()
-        with tracer.span("round"):
-            disk.bytes_read += 4096
-            disk.physical_reads += 2
-            time.sleep(0.01)
-        prof.stop()
-        # Deltas over the profiled window, not absolute totals.
-        assert prof.bytes_read == 4096
-        assert prof.physical_reads == 2
-        (root,) = tracer.spans
-        assert root.attributes["profile_bytes_read"] == 4096
-        assert root.attributes["profile_physical_reads"] == 2
-
-    def test_samples_worker_thread_stacks(self):
-        tracer = obs.Tracer()
-        release = threading.Event()
-
-        def worker() -> None:
-            with tracer.span("subquery"):
-                release.wait(1.0)
-
-        with SpanProfiler(tracer, interval_s=0.001) as prof:
-            thread = threading.Thread(target=worker)
-            thread.start()
-            time.sleep(0.03)
-            release.set()
-            thread.join()
-        assert ("subquery",) in prof.stack_counts
-
-    def test_write_collapsed(self, tmp_path):
-        tracer = obs.Tracer()
-        with SpanProfiler(tracer, interval_s=0.001) as prof:
-            with tracer.span("a"):
-                time.sleep(0.02)
-        path = tmp_path / "prof.folded"
-        n_lines = prof.write_collapsed(path)
-        assert n_lines == len(path.read_text().splitlines())
-        assert path.read_text() == prof.collapsed()
+from repro.cli import main as cli_main
+from repro.obs import collapsed_from_trace
 
 
 class TestCollapsedFromTrace:
@@ -171,16 +65,8 @@ class TestCollapsedFromTrace:
         assert collapsed_from_trace([]) == ""
 
 
-def test_read_rss_bytes_positive():
-    rss = read_rss_bytes()
-    assert rss > 0
-    # Sanity: a Python process with numpy loaded holds at least a few MB
-    # and far less than a TB.
-    assert 1 << 20 < rss < 1 << 40
-
-
 def test_cli_profile_flag_writes_collapsed_output(tmp_path):
-    """``--profile FILE`` samples the run and writes collapsed stacks."""
+    """``--profile FILE`` writes the collapsed stacks of the run."""
     from repro.cli import _obs_scope, build_parser
 
     parser = build_parser()
@@ -198,3 +84,34 @@ def test_cli_profile_flag_writes_collapsed_output(tmp_path):
                 time.sleep(0.03)
     text = out.read_text()
     assert "session" in text
+
+
+@pytest.fixture()
+def db_path(tmp_path, rendered_db):
+    path = tmp_path / "db.npz"
+    rendered_db.save(path)
+    return path
+
+
+def test_query_profile_is_the_collapsed_trace_and_starts_no_thread(
+    db_path, tmp_path, monkeypatch, capsys
+):
+    started = []
+    real_start = threading.Thread.start
+
+    def record_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record_start)
+    trace, profile = tmp_path / "run.jsonl", tmp_path / "run.folded"
+    assert cli_main([
+        "query", "--db", str(db_path), "--query", "bird", "--seed", "2",
+        "--k", "20", "--trace", str(trace), "--profile", str(profile),
+    ]) == 0
+    assert started == []
+    text = profile.read_text()
+    assert text == collapsed_from_trace(trace)
+    assert text.startswith("session")
+    lines = text.splitlines()
+    assert f"profile: {len(lines)} stack(s)" in capsys.readouterr().out

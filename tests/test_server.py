@@ -820,6 +820,71 @@ class TestWireEdgeCases:
         final = json.loads(wire(op="finalize", session_id=sid, k=30))
         assert final["status"] == "ok" and final["value"]["groups"]
 
+    def test_marking_nothing_after_every_root_image_starts_over(
+        self, wire, engine
+    ):
+        # Seed 21: the two screens show all 20 root representatives.
+        sid, shown = self._open_and_display(wire, 21)
+        twin, _ = self._open_and_display(wire, 21)
+        assert sorted(shown) == sorted(engine.rfs.root.representatives)
+        for session_id in (sid, twin):
+            spent = wire(op="submit", session_id=session_id, relevant_ids=[])
+            assert json.loads(spent)["status"] == "ok"
+        # sid resumes from its stored record; twin stays the live copy.
+        engine.release_session(sid)
+        again = wire(op="display", session_id=sid)
+        assert json.loads(again)["value"]
+        assert again == wire(op="display", session_id=twin)
+        mark = json.loads(again)["value"][:1]
+        for session_id in (sid, twin):
+            marked = wire(op="submit", session_id=session_id, relevant_ids=mark)
+            assert json.loads(marked)["status"] == "ok"
+        final = wire(op="finalize", session_id=sid, k=20)
+        assert json.loads(final)["status"] == "ok"
+        assert final == wire(op="finalize", session_id=twin, k=20)
+
+
+class TestFruitlessDialogue:
+    """A user who marks nothing once every root representative was shown
+    browses the root again instead of being stuck with empty screens."""
+
+    @staticmethod
+    def _spent(engine, session_id):
+        session = engine.open_session(seed=21, session_id=session_id)
+        shown = session.display(screens=2)
+        assert sorted(shown) == sorted(engine.rfs.root.representatives)
+        session.submit([])
+        return session
+
+    @staticmethod
+    def _ranking(result):
+        return result.rounds_used, [
+            (g.leaf_node_id, g.items.item_ids.tolist(),
+             g.items.scores.tolist())
+            for g in result.groups
+        ]
+
+    def test_display_starts_over_and_one_mark_finalizes(self, engine):
+        session = self._spent(engine, "spent")
+        shown = session.display()
+        assert shown
+        session.submit(shown[:1])
+        assert session.finalize(20).groups
+
+    def test_resume_in_the_spent_state_continues_bit_identically(
+        self, engine
+    ):
+        live = self._spent(engine, "live")
+        self._spent(engine, "suspended")
+        resumed = engine.resume_session("suspended")
+        screens = [s.display() for s in (live, resumed)]
+        assert screens[0] and screens[0] == screens[1]
+        for session in (live, resumed):
+            session.submit(screens[0][:1])
+        assert self._ranking(live.finalize(20)) == self._ranking(
+            resumed.finalize(20)
+        )
+
 
 # ----------------------------------------------------------------------
 # Admission: request() runs every op on the calling thread, at once

@@ -78,10 +78,14 @@ class TestSessionInvariants:
     @given(st.integers(0, 50))
     @settings(max_examples=10, deadline=None)
     def test_display_never_repeats_per_node(self, session_rfs, seed):
+        # One screen leaves unseen root representatives for the next
+        # (two would show them all, and a user who marked nothing then
+        # starts browsing the root over).
         session = FeedbackSession(session_rfs, QDConfig(), seed=seed)
-        first = session.display(screens=2)
+        first = session.display(screens=1)
         session.submit([])
         second = session.display(screens=2)
+        assert second
         assert not set(first) & set(second)
 
     @given(st.integers(0, 50))

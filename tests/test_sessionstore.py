@@ -1248,6 +1248,10 @@ PARENT_SCREEN_DIGESTS = """
     75d554c392a0 97c707959701 d33053fe90d7 75fd093432f3 e4c12f60c437
     af85ecb9ccf7 4a7d065967fc 2081bed60963 f8906afd4542 e520c85a515a
 """.split()
+#: Seeds whose dialogue marks nothing and has seen every root
+#: representative after two rounds.  Their third screen was empty on
+#: f821c54; browsing now starts over at the root.
+RESTARTED_SEEDS = (7, 21, 35, 49)
 
 
 def _scripted_marks(shown, seed):
@@ -1370,6 +1374,12 @@ class TestRecordEquivalence:
                 screens.append(shown)
                 session.submit(_scripted_marks(shown, seed))
                 _assert_unseen_consistent(session)
+            if seed in RESTARTED_SEEDS:
+                root_reps = sorted(rfs.root.representatives)
+                assert not session.marked_ids
+                assert sorted(screens[0] + screens[1]) == root_reps
+                assert screens[2] and set(screens[2]) <= set(root_reps)
+                screens[2] = []  # what the parent commits drew
             digests.append(_digest(screens))
         assert digests == PARENT_SCREEN_DIGESTS
 

@@ -1,11 +1,10 @@
-"""Tests for repro.utils: rng, validation, timing."""
+"""Tests for repro.utils: rng and validation."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import derive_rng, ensure_rng, spawn_seeds
-from repro.utils.timing import Stopwatch, TimingLog
 from repro.utils.validation import (
     check_fraction,
     check_positive,
@@ -132,63 +131,3 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             check_vectors("m", bad)
 
-
-class TestTiming:
-    def test_stopwatch_measures(self):
-        with Stopwatch() as sw:
-            sum(range(100))
-        assert sw.elapsed >= 0.0
-
-    def test_timing_log_record_and_mean(self):
-        log = TimingLog()
-        log.record("phase", 1.0)
-        log.record("phase", 3.0)
-        assert log.mean("phase") == pytest.approx(2.0)
-        assert log.total("phase") == pytest.approx(4.0)
-        assert log.count("phase") == 2
-
-    def test_timing_log_unknown_phase_is_zero(self):
-        log = TimingLog()
-        assert log.mean("nope") == 0.0
-        assert log.total("nope") == 0.0
-        assert log.count("nope") == 0
-
-    def test_measure_context_manager(self):
-        log = TimingLog()
-        with log.measure("work"):
-            sum(range(100))
-        assert log.count("work") == 1
-        assert log.total("work") >= 0.0
-
-    def test_phases_iteration(self):
-        log = TimingLog()
-        log.record("a", 1.0)
-        log.record("b", 1.0)
-        assert sorted(log.phases()) == ["a", "b"]
-
-    def test_percentile(self):
-        log = TimingLog()
-        for v in range(1, 101):
-            log.record("phase", float(v))
-        assert log.percentile("phase", 50) == pytest.approx(50.5)
-        assert log.percentile("phase", 95) == pytest.approx(95.05)
-        assert log.percentile("phase", 100) == pytest.approx(100.0)
-
-    def test_percentile_unknown_phase_is_zero(self):
-        assert TimingLog().percentile("nope", 95) == 0.0
-
-    def test_merge_combines_samples(self):
-        a = TimingLog()
-        a.record("shared", 1.0)
-        a.record("only_a", 2.0)
-        b = TimingLog()
-        b.record("shared", 3.0)
-        b.record("only_b", 4.0)
-        merged = a.merge(b)
-        assert merged is a  # merges in place, returns self
-        assert a.count("shared") == 2
-        assert a.total("shared") == pytest.approx(4.0)
-        assert a.total("only_a") == pytest.approx(2.0)
-        assert a.total("only_b") == pytest.approx(4.0)
-        # The donor log is untouched.
-        assert b.count("shared") == 1
