@@ -115,7 +115,7 @@ forbid "no quantized scan tier, approximate kernel or re-rank phase" -- \
 # Each write path has one implementation.  Sessions are kept in memory
 # or in SQLite: the JSON-directory store, whose conditional write two
 # processes could both win, was deleted.  Index mutations and
-# compaction swaps serialize on one lock: the epoch guard's read lease
+# compactions serialize on one lock: the epoch guard's read lease
 # had no caller, and the retired-generation window is the constant
 # generations.MAX_RETIRED, not a setting only tests changed.
 forbid "one session store per durability, one mutation lock, no" \
@@ -191,8 +191,8 @@ forbid "no span adoption: spans nest on the thread that opens them" -- \
 # no benchmark workload reached, and were deleted.
 forbid "the serving core starts no thread: no submit(), worker loop or" \
     "future in serve/server.py" -- \
-    -nE -e 'def submit\(|_worker_loop|concurrent\.futures|Future\b' \
-    -e 'threading\.Thread\(' -- src/repro/serve/server.py
+    -nE 'def submit\(|_worker_loop|concurrent\.futures|Future\b' \
+    -- src/repro/serve/server.py
 # Nothing under src/ forks or pickles a store, a cache or a session
 # store, so none keys state on the process id or defines pickling hooks.
 forbid "no fork guard or pickling hook in the session store, the" \
@@ -218,14 +218,23 @@ forbid "no benchmark-record tooling under src/" -- \
 # trace's collapsed stacks (exact self time per span path), and the
 # Figure 10/11 phases are read from round spans.  The sampling profiler
 # thread, the tracer's cross-thread stack registry it read, and the
-# TimingLog / Stopwatch timers were deleted; nothing under obs/ starts
-# a thread.
+# TimingLog / Stopwatch timers were deleted.
 forbid "one record of a run's time, the trace: no sampling profiler," \
     "stack registry or timing log in src/" -- \
     -nE -e 'SpanProfiler|open_stacks|TimingLog|Stopwatch' \
     -e 'read_rss_bytes|utils\.timing|obs\.profile' -- src/
-forbid "nothing under src/repro/obs/ starts a thread" -- \
-    -n 'threading\.Thread(' -- src/repro/obs/
+# Compaction is a write: the write that reaches the threshold compacts
+# under the index's one write lock, and compact() holds that lock from
+# snapshot to swap, so no write lands in between and none is replayed.
+# The background compactor thread and its serializing lock were
+# deleted.  The TCP front's accept and connection threads are the only
+# threads src/ starts.
+forbid "only the TCP front starts a thread in src/" -- \
+    -n 'threading\.Thread(' -- src/ ':!src/repro/serve/tcp.py'
+forbid "compaction runs inline under the write lock: no background" \
+    "compactor" -- \
+    -nE 'compact_background|_compact_serialize|_compact_thread|qd-compactor' \
+    -- src/
 # Nothing under src/ pickles a ranking or the disk counter.
 forbid "no pickling hook in the rankings or the index" -- \
     -nE '__reduce__|__getstate__|__setstate__' -- src/repro/retrieval \

@@ -458,8 +458,8 @@ def _add_mutation_flags(parser: argparse.ArgumentParser) -> None:
         help=(
             "accept insert/remove ops: writes land in a delta segment "
             "scanned alongside the main store (rankings bit-identical "
-            "to a from-scratch rebuild) with generational compaction "
-            "swapping in a fresh tree behind an epoch guard"
+            "to a from-scratch rebuild); the write that reaches "
+            "--compact-threshold compacts them into a fresh tree"
         ),
     )
     parser.add_argument(
@@ -472,14 +472,6 @@ def _add_mutation_flags(parser: argparse.ArgumentParser) -> None:
             "new generation (default: 256)"
         ),
     )
-    parser.add_argument(
-        "--compact-background",
-        action="store_true",
-        help=(
-            "run compaction on a background thread instead of inline "
-            "on the mutating request (scans never block either way)"
-        ),
-    )
 
 
 def _mutation_config_from_args(
@@ -490,7 +482,6 @@ def _mutation_config_from_args(
         return None
     return MutationConfig(
         compact_threshold=getattr(args, "compact_threshold", 256),
-        background=getattr(args, "compact_background", False),
     )
 
 

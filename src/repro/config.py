@@ -258,17 +258,12 @@ class MutationConfig:
         Delta-segment size (live inserts + tombstones) that triggers an
         automatic compaction.  Small thresholds keep the brute-force
         delta merge cheap; large ones amortize rebuild cost over more
-        mutations.
-    background:
-        Run automatic compactions on a background thread (reads and
-        writes keep flowing against the old generation; the swap
-        replays rows that landed mid-build).  Synchronous by default —
-        deterministic and simplest to reason about in tests.
+        mutations.  The write that reaches it compacts before it
+        returns; scans never wait for a compaction.
     """
 
     auto_compact: bool = True
     compact_threshold: int = 256
-    background: bool = False
 
     def __post_init__(self) -> None:
         if self.compact_threshold < 1:

@@ -23,10 +23,6 @@ class Subconcept:
     name: str
     categories: Tuple[str, ...]
 
-    def category_set(self) -> FrozenSet[str]:
-        """Categories as a frozen set, for membership tests."""
-        return frozenset(self.categories)
-
 
 @dataclass(frozen=True)
 class QuerySpec:

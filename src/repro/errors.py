@@ -88,14 +88,6 @@ class SessionCodecError(SessionStoreError):
     malformed payloads (e.g. a truncated JSON file)."""
 
 
-class ServerError(ReproError):
-    """A serving front-end operation failed at the server layer."""
-
-
-class ServerClosedError(ServerError):
-    """A request was submitted to a server that is draining or closed."""
-
-
 class DatasetError(ReproError):
     """A dataset could not be built, loaded, or validated."""
 

@@ -21,12 +21,9 @@ from repro.clustering.quality import (
     pairwise_centroid_distances,
     silhouette_score,
 )
-from repro.config import DatasetConfig, QDConfig, RFSConfig
+from repro.config import QDConfig, RFSConfig
 from repro.core.engine import QueryDecompositionEngine
-from repro.datasets.build import (
-    build_rendered_database,
-    build_synthetic_database,
-)
+from repro.datasets.build import build_synthetic_database
 from repro.datasets.database import ImageDatabase
 from repro.datasets.queryset import TABLE1_QUERIES, QuerySpec, get_query
 from repro.errors import EvaluationError
@@ -45,26 +42,6 @@ from repro.utils.rng import RandomState, derive_rng, ensure_rng, spawn_seeds
 #: Oracle noise used in the quality experiments: the paper's 20 students
 #: overlooked some relevant thumbnails; a 10 % miss rate models that.
 STUDENT_MISS_RATE = 0.10
-
-
-def build_default_environment(
-    total_images: int = 15_000,
-    n_categories: int = 150,
-    *,
-    seed: int = 2006,
-    rfs_config: Optional[RFSConfig] = None,
-    qd_config: Optional[QDConfig] = None,
-) -> Tuple[ImageDatabase, QueryDecompositionEngine]:
-    """The paper's experimental environment: 15k images, 150 categories."""
-    database = build_rendered_database(
-        DatasetConfig(
-            total_images=total_images, n_categories=n_categories, seed=seed
-        )
-    )
-    engine = QueryDecompositionEngine.build(
-        database, rfs_config or RFSConfig(), qd_config, seed=seed
-    )
-    return database, engine
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ structure.  This package provides:
 * :mod:`repro.index.rfs` — the RFS structure: the tree hierarchy enriched
   with bottom-up k-means representative selection,
 * :mod:`repro.index.generations` — generational delta-segment
-  mutations: writes land in a delta segment, a compactor re-bulk-loads
-  delta + main into a new generation off the hot path and swaps it
-  atomically behind an epoch guard.
+  mutations: writes land in a delta segment, and the write that brings
+  it to its threshold re-bulk-loads delta + main into a new generation
+  and swaps it in under the index's one write lock.
 """
 
 from repro._lazy import lazy_exports

@@ -1,4 +1,4 @@
-"""Generational index mutations: delta segment + background compaction.
+"""Generational index mutations: delta segment + compaction.
 
 The index's one write path.  Mutating the tree in place would break
 the store's contiguous leaf layout and flush every cached subquery,
@@ -22,14 +22,16 @@ read/write traffic instead:
   whose search node lies on the mutated leaf's root path
   (:meth:`~repro.cache.result_cache.SubqueryResultCache.
   invalidate_nodes`).  No global flush, no store detach.
-* **A compactor re-bulk-loads** delta+main into a new generation off
-  the hot path (a serial build, as :meth:`RFSStructure.build` runs by
-  default), rebuilds the store, carries the shared
-  result cache (one version bump retires old entries lazily), and
-  atomically swaps the generation in under the write lock every
-  mutation takes.  Mutations that raced the build are replayed into
-  the new generation's segment at swap time, preserving every global
-  image id.
+* **Compaction is a write**: it re-bulk-loads delta+main into a new
+  generation (a serial build, as :meth:`RFSStructure.build` runs by
+  default), rebuilds the store, carries the shared result cache (one
+  version bump retires old entries lazily), and swaps the generation
+  in — all under the one write lock every insert and remove takes.
+  The write that brings the delta to ``compact_threshold`` compacts
+  before it releases that lock, so a write issued mid-compaction waits
+  for the swap and lands in the new generation's delta; nothing lands
+  between snapshot and swap.  Scans keep reading the old generation
+  until the swap.
 * **Sessions pin a generation**: a session holds its structure object,
   so in-flight rounds finish against the generation they started on;
   checkpointed sessions resume through the retired-generation map
@@ -97,8 +99,8 @@ class GenerationController:
 
     Wraps the serving :class:`~repro.index.rfs.RFSStructure` (or a
     ``ShardedRFS`` router), attaches a delta segment to it, and runs
-    every mutation and every compaction swap under one write lock
-    (scans take none: they read immutable delta views).  ``current``
+    every mutation and every compaction under one re-entrant write
+    lock (scans take none: they read immutable delta views).  ``current``
     is the serving generation; ``retired`` maps the structure versions of
     swapped-out generations to their (frozen) structures so pinned
     sessions can still resume.  ``on_swap`` callbacks fire after every
@@ -115,13 +117,13 @@ class GenerationController:
     ) -> None:
         self.config = config or MutationConfig()
         self.seed = int(seed)
-        self._write_lock = threading.Lock()
+        # Re-entrant: the write that reaches the threshold compacts
+        # while it still holds the lock.
+        self._write_lock = threading.RLock()
         self.generation = 0
         self.current = rfs
         self.retired: "OrderedDict[int, RFSStructure]" = OrderedDict()
         self.on_swap: List[Callable[[RFSStructure], None]] = []
-        self._compact_serialize = threading.Lock()
-        self._compact_thread: Optional[threading.Thread] = None
         if rfs.delta is None:
             self._attach_segment(rfs)
 
@@ -187,12 +189,12 @@ class GenerationController:
             rfs = self.current
             leaf = route_leaf(rfs, vec)
             new_id = rfs.delta.insert(vec, leaf.node_id)
+            self._maybe_compact()
         get_metrics().counter(
             "qd_mutations_total",
             "index mutations applied",
             labels={"op": "insert"},
         ).inc()
-        self._maybe_compact()
         return new_id
 
     def remove(self, image_id: int) -> None:
@@ -225,6 +227,7 @@ class GenerationController:
                     path.append(node.node_id)
                     node = node.parent
                 invalidated = rfs.invalidate_cache_nodes(path)
+            self._maybe_compact()
         metrics = get_metrics()
         metrics.counter(
             "qd_mutations_total",
@@ -236,36 +239,27 @@ class GenerationController:
                 "qd_mutation_invalidated_entries",
                 "cache entries evicted by per-node invalidation",
             ).inc(invalidated)
-        self._maybe_compact()
 
     # -- compaction -----------------------------------------------------
     def _maybe_compact(self) -> None:
-        if not self.config.auto_compact:
-            return
-        if self.delta_size < self.config.compact_threshold:
-            return
-        if self.config.background:
-            if (
-                self._compact_thread is not None
-                and self._compact_thread.is_alive()
-            ):
-                return  # one compactor at a time; it will re-check
-            self._compact_thread = threading.Thread(
-                target=self.compact, name="qd-compactor", daemon=True
-            )
-            self._compact_thread.start()
-        else:
+        """Compact once the delta reaches the threshold (lock held)."""
+        if (
+            self.config.auto_compact
+            and self.delta_size >= self.config.compact_threshold
+        ):
             self.compact()
 
     def compact(self) -> Optional[int]:
         """Re-bulk-load delta+main into a new generation and swap it in.
 
         Returns the new generation's structure version, or ``None``
-        when there was nothing to compact.  Safe to call concurrently
-        with mutations (they are replayed into the new generation at
-        swap time) and idempotent under races (compactions serialize).
+        when there was nothing to compact.  A write like insert and
+        remove: the write lock is held from snapshot through build to
+        swap, so a mutation issued meanwhile waits and then lands in
+        the new generation's delta.  Scans take no lock and read the
+        old generation until the swap.
         """
-        with self._compact_serialize:
+        with self._write_lock:
             old = self.current
             snapshot = old.delta_view()
             if snapshot is None or (
@@ -280,19 +274,15 @@ class GenerationController:
                 tombstones=snapshot.n_dead_main,
             ) as span:
                 built = self._build_generation(old, snapshot, gen)
-                with self._write_lock:
-                    replayed = self._swap(old, snapshot, built, gen)
-                span.set(
-                    replayed=replayed,
-                    new_version=built.structure_version,
-                )
+                self._swap(old, built, gen)
+                span.set(new_version=built.structure_version)
             metrics = get_metrics()
             metrics.counter(
                 "qd_compactions_total", "generation compactions completed"
             ).inc()
             metrics.gauge(
                 "qd_generation", "current index generation ordinal"
-            ).set(float(self.generation))
+            ).set(float(gen))
             metrics.gauge(
                 "qd_retired_generations",
                 "retired generations kept for pinned sessions",
@@ -334,7 +324,7 @@ class GenerationController:
     def _build_generation(
         self, old: RFSStructure, snapshot, gen: int
     ) -> RFSStructure:
-        """Build generation ``gen`` off the hot path (no locks held)."""
+        """Build generation ``gen`` from ``old`` plus its delta snapshot."""
         if snapshot.n_delta:
             full = np.vstack([old.features, snapshot.rows])
         else:
@@ -383,49 +373,14 @@ class GenerationController:
         return built
 
     def _swap(
-        self, old: RFSStructure, snapshot, built: RFSStructure, gen: int
-    ) -> int:
-        """Publish ``built`` (exclusive section); returns replayed rows.
+        self, old: RFSStructure, built: RFSStructure, gen: int
+    ) -> None:
+        """Publish ``built`` and retire ``old`` (write lock held).
 
-        Mutations that landed between the snapshot and this swap are
-        replayed into the new generation's segment **in append order**,
-        so every global id keeps its value: the new segment's
-        ``base_rows`` is ``old base + snapshot rows``, and tail row
-        ``i`` of the old segment becomes row ``i - snapshot rows`` of
-        the new one — same id arithmetic.  Main rows (or compacted
-        delta rows) removed during the build window are re-tombstoned
-        against the new tree.
+        No write landed since the snapshot, so the new segment starts
+        empty at ``base_rows = old base + snapshot rows``: the next
+        insert gets the id it would have got in the old generation.
         """
-        final = old.delta.view
-        m_snap = snapshot.n_delta
-        replayed = 0
-        # Rows appended during the build: re-route against the new tree.
-        for i in range(m_snap, final.n_delta):
-            row = final.rows[i]
-            built.delta.insert(
-                row,
-                route_leaf(built, row).node_id,
-                live=bool(final.live[i]),
-            )
-            replayed += 1
-        # Main tombstones added during the build: those rows were
-        # compacted in as live, so tombstone them in the new segment.
-        for item in np.setdiff1d(
-            final.dead_main, snapshot.dead_main, assume_unique=True
-        ):
-            built.delta.remove_main(
-                int(item), built.leaf_of_item(int(item)).node_id
-            )
-            replayed += 1
-        # Snapshot-live delta rows removed during the build: compacted
-        # in as main rows of the new generation; tombstone them too.
-        consumed = snapshot.live_indices
-        for i in consumed[~final.live[consumed]]:
-            item = snapshot.base_rows + int(i)
-            built.delta.remove_main(
-                item, built.leaf_of_item(item).node_id
-            )
-            replayed += 1
         self.retired[old.structure_version] = old
         while len(self.retired) > MAX_RETIRED:
             self.retired.popitem(last=False)
@@ -433,15 +388,10 @@ class GenerationController:
         self.generation = gen
         for callback in self.on_swap:
             callback(built)
-        return replayed
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Join a running compactor and release retired resources."""
-        thread = self._compact_thread
-        if thread is not None and thread.is_alive():
-            thread.join()
-        self._compact_thread = None
+        """Release retired generations' resources."""
         for rfs in self.retired.values():
             store = rfs.store
             if store is not None and store.kind == "memmap":

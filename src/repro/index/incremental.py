@@ -3,8 +3,8 @@
 The paper's prototype builds the RFS structure once over a static
 database; this reproduction ingests and removes images through the
 generational engine in :mod:`repro.index.generations` (delta segment +
-background compaction).  :func:`validate_structure` is the invariant
-checker behind that engine's property tests and the
+compaction under the index's one write lock).  :func:`validate_structure`
+is the invariant checker behind that engine's property tests and the
 ``repro-cbir index verify`` CLI subcommand.
 """
 

@@ -155,13 +155,6 @@ class Gauge:
 _BOUND_0 = BUCKET_BOUNDS[0]
 
 
-def _bucket_index(value: float) -> int:
-    """Index of the log-spaced bucket holding ``value``."""
-    if value <= _BOUND_0:
-        return 0
-    return bisect.bisect_left(BUCKET_BOUNDS, value)
-
-
 class Histogram:
     """Bounded-memory sample distribution with percentile readout.
 

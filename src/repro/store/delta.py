@@ -204,10 +204,11 @@ def _empty_view(base_rows: int, dims: int, epoch: int = 0) -> DeltaView:
 class DeltaSegment:
     """The mutable writer side over copy-on-write :class:`DeltaView`\\ s.
 
-    Writers (mutations come through the generation controller's epoch
-    guard) serialize on an internal lock; each mutation materialises a
-    new view and swaps the reference atomically.  Readers call
-    :attr:`view` once per scan and keep that snapshot.
+    Writers (mutations come through the generation controller, under
+    its write lock) serialize on an internal lock as well; each
+    mutation materialises a new view and swaps the reference
+    atomically.  Readers call :attr:`view` once per scan and keep that
+    snapshot.
     """
 
     def __init__(self, base_rows: int, dims: int) -> None:
@@ -237,15 +238,8 @@ class DeltaSegment:
         ).set(float(view.n_dead_main))
 
     # -- mutations -------------------------------------------------------
-    def insert(
-        self, vector: np.ndarray, leaf_id: int, *, live: bool = True
-    ) -> int:
-        """Append one routed feature row; returns its global image id.
-
-        ``live=False`` appends a tombstoned slot — used when a
-        compaction swap replays post-snapshot rows into the next
-        generation's segment so id arithmetic stays stable.
-        """
+    def insert(self, vector: np.ndarray, leaf_id: int) -> int:
+        """Append one routed feature row; returns its global image id."""
         row = np.asarray(vector, dtype=np.float64).reshape(1, -1)
         if row.shape[1] != self.dims:
             raise ConfigurationError(
@@ -262,9 +256,7 @@ class DeltaSegment:
                     leaves=np.concatenate(
                         [old.leaves, np.array([leaf_id], dtype=np.int64)]
                     ),
-                    live=np.concatenate(
-                        [old.live, np.array([bool(live)])]
-                    ),
+                    live=np.concatenate([old.live, np.array([True])]),
                     dead_main=old.dead_main,
                     dead_main_leaves=old.dead_main_leaves,
                     epoch=old.epoch + 1,

@@ -140,9 +140,7 @@ SETTABLE_SURFACE = {
     "ServeConfig": [
         "workers", "queue_limit", "default_deadline_s", "drain_timeout_s",
     ],
-    "MutationConfig": [
-        "auto_compact", "compact_threshold", "background",
-    ],
+    "MutationConfig": ["auto_compact", "compact_threshold"],
     "DatasetConfig": ["total_images", "n_categories", "image_size", "seed"],
     "DiskAccessCounter": [
         "buffer_pages", "physical_reads", "logical_reads", "bytes_read",
@@ -281,6 +279,8 @@ class TestSettableSurface:
             ),
             ["index", "verify", "--db", "db.npz", "--rfs", "rfs.npz",
              "--store-tier", "f32"],
+            _ONE_VALUED_FLAG_COMMANDS["serve"]
+            + ["--mutations", "--compact-background"],
         ],
         ids=[
             "build-executor",
@@ -292,6 +292,7 @@ class TestSettableSurface:
                 for flag in ("executor", "workers", "store-tier")
             ),
             "index-verify-store-tier",
+            "serve-compact-background",
         ],
     )
     def test_removed_build_flags_are_usage_errors(self, argv):

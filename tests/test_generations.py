@@ -9,6 +9,8 @@ tiers, shard counts, and pre/post-compaction cache states.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -485,19 +487,6 @@ class TestCompaction:
         assert controller.generation == 1
         assert controller.delta_size == 0
 
-    def test_background_compaction_completes(self):
-        rfs = _base()
-        controller = GenerationController(
-            rfs,
-            config=MutationConfig(compact_threshold=4,
-                                  background=True),
-        )
-        rng = np.random.default_rng(13)
-        for _ in range(4):
-            controller.insert(rng.normal(size=16))
-        controller.close()  # joins the compactor
-        assert controller.generation >= 1
-
     def test_empty_delta_compaction_is_a_noop(self):
         controller = GenerationController(
             _base(), config=MutationConfig(auto_compact=False)
@@ -542,6 +531,175 @@ class TestCompaction:
         assert generation_seed(7, 1) == generation_seed(7, 1)
         assert generation_seed(7, 1) != generation_seed(7, 2)
         assert generation_seed(8, 1) != generation_seed(7, 1)
+
+
+def _block_builds(monkeypatch, on_build=None):
+    """Hold every compaction's tree build until ``release`` is set.
+
+    Returns ``(building, release)``: ``building`` is set once a build
+    has started.  ``on_build`` runs first, while the old generation is
+    still serving.
+    """
+    building, release = threading.Event(), threading.Event()
+    original = RFSStructure.build
+
+    def build(cls, *args, **kwargs):
+        if on_build is not None:
+            on_build()
+        building.set()
+        assert release.wait(30)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(
+        generations.RFSStructure, "build", classmethod(build)
+    )
+    return building, release
+
+
+class TestCompactionIsAWrite:
+    """A write issued while ``compact()`` builds waits for the swap."""
+
+    def _write_during_build(self, monkeypatch, write):
+        """Run ``write(controller)`` on a thread mid-compaction.
+
+        Returns ``(controller, old, result)``; fails unless the write
+        was still waiting when the build was released and returned
+        only after the swap.
+        """
+        controller = GenerationController(
+            _base(), config=MutationConfig(auto_compact=False)
+        )
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            controller.insert(rng.normal(size=16))
+        controller.remove(7)
+        old = controller.current
+        building, release = _block_builds(monkeypatch)
+        seen = {}
+
+        def compactor():
+            seen["version"] = controller.compact()
+
+        def writer():
+            seen["result"] = write(controller)
+            seen["generation"] = controller.generation
+
+        threads = [threading.Thread(target=compactor)]
+        threads[0].start()
+        assert building.wait(30)
+        threads.append(threading.Thread(target=writer))
+        threads[1].start()
+        threads[1].join(timeout=0.5)
+        waited = threads[1].is_alive()
+        release.set()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert waited, "the write returned while compact() was building"
+        assert seen["generation"] == 1, "the write landed before the swap"
+        assert seen["version"] == controller.current.structure_version
+        assert controller.current is not old
+        return controller, old, seen["result"]
+
+    def test_insert_mid_compaction_lands_in_the_new_delta(
+        self, monkeypatch
+    ):
+        vec = np.random.default_rng(22).normal(size=16)
+        controller, old, new_id = self._write_during_build(
+            monkeypatch, lambda c: c.insert(vec)
+        )
+        snapshot = old.delta_view()
+        assert new_id == snapshot.base_rows + snapshot.n_delta
+        view = controller.current.delta_view()
+        assert view.base_rows == new_id
+        assert view.n_delta == 1 and bool(view.live[0])
+        assert np.array_equal(view.rows[0], vec)
+        assert _scan(controller.current, vec, 1).item_ids[0] == new_id
+
+    def test_remove_mid_compaction_tombstones_the_new_generation(
+        self, monkeypatch
+    ):
+        victim = 42
+        controller, old, _ = self._write_during_build(
+            monkeypatch, lambda c: c.remove(victim)
+        )
+        assert victim not in old.delta_view().dead_main
+        view = controller.current.delta_view()
+        assert view.dead_main.tolist() == [victim]
+        assert victim in controller.current.root.item_ids
+        scanned = _scan(
+            controller.current, controller.current.features[victim], 50
+        )
+        assert victim not in set(scanned.ids())
+
+    def test_two_writers_crossing_the_threshold(self, monkeypatch):
+        threshold = 5
+        controller = GenerationController(
+            _base(),
+            config=MutationConfig(compact_threshold=threshold),
+        )
+        rng = np.random.default_rng(23)
+        for _ in range(threshold - 1):
+            controller.insert(rng.normal(size=16))
+        sizes = []
+        building, release = _block_builds(
+            monkeypatch, lambda: sizes.append(controller.delta_size)
+        )
+        vectors = {w: rng.normal(size=(8, 16)) for w in "ab"}
+        removals = {"a": [10, 20], "b": [30, 40, 50]}
+        inserted = {"a": [], "b": []}
+        errors = []
+
+        def writer(name):
+            try:
+                for i, vec in enumerate(vectors[name]):
+                    inserted[name].append(controller.insert(vec))
+                    if i < len(removals[name]):
+                        controller.remove(removals[name][i])
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(name,))
+            for name in "ab"
+        ]
+        for thread in threads:
+            thread.start()
+        # One writer's first insert reaches the threshold and blocks in
+        # the build; give the other time to issue its write meanwhile.
+        assert building.wait(30)
+        threads[0].join(timeout=0.5)
+        release.set()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert errors == []
+        # Every compaction started exactly at the threshold: the write
+        # that reached it compacted before any other write landed.
+        assert sizes and all(size == threshold for size in sizes)
+
+        current = controller.current
+        view = current.delta_view()
+        live = set(
+            np.setdiff1d(current.root.item_ids, view.dead_main).tolist()
+        ) | set((view.base_rows + view.live_indices).tolist())
+        removed = {item for ids in removals.values() for item in ids}
+        for name in "ab":
+            for item, vec in zip(inserted[name], vectors[name]):
+                assert item in live
+                row = (
+                    current.features[item]
+                    if item < view.base_rows
+                    else view.rows[item - view.base_rows]
+                )
+                assert np.array_equal(row, vec)
+        assert not removed & live
+        n_inserted = sum(len(ids) for ids in inserted.values())
+        assert len(live) == 220 + (threshold - 1) + n_inserted - len(
+            removed
+        )
+        rebuilt, ids = _rebuild_of(current)
+        _assert_scan_parity(current, rebuilt, ids, _queries(current), k=25)
 
 
 class TestEngineMutations:
