@@ -2,11 +2,11 @@
 """Client/server deployment of Query Decomposition.
 
 Demonstrates the paper's "beyond the prototype" deployment (§6, "More
-Scalable"): persist the RFS structure, measure the payload a client
-would download, compare server load against a traditional
-relevance-feedback deployment, then run a whole feedback session on
-the client against the downloaded structure; only the final round
-touches the server.
+Scalable"): persist the RFS structure, report the size of the file a
+client would download, then run a whole feedback session on the client
+against the downloaded structure; only the final round touches the
+server.  The server's work per request is counted, on the benchmark's
+served traffic, by tests/test_work_counts.py.
 
 Run:  python examples/client_server_deployment.py
 """
@@ -20,7 +20,6 @@ from repro import (
     build_rendered_database,
     get_query,
 )
-from repro.core.clientserver import compare_deployments
 from repro.eval import SimulatedUser
 from repro.index.serialize import load_rfs, save_rfs
 
@@ -39,7 +38,6 @@ def main() -> None:
               "KiB on disk")
         client_rfs = load_rfs(path, database.features)
     client_engine = QueryDecompositionEngine(database, client_rfs)
-    print(compare_deployments(client_engine.rfs).format())
 
     # --- 2. run feedback "on the client", then the final round --------
     query = get_query("rose")

@@ -264,12 +264,29 @@ forbid "results are ordered only by rank() in retrieval/topk.py" -- \
 forbid "no top_pairs, top_k or RANKED_PAIR_BYTES: rank() and RankedList" \
     "replace them" -- \
     -nw -e top_pairs -e top_k -e RANKED_PAIR_BYTES -- src
+# The paper's server-load claim has one form, the counted one: the
+# work counts of the benchmark's served traffic, pinned by
+# tests/test_work_counts.py.  The modelled forms (a deployment model
+# that assumed subquery and leaf counts, a concurrent-user simulation
+# that timed a modelled global scan) went with their gauges and span.
+forbid "server load is counted, not modelled: no deployment model or" \
+    "concurrent-user simulation in src/" -- \
+    -nE -e 'simulate_concurrent_users|generate_workload|WorkloadSpec' \
+    -e 'ConcurrencyReport|compare_deployments|DeploymentComparison' \
+    -e 'SessionCost|ClientPayload|client_payload' \
+    -e 'qd_server_capacity_multiplier' -- src/
 # Every module under src/repro/ is imported by something the CLI, a
 # benchmark or a script reaches (lazy re-exports resolved): a module
 # only its own tests or an example import is code nothing serving or
 # the paper needs.  The script's ALLOWED map names the exceptions.
 if ! python scripts/check_reachable.py; then
     echo "== every module under src/repro/ has an entry point ==" >&2
+    exit 1
+fi
+# No module under src/ imports a name it never uses (ruff's F401, read
+# with the standard library so it runs where ruff is not installed).
+if ! python scripts/check_unused_imports.py src; then
+    echo "== no unused import under src/ ==" >&2
     exit 1
 fi
 
@@ -383,6 +400,13 @@ run_gate "sharded parity" tests/test_shard.py Parity
 # 2-shard gather, id for id and bit for bit; both classes must pass.
 run_gate "ranking oracle" tests/test_ranking_oracle.py Oracle \
     TestMergeOracle TestScanOracle
+# The work the benchmark's traffic costs the server — k-NN calls,
+# kernel calls, rows scanned, subqueries, reply bytes, session-store
+# puts and gets — equal to tests/work_counts.json at zero tolerance,
+# and none of it in a feedback round (the paper's §3); both classes
+# must show up as passed.
+run_gate "work counts" tests/test_work_counts.py "Baseline or PaperClaims" \
+    TestBaseline TestPaperClaims
 # Rankings over main + delta bit-identical to a from-scratch rebuild of
 # the same item set, across store attachment, shard counts, and
 # pre/post-compaction cache states.

@@ -22,7 +22,7 @@ stays confined to the neighbourhood(s) of one query point per subsystem.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

@@ -17,7 +17,6 @@
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "compare_deployments",
     "QueryDecompositionEngine",
     "QueryResult",
     "ResultGroup",
@@ -35,7 +34,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.core.clientserver": (
             "FrontEndResult",
             "SessionFrontEnd",
-            "compare_deployments",
         ),
         "repro.core.engine": ("QueryDecompositionEngine",),
         "repro.core.presentation": ("QueryResult", "ResultGroup"),

@@ -1,20 +1,14 @@
-"""Client/server deployment model (paper §4 end + §6 "More Scalable").
+"""The session front end: one serving worker over stored session state.
 
-The paper's closing argument: because relevance feedback only needs the
-RFS structure and the representative images (~5 % of the database), the
-whole feedback process can run on the *client*; the server is contacted
-once, at the end, to execute the small localized k-NN subqueries.  A
-traditional relevance-feedback system instead runs a global k-NN on the
-server every round for every user.
-
-This module quantifies that claim for a given database/RFS pair:
-
-* the one-time payload a client downloads (structure + representative
-  features + thumbnail budget),
-* the per-session server work under QD (final localized subqueries only)
-  versus under a traditional technique (one global k-NN per round),
-* the server-side capacity multiplier — how many concurrent users one
-  server sustains under each model.
+The paper's closing argument (§4 end, §6 "More Scalable") is that
+relevance feedback needs only the RFS structure and the representative
+images, so the server runs just the final localized k-NN subqueries.
+:class:`SessionFrontEnd` is the server side of that split: every
+request resumes the dialogue from its stored record, acts, and
+checkpoints it again, so any worker can serve any round.
+``tests/test_work_counts.py`` counts the work it does per request on
+the benchmark's served traffic (k-NN calls, scanned rows, reply bytes)
+and pins that no feedback round runs a k-NN computation.
 """
 
 from __future__ import annotations
@@ -31,92 +25,12 @@ from repro.errors import (
     SessionStateError,
     StaleSessionError,
 )
-from repro.index.rfs import RFSStructure
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_metrics
 from repro.utils.rng import RandomState
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.engine import QueryDecompositionEngine
     from repro.core.presentation import QueryResult
-
-#: Bytes per float64 feature component.
-_FLOAT_BYTES = 8
-#: Assumed thumbnail size shipped per representative image (bytes).
-#: Corel thumbnails at ~120x80 JPEG quality are a few KiB.
-DEFAULT_THUMBNAIL_BYTES = 4096
-#: Bookkeeping bytes per tree node in the client payload (ids, box).
-_NODE_OVERHEAD_BYTES = 64
-
-
-@dataclass(frozen=True)
-class ClientPayload:
-    """Size of the one-time download enabling client-side feedback."""
-
-    n_nodes: int
-    n_representatives: int
-    structure_bytes: int
-    representative_feature_bytes: int
-    thumbnail_bytes: int
-
-    @property
-    def total_bytes(self) -> int:
-        """Total client download."""
-        return (
-            self.structure_bytes
-            + self.representative_feature_bytes
-            + self.thumbnail_bytes
-        )
-
-
-@dataclass(frozen=True)
-class SessionCost:
-    """Server-side work of one complete retrieval session.
-
-    ``distance_evaluations`` counts feature-vector distance computations
-    executed on the server; ``page_reads`` counts simulated disk pages.
-    """
-
-    distance_evaluations: int
-    page_reads: int
-    rounds_on_server: int
-
-
-@dataclass(frozen=True)
-class DeploymentComparison:
-    """QD-on-client vs traditional-on-server for one workload shape."""
-
-    payload: ClientPayload
-    qd_session: SessionCost
-    traditional_session: SessionCost
-
-    @property
-    def server_capacity_multiplier(self) -> float:
-        """How many times more concurrent sessions the QD deployment
-        sustains, by server distance evaluations."""
-        qd = max(1, self.qd_session.distance_evaluations)
-        return self.traditional_session.distance_evaluations / qd
-
-    def format(self) -> str:
-        """Human-readable comparison block."""
-        payload = self.payload
-        lines = [
-            "Client/server deployment (paper §6, 'More Scalable')",
-            f"  client download: {payload.total_bytes / 1024:.0f} KiB "
-            f"({payload.n_representatives} representatives over "
-            f"{payload.n_nodes} nodes)",
-            "  per-session server work:",
-            f"    QD (feedback on client): "
-            f"{self.qd_session.distance_evaluations:,} distance evals, "
-            f"{self.qd_session.page_reads} page reads, "
-            f"{self.qd_session.rounds_on_server} server round(s)",
-            f"    traditional RF:          "
-            f"{self.traditional_session.distance_evaluations:,} distance "
-            f"evals, {self.traditional_session.page_reads} page reads, "
-            f"{self.traditional_session.rounds_on_server} server round(s)",
-            f"  server capacity multiplier: "
-            f"{self.server_capacity_multiplier:.1f}x",
-        ]
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -333,91 +247,3 @@ class SessionFrontEnd:
                 ok=False, error_kind="invalid_request", error=str(exc)
             )
         return FrontEndResult(ok=True, value=value)
-
-
-def client_payload(
-    rfs: RFSStructure,
-    thumbnail_bytes: int = DEFAULT_THUMBNAIL_BYTES,
-) -> ClientPayload:
-    """Size of the download a client needs for offline feedback."""
-    n_nodes = sum(1 for _ in rfs.iter_nodes())
-    reps = rfs.all_representatives()
-    dims = rfs.features.shape[1]
-    return ClientPayload(
-        n_nodes=n_nodes,
-        n_representatives=len(reps),
-        structure_bytes=n_nodes * (_NODE_OVERHEAD_BYTES + 2 * dims * _FLOAT_BYTES),
-        representative_feature_bytes=len(reps) * dims * _FLOAT_BYTES,
-        thumbnail_bytes=len(reps) * thumbnail_bytes,
-    )
-
-
-def compare_deployments(
-    rfs: RFSStructure,
-    *,
-    rounds: int = 3,
-    result_k: int = 100,
-    n_subqueries: int = 4,
-    mean_leaves_per_subquery: float = 1.2,
-) -> DeploymentComparison:
-    """Quantify server load under both deployment models.
-
-    Parameters
-    ----------
-    rfs:
-        The built structure (provides database size, leaf geometry).
-    rounds:
-        Feedback rounds per session.
-    result_k:
-        Result-set size of the final retrieval.
-    n_subqueries:
-        Localized subqueries the decomposition typically produces (the
-        paper's running example ends with four).
-    mean_leaves_per_subquery:
-        Leaf pages a localized k-NN reads on average ("usually one",
-        §5.2.2, plus occasional boundary expansions).
-    """
-    with get_tracer().span(
-        "deployment_comparison", rounds=rounds, subqueries=n_subqueries
-    ) as span:
-        n_images = rfs.root.size
-        leaves = [n for n in rfs.iter_nodes() if n.is_leaf]
-        mean_leaf_size = n_images / max(1, len(leaves))
-
-        # QD: the server only executes the final localized subqueries.
-        scanned = int(
-            n_subqueries * mean_leaves_per_subquery * mean_leaf_size
-        )
-        qd = SessionCost(
-            distance_evaluations=scanned,
-            page_reads=int(n_subqueries * mean_leaves_per_subquery),
-            rounds_on_server=1,
-        )
-
-        # Traditional RF: a global k-NN over all images, every round.
-        traditional = SessionCost(
-            distance_evaluations=rounds * n_images,
-            page_reads=rounds * len(leaves),
-            rounds_on_server=rounds,
-        )
-        del result_k  # k affects result transfer, not scan cost, in both
-        comparison = DeploymentComparison(
-            payload=client_payload(rfs),
-            qd_session=qd,
-            traditional_session=traditional,
-        )
-        span.set(
-            client_payload_bytes=comparison.payload.total_bytes,
-            capacity_multiplier=round(
-                comparison.server_capacity_multiplier, 2
-            ),
-        )
-    metrics = get_metrics()
-    metrics.gauge(
-        "qd_client_payload_bytes", "one-time client download size"
-    ).set(comparison.payload.total_bytes)
-    metrics.gauge(
-        "qd_server_capacity_multiplier",
-        "QD vs traditional concurrent-session capacity",
-    ).set(comparison.server_capacity_multiplier)
-    return comparison

@@ -13,9 +13,6 @@
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "WorkloadSpec",
-    "generate_workload",
-    "simulate_concurrent_users",
     "gtir",
     "precision_at",
     "recall_at",
@@ -37,11 +34,6 @@ __getattr__, __dir__ = lazy_exports(
             "retrieved_subconcepts",
         ),
         "repro.eval.oracle": ("SimulatedUser",),
-        "repro.eval.workload": (
-            "WorkloadSpec",
-            "generate_workload",
-            "simulate_concurrent_users",
-        ),
         "repro.eval.protocol": (
             "BaselineRoundRecord",
             "QDRoundRecord",

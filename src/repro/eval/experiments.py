@@ -9,7 +9,7 @@ each to its table/figure.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,9 +26,8 @@ from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.build import build_synthetic_database
 from repro.datasets.database import ImageDatabase
 from repro.datasets.queryset import TABLE1_QUERIES, QuerySpec, get_query
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, SessionStateError
 from repro.eval.metrics import gtir, precision_at, retrieved_subconcepts
-from repro.eval.oracle import SimulatedUser
 from repro.eval.protocol import (
     DEFAULT_SCREENS,
     default_k,
@@ -509,6 +508,9 @@ class ScalabilityResult:
 
     points: List[ScalabilityPoint]
     n_queries: int
+    #: Queries left out of the averages: their targets never surfaced
+    #: in the displays, so the session ended with no marks.
+    skipped_sessions: int = 0
 
     def format_figure10(self) -> str:
         """Figure 10: overall query processing time vs database size."""
@@ -713,6 +715,7 @@ def run_scalability(
     """
     cfg = qd_config or QDConfig()
     points: List[ScalabilityPoint] = []
+    skipped = 0
     for size in db_sizes:
         database = build_synthetic_database(size, seed=seed)
         engine = QueryDecompositionEngine.build(
@@ -762,10 +765,11 @@ def run_scalability(
                         screens_per_round=3,
                         seed=int(target_rng.integers(2**31)),
                     )
-            except Exception:
+            except SessionStateError:
                 # A query whose targets never surfaced in the displays
                 # has no marks; skip it (the paper's random queries are
                 # implicitly answerable).
+                skipped += 1
                 continue
             if outer_tracer.enabled:
                 # Surface the session spans to an enclosing tracer (e.g.
@@ -818,4 +822,6 @@ def run_scalability(
                 iteration_time_p95=_p95(iteration_s),
             )
         )
-    return ScalabilityResult(points=points, n_queries=n_queries)
+    return ScalabilityResult(
+        points=points, n_queries=n_queries, skipped_sessions=skipped
+    )

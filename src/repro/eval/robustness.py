@@ -22,7 +22,7 @@ import numpy as np
 from repro.baselines.mv import MultipleViewpoints
 from repro.core.engine import QueryDecompositionEngine
 from repro.datasets.queryset import TABLE1_QUERIES, QuerySpec
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, SessionStateError
 from repro.eval.protocol import run_baseline_session, run_qd_session
 from repro.eval.reporting import format_table
 from repro.utils.rng import RandomState, derive_rng, ensure_rng, spawn_seeds
@@ -42,9 +42,14 @@ class RobustnessPoint:
 
 @dataclass
 class RobustnessResult:
-    """Noise sweep outcome."""
+    """Noise sweep outcome.
+
+    ``skipped_sessions`` counts the QD sessions that ended with no
+    relevance marks; each one scored 0.0 precision and GTIR.
+    """
 
     points: List[RobustnessPoint]
+    skipped_sessions: int = 0
 
     def format(self) -> str:
         """Aligned sweep table."""
@@ -92,6 +97,7 @@ def run_noise_sweep(
     )
     rng = ensure_rng(seed)
     points: List[RobustnessPoint] = []
+    skipped = 0
     for miss, false_mark in noise_levels:
         qd_p, qd_g, mv_p, mv_g = [], [], [], []
         for query in query_set:
@@ -114,8 +120,9 @@ def run_noise_sweep(
                     )
                     qd_p.append(result.stats["precision"])
                     qd_g.append(result.stats["gtir"])
-                except Exception:
+                except SessionStateError:
                     # Extreme noise can leave a session with no marks.
+                    skipped += 1
                     qd_p.append(0.0)
                     qd_g.append(0.0)
                 mv = MultipleViewpoints(database, seed=trial_seed)
@@ -138,4 +145,4 @@ def run_noise_sweep(
                 mv_gtir=float(np.mean(mv_g)),
             )
         )
-    return RobustnessResult(points=points)
+    return RobustnessResult(points=points, skipped_sessions=skipped)

@@ -8,7 +8,7 @@ renderers are resolution independent.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.session import FeedbackSession
 from repro.datasets.queryset import TABLE1_QUERIES, get_query
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, SessionStateError
 from repro.eval.experiments import (
     CASE_STUDIES,
     run_case_studies,
@@ -13,6 +14,8 @@ from repro.eval.experiments import (
     run_table1,
     run_table2,
 )
+from repro.eval.robustness import run_noise_sweep
+from repro.index.rfs import RFSStructure
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,52 @@ class TestScalability:
         result = run_scalability(db_sizes=(400,), n_queries=3, seed=6)
         with pytest.raises(EvaluationError):
             result.linearity_r2()
+
+
+class TestOnlyUnmarkedSessionsAreSkipped:
+    """A session with no marks is skipped and counted; any other fault
+    fails the experiment instead of becoming a data point."""
+
+    @pytest.fixture
+    def broken_scan(self, monkeypatch):
+        def localized_knn(self, *args, **kwargs):
+            raise IndexError("planted scan fault")
+
+        monkeypatch.setattr(RFSStructure, "localized_knn", localized_knn)
+
+    @pytest.fixture
+    def nothing_marked(self, monkeypatch):
+        def finalize(self, *args, **kwargs):
+            raise SessionStateError(
+                "cannot finalize: no relevant images were marked"
+            )
+
+        monkeypatch.setattr(FeedbackSession, "finalize", finalize)
+
+    def test_noise_sweep_raises_a_scan_fault(self, engine, broken_scan):
+        with pytest.raises(IndexError, match="planted"):
+            run_noise_sweep(
+                engine, noise_levels=((0.0, 0.0),),
+                queries=[get_query("bird")], trials=1, seed=0,
+            )
+
+    def test_scalability_raises_a_scan_fault(self, broken_scan):
+        with pytest.raises(IndexError, match="planted"):
+            run_scalability(db_sizes=(400,), n_queries=3, seed=5)
+
+    def test_noise_sweep_counts_unmarked_sessions(self, engine,
+                                                  nothing_marked):
+        result = run_noise_sweep(
+            engine, noise_levels=((0.0, 0.0), (0.1, 0.0)),
+            queries=[get_query("bird")], trials=2, seed=0,
+        )
+        assert result.skipped_sessions == 4
+        assert all(p.qd_precision == 0.0 for p in result.points)
+
+    def test_scalability_counts_unmarked_sessions(self, nothing_marked):
+        result = run_scalability(db_sizes=(400, 800), n_queries=3, seed=5)
+        assert result.skipped_sessions == 6
+        assert [p.db_size for p in result.points] == [400, 800]
 
 
 class TestQuerySetCoverage:

@@ -1,16 +1,11 @@
 """Tests for the extension modules: serialization, alternative
-hierarchies, client/server model, CLI."""
+hierarchies, CLI."""
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.config import RFSConfig
-from repro.core.clientserver import (
-    ClientPayload,
-    client_payload,
-    compare_deployments,
-)
 from repro.errors import ClusteringError, ConfigurationError, DatasetError
 from repro.index.hierarchies import build_hkmeans_hierarchy
 from repro.index.rfs import RFSStructure
@@ -184,41 +179,6 @@ class TestHKMeansHierarchy:
             registry, seed=0,
         )
         assert root.size == 200
-
-
-class TestClientServer:
-    def test_payload_counts(self, built_rfs):
-        payload = client_payload(built_rfs)
-        assert payload.n_nodes == len(built_rfs.nodes)
-        assert payload.n_representatives == len(
-            built_rfs.all_representatives()
-        )
-        assert payload.total_bytes > 0
-
-    def test_payload_total_is_sum(self):
-        payload = ClientPayload(
-            n_nodes=1, n_representatives=1,
-            structure_bytes=10, representative_feature_bytes=20,
-            thumbnail_bytes=30,
-        )
-        assert payload.total_bytes == 60
-
-    def test_qd_server_work_much_smaller(self, built_rfs):
-        comparison = compare_deployments(built_rfs)
-        assert (
-            comparison.qd_session.distance_evaluations
-            < comparison.traditional_session.distance_evaluations
-        )
-        assert comparison.server_capacity_multiplier > 2
-
-    def test_qd_contacts_server_once(self, built_rfs):
-        comparison = compare_deployments(built_rfs, rounds=5)
-        assert comparison.qd_session.rounds_on_server == 1
-        assert comparison.traditional_session.rounds_on_server == 5
-
-    def test_format_contains_multiplier(self, built_rfs):
-        text = compare_deployments(built_rfs).format()
-        assert "capacity multiplier" in text
 
 
 class TestCLI:
