@@ -133,6 +133,8 @@ _FILTER_TINY = 1e-300
 #: Past either, every row goes to the exact kernel.
 _FILTER_HUGE = 1e306
 _FILTER_MAX_DIMS = 300
+#: Machine epsilon of float64, the unit of :func:`_assign`'s tie margin.
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class DistanceFilter:
@@ -518,8 +520,13 @@ def _assign(
 
     ``data`` is ``(..., n, d)`` and ``centroids`` ``(..., k, d)``: one
     table ``‖x‖² − 2·x·c + ‖c‖²`` per slice, its product one gemm per
-    slice.  Argmin reads the raw expansion — no root, no clamp, which
-    could merge distinct near-zero values into ties.
+    slice.  The label is the exactly nearest centroid — least
+    ``Σ(x − c)²``, the lowest index among ties.  The expansion's argmin
+    is that label wherever the row's best and second-best values are
+    more than ``2·(d + 2)·ε·(‖x‖ + max‖c‖)²`` (plus
+    :data:`_FILTER_TINY`) apart, the rounding both forms can carry;
+    every other row (a NaN or an infinity included) is
+    re-decided on the exact sums of the centroids within that margin.
     """
     if data_sqnorms is None:
         data_sqnorms = np.add.reduce(data * data, axis=-1)
@@ -528,7 +535,36 @@ def _assign(
     table *= -2.0
     table += data_sqnorms[..., :, None]
     table += cent_sqnorms[..., None, :]
-    return np.argmin(table, axis=-1)
+    labels = np.argmin(table, axis=-1)
+    k = table.shape[-1]
+    flat = table.reshape(-1, k)
+    with np.errstate(all="ignore"):
+        margin = np.sqrt(data_sqnorms)
+        margin += np.sqrt(cent_sqnorms.max(axis=-1))[..., None]
+        margin *= margin
+        margin *= 2.0 * (data.shape[-1] + 2) * _EPS
+        margin += _FILTER_TINY  # gradual underflow's absolute error
+        # Each row's candidates: the centroids within the margin of its
+        # least value.  argmin takes a NaN first, so a row holding one
+        # has a NaN bound, and every centroid is its candidate.
+        bound = flat[np.arange(flat.shape[0]), labels.reshape(-1)]
+        bound += margin.reshape(-1)
+        within = flat <= bound[:, None]
+        within[np.isnan(bound)] = True
+        if np.count_nonzero(within) == flat.shape[0]:
+            return labels
+        rows = np.flatnonzero(np.count_nonzero(within, axis=-1) > 1)
+        pair_row, pair_col = np.nonzero(within[rows])
+    where = np.unravel_index(rows, labels.shape)
+    sums = np.full((rows.shape[0], k), np.inf)
+    step = data.shape[-2]  # n pairs at a time: memory stays O(n·d)
+    for start in range(0, pair_row.shape[0], step):
+        i, j = pair_row[start : start + step], pair_col[start : start + step]
+        row = tuple(axis[i] for axis in where)
+        diff = data[row] - centroids[row[:-1] + (j,)]
+        sums[i, j] = np.add.reduce(diff * diff, axis=-1)
+    labels.reshape(-1)[rows] = np.argmin(sums, axis=-1)
+    return labels
 
 
 def _cluster_counts(labels: np.ndarray, k: int) -> np.ndarray:

@@ -24,32 +24,15 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(va - vb))
 
 
-def euclidean_many(
-    points: np.ndarray, query: np.ndarray, *, trusted: bool = False
-) -> np.ndarray:
-    """Euclidean distances from every row of ``points`` to ``query``.
-
-    ``trusted=True`` skips the shape/finiteness re-validation and the
-    float64 copy — for inputs that are already-validated store blocks
-    (see :mod:`repro.store`), where per-call ``check_vectors`` would be
-    pure overhead on the hot path.  Public entry points keep the strict
-    default.
-    """
-    if trusted:
-        matrix = np.asarray(points)
-        q = np.asarray(query, dtype=matrix.dtype)
-    else:
-        matrix = check_vectors("points", points)
-        q = check_vector("query", query, dim=matrix.shape[1])
+def euclidean_many(points: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Euclidean distances from every row of ``points`` to ``query``."""
+    matrix = check_vectors("points", points)
+    q = check_vector("query", query, dim=matrix.shape[1])
     return np.linalg.norm(matrix - q, axis=1)
 
 
 def weighted_euclidean(
-    points: np.ndarray,
-    query: np.ndarray,
-    weights: np.ndarray,
-    *,
-    trusted: bool = False,
+    points: np.ndarray, query: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Weighted Euclidean distances (diagonal-metric form).
 
@@ -57,21 +40,12 @@ def weighted_euclidean(
     is ``sqrt(sum_j w_j (x_j - q_j)^2)``.  Query Point Movement sets the
     weights from the inverse variance of the relevant examples so tight
     dimensions count more.
-
-    ``trusted=True`` skips re-validation for already-validated store
-    blocks and pre-checked weight vectors (hot path); the strict checks
-    remain the default on public entry points.
     """
-    if trusted:
-        matrix = np.asarray(points)
-        q = np.asarray(query, dtype=matrix.dtype)
-        w = np.asarray(weights, dtype=matrix.dtype)
-    else:
-        matrix = check_vectors("points", points)
-        q = check_vector("query", query, dim=matrix.shape[1])
-        w = check_vector("weights", weights, dim=matrix.shape[1])
-        if np.any(w < 0):
-            raise QueryError("weights must be non-negative")
+    matrix = check_vectors("points", points)
+    q = check_vector("query", query, dim=matrix.shape[1])
+    w = check_vector("weights", weights, dim=matrix.shape[1])
+    if np.any(w < 0):
+        raise QueryError("weights must be non-negative")
     diff = matrix - q
     return np.sqrt(np.sum(w * diff * diff, axis=1))
 

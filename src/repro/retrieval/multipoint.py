@@ -72,9 +72,7 @@ class MultipointQuery:
         """Weighted centroid of the representatives."""
         return self.weights @ self.points
 
-    def distances(
-        self, candidates: np.ndarray, *, trusted: bool = False
-    ) -> np.ndarray:
+    def distances(self, candidates: np.ndarray) -> np.ndarray:
         """Weighted aggregate distance of each candidate to the query.
 
         ``dist(x) = sum_i w_i * ||x - p_i||`` — the weighted combination
@@ -82,19 +80,7 @@ class MultipointQuery:
         representative at a time: an (n, d) scratch buffer instead of
         the (n, m, d) broadcast tensor, so large candidate batches
         (concurrent requests run several at once) stay memory-lean.
-
-        ``trusted=True`` routes an already-validated store block (see
-        :mod:`repro.store`) through the fused batched kernel: no
-        ``check_vectors`` re-validation, one ``(n, m)`` norm-expansion
-        pass instead of the per-representative loop, arithmetic in the
-        block's dtype.
         """
-        if trusted:
-            from repro.store.kernels import multipoint_distances
-
-            return multipoint_distances(
-                np.asarray(candidates), self.points, self.weights
-            )
         matrix = check_vectors("candidates", candidates, dim=self.dims)
         table = np.empty(
             (matrix.shape[0], self.points.shape[0]), dtype=np.float64

@@ -18,7 +18,7 @@ Pieces:
   float32 matrix, id↔row maps both ways, per-node spans, persistence
   (``save`` / ``FeatureStore.open``), and block-read accounting;
 * :mod:`repro.store.kernels` — fused batched distance kernels
-  (:func:`~repro.store.kernels.multipoint_distances` and friends) built
+  (:func:`~repro.store.kernels.pairwise_distances` and friends) built
   on the ``‖x‖² + ‖q‖² − 2·x·q`` expansion with cached row norms; a
   leaf scan is one exact :func:`~repro.store.kernels.point_distances`
   call over the block's float32 rows;
@@ -43,7 +43,6 @@ __all__ = [
     "TombstoneSegment",
     "FeatureStore",
     "STORE_FORMAT_VERSION",
-    "multipoint_distances",
     "pairwise_distances",
     "point_distances",
 ]
@@ -57,7 +56,6 @@ __getattr__, __dir__ = lazy_exports(
             "FeatureStore",
         ),
         "repro.store.kernels": (
-            "multipoint_distances",
             "pairwise_distances",
             "point_distances",
         ),

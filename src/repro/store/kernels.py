@@ -153,6 +153,9 @@ def multipoint_distances(
     (:class:`repro.retrieval.multipoint.MultipointQuery`), computed from
     the fused (n, m) table in one pass.  ``rep_weights`` defaults to
     uniform and is normalised to sum to 1.
+
+    Nothing calls it; like :func:`weighted_point_distances` it stays
+    only because ``TARGETS`` in ``benchmarks/e2e/tracing.py`` wraps it.
     """
     table = pairwise_distances(
         block, reps, block_sqnorms=block_sqnorms

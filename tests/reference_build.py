@@ -5,9 +5,12 @@ Everything here is the *historical* form of a build kernel, kept out of
 iteration replaced, the bodies ``_plus_plus_init``, ``_single_run``
 and ``_split_once`` had before the build stopped computing what it
 could prove (commit 7d9c120), ``kmeans()``'s restart loop before its
-k-means++ picks shared distance rows, and the one-problem assignment
-and ``np.add.at`` centroid update Lloyd ran before k-means was
-stacked.  The shipped kernels must reproduce these
+k-means++ picks shared distance rows, and the ``np.add.at`` centroid
+update Lloyd ran before k-means was stacked.  The assignment reference
+is a rule, not a history: every row goes to its exactly nearest
+centroid (least ``Σ(x − c)²``, the lowest index among exact ties),
+which the expanded ``‖x‖² − 2·x·c + ‖c‖²`` argmin the build ran before
+missed on near-ties.  The shipped kernels must reproduce these
 bit for bit — centroids, labels, inertia, ``n_iter``, the partition, and
 the random generator's state afterwards — which is what
 ``tests/test_build_parallel.py`` checks against them.
@@ -31,17 +34,6 @@ from repro.clustering.kmeans import KMeansResult, _reseed_empty
 # ----------------------------------------------------------------------
 # Naive Lloyd kernels (pre-vectorization)
 # ----------------------------------------------------------------------
-def assign_naive(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Reference assignment: the original in-line expansion."""
-    cross = data @ centroids.T
-    d_sq = (
-        np.sum(data**2, axis=1)[:, None]
-        - 2.0 * cross
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.argmin(d_sq, axis=1)
-
-
 def lloyd_update_naive(
     data: np.ndarray, labels: np.ndarray, k: int, centroids: np.ndarray
 ) -> np.ndarray:
@@ -73,21 +65,26 @@ def nearest_candidates_naive(
 # ----------------------------------------------------------------------
 # One problem's Lloyd kernels, before k-means was stacked
 # ----------------------------------------------------------------------
-def assign_reference(
-    data: np.ndarray,
-    centroids: np.ndarray,
-    *,
-    data_sqnorms: np.ndarray | None = None,
-) -> np.ndarray:
-    """Norm-expansion assignment of one (n, d) problem."""
-    if data_sqnorms is None:
-        data_sqnorms = np.sum(data**2, axis=1)
+def assign_reference(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The exactly nearest centroid of every row of one (n, d) problem:
+    least ``Σ(x − c)²``, the lowest index among exact ties.
+
+    Only the centroids whose expanded ``‖x‖² − 2·x·c + ‖c‖²`` lies within
+    ``1e-8·(‖x‖ + max‖c‖)² + 1e-300`` of the row's least are compared on
+    the exact sums — a margin ~10⁶ times the rounding either form
+    carries, so no other centroid can be nearest — which keeps the
+    reference O(n·k) on the large draws of the k-means tests.
+    """
+    sqnorms = np.sum(data**2, axis=1)
     cent_sqnorms = np.sum(centroids**2, axis=1)
-    table = data @ centroids.T
-    table *= -2.0
-    table += data_sqnorms[:, None]
-    table += cent_sqnorms[None, :]
-    return np.argmin(table, axis=1)
+    approx = sqnorms[:, None] - 2.0 * (data @ centroids.T) + cent_sqnorms
+    scale = (np.sqrt(sqnorms) + np.sqrt(cent_sqnorms.max())) ** 2 + 1e-292
+    rows, cols = np.nonzero(
+        ~(approx > approx.min(axis=1)[:, None] + 1e-8 * scale[:, None])
+    )
+    exact = np.full(approx.shape, np.inf)
+    exact[rows, cols] = np.sum((data[rows] - centroids[cols]) ** 2, axis=1)
+    return np.argmin(exact, axis=1)
 
 
 def lloyd_update_reference(
@@ -153,16 +150,13 @@ def single_run_reference(
     sums in sequence, so the two can differ in the last bit.
     """
     centroids = plus_plus_init_reference(data, k, rng)
-    data_sqnorms = np.sum(data**2, axis=1)
-    labels = assign_reference(data, centroids, data_sqnorms=data_sqnorms)
+    labels = assign_reference(data, centroids)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         new_centroids = lloyd_update_reference(data, labels, k, centroids)
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
-        labels = assign_reference(
-            data, centroids, data_sqnorms=data_sqnorms
-        )
+        labels = assign_reference(data, centroids)
         if shift <= tol:
             break
     inertia = float(np.sum((data - centroids[labels]) ** 2))

@@ -41,7 +41,7 @@ from repro.index.rstar import RStarTree, _split_once
 from repro.index.serialize import load_rfs, save_rfs
 from repro.utils.rng import derive_rng, ensure_rng
 from tests.reference_build import (
-    assign_naive,
+    assign_reference,
     kmeans_reference,
     lloyd_update_naive,
     nearest_candidates_naive,
@@ -449,6 +449,26 @@ class TestKernelReferenceParity:
         rows, sizes = seed("brink", 20, 2, 6)
         assert rows == sizes
 
+    def test_build_runs_the_exact_kernel_on_pinned_rows(self, monkeypatch):
+        # The build's CPU is held by the work it does, not by a timing:
+        # the rows one build runs through the exact kernel, the only one,
+        # repeat exactly.  Every filter in DistanceFilter and
+        # _SeedingRows that stops settling rows (a bypassed filter, a
+        # margin gone wide) raises this count.
+        features = build_synthetic_database(
+            2000, n_categories=30, seed=2006
+        ).features
+        kernel = _km.sq_distances_into
+        rows = []
+
+        def counted(points, *args):
+            rows.append(points.size // points.shape[-1])
+            return kernel(points, *args)
+
+        monkeypatch.setattr(_km, "sq_distances_into", counted)
+        RFSStructure.build(features, RFSConfig(), seed=2006)
+        assert sum(rows) == 14_802
+
     def test_kmeans_memory_stays_linear(self):
         # The hkmeans split's shape (k = 8, one restart): every table is
         # O(n·d) or O(n·k).  An n × n one would be 3.2 GB at n = 20 000.
@@ -659,7 +679,7 @@ class TestLloydEquivalence:
         )
         centroids = data[rng.choice(257, size=9, replace=False)].copy()
         assert np.array_equal(
-            _assign(data, centroids), assign_naive(data, centroids)
+            _assign(data, centroids), assign_reference(data, centroids)
         )
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])

@@ -1,6 +1,5 @@
 """Tests for the evaluation harness: metrics, oracle, protocols, reports."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import GlobalKNN, MultipleViewpoints

@@ -383,12 +383,16 @@ class TestCacheParity:
         with self._cached_engine() as engine:
             self._finalize_all(engine)
             cache = engine.rfs.result_cache
-            entries_before = cache.snapshot()["entries"]
-            assert entries_before > 0
-            engine.remove_image(300)
-            snap = cache.snapshot()
-            assert snap["mutation_evictions"] >= 0
-            assert snap["entries"] <= entries_before
+            before = cache.snapshot()
+            # Image 0's leaf path holds one cached search node of four:
+            # that entry goes, and the other three keep serving hits.
+            engine.remove_image(0)
+            after = cache.snapshot()
+            evicted = after["mutation_evictions"] - before["mutation_evictions"]
+            assert 0 < evicted < before["entries"]
+            assert after["entries"] == before["entries"] - evicted
+            self._finalize_all(engine)
+            assert cache.snapshot()["hits"] - after["hits"] >= after["entries"]
             self._hit_vs_miss(engine)
 
     def test_cache_survives_compaction_and_stays_correct(self):

@@ -1,7 +1,6 @@
 """Cross-module integration tests: full pipelines end to end."""
 
 import numpy as np
-import pytest
 
 from repro import (
     DatasetConfig,
@@ -12,7 +11,7 @@ from repro import (
     get_query,
 )
 from repro.baselines import GlobalKNN, MultipleViewpoints
-from repro.eval import SimulatedUser, gtir, precision_at
+from repro.eval import SimulatedUser, precision_at
 from repro.eval.protocol import run_baseline_session, run_qd_session
 from repro.features import FeatureExtractor
 from repro.imaging.scenes import render_scene

@@ -551,3 +551,60 @@ class TestStreamingHistogram:
         pairs = hist.bucket_counts()
         assert pairs[0] == (BUCKET_BOUNDS[0], 2)  # <= smallest bound
         assert pairs[-1] == (float("inf"), 3)
+
+
+class _CountingRegistry(obs.MetricsRegistry):
+    """A live registry that counts every instrument an obs site reaches:
+    each site looks its instrument up once per observation."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.observations = 0
+
+    def counter(self, *args, **kwargs):
+        self.observations += 1
+        return super().counter(*args, **kwargs)
+
+    def gauge(self, *args, **kwargs):
+        self.observations += 1
+        return super().gauge(*args, **kwargs)
+
+    def histogram(self, *args, **kwargs):
+        self.observations += 1
+        return super().histogram(*args, **kwargs)
+
+
+class TestFinalizeInstrumentationCount:
+    """What a live tracer and registry cost a finalize, counted rather
+    than timed: the spans it opens and the metric observations it makes
+    repeat exactly for one structure and one set of marks, so an
+    instrumentation site added to a hot loop (a span per leaf, a
+    histogram per row) moves the count on any host."""
+
+    def test_spans_and_observations_per_finalize_are_pinned(self):
+        from repro.config import QDConfig, RFSConfig
+        from repro.core.ranking import execute_final_round
+        from repro.datasets.build import build_synthetic_database
+        from repro.index.rfs import RFSStructure
+
+        database = build_synthetic_database(2000, n_categories=30, seed=2006)
+        rfs = RFSStructure.build(database.features, RFSConfig(), seed=2006)
+        marks = [
+            int(image_id)
+            for category in (3, 11, 20)
+            for image_id in np.flatnonzero(database.labels == category)[:4]
+        ]
+
+        def finalize():
+            return execute_final_round(
+                rfs, marks, 300, QDConfig(), rounds_used=3
+            )
+
+        plain = finalize()
+        tracer = obs.Tracer()
+        registry = _CountingRegistry()
+        with obs.use_tracer(tracer), obs.use_metrics(registry):
+            traced = finalize()
+        assert traced.flatten() == plain.flatten()
+        spans = list(obs.iter_spans(tracer.to_dicts()))
+        assert (len(spans), registry.observations) == (14, 123)

@@ -32,14 +32,9 @@ from repro.index.serialize import load_rfs, save_rfs
 from repro.retrieval.distance import euclidean_many, weighted_euclidean
 from repro.retrieval.multipoint import MultipointQuery
 from repro.retrieval.topk import rank
-from repro.store import (
-    FeatureStore,
-    multipoint_distances,
-    pairwise_distances,
-    point_distances,
-)
+from repro.store import FeatureStore, pairwise_distances, point_distances
 from repro.store.delta import DeltaSegment
-from repro.store.kernels import weighted_point_distances
+from repro.store.kernels import multipoint_distances, weighted_point_distances
 from tests.conftest import brute_force_knn
 
 N_IMAGES = 900
@@ -292,7 +287,7 @@ class TestFormatTags:
 
 
 # ----------------------------------------------------------------------
-# Kernels and trusted fast paths
+# Kernels against the public distance functions
 # ----------------------------------------------------------------------
 class TestKernels:
     def test_pairwise_matches_naive(self):
@@ -336,22 +331,15 @@ class TestKernels:
         mq = MultipointQuery(reps, weights)
         fused = multipoint_distances(block, reps, weights)
         assert np.allclose(fused, mq.distances(block), atol=1e-9)
-        # And the trusted entry point on the query object itself.
-        assert np.allclose(
-            mq.distances(block, trusted=True), mq.distances(block),
-            atol=1e-9,
-        )
 
-    def test_trusted_distance_fast_paths(self):
+    def test_kernels_match_public_distance_functions(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(20, 5))
         q = rng.normal(size=5)
         w = rng.uniform(0.5, 1.5, size=5)
+        assert np.allclose(point_distances(pts, q), euclidean_many(pts, q))
         assert np.allclose(
-            euclidean_many(pts, q, trusted=True), euclidean_many(pts, q)
-        )
-        assert np.allclose(
-            weighted_euclidean(pts, q, w, trusted=True),
+            weighted_point_distances(pts, q, w),
             weighted_euclidean(pts, q, w),
         )
 
