@@ -7,7 +7,7 @@ localized queries).  The sweep reports tree shape and retrieval quality
 per capacity, with the paper's max of 100 as the reference point.  The
 paper's minimum of 70 is not swept: binary bisection cannot honour it,
 and every built node is bounded below by 40 % of the max instead
-(:attr:`repro.index.rstar.RStarTree.split_min_entries`).
+(:func:`repro.index.rstar.split_min_entries`).
 """
 
 import numpy as np

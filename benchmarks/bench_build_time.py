@@ -2,9 +2,9 @@
 
 The paper reports query/feedback time (Figures 10–11) but not the
 offline RFS construction cost.  This bench sweeps database sizes and
-hierarchy builders (R*-tree clustering bulk load, STR packing,
-hierarchical k-means) and reports build time plus representative-
-selection time — the operational cost a deployment pays per reindex.
+hierarchy builders (the R*-tree partition and hierarchical k-means) and
+reports build time plus representative-selection time — the
+operational cost a deployment pays per reindex.
 """
 
 import time
@@ -15,7 +15,6 @@ from repro.config import RFSConfig
 from repro.datasets.build import build_synthetic_database
 from repro.eval.reporting import format_table
 from repro.index.rfs import RFSStructure
-from repro.index.rstar import RStarTree
 
 DB_SIZES = (2_000, 8_000, 15_000)
 
@@ -35,27 +34,21 @@ def test_build_time(benchmark, report):
                 feats, RFSConfig(), seed=5, method="hkmeans"
             )
             hk_time = time.perf_counter() - start
-
-            start = time.perf_counter()
-            tree = RStarTree(dims=feats.shape[1], max_entries=100)
-            tree.bulk_load_str(feats)
-            str_time = time.perf_counter() - start
-            rows.append((size, rfs_time, hk_time, str_time))
+            rows.append((size, rfs_time, hk_time))
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     report(
         format_table(
             ["db size", "RFS (r*-bulk + reps) s",
-             "RFS (hkmeans + reps) s", "bare STR pack s"],
+             "RFS (hkmeans + reps) s"],
             rows,
             title="Index construction time vs database size",
             float_format="{:.3f}",
         )
     )
     benchmark.extra_info["rows"] = [
-        (size, round(a, 3), round(b, 3), round(c, 3))
-        for size, a, b, c in rows
+        (size, round(a, 3), round(b, 3)) for size, a, b in rows
     ]
 
     times = np.array([r[1] for r in rows], dtype=float)

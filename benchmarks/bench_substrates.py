@@ -1,7 +1,7 @@
 """Micro-benchmarks of the substrate operations.
 
 Not a paper table — these time the building blocks (feature extraction,
-k-means, R*-tree search, RFS construction) so regressions in the
+k-means, RFS construction, localized k-NN) so regressions in the
 substrates are visible independently of the end-to-end experiments.
 """
 
@@ -13,7 +13,6 @@ from repro.config import RFSConfig
 from repro.features.extractor import FeatureExtractor
 from repro.imaging.scenes import render_scene
 from repro.index.rfs import RFSStructure
-from repro.index.rstar import RStarTree
 
 
 @pytest.fixture(scope="module")
@@ -39,24 +38,6 @@ def test_bench_kmeans_100x37_k5(benchmark, feature_points):
     data = feature_points[:100]
     result = benchmark(kmeans, data, 5, seed=0, n_restarts=1)
     assert result.k == 5
-
-
-def test_bench_rstar_bulk_load_5k(benchmark, feature_points):
-    def build():
-        tree = RStarTree(dims=37, max_entries=100)
-        tree.bulk_load(feature_points, seed=0)
-        return tree
-
-    tree = benchmark.pedantic(build, rounds=3, iterations=1)
-    assert len(tree) == 5_000
-
-
-def test_bench_rstar_knn(benchmark, feature_points):
-    tree = RStarTree(dims=37, max_entries=100)
-    tree.bulk_load(feature_points, seed=0)
-    query = feature_points[42]
-    result = benchmark(tree.knn, query, 20)
-    assert len(result) == 20
 
 
 def test_bench_rfs_build_5k(benchmark, feature_points):

@@ -273,14 +273,24 @@ forbid "multipoint_distances is defined in store/kernels.py and called" \
 # One ranking type from the leaf scan to the wire: a RankedList holds
 # (ids, scores) arrays, and rank() in src/repro/retrieval/topk.py is the
 # one code that orders them (ascending score, ties by id).  No list of
-# (score, id) tuples or RankedItem objects is re-sorted with a lambda
-# outside the R*-tree's own k-NN, and the tuple-era helpers and the
-# boxed-pair cache charge stay deleted.
+# (score, id) tuples or RankedItem objects is re-sorted with a lambda,
+# and the tuple-era helpers and the boxed-pair cache charge stay
+# deleted.
 forbid "results are ordered only by rank() in retrieval/topk.py" -- \
-    -nE "sort\(key=lambda (pair|it)" -- src ':!src/repro/index/rstar.py'
+    -nE "sort\(key=lambda (pair|it)" -- src
 forbid "no top_pairs, top_k or RANKED_PAIR_BYTES: rank() and RankedList" \
     "replace them" -- \
     -nw -e top_pairs -e top_k -e RANKED_PAIR_BYTES -- src
+# One tree from build to scan: the RFS structure is the paper's R*-tree
+# (method "rstar" builds it from index/rstar.py's bisect partition),
+# and the global k-NN is a search from its root.  The second tree
+# object graph, its bulk loads and the STR packer stay deleted.  (Each
+# name is spelled with one bracketed letter so this file does not
+# match its own pattern.)
+forbid "one tree: no second R*-tree object graph, bulk load or STR" \
+    "packer" -- \
+    -nwE 'RStarTre[e]|bulk_loa[d]|bulk_load_st[r]|_str_til[e]' \
+    -- src/ benchmarks/ examples/
 # The paper's server-load claim has one form, the counted one: the
 # work counts of the benchmark's served traffic, pinned by
 # tests/test_work_counts.py.  The modelled forms (a deployment model

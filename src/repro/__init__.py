@@ -51,7 +51,6 @@ __all__ = [
     "MBR",
     "DiskAccessCounter",
     "RFSStructure",
-    "RStarTree",
     "__version__",
 ]
 
@@ -85,7 +84,6 @@ __getattr__, __dir__ = lazy_exports(
             "MBR",
             "DiskAccessCounter",
             "RFSStructure",
-            "RStarTree",
         ),
     },
 )

@@ -72,7 +72,7 @@ class RFSConfig:
         cannot hold under binary bisection (splitting 101 entries cannot
         give two nodes of >= 70), so the build bounds nodes below by
         ``max(2, 40 % of max)`` instead
-        (:attr:`repro.index.rstar.RStarTree.split_min_entries`).
+        (:func:`repro.index.rstar.split_min_entries`).
     representative_fraction:
         Target fraction of database images designated representative
         (paper: 5 %).

@@ -1,4 +1,4 @@
-"""Hierarchical index substrate: R*-tree and the RFS structure.
+"""Hierarchical index substrate: the RFS structure and its R*-tree.
 
 The paper organises the image database with an R\\*-tree-style hierarchical
 clustering (§3.1, citing Beckmann et al.) and extends each node with
@@ -7,10 +7,10 @@ structure.  This package provides:
 
 * :mod:`repro.index.geometry` — minimum bounding (hyper)rectangles,
 * :mod:`repro.index.diskmodel` — simulated disk-page access accounting,
-* :mod:`repro.index.rstar` — a bulk-loaded R\\*-tree (balanced 2-means
-  clustering or STR packing) with best-first k-NN search,
-* :mod:`repro.index.rfs` — the RFS structure: the tree hierarchy enriched
-  with bottom-up k-means representative selection,
+* :mod:`repro.index.rstar` — the R\\*-tree partition (recursive balanced
+  2-means) the RFS build makes its nodes from,
+* :mod:`repro.index.rfs` — the RFS structure: that tree enriched with
+  bottom-up k-means representative selection, and its k-NN search,
 * :mod:`repro.index.generations` — generational delta-segment
   mutations: writes land in a delta segment, and the write that brings
   it to its threshold re-bulk-loads delta + main into a new generation
@@ -28,7 +28,6 @@ __all__ = [
     "generation_seed",
     "RFSNode",
     "RFSStructure",
-    "RStarTree",
     "load_rfs",
     "route_leaf",
     "save_rfs",
@@ -48,7 +47,6 @@ __getattr__, __dir__ = lazy_exports(
         "repro.index.hierarchies": ("build_hkmeans_hierarchy",),
         "repro.index.incremental": ("validate_structure",),
         "repro.index.rfs": ("BuildProgress", "RFSNode", "RFSStructure"),
-        "repro.index.rstar": ("RStarTree",),
         "repro.index.serialize": ("load_rfs", "save_rfs"),
     },
 )

@@ -1,4 +1,4 @@
-"""Minimum bounding hyperrectangles for the R*-tree and the RFS nodes.
+"""Minimum bounding hyperrectangles for the nodes of the RFS structure.
 
 An :class:`MBR` is an axis-aligned box in the 37-d feature space: the
 bound every k-NN search prunes with (MINDIST) and the node diagonal of
@@ -42,23 +42,13 @@ class MBR:
         """Validation-free constructor for internal hot paths.
 
         Callers own the invariants (matching 1-D float64 arrays,
-        ``lo <= hi``); bulk loading builds one box per point, where the
-        per-box checks dominate the cost.
+        ``lo <= hi``): the build makes one box per node from the
+        partition's own bounds.
         """
         box = object.__new__(cls)
         box.lo = lo
         box.hi = hi
         return box
-
-    @classmethod
-    def from_point(cls, point: np.ndarray) -> "MBR":
-        """Degenerate box covering a single point."""
-        p = np.asarray(point, dtype=np.float64)
-        if p.ndim != 1:
-            raise ConfigurationError(
-                f"from_point needs a 1-D point, got shape {p.shape}"
-            )
-        return cls._trusted(p.copy(), p.copy())
 
     @classmethod
     def from_points(cls, points: np.ndarray) -> "MBR":
@@ -115,7 +105,7 @@ class MBR:
     def min_distance(self, point: np.ndarray) -> float | np.ndarray:
         """MINDIST: Euclidean distance from ``point`` to the box (0 inside).
 
-        The standard lower bound driving best-first k-NN search.  Also
+        The standard lower bound a k-NN search prunes with.  Also
         accepts an (n, d) batch of points, returning the (n,) MINDIST
         vector in one vectorized pass.
         """

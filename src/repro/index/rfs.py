@@ -43,7 +43,7 @@ from repro.errors import (
 )
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.geometry import MBR, stacked_min_distances
-from repro.index.rstar import BisectLevel, RStarTree
+from repro.index.rstar import BisectLevel, bisect_levels
 from repro.obs import get_metrics, get_tracer
 from repro.retrieval.topk import RankedList, rank
 from repro.utils.rng import RandomState, derive_rng, ensure_rng
@@ -480,8 +480,8 @@ class RFSStructure:
         ``method`` selects the hierarchical clustering that produces the
         tree (§3.1 notes the choice is open):
 
-        * ``"rstar"`` (default) — the R*-tree clustering bulk load, the
-          paper's choice;
+        * ``"rstar"`` (default) — the R*-tree partition of
+          :func:`repro.index.rstar.bisect_levels`, the paper's choice;
         * ``"hkmeans"`` — top-down hierarchical k-means, an alternative
           in the spirit of the paper's Hierarchical-GTM remark.
 
@@ -509,12 +509,10 @@ class RFSStructure:
             t0 = time.perf_counter()
             with get_tracer().span("build_tree"):
                 if method == "rstar":
-                    tree = RStarTree(
-                        dims=matrix.shape[1],
-                        max_entries=cfg.node_max_entries,
-                    )
-                    levels = tree.bisect_levels(
-                        matrix, seed=derive_rng(rng, "bulkload")
+                    levels = bisect_levels(
+                        matrix,
+                        cfg.node_max_entries,
+                        seed=derive_rng(rng, "bulkload"),
                     )
                     root = cls._nodes_from_levels(levels, matrix, nodes)
                     build_meta = {
@@ -574,10 +572,9 @@ class RFSStructure:
     ) -> RFSNode:
         """Make the RFS nodes of a bisect partition; returns the root.
 
-        Node ids, child order and the registry's (post-order) key order
-        are those of an ``RStarTree.bulk_load`` of the same partition —
-        ids run level by level from 1, the empty tree's root having
-        taken 0 — without building that tree's per-point objects.
+        Node ids run level by level from 1 in group order, and the
+        registry's keys are in post-order; the structure digests of
+        ``tests/test_build_parallel.py`` pin both.
         """
         next_id = 1
         below: List[RFSNode] = []

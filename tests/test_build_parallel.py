@@ -37,9 +37,8 @@ from repro.datasets.build import build_synthetic_database
 from repro.index.generations import GenerationController, generation_seed
 from repro.index.geometry import MBR
 from repro.index.rfs import BuildProgress, RFSStructure
-from repro.index.rstar import RStarTree, _split_once
+from repro.index.rstar import _split_once
 from repro.index.serialize import load_rfs, save_rfs
-from repro.utils.rng import derive_rng, ensure_rng
 from tests.reference_build import (
     assign_reference,
     kmeans_reference,
@@ -99,8 +98,9 @@ def _synthetic(n):
 
 #: (n, seed, config, method) -> structure digest of
 #: ``RFSStructure.build`` on commit 7d9c120, the last one whose build
-#: went through ``RStarTree.bulk_load`` + ``_materialise`` and drew
-#: k-means++ picks through ``Generator.choice``.
+#: loaded a separate R*-tree object graph, converted it with
+#: ``_materialise`` and drew k-means++ picks through
+#: ``Generator.choice``.
 PARENT_DIGESTS = {
     "default-777": (
         (777, 3, None, "rstar"),
@@ -136,36 +136,21 @@ class TestBuildDigestParity:
         assert "executor" not in rfs.build_meta
 
     def test_build_makes_no_per_point_boxes(self, monkeypatch):
-        def from_point(cls, point):
-            raise AssertionError("RFSStructure.build called from_point")
+        # One box per node, taken from the partition's own bounds.
+        made = []
+        trusted = MBR._trusted.__func__
 
-        monkeypatch.setattr(MBR, "from_point", classmethod(from_point))
+        def counting(cls, lo, hi):
+            made.append(lo.shape)
+            return trusted(cls, lo, hi)
+
+        monkeypatch.setattr(MBR, "_trusted", classmethod(counting))
+        monkeypatch.setattr(
+            MBR, "__init__", lambda *a: pytest.fail("validated MBR built")
+        )
         rfs = RFSStructure.build(_features(29), CFG, seed=29)
         assert rfs.root.size == N_IMAGES
-
-    def test_bulk_loaded_tree_has_the_build_s_nodes(self):
-        # One partition feeds both: same ids, levels, members, boxes.
-        feats = _features(31)
-        rfs = RFSStructure.build(feats, CFG, seed=31)
-        tree = RStarTree(dims=DIMS, max_entries=CFG.node_max_entries)
-        tree.bulk_load(feats, seed=derive_rng(ensure_rng(31), "bulkload"))
-        tree.validate()
-
-        def items_under(node):
-            if node.is_leaf:
-                return [e.item_id for e in node.entries]
-            return [i for c in node.children() for i in items_under(c)]
-
-        tree_nodes = {node.node_id: node for node in tree.iter_nodes()}
-        assert sorted(tree_nodes) == sorted(rfs.nodes)
-        for node_id, node in tree_nodes.items():
-            built = rfs.nodes[node_id]
-            assert built.level == node.level
-            assert built.item_ids.tolist() == sorted(items_under(node))
-            assert built.mbr == node.mbr()
-            assert [c.node_id for c in built.children] == [
-                c.node_id for c in node.children()
-            ]
+        assert made == [(DIMS,)] * len(rfs.nodes)
 
     def test_compaction_equals_from_scratch_build_of_live_rows(self):
         feats = _features(37, n=260)
@@ -802,15 +787,6 @@ class TestBuildMeta:
         assert restored.build_meta["executor"] == "process"
         assert "executor" not in fresh.build_meta
         assert structure_digest(restored) == structure_digest(fresh)
-
-    def test_str_bulk_load_records_plain_int_sort_dims(self):
-        pts = _features(19, n=300, d=6)
-        tree = RStarTree(dims=6, max_entries=20)
-        tree.bulk_load_str(pts)
-        dims = tree.build_meta["sort_dims"]
-        assert all(type(d) is int for d in dims)
-        assert sorted(dims) == list(range(6))
-        json.dumps(tree.build_meta)
 
 
 class TestBuildProgress:

@@ -23,7 +23,7 @@ from repro.core.session import FeedbackSession
 from repro.errors import ConfigurationError
 from repro.index.diskmodel import DiskAccessCounter
 from repro.index.rfs import RFSStructure
-from repro.index.rstar import RStarTree
+from repro.index.rstar import bisect_levels, split_min_entries
 from repro.shard.engine import Shard, ShardedEngine, ShardedRFS, build_router
 from repro.store import FeatureStore
 from tests.reference_build import structure_digest
@@ -69,8 +69,8 @@ class TestRFSConfig:
     def test_split_min_entries_is_relaxed_bound(self):
         # The paper's min of 70 cannot survive a binary split of 101;
         # the build bounds nodes below by 40 % of the max instead.
-        tree = RStarTree(dims=37, max_entries=RFSConfig().node_max_entries)
-        assert tree.split_min_entries == 40
+        assert split_min_entries(RFSConfig().node_max_entries) == 40
+        assert split_min_entries(4) == 2
 
     def test_rep_fraction_zero_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -146,12 +146,10 @@ SETTABLE_SURFACE = {
         "buffer_pages", "physical_reads", "logical_reads", "bytes_read",
         "per_category", "per_category_logical", "_buffer", "_lock",
     ],
-    "RStarTree": ["dims", "max_entries", "io"],
     # The offline build runs on the calling thread: no executor or
     # worker count is settable anywhere from the engines down to the
     # bisect.
-    "RStarTree.bisect_levels": ["points", "seed"],
-    "RStarTree.bulk_load": ["points", "item_ids", "seed"],
+    "bisect_levels": ["points", "max_entries", "seed"],
     "RFSStructure.build": [
         "features", "config", "seed", "io", "method", "progress",
     ],
@@ -198,9 +196,7 @@ _SIGNATURES = {
     "KMeans": KMeans,
     "FeatureStore.build": FeatureStore.build,
     "QueryDecompositionEngine.build": QueryDecompositionEngine.build,
-    "RStarTree": RStarTree,
-    "RStarTree.bisect_levels": RStarTree.bisect_levels,
-    "RStarTree.bulk_load": RStarTree.bulk_load,
+    "bisect_levels": bisect_levels,
     "RFSStructure.build": RFSStructure.build,
     "ShardedEngine.build": ShardedEngine.build,
     "ShardedRFS": ShardedRFS,

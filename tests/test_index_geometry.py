@@ -13,10 +13,6 @@ def box(lo, hi):
 
 
 class TestMBRConstruction:
-    def test_from_point_is_degenerate(self):
-        b = MBR.from_point(np.array([1.0, 2.0]))
-        assert np.array_equal(b.lo, b.hi)
-
     def test_from_points_tight(self):
         pts = np.array([[0.0, 5.0], [2.0, 1.0], [1.0, 3.0]])
         b = MBR.from_points(pts)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.clustering.kmeans import kmeans
+from repro.config import RFSConfig
 from repro.features.normalize import FeatureNormalizer
 from repro.features.texture import haar_dwt2
 from repro.index.geometry import MBR
-from repro.index.rstar import RStarTree
+from repro.index.incremental import validate_structure
+from repro.index.rfs import RFSStructure
 from repro.retrieval.multipoint import MultipointQuery
 from repro.retrieval.topk import (
     RankedList,
@@ -226,11 +228,23 @@ class TestTreeProperties:
     )
     @settings(max_examples=15, deadline=None)
     def test_bulk_load_knn_matches_brute_force(self, pts, k):
-        tree = RStarTree(dims=4, max_entries=8)
-        tree.bulk_load(pts, seed=0)
-        tree.validate()
+        # The global k-NN: a search from the root of the built tree.
+        rfs = RFSStructure.build(pts, RFSConfig(node_max_entries=8), seed=0)
+        assert validate_structure(rfs) == []
         probe = pts[0] + 1.0
-        got = tree.knn(probe, k)
-        dists = np.sort(np.linalg.norm(pts - probe, axis=1))
-        expected = dists[: min(k, len(pts))]
-        assert np.allclose(sorted(d for d, _ in got), expected)
+        got = rfs.localized_knn(rfs.root, probe, k)
+        sq = np.sum((pts - probe) ** 2, axis=1)
+        expected = np.sort(sq)[: min(k, len(pts))]
+        # The scan reads float32 rows through ‖x‖² + ‖q‖² − 2·x·q, so a
+        # squared distance is off by up to a few float32 ulps of the
+        # norms: a row it returns may be that much farther than the true
+        # neighbour of its rank, and never nearer.
+        slack = 32 * np.finfo(np.float32).eps * (
+            np.max(np.sum(pts**2, axis=1)) + probe @ probe
+        )
+        ids = got.ids()
+        assert len(set(ids)) == len(ids) == expected.shape[0]
+        found = np.sort(sq[ids])
+        assert np.all(found >= expected)
+        assert np.all(found <= expected + 2 * slack)
+        assert np.allclose(got.scores**2, sq[ids], rtol=0, atol=slack)

@@ -58,8 +58,8 @@ def test_a_lazy_re_export_counts_as_an_import(copy):
     init = copy / "src/repro/index/__init__.py"
     init.write_text(
         init.read_text().replace(
-            '"repro.index.rstar": ("RStarTree",),',
-            '"repro.index.rstar": ("RStarTree",),\n'
+            '"repro.index.geometry": ("MBR",),',
+            '"repro.index.geometry": ("MBR",),\n'
             '        "repro.index.orphan": ("VALUE",),',
         )
     )
