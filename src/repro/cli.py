@@ -18,9 +18,9 @@ Provides the common workflows without writing Python::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import signal
 import sys
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("--db", required=True)
     p_exp.add_argument("--seed", type=int, default=2006)
-    p_exp.add_argument("--trials", type=_positive_int, default=3)
+    p_exp.add_argument("--trials", type=_bounded_int(1), default=3)
     _add_store_flags(p_exp)
     _add_cache_flags(p_exp)
     _add_obs_flags(p_exp)
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--db", required=True)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
-        "--port", type=_port, default=7306,
+        "--port", type=_bounded_int(0, 65535), default=7306,
         help="TCP port (0 = OS-assigned)",
     )
     p_serve.add_argument("--seed", type=int, default=7)
@@ -249,43 +249,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _int_at_least(text: str, low: int) -> int:
-    """An integer ``>= low`` parsed from ``text``, or the argparse error
-    that makes argparse refuse it (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-    return value
+def _bounded_int(low: int, high: int = sys.maxsize):
+    """argparse type: an integer in ``[low, high]``; anything else is an
+    argparse usage error (exit 2)."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    return _int_at_least(text, 0)
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    return _int_at_least(text, 1)
-
-
-def _port(text: str) -> int:
-    """argparse type: a TCP port, 0-65535 (0 = OS-assigned)."""
-    value = _int_at_least(text, 0)
-    if value > 65535:
-        raise argparse.ArgumentTypeError(f"must be <= 65535, got {value}")
-    return value
+    return parse
 
 
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     """Shared sharding flags (query/serve)."""
     parser.add_argument(
         "--shards",
-        type=_non_negative_int,
+        type=_bounded_int(0),
         default=0,
         metavar="N",
         help=(
@@ -299,75 +287,6 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
         default="contiguous",
         help="how leaves are dealt across shards (with --shards)",
     )
-
-
-def _build_serving_engine(
-    args: argparse.Namespace, database: ImageDatabase
-) -> QueryDecompositionEngine:
-    """The engine the query/serve commands run — sharded when asked.
-
-    With ``--shards N`` the store/cache flags translate into *per-shard*
-    stores and caches (a sharded deployment has no global store), so
-    ``--store memmap``/``--rfs`` combinations that imply one are
-    rejected with a clear error instead of silently ignored.  Refused
-    cache and mutation values fail before any tree is built.
-    """
-    mutations = _mutation_config_from_args(args)
-    shards = getattr(args, "shards", 0)
-    if shards == 0:
-        engine = _single_node_engine(args, database)
-    else:
-        engine = _sharded_engine(args, database, shards)
-    if mutations is not None:
-        engine.enable_mutations(mutations, seed=getattr(args, "seed", 0) or 0)
-    return engine
-
-
-def _sharded_engine(
-    args: argparse.Namespace, database: ImageDatabase, shards: int
-) -> QueryDecompositionEngine:
-    """Build the global tree and deal it over ``shards`` shards."""
-    from repro.shard import ShardedEngine
-
-    cache = _cache_config_from_args(args)
-    if getattr(args, "rfs", None):
-        raise ReproError(
-            "--shards builds its own (identical) global tree; drop "
-            "--rfs or run single-node"
-        )
-    store_kind = getattr(args, "store", "inmem")
-    if store_kind == "memmap":
-        raise ReproError(
-            "--shards cannot map one saved store across shards; use "
-            "--store inmem (per-shard stores) or run single-node"
-        )
-    return ShardedEngine.build(
-        database,
-        shards=shards,
-        partition=getattr(args, "partition", "contiguous"),
-        seed=args.seed,
-        store=store_kind,
-        cache=cache,
-    )
-
-
-def _single_node_engine(
-    args: argparse.Namespace, database: ImageDatabase
-) -> QueryDecompositionEngine:
-    """Load (``--rfs``) or build the tree, then attach store and cache."""
-    cache = _cache_config_from_args(args)
-    if getattr(args, "rfs", None):
-        from repro.index.serialize import load_rfs
-
-        rfs = load_rfs(args.rfs, database.features)
-    else:
-        rfs = RFSStructure.build(database.features, seed=args.seed)
-    _attach_store_from_args(rfs, args)
-    if cache is not None:
-        from repro.cache import SubqueryResultCache
-
-        rfs.attach_cache(SubqueryResultCache(cache.capacity_bytes))
-    return QueryDecompositionEngine(database, rfs)
 
 
 def _add_build_flags(parser: argparse.ArgumentParser) -> None:
@@ -440,16 +359,6 @@ def _add_session_flags(
     )
 
 
-def _session_store_from_args(args: argparse.Namespace):
-    """The store the ``--session-store`` flags ask for (or ``None``)."""
-    kind = getattr(args, "session_store", None)
-    if kind is None:
-        return None
-    from repro.sessionstore import make_session_store
-
-    return make_session_store(kind, getattr(args, "session_path", "") or "")
-
-
 def _add_mutation_flags(parser: argparse.ArgumentParser) -> None:
     """Shared mutation flags (serve)."""
     parser.add_argument(
@@ -474,17 +383,6 @@ def _add_mutation_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _mutation_config_from_args(
-    args: argparse.Namespace,
-) -> Optional[MutationConfig]:
-    """The mutation config ``--mutations`` asks for, if any."""
-    if not getattr(args, "mutations", False):
-        return None
-    return MutationConfig(
-        compact_threshold=getattr(args, "compact_threshold", 256),
-    )
-
-
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     """Shared result-cache flags (query/interactive/experiment)."""
     parser.add_argument(
@@ -504,33 +402,101 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cache_config_from_args(
-    args: argparse.Namespace,
-) -> Optional[CacheConfig]:
-    """The subquery result cache config ``--cache`` asks for, if any."""
-    if not getattr(args, "cache", False):
-        return None
-    return CacheConfig(
-        enabled=True, capacity_mb=getattr(args, "cache_mb", 64.0)
+def _open_engine(
+    args: argparse.Namespace, database: ImageDatabase, stack: ExitStack
+) -> QueryDecompositionEngine:
+    """The engine a command runs, with what it opens on ``stack``.
+
+    Refused cache and mutation values fail before any tree is built.
+    With ``--shards N`` the store/cache flags translate into *per-shard*
+    stores and caches (a sharded deployment has no global store), so
+    ``--store memmap``/``--rfs`` combinations that imply one are
+    rejected with a clear error instead of silently ignored.
+    """
+    mutations = (
+        MutationConfig(compact_threshold=args.compact_threshold)
+        if getattr(args, "mutations", False)
+        else None
     )
+    cache = (
+        CacheConfig(enabled=True, capacity_mb=args.cache_mb)
+        if args.cache
+        else None
+    )
+    shards = getattr(args, "shards", 0)
+    if shards:
+        from repro.shard import ShardedEngine
+
+        if getattr(args, "rfs", None):
+            raise ReproError(
+                "--shards builds its own (identical) global tree; drop "
+                "--rfs or run single-node"
+            )
+        if args.store == "memmap":
+            raise ReproError(
+                "--shards cannot map one saved store across shards; use "
+                "--store inmem (per-shard stores) or run single-node"
+            )
+        engine = ShardedEngine.build(
+            database,
+            shards=shards,
+            partition=args.partition,
+            seed=args.seed,
+            cache=cache,
+        )
+    else:
+        rfs = _open_tree(args, database, stack)
+        if cache is not None:
+            from repro.cache import SubqueryResultCache
+
+            rfs.attach_cache(SubqueryResultCache(cache.capacity_bytes))
+        engine = QueryDecompositionEngine(database, rfs)
+    stack.enter_context(engine)
+    if mutations is not None:
+        engine.enable_mutations(mutations, seed=args.seed)
+    if getattr(args, "session_store", None) is not None:
+        engine.attach_session_store(_open_session_store(args, stack))
+    return engine
 
 
-def _attach_store_from_args(
-    rfs: RFSStructure, args: argparse.Namespace
-) -> None:
-    """Attach the feature store the ``--store`` flags ask for."""
+def _open_tree(
+    args: argparse.Namespace, database: ImageDatabase, stack: ExitStack
+) -> RFSStructure:
+    """The ``--rfs`` tree (else one built from ``--seed``) with the
+    feature store the ``--store`` flags ask for attached."""
     from repro.store import FeatureStore
 
+    if getattr(args, "rfs", None):
+        from repro.index.serialize import load_rfs
+
+        rfs = load_rfs(args.rfs, database.features)
+    else:
+        rfs = RFSStructure.build(
+            database.features,
+            seed=args.seed,
+            progress=_progress_printer(args),
+        )
     if getattr(args, "store", "inmem") == "inmem":
         rfs.attach_store(FeatureStore.build(rfs), validate=False)
-        return
-    path = getattr(args, "store_path", None)
-    if not path:
+        return rfs
+    if not args.store_path:
         raise ReproError(
             "--store memmap needs --store-path (a directory written by "
             "'build-store')"
         )
-    rfs.attach_store(FeatureStore.open(path, mode="memmap"))
+    store = FeatureStore.open(args.store_path, mode="memmap")
+    stack.callback(store.close)
+    rfs.attach_store(store)
+    return rfs
+
+
+def _open_session_store(args: argparse.Namespace, stack: ExitStack):
+    """The session store the ``--session-store`` flags ask for."""
+    from repro.sessionstore import make_session_store
+
+    return stack.enter_context(
+        make_session_store(args.session_store, args.session_path or "")
+    )
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -555,7 +521,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@contextlib.contextmanager
+@contextmanager
 def _obs_scope(args: argparse.Namespace) -> Iterator[None]:
     """Install tracing/metrics for a command when its flags ask for it.
 
@@ -592,7 +558,7 @@ def _obs_scope(args: argparse.Namespace) -> Iterator[None]:
             print(obs.prometheus_text(registry), end="")
 
 
-def _cmd_build_db(args: argparse.Namespace) -> int:
+def _cmd_build_db(args: argparse.Namespace, stack: ExitStack) -> int:
     from repro.datasets.build import build_rendered_database
 
     database = build_rendered_database(
@@ -610,7 +576,7 @@ def _cmd_build_db(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build_rfs(args: argparse.Namespace) -> int:
+def _cmd_build_rfs(args: argparse.Namespace, stack: ExitStack) -> int:
     from repro.index.serialize import save_rfs
 
     database = ImageDatabase.load(args.db)
@@ -631,20 +597,9 @@ def _cmd_build_rfs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build_store(args: argparse.Namespace) -> int:
-    from repro.index.serialize import load_rfs
-    from repro.store import FeatureStore
-
+def _cmd_build_store(args: argparse.Namespace, stack: ExitStack) -> int:
     database = ImageDatabase.load(args.db)
-    if args.rfs:
-        rfs = load_rfs(args.rfs, database.features)
-    else:
-        rfs = RFSStructure.build(
-            database.features,
-            seed=args.seed,
-                progress=_progress_printer(args),
-        )
-    store = FeatureStore.build(rfs)
+    store = _open_tree(args, database, stack).store
     store.save(args.out)
     print(
         f"built store: {store.n_rows} rows x {store.dims} dims "
@@ -654,26 +609,25 @@ def _cmd_build_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _cmd_query(args: argparse.Namespace, stack: ExitStack) -> int:
+    from repro.datasets.queryset import get_query
     from repro.eval.metrics import gtir, precision_at
     from repro.eval.oracle import SimulatedUser
 
     database = ImageDatabase.load(args.db)
-    engine = _build_serving_engine(args, database)
-    session_store = _session_store_from_args(args)
-    if session_store is not None:
-        engine.attach_session_store(session_store)
-    from repro.datasets.queryset import get_query
-
+    engine = _open_engine(args, database, stack)
     query = get_query(args.query)
     user = SimulatedUser(database, query, seed=args.seed)
     k = args.k or database.ground_truth_size(
         sorted(query.relevant_categories())
     )
-    with _obs_scope(args), engine:
-        result = engine.run_scripted(
-            user.mark, k=k, rounds=args.rounds, seed=args.seed
-        )
+    stack.enter_context(_obs_scope(args))
+    result = engine.run_scripted(
+        user.mark, k=k, rounds=args.rounds, seed=args.seed
+    )
+    # Release everything (the trace and metrics print now) before the
+    # result is printed.
+    stack.close()
     print(result.describe())
     ids = result.flatten(k)
     print(f"precision = {precision_at(ids, database, query):.3f}")
@@ -681,7 +635,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
+def _cmd_info(args: argparse.Namespace, stack: ExitStack) -> int:
     database = ImageDatabase.load(args.db)
     named = [
         name for name in database.category_names
@@ -696,14 +650,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_index(args: argparse.Namespace) -> int:
+def _cmd_index(args: argparse.Namespace, stack: ExitStack) -> int:
     """``index verify``: audit invariants of a saved structure."""
     from repro.index.incremental import validate_structure
-    from repro.index.serialize import load_rfs
 
     database = ImageDatabase.load(args.db)
-    rfs = load_rfs(args.rfs, database.features)
-    _attach_store_from_args(rfs, args)
+    rfs = _open_tree(args, database, stack)
     problems = validate_structure(rfs)
     if problems:
         print(f"FAIL: {len(problems)} problem(s) in {args.rfs}")
@@ -718,118 +670,102 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_interactive(args: argparse.Namespace) -> int:
+def _cmd_interactive(args: argparse.Namespace, stack: ExitStack) -> int:
     from repro.core.console import run_console_session
 
     database = ImageDatabase.load(args.db)
-    engine = _single_node_engine(args, database)
-    session_store = _session_store_from_args(args)
-    if session_store is not None:
-        engine.attach_session_store(session_store)
-    with _obs_scope(args), engine:
-        run_console_session(
-            engine,
-            k=args.k,
-            rounds=args.rounds,
-            screens=args.screens,
-            seed=args.seed,
-        )
+    engine = _open_engine(args, database, stack)
+    stack.enter_context(_obs_scope(args))
+    run_console_session(
+        engine,
+        k=args.k,
+        rounds=args.rounds,
+        screens=args.screens,
+        seed=args.seed,
+    )
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace, stack: ExitStack) -> int:
     from repro.eval import experiments
 
     database = ImageDatabase.load(args.db)
-    with _obs_scope(args):
-        if args.name == "fig1":
-            print(experiments.run_figure1(database).format())
-            return 0
-        if args.name == "scalability":
-            result = experiments.run_scalability(
-                (2000, 4000, 8000), n_queries=25, seed=args.seed
+    stack.enter_context(_obs_scope(args))
+    if args.name == "fig1":
+        print(experiments.run_figure1(database).format())
+    elif args.name == "scalability":
+        result = experiments.run_scalability(
+            (2000, 4000, 8000), n_queries=25, seed=args.seed
+        )
+        print(result.format_figure10())
+        print(result.format_figure11())
+    else:
+        engine = _open_engine(args, database, stack)
+        if args.name == "table1":
+            report = experiments.run_table1(
+                engine, trials=args.trials, seed=args.seed
             )
-            print(result.format_figure10())
-            print(result.format_figure11())
-            return 0
-        engine = _single_node_engine(args, database)
-        with engine:
-            if args.name == "table1":
-                print(
-                    experiments.run_table1(
-                        engine, trials=args.trials, seed=args.seed
-                    ).format()
-                )
-            elif args.name == "table2":
-                print(
-                    experiments.run_table2(
-                        engine, trials=args.trials, seed=args.seed
-                    ).format()
-                )
-            elif args.name == "cases":
-                print(
-                    experiments.run_case_studies(
-                        engine, seed=args.seed
-                    ).format()
-                )
+        elif args.name == "table2":
+            report = experiments.run_table2(
+                engine, trials=args.trials, seed=args.seed
+            )
+        else:
+            report = experiments.run_case_studies(engine, seed=args.seed)
+        print(report.format())
     return 0
 
 
-def _cmd_store(args: argparse.Namespace) -> int:
+def _cmd_store(args: argparse.Namespace, stack: ExitStack) -> int:
     """``store info``: describe a saved feature-store directory."""
     from repro.store import FeatureStore
 
     store = FeatureStore.open(args.path, mode="memmap")
-    try:
-        print(f"path:              {args.path}")
-        print(f"rows x dims:       {store.n_rows} x {store.dims}")
-        print(f"dtype:             {store.dtype.name}")
-        print(f"bytes:             {store.nbytes}")
-        print(f"node spans:        {len(store.spans)}")
-    finally:
-        store.close()
+    stack.callback(store.close)
+    print(f"path:              {args.path}")
+    print(f"rows x dims:       {store.n_rows} x {store.dims}")
+    print(f"dtype:             {store.dtype.name}")
+    print(f"bytes:             {store.nbytes}")
+    print(f"node spans:        {len(store.spans)}")
     return 0
 
 
-def _cmd_sessions(args: argparse.Namespace) -> int:
+def _cmd_sessions(args: argparse.Namespace, stack: ExitStack) -> int:
     """``sessions list|expire``: operate on an externalized store."""
     import time as _time
 
-    store = _session_store_from_args(args)
-    assert store is not None  # --session-store is required here
-    with store:
-        if args.sessions_command == "expire":
-            swept = store.sweep_expired(args.ttl)
-            print(
-                f"expired {len(swept)} session(s) idle > {args.ttl:.0f}s"
-                + (": " + ", ".join(swept) if swept else "")
-            )
-            return 0
-        ids = store.list_ids()
-        if not ids:
-            print("no checkpointed sessions")
-            return 0
-        now = _time.time()
-        print(f"{'session':34s} {'round':>5s} {'marked':>6s} "
-              f"{'branches':>8s} {'idle s':>8s}")
-        for session_id in ids:
-            try:
-                state = store.get(session_id)
-            except SessionNotFoundError:
-                continue  # finalized or swept since it was listed
-            except SessionCodecError as exc:
-                # Left in the store for a human to inspect.
-                print(f"{session_id:34s} unreadable: {exc}")
-                continue
-            print(
-                f"{session_id:34s} {state.round:5d} "
-                f"{len(state.marked):6d} {state.n_subqueries:8d} "
-                f"{now - state.updated_unix:8.0f}"
-            )
+    store = _open_session_store(args, stack)
+    if args.sessions_command == "expire":
+        swept = store.sweep_expired(args.ttl)
+        print(
+            f"expired {len(swept)} session(s) idle > {args.ttl:.0f}s"
+            + (": " + ", ".join(swept) if swept else "")
+        )
+        return 0
+    ids = store.list_ids()
+    if not ids:
+        print("no checkpointed sessions")
+        return 0
+    now = _time.time()
+    print(f"{'session':34s} {'round':>5s} {'marked':>6s} "
+          f"{'branches':>8s} {'idle s':>8s}")
+    for session_id in ids:
+        try:
+            state = store.get(session_id)
+        except SessionNotFoundError:
+            continue  # finalized or swept since it was listed
+        except SessionCodecError as exc:
+            # Left in the store for a human to inspect.
+            print(f"{session_id:34s} unreadable: {exc}")
+            continue
+        print(
+            f"{session_id:34s} {state.round:5d} "
+            f"{len(state.marked):6d} {state.n_subqueries:8d} "
+            f"{now - state.updated_unix:8.0f}"
+        )
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace, stack: ExitStack) -> int:
     from repro.config import ServeConfig
     from repro.serve import QDServer, QDTCPServer
 
@@ -840,50 +776,41 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_s=args.deadline_s,
         drain_timeout_s=args.drain_timeout_s,
     )
-    engine = _build_serving_engine(args, database)
-    session_store = _session_store_from_args(args)
-    assert session_store is not None  # --session-store is required
-    engine.attach_session_store(session_store)
+    engine = _open_engine(args, database, stack)
     core = QDServer(engine, serve_config)
     shape = (
         f"{args.shards} shard(s)" if args.shards else "single-node"
     )
-    with _obs_scope(args), engine, _sigterm_interrupts():
-        # Bound before the announcement, so --port 0 prints the port
-        # the OS picked.
-        server = QDTCPServer((args.host, args.port), core)
-        host, port = server.server_address[:2]
-        print(
-            f"serving {database.size} images ({shape}, "
-            f"{serve_config.workers} workers, queue "
-            f"{serve_config.queue_limit}, deadline "
-            f"{serve_config.default_deadline_s:g}s) on {host}:{port} — "
-            "one JSON request per line, Ctrl-C or SIGTERM drains and exits",
-            flush=True,
-        )
-        server.serve_until_interrupted()
+    stack.enter_context(_obs_scope(args))
+    previous = signal.signal(signal.SIGTERM, _interrupt)
+    stack.callback(signal.signal, signal.SIGTERM, previous)
+    # Bound before the announcement, so --port 0 prints the port the OS
+    # picked.
+    server = QDTCPServer((args.host, args.port), core)
+    host, port = server.server_address[:2]
+    print(
+        f"serving {database.size} images ({shape}, "
+        f"{serve_config.workers} workers, queue "
+        f"{serve_config.queue_limit}, deadline "
+        f"{serve_config.default_deadline_s:g}s) on {host}:{port} — "
+        "one JSON request per line, Ctrl-C or SIGTERM drains and exits",
+        flush=True,
+    )
+    # Drains the core; the session store and the engine close after it.
+    server.serve_until_interrupted()
     return 0
 
 
-@contextlib.contextmanager
-def _sigterm_interrupts() -> Iterator[None]:
-    """Make SIGTERM take Ctrl-C's path out of ``serve``.
+def _interrupt(signum: int, frame: object) -> None:
+    """``serve``'s SIGTERM handler: take Ctrl-C's path out.
 
-    The handler raises ``KeyboardInterrupt``, which
-    ``QDTCPServer.serve_until_interrupted`` turns into a drain and
-    ``core.close()``; the ``with`` around it then
-    closes the engine.  SIGTERM's default action ends the process
-    outright, abandoning in-flight requests mid-operation.
+    ``QDTCPServer.serve_until_interrupted`` turns the
+    ``KeyboardInterrupt`` into a drain and ``core.close()``; ``main``'s
+    stack then closes the session store and the engine.  SIGTERM's
+    default action ends the process outright, abandoning in-flight
+    requests mid-operation.
     """
-
-    def interrupt(signum: int, frame: object) -> None:
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, interrupt)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    raise KeyboardInterrupt
 
 
 _COMMANDS = {
@@ -902,15 +829,18 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns a process exit code.
+
+    Every command opens its resources (the engine, a mapped feature
+    store, a session store, the trace and metrics scope, serve's SIGTERM
+    handler) on one stack, which closes them in reverse order on any
+    way out, before an error is printed.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        with ExitStack() as stack:
+            return _COMMANDS[args.command](args, stack)
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

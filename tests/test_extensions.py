@@ -181,6 +181,10 @@ class TestHKMeansHierarchy:
         assert root.size == 200
 
 
+def _end_of_input(prompt=""):
+    raise EOFError
+
+
 class TestCLI:
     @pytest.fixture(scope="class")
     def db_path(self, tmp_path_factory):
@@ -266,6 +270,93 @@ class TestCLI:
             cli_main([command, "--db", str(db_path), *out, *flags])
         assert exc.value.code == 2
         assert not (tmp_path / "store").exists()
+
+    @pytest.fixture(scope="class")
+    def saved_store(self, db_path, tmp_path_factory):
+        """A saved tree and its saved feature store."""
+        out = tmp_path_factory.mktemp("saved")
+        rfs_path, store_dir = out / "rfs.npz", out / "store"
+        assert cli_main([
+            "build-rfs", "--db", str(db_path), "--out", str(rfs_path),
+        ]) == 0
+        assert cli_main([
+            "build-store", "--db", str(db_path), "--rfs", str(rfs_path),
+            "--out", str(store_dir),
+        ]) == 0
+        return rfs_path, store_dir
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            pytest.param(case, code, id=case)
+            for case, code in [
+                ("query-sqlite", 0),
+                ("interactive-sqlite", 1),  # stdin ends before round 1
+                ("serve-sqlite", 0),
+                ("index-verify-memmap", 0),
+                ("query-memmap-bad-session-path", 1),
+            ]
+        ],
+    )
+    def test_every_opened_store_is_closed_when_main_returns(
+        self, db_path, saved_store, tmp_path, monkeypatch, capsys, case, code
+    ):
+        import repro.sessionstore
+        from repro.serve import QDTCPServer
+        from repro.store import FeatureStore
+
+        opened = []
+        make_session_store = repro.sessionstore.make_session_store
+        open_feature_store = FeatureStore.open
+
+        def spy_make(*args, **kwargs):
+            opened.append(make_session_store(*args, **kwargs))
+            return opened[-1]
+
+        def spy_open(*args, **kwargs):
+            opened.append(open_feature_store(*args, **kwargs))
+            return opened[-1]
+
+        def closed(store):
+            if isinstance(store, FeatureStore):
+                return store.closed
+            return store._closed and not store._conns
+
+        def drain(server):
+            # The session store outlives the drain of the serving core.
+            assert not any(closed(store) for store in opened)
+            server.close()
+
+        monkeypatch.setattr(
+            repro.sessionstore, "make_session_store", spy_make
+        )
+        monkeypatch.setattr(FeatureStore, "open", staticmethod(spy_open))
+        monkeypatch.setattr(QDTCPServer, "serve_until_interrupted", drain)
+        monkeypatch.setattr("builtins.input", _end_of_input)
+        rfs_path, store_dir = saved_store
+        db = ["--db", str(db_path)]
+        sqlite = [
+            "--session-store", "sqlite",
+            "--session-path", str(tmp_path / "sessions.db"),
+        ]
+        memmap = ["--store", "memmap", "--store-path", str(store_dir)]
+        query = ["query", *db, "--query", "bird", "--seed", "2", "--k", "20"]
+        argv = {
+            "query-sqlite": [*query, *sqlite],
+            "interactive-sqlite": ["interactive", *db, "--k", "10", *sqlite],
+            "serve-sqlite": ["serve", *db, "--port", "0", *sqlite],
+            "index-verify-memmap": [
+                "index", "verify", *db, "--rfs", str(rfs_path), *memmap,
+            ],
+            "query-memmap-bad-session-path": [
+                *query, "--rfs", str(rfs_path), *memmap,
+                "--session-store", "sqlite",
+                "--session-path", str(tmp_path / "missing" / "s.db"),
+            ],
+        }[case]
+        assert cli_main(argv) == code
+        assert opened
+        assert [closed(store) for store in opened] == [True] * len(opened)
 
     def test_query_without_prebuilt_rfs(self, db_path, capsys):
         assert cli_main([
