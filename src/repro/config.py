@@ -248,12 +248,6 @@ class MutationConfig:
 
     Attributes
     ----------
-    auto_compact:
-        Whether the generation controller compacts automatically once
-        the delta segment's live-row + tombstone count reaches
-        ``compact_threshold``.  Off means compaction only happens when
-        :meth:`~repro.index.generations.GenerationController.compact`
-        is called explicitly.
     compact_threshold:
         Delta-segment size (live inserts + tombstones) that triggers an
         automatic compaction.  Small thresholds keep the brute-force
@@ -262,7 +256,6 @@ class MutationConfig:
         returns; scans never wait for a compaction.
     """
 
-    auto_compact: bool = True
     compact_threshold: int = 256
 
     def __post_init__(self) -> None:

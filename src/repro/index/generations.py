@@ -243,10 +243,7 @@ class GenerationController:
     # -- compaction -----------------------------------------------------
     def _maybe_compact(self) -> None:
         """Compact once the delta reaches the threshold (lock held)."""
-        if (
-            self.config.auto_compact
-            and self.delta_size >= self.config.compact_threshold
-        ):
+        if self.delta_size >= self.config.compact_threshold:
             self.compact()
 
     def compact(self) -> Optional[int]:

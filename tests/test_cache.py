@@ -260,9 +260,7 @@ class TestFinalRoundCaching:
 class TestCacheInvalidation:
     def test_compaction_bumps_version(self, database):
         rfs = _build_rfs(database)
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(rfs)
         v0 = rfs.structure_version
         new_id = controller.insert(np.zeros(database.dims))
         controller.remove(new_id)
@@ -287,9 +285,7 @@ class TestCacheInvalidation:
         rfs = _build_rfs(database)
         cache = SubqueryResultCache(8 << 20)
         rfs.attach_cache(cache)
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(rfs)
         marks = _marks(database, 5)
         config = QDConfig()
         warm_sig, _ = _finalize(rfs, marks, 25, config)  # warm
@@ -329,7 +325,7 @@ class TestCacheInvalidation:
         build = {
             "seed": SEED,
             "cache": CacheConfig(enabled=True, capacity_mb=8),
-            "mutations": MutationConfig(auto_compact=False),
+            "mutations": MutationConfig(),
         }
         if shards:
             engine = ShardedEngine.build(

@@ -111,9 +111,7 @@ def _queries(rfs, n=6, seed=17):
 class TestDeltaMutations:
     def test_insert_gets_stable_id_and_is_findable(self):
         rfs = _base()
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(rfs)
         # Offset well above float32 norm-expansion resolution (~1e-3
         # near distance 0), so the new row is separable from row 3.
         vec = rfs.features[3] + 0.05
@@ -124,33 +122,25 @@ class TestDeltaMutations:
 
     def test_removed_id_disappears_from_scans(self):
         rfs = _base()
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(rfs)
         victim = int(rfs.root.item_ids[0])
         controller.remove(victim)
         ids = set(_scan(rfs, rfs.features[victim], 50).ids())
         assert victim not in ids
 
     def test_remove_unknown_raises(self):
-        controller = GenerationController(
-            _base(), config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(_base())
         with pytest.raises(NodeNotFoundError):
             controller.remove(10_000)
 
     def test_remove_twice_raises(self):
-        controller = GenerationController(
-            _base(), config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(_base())
         controller.remove(0)
         with pytest.raises(NodeNotFoundError):
             controller.remove(0)
 
     def test_delta_size_counts_rows_and_tombstones(self):
-        controller = GenerationController(
-            _base(), config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(_base())
         _mutate(controller, np.random.default_rng(0),
                 inserts=4, removes=3)
         assert controller.delta_size == 7
@@ -164,9 +154,7 @@ class TestDeltaMutations:
 
     def test_validate_structure_clean_under_delta(self):
         rfs = _base(attach_store=True)
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(rfs)
         _mutate(controller, np.random.default_rng(1))
         assert validate_structure(rfs) == []
 
@@ -224,9 +212,7 @@ class TestRefusedWrites:
 
     @pytest.mark.parametrize("image_id", [1.7, 1.0, True, "1"])
     def test_remove_refuses_an_id_that_is_not_an_integer(self, image_id):
-        controller = GenerationController(
-            _base(), config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(_base())
         with pytest.raises(QueryError, match="integer"):
             controller.remove(image_id)
         assert controller.delta_size == 0
@@ -242,18 +228,14 @@ class TestMutationParity:
     @pytest.mark.parametrize("attach_store", [False, True])
     def test_scan_parity_with_own_and_attached_store(self, attach_store):
         rfs = _base(attach_store=attach_store)
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(rfs)
         _mutate(controller, np.random.default_rng(2))
         rebuilt, live = _rebuild_of(rfs, attach_store=attach_store)
         _assert_scan_parity(rfs, rebuilt, live, _queries(rfs), k=25)
 
     def test_post_compaction_equals_rebuild_at_generation_seed(self):
         rfs = _base(attach_store=True)
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False), seed=41
-        )
+        controller = GenerationController(rfs, seed=41)
         _mutate(controller, np.random.default_rng(4))
         live_before = np.sort(
             np.concatenate([
@@ -280,9 +262,7 @@ class TestMutationParity:
 
     def test_parity_holds_across_repeated_compactions(self):
         rfs = _base(attach_store=True)
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False), seed=8
-        )
+        controller = GenerationController(rfs, seed=8)
         rng = np.random.default_rng(5)
         for round_no in range(3):
             _mutate(controller, rng, inserts=5, removes=3)
@@ -299,9 +279,7 @@ class TestMutationParity:
 
     def test_mutated_then_scanned_ids_stay_stable_across_swap(self):
         rfs = _base()
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(rfs)
         vec = rfs.features[11] + 5e-4
         new_id = controller.insert(vec)
         controller.remove(int(rfs.root.item_ids[1]))
@@ -328,7 +306,7 @@ class TestCacheParity:
                                             seed=19)
         engine = QueryDecompositionEngine.build(
             database, CFG, QDConfig(), seed=21,
-            mutations=MutationConfig(auto_compact=False),
+            mutations=MutationConfig(),
         )
         engine.rfs.attach_store(
             FeatureStore.build(engine.rfs), validate=False
@@ -423,7 +401,7 @@ class TestShardedParity:
         engine = ShardedEngine.build(
             database, qd_config=QDConfig(), shards=shards,
             seed=23, store="inmem",
-            mutations=MutationConfig(auto_compact=False),
+            mutations=MutationConfig(),
         )
         try:
             rng = np.random.default_rng(11)
@@ -454,7 +432,7 @@ class TestShardedParity:
             database, qd_config=QDConfig(), shards=3,
             partition="roundrobin", seed=23,
             cache=CacheConfig(enabled=True),
-            mutations=MutationConfig(auto_compact=False),
+            mutations=MutationConfig(),
         )
         try:
             old = engine.rfs
@@ -492,9 +470,7 @@ class TestCompaction:
         assert controller.delta_size == 0
 
     def test_empty_delta_compaction_is_a_noop(self):
-        controller = GenerationController(
-            _base(), config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(_base())
         assert controller.compact() is None
         assert controller.generation == 0
 
@@ -504,9 +480,7 @@ class TestCompaction:
         monkeypatch.setattr(generations, "MAX_RETIRED", 2)
         rfs = _base()
         v0 = rfs.structure_version
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(rfs)
         rng = np.random.default_rng(14)
         versions = [v0]
         for _ in range(3):
@@ -523,9 +497,7 @@ class TestCompaction:
 
     def test_compacting_everything_away_raises(self):
         rfs = _base(n=60)
-        controller = GenerationController(
-            rfs, config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(rfs)
         for item in list(rfs.root.item_ids):
             controller.remove(int(item))
         with pytest.raises(ConfigurationError):
@@ -570,9 +542,7 @@ class TestCompactionIsAWrite:
         was still waiting when the build was released and returned
         only after the swap.
         """
-        controller = GenerationController(
-            _base(), config=MutationConfig(auto_compact=False)
-        )
+        controller = GenerationController(_base())
         rng = np.random.default_rng(21)
         for _ in range(3):
             controller.insert(rng.normal(size=16))
@@ -718,9 +688,7 @@ class TestEngineMutations:
         database = build_synthetic_database(400, n_categories=16,
                                             seed=15)
         engine = QueryDecompositionEngine.build(database, CFG, seed=1)
-        controller = engine.enable_mutations(
-            MutationConfig(auto_compact=False)
-        )
+        controller = engine.enable_mutations(MutationConfig())
         assert engine.enable_mutations() is controller
         with pytest.raises(ConfigurationError):
             engine.enable_mutations(MutationConfig())
@@ -735,7 +703,7 @@ class TestEngineMutations:
                                             seed=16)
         engine = QueryDecompositionEngine.build(
             database, CFG, QDConfig(), seed=3,
-            mutations=MutationConfig(auto_compact=False),
+            mutations=MutationConfig(),
         )
         engine.attach_session_store(make_session_store("memory"))
         with engine:
@@ -759,7 +727,7 @@ class TestEngineMutations:
                                             seed=16)
         engine = QueryDecompositionEngine.build(
             database, CFG, QDConfig(), seed=3,
-            mutations=MutationConfig(auto_compact=False),
+            mutations=MutationConfig(),
         )
         engine.attach_session_store(make_session_store("memory"))
         with engine:
@@ -782,7 +750,7 @@ class TestServeMutations:
                                             seed=18)
         engine = QueryDecompositionEngine.build(
             database, CFG, QDConfig(), seed=9,
-            mutations=MutationConfig(auto_compact=False),
+            mutations=MutationConfig(),
         )
         engine.attach_session_store(make_session_store("memory"))
         with engine:

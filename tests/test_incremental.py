@@ -32,7 +32,7 @@ def _fresh(n=200, d=8, seed=0, *, compact_threshold=None):
         seed=seed,
     )
     config = (
-        MutationConfig(auto_compact=False)
+        None
         if compact_threshold is None
         else MutationConfig(compact_threshold=compact_threshold)
     )

@@ -76,7 +76,7 @@ def mutated(database):
         CFG,
         QDConfig(),
         seed=SEED,
-        mutations=MutationConfig(auto_compact=False),
+        mutations=MutationConfig(),
     ) as engine:
         _mutate(engine, database)
         yield engine.rfs
@@ -90,7 +90,7 @@ def sharded(database):
         QDConfig(),
         shards=2,
         seed=SEED,
-        mutations=MutationConfig(auto_compact=False),
+        mutations=MutationConfig(),
     ) as engine:
         _mutate(engine, database)
         yield engine.rfs

@@ -41,7 +41,7 @@ def engine():
         RFSConfig(node_max_entries=40, leaf_subclusters=3),
         QDConfig(),
         seed=SEED,
-        mutations=MutationConfig(auto_compact=False),
+        mutations=MutationConfig(),
     ) as eng:
         eng.attach_session_store(InMemorySessionStore())
         yield eng
