@@ -9,14 +9,12 @@ implemented here on plain numpy.
 
 from repro._lazy import lazy_exports
 from repro.clustering.kmeans import (
-    KMeans,
     KMeansResult,
     kmeans,
     kmeans_stacked,
 )
 
 __all__ = [
-    "KMeans",
     "KMeansResult",
     "kmeans",
     "kmeans_stacked",

@@ -809,65 +809,3 @@ def kmeans(
         max_iter=max_iter,
         tol=tol,
     )[0]
-
-
-class KMeans:
-    """Object-style wrapper around :func:`kmeans` with a fit/predict API.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> rng = np.random.default_rng(0)
-    >>> pts = np.vstack([rng.normal(0, .1, (20, 2)),
-    ...                  rng.normal(5, .1, (20, 2))])
-    >>> model = KMeans(k=2, seed=0).fit(pts)
-    >>> int(model.predict(np.array([[0.0, 0.0]]))[0]) in (0, 1)
-    True
-    """
-
-    def __init__(
-        self,
-        k: int,
-        *,
-        seed: RandomState = None,
-        n_restarts: int = 3,
-        max_iter: int = 100,
-        tol: float = 1e-6,
-    ) -> None:
-        self.k = k
-        self.seed = seed
-        self.n_restarts = n_restarts
-        self.max_iter = max_iter
-        self.tol = tol
-        self.result_: KMeansResult | None = None
-
-    def fit(self, data: np.ndarray) -> "KMeans":
-        """Run clustering; store the result on ``self.result_``."""
-        self.result_ = kmeans(
-            data,
-            self.k,
-            seed=self.seed,
-            n_restarts=self.n_restarts,
-            max_iter=self.max_iter,
-            tol=self.tol,
-        )
-        return self
-
-    @property
-    def centroids(self) -> np.ndarray:
-        """Fitted cluster centres."""
-        if self.result_ is None:
-            raise ClusteringError("KMeans used before fit()")
-        return self.result_.centroids
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Cluster assignment of the training samples."""
-        if self.result_ is None:
-            raise ClusteringError("KMeans used before fit()")
-        return self.result_.labels
-
-    def predict(self, data: np.ndarray) -> np.ndarray:
-        """Assign new samples to the fitted centroids."""
-        matrix = check_vectors("data", data, dim=self.centroids.shape[1])
-        return _assign(matrix, self.centroids)

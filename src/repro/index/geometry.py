@@ -61,18 +61,6 @@ class MBR:
             )
         return cls(pts.min(axis=0), pts.max(axis=0))
 
-    @classmethod
-    def union_of(cls, boxes: list["MBR"]) -> "MBR":
-        """Smallest box covering all ``boxes``."""
-        if not boxes:
-            raise ConfigurationError("union_of needs at least one box")
-        lo = boxes[0].lo.copy()
-        hi = boxes[0].hi.copy()
-        for box in boxes[1:]:
-            np.minimum(lo, box.lo, out=lo)
-            np.maximum(hi, box.hi, out=hi)
-        return cls(lo, hi)
-
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------

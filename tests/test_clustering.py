@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.clustering.kmeans import KMeans, kmeans
+from repro.clustering.kmeans import kmeans
 from repro.clustering.pca import PCA
 from repro.clustering.quality import (
     cluster_separation_ratio,
@@ -83,16 +83,6 @@ class TestKMeans:
             for k in (1, 2, 4, 8)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(inertias, inertias[1:]))
-
-    def test_wrapper_fit_predict(self, rng):
-        data, _ = _blobs(rng, [(0, 0), (8, 8)])
-        model = KMeans(k=2, seed=0).fit(data)
-        pred = model.predict(np.array([[0.1, -0.1], [7.9, 8.2]]))
-        assert pred[0] != pred[1]
-
-    def test_wrapper_use_before_fit(self):
-        with pytest.raises(ClusteringError):
-            KMeans(k=2).centroids
 
 
 class TestPCA:

@@ -31,14 +31,6 @@ class TestMBRConstruction:
         with pytest.raises(ConfigurationError):
             MBR(np.zeros(2), np.zeros(3))
 
-    def test_union_of_list(self):
-        b = MBR.union_of([box([0, 0], [1, 1]), box([2, -1], [3, 0.5])])
-        assert np.array_equal(b.lo, [0, -1])
-        assert np.array_equal(b.hi, [3, 1])
-
-    def test_union_of_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MBR.union_of([])
 
 
 class TestMBRGeometry:
@@ -48,11 +40,6 @@ class TestMBRGeometry:
 
     def test_center(self):
         assert np.array_equal(box([0, 0], [2, 4]).center(), [1, 2])
-
-    def test_union_commutes(self):
-        a = box([0, 0], [1, 1])
-        b = box([2, 2], [3, 3])
-        assert MBR.union_of([a, b]) == MBR.union_of([b, a])
 
     def test_min_distance_inside_is_zero(self):
         assert box([0, 0], [2, 2]).min_distance(

@@ -42,20 +42,6 @@ class TestMBRProperties:
         box = MBR.from_points(pts)
         assert np.all(box.lo <= pts) and np.all(pts <= box.hi)
 
-    @given(points_strategy(n_min=2), points_strategy(n_min=2))
-    def test_union_contains_both(self, a, b):
-        if a.shape[1] != b.shape[1]:
-            return
-        box_a = MBR.from_points(a)
-        box_b = MBR.from_points(b)
-        union = MBR.union_of([box_a, box_b])
-        assert np.all(union.lo <= box_a.lo) and np.all(
-            union.hi >= box_a.hi
-        )
-        assert np.all(union.lo <= box_b.lo) and np.all(
-            union.hi >= box_b.hi
-        )
-
     @given(points_strategy(n_min=2))
     def test_min_distance_lower_bounds_member_distance(self, pts):
         box = MBR.from_points(pts)
