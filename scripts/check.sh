@@ -302,6 +302,19 @@ forbid "server load is counted, not modelled: no deployment model or" \
     -e 'ConcurrencyReport|compare_deployments|DeploymentComparison' \
     -e 'SessionCost|ClientPayload|client_payload' \
     -e 'qd_server_capacity_multiplier' -- src/
+# One opener assembles every CLI command's engine (cli._open_engine,
+# its tree step cli._open_tree) and puts what it opens on main()'s
+# one ExitStack; the seven per-command assembly helpers, which left
+# session stores and mapped stores open, stay deleted.  So do a
+# mutation setting with one value outside tests (compaction is
+# always automatic), an MBR union nothing called, and the KMeans
+# fit/predict wrapper nothing outside its tests used.
+forbid "one CLI opener and one stack: no per-command engine assembly" \
+    "helper, auto_compact setting, MBR.union_of or KMeans wrapper" -- \
+    -nwE -e '_build_serving_engin[e]|_sharded_engin[e]|_single_node_engin[e]' \
+    -e '_attach_store_from_arg[s]|_cache_config_from_arg[s]' \
+    -e '_mutation_config_from_arg[s]|_session_store_from_arg[s]' \
+    -e 'auto_compac[t]|union_o[f]|class KMean[s]' -- src/
 # Every module under src/repro/ is imported by something the CLI, a
 # benchmark or a script reaches (lazy re-exports resolved): a module
 # only its own tests or an example import is code nothing serving or
