@@ -77,7 +77,7 @@ def validate_structure(rfs: RFSStructure) -> List[str]:
             if not node.is_leaf:
                 continue
             try:
-                _, ids, _ = store.node_block(node.node_id)
+                _, ids = store.node_block(node.node_id)
             except (KeyError, NodeNotFoundError):
                 problems.append(
                     f"leaf {node.node_id}: no block in the store"

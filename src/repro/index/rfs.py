@@ -441,7 +441,7 @@ class RFSStructure:
         ):
             return self._vectors_main(ids)
         in_delta = ids >= view.base_rows
-        delta_rows, _ = view.kernel_rows()
+        delta_rows = view.kernel_rows()
         out = np.empty(
             (ids.shape[0], self.features.shape[1]), dtype=delta_rows.dtype
         )
@@ -1008,10 +1008,7 @@ class RFSStructure:
         """
         from repro.store.kernels import point_distances
 
-        block, sqnorms = view.kernel_rows()
-        dists = point_distances(
-            block[sel], query, block_sqnorms=sqnorms[sel]
-        )
+        dists = point_distances(view.kernel_rows()[sel], query)
         get_metrics().counter(
             "qd_delta_scan_rows_total",
             "delta-segment rows scanned by the brute-force kernel",
@@ -1021,7 +1018,7 @@ class RFSStructure:
     def _read_leaf(self, leaf: RFSNode):
         """Charge the I/O model for ``leaf`` and slice its block.
 
-        Returns the zero-copy ``(rows, ids, sqnorms)`` views of
+        Returns the zero-copy ``(rows, ids)`` views of
         :meth:`~repro.store.FeatureStore.node_block`; the I/O model is
         charged the block's float32 byte count.
         """
@@ -1049,8 +1046,9 @@ class RFSStructure:
 
         Leaves are read in ascending MINDIST order.  Each is one
         zero-copy slice of the store, scored by one
-        :func:`~repro.store.kernels.point_distances` call with the
-        store's cached squared norms.  With ``κ`` the ``take``-th
+        :func:`~repro.store.kernels.point_distances` call, which
+        scores every row by its exact Euclidean distance
+        ``√Σ(x − q)²``.  With ``κ`` the ``take``-th
         smallest distance pooled so far, the scan stops at the first
         leaf whose MINDIST exceeds ``κ``: none of its rows can beat the
         current k-th best.  The top-``take`` selection is one
@@ -1077,10 +1075,10 @@ class RFSStructure:
         for pos in order:
             if count >= take and mindists[pos] > kth:
                 break
-            rows, ids, sqnorms = self._read_leaf(leaves[pos])
+            rows, ids = self._read_leaf(leaves[pos])
             leaves_read += 1
             distance_evals += rows.shape[0]
-            dists = point_distances(rows, query, block_sqnorms=sqnorms)
+            dists = point_distances(rows, query)
             if dead_ids is not None:
                 # ``dists`` is freshly computed (owned), so in-place is
                 # safe; +inf keeps rows and ids aligned.

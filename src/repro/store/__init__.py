@@ -7,8 +7,8 @@ via fancy indexing — a row-by-row copy — before any distance math runs.
 This package reorders the database once, at store-build time, into
 **leaf-contiguous blocks**: a permutation of the feature matrix such
 that every RFS node's vectors occupy one contiguous slice.  Leaf scans
-then serve zero-copy read-only views, the distance kernels fuse the
-whole block × representative computation into one pass, and the blocks
+then serve zero-copy read-only views, the distance kernel scores a
+whole block in one vectorized pass, and the blocks
 persist via ``np.memmap``, so processes that open one store share its
 bytes through the page cache.
 
@@ -17,11 +17,11 @@ Pieces:
 * :class:`~repro.store.feature_store.FeatureStore` — the permuted
   float32 matrix, id↔row maps both ways, per-node spans, persistence
   (``save`` / ``FeatureStore.open``), and block-read accounting;
-* :mod:`repro.store.kernels` — fused batched distance kernels
-  (:func:`~repro.store.kernels.pairwise_distances` and friends) built
-  on the ``‖x‖² + ‖q‖² − 2·x·q`` expansion with cached row norms; a
-  leaf scan is one exact :func:`~repro.store.kernels.point_distances`
-  call over the block's float32 rows;
+* :mod:`repro.store.kernels` — batched distance kernels
+  (:func:`~repro.store.kernels.pairwise_distances` and friends) that
+  compute ``√Σ(x − q)²`` directly; a leaf scan is one exact
+  :func:`~repro.store.kernels.point_distances` call over the block's
+  float32 rows;
 * :mod:`repro.store.delta` — the mutation path's write side: an
   append-only delta segment (new feature rows + tombstones) whose
   immutable :class:`~repro.store.delta.DeltaView` snapshots final-round

@@ -35,7 +35,7 @@ every node, which the scan take/merge logic in
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class DeltaView:
         self.dead_main_leaves = dead_main_leaves
         self.epoch = int(epoch)
         self._live_idx: Optional[np.ndarray] = None
-        self._kernel_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._kernel_rows: Optional[np.ndarray] = None
         self._live_sel: Dict[int, np.ndarray] = {}
         self._dead_sel: Dict[int, np.ndarray] = {}
 
@@ -162,21 +162,20 @@ class DeltaView:
         return dead
 
     # -- row access ------------------------------------------------------
-    def kernel_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All delta rows as float32 plus their squared norms.
+    def kernel_rows(self) -> np.ndarray:
+        """All delta rows as float32.
 
         Cached on the (immutable) view, so repeated scans pay the cast
         once.  The cast matches what
         :meth:`repro.store.feature_store.FeatureStore.build` does to the
-        same float64 rows — bit-identical stored values — and the norms
-        come from the same ``einsum`` reduction, so the delta kernel's
-        inputs (and the gathered query points) equal what a rebuilt
-        store would hold.
+        same float64 rows — bit-identical stored values — so the delta
+        kernel's inputs (and the gathered query points) equal what a
+        rebuilt store would hold.
         """
         if self._kernel_rows is None:
-            block = np.ascontiguousarray(self.rows, dtype=np.float32)
-            sqnorms = np.einsum("ij,ij->i", block, block)
-            self._kernel_rows = (block, sqnorms)
+            self._kernel_rows = np.ascontiguousarray(
+                self.rows, dtype=np.float32
+            )
         return self._kernel_rows
 
     def leaf_of_delta(self, image_id: int) -> int:

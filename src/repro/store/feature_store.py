@@ -28,8 +28,7 @@ Disk layout of a saved store directory::
 
     <dir>/features.bin   raw C-order float32 bytes (np.memmap target)
     <dir>/meta.npz       permutation maps, node spans, shape, dtype tag
-                         (always "float32"), tier tag (always "f32"),
-                         cached row norms
+                         (always "float32"), tier tag (always "f32")
 
 ``open`` refuses a ``dtype`` tag other than ``float32`` and a tier tag
 other than ``f32`` before mapping anything: the bytes would otherwise
@@ -55,8 +54,9 @@ from repro.obs import get_metrics
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.index.rfs import RFSNode, RFSStructure
 
-#: Version 2 added the tier tag and the persisted row norms to
-#: ``meta.npz``.  Version-1 directories still open.
+#: Version 2 added the tier tag to ``meta.npz``.  Version-1 directories
+#: still open, and so do version-2 ones that carry the row norms older
+#: builds persisted (the entry is ignored: no kernel reads norms).
 STORE_FORMAT_VERSION = 2
 
 #: The one number format of the rows (the ``dtype`` tag in
@@ -110,7 +110,6 @@ class FeatureStore:
         *,
         kind: str = "inmem",
         path: Optional[Path] = None,
-        sqnorms: Optional[np.ndarray] = None,
     ) -> None:
         if matrix.dtype != _ROW_DTYPE:
             raise StoreCodecError(
@@ -123,7 +122,6 @@ class FeatureStore:
         self.spans = spans
         self.kind = kind
         self.path = Path(path) if path is not None else None
-        self._sqnorms = sqnorms
         self.stats: Dict[str, int] = {
             "block_reads": 0,
             "cache_hits": 0,
@@ -228,22 +226,17 @@ class FeatureStore:
                 f"store holds no span for node {node_id}"
             ) from exc
 
-    def node_block(
-        self, node_id: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(vectors, ids, sqnorms)`` views of a node's block.
+    def node_block(self, node_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(vectors, ids)`` views of a node's block.
 
-        All three are zero-copy slices of store-owned arrays (read-only;
-        for a memmap store the vectors live in the page cache).  The
-        squared row norms feed the fused kernels' distance expansion.
+        Both are zero-copy slices of store-owned arrays (read-only; for
+        a memmap store the vectors live in the page cache).  A leaf scan
+        scores the vectors as they are, with
+        :func:`~repro.store.kernels.point_distances`.
         """
         self._require_open()
         start, stop = self.span_of(node_id)
-        return (
-            self.matrix[start:stop],
-            self.id_of_row[start:stop],
-            self.sqnorms[start:stop],
-        )
+        return self.matrix[start:stop], self.id_of_row[start:stop]
 
     def scan_block(self, node_id: int) -> None:
         """Always refuses: leaf scans read :meth:`node_block`.
@@ -261,16 +254,6 @@ class FeatureStore:
         """Bytes a scan of this node's block reads."""
         start, stop = self.span_of(node_id)
         return (stop - start) * self.dims * _ROW_DTYPE.itemsize
-
-    @property
-    def sqnorms(self) -> np.ndarray:
-        """Cached per-row squared norms (computed once, lazily)."""
-        if self._sqnorms is None:
-            m = self.matrix
-            sq = np.einsum("ij,ij->i", m, m)
-            sq.setflags(write=False)
-            self._sqnorms = sq
-        return self._sqnorms
 
     def vectors_for(self, ids: np.ndarray) -> np.ndarray:
         """Gather the vectors of arbitrary image ids (small copies)."""
@@ -338,7 +321,6 @@ class FeatureStore:
         """
         mm = getattr(self.matrix, "_mmap", None)
         self.matrix = None
-        self._sqnorms = None
         if mm is not None:
             try:
                 mm.close()
@@ -361,12 +343,7 @@ class FeatureStore:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, directory: str | Path) -> Path:
-        """Persist the store to ``directory`` (created if missing).
-
-        ``meta.npz`` (format version 2) carries the cached row norms, so
-        a reopened memmap store need not page in the whole feature file
-        to compute them.
-        """
+        """Persist the store to ``directory`` (created if missing)."""
         target = Path(directory)
         target.mkdir(parents=True, exist_ok=True)
         np.ascontiguousarray(self.matrix).tofile(target / _FEATURES_FILE)
@@ -383,7 +360,6 @@ class FeatureStore:
             shape=np.array(self.matrix.shape, dtype=np.int64),
             dtype=np.array(_ROW_DTYPE.name),
             tier=np.array(_TIER_TAG),
-            sqnorms=np.ascontiguousarray(self.sqnorms),
             id_of_row=self.id_of_row,
             row_of_id=self.row_of_id,
             span_node_ids=node_ids,
@@ -417,7 +393,6 @@ class FeatureStore:
         bin_path = source / _FEATURES_FILE
         if not meta_path.exists() or not bin_path.exists():
             raise DatasetError(f"no feature store at {source}")
-        sqnorms = None
         with np.load(meta_path) as meta:
             version = int(meta["format_version"])
             if version not in (1, STORE_FORMAT_VERSION):
@@ -451,9 +426,6 @@ class FeatureStore:
                     meta["span_stops"],
                 )
             }
-            if version >= 2:
-                sqnorms = meta["sqnorms"].copy()
-                sqnorms.setflags(write=False)
         expected = shape[0] * shape[1] * _ROW_DTYPE.itemsize
         actual = bin_path.stat().st_size
         if actual != expected:
@@ -471,12 +443,6 @@ class FeatureStore:
         id_of_row.setflags(write=False)
         row_of_id.setflags(write=False)
         return cls(
-            matrix,
-            id_of_row,
-            row_of_id,
-            spans,
-            kind=mode,
-            path=source,
-            sqnorms=sqnorms,
+            matrix, id_of_row, row_of_id, spans, kind=mode, path=source
         )
 

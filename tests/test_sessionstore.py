@@ -1230,11 +1230,14 @@ PARENT_NEXT_SCREEN = [
     1011, 0, 173, 211, 254, 280, 287, 333, 346, 404, 628, 710, 716, 723,
     833, 852, 941, 975, 1185,
 ]
+#: With the direct-form kernel: 1080 and 1095 are equidistant at
+#: float32 (0.44103655), so the lower id leads; the norm expansion
+#: scored them 0.4410431 and 0.4410388.
 PARENT_FINAL_IDS = [
-    50, 46, 367, 366, 1095, 1080, 1082, 0, 16, 474, 477, 606, 598, 995,
+    50, 46, 367, 366, 1080, 1095, 1082, 0, 16, 474, 477, 606, 598, 995,
     1011, 1005, 1145, 1144, 1153, 1155,
 ]
-PARENT_RANKING_DIGEST = "5bdbdd2ab0d2"
+PARENT_RANKING_DIGEST = "63d63f3202b5"
 #: ``_digest`` of the three screens of seeds 0..49 on f821c54.
 PARENT_SCREEN_DIGESTS = """
     a26de0a6f9c6 4e3ff7a2036e 60a436f9f618 0fab6b85729d faee117a54f0
