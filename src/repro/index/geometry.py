@@ -73,14 +73,6 @@ class MBR:
         """Per-dimension side lengths."""
         return self.hi - self.lo
 
-    def center(self) -> np.ndarray:
-        """Geometric centre of the box."""
-        return (self.lo + self.hi) / 2.0
-
-    def margin(self) -> float:
-        """Sum of side lengths (the R*-tree 'margin' heuristic)."""
-        return float(np.sum(self.extents()))
-
     def diagonal(self) -> float:
         """Euclidean length of the main diagonal.
 
@@ -106,7 +98,7 @@ class MBR:
         return np.linalg.norm(gap, axis=-1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MBR(dims={self.dims}, margin={self.margin():.3f})"
+        return f"MBR(dims={self.dims}, diagonal={self.diagonal():.3f})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MBR):

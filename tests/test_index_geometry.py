@@ -38,9 +38,6 @@ class TestMBRGeometry:
         b = box([0, 0], [3, 4])
         assert b.diagonal() == pytest.approx(5.0)
 
-    def test_center(self):
-        assert np.array_equal(box([0, 0], [2, 4]).center(), [1, 2])
-
     def test_min_distance_inside_is_zero(self):
         assert box([0, 0], [2, 2]).min_distance(
             np.array([1.0, 1.0])
