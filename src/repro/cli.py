@@ -786,7 +786,13 @@ def _cmd_serve(args: argparse.Namespace, stack: ExitStack) -> int:
     stack.callback(signal.signal, signal.SIGTERM, previous)
     # Bound before the announcement, so --port 0 prints the port the OS
     # picked.
-    server = QDTCPServer((args.host, args.port), core)
+    try:
+        server = QDTCPServer((args.host, args.port), core)
+    except OSError as exc:
+        raise ReproError(
+            f"cannot listen on {args.host}:{args.port}: "
+            f"{exc.strerror or exc}"
+        ) from exc
     host, port = server.server_address[:2]
     print(
         f"serving {database.size} images ({shape}, "

@@ -1,6 +1,8 @@
 """Tests for the extension modules: serialization, alternative
 hierarchies, CLI."""
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -285,24 +287,15 @@ class TestCLI:
         ]) == 0
         return rfs_path, store_dir
 
-    @pytest.mark.parametrize(
-        "case, code",
-        [
-            pytest.param(case, code, id=case)
-            for case, code in [
-                ("query-sqlite", 0),
-                ("interactive-sqlite", 1),  # stdin ends before round 1
-                ("serve-sqlite", 0),
-                ("index-verify-memmap", 0),
-                ("query-memmap-bad-session-path", 1),
-            ]
-        ],
-    )
-    def test_every_opened_store_is_closed_when_main_returns(
-        self, db_path, saved_store, tmp_path, monkeypatch, capsys, case, code
-    ):
+    @pytest.fixture()
+    def opened_stores(self, monkeypatch):
+        """Every session store and mapped feature store ``main`` opens.
+
+        Spies on ``repro.sessionstore.make_session_store`` and
+        ``FeatureStore.open``; returns the list they fill and a
+        predicate telling whether a store in it is closed.
+        """
         import repro.sessionstore
-        from repro.serve import QDTCPServer
         from repro.store import FeatureStore
 
         opened = []
@@ -322,15 +315,38 @@ class TestCLI:
                 return store.closed
             return store._closed and not store._conns
 
+        monkeypatch.setattr(
+            repro.sessionstore, "make_session_store", spy_make
+        )
+        monkeypatch.setattr(FeatureStore, "open", staticmethod(spy_open))
+        return opened, closed
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            pytest.param(case, code, id=case)
+            for case, code in [
+                ("query-sqlite", 0),
+                ("interactive-sqlite", 1),  # stdin ends before round 1
+                ("serve-sqlite", 0),
+                ("index-verify-memmap", 0),
+                ("query-memmap-bad-session-path", 1),
+            ]
+        ],
+    )
+    def test_every_opened_store_is_closed_when_main_returns(
+        self, db_path, saved_store, tmp_path, monkeypatch, capsys, case,
+        code, opened_stores,
+    ):
+        from repro.serve import QDTCPServer
+
+        opened, closed = opened_stores
+
         def drain(server):
             # The session store outlives the drain of the serving core.
             assert not any(closed(store) for store in opened)
             server.close()
 
-        monkeypatch.setattr(
-            repro.sessionstore, "make_session_store", spy_make
-        )
-        monkeypatch.setattr(FeatureStore, "open", staticmethod(spy_open))
         monkeypatch.setattr(QDTCPServer, "serve_until_interrupted", drain)
         monkeypatch.setattr("builtins.input", _end_of_input)
         rfs_path, store_dir = saved_store
@@ -357,6 +373,36 @@ class TestCLI:
         assert cli_main(argv) == code
         assert opened
         assert [closed(store) for store in opened] == [True] * len(opened)
+
+    def test_serve_on_a_busy_port_is_one_error_line(
+        self, db_path, tmp_path, capsys, opened_stores
+    ):
+        # Another socket already listens on the port: serve builds its
+        # tree, fails to bind, and says so in one line naming host:port,
+        # with every store it opened closed.
+        opened, closed = opened_stores
+        store_dir = tmp_path / "store"  # of the tree serve builds
+        assert cli_main([
+            "build-store", "--db", str(db_path), "--seed", "7",
+            "--out", str(store_dir),
+        ]) == 0
+        capsys.readouterr()
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            code = cli_main([
+                "serve", "--db", str(db_path), "--host", "127.0.0.1",
+                "--port", str(port), "--session-store", "sqlite",
+                "--session-path", str(tmp_path / "sessions.db"),
+                "--store", "memmap", "--store-path", str(store_dir),
+            ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"127.0.0.1:{port}" in err
+        assert len(opened) == 2
+        assert [closed(store) for store in opened] == [True, True]
 
     def test_query_without_prebuilt_rfs(self, db_path, capsys):
         assert cli_main([
