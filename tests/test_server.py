@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import socket
+import sqlite3
 import struct
 import subprocess
 import sys
@@ -476,6 +477,63 @@ class TestQDServer:
         )
         _await(lambda: gated_server.queue_depth == 1, "the waiter")
         assert gated_server.drain(timeout_s=0.05) is False
+
+    def test_failed_submit_checkpoint_resumes_at_the_last_acked_round(
+        self, database, tmp_path, monkeypatch
+    ):
+        # The SQLite write of one submit's checkpoint fails (a full or
+        # failing disk).  The reply is ``internal``, the half-applied
+        # session is not handed back to the engine, and re-sending that
+        # submit continues the dialogue from the last acknowledged
+        # round: the same screens and ranking as an uninterrupted run.
+        from repro.sessionstore import SQLiteSessionStore
+
+        mark = _mark_fn(database)
+        put = SQLiteSessionStore._put
+        failing = []
+
+        def flaky_put(self, session_id, *args):
+            if failing and session_id == failing[0]:
+                failing.clear()
+                raise sqlite3.OperationalError("disk I/O error")
+            return put(self, session_id, *args)
+
+        monkeypatch.setattr(SQLiteSessionStore, "_put", flaky_put)
+
+        def dialogue(server, fail_round=None):
+            sid = server.request("open", seed=9).value
+            screens = []
+            for round_no in range(2):
+                shown = server.request("display", session_id=sid).value
+                screens.append(shown)
+                if round_no == fail_round:
+                    failing.append(sid)
+                    failed = server.request(
+                        "submit", session_id=sid, relevant_ids=mark(shown)
+                    )
+                    assert failed.status == "internal"
+                    assert "disk I/O error" in failed.error
+                    assert not failing  # the armed write was the one
+                    assert sid not in server.engine._hot_sessions
+                assert server.request(
+                    "submit", session_id=sid, relevant_ids=mark(shown)
+                ).ok
+            final = server.request("finalize", session_id=sid, k=40)
+            assert final.ok
+            ranking = [
+                (g.leaf_node_id, [(i.item_id, i.score) for i in g.items])
+                for g in final.value.groups
+            ]
+            return screens, ranking
+
+        with QueryDecompositionEngine.build(
+            database, RFS_CONFIG, QDConfig(), seed=SEED
+        ) as eng, SQLiteSessionStore(tmp_path / "sessions.db") as store:
+            eng.attach_session_store(store)
+            with QDServer(eng, ServeConfig(workers=1)) as server:
+                reference = dialogue(server)
+                for fail_round in (0, 1):
+                    assert dialogue(server, fail_round) == reference
 
     def test_internal_errors_become_responses(self, engine, monkeypatch):
         def boom(self, op, **kwargs):
