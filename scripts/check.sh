@@ -315,6 +315,20 @@ forbid "one CLI opener and one stack: no per-command engine assembly" \
     -e '_attach_store_from_arg[s]|_cache_config_from_arg[s]' \
     -e '_mutation_config_from_arg[s]|_session_store_from_arg[s]' \
     -e 'auto_compac[t]|union_o[f]|class KMean[s]' -- src/
+# MBR.center had no caller outside its own test, and MBR.margin only
+# the box's repr.
+forbid "no MBR.center or MBR.margin" -- \
+    -nE 'def (cente[r]|margi[n])\(|\.(cente[r]|margi[n])\(' -- src/
+# A store scan scores √Σ(x − q)² directly (store.kernels).  The norm
+# expansion ‖x‖² + ‖q‖² − 2·x·q lost the digits of rows far from the
+# origin, and the row norms it cached (on FeatureStore, in meta.npz,
+# in the delta view) had no other reader.  The build's k-means filter
+# under src/repro/clustering keeps norms of its own.
+forbid "the scan kernels compute distances directly: no cached row" \
+    "norms in the store or the index" -- \
+    -n -e 'sqnorm[s]' -- src/repro/store src/repro/index
+forbid "no block_sqnorms parameter in src/" -- \
+    -n -e 'block_sqnorm[s]' -- src/
 # Every module under src/repro/ is imported by something the CLI, a
 # benchmark or a script reaches (lazy re-exports resolved): a module
 # only its own tests or an example import is code nothing serving or
